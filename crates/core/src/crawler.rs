@@ -276,8 +276,8 @@ impl<S: DataSource> Crawler<S> {
         self.bus.metrics().checkpoints_written()
     }
 
-    /// Consumes the crawler and returns its source handle (used by
-    /// supervisors that must re-wrap the source for a restarted worker).
+    /// Consumes the crawler and returns its source handle (the fleet
+    /// supervisor hands it to the rebuilt crawler after a panicked slice).
     pub fn into_source(self) -> S {
         self.source
     }

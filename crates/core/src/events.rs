@@ -32,7 +32,7 @@ pub enum StopReason {
     QueryBudget,
     /// The coverage target was reached.
     CoverageReached,
-    /// A supervised fleet abandoned the job after its worker exceeded the
+    /// The fleet abandoned the job after its worker exceeded the
     /// restart budget ([`crate::fleet::FleetConfig::max_restarts`]).
     WorkerFailed,
     /// The crawl's [`crate::source::CancelToken`] fired: the driver stopped

@@ -13,10 +13,10 @@
 //! A plan is *pure schedule*; [`FaultPlanSource`] is the [`DataSource`]
 //! decorator that executes it. The decorator's mutable side (the request
 //! counter and per-kind tallies) lives behind an `Arc`, so clones of one
-//! `FaultPlanSource` share a single schedule position — exactly what a fleet
-//! supervisor needs to hold a handle to the same faulty source its worker
-//! crawls (and to keep the schedule advancing across worker restarts instead
-//! of replaying the same fault forever).
+//! `FaultPlanSource` share a single schedule position: a caller can keep a
+//! handle to read the tallies of the source its fleet job crawls. Worker
+//! restarts reuse the job's own handle, so the schedule keeps advancing
+//! instead of replaying the same fault forever.
 
 use crate::extract::{page_to_wire, parse_page, ExtractedPage};
 use crate::source::{CrawlError, DataSource};
@@ -59,8 +59,9 @@ pub enum FaultKind {
     /// the source and is billed there.
     Corrupt,
     /// A worker-killing panic — models a crash of the crawling process
-    /// itself. Only a supervisor ([`crate::fleet::run_fleet_supervised`])
-    /// survives this; the fault fires exactly once per scheduled index.
+    /// itself. Only a fleet ([`crate::fleet::run_fleet`], which supervises
+    /// every job) survives this; the fault fires exactly once per scheduled
+    /// index.
     Panic,
 }
 
@@ -195,8 +196,7 @@ struct PlanState {
 /// A [`DataSource`] decorator executing a [`FaultPlan`].
 ///
 /// Request numbering is global across clones: the schedule position lives in
-/// a shared `Arc`, so a supervisor's handle and its worker's handle count the
-/// same stream of requests. Billing mirrors reality: transient, stall, and
+/// a shared `Arc`, so every clone counts the same stream of requests. Billing mirrors reality: transient, stall, and
 /// panic faults consume the request *before* it reaches the inner source
 /// (billed here), while a corrupt page *was* served (billed by the inner
 /// source, merely mangled in flight).

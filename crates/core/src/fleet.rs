@@ -42,16 +42,20 @@
 //!
 //! # Supervision
 //!
-//! [`run_fleet_supervised`] adds crash safety on top (for `Clone` source
-//! handles, which is what real fleets hold — `Arc<WebDbServer>` clones or
-//! fault-injection wrappers):
+//! Every fleet is supervised; there is no unsupervised mode:
 //!
 //! * every slice runs under [`std::panic::catch_unwind`] — isolation is
 //!   per *slice*, not per thread, so a panicking job never takes a pool
-//!   worker (or its queued siblings) down with it; the supervisor rebuilds
-//!   the victim from its last persisted checkpoint
-//!   ([`CrawlConfig::checkpoint_store`]) — completed rounds are not
-//!   re-billed, at most one checkpoint interval of work is repeated;
+//!   worker (or its queued siblings) down with it, and a panic never
+//!   unwinds out of [`run_fleet`];
+//! * the worker hands the victim's source handle back
+//!   ([`Crawler::into_source`]) and the coordinator rebuilds the job over
+//!   it from a small per-job record (policy, seeds, config, starting
+//!   checkpoint): from its last persisted checkpoint
+//!   ([`CrawlConfig::checkpoint_store`]) when one loads, else from its
+//!   starting [`FleetJob::resume`] or its seeds — completed rounds are not
+//!   re-billed, at most one checkpoint interval of work is repeated, and
+//!   no source ever needs to be `Clone`;
 //! * a job that panics more than [`FleetConfig::max_restarts`] times is
 //!   abandoned with [`StopReason::WorkerFailed`] instead of wedging the
 //!   fleet;
@@ -70,9 +74,8 @@
 //!   those streams ([`MetricsRegistry::job_health`]); the supervisor keeps
 //!   no tallies of its own.
 //!
-//! The original one-OS-thread-per-job engine survives as
-//! [`run_fleet_thread_per_job`], the A/B baseline the `fleet_sched` bench
-//! gate measures the pool against.
+//! On fault-free sources none of this fires, and the reports are those of
+//! the bare scheduler.
 
 use crate::checkpoint::Checkpoint;
 use crate::config::{ConfigError, RetryPolicy};
@@ -83,7 +86,6 @@ use crate::metrics::MetricsRegistry;
 use crate::policy::PolicyKind;
 use crate::sched::{Pool, SchedulerStats, TaskCtx};
 use crate::source::DataSource;
-use crate::store::CheckpointStore;
 use crate::tenant::{validate_tenants, Tenant, TenantId, UsageLedger};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -110,9 +112,9 @@ pub enum AllocationStrategy {
 }
 
 impl AllocationStrategy {
-    /// Builds the stateful [`Allocator`] implementing this strategy. Both
-    /// fleet engines construct exactly one allocator per run and call it
-    /// once per cycle, which is what keeps their grant sequences identical.
+    /// Builds the stateful [`Allocator`] implementing this strategy. The
+    /// fleet constructs exactly one allocator per run and calls it once per
+    /// cycle.
     pub fn build_allocator(&self) -> Box<dyn Allocator> {
         match self {
             AllocationStrategy::Even => Box::new(EvenAllocator),
@@ -169,9 +171,9 @@ pub struct FleetConfig {
     /// must say so with a non-default schedule (e.g. `backoff_cap: 63`).
     pub default_retry: RetryPolicy,
     /// Slice restarts per job before the job is abandoned with
-    /// [`StopReason::WorkerFailed`] (supervised fleets).
+    /// [`StopReason::WorkerFailed`].
     pub max_restarts: u32,
-    /// Per-source circuit-breaker thresholds (supervised fleets).
+    /// Per-source circuit-breaker thresholds.
     pub breaker: BreakerConfig,
     /// The tenant registry. Empty (the default) means tenant-blind: no
     /// quotas, no weighted fairness, no per-tenant metering — exactly the
@@ -316,13 +318,12 @@ pub struct FleetReport {
     pub sources: Vec<CrawlReport>,
     /// Total elapsed rounds actually spent across the fleet.
     pub total_rounds: u64,
-    /// Per-job fault-tolerance counters, in input order. All-zero for
-    /// unsupervised fleets ([`run_fleet`]).
+    /// Per-job fault-tolerance counters, in input order. All-zero for jobs
+    /// that never panicked or tripped their breaker.
     pub health: Vec<JobHealth>,
     /// Scheduler counters, derived from the fleet-level
     /// [`CrawlEvent::SliceScheduled`] / [`CrawlEvent::SliceCompleted`]
-    /// stream. All-zero with `workers = 0` for the thread-per-job baseline
-    /// ([`run_fleet_thread_per_job`]), which schedules no slices on a pool.
+    /// stream.
     pub scheduler: SchedulerStats,
     /// Per-tenant usage ledgers, sorted by tenant id, derived by folding
     /// the fleet event stream ([`MetricsRegistry::usage_ledgers`]). Empty
@@ -355,22 +356,11 @@ impl FleetReport {
     pub fn worker_restarts(&self) -> u64 {
         self.health.iter().map(|h| u64::from(h.worker_restarts)).sum()
     }
-
-    fn empty(workers: u32) -> FleetReport {
-        FleetReport {
-            sources: Vec::new(),
-            total_rounds: 0,
-            health: Vec::new(),
-            scheduler: SchedulerStats { workers, ..SchedulerStats::default() },
-            usage: Vec::new(),
-            events: Vec::new(),
-        }
-    }
 }
 
-/// One allocation cycle's inputs, handed to an [`Allocator`] by both fleet
-/// engines. Job-indexed slices (`rates`, `tenant_of`) cover *all* jobs; the
-/// allocator must only grant to indices listed in `active`.
+/// One allocation cycle's inputs, handed to an [`Allocator`] by the fleet
+/// coordinator. Job-indexed slices (`rates`, `tenant_of`) cover *all* jobs;
+/// the allocator must only grant to indices listed in `active`.
 pub struct AllocCycle<'a> {
     /// Indices of schedulable jobs: not done, breaker closed, tenant not
     /// quota-parked.
@@ -403,11 +393,11 @@ impl AllocCycle<'_> {
 /// returning `(job index, grant)` pairs whose grants never sum past the
 /// slice (and therefore never past the remaining global budget).
 ///
-/// Allocators may be stateful (deficit counters, rotation cursors). Both
-/// the pooled engine and the thread-per-job baseline construct exactly one
-/// allocator per run and call it once per cycle in the same sequence,
-/// which is what makes their grant sequences — and hence their reports on
-/// deterministic sources — identical.
+/// Allocators may be stateful (deficit counters, rotation cursors). The
+/// fleet constructs exactly one allocator per run and calls it once per
+/// cycle, after folding every outcome of the previous cycle, so the grant
+/// sequence — and hence the reports on deterministic sources — does not
+/// depend on the pool width.
 pub trait Allocator {
     /// Computes this cycle's grants.
     fn allocate(&mut self, cycle: &AllocCycle<'_>) -> Vec<(usize, u64)>;
@@ -631,138 +621,119 @@ struct SliceOutcome<S: DataSource> {
     idx: usize,
     worker: u32,
     stolen: bool,
-    /// Cumulative elapsed rounds after the slice (0 when panicked).
-    rounds_total: u64,
-    /// Elapsed rounds billed during this slice alone (0 when panicked).
-    slice_rounds: u64,
-    /// Cumulative page-request rounds after the slice (0 when panicked).
-    pages_total: u64,
-    recent_rate: f64,
-    fault_streak: u32,
-    exhausted: bool,
-    panicked: bool,
-    /// The parked crawler, returned to its coordinator slot. `None` when
-    /// the slice panicked — the in-memory state is suspect then, and the
-    /// supervisor rebuilds from the last durable checkpoint instead.
-    crawler: Option<Crawler<S>>,
+    end: SliceEnd<S>,
+}
+
+/// How a slice ended. Moved by value once per slice; boxing the crawler
+/// would only add an allocation to every slice.
+#[allow(clippy::large_enum_variant)]
+enum SliceEnd<S: DataSource> {
+    /// The grant was spent or the frontier dried up; the crawler returns to
+    /// its coordinator slot.
+    Parked {
+        crawler: Crawler<S>,
+        /// Elapsed rounds billed during this slice alone.
+        slice_rounds: u64,
+        recent_rate: f64,
+        exhausted: bool,
+    },
+    /// The slice panicked. The crawler's in-memory state is suspect, so only
+    /// its source handle comes back; the coordinator rebuilds the job over
+    /// it from the last durable checkpoint.
+    Panicked(S),
 }
 
 /// Executes one slice on a pool worker: steps the crawler until the grant
 /// is spent or the frontier dries up, under `catch_unwind` so a panicking
 /// job is isolated per *slice* and the worker thread survives.
-fn slice_handler<S: DataSource>(ctx: TaskCtx, mut task: SliceTask<S>) -> SliceOutcome<S> {
-    let before = task.crawler.elapsed_rounds();
-    let target = before + task.grant;
+fn slice_handler<S: DataSource>(ctx: TaskCtx, task: SliceTask<S>) -> SliceOutcome<S> {
+    let SliceTask { idx, mut crawler, grant } = task;
+    let before = crawler.elapsed_rounds();
+    let target = before + grant;
     let stepped = catch_unwind(AssertUnwindSafe(|| {
         let mut exhausted = false;
-        while !exhausted && task.crawler.elapsed_rounds() < target {
-            if task.crawler.step().is_none() {
-                exhausted = true;
-            }
+        while !exhausted && crawler.elapsed_rounds() < target {
+            exhausted = crawler.step().is_none();
         }
         exhausted
     }));
-    match stepped {
-        Ok(exhausted) => {
-            let recent_rate = task.crawler.state().recent_harvest_mean(8).unwrap_or(if exhausted {
+    let end = match stepped {
+        Ok(exhausted) => SliceEnd::Parked {
+            slice_rounds: crawler.elapsed_rounds() - before,
+            recent_rate: crawler.state().recent_harvest_mean(8).unwrap_or(if exhausted {
                 0.0
             } else {
                 1.0
-            });
-            let rounds_total = task.crawler.elapsed_rounds();
-            SliceOutcome {
-                idx: task.idx,
-                worker: ctx.worker,
-                stolen: ctx.stolen,
-                rounds_total,
-                slice_rounds: rounds_total - before,
-                pages_total: task.crawler.rounds(),
-                recent_rate,
-                fault_streak: task.crawler.fault_streak(),
-                exhausted,
-                panicked: false,
-                crawler: Some(task.crawler),
-            }
-        }
-        Err(_) => SliceOutcome {
-            idx: task.idx,
-            worker: ctx.worker,
-            stolen: ctx.stolen,
-            rounds_total: 0,
-            slice_rounds: 0,
-            pages_total: 0,
-            recent_rate: 0.0,
-            fault_streak: 0,
-            exhausted: false,
-            panicked: true,
-            crawler: None,
+            }),
+            exhausted,
+            crawler,
         },
-    }
+        Err(_) => SliceEnd::Panicked(crawler.into_source()),
+    };
+    SliceOutcome { idx, worker: ctx.worker, stolen: ctx.stolen, end }
 }
 
-/// Builds a job's crawler: fresh from its seeds, or resumed from
-/// [`FleetJob::resume`].
-fn build_crawler<S: DataSource>(job: FleetJob<S>) -> Crawler<S> {
-    match &job.resume {
-        Some(cp) => Crawler::resume(job.source, job.policy.build(), cp, job.config),
-        None => {
-            let mut c = Crawler::new(job.source, job.policy.build(), job.config);
-            for (a, v) in &job.seeds {
-                c.add_seed(a, v);
-            }
-            c
-        }
-    }
-}
-
-/// How a supervised fleet rebuilds a job after a panic. Only the supervised
-/// entry point provides one (it needs `S: Clone`); the plain [`run_fleet`]
-/// passes `None` and escalates panics instead.
-trait Respawn<S: DataSource> {
-    /// The job's last persisted checkpoint, if any generation loads.
-    fn load_checkpoint(&self, idx: usize) -> Option<Checkpoint>;
-    /// A fresh crawler for the job, resumed from `resume` when given.
-    fn rebuild(&self, idx: usize, resume: Option<&Checkpoint>) -> Crawler<S>;
-    /// A final report for a job whose crawler is gone: whatever the last
-    /// checkpoint proves was harvested, under `stop`.
-    fn synthesize_report(&self, idx: usize, stop: StopReason) -> CrawlReport;
-}
-
-/// Everything the supervisor needs to rebuild one job.
-struct JobSpec<S: DataSource> {
-    source: S,
+/// Everything of a [`FleetJob`] the coordinator keeps to rebuild the job
+/// after a panicked slice: the source comes back from the suspect crawler,
+/// and the tenant is coordinator state, not crawler state.
+struct Recipe {
     policy: PolicyKind,
     seeds: Vec<(String, String)>,
     config: CrawlConfig,
     resume: Option<Checkpoint>,
 }
 
-impl<S: DataSource + Clone> Respawn<S> for Vec<JobSpec<S>> {
-    fn load_checkpoint(&self, idx: usize) -> Option<Checkpoint> {
-        let store = self[idx].config.checkpoint_store.as_ref()?;
+impl Recipe {
+    /// Builds the job's crawler over `source`: resumed from `checkpoint`,
+    /// else from the job's starting [`FleetJob::resume`], else fresh from
+    /// its seeds.
+    fn build<S: DataSource>(&self, source: S, checkpoint: Option<&Checkpoint>) -> Crawler<S> {
+        let config = self.config.clone();
+        match checkpoint.or(self.resume.as_ref()) {
+            Some(cp) => Crawler::resume(source, self.policy.build(), cp, config),
+            None => {
+                let mut c = Crawler::new(source, self.policy.build(), config);
+                for (a, v) in &self.seeds {
+                    c.add_seed(a, v);
+                }
+                c
+            }
+        }
+    }
+
+    /// The job's last persisted checkpoint, if any generation loads.
+    fn last_checkpoint(&self) -> Option<Checkpoint> {
+        let store = self.config.checkpoint_store.as_ref()?;
         store.load_or_backup().ok().map(|(cp, _)| cp)
     }
+}
 
-    fn rebuild(&self, idx: usize, resume: Option<&Checkpoint>) -> Crawler<S> {
-        let spec = &self[idx];
-        // No durable checkpoint yet: fall back to the job's own starting
-        // checkpoint (if it was a resumed job) or its seeds.
-        let resume = resume.or(spec.resume.as_ref());
-        build_crawler(FleetJob {
-            source: spec.source.clone(),
-            policy: spec.policy.clone(),
-            seeds: spec.seeds.clone(),
-            config: spec.config.clone(),
-            resume: resume.cloned(),
-            // Tenancy is coordinator state, not crawler state; the rebuilt
-            // crawler re-enters the job's existing slot.
-            tenant: None,
-        })
-    }
-
-    fn synthesize_report(&self, idx: usize, stop: StopReason) -> CrawlReport {
-        self.rebuild(idx, self.load_checkpoint(idx).as_ref()).into_report(stop)
-    }
+/// One job as the coordinator tracks it.
+struct Slot<S: DataSource> {
+    recipe: Recipe,
+    /// Index into [`FleetConfig::tenants`]; `None` for tenant-blind jobs.
+    tenant: Option<usize>,
+    /// The parked crawler: `None` while its slice is in flight, and for
+    /// good once the job left early (`report` is set then).
+    crawler: Option<Crawler<S>>,
+    /// Recent normalized harvest rate, the proportional allocator's input.
+    rate: f64,
+    /// No more slices: frontier exhausted, detached, or abandoned.
+    done: bool,
+    /// Parked by cooperative preemption (tenant over quota). Parked is not
+    /// done: the job finalizes with [`StopReason::QuotaExhausted`].
+    parked: bool,
+    /// Billed elapsed rounds and page requests: running maxima over every
+    /// crawler the job has had, so a restart never un-bills.
+    rounds: u64,
+    pages: u64,
+    breaker: CircuitBreaker,
+    /// The job's supervision events; [`FleetReport::health`] is derived
+    /// from these, never tallied by hand.
+    supervision: MetricsRegistry,
+    /// The final report of a job that left early (detached or abandoned),
+    /// finalized and billed when it left.
+    report: Option<CrawlReport>,
 }
 
 /// The coordinator's event stream: every fleet-level event is recorded on
@@ -785,18 +756,243 @@ impl FleetStream {
     }
 }
 
-/// The pooled fleet engine behind [`run_fleet`], [`run_fleet_supervised`],
-/// and [`run_fleet_controlled`]. The coordinator owns every parked crawler
-/// in a slot vector; each allocation cycle it drains controller ops,
-/// parks over-quota tenants, computes grants through the configured
-/// [`Allocator`], submits one [`SliceTask`] per granted job to the
-/// work-stealing pool (higher-priority tenants dispatched first), and
-/// folds the outcomes back into rates / budget / breaker / ledger state
+/// The coordinator's state between allocation cycles. Every crawler is
+/// parked in its [`Slot`] here at a cycle boundary, so attach, detach and
+/// restart never race a pool worker.
+struct Coordinator<'a, S: DataSource> {
+    config: &'a FleetConfig,
+    slots: Vec<Slot<S>>,
+    /// Rounds billed per tenant slot, the quota-clamping input.
+    tenant_used: Vec<u64>,
+    stream: FleetStream,
+}
+
+impl<S: DataSource> Coordinator<'_, S> {
+    fn tenant_id(&self, tenant: Option<usize>) -> Option<u32> {
+        tenant.map(|t| self.config.tenants[t].id.0)
+    }
+
+    /// Adds a job (initial or live-attached) and announces it. A resumed
+    /// job enters with its checkpointed rounds already billed.
+    fn admit(&mut self, job: FleetJob<S>) {
+        let FleetJob { source, policy, seeds, mut config, resume, tenant } = job;
+        apply_default_retry(&mut config, self.config);
+        let tenant = tenant.and_then(|id| self.config.tenants.iter().position(|t| t.id == id));
+        let recipe = Recipe { policy, seeds, config, resume };
+        let crawler = recipe.build(source, None);
+        let idx = self.slots.len();
+        self.slots.push(Slot {
+            recipe,
+            tenant,
+            crawler: None,
+            rate: 1.0,
+            done: false,
+            parked: false,
+            rounds: 0,
+            pages: 0,
+            breaker: CircuitBreaker::new(self.config.breaker),
+            supervision: MetricsRegistry::new(),
+            report: None,
+        });
+        self.bill(idx, crawler.elapsed_rounds(), crawler.rounds());
+        self.slots[idx].crawler = Some(crawler);
+        self.announce(idx);
+    }
+
+    /// Raises job `i`'s bill to the given cumulative totals, charging any
+    /// newly billed rounds to its tenant.
+    fn bill(&mut self, i: usize, rounds: u64, pages: u64) {
+        let slot = &mut self.slots[i];
+        let before = slot.rounds;
+        slot.rounds = before.max(rounds);
+        slot.pages = slot.pages.max(pages);
+        if let Some(t) = slot.tenant {
+            self.tenant_used[t] += slot.rounds - before;
+        }
+    }
+
+    /// Records that job `i` (re-)entered the fleet with its current bill.
+    /// A restart re-announces, which keeps the ledger fold in lockstep with
+    /// the coordinator's own max-bookkeeping.
+    fn announce(&mut self, i: usize) {
+        let slot = &self.slots[i];
+        let event = CrawlEvent::JobAttached {
+            job: i as u32,
+            tenant: self.tenant_id(slot.tenant),
+            rounds: slot.rounds,
+            pages: slot.pages,
+        };
+        self.stream.emit(event);
+    }
+
+    /// Records that job `i` left the fleet with its final bill.
+    fn retire(&mut self, i: usize) {
+        let slot = &self.slots[i];
+        let event =
+            CrawlEvent::JobDetached { job: i as u32, rounds: slot.rounds, pages: slot.pages };
+        self.stream.emit(event);
+    }
+
+    /// Applies a controller detach: the job finalizes with
+    /// [`StopReason::Cancelled`] and its bill so far.
+    fn detach(&mut self, i: usize) {
+        let Some(slot) = self.slots.get_mut(i) else { return };
+        if slot.done || slot.parked {
+            return;
+        }
+        let crawler = slot.crawler.take().expect("parked at cycle boundary");
+        let (rounds, pages) = (crawler.elapsed_rounds(), crawler.rounds());
+        slot.report = Some(crawler.into_report(StopReason::Cancelled));
+        slot.done = true;
+        self.bill(i, rounds, pages);
+        self.retire(i);
+    }
+
+    /// Cooperative preemption at the slice boundary: every job of a tenant
+    /// that has consumed its quota is parked — no thread is held, the
+    /// crawlers stay in their slots and finalize as QuotaExhausted.
+    fn preempt_over_quota(&mut self) {
+        let config = self.config;
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            let Some(t) = slot.tenant else { continue };
+            if slot.done || slot.parked {
+                continue;
+            }
+            if config.tenants[t].round_quota.is_some_and(|q| self.tenant_used[t] >= q) {
+                slot.parked = true;
+                self.stream.emit(CrawlEvent::TenantPreempted {
+                    tenant: config.tenants[t].id.0,
+                    job: i as u32,
+                });
+            }
+        }
+    }
+
+    /// One allocation round passes: open breakers cool toward half-open.
+    fn tick_breakers(&mut self) {
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            if let Some((from, to)) = slot.breaker.tick() {
+                slot.supervision.record(&CrawlEvent::BreakerTransition { job: i as u32, from, to });
+            }
+        }
+    }
+
+    /// Folds one slice outcome back into the job's slot.
+    fn fold(&mut self, out: SliceOutcome<S>) {
+        let i = out.idx;
+        let (crawler, slice_rounds, recent_rate, exhausted) = match out.end {
+            SliceEnd::Parked { crawler, slice_rounds, recent_rate, exhausted } => {
+                (crawler, slice_rounds, recent_rate, exhausted)
+            }
+            SliceEnd::Panicked(source) => return self.recover(i, source),
+        };
+        let tenant = self.tenant_id(self.slots[i].tenant);
+        self.stream.emit(CrawlEvent::SliceCompleted {
+            job: i as u32,
+            worker: out.worker,
+            rounds: slice_rounds,
+            stolen: out.stolen,
+            tenant,
+            total: crawler.elapsed_rounds(),
+            pages: crawler.rounds(),
+        });
+        self.bill(i, crawler.elapsed_rounds(), crawler.rounds());
+        let slot = &mut self.slots[i];
+        slot.rate = recent_rate;
+        slot.done |= exhausted;
+        if let Some((from, to)) = slot.breaker.observe(crawler.fault_streak()) {
+            slot.supervision.record(&CrawlEvent::BreakerTransition { job: i as u32, from, to });
+            // A tripped tenant job is parked off the schedule: that is a
+            // preemption, and the ledger says so.
+            if let (crate::events::BreakerPhase::Open, Some(tenant)) = (to, tenant) {
+                self.stream.emit(CrawlEvent::TenantPreempted { tenant, job: i as u32 });
+            }
+        }
+        slot.crawler = Some(crawler);
+    }
+
+    /// Rebuilds job `i` over `source` after a panicked slice — or abandons
+    /// it with [`StopReason::WorkerFailed`] once its restart budget is
+    /// spent, reporting whatever the last checkpoint proves was harvested.
+    fn recover(&mut self, i: usize, source: S) {
+        let slot = &mut self.slots[i];
+        let checkpoint = slot.recipe.last_checkpoint();
+        let crawler = slot.recipe.build(source, checkpoint.as_ref());
+        if slot.supervision.worker_restarts() >= self.config.max_restarts {
+            slot.supervision.record(&CrawlEvent::JobAbandoned { job: i as u32 });
+            slot.done = true;
+            slot.report = Some(crawler.into_report(StopReason::WorkerFailed));
+            self.retire(i);
+            return;
+        }
+        slot.supervision.record(&CrawlEvent::WorkerRestarted { job: i as u32 });
+        // The checkpointed rounds stay billed; only the work since the last
+        // snapshot is repeated.
+        self.bill(i, checkpoint.map_or(0, |cp| cp.rounds), crawler.rounds());
+        self.slots[i].crawler = Some(crawler);
+        self.announce(i);
+    }
+
+    /// Finalizes every job still in the fleet and assembles the report.
+    fn finish(mut self, workers: usize) -> FleetReport {
+        let mut sources: Vec<CrawlReport> = Vec::with_capacity(self.slots.len());
+        for i in 0..self.slots.len() {
+            let slot = &mut self.slots[i];
+            if let Some(report) = slot.report.take() {
+                // Abandoned or detached: finalized (and billed) when it left.
+                sources.push(report);
+                continue;
+            }
+            let crawler = slot.crawler.take().expect("unfinished job has a parked crawler");
+            // A finished job's last state is durable even between periodic
+            // checkpoint ticks (what `dwc resume --workers` picks up). Best
+            // effort: a failed final save leaves the last periodic
+            // generation valid, exactly like CheckpointFailed mid-crawl.
+            if let Some(store) = &slot.recipe.config.checkpoint_store {
+                let _ = store.save(&crawler.checkpoint());
+            }
+            let stop = if slot.done {
+                StopReason::FrontierExhausted
+            } else if slot.parked {
+                StopReason::QuotaExhausted
+            } else {
+                StopReason::RoundBudget
+            };
+            let pages = crawler.rounds();
+            let report = crawler.into_report(stop);
+            self.bill(i, report.elapsed_rounds(), pages);
+            self.retire(i);
+            sources.push(report);
+        }
+        let usage = self
+            .stream
+            .registry
+            .usage_ledgers()
+            .into_iter()
+            .map(|(id, ledger)| (TenantId(id), ledger))
+            .collect();
+        FleetReport {
+            sources,
+            total_rounds: self.slots.iter().map(|s| s.rounds).sum(),
+            health: self.slots.iter().map(|s| s.supervision.job_health()).collect(),
+            scheduler: self.stream.registry.scheduler_stats(workers as u32),
+            usage,
+            events: self.stream.events,
+        }
+    }
+}
+
+/// The fleet engine behind [`run_fleet`] and [`run_fleet_controlled`]. The
+/// coordinator owns every parked crawler in a slot; each allocation cycle
+/// it drains controller ops, parks over-quota tenants, computes grants
+/// through the configured [`Allocator`], submits one [`SliceTask`] per
+/// granted job to the work-stealing pool (higher-priority tenants
+/// dispatched first), and folds the outcomes back into rates / budget /
+/// breaker / ledger state — restarting any job whose slice panicked —
 /// before the next cycle. A job is never in flight on two workers at once.
 fn run_pooled<S>(
     jobs: Vec<FleetJob<S>>,
     config: FleetConfig,
-    respawn: Option<&dyn Respawn<S>>,
     ops: Option<FleetOps<S>>,
 ) -> FleetReport
 where
@@ -806,197 +1002,68 @@ where
     if let Err(e) = validate_fleet_jobs(&jobs, &config) {
         panic!("invalid fleet: {e}");
     }
-    let mut n = jobs.len();
-    let workers = config.resolved_workers(n);
-    if n == 0 && ops.is_none() {
-        return FleetReport::empty(workers as u32);
+    // A controlled fleet can grow past its initial jobs, so its pool is
+    // sized from the configured width rather than the starting job count.
+    let workers = config.resolved_workers(if ops.is_some() { usize::MAX } else { jobs.len() });
+    let mut fleet = Coordinator {
+        config: &config,
+        slots: Vec::with_capacity(jobs.len()),
+        tenant_used: vec![0; config.tenants.len()],
+        stream: FleetStream::new(),
+    };
+    for job in jobs {
+        fleet.admit(job);
     }
-    // Per-job tenant slot (index into config.tenants).
-    let mut slots: Vec<Option<usize>> = jobs
-        .iter()
-        .map(|j| j.tenant.and_then(|id| config.tenants.iter().position(|t| t.id == id)))
-        .collect();
-    // Final checkpoint handles, kept so a finished job's last state is
-    // durable even between periodic checkpoint ticks (what `dwc resume
-    // --workers` picks up). The saves happen outside the crawlers' event
-    // streams, so reports and replay parity are unaffected.
-    let mut stores: Vec<Option<CheckpointStore>> =
-        jobs.iter().map(|j| j.config.checkpoint_store.clone()).collect();
-    let mut cells: Vec<Option<Crawler<S>>> = jobs
-        .into_iter()
-        .map(|mut job| {
-            apply_default_retry(&mut job.config, &config);
-            Some(build_crawler(job))
-        })
-        .collect();
-
     let pool: Pool<SliceTask<S>, SliceOutcome<S>> = Pool::new(workers, slice_handler::<S>);
-    let mut stream = FleetStream::new();
-    let mut rates = vec![1.0f64; n];
-    let mut done = vec![false; n];
-    // Jobs parked by cooperative preemption (tenant over quota). Parked is
-    // not done: the job finalizes with [`StopReason::QuotaExhausted`].
-    let mut parked = vec![false; n];
-    // Resumed jobs enter with their checkpointed rounds already billed.
-    let mut rounds_used: Vec<u64> =
-        cells.iter().map(|c| c.as_ref().map(Crawler::elapsed_rounds).unwrap_or(0)).collect();
-    let mut pages_used: Vec<u64> =
-        cells.iter().map(|c| c.as_ref().map(Crawler::rounds).unwrap_or(0)).collect();
-    // Rounds billed per tenant slot, the quota-clamping input.
-    let mut tenant_used = vec![0u64; config.tenants.len()];
-    for i in 0..n {
-        if let Some(slot) = slots[i] {
-            tenant_used[slot] += rounds_used[i];
-        }
-    }
-    let mut breakers: Option<Vec<CircuitBreaker>> =
-        respawn.is_some().then(|| (0..n).map(|_| CircuitBreaker::new(config.breaker)).collect());
-    // One supervision event stream per job; `FleetReport::health` is derived
-    // from these, never tallied by hand.
-    let mut supervision: Vec<MetricsRegistry> = (0..n).map(|_| MetricsRegistry::new()).collect();
-    let mut finals: Vec<Option<CrawlReport>> = (0..n).map(|_| None).collect();
     let mut allocator = config.allocation.build_allocator();
-    let tenant_id = |slot: Option<usize>| slot.map(|s| config.tenants[s].id.0);
-    for i in 0..n {
-        stream.emit(CrawlEvent::JobAttached {
-            job: i as u32,
-            tenant: tenant_id(slots[i]),
-            rounds: rounds_used[i],
-            pages: pages_used[i],
-        });
-    }
-
     loop {
-        // Drain controller ops first: attaches grow the slot vectors (and
-        // may be the fleet's first jobs), detaches finalize early with
-        // [`StopReason::Cancelled`]. Jobs are all parked here — the fold
-        // loop below is a barrier — so a detach never races a worker.
-        if let Some(ops) = &ops {
-            for op in ops.rx.try_iter() {
-                match op {
-                    FleetOp::Attach(job) => {
-                        let mut job = *job;
-                        if validate_job_tenant(job.tenant, &config.tenants).is_err() {
-                            continue; // controller validates; defense in depth
-                        }
-                        apply_default_retry(&mut job.config, &config);
-                        let slot = job
-                            .tenant
-                            .and_then(|id| config.tenants.iter().position(|t| t.id == id));
-                        stores.push(job.config.checkpoint_store.clone());
-                        let crawler = build_crawler(job);
-                        let idx = n;
-                        n += 1;
-                        rounds_used.push(crawler.elapsed_rounds());
-                        pages_used.push(crawler.rounds());
-                        if let Some(s) = slot {
-                            tenant_used[s] += rounds_used[idx];
-                        }
-                        slots.push(slot);
-                        rates.push(1.0);
-                        done.push(false);
-                        parked.push(false);
-                        supervision.push(MetricsRegistry::new());
-                        finals.push(None);
-                        if let Some(bs) = &mut breakers {
-                            bs.push(CircuitBreaker::new(config.breaker));
-                        }
-                        stream.emit(CrawlEvent::JobAttached {
-                            job: idx as u32,
-                            tenant: tenant_id(slot),
-                            rounds: rounds_used[idx],
-                            pages: pages_used[idx],
-                        });
-                        cells.push(Some(crawler));
-                    }
-                    FleetOp::Detach(idx) => {
-                        if idx >= n || done[idx] || parked[idx] || finals[idx].is_some() {
-                            continue;
-                        }
-                        let crawler = cells[idx].take().expect("parked at cycle boundary");
-                        let pages = crawler.rounds();
-                        let elapsed = crawler.elapsed_rounds();
-                        let report = crawler.into_report(StopReason::Cancelled);
-                        let before = rounds_used[idx];
-                        rounds_used[idx] = before.max(elapsed);
-                        if let Some(s) = slots[idx] {
-                            tenant_used[s] += rounds_used[idx] - before;
-                        }
-                        pages_used[idx] = pages_used[idx].max(pages);
-                        done[idx] = true;
-                        finals[idx] = Some(report);
-                        stream.emit(CrawlEvent::JobDetached {
-                            job: idx as u32,
-                            rounds: rounds_used[idx],
-                            pages: pages_used[idx],
-                        });
+        // Drain controller ops first: attaches add slots (and may be the
+        // fleet's first jobs), detaches finalize early.
+        for op in ops.iter().flat_map(|ops| ops.rx.try_iter()) {
+            match op {
+                // The controller validates; this is defense in depth.
+                FleetOp::Attach(job) => {
+                    if validate_job_tenant(job.tenant, &config.tenants).is_ok() {
+                        fleet.admit(*job);
                     }
                 }
+                FleetOp::Detach(idx) => fleet.detach(idx),
             }
         }
-        let spent: u64 = rounds_used.iter().sum();
+        let spent: u64 = fleet.slots.iter().map(|s| s.rounds).sum();
         let remaining = config.total_rounds.saturating_sub(spent);
-        if remaining == 0 || done.iter().all(|&d| d) {
+        if remaining == 0 || fleet.slots.iter().all(|s| s.done) {
             break;
         }
-        // Cooperative preemption at the slice boundary: a tenant that has
-        // consumed its quota has every job parked — no thread is held, the
-        // crawlers stay in their slots and finalize as QuotaExhausted.
-        for i in 0..n {
-            if done[i] || parked[i] {
-                continue;
-            }
-            let Some(slot) = slots[i] else { continue };
-            if config.tenants[slot].round_quota.is_some_and(|q| tenant_used[slot] >= q) {
-                parked[i] = true;
-                stream.emit(CrawlEvent::TenantPreempted {
-                    tenant: config.tenants[slot].id.0,
-                    job: i as u32,
-                });
-            }
-        }
-        // One allocation round passes: open breakers cool toward half-open.
-        if let Some(bs) = &mut breakers {
-            for (i, b) in bs.iter_mut().enumerate() {
-                if let Some((from, to)) = b.tick() {
-                    supervision[i].record(&CrawlEvent::BreakerTransition {
-                        job: i as u32,
-                        from,
-                        to,
-                    });
-                }
-            }
-        }
+        fleet.preempt_over_quota();
+        fleet.tick_breakers();
         // A tripped or parked job is paused by *not scheduling it* — it
         // holds no thread, its crawler just stays parked in its slot.
-        let active: Vec<usize> = (0..n)
-            .filter(|&i| {
-                !done[i] && !parked[i] && breakers.as_ref().is_none_or(|bs| !bs[i].is_open())
-            })
+        let schedulable = |s: &Slot<S>| !s.done && !s.parked;
+        let active: Vec<usize> = (0..fleet.slots.len())
+            .filter(|&i| schedulable(&fleet.slots[i]) && !fleet.slots[i].breaker.is_open())
             .collect();
         if active.is_empty() {
             // Distinguish "paused, will resume" (an open breaker cooling
             // toward its half-open probe — tick guarantees progress) from
             // "parked for good" (quota exhaustion): only the former is
             // worth idling for.
-            let cooling = breakers
-                .as_ref()
-                .is_some_and(|bs| (0..n).any(|i| !done[i] && !parked[i] && bs[i].is_open()));
-            if cooling {
+            if fleet.slots.iter().any(|s| schedulable(s) && s.breaker.is_open()) {
                 continue;
             }
             break;
         }
-        let cycle = AllocCycle {
+        let rates: Vec<f64> = fleet.slots.iter().map(|s| s.rate).collect();
+        let tenant_of: Vec<Option<usize>> = fleet.slots.iter().map(|s| s.tenant).collect();
+        let grants = allocator.allocate(&AllocCycle {
             active: &active,
             rates: &rates,
             remaining,
             slice: config.slice,
-            tenant_of: &slots,
+            tenant_of: &tenant_of,
             tenants: &config.tenants,
-            tenant_used: &tenant_used,
-        };
-        let grants = allocator.allocate(&cycle);
+            tenant_used: &fleet.tenant_used,
+        });
         if grants.is_empty() {
             break;
         }
@@ -1004,148 +1071,27 @@ where
         // tenant's priority; the batch submit stable-sorts so
         // higher-priority tenants' slices hit the injector first. Order
         // only — grant amounts (and therefore reports) are unaffected.
-        let mut batch: Vec<(u8, SliceTask<S>)> = Vec::with_capacity(grants.len());
         let mut ordered: Vec<(u8, usize, u64)> = grants
             .iter()
-            .map(|&(i, g)| (slots[i].map_or(0, |s| config.tenants[s].priority), i, g))
+            .map(|&(i, g)| (tenant_of[i].map_or(0, |t| config.tenants[t].priority), i, g))
             .collect();
         ordered.sort_by_key(|&(priority, _, _)| std::cmp::Reverse(priority));
-        for &(priority, i, grant) in &ordered {
-            let crawler = cells[i].take().expect("active job has a parked crawler");
-            stream.emit(CrawlEvent::SliceScheduled { job: i as u32, rounds: grant });
-            batch.push((priority, SliceTask { idx: i, crawler, grant }));
-        }
+        let batch = ordered
+            .into_iter()
+            .map(|(priority, i, grant)| {
+                let crawler =
+                    fleet.slots[i].crawler.take().expect("active job has a parked crawler");
+                fleet.stream.emit(CrawlEvent::SliceScheduled { job: i as u32, rounds: grant });
+                (priority, SliceTask { idx: i, crawler, grant })
+            })
+            .collect();
         pool.submit_batch(batch);
         for _ in 0..grants.len() {
-            let out = pool.recv();
-            if out.panicked {
-                let Some(respawn) = respawn else {
-                    panic!("fleet worker panicked");
-                };
-                if supervision[out.idx].worker_restarts() >= config.max_restarts {
-                    supervision[out.idx].record(&CrawlEvent::JobAbandoned { job: out.idx as u32 });
-                    done[out.idx] = true;
-                    finals[out.idx] =
-                        Some(respawn.synthesize_report(out.idx, StopReason::WorkerFailed));
-                    stream.emit(CrawlEvent::JobDetached {
-                        job: out.idx as u32,
-                        rounds: rounds_used[out.idx],
-                        pages: pages_used[out.idx],
-                    });
-                } else {
-                    supervision[out.idx]
-                        .record(&CrawlEvent::WorkerRestarted { job: out.idx as u32 });
-                    let cp = respawn.load_checkpoint(out.idx);
-                    if let Some(cp) = &cp {
-                        // The checkpointed rounds stay billed; only the work
-                        // since the last snapshot is repeated.
-                        let before = rounds_used[out.idx];
-                        rounds_used[out.idx] = before.max(cp.rounds);
-                        if let Some(s) = slots[out.idx] {
-                            tenant_used[s] += rounds_used[out.idx] - before;
-                        }
-                    }
-                    let crawler = respawn.rebuild(out.idx, cp.as_ref());
-                    pages_used[out.idx] = pages_used[out.idx].max(crawler.rounds());
-                    // The re-attach keeps the ledger fold in lockstep with
-                    // the coordinator's own max-bookkeeping.
-                    stream.emit(CrawlEvent::JobAttached {
-                        job: out.idx as u32,
-                        tenant: tenant_id(slots[out.idx]),
-                        rounds: rounds_used[out.idx],
-                        pages: pages_used[out.idx],
-                    });
-                    cells[out.idx] = Some(crawler);
-                }
-            } else {
-                stream.emit(CrawlEvent::SliceCompleted {
-                    job: out.idx as u32,
-                    worker: out.worker,
-                    rounds: out.slice_rounds,
-                    stolen: out.stolen,
-                    tenant: tenant_id(slots[out.idx]),
-                    total: out.rounds_total,
-                    pages: out.pages_total,
-                });
-                rates[out.idx] = out.recent_rate;
-                done[out.idx] |= out.exhausted;
-                let before = rounds_used[out.idx];
-                rounds_used[out.idx] = before.max(out.rounds_total);
-                if let Some(s) = slots[out.idx] {
-                    tenant_used[s] += rounds_used[out.idx] - before;
-                }
-                pages_used[out.idx] = pages_used[out.idx].max(out.pages_total);
-                if let Some(bs) = &mut breakers {
-                    if let Some((from, to)) = bs[out.idx].observe(out.fault_streak) {
-                        supervision[out.idx].record(&CrawlEvent::BreakerTransition {
-                            job: out.idx as u32,
-                            from,
-                            to,
-                        });
-                        // A tripped tenant job is parked off the schedule:
-                        // that is a preemption, and the ledger says so.
-                        if to == crate::events::BreakerPhase::Open {
-                            if let Some(id) = tenant_id(slots[out.idx]) {
-                                stream.emit(CrawlEvent::TenantPreempted {
-                                    tenant: id,
-                                    job: out.idx as u32,
-                                });
-                            }
-                        }
-                    }
-                }
-                cells[out.idx] = Some(out.crawler.expect("intact slice returns its crawler"));
-            }
+            fleet.fold(pool.recv());
         }
     }
     let _ = pool.join();
-
-    let mut sources: Vec<CrawlReport> = Vec::with_capacity(n);
-    for (i, done_report) in finals.into_iter().enumerate() {
-        if let Some(report) = done_report {
-            // Abandoned or detached: finalized (and billed) when it left.
-            sources.push(report);
-            continue;
-        }
-        let crawler = cells[i].take().expect("unfinished job has a parked crawler");
-        if let Some(store) = &stores[i] {
-            // Best effort: a failed final save leaves the last periodic
-            // generation valid, exactly like CheckpointFailed mid-crawl.
-            let _ = store.save(&crawler.checkpoint());
-        }
-        let stop = if done[i] {
-            StopReason::FrontierExhausted
-        } else if parked[i] {
-            StopReason::QuotaExhausted
-        } else {
-            StopReason::RoundBudget
-        };
-        let pages = crawler.rounds();
-        let report = crawler.into_report(stop);
-        rounds_used[i] = rounds_used[i].max(report.elapsed_rounds());
-        pages_used[i] = pages_used[i].max(pages);
-        stream.emit(CrawlEvent::JobDetached {
-            job: i as u32,
-            rounds: rounds_used[i],
-            pages: pages_used[i],
-        });
-        sources.push(report);
-    }
-    let health: Vec<JobHealth> = supervision.iter().map(MetricsRegistry::job_health).collect();
-    let usage = stream
-        .registry
-        .usage_ledgers()
-        .into_iter()
-        .map(|(id, ledger)| (TenantId(id), ledger))
-        .collect();
-    FleetReport {
-        sources,
-        total_rounds: rounds_used.iter().sum(),
-        health,
-        scheduler: stream.registry.scheduler_stats(workers as u32),
-        usage,
-        events: stream.events,
-    }
+    fleet.finish(workers)
 }
 
 /// Ops a [`FleetController`] can apply to a running fleet.
@@ -1206,14 +1152,17 @@ impl<S: DataSource> FleetController<S> {
 }
 
 /// Runs the fleet to budget exhaustion (or until every job's frontier is
-/// dry) on the bounded work-stealing pool. All accounting is in elapsed
-/// rounds (requests + backoff waits). A panicking job brings the fleet down
-/// (use [`run_fleet_supervised`] for isolation).
+/// dry) on the bounded work-stealing pool, supervising every job as the
+/// [module docs](self) describe: a panicking slice restarts its job from
+/// its last checkpoint (up to [`FleetConfig::max_restarts`] times, then the
+/// job finishes as [`StopReason::WorkerFailed`]), and a job whose failure
+/// streak trips its breaker is paused. All accounting is in elapsed rounds
+/// (requests + backoff waits).
 pub fn run_fleet<S>(jobs: Vec<FleetJob<S>>, config: FleetConfig) -> FleetReport
 where
     S: DataSource + Send + 'static,
 {
-    run_pooled(jobs, config, None, None)
+    run_pooled(jobs, config, None)
 }
 
 /// Runs the fleet like [`run_fleet`], additionally applying live
@@ -1221,7 +1170,9 @@ where
 ///
 /// The fleet may start empty (`jobs` empty) as long as an attach is queued
 /// before the run begins; it exits when the budget is exhausted or every
-/// job attached so far has finished.
+/// job attached so far has finished. Its pool is sized from
+/// [`FleetConfig::workers`] alone, since attaches may grow it past the
+/// initial job count.
 pub fn run_fleet_controlled<S>(
     jobs: Vec<FleetJob<S>>,
     config: FleetConfig,
@@ -1230,42 +1181,7 @@ pub fn run_fleet_controlled<S>(
 where
     S: DataSource + Send + 'static,
 {
-    run_pooled(jobs, config, None, Some(ops))
-}
-
-/// Runs the fleet on the pool with crash supervision and per-source circuit
-/// breakers.
-///
-/// Semantics of [`run_fleet`] plus the fault tolerance described in the
-/// [module docs](self): a slice that panics is caught on the worker, the
-/// job is rebuilt from its last persisted checkpoint (up to
-/// [`FleetConfig::max_restarts`] times, then abandoned with
-/// [`StopReason::WorkerFailed`]), jobs whose failure streak trips their
-/// [`CircuitBreaker`] are paused by removal from the run queue, and
-/// [`FleetReport::health`] carries the per-job tallies.
-///
-/// Requires `S: Clone` so the supervisor can hand a fresh source handle to
-/// rebuilt jobs — the shape real fleets already have (`Arc<WebDbServer>`,
-/// [`crate::FaultPlanSource`]).
-pub fn run_fleet_supervised<S>(jobs: Vec<FleetJob<S>>, config: FleetConfig) -> FleetReport
-where
-    S: DataSource + Clone + Send + 'static,
-{
-    let specs: Vec<JobSpec<S>> = jobs
-        .iter()
-        .map(|job| JobSpec {
-            source: job.source.clone(),
-            policy: job.policy.clone(),
-            seeds: job.seeds.clone(),
-            config: {
-                let mut c = job.config.clone();
-                apply_default_retry(&mut c, &config);
-                c
-            },
-            resume: job.resume.clone(),
-        })
-        .collect();
-    run_pooled(jobs, config, Some(&specs), None)
+    run_pooled(jobs, config, Some(ops))
 }
 
 /// Substitutes the fleet's [`FleetConfig::default_retry`] into a job left on
@@ -1276,186 +1192,6 @@ where
 fn apply_default_retry(job_config: &mut CrawlConfig, fleet: &FleetConfig) {
     if job_config.retry == RetryPolicy::default() {
         job_config.retry = fleet.default_retry;
-    }
-}
-
-/// Budget grants for the thread-per-job baseline's worker channels.
-enum Grant {
-    Rounds(u64),
-    Finish,
-}
-
-/// Per-slice progress report on the baseline's shared result channel.
-struct SliceResult {
-    idx: usize,
-    rounds_used: u64,
-    recent_rate: f64,
-    exhausted: bool,
-    report: Option<CrawlReport>,
-}
-
-/// The original fleet engine: one OS thread and one grant channel **per
-/// job**, kept as the A/B baseline the `fleet_sched` bench gate measures
-/// the pool against. It allocates through the same [`allocate`] function as
-/// the pool, so on deterministic sources its [`FleetReport`] matches
-/// [`run_fleet`]'s (scheduler section aside — no slices are pooled here).
-///
-/// Don't use this for real fleets: at 1k+ jobs it burns ~8 MB of stack per
-/// job and drowns in context switches — the regime the pooled scheduler
-/// exists for.
-pub fn run_fleet_thread_per_job<S>(jobs: Vec<FleetJob<S>>, config: FleetConfig) -> FleetReport
-where
-    S: DataSource + Send + 'static,
-{
-    assert!(config.slice > 0, "slice must be positive");
-    if let Err(e) = validate_fleet_jobs(&jobs, &config) {
-        panic!("invalid fleet: {e}");
-    }
-    let n = jobs.len();
-    if n == 0 {
-        return FleetReport::empty(0);
-    }
-    let slots: Vec<Option<usize>> = jobs
-        .iter()
-        .map(|j| j.tenant.and_then(|id| config.tenants.iter().position(|t| t.id == id)))
-        .collect();
-    let (result_tx, result_rx) = mpsc::channel::<SliceResult>();
-    let mut grant_txs = Vec::with_capacity(n);
-    let mut handles = Vec::with_capacity(n);
-    for (idx, mut job) in jobs.into_iter().enumerate() {
-        apply_default_retry(&mut job.config, &config);
-        let (grant_tx, grant_rx) = mpsc::channel::<Grant>();
-        grant_txs.push(grant_tx);
-        let result_tx = result_tx.clone();
-        handles.push(std::thread::spawn(move || {
-            let mut crawler = build_crawler(job);
-            let mut exhausted = false;
-            while let Ok(grant) = grant_rx.recv() {
-                match grant {
-                    Grant::Rounds(rounds) => {
-                        let target = crawler.elapsed_rounds() + rounds;
-                        while !exhausted && crawler.elapsed_rounds() < target {
-                            if crawler.step().is_none() {
-                                exhausted = true;
-                            }
-                        }
-                        let recent_rate = crawler
-                            .state()
-                            .recent_harvest_mean(8)
-                            .unwrap_or(if exhausted { 0.0 } else { 1.0 });
-                        let _ = result_tx.send(SliceResult {
-                            idx,
-                            rounds_used: crawler.elapsed_rounds(),
-                            recent_rate,
-                            exhausted,
-                            report: None,
-                        });
-                    }
-                    Grant::Finish => {
-                        let rounds_used = crawler.elapsed_rounds();
-                        let stop = if exhausted {
-                            StopReason::FrontierExhausted
-                        } else {
-                            StopReason::RoundBudget
-                        };
-                        let _ = result_tx.send(SliceResult {
-                            idx,
-                            rounds_used,
-                            recent_rate: 0.0,
-                            exhausted,
-                            report: Some(crawler.into_report(stop)),
-                        });
-                        break;
-                    }
-                }
-            }
-        }));
-    }
-    drop(result_tx);
-
-    let mut rates = vec![1.0f64; n];
-    let mut done = vec![false; n];
-    let mut rounds_used = vec![0u64; n];
-    let mut tenant_used = vec![0u64; config.tenants.len()];
-    let mut allocator = config.allocation.build_allocator();
-    loop {
-        let spent: u64 = rounds_used.iter().sum();
-        let remaining = config.total_rounds.saturating_sub(spent);
-        if remaining == 0 || done.iter().all(|&d| d) {
-            break;
-        }
-        let active: Vec<usize> = (0..n).filter(|&i| !done[i]).collect();
-        let cycle = AllocCycle {
-            active: &active,
-            rates: &rates,
-            remaining,
-            slice: config.slice,
-            tenant_of: &slots,
-            tenants: &config.tenants,
-            tenant_used: &tenant_used,
-        };
-        let grants = allocator.allocate(&cycle);
-        if grants.is_empty() {
-            break;
-        }
-        for &(i, grant) in &grants {
-            grant_txs[i].send(Grant::Rounds(grant)).expect("worker alive");
-        }
-        for _ in 0..grants.len() {
-            let r = result_rx.recv().expect("worker reports");
-            rates[r.idx] = r.recent_rate;
-            done[r.idx] |= r.exhausted;
-            if let Some(s) = slots[r.idx] {
-                tenant_used[s] += r.rounds_used - rounds_used[r.idx];
-            }
-            rounds_used[r.idx] = r.rounds_used;
-        }
-    }
-    for tx in &grant_txs {
-        let _ = tx.send(Grant::Finish);
-    }
-    let mut finals: Vec<Option<CrawlReport>> = (0..n).map(|_| None).collect();
-    for r in result_rx.iter() {
-        if let Some(report) = r.report {
-            finals[r.idx] = Some(report);
-        }
-    }
-    for h in handles {
-        h.join().expect("fleet worker panicked");
-    }
-    let sources: Vec<CrawlReport> =
-        finals.into_iter().map(|r| r.expect("every worker reported")).collect();
-    let total_rounds = sources.iter().map(|r| r.elapsed_rounds()).sum();
-    // Synthesize the minimal tenant-tagged stream (attach + final detach
-    // per job) so the baseline's usage section is the same registry fold
-    // the pooled engine reports — and sums to total_rounds exactly.
-    let mut stream = FleetStream::new();
-    for (i, report) in sources.iter().enumerate() {
-        stream.emit(CrawlEvent::JobAttached {
-            job: i as u32,
-            tenant: slots[i].map(|s| config.tenants[s].id.0),
-            rounds: 0,
-            pages: 0,
-        });
-        stream.emit(CrawlEvent::JobDetached {
-            job: i as u32,
-            rounds: report.elapsed_rounds(),
-            pages: report.rounds,
-        });
-    }
-    let usage = stream
-        .registry
-        .usage_ledgers()
-        .into_iter()
-        .map(|(id, ledger)| (TenantId(id), ledger))
-        .collect();
-    FleetReport {
-        sources,
-        total_rounds,
-        health: vec![JobHealth::default(); n],
-        scheduler: SchedulerStats::default(),
-        usage,
-        events: stream.events,
     }
 }
 
@@ -1607,22 +1343,37 @@ mod tests {
     }
 
     #[test]
-    fn pooled_report_matches_thread_per_job_baseline() {
+    fn wide_pool_report_matches_single_worker_run() {
         let make = || vec![job("a2"), job("a1"), job("a3"), job("a2")];
-        let config = || {
+        let config = |workers| {
             FleetConfig::builder()
                 .total_rounds(300)
                 .slice(12)
                 .allocation(AllocationStrategy::HarvestProportional)
-                .workers(2)
+                .workers(workers)
                 .build()
                 .unwrap()
         };
-        let pooled = run_fleet(make(), config());
-        let baseline = run_fleet_thread_per_job(make(), config());
-        assert_eq!(pooled.sources, baseline.sources, "identical grant sequences, identical jobs");
-        assert_eq!(pooled.total_rounds, baseline.total_rounds);
-        assert_eq!(pooled.health, baseline.health);
+        let wide = run_fleet(make(), config(2));
+        let serial = run_fleet(make(), config(1));
+        assert_eq!(wide.sources, serial.sources, "identical grant sequences, identical jobs");
+        assert_eq!(wide.total_rounds, serial.total_rounds);
+        assert_eq!(wide.health, serial.health);
+    }
+
+    #[test]
+    fn controlled_fleet_sizes_its_pool_for_attached_jobs() {
+        let config =
+            FleetConfig::builder().total_rounds(1000).slice(10).workers(4).build().unwrap();
+        let (controller, ops) = FleetController::channel(&config);
+        for seed in ["a1", "a2", "a3"] {
+            controller.attach(job(seed)).unwrap();
+        }
+        let controlled = run_fleet_controlled(vec![job("a2")], config.clone(), ops);
+        assert_eq!(controlled.sources.len(), 4);
+        assert_eq!(controlled.scheduler.workers, 4, "attaches can fill the configured width");
+        let plain = run_fleet(vec![job("a2"), job("a1"), job("a2"), job("a3")], config);
+        assert_eq!(plain.scheduler.workers, 4);
     }
 
     #[test]
@@ -1704,8 +1455,8 @@ mod tests {
         );
     }
 
-    /// A one-job supervised fleet over a fault-plan-wrapped shared server.
-    fn supervised_job(
+    /// One job over a fault-plan-wrapped shared server.
+    fn faulty_job(
         plan: FaultPlan,
         store: Option<CheckpointStore>,
     ) -> FleetJob<FaultPlanSource<Arc<WebDbServer>>> {
@@ -1724,11 +1475,10 @@ mod tests {
     }
 
     #[test]
-    fn supervised_fleet_without_faults_matches_plain() {
-        let jobs =
-            vec![supervised_job(FaultPlan::new(), None), supervised_job(FaultPlan::new(), None)];
+    fn fault_free_fleet_reports_clean_health() {
+        let jobs = vec![faulty_job(FaultPlan::new(), None), faulty_job(FaultPlan::new(), None)];
         let config = FleetConfig::builder().total_rounds(1000).slice(10).build().unwrap();
-        let report = run_fleet_supervised(jobs, config);
+        let report = run_fleet(jobs, config);
         assert_eq!(report.sources.len(), 2);
         for r in &report.sources {
             assert_eq!(r.records, 5);
@@ -1741,9 +1491,9 @@ mod tests {
     #[test]
     fn panicking_slice_restarts_from_checkpoint_and_finishes() {
         let store = scratch_store("restart");
-        let jobs = vec![supervised_job(FaultPlan::new().panic_at(4), Some(store.clone()))];
+        let jobs = vec![faulty_job(FaultPlan::new().panic_at(4), Some(store.clone()))];
         let config = FleetConfig::builder().total_rounds(1000).slice(5).build().unwrap();
-        let report = run_fleet_supervised(jobs, config);
+        let report = run_fleet(jobs, config);
         assert_eq!(report.health[0].worker_restarts, 1, "one injected crash, one restart");
         assert!(!report.health[0].abandoned);
         assert_eq!(report.sources[0].records, 5, "recovery must lose no records");
@@ -1755,10 +1505,10 @@ mod tests {
         let store = scratch_store("abandon");
         // Panic on every early request: even rebuilt jobs die again.
         let plan = FaultPlan::new().panic_at(1).panic_at(2).panic_at(3).panic_at(4);
-        let jobs = vec![supervised_job(plan, Some(store))];
+        let jobs = vec![faulty_job(plan, Some(store))];
         let config =
             FleetConfig::builder().total_rounds(1000).slice(5).max_restarts(2).build().unwrap();
-        let report = run_fleet_supervised(jobs, config);
+        let report = run_fleet(jobs, config);
         assert!(report.health[0].abandoned);
         assert_eq!(report.health[0].worker_restarts, 2, "restart budget spent before abandoning");
         assert_eq!(report.sources[0].stop, StopReason::WorkerFailed);
@@ -1769,14 +1519,14 @@ mod tests {
         let store = scratch_store("breaker");
         // 20 consecutive transient failures starting at request 4: long
         // enough that a slice boundary lands mid-burst with a live streak.
-        let jobs = vec![supervised_job(FaultPlan::new().burst(4, 20), Some(store))];
+        let jobs = vec![faulty_job(FaultPlan::new().burst(4, 20), Some(store))];
         let config = FleetConfig::builder()
             .total_rounds(4000)
             .slice(8)
             .breaker(BreakerConfig { trip_after: 3, cooldown: 1 })
             .build()
             .unwrap();
-        let report = run_fleet_supervised(jobs, config);
+        let report = run_fleet(jobs, config);
         assert!(report.breaker_trips() >= 1, "the burst must trip the breaker");
         assert!(report.breaker_recoveries() >= 1, "the probe after the burst must recover");
         assert_eq!(report.sources[0].records, 5, "zero records lost through the pause");
@@ -2107,24 +1857,24 @@ mod tests {
     }
 
     #[test]
-    fn weighted_fair_pooled_matches_thread_per_job_baseline() {
+    fn weighted_fair_wide_pool_matches_single_worker_run() {
         let tenants = || vec![Tenant::new(0).with_weight(3), Tenant::new(1)];
         let make = || vec![tenant_job("a2", 0), tenant_job("a1", 1), tenant_job("a3", 0)];
-        let config = || {
+        let config = |workers| {
             FleetConfig::builder()
                 .total_rounds(300)
                 .slice(12)
                 .allocation(AllocationStrategy::WeightedFair)
-                .workers(2)
+                .workers(workers)
                 .tenants(tenants())
                 .build()
                 .unwrap()
         };
-        let pooled = run_fleet(make(), config());
-        let baseline = run_fleet_thread_per_job(make(), config());
-        assert_eq!(pooled.sources, baseline.sources, "identical grant sequences");
-        assert_eq!(pooled.total_rounds, baseline.total_rounds);
-        assert_eq!(pooled.usage, baseline.usage, "both engines fold the same ledgers");
+        let wide = run_fleet(make(), config(2));
+        let serial = run_fleet(make(), config(1));
+        assert_eq!(wide.sources, serial.sources, "identical grant sequences");
+        assert_eq!(wide.total_rounds, serial.total_rounds);
+        assert_eq!(wide.usage, serial.usage, "both pool widths fold the same ledgers");
     }
 
     #[test]

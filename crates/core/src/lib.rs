@@ -71,9 +71,8 @@ pub use domain_table::DomainTable;
 pub use events::{BreakerPhase, CrawlEvent, EventBus, EventSink, JsonlSink, MemorySink};
 pub use fault::{FaultKind, FaultPlan, FaultPlanSource, FaultTally};
 pub use fleet::{
-    run_fleet, run_fleet_controlled, run_fleet_supervised, run_fleet_thread_per_job,
-    AllocationStrategy, Allocator, EvenAllocator, FleetConfig, FleetController, FleetJob, FleetOps,
-    FleetReport, HarvestAllocator, WeightedFairAllocator,
+    run_fleet, run_fleet_controlled, AllocationStrategy, Allocator, EvenAllocator, FleetConfig,
+    FleetController, FleetJob, FleetOps, FleetReport, HarvestAllocator, WeightedFairAllocator,
 };
 pub use health::{BreakerConfig, BreakerState, CircuitBreaker, JobHealth};
 pub use journal::{JournalRecovery, StateJournal};

@@ -249,7 +249,7 @@ mod tests {
     #[test]
     fn fleet_display_includes_health_when_noteworthy() {
         use crate::fault::{FaultPlan, FaultPlanSource};
-        use crate::fleet::{run_fleet_supervised, FleetConfig, FleetJob};
+        use crate::fleet::{run_fleet, FleetConfig, FleetJob};
         use crate::health::JobHealth;
         use std::sync::Arc;
         let t = figure1_table();
@@ -263,10 +263,8 @@ mod tests {
             resume: None,
             tenant: None,
         }];
-        let mut report = run_fleet_supervised(
-            jobs,
-            FleetConfig::builder().total_rounds(100).slice(10).build().unwrap(),
-        );
+        let mut report =
+            run_fleet(jobs, FleetConfig::builder().total_rounds(100).slice(10).build().unwrap());
         let clean = report.to_string();
         assert!(clean.contains("fleet: 1 jobs"));
         assert!(!clean.contains("trips"), "healthy jobs stay terse");

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example fault_tolerant_fleet`
 
-use deep_web_crawler::core::fleet::{run_fleet_supervised, FleetConfig, FleetJob};
+use deep_web_crawler::core::fleet::{run_fleet, FleetConfig, FleetJob};
 use deep_web_crawler::prelude::*;
 use std::sync::Arc;
 
@@ -68,11 +68,11 @@ fn main() {
         .breaker(BreakerConfig { trip_after: 3, cooldown: 2 })
         .build()
         .expect("valid fleet config");
-    let report = run_fleet_supervised(jobs, config);
+    let report = run_fleet(jobs, config);
     print!("{report}");
 
     // The same two crawls without any faults, for comparison.
-    let clean = run_fleet_supervised(
+    let clean = run_fleet(
         vec![job(11, FaultPlan::new(), None), job(13, FaultPlan::new(), None)],
         FleetConfig::builder().total_rounds(20_000).slice(8).build().expect("valid fleet config"),
     );

@@ -13,7 +13,7 @@
 //!   `mixed`) and `DWC_FAULT_SEED` so CI can sweep a seeds × kinds matrix
 //!   with a single test binary.
 
-use deep_web_crawler::core::fleet::{run_fleet_supervised, FleetConfig, FleetJob};
+use deep_web_crawler::core::fleet::{run_fleet, FleetConfig, FleetJob};
 use deep_web_crawler::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -75,7 +75,7 @@ fn fleet_config() -> FleetConfig {
 
 /// The fault-free reference run every scenario is measured against.
 fn baseline(data_seed: u64) -> deep_web_crawler::core::fleet::FleetReport {
-    run_fleet_supervised(vec![job(data_seed, FaultPlan::new(), None)], fleet_config())
+    run_fleet(vec![job(data_seed, FaultPlan::new(), None)], fleet_config())
 }
 
 /// Kill-and-recover: with a checkpoint after every query, a worker killed by
@@ -87,7 +87,7 @@ fn killed_worker_recovers_from_checkpoint_and_matches_baseline() {
     let clean = baseline(11);
     assert_eq!(clean.worker_restarts(), 0);
     let store = scratch_store("kill-recover");
-    let faulted = run_fleet_supervised(
+    let faulted = run_fleet(
         vec![job(11, FaultPlan::new().panic_at(25), Some(store.clone()))],
         fleet_config(),
     );
@@ -117,8 +117,7 @@ fn killed_worker_recovers_from_checkpoint_and_matches_baseline() {
 #[test]
 fn breaker_trips_on_burst_recovers_and_loses_nothing() {
     let clean = baseline(13);
-    let report =
-        run_fleet_supervised(vec![job(13, FaultPlan::new().burst(10, 60), None)], fleet_config());
+    let report = run_fleet(vec![job(13, FaultPlan::new().burst(10, 60), None)], fleet_config());
     assert!(report.breaker_trips() >= 1, "the 60-request burst must trip the breaker");
     assert!(report.breaker_recoveries() >= 1, "the probe must eventually find the source healthy");
     assert!(!report.health[0].abandoned);
@@ -158,10 +157,8 @@ fn fault_matrix_preserves_the_harvest() {
     let seed: u64 = std::env::var("DWC_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1);
     let clean = baseline(17);
     let store = scratch_store("matrix");
-    let report = run_fleet_supervised(
-        vec![job(17, matrix_plan(&kind, seed), Some(store.clone()))],
-        fleet_config(),
-    );
+    let report =
+        run_fleet(vec![job(17, matrix_plan(&kind, seed), Some(store.clone()))], fleet_config());
     assert!(!report.health[0].abandoned, "kind {kind} seed {seed} exhausted its restart budget");
     assert_eq!(
         report.sources[0].records, clean.sources[0].records,

@@ -2,12 +2,13 @@
 //!
 //! * **Budget conservation** — a property sweep over job counts × worker
 //!   counts × budgets × slices × allocation strategies: the fleet never
-//!   bills more than `total_rounds`, and the pooled engine's report is
-//!   identical to the thread-per-job baseline's on deterministic sources
-//!   (both engines split budget through the same allocator, so any drift
-//!   is a scheduler bug, not an allocation difference).
+//!   bills more than `total_rounds`, and a wide pool's report is identical
+//!   to a `workers = 1` run's on deterministic sources (the allocator sees
+//!   the same inputs every cycle whatever the width, so any drift is a
+//!   scheduler bug, not an allocation difference).
 //! * **Victim isolation** — a slice panic kills exactly the faulty job;
-//!   the pool keeps draining its siblings, which finish untouched.
+//!   the pool keeps draining its siblings, which finish untouched — even
+//!   when the source cannot be cloned.
 //! * **Determinism** — a `workers = 1` fleet is bit-for-bit reproducible:
 //!   same reports (per-query traces included) and same slice schedule on
 //!   every run.
@@ -16,8 +17,8 @@
 //!   so supervision invariants are exercised at 1, 2, and 8 workers.
 
 use deep_web_crawler::core::fleet::{
-    run_fleet, run_fleet_supervised, run_fleet_thread_per_job, AllocCycle, AllocationStrategy,
-    Allocator, EvenAllocator, FleetConfig, FleetJob, HarvestAllocator, WeightedFairAllocator,
+    run_fleet, AllocCycle, AllocationStrategy, Allocator, EvenAllocator, FleetConfig, FleetJob,
+    HarvestAllocator, WeightedFairAllocator,
 };
 use deep_web_crawler::core::replay_usage;
 use deep_web_crawler::prelude::*;
@@ -70,9 +71,9 @@ fn worker_counts() -> Vec<usize> {
     }
 }
 
-/// The property sweep: billed rounds never exceed the budget, and the
-/// pooled report equals the thread-per-job baseline, across the whole
-/// parameter grid.
+/// The property sweep: billed rounds never exceed the budget, and every
+/// pool width reports exactly what the `workers = 1` baseline does, across
+/// the whole parameter grid.
 #[test]
 fn budget_is_conserved_and_reports_match_baseline_across_the_grid() {
     for &n in &[1usize, 3, 17] {
@@ -84,7 +85,7 @@ fn budget_is_conserved_and_reports_match_baseline_across_the_grid() {
                         AllocationStrategy::HarvestProportional,
                         AllocationStrategy::WeightedFair,
                     ] {
-                        let config = || {
+                        let config = |workers| {
                             FleetConfig::builder()
                                 .total_rounds(total)
                                 .slice(slice)
@@ -96,7 +97,7 @@ fn budget_is_conserved_and_reports_match_baseline_across_the_grid() {
                         let ctx = format!(
                             "jobs={n} workers={workers} total={total} slice={slice} alloc={alloc:?}"
                         );
-                        let pooled = run_fleet(jobs(n), config());
+                        let pooled = run_fleet(jobs(n), config(workers));
                         assert!(
                             pooled.total_rounds <= total,
                             "budget overrun ({} > {total}) at {ctx}",
@@ -108,10 +109,10 @@ fn budget_is_conserved_and_reports_match_baseline_across_the_grid() {
                             pooled.scheduler.rounds_executed <= pooled.scheduler.rounds_granted,
                             "one-round queries can never overshoot their grant at {ctx}"
                         );
-                        let baseline = run_fleet_thread_per_job(jobs(n), config());
+                        let baseline = run_fleet(jobs(n), config(1));
                         assert_eq!(
                             pooled.sources, baseline.sources,
-                            "pooled report diverged from thread-per-job at {ctx}"
+                            "pooled report diverged from the single-worker run at {ctx}"
                         );
                         assert_eq!(pooled.total_rounds, baseline.total_rounds, "at {ctx}");
                     }
@@ -146,7 +147,7 @@ fn slice_panic_restarts_only_the_victim_job() {
         }
         let config =
             FleetConfig::builder().total_rounds(2_000).slice(8).workers(workers).build().unwrap();
-        let report = run_fleet_supervised(fleet_jobs, config);
+        let report = run_fleet(fleet_jobs, config);
         assert_eq!(
             report.health[0].worker_restarts, 1,
             "exactly one restart for the victim at workers={workers}"
@@ -158,6 +159,73 @@ fn slice_panic_restarts_only_the_victim_job() {
                 (0, 0, false),
                 "healthy job {i} must be untouched by job 0's panic at workers={workers}"
             );
+        }
+        for (i, r) in report.sources.iter().enumerate() {
+            assert_eq!(r.records, 5, "job {i} must finish its harvest at workers={workers}");
+        }
+    }
+}
+
+/// An exclusively owned figure-1 server that panics on one request number.
+/// Deliberately not `Clone`: the supervisor must rebuild a crashed job over
+/// the handle its crawler already owned.
+struct CrashingServer {
+    server: WebDbServer,
+    crash_at: Option<u64>,
+    requests: AtomicU64,
+}
+
+impl CrashingServer {
+    fn new(crash_at: Option<u64>) -> CrashingServer {
+        CrashingServer { server: figure1_server(), crash_at, requests: AtomicU64::new(0) }
+    }
+}
+
+impl DataSource for CrashingServer {
+    fn respond(
+        &self,
+        request: &SourceRequest<'_>,
+        visit: &mut dyn FnMut(&deep_web_crawler::core::extract::ExtractedPageRef<'_>),
+    ) -> Result<deep_web_crawler::core::SourceResponse, CrawlError> {
+        let request_no = self.requests.fetch_add(1, Ordering::Relaxed) + 1;
+        if self.crash_at == Some(request_no) {
+            panic!("injected fault: crash at request {request_no}");
+        }
+        self.server.respond(request, visit)
+    }
+
+    fn interface(&self) -> &InterfaceSpec {
+        self.server.interface()
+    }
+
+    fn rounds_used(&self) -> u64 {
+        self.server.rounds_used()
+    }
+}
+
+/// `run_fleet` isolates a panicking job even over a source it cannot clone:
+/// the job restarts, finishes its harvest, and its siblings' health stays
+/// all-zero.
+#[test]
+fn run_fleet_restarts_a_panicking_job_over_a_non_clone_source() {
+    for &workers in &worker_counts() {
+        let fleet_jobs: Vec<FleetJob<CrashingServer>> = (0..3)
+            .map(|i| FleetJob {
+                source: CrashingServer::new((i == 0).then_some(3)),
+                policy: PolicyKind::GreedyLink,
+                seeds: vec![("A".into(), "a2".into())],
+                config: CrawlConfig::builder().known_target_size(5).build().unwrap(),
+                resume: None,
+                tenant: None,
+            })
+            .collect();
+        let config =
+            FleetConfig::builder().total_rounds(2_000).slice(8).workers(workers).build().unwrap();
+        let report = run_fleet(fleet_jobs, config);
+        assert_eq!(report.health[0].worker_restarts, 1, "one crash, one restart at {workers}");
+        assert!(!report.health[0].abandoned);
+        for (i, h) in report.health.iter().enumerate().skip(1) {
+            assert_eq!(*h, JobHealth::default(), "sibling {i} must stay healthy at {workers}");
         }
         for (i, r) in report.sources.iter().enumerate() {
             assert_eq!(r.records, 5, "job {i} must finish its harvest at workers={workers}");
@@ -240,7 +308,7 @@ fn fault_matrix_holds_at_every_pool_width() {
             .workers(workers)
             .build()
             .unwrap();
-        let report = run_fleet_supervised(fleet_jobs, config);
+        let report = run_fleet(fleet_jobs, config);
         assert!(
             !report.health[0].abandoned,
             "kind {kind} seed {seed} workers {workers}: restart budget exhausted"
@@ -485,7 +553,7 @@ fn tenanted_fault_matrix_conserves_and_replays_ledgers() {
             .tenants(vec![Tenant::new(0).with_weight(2), Tenant::new(1)])
             .build()
             .unwrap();
-        let report = run_fleet_supervised(fleet_jobs, config);
+        let report = run_fleet(fleet_jobs, config);
         for (i, r) in report.sources.iter().enumerate() {
             assert_eq!(r.records, 5, "kind {kind} workers {workers}: job {i} lost records");
         }
