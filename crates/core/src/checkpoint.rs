@@ -21,7 +21,7 @@
 //! Durable storage (atomic writes, backup rotation) is [`crate::store`]'s
 //! job; this module only defines the blob.
 
-use crate::state::CandStatus;
+use crate::state::{CandStatus, CrawlState};
 use dwc_model::ValueId;
 use std::fmt::Write as _;
 
@@ -87,8 +87,13 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Appends `s` to `out`, percent-escaping the format's metacharacters. Most
+/// strings contain none and are copied in one piece.
+pub(crate) fn escape_into(out: &mut String, s: &str) {
+    if !s.bytes().any(|b| matches!(b, b'%' | b'\t' | b'\n' | b'\r')) {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '%' => out.push_str("%25"),
@@ -98,7 +103,41 @@ pub(crate) fn escape(s: &str) -> String {
             _ => out.push(c),
         }
     }
-    out
+}
+
+/// Appends the decimal digits of `n` (no formatting machinery: ids are the
+/// bulk of a checkpoint and of every journal frame).
+pub(crate) fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut i = digits.len();
+    loop {
+        i -= 1;
+        digits[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    digits[i..].iter().for_each(|&d| out.push(char::from(d)));
+}
+
+/// Appends `ids` comma-separated (the format's id-list encoding).
+pub(crate) fn push_ids(out: &mut String, ids: impl IntoIterator<Item = u32>) {
+    for (i, id) in ids.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_u64(out, u64::from(id));
+    }
+}
+
+/// The one-letter code of a status (checkpoint `status` line, journal frames).
+pub(crate) fn status_char(s: CandStatus) -> char {
+    match s {
+        CandStatus::Undiscovered => 'U',
+        CandStatus::Frontier => 'F',
+        CandStatus::Queried => 'Q',
+    }
 }
 
 pub(crate) fn unescape(s: &str) -> Result<String, CheckpointError> {
@@ -135,17 +174,22 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 impl Checkpoint {
     /// Serializes to the current (v2) text format: a header line carrying the
     /// FNV-1a checksum of everything after it, then the body sections.
+    ///
+    /// The blob is built in one buffer: the header's checksum digits are a
+    /// placeholder until the body behind them has been written and hashed.
     pub fn to_text(&self) -> String {
-        let body = self.body_text();
-        let mut out = String::with_capacity(HEADER_V2_PREFIX.len() + 17 + body.len());
-        let _ = writeln!(out, "{HEADER_V2_PREFIX}{:016x}", fnv1a64(body.as_bytes()));
-        out.push_str(&body);
+        let mut out = String::from(HEADER_V2_PREFIX);
+        let crc_at = out.len();
+        out.push_str("0000000000000000\n");
+        let body_at = out.len();
+        self.write_body(&mut out);
+        let crc = format!("{:016x}", fnv1a64(&out.as_bytes()[body_at..]));
+        out.replace_range(crc_at..crc_at + crc.len(), &crc);
         out
     }
 
-    /// The body sections (everything after the header line).
-    fn body_text(&self) -> String {
-        let mut out = String::new();
+    /// Appends the body sections (everything after the header line).
+    fn write_body(&self, out: &mut String) {
         let _ = writeln!(
             out,
             "meta\t{}\t{}\t{}\t{}",
@@ -156,36 +200,33 @@ impl Checkpoint {
         );
         let _ = writeln!(out, "attrs\t{}", self.attr_names.len());
         for (name, q) in self.attr_names.iter().zip(&self.attr_queriable) {
-            let _ = writeln!(out, "a\t{}\t{}", escape(name), u8::from(*q));
+            out.push_str("a\t");
+            escape_into(out, name);
+            out.push('\t');
+            out.push(if *q { '1' } else { '0' });
+            out.push('\n');
         }
         let _ = writeln!(out, "values\t{}", self.values.len());
         for (attr, s) in &self.values {
-            let _ = writeln!(out, "v\t{attr}\t{}", escape(s));
+            out.push_str("v\t");
+            push_u64(out, u64::from(*attr));
+            out.push('\t');
+            escape_into(out, s);
+            out.push('\n');
         }
         // Statuses as one compact line: U / F / Q per value.
-        let mut st = String::with_capacity(self.status.len());
-        for s in &self.status {
-            st.push(match s {
-                CandStatus::Undiscovered => 'U',
-                CandStatus::Frontier => 'F',
-                CandStatus::Queried => 'Q',
-            });
-        }
-        let _ = writeln!(out, "status\t{st}");
-        let _ = writeln!(
-            out,
-            "queried\t{}",
-            self.queried.iter().map(|q| q.to_string()).collect::<Vec<_>>().join(",")
-        );
-        let _ = writeln!(out, "records\t{}", self.records.len());
+        out.push_str("status\t");
+        out.extend(self.status.iter().map(|&s| status_char(s)));
+        out.push_str("\nqueried\t");
+        push_ids(out, self.queried.iter().copied());
+        let _ = writeln!(out, "\nrecords\t{}", self.records.len());
         for (key, vals) in &self.records {
-            let _ = writeln!(
-                out,
-                "r\t{key}\t{}",
-                vals.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(",")
-            );
+            out.push_str("r\t");
+            push_u64(out, *key);
+            out.push('\t');
+            push_ids(out, vals.iter().copied());
+            out.push('\n');
         }
-        out
     }
 
     /// Parses the text format, negotiating the version from the header: v2
@@ -334,6 +375,31 @@ impl Checkpoint {
         })
     }
 
+    /// Snapshots `state` (vocabulary, statuses, `L_queried`, harvested
+    /// records) with the given cost counters.
+    pub(crate) fn capture(state: &CrawlState, rounds: u64, queries: u64) -> Self {
+        Checkpoint {
+            attr_names: state.attr_names.clone(),
+            attr_queriable: state.attr_queriable.clone(),
+            page_size: state.page_size,
+            keyword_mode: state.keyword_mode,
+            values: state
+                .vocab
+                .iter_ids()
+                .map(|v| (state.vocab.attr_of(v).0, state.vocab.value_str(v).to_owned()))
+                .collect(),
+            status: state.status().to_vec(),
+            queried: state.queried().iter().map(|v| v.0).collect(),
+            records: state
+                .local
+                .iter_keyed()
+                .map(|(k, vals)| (k, vals.iter().map(|v| v.0).collect()))
+                .collect(),
+            rounds,
+            queries,
+        }
+    }
+
     /// Convenience: value ids of the frontier.
     pub fn frontier(&self) -> impl Iterator<Item = ValueId> + '_ {
         self.status
@@ -371,9 +437,29 @@ mod tests {
         assert_eq!(cp, back);
     }
 
+    /// Byte-exact v2 output: on-disk checkpoints and journal bases must not
+    /// change when the serializer does.
+    #[test]
+    fn to_text_matches_golden_blob() {
+        let mut cp = demo();
+        cp.values.push((1, "crlf\r\nper%cent é".into()));
+        cp.status.push(CandStatus::Queried);
+        cp.queried = vec![0, 3, 1_000_000];
+        cp.records.push((u64::MAX, vec![]));
+        assert_eq!(
+            cp.to_text(),
+            "DWC-CHECKPOINT v2 crc=beb887d4d76a48e9\nmeta\t10\t0\t42\t3\nattrs\t2\na\tA\t1\n\
+             a\tweird%09name %25\t0\nvalues\t4\nv\t0\ta2\nv\t1\ttab%09here\nv\t0\tx\n\
+             v\t1\tcrlf%0D%0Aper%25cent é\nstatus\tQFUQ\nqueried\t0,3,1000000\nrecords\t3\n\
+             r\t7\t0,1\nr\t9\t2\nr\t18446744073709551615\t\n"
+        );
+    }
+
     #[test]
     fn escaping_handles_metacharacters() {
-        assert_eq!(unescape(&escape("a\tb\nc%d\r")).unwrap(), "a\tb\nc%d\r");
+        let mut escaped = String::new();
+        escape_into(&mut escaped, "a\tb\nc%d\r");
+        assert_eq!(unescape(&escaped).unwrap(), "a\tb\nc%d\r");
         let cp = demo();
         let text = cp.to_text();
         // One line per value, despite embedded tabs/newlines in strings.

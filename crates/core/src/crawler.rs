@@ -93,12 +93,14 @@ impl<S: DataSource> Crawler<S> {
         }
     }
 
-    /// Creates the state journal named by the configuration, if any.
-    /// Creation failures are non-fatal, mirroring checkpoint persistence:
-    /// the crawl proceeds unjournaled.
+    /// Opens the state journal named by the configuration, if any. Its
+    /// frames stay on disk until the first [`Crawler::step`] writes a new
+    /// base, so a crawl resumed from the journal cannot lose them to a crash
+    /// in between. Open failures are non-fatal, mirroring checkpoint
+    /// persistence: the crawl proceeds unjournaled.
     fn open_journal(config: &CrawlConfig) -> Option<crate::journal::StateJournal> {
         let path = config.journal_path.as_deref()?;
-        crate::journal::StateJournal::create(path).ok()
+        crate::journal::StateJournal::open(path).ok()
     }
 
     /// Resumes a checkpointed crawl against `source` with a fresh policy
@@ -116,41 +118,8 @@ impl<S: DataSource> Crawler<S> {
         checkpoint: &crate::checkpoint::Checkpoint,
         config: CrawlConfig,
     ) -> Self {
-        assert_eq!(
-            checkpoint.values.len(),
-            checkpoint.status.len(),
-            "checkpoint status/vocabulary mismatch"
-        );
-        let mut state = CrawlState::new(
-            checkpoint.attr_names.clone(),
-            checkpoint.attr_queriable.clone(),
-            checkpoint.page_size,
-        );
-        state.keyword_mode = checkpoint.keyword_mode;
+        let mut state = CrawlState::from_checkpoint(checkpoint);
         state.target_size = config.known_target_size;
-        for (attr, s) in &checkpoint.values {
-            assert!((*attr as usize) < state.attr_names.len(), "value attr out of range");
-            state.intern(dwc_model::AttrId(*attr), s);
-        }
-        state.status.copy_from_slice(&checkpoint.status);
-        state.queried = checkpoint
-            .queried
-            .iter()
-            .map(|&q| {
-                assert!((q as usize) < checkpoint.values.len(), "queried id out of range");
-                ValueId(q)
-            })
-            .collect();
-        for (key, vals) in &checkpoint.records {
-            let values: Vec<ValueId> = vals
-                .iter()
-                .map(|&v| {
-                    assert!((v as usize) < checkpoint.values.len(), "record id out of range");
-                    ValueId(v)
-                })
-                .collect();
-            state.local.insert(*key, values);
-        }
         let mut planner = Planner::new(policy, config.query_mode);
         planner.resume(&mut state);
         let executor = Executor::from_config(&config);
@@ -181,28 +150,8 @@ impl<S: DataSource> Crawler<S> {
     /// vocabulary, statuses, `L_queried`, harvested records and cost
     /// counters. Policy internals are rebuilt on resume.
     pub fn checkpoint(&self) -> crate::checkpoint::Checkpoint {
-        crate::checkpoint::Checkpoint {
-            attr_names: self.state.attr_names.clone(),
-            attr_queriable: self.state.attr_queriable.clone(),
-            page_size: self.state.page_size,
-            keyword_mode: self.state.keyword_mode,
-            values: self
-                .state
-                .vocab
-                .iter_ids()
-                .map(|v| (self.state.vocab.attr_of(v).0, self.state.vocab.value_str(v).to_owned()))
-                .collect(),
-            status: self.state.status.clone(),
-            queried: self.state.queried.iter().map(|v| v.0).collect(),
-            records: self
-                .state
-                .local
-                .iter_keyed()
-                .map(|(k, vals)| (k, vals.iter().map(|v| v.0).collect()))
-                .collect(),
-            rounds: self.bus.metrics().rounds(),
-            queries: self.bus.metrics().queries(),
-        }
+        let metrics = self.bus.metrics();
+        crate::checkpoint::Checkpoint::capture(&self.state, metrics.rounds(), metrics.queries())
     }
 
     /// Adds a whole seed *query* — a group of `(attribute, value)` pairs
@@ -343,12 +292,10 @@ impl<S: DataSource> Crawler<S> {
     /// are both exhausted.
     pub fn step(&mut self) -> Option<()> {
         if self.journal.as_ref().is_some_and(|j| !j.has_base()) {
-            let base = self.checkpoint();
+            let base = self.checkpoint().to_text();
             // Journal persistence failures never kill the crawl, mirroring
             // checkpoint-store semantics; the crawl proceeds unjournaled.
-            if self.journal.as_mut().expect("presence checked").write_base(&base).is_err() {
-                self.journal = None;
-            }
+            self.rebase_journal(&base);
         }
         let planned = self.planner.plan(&mut self.state, &self.ingestor, &mut self.bus)?;
         let local_before =
@@ -386,15 +333,10 @@ impl<S: DataSource> Crawler<S> {
         }
         *n += 1;
         // The candidate was pushed onto `L_queried` at selection time and no
-        // other query completes in between, so it is still the tail: popping
-        // is O(1) and order-preserving. The swap_remove fallback keeps the
-        // bookkeeping correct should a future driver interleave queries.
-        if self.state.queried.last() == Some(&v) {
-            self.state.queried.pop();
-        } else if let Some(pos) = self.state.queried.iter().rposition(|&q| q == v) {
-            self.state.queried.swap_remove(pos);
-        }
-        self.state.status[v.index()] = CandStatus::Frontier;
+        // other query completes in between, so it is still the tail and the
+        // removal is an O(1), order-preserving pop.
+        self.state.remove_queried(v);
+        self.state.set_status(v, CandStatus::Frontier);
         self.planner.notify_discovered(&self.state, v);
         self.bus.emit(CrawlEvent::QueryRequeued { candidate: v.0 });
         true
@@ -407,13 +349,27 @@ impl<S: DataSource> Crawler<S> {
         if let Some(v) = v {
             self.planner.on_query_done(&self.state, v, &outcome);
         }
+        match self.journal.as_mut() {
+            Some(journal) => {
+                let (rounds, queries) = (self.bus.metrics().rounds(), self.bus.metrics().queries());
+                if journal.append_delta(&mut self.state, rounds, queries).is_err() {
+                    self.journal = None;
+                }
+            }
+            // Nothing drains the change log: keep it from growing.
+            None => self.state.clear_changes(),
+        }
+        self.maybe_checkpoint();
+    }
+
+    /// Resets the journal (if any) to `base`, the serialized snapshot of the
+    /// current state. A failure drops the journal; the crawl goes on.
+    fn rebase_journal(&mut self, base: &str) {
         if let Some(journal) = self.journal.as_mut() {
-            let (rounds, queries) = (self.bus.metrics().rounds(), self.bus.metrics().queries());
-            if journal.append_delta(&self.state, rounds, queries).is_err() {
+            if journal.write_base(&mut self.state, base).is_err() {
                 self.journal = None;
             }
         }
-        self.maybe_checkpoint();
     }
 
     /// Persists a periodic checkpoint when a store is configured and the
@@ -429,21 +385,19 @@ impl<S: DataSource> Crawler<S> {
         if !self.bus.metrics().queries().is_multiple_of(every) {
             return;
         }
-        let snapshot = self.checkpoint();
+        // Serialized once: the store and the journal rebase write the same
+        // bytes.
+        let snapshot = self.checkpoint().to_text();
         let saved = self
             .config
             .checkpoint_store
             .as_ref()
             .expect("presence checked above")
-            .save_with_receipt(&snapshot);
+            .save_text(&snapshot);
         if saved.is_ok() {
             // The snapshot is durable elsewhere: rebase the journal onto it
             // and drop the deltas it absorbed.
-            if let Some(journal) = self.journal.as_mut() {
-                if journal.write_base(&snapshot).is_err() {
-                    self.journal = None;
-                }
-            }
+            self.rebase_journal(&snapshot);
         }
         self.bus.emit(match saved {
             Ok(receipt) => CrawlEvent::CheckpointWritten { rotated_backup: receipt.rotated_backup },
@@ -867,7 +821,10 @@ mod tests {
             sink.collected().iter().any(|e| matches!(e, CrawlEvent::QueryRequeued { .. })),
             "the failed attempt must requeue its candidate"
         );
-        assert!(crawler.state().queried.is_empty(), "the requeued candidate must leave L_queried");
+        assert!(
+            crawler.state().queried().is_empty(),
+            "the requeued candidate must leave L_queried"
+        );
 
         // The requeue must survive the text checkpoint format: the resumed
         // crawl re-selects the value and still harvests everything.

@@ -278,7 +278,7 @@ impl SelectionPolicy for DomainPolicy {
     /// Laplace prior.
     fn resume(&mut self, state: &mut CrawlState) {
         self.init(state);
-        let ids: Vec<ValueId> = (0..state.status.len() as u32).map(ValueId).collect();
+        let ids: Vec<ValueId> = (0..state.status().len() as u32).map(ValueId).collect();
         for v in ids {
             match state.status_of(v) {
                 CandStatus::Undiscovered => {}
@@ -294,8 +294,7 @@ impl SelectionPolicy for DomainPolicy {
                 }
             }
         }
-        let queried = state.queried.clone();
-        for q in queried {
+        for &q in state.queried() {
             if let Some(dmid) = self.dm_id(q) {
                 let dm = Arc::clone(&self.dm);
                 self.covered.union_postings(dm.postings(dmid));
@@ -402,12 +401,12 @@ mod tests {
     fn discovered_in_table_values_raise_hit_rate() {
         let (mut p, mut st) = policy_with_figure1_dm();
         let a2 = st.vocab.get(AttrId(0), "a2").unwrap();
-        st.status[a2.index()] = CandStatus::Frontier;
+        st.set_status(a2, CandStatus::Frontier);
         p.on_discovered(&st, a2);
         assert_eq!(p.dm_hit_rate(), 1.0);
         // An out-of-table discovery lowers it.
         let alien = st.intern(AttrId(0), "alien");
-        st.status[alien.index()] = CandStatus::Frontier;
+        st.set_status(alien, CandStatus::Frontier);
         p.on_discovered(&st, alien);
         assert_eq!(p.dm_hit_rate(), 0.5);
     }
@@ -418,7 +417,7 @@ mod tests {
         assert_eq!(p.qdt_success_rate(), 0.5, "Laplace prior");
         // First selection comes from Q_DT; report it as a miss.
         let v = p.select(&st).unwrap();
-        st.status[v.index()] = CandStatus::Queried;
+        st.set_status(v, CandStatus::Queried);
         let miss = QueryOutcome::default();
         p.on_query_done(&st, v, &miss);
         assert_eq!(p.qdt_issued, 1);
@@ -426,7 +425,7 @@ mod tests {
         assert!(p.qdt_success_rate() < 0.5, "misses must lower the estimate");
         // A successful probe raises it again.
         let v2 = p.select(&st).unwrap();
-        st.status[v2.index()] = CandStatus::Queried;
+        st.set_status(v2, CandStatus::Queried);
         let hit = QueryOutcome { returned_records: 4, ..Default::default() };
         p.on_query_done(&st, v2, &hit);
         assert_eq!(p.qdt_hits, 1);
@@ -455,12 +454,12 @@ mod tests {
     fn covered_set_grows_only_for_table_queries() {
         let (mut p, mut st) = policy_with_figure1_dm();
         let a2 = st.vocab.get(AttrId(0), "a2").unwrap();
-        st.status[a2.index()] = CandStatus::Queried;
-        st.queried.push(a2);
+        st.set_status(a2, CandStatus::Queried);
+        st.push_queried(a2);
         p.on_query_done(&st, a2, &QueryOutcome::default());
         assert_eq!(p.covered.len(), 3, "a2 matches 3 sample records");
         let alien = st.intern(AttrId(0), "alien");
-        st.status[alien.index()] = CandStatus::Queried;
+        st.set_status(alien, CandStatus::Queried);
         p.on_query_done(&st, alien, &QueryOutcome::default());
         assert_eq!(p.covered.len(), 3, "out-of-table query covers nothing");
     }
@@ -470,11 +469,11 @@ mod tests {
         let (mut p, mut st) = policy_with_figure1_dm();
         let a2 = st.vocab.get(AttrId(0), "a2").unwrap();
         let c1 = st.vocab.get(AttrId(2), "c1").unwrap();
-        st.status[a2.index()] = CandStatus::Frontier;
+        st.set_status(a2, CandStatus::Frontier);
         assert_eq!(p.hr_qdb(&st, a2), 10.0, "nothing local yet → a full page of new records");
         // Simulate: c1 was queried and covered 2 sample records; two records
         // containing a2 are local.
-        st.status[c1.index()] = CandStatus::Queried;
+        st.set_status(c1, CandStatus::Queried);
         st.local.insert(1, vec![a2, c1]);
         st.local.insert(2, vec![a2, c1]);
         p.on_query_done(&st, c1, &QueryOutcome::default());
@@ -490,10 +489,10 @@ mod tests {
         let (mut p, mut st) = policy_with_figure1_dm();
         // Make hit rate 0 by discovering only out-of-table values.
         let alien = st.intern(AttrId(0), "alien1");
-        st.status[alien.index()] = CandStatus::Frontier;
+        st.set_status(alien, CandStatus::Frontier);
         p.on_discovered(&st, alien);
         let alien2 = st.intern(AttrId(0), "alien2");
-        st.status[alien2.index()] = CandStatus::Frontier;
+        st.set_status(alien2, CandStatus::Frontier);
         p.on_discovered(&st, alien2);
         assert_eq!(p.dm_hit_rate(), 0.0);
         let v = p.select(&st).unwrap();
@@ -506,7 +505,7 @@ mod tests {
         // Discover a2 (a Q_DT favourite) in the target: the Q_DT pool must
         // no longer offer it.
         let a2 = st.vocab.get(AttrId(0), "a2").unwrap();
-        st.status[a2.index()] = CandStatus::Frontier;
+        st.set_status(a2, CandStatus::Frontier);
         p.on_discovered(&st, a2);
         let probe = p.pop_qdt(&st).unwrap();
         assert_ne!(probe, a2, "discovered values leave the Q_DT pool");

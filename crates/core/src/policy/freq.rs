@@ -76,8 +76,8 @@ mod tests {
         let mut st = CrawlState::new(vec!["A".into()], vec![true], 10);
         let hot = st.intern(AttrId(0), "hot");
         let cold = st.intern(AttrId(0), "cold");
-        st.status[hot.index()] = CandStatus::Frontier;
-        st.status[cold.index()] = CandStatus::Frontier;
+        st.set_status(hot, CandStatus::Frontier);
+        st.set_status(cold, CandStatus::Frontier);
         for k in 0..3 {
             st.local.insert(k, vec![hot]);
         }
@@ -93,8 +93,8 @@ mod tests {
         let mut st = CrawlState::new(vec!["A".into()], vec![true], 10);
         let a = st.intern(AttrId(0), "a");
         let b = st.intern(AttrId(0), "b");
-        st.status[a.index()] = CandStatus::Frontier;
-        st.status[b.index()] = CandStatus::Frontier;
+        st.set_status(a, CandStatus::Frontier);
+        st.set_status(b, CandStatus::Frontier);
         st.local.insert(1, vec![a]);
         let mut p = FreqGreedy::new();
         p.on_discovered(&st, a);

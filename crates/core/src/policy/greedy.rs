@@ -124,7 +124,7 @@ mod tests {
             .iter()
             .map(|s| {
                 let id = st.intern(AttrId(0), s);
-                st.status[id.index()] = CandStatus::Frontier;
+                st.set_status(id, CandStatus::Frontier);
                 id
             })
             .collect();
@@ -185,7 +185,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         while let Some(v) = p.select(&st) {
             assert!(seen.insert(v), "value {v} selected twice");
-            st.status[v.index()] = CandStatus::Queried;
+            st.set_status(v, CandStatus::Queried);
         }
         assert_eq!(seen.len(), 4);
     }
@@ -204,7 +204,7 @@ mod tests {
         for &v in &ids {
             p.on_discovered(&st, v);
         }
-        st.status[ids[0].index()] = CandStatus::Queried;
+        st.set_status(ids[0], CandStatus::Queried);
         let got = p.select(&st);
         assert!(got == Some(ids[1]) || got == Some(ids[2]), "got {got:?}");
     }
@@ -219,7 +219,7 @@ mod tests {
         let ids: Vec<ValueId> = (0..50)
             .map(|i| {
                 let id = st.intern(AttrId(0), &format!("v{i}"));
-                st.status[id.index()] = CandStatus::Frontier;
+                st.set_status(id, CandStatus::Frontier);
                 id
             })
             .collect();
@@ -263,7 +263,7 @@ mod tests {
         assert!(p.heap_len() <= 3 * 4 + COMPACT_MIN, "heap peaked at {}", p.heap_len());
         // mid now has degree 300+, dwarfing hub's 4.
         assert_eq!(p.select(&st), Some(ids[1]));
-        st.status[ids[1].index()] = CandStatus::Queried;
+        st.set_status(ids[1], CandStatus::Queried);
         assert_eq!(p.select(&st), Some(ids[0]), "hub is next");
     }
 

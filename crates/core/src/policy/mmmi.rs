@@ -160,7 +160,7 @@ impl Mmmi {
         }
         self.ranked.clear();
         self.ranked.extend(
-            (0..state.status.len() as u32)
+            (0..state.status().len() as u32)
                 .map(ValueId)
                 .filter(|&v| state.status_of(v) == CandStatus::Frontier),
         );
@@ -269,11 +269,11 @@ mod tests {
             .collect();
         // q1 has been queried; "dependent" co-occurs with q1 in most records,
         // "independent" rarely, "fresh" never.
-        st.status[ids[0].index()] = CandStatus::Queried;
-        for id in &ids[1..4] {
-            st.status[id.index()] = CandStatus::Frontier;
+        st.set_status(ids[0], CandStatus::Queried);
+        for &id in &ids[1..4] {
+            st.set_status(id, CandStatus::Frontier);
         }
-        st.queried.push(ids[0]);
+        st.push_queried(ids[0]);
         // 10 records: 6 contain {q1, dependent}, 1 contains {q1, independent},
         // 2 contain {independent}, 1 contains {fresh}.
         let mut key = 0u64;
@@ -338,7 +338,7 @@ mod tests {
         let mut order = Vec::new();
         while let Some(v) = p.select(&st) {
             order.push(v);
-            st.status[v.index()] = CandStatus::Queried;
+            st.set_status(v, CandStatus::Queried);
         }
         // Keys combine z(log-degree) − w·z(dependency): "independent"
         // (degree 1, negative dependency) wins; "dependent" (same degree,
@@ -356,10 +356,10 @@ mod tests {
         let q = st.intern(AttrId(0), "q");
         let hub = st.intern(AttrId(0), "hub");
         let tiny = st.intern(AttrId(0), "tiny");
-        st.status[q.index()] = CandStatus::Queried;
-        st.status[hub.index()] = CandStatus::Frontier;
-        st.status[tiny.index()] = CandStatus::Frontier;
-        st.queried.push(q);
+        st.set_status(q, CandStatus::Queried);
+        st.set_status(hub, CandStatus::Frontier);
+        st.set_status(tiny, CandStatus::Frontier);
+        st.push_queried(q);
         // One record with all three; four more spreading hub out.
         let mut key = 0u64;
         st.local.insert(
@@ -393,13 +393,13 @@ mod tests {
         // batch-100 (effectively full-sort) policy does.
         let mut st = CrawlState::new(vec!["A".into()], vec![true], 10);
         let q = st.intern(AttrId(0), "q");
-        st.status[q.index()] = CandStatus::Queried;
-        st.queried.push(q);
+        st.set_status(q, CandStatus::Queried);
+        st.push_queried(q);
         let mut key = 0u64;
         let ids: Vec<ValueId> = (0..20u32)
             .map(|i| {
                 let v = st.intern(AttrId(0), &format!("v{i}"));
-                st.status[v.index()] = CandStatus::Frontier;
+                st.set_status(v, CandStatus::Frontier);
                 // Give v{i} a degree of i by linking it to i fillers.
                 for j in 0..i {
                     let filler = st.intern(AttrId(0), &format!("f{i}_{j}"));

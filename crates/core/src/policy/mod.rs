@@ -56,7 +56,7 @@ pub trait SelectionPolicy: Send {
     /// and hit counters) override this.
     fn resume(&mut self, state: &mut CrawlState) {
         self.init(state);
-        let frontier: Vec<ValueId> = (0..state.status.len() as u32)
+        let frontier: Vec<ValueId> = (0..state.status().len() as u32)
             .map(ValueId)
             .filter(|&v| state.status_of(v) == crate::state::CandStatus::Frontier)
             .collect();

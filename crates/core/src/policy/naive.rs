@@ -122,7 +122,7 @@ mod tests {
             .iter()
             .map(|s| {
                 let id = st.intern(AttrId(0), s);
-                st.status[id.index()] = CandStatus::Frontier;
+                st.set_status(id, CandStatus::Frontier);
                 id
             })
             .collect();
@@ -190,7 +190,7 @@ mod tests {
         for &v in &ids {
             p.on_discovered(&st, v);
         }
-        st.status[ids[0].index()] = CandStatus::Queried;
+        st.set_status(ids[0], CandStatus::Queried);
         assert_eq!(p.select(&st), Some(ids[1]));
     }
 }

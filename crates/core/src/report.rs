@@ -85,7 +85,7 @@ impl CrawlSummary {
         CrawlSummary {
             records: state.local.num_records(),
             local_edges: state.local.num_edges(),
-            queries: state.queried.len(),
+            queries: state.queried().len(),
             attrs,
             recent_harvest: state.recent_harvest_mean(16),
             top_hubs,

@@ -289,7 +289,7 @@ impl Ingestor {
         for &vid in &values {
             touched.push(vid);
             if state.status_of(vid) == CandStatus::Undiscovered && state.is_queriable(vid) {
-                state.status[vid.index()] = CandStatus::Frontier;
+                state.set_status(vid, CandStatus::Frontier);
                 newly_discovered.push(vid);
             }
         }

@@ -77,7 +77,7 @@ impl Planner {
         }
         let v = state.intern(attr, value);
         if state.status_of(v) == CandStatus::Undiscovered {
-            state.status[v.index()] = CandStatus::Frontier;
+            state.set_status(v, CandStatus::Frontier);
             self.policy.on_discovered(state, v);
         }
         true
@@ -110,8 +110,8 @@ impl Planner {
             return Some(PlannedQuery { query: Query::Conjunctive(group), candidate: None });
         }
         let v = self.policy.select(state)?;
-        state.status[v.index()] = CandStatus::Queried;
-        state.queried.push(v);
+        state.set_status(v, CandStatus::Queried);
+        state.push_queried(v);
         let value_str = state.vocab.value_str(v).to_owned();
         let attr = state.vocab.attr_of(v);
         let attr_name = state.attr_names[attr.0 as usize].clone();
@@ -150,7 +150,7 @@ mod tests {
         let planned = planner.plan(&mut state, &ingestor, &mut bus).unwrap();
         let v = planned.candidate.unwrap();
         assert_eq!(state.status_of(v), CandStatus::Queried);
-        assert_eq!(state.queried, vec![v]);
+        assert_eq!(state.queried(), [v]);
         assert_eq!(planned.query, Query::ByString { attr: "A".into(), value: "a2".into() });
         // Frontier exhausted now.
         assert!(planner.plan(&mut state, &ingestor, &mut bus).is_none());

@@ -7,6 +7,7 @@
 //! `L_to-query` lives inside each policy (its organization *is* the policy —
 //! queue, stack, heap, …), while `L_queried` and the vocabulary are shared.
 
+use crate::checkpoint::Checkpoint;
 use crate::local::LocalDb;
 use dwc_model::{AttrId, ValueId, ValueInterner};
 use std::collections::VecDeque;
@@ -69,10 +70,16 @@ pub struct CrawlState {
     pub attr_queriable: Vec<bool>,
     /// Page size `k` advertised by the interface.
     pub page_size: usize,
-    /// Per-value candidate status (indexed by `ValueId`).
-    pub status: Vec<CandStatus>,
+    /// Per-value candidate status (indexed by `ValueId`). Written only
+    /// through [`CrawlState::set_status`], which logs the write.
+    status: Vec<CandStatus>,
     /// `L_queried`, in issue order.
-    pub queried: Vec<ValueId>,
+    queried: Vec<ValueId>,
+    /// Ids whose status was written since the state journal last drained
+    /// the log (unsorted, may repeat).
+    status_log: Vec<ValueId>,
+    /// Smallest `L_queried` index a removal touched since the last drain.
+    queried_low_water: Option<usize>,
     /// The local database / statistics table.
     pub local: LocalDb,
     /// Normalized harvest rates of the most recent queries (for saturation
@@ -103,6 +110,8 @@ impl CrawlState {
             page_size,
             status: Vec::new(),
             queried: Vec::new(),
+            status_log: Vec::new(),
+            queried_low_water: None,
             local: LocalDb::new(),
             recent_harvest: VecDeque::with_capacity(RECENT_HARVEST_WINDOW),
             target_size: None,
@@ -146,10 +155,88 @@ impl CrawlState {
         self.keyword_mode || self.attr_queriable[self.vocab.attr_of(v).0 as usize]
     }
 
+    /// Restores the state a checkpoint describes: vocabulary, statuses,
+    /// `L_queried` and harvested records. The change log starts empty.
+    ///
+    /// # Panics
+    /// Panics if the checkpoint is internally inconsistent (ids out of
+    /// range, status and vocabulary of different lengths).
+    pub(crate) fn from_checkpoint(cp: &Checkpoint) -> Self {
+        assert_eq!(cp.values.len(), cp.status.len(), "checkpoint status/vocabulary mismatch");
+        let mut state =
+            CrawlState::new(cp.attr_names.clone(), cp.attr_queriable.clone(), cp.page_size);
+        state.keyword_mode = cp.keyword_mode;
+        for (attr, s) in &cp.values {
+            assert!((*attr as usize) < state.attr_names.len(), "value attr out of range");
+            state.intern(AttrId(*attr), s);
+        }
+        state.status.copy_from_slice(&cp.status);
+        let id = |v: u32, what: &str| {
+            assert!((v as usize) < cp.values.len(), "{what} id out of range");
+            ValueId(v)
+        };
+        state.queried = cp.queried.iter().map(|&q| id(q, "queried")).collect();
+        for (key, vals) in &cp.records {
+            state.local.insert(*key, vals.iter().map(|&v| id(v, "record")).collect());
+        }
+        state
+    }
+
     /// Current status of a value.
     #[inline]
     pub fn status_of(&self, v: ValueId) -> CandStatus {
         self.status[v.index()]
+    }
+
+    /// Every value's status, indexed by `ValueId`.
+    pub fn status(&self) -> &[CandStatus] {
+        &self.status
+    }
+
+    /// Sets a value's status. Every status write goes through here: the
+    /// write is logged so the state journal frames only what changed.
+    #[inline]
+    pub(crate) fn set_status(&mut self, v: ValueId, s: CandStatus) {
+        self.status[v.index()] = s;
+        self.status_log.push(v);
+    }
+
+    /// `L_queried`, in issue order.
+    pub fn queried(&self) -> &[ValueId] {
+        &self.queried
+    }
+
+    /// Appends an issued query's value to `L_queried`.
+    pub(crate) fn push_queried(&mut self, v: ValueId) {
+        self.queried.push(v);
+    }
+
+    /// Takes the most recent occurrence of `v` out of `L_queried`; returns
+    /// whether it was there. The tail is popped in O(1), order-preserving;
+    /// an earlier occurrence is swap-removed. Either way the removed index is
+    /// logged as the list's low-water mark, so the journal knows the list
+    /// no longer extends what it last framed.
+    pub(crate) fn remove_queried(&mut self, v: ValueId) -> bool {
+        let Some(pos) = self.queried.iter().rposition(|&q| q == v) else { return false };
+        self.queried.swap_remove(pos);
+        self.queried_low_water = Some(self.queried_low_water.map_or(pos, |w| w.min(pos)));
+        true
+    }
+
+    /// Hands the change log to the state journal: swaps the logged status
+    /// writes into `buf` (passed in empty, so the log keeps its capacity)
+    /// and returns and resets the `L_queried` low-water mark.
+    pub(crate) fn take_changes(&mut self, buf: &mut Vec<ValueId>) -> Option<usize> {
+        debug_assert!(buf.is_empty(), "change buffer must be drained before reuse");
+        std::mem::swap(&mut self.status_log, buf);
+        self.queried_low_water.take()
+    }
+
+    /// Forgets the change log (nothing journals it, or a full snapshot just
+    /// absorbed it).
+    pub(crate) fn clear_changes(&mut self) {
+        self.status_log.clear();
+        self.queried_low_water = None;
     }
 
     /// Records a completed query's harvest rate for saturation detection.
@@ -197,7 +284,7 @@ mod tests {
         let mut st = tiny_state();
         let v = st.intern(AttrId(0), "x");
         assert_eq!(st.status_of(v), CandStatus::Undiscovered);
-        assert_eq!(st.status.len(), 1);
+        assert_eq!(st.status().len(), 1);
     }
 
     #[test]
@@ -207,7 +294,7 @@ mod tests {
         st.intern_page([(AttrId(0), "x"), (AttrId(1), "y"), (AttrId(0), "x")], &mut out);
         assert_eq!(out.len(), 3);
         assert_eq!(out[0], out[2], "duplicate field resolves to the same id");
-        assert_eq!(st.status.len(), st.vocab.len());
+        assert_eq!(st.status().len(), st.vocab.len());
         assert!(out.iter().all(|&v| st.status_of(v) == CandStatus::Undiscovered));
         assert_eq!(st.intern(AttrId(0), "x"), out[0], "agrees with the scalar path");
     }

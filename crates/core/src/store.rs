@@ -26,7 +26,7 @@ pub struct CheckpointStore {
     path: PathBuf,
 }
 
-/// What a successful [`CheckpointStore::save_with_receipt`] did.
+/// What a successful [`CheckpointStore::save_text`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SaveReceipt {
     /// Whether a previous generation existed and was rotated to `.bak`.
@@ -110,13 +110,14 @@ impl CheckpointStore {
     /// place. A crash at any point leaves either the old or the new
     /// generation intact and loadable.
     pub fn save(&self, checkpoint: &Checkpoint) -> std::io::Result<()> {
-        self.save_with_receipt(checkpoint).map(|_| ())
+        self.save_text(&checkpoint.to_text()).map(|_| ())
     }
 
-    /// Like [`CheckpointStore::save`], but reports what the save did — event
-    /// emitters use the receipt to describe the write
-    /// (`CrawlEvent::CheckpointWritten`).
-    pub fn save_with_receipt(&self, checkpoint: &Checkpoint) -> std::io::Result<SaveReceipt> {
+    /// Like [`CheckpointStore::save`], for a checkpoint already serialized
+    /// with [`Checkpoint::to_text`] (the crawler hands the same text to its
+    /// journal), and reports what the save did — event emitters use the
+    /// receipt to describe the write (`CrawlEvent::CheckpointWritten`).
+    pub fn save_text(&self, text: &str) -> std::io::Result<SaveReceipt> {
         if let Some(parent) = self.path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;
@@ -125,7 +126,7 @@ impl CheckpointStore {
         let tmp = self.sibling(".tmp");
         {
             let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(checkpoint.to_text().as_bytes())?;
+            f.write_all(text.as_bytes())?;
             f.sync_all()?;
         }
         let rotated_backup = self.path.exists();
@@ -214,9 +215,9 @@ mod tests {
     #[test]
     fn save_rotates_previous_generation() {
         let store = CheckpointStore::new(scratch("rotate"));
-        let first = store.save_with_receipt(&demo(2)).unwrap();
+        let first = store.save_text(&demo(2).to_text()).unwrap();
         assert!(!first.rotated_backup, "nothing to rotate on the first save");
-        let second = store.save_with_receipt(&demo(6)).unwrap();
+        let second = store.save_text(&demo(6).to_text()).unwrap();
         assert!(second.rotated_backup, "the second save rotates the first");
         assert_eq!(store.load().unwrap(), demo(6));
         let bak = CheckpointStore::new(store.backup_path()).load().unwrap();

@@ -9,7 +9,7 @@
 //!           [--checkpoint OUT] [--resume IN] [--trace OUT.csv]
 //!           [--checkpoint-path FILE] [--checkpoint-every N]
 //!           [--events FILE.jsonl]
-//! dwc resume <FILE.csv> --checkpoint-path FILE [crawl flags]
+//! dwc resume <FILE.csv> --checkpoint-path FILE | --journal FILE [crawl flags]
 //! dwc serve <FILE.csv> --seed-value ATTR=VALUE... [--connections N]
 //!           [--requests R] [--queue D] [--serve-workers W]
 //!           [--latency-us N|MIN:MAX] [--decode-us N] [--deadline MS]
@@ -24,11 +24,13 @@
 //! Crash safety: `--checkpoint-path` turns on *periodic* checkpointing
 //! through [`CheckpointStore`] (atomic temp-file + rename, `.bak` rotation),
 //! every `--checkpoint-every` completed queries (default
-//! [`DEFAULT_CHECKPOINT_EVERY`]). After a crash, `dwc resume` reloads the
-//! latest intact snapshot — falling back to the `.bak` generation when the
-//! primary is torn — and continues the crawl, still checkpointing into the
-//! same store. The plain `--checkpoint`/`--resume` flags remain the one-shot,
-//! bare-file variant.
+//! [`DEFAULT_CHECKPOINT_EVERY`]); `--journal` adds one delta frame per
+//! completed query. After a crash, `dwc resume` reloads the latest intact
+//! snapshot — falling back to the `.bak` generation when the primary is torn
+//! — or the journal's last intact frame, whichever has more completed
+//! queries, and continues the crawl, still checkpointing and journaling
+//! into the same files. The plain `--checkpoint`/`--resume` flags remain the
+//! one-shot, bare-file variant.
 //!
 //! Observability: `--events FILE.jsonl` streams every structured crawl event
 //! as one JSON line. Replaying the file through
@@ -43,6 +45,7 @@
 //! transport — with `--deadline MS` attaching a per-request deadline.
 
 use deep_web_crawler::core::crawler::{StopReason, DEFAULT_CHECKPOINT_EVERY};
+use deep_web_crawler::core::journal::{latest_resume_point, ResumeOrigin};
 use deep_web_crawler::core::serve::SourceService;
 use deep_web_crawler::datagen::loader::{load_csv, to_csv};
 use deep_web_crawler::model::components::Connectivity;
@@ -90,8 +93,9 @@ USAGE:
             [--events FILE.jsonl]
             [--connect N] [--deadline MS] [--queue D] [--serve-workers W]
             [--latency-us N|MIN:MAX] [--decode-us N]
-  dwc resume <FILE.csv> --checkpoint-path FILE [--workers N]
-            [--allocation even|harvest|weighted-fair] [crawl flags]
+  dwc resume <FILE.csv> --checkpoint-path FILE | --journal FILE
+            [--workers N] [--allocation even|harvest|weighted-fair]
+            [crawl flags]
   dwc fleet <FILE.csv> --seed-value ATTR=VALUE... [--workers N]
             [--policy bfs|dfs|random|freq|gl|mmmi] [--budget ROUNDS]
             [--slice ROUNDS] [--allocation even|harvest|weighted-fair]
@@ -108,11 +112,12 @@ USAGE:
   dwc help
 
 Crash safety: --checkpoint-path enables periodic, atomic checkpointing
-(every --checkpoint-every queries; .bak rotation). `dwc resume` restarts
-from the latest intact snapshot after a crash. --journal additionally
+(every --checkpoint-every queries; .bak rotation). --journal additionally
 appends one checksummed delta frame per completed query to a frame log
-(rebased at each periodic checkpoint), bounding work lost to a kill to a
-single query.
+(rebased at each periodic checkpoint). After a crash, `dwc resume` with
+the same --checkpoint-path and/or --journal restarts from whichever holds
+more completed queries: the latest intact snapshot or the journal's last
+intact frame. With --journal, a kill loses at most the query in flight.
 
 Out-of-core storage: --mem-budget MB packs the table into file-backed
 segments and serves it through a sized buffer pool; three quarters of the
@@ -333,8 +338,9 @@ fn cmd_crawl(args: &[String], resume_from_store: bool) -> Result<(), String> {
         builder = builder.deadline(std::time::Duration::from_millis(ms));
     }
     let store = flag(&flags, "checkpoint-path").map(CheckpointStore::new);
-    if resume_from_store && store.is_none() {
-        return Err("resume needs --checkpoint-path FILE".into());
+    let journal = flag(&flags, "journal");
+    if resume_from_store && store.is_none() && journal.is_none() {
+        return Err("resume needs --checkpoint-path FILE or --journal FILE".into());
     }
     if let Some(ref s) = store {
         builder = builder.checkpoint_store(s.clone());
@@ -346,7 +352,7 @@ fn cmd_crawl(args: &[String], resume_from_store: bool) -> Result<(), String> {
     } else if flag(&flags, "checkpoint-every").is_some() {
         return Err("--checkpoint-every needs --checkpoint-path FILE".into());
     }
-    if let Some(journal) = flag(&flags, "journal") {
+    if let Some(journal) = journal {
         builder = builder.journal_path(journal);
     }
     let mem_budget = parse_mem_budget(&flags)?;
@@ -392,15 +398,25 @@ fn cmd_crawl(args: &[String], resume_from_store: bool) -> Result<(), String> {
     }
 
     let crawler = if resume_from_store {
-        let s = store.as_ref().expect("checked above");
-        let (cp, from_backup) = s.load_or_backup().map_err(|e| e.to_string())?;
-        if from_backup {
-            eprintln!(
-                "primary checkpoint {} unreadable; resumed from backup {}",
-                s.path().display(),
-                s.backup_path().display()
-            );
+        let point = latest_resume_point(store.as_ref(), journal.map(std::path::Path::new))
+            .map_err(|e| e.to_string())?;
+        match point.origin {
+            ResumeOrigin::Store { from_backup: true } => {
+                let s = store.as_ref().expect("only a store has a backup");
+                eprintln!(
+                    "primary checkpoint {} unreadable; resumed from backup {}",
+                    s.path().display(),
+                    s.backup_path().display()
+                );
+            }
+            ResumeOrigin::Store { from_backup: false } => {}
+            ResumeOrigin::Journal { deltas_applied, torn } => eprintln!(
+                "resumed from journal {}: base + {deltas_applied} deltas{}",
+                journal.unwrap_or_default(),
+                if torn { " (torn tail discarded)" } else { "" }
+            ),
         }
+        let cp = point.checkpoint;
         eprintln!("resuming at {} records / {} rounds", cp.records.len(), cp.rounds);
         if let Some(workers) = workers {
             return resume_pooled(server, policy, cp, config, workers, &flags, n);

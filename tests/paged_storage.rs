@@ -13,10 +13,13 @@
 //! 2. **Backend parity on random databases** — the same equality, property
 //!    tested over random small tables, page sizes, and result caps.
 //! 3. **Journal recovery at every frame** — kill a journaled crawl at every
-//!    frame boundary (and mid-frame), recover, resume, and the finished
-//!    crawl matches the uninterrupted baseline exactly.
+//!    frame boundary (and mid-frame), recover exactly the state the crawler
+//!    had after that query, resume, and the finished crawl matches the
+//!    uninterrupted baseline exactly. A resume after a kill past the last
+//!    periodic checkpoint takes the journal's newer state and re-spends no
+//!    rounds.
 
-use deep_web_crawler::core::StateJournal;
+use deep_web_crawler::core::{latest_resume_point, JournalRecovery, ResumeOrigin, StateJournal};
 use deep_web_crawler::model::{AttrId, AttrSpec, Schema, UniversalTable};
 use deep_web_crawler::prelude::*;
 use deep_web_crawler::store::{FilePager, FrameLog, MemPager, MemoryBudget, SegmentTable};
@@ -240,30 +243,41 @@ proptest! {
     }
 }
 
-/// Journal crash-recovery sweep: run a journaled crawl to completion, then
-/// simulate a kill at **every frame boundary** (and mid-frame, to model a
-/// torn write). Each recovery must yield a checkpoint the crawler resumes
-/// from to the exact baseline outcome — the journal never loses more than
-/// the query that was in flight, and a torn tail is discarded, not trusted.
-#[test]
-fn journal_recovers_at_every_kill_point() {
-    let table = imdb_table(3);
-    let dir = scratch_dir("journal");
-    let journal_path = dir.join("crawl.journal");
+/// Runs a crawl one step at a time until its round budget, as
+/// [`Crawler::run`] would, and returns its report with the state after
+/// seeding and after every query: journal frame `i` must hold `states[i]`.
+fn stepped_crawl<S: DataSource>(source: S, config: CrawlConfig) -> (CrawlReport, Vec<Checkpoint>) {
+    let budget = config.max_rounds.expect("a round budget");
+    let mut crawler = Crawler::new(source, PolicyKind::GreedyLink.build(), config);
+    crawler.add_seed("Language", "Language_0");
+    crawler.add_seed("Actor", "Actor_0");
+    let mut states = vec![crawler.checkpoint()];
+    let stop = loop {
+        if crawler.elapsed_rounds() >= budget {
+            break StopReason::RoundBudget;
+        }
+        if crawler.step().is_none() {
+            break StopReason::FrontierExhausted;
+        }
+        states.push(crawler.checkpoint());
+    };
+    (crawler.into_report(stop), states)
+}
 
-    let config = CrawlConfig::builder()
-        .max_rounds(300)
-        .journal_path(&journal_path)
-        .build()
-        .expect("valid crawl config");
-    let server = WebDbServer::new(table.clone(), interface(&table));
-    let baseline = run_crawl(&server, config);
-    assert!(baseline.records > 0);
-
-    let replay = FrameLog::replay(&journal_path).expect("replay journal");
+/// Cuts the journal at `path` at every frame boundary and 5 bytes past it
+/// (a torn write) and recovers each cut. A cut keeping `i` frames must
+/// recover `states[i - 1]`, the crawler's own checkpoint after query
+/// `i - 1`, field for field; `resume` then gets `i`, the torn bytes and
+/// the recovery.
+fn kill_at_every_frame(
+    path: &std::path::Path,
+    states: &[Checkpoint],
+    mut resume: impl FnMut(usize, u64, &JournalRecovery),
+) {
+    let replay = FrameLog::replay(path).expect("replay journal");
     assert!(!replay.torn, "a cleanly finished crawl leaves no torn tail");
-    assert!(replay.frames.len() > 1, "expected a base frame plus deltas");
-    let bytes = std::fs::read(&journal_path).expect("read journal");
+    assert_eq!(replay.frames.len(), states.len(), "one base frame, then one delta per query");
+    let bytes = std::fs::read(path).expect("read journal");
     assert_eq!(replay.valid_len, bytes.len() as u64);
 
     // Frame boundaries: each frame is [u32 len][u64 checksum][payload].
@@ -271,13 +285,9 @@ fn journal_recovers_at_every_kill_point() {
     for frame in &replay.frames {
         boundaries.push(boundaries.last().unwrap() + 12 + frame.len() as u64);
     }
-
-    let resume_config = CrawlConfig::builder().max_rounds(300).build().expect("valid config");
-    let cut_path = dir.join("cut.journal");
-    let mut prev_records = 0usize;
+    let cut_path = path.with_extension("cut");
     for (i, &cut) in boundaries.iter().enumerate() {
-        // The kill point: everything after `cut` never reached disk. Also
-        // probe a torn half-frame 5 bytes past the boundary.
+        // The kill point: everything after `cut` never reached disk.
         for extra in [0u64, 5] {
             let end = (cut + extra).min(bytes.len() as u64) as usize;
             std::fs::write(&cut_path, &bytes[..end]).expect("write cut journal");
@@ -291,27 +301,123 @@ fn journal_recovers_at_every_kill_point() {
             if extra > 0 && end < bytes.len() {
                 assert!(rec.torn, "a half-frame tail must be flagged torn");
             }
-            // Resume from the recovered state and finish the crawl: the
-            // outcome must match the uninterrupted baseline exactly.
-            let fresh = WebDbServer::new(table.clone(), interface(&table));
-            let crawler = Crawler::resume(
-                &fresh,
-                PolicyKind::GreedyLink.build(),
-                &rec.checkpoint,
-                resume_config.clone(),
-            );
-            let resumed = crawler.run();
             assert_eq!(
-                resumed.records, baseline.records,
-                "kill after frame {i} (+{extra}B) lost records"
+                rec.checkpoint,
+                states[i - 1],
+                "kill after frame {i} (+{extra}B) must recover the state after query {}",
+                i - 1
             );
-            assert_eq!(resumed.rounds, baseline.rounds, "kill after frame {i} changed billing");
-            if extra == 0 {
-                // More journal survived ⇒ at least as much state recovered.
-                assert!(rec.checkpoint.records.len() >= prev_records);
-                prev_records = rec.checkpoint.records.len();
-            }
+            resume(i, extra, &rec);
         }
     }
+}
+
+/// Journal crash-recovery sweep: run a journaled crawl to completion, then
+/// simulate a kill at **every frame boundary** (and mid-frame, to model a
+/// torn write). Each recovery must yield exactly the crawler's own
+/// checkpoint after that query, and the crawler resumes from it to the
+/// exact baseline outcome — the journal never loses more than the query
+/// that was in flight, and a torn tail is discarded, not trusted. The same
+/// exact-state sweep runs under the `DWC_FAULT_KIND` matrix cell, whose
+/// faults drive the retry and requeue paths.
+#[test]
+fn journal_recovers_at_every_kill_point() {
+    let table = imdb_table(3);
+    let dir = scratch_dir("journal");
+    let journal_path = dir.join("crawl.journal");
+    let config = |journal: &std::path::Path| {
+        CrawlConfig::builder()
+            .max_rounds(300)
+            .journal_path(journal)
+            .build()
+            .expect("valid crawl config")
+    };
+
+    let server = WebDbServer::new(table.clone(), interface(&table));
+    let (baseline, states) = stepped_crawl(&server, config(&journal_path));
+    assert!(baseline.records > 0);
+    let resume_config = CrawlConfig::builder().max_rounds(300).build().expect("valid config");
+    let mut prev_records = 0usize;
+    kill_at_every_frame(&journal_path, &states, |i, extra, rec| {
+        // Resume from the recovered state and finish the crawl: the
+        // outcome must match the uninterrupted baseline exactly.
+        let fresh = WebDbServer::new(table.clone(), interface(&table));
+        let crawler = Crawler::resume(
+            &fresh,
+            PolicyKind::GreedyLink.build(),
+            &rec.checkpoint,
+            resume_config.clone(),
+        );
+        let resumed = crawler.run();
+        assert_eq!(
+            resumed.records, baseline.records,
+            "kill after frame {i} (+{extra}B) lost records"
+        );
+        assert_eq!(resumed.rounds, baseline.rounds, "kill after frame {i} changed billing");
+        if extra == 0 {
+            // More journal survived ⇒ at least as much state recovered.
+            assert!(rec.checkpoint.records.len() >= prev_records);
+            prev_records = rec.checkpoint.records.len();
+        }
+    });
+
+    let (kind, seed) = fault_matrix_cell();
+    let faulty_path = dir.join("faulty.journal");
+    let source = FaultPlanSource::new(
+        WebDbServer::new(table.clone(), interface(&table)),
+        matrix_plan(&kind, seed),
+    );
+    let (report, states) = stepped_crawl(source, config(&faulty_path));
+    assert!(report.records > 0, "fault cell {kind}/{seed} harvested nothing");
+    kill_at_every_frame(&faulty_path, &states, |_, _, _| {});
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A kill 7 queries past the last periodic checkpoint. The journal holds
+/// those queries; the store does not. Resume must take the journal's state,
+/// reopening the journal must not truncate it before the resumed crawl's
+/// first base, and the resumed crawl must bill exactly the uninterrupted
+/// crawl's rounds: the fresh server sees only the rounds after the kill.
+#[test]
+fn resume_from_the_journal_respends_no_rounds() {
+    let table = imdb_table(3);
+    let dir = scratch_dir("resume");
+    let journal_path = dir.join("crawl.journal");
+    let store = CheckpointStore::new(dir.join("crawl.ckpt"));
+    let config = CrawlConfig::builder()
+        .max_rounds(300)
+        .journal_path(&journal_path)
+        .checkpoint_store(store.clone())
+        .checkpoint_every(10)
+        .build()
+        .expect("valid crawl config");
+    let plain = CrawlConfig::builder().max_rounds(300).build().expect("valid config");
+    let baseline = run_crawl(WebDbServer::new(table.clone(), interface(&table)), plain);
+
+    let server = WebDbServer::new(table.clone(), interface(&table));
+    let mut crawler = Crawler::new(&server, PolicyKind::GreedyLink.build(), config.clone());
+    crawler.add_seed("Language", "Language_0");
+    crawler.add_seed("Actor", "Actor_0");
+    while crawler.metrics().queries() < 27 {
+        crawler.step().expect("the frontier outlasts 27 queries");
+    }
+    let killed_at = crawler.checkpoint();
+    assert!(killed_at.rounds < baseline.rounds, "the kill must interrupt the crawl");
+    drop(crawler);
+
+    assert_eq!(store.load().expect("periodic checkpoint").queries, 20);
+    let point = latest_resume_point(Some(&store), Some(&journal_path)).expect("resume point");
+    assert_eq!(point.origin, ResumeOrigin::Journal { deltas_applied: 7, torn: false });
+    assert_eq!(point.checkpoint, killed_at);
+
+    let fresh = WebDbServer::new(table.clone(), interface(&table));
+    let resumed =
+        Crawler::resume(&fresh, PolicyKind::GreedyLink.build(), &point.checkpoint, config);
+    let reopened = StateJournal::recover(&journal_path).expect("recover").expect("base frame");
+    assert_eq!(reopened.checkpoint, killed_at, "resuming must not truncate the journal");
+    let report = resumed.run();
+    assert_eq!(report.records, baseline.records);
+    assert_eq!(report.rounds, baseline.rounds, "rounds were re-spent");
+    assert_eq!(DataSource::rounds_used(&fresh), baseline.rounds - killed_at.rounds);
     std::fs::remove_dir_all(&dir).ok();
 }
