@@ -18,8 +18,13 @@
 //! newline — is detected at parse time instead of resuming from silently
 //! damaged state. Version 1 blobs (no checksum) are still accepted; unknown
 //! future versions are rejected with [`CheckpointError::UnsupportedVersion`].
-//! Durable storage (atomic writes, backup rotation) is [`crate::store`]'s
-//! job; this module only defines the blob.
+//! Decoding is total: header counts never size an allocation beyond what
+//! the input can hold, and attribute indices and value ids are
+//! range-checked, so a bad blob is an error, never an abort or a panic.
+//!
+//! Durable storage is the state journal's job ([`crate::journal`]): a
+//! checkpoint blob is its base frame, rebased atomically with `.bak`
+//! rotation. This module only defines the blob.
 
 use crate::state::{CandStatus, CrawlState};
 use dwc_model::ValueId;
@@ -262,6 +267,10 @@ impl Checkpoint {
 
     /// Parses the body sections (everything after the header line).
     fn body_from_text(body: &str) -> Result<Self, CheckpointError> {
+        // Every counted entry takes at least a line of the body, so no
+        // honest count exceeds its length: a corrupt one must not size an
+        // allocation.
+        let capacity = |n: usize| n.min(body.len());
         let mut lines = body.lines();
         let meta_line = lines.next().ok_or(CheckpointError::Malformed("meta"))?;
         let meta: Vec<&str> = meta_line.split('\t').collect();
@@ -281,8 +290,8 @@ impl Checkpoint {
             .strip_prefix("attrs\t")
             .and_then(|s| s.parse().ok())
             .ok_or(CheckpointError::Malformed("attrs"))?;
-        let mut attr_names = Vec::with_capacity(n_attrs);
-        let mut attr_queriable = Vec::with_capacity(n_attrs);
+        let mut attr_names = Vec::with_capacity(capacity(n_attrs));
+        let mut attr_queriable = Vec::with_capacity(capacity(n_attrs));
         for _ in 0..n_attrs {
             let line = lines.next().ok_or(CheckpointError::Malformed("attr line"))?;
             let parts: Vec<&str> = line.split('\t').collect();
@@ -298,7 +307,7 @@ impl Checkpoint {
             .strip_prefix("values\t")
             .and_then(|s| s.parse().ok())
             .ok_or(CheckpointError::Malformed("values"))?;
-        let mut values = Vec::with_capacity(n_values);
+        let mut values = Vec::with_capacity(capacity(n_values));
         for _ in 0..n_values {
             let line = lines.next().ok_or(CheckpointError::Malformed("value line"))?;
             let parts: Vec<&str> = line.split('\t').collect();
@@ -342,7 +351,7 @@ impl Checkpoint {
             .strip_prefix("records\t")
             .and_then(|s| s.parse().ok())
             .ok_or(CheckpointError::Malformed("records"))?;
-        let mut records = Vec::with_capacity(n_records);
+        let mut records = Vec::with_capacity(capacity(n_records));
         for _ in 0..n_records {
             let line = lines.next().ok_or(CheckpointError::Malformed("record line"))?;
             let parts: Vec<&str> = line.split('\t').collect();
@@ -361,7 +370,7 @@ impl Checkpoint {
             };
             records.push((key, vals));
         }
-        Ok(Checkpoint {
+        let cp = Checkpoint {
             attr_names,
             attr_queriable,
             page_size,
@@ -372,7 +381,36 @@ impl Checkpoint {
             records,
             rounds,
             queries,
-        })
+        };
+        cp.validate()?;
+        Ok(cp)
+    }
+
+    /// Checks what [`crate::Crawler::resume`] relies on: parallel vectors
+    /// of equal length, value attributes in range, no value listed twice,
+    /// and every `L_queried` and record id naming a value.
+    pub(crate) fn validate(&self) -> Result<(), CheckpointError> {
+        if self.attr_queriable.len() != self.attr_names.len()
+            || self.status.len() != self.values.len()
+        {
+            return Err(CheckpointError::Malformed("section lengths"));
+        }
+        if self.values.iter().any(|(attr, _)| usize::from(*attr) >= self.attr_names.len()) {
+            return Err(CheckpointError::Malformed("value attr out of range"));
+        }
+        let mut seen = std::collections::HashSet::with_capacity(self.values.len());
+        if !self.values.iter().all(|(attr, s)| seen.insert((*attr, s.as_str()))) {
+            return Err(CheckpointError::Malformed("duplicate value"));
+        }
+        let n = self.values.len();
+        let in_range = |ids: &[u32]| ids.iter().all(|&id| (id as usize) < n);
+        if !in_range(&self.queried) {
+            return Err(CheckpointError::Malformed("queried id out of range"));
+        }
+        if !self.records.iter().all(|(_, ids)| in_range(ids)) {
+            return Err(CheckpointError::Malformed("record value id out of range"));
+        }
+        Ok(())
     }
 
     /// Snapshots `state` (vocabulary, statuses, `L_queried`, harvested
@@ -525,6 +563,42 @@ mod tests {
                 "prefix of {cut} bytes must not parse as a valid checkpoint"
             );
         }
+    }
+
+    /// Header counts past what the input holds, and ids past the
+    /// vocabulary, are errors: none may size an allocation or reach
+    /// `Crawler::resume`, which would abort or panic on them.
+    #[test]
+    fn impossible_counts_and_ids_are_errors_not_aborts() {
+        let v1 = |body: &str| format!("DWC-CHECKPOINT v1\nmeta\t10\t0\t0\t0\n{body}");
+        let one_value =
+            |tail: &str| v1(&format!("attrs\t1\na\tA\t1\nvalues\t1\nv\t0\ta1\nstatus\tF\n{tail}"));
+        let cases = [
+            (v1("attrs\t100000000000\n"), "attr line"),
+            (v1("attrs\t18446744073709551615\n"), "attr line"),
+            (one_value("queried\t\nrecords\t1\nr\t7\t5\n"), "record value id out of range"),
+            (one_value("queried\t3\nrecords\t0\n"), "queried id out of range"),
+            (
+                v1("attrs\t1\na\tA\t1\nvalues\t1\nv\t1\tb\nstatus\tF\nqueried\t\nrecords\t0\n"),
+                "value attr out of range",
+            ),
+            (
+                v1("attrs\t1\na\tA\t1\nvalues\t2\nv\t0\tb\nv\t0\tb\nstatus\tFF\nqueried\t\n\
+                    records\t0\n"),
+                "duplicate value",
+            ),
+            (v1("attrs\t0\nvalues\t99999999999\nstatus\t\n"), "value line"),
+            (v1("attrs\t0\nvalues\t0\nstatus\t\nqueried\t\nrecords\t99999999999\n"), "record line"),
+        ];
+        for (blob, what) in cases {
+            assert_eq!(
+                Checkpoint::from_text(&blob),
+                Err(CheckpointError::Malformed(what)),
+                "{blob:?}"
+            );
+        }
+        let sound = one_value("queried\t0\nrecords\t1\nr\t7\t0\n");
+        assert_eq!(Checkpoint::from_text(&sound).unwrap().records, vec![(7, vec![0])]);
     }
 
     #[test]

@@ -3,8 +3,13 @@
 //! Crawl and fleet configurations are built through validating builders
 //! ([`CrawlConfig::builder`], [`crate::fleet::FleetConfig::builder`])
 //! that reject nonsensical parameters — zero budgets, zero slices,
-//! conjunctive arity below 2 — at build time with a [`ConfigError`], instead
-//! of panicking (or silently stalling) mid-crawl.
+//! conjunctive arity below 2, a checkpoint cadence with no journal to
+//! rebase — at build time with a [`ConfigError`], instead of panicking (or
+//! silently stalling) mid-crawl.
+//!
+//! Persistence is one knob pair: [`CrawlConfig::journal_path`] names the
+//! state journal, the crawl's only durable form, and
+//! [`CrawlConfig::checkpoint_every`] sets how often it is rebased.
 
 use crate::abort::AbortPolicy;
 use crate::source::{CancelToken, ProberMode};
@@ -127,6 +132,8 @@ pub enum ConfigError {
     /// A memory budget of zero megabytes cannot size a buffer pool or page
     /// cache.
     ZeroMemBudget,
+    /// A checkpoint cadence without a journal has nowhere to write.
+    CheckpointNeedsJournal,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -169,6 +176,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ZeroMemBudget => {
                 write!(f, "memory budget must be at least 1 MiB")
             }
+            ConfigError::CheckpointNeedsJournal => {
+                write!(f, "checkpoint_every needs a journal_path to rebase")
+            }
         }
     }
 }
@@ -199,10 +209,6 @@ pub enum QueryMode {
         arity: usize,
     },
 }
-
-/// Checkpoint cadence (in completed queries) used when a store is configured
-/// without an explicit [`CrawlConfig::checkpoint_every`].
-pub const DEFAULT_CHECKPOINT_EVERY: u64 = 32;
 
 /// Crawl limits and knobs.
 ///
@@ -243,16 +249,18 @@ pub struct CrawlConfig {
     pub prober: ProberMode,
     /// Query submission mode (structured form fill vs keyword box).
     pub query_mode: QueryMode,
-    /// Where periodic checkpoints are persisted. `None` disables periodic
-    /// checkpointing (manual [`crate::Crawler::checkpoint`] still works).
+    /// Retired and inert: nothing reads it. The journal is the only durable
+    /// crawl state ([`CrawlConfig::journal_path`]).
     pub checkpoint_store: Option<crate::store::CheckpointStore>,
-    /// Snapshot cadence in completed queries, when a store is set; `None`
-    /// uses [`DEFAULT_CHECKPOINT_EVERY`].
+    /// Checkpoint cadence in completed queries: every this many, the
+    /// journal is rebased atomically onto a fresh snapshot (its previous
+    /// generation kept as `.bak`). `None` never rebases. Needs
+    /// [`CrawlConfig::journal_path`].
     pub checkpoint_every: Option<u64>,
-    /// Where the per-query state journal is appended
-    /// ([`crate::journal::StateJournal`]). `None` disables journaling.
-    /// When combined with a checkpoint store, every successful periodic
-    /// checkpoint rebases and truncates the journal.
+    /// Where the crawl's state journal lives
+    /// ([`crate::journal::StateJournal`]): one delta frame per completed
+    /// query over a checkpoint base. `None` disables persistence (manual
+    /// [`crate::Crawler::checkpoint`] still works).
     pub journal_path: Option<PathBuf>,
     /// Shared memory budget, in MiB, for out-of-core serving: the driver
     /// splits it between the segment-store buffer pool and the server's
@@ -363,19 +371,14 @@ impl CrawlConfigBuilder {
         self
     }
 
-    /// Enables periodic checkpointing into `store`.
-    pub fn checkpoint_store(mut self, store: crate::store::CheckpointStore) -> Self {
-        self.config.checkpoint_store = Some(store);
-        self
-    }
-
-    /// Sets the checkpoint cadence in completed queries. Must be positive.
+    /// Rebases the journal every `queries` completed queries. Must be
+    /// positive, and needs [`CrawlConfigBuilder::journal_path`].
     pub fn checkpoint_every(mut self, queries: u64) -> Self {
         self.config.checkpoint_every = Some(queries);
         self
     }
 
-    /// Enables the per-query state journal at `path`.
+    /// Persists the crawl in a state journal at `path`.
     pub fn journal_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.config.journal_path = Some(path.into());
         self
@@ -422,6 +425,9 @@ impl CrawlConfigBuilder {
         }
         if c.checkpoint_every == Some(0) {
             return Err(ConfigError::ZeroBudget("checkpoint_every"));
+        }
+        if c.checkpoint_every.is_some() && c.journal_path.is_none() {
+            return Err(ConfigError::CheckpointNeedsJournal);
         }
         if let QueryMode::Conjunctive { arity } = c.query_mode {
             if arity < 2 {
@@ -548,5 +554,19 @@ mod tests {
             .target_coverage(0.9)
             .build()
             .is_ok());
+    }
+
+    #[test]
+    fn checkpoint_every_needs_a_journal() {
+        assert_eq!(
+            CrawlConfig::builder().checkpoint_every(10).build().unwrap_err(),
+            ConfigError::CheckpointNeedsJournal
+        );
+        assert_eq!(
+            CrawlConfig::builder().journal_path("j").checkpoint_every(0).build().unwrap_err(),
+            ConfigError::ZeroBudget("checkpoint_every")
+        );
+        let config = CrawlConfig::builder().journal_path("j").checkpoint_every(10).build();
+        assert_eq!(config.unwrap().checkpoint_every, Some(10));
     }
 }

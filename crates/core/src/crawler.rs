@@ -22,6 +22,7 @@
 //! buffers) with [`Crawler::add_sink`].
 
 use crate::events::{CrawlEvent, EventBus, EventSink};
+use crate::journal::StateJournal;
 use crate::policy::SelectionPolicy;
 use crate::source::DataSource;
 use crate::stage::{Executor, Ingestor, Planner};
@@ -29,7 +30,7 @@ use crate::state::{CandStatus, CrawlState, QueryOutcome};
 use dwc_model::ValueId;
 use std::collections::HashMap;
 
-pub use crate::config::{CrawlConfig, CrawlConfigBuilder, QueryMode, DEFAULT_CHECKPOINT_EVERY};
+pub use crate::config::{CrawlConfig, CrawlConfigBuilder, QueryMode};
 pub use crate::events::StopReason;
 pub use crate::metrics::CrawlReport;
 pub use crate::source::ProberMode;
@@ -49,10 +50,10 @@ pub struct Crawler<S: DataSource> {
     bus: EventBus,
     /// Per-value requeue tally (values absent have never been requeued).
     requeues: HashMap<ValueId, u32>,
-    /// Per-query state journal, when `config.journal_path` is set. The base
-    /// frame is written lazily at the first [`Crawler::step`] so seeds
-    /// planted between construction and the first query are captured.
-    journal: Option<crate::journal::StateJournal>,
+    /// The state journal, when `config.journal_path` is set. The base frame
+    /// is written lazily at the first [`Crawler::step`] so seeds planted
+    /// between construction and the first query are captured.
+    journal: Option<StateJournal>,
 }
 
 impl<S: DataSource> Crawler<S> {
@@ -96,11 +97,9 @@ impl<S: DataSource> Crawler<S> {
     /// Opens the state journal named by the configuration, if any. Its
     /// frames stay on disk until the first [`Crawler::step`] writes a new
     /// base, so a crawl resumed from the journal cannot lose them to a crash
-    /// in between. Open failures are non-fatal, mirroring checkpoint
-    /// persistence: the crawl proceeds unjournaled.
-    fn open_journal(config: &CrawlConfig) -> Option<crate::journal::StateJournal> {
-        let path = config.journal_path.as_deref()?;
-        crate::journal::StateJournal::open(path).ok()
+    /// in between.
+    fn open_journal(config: &CrawlConfig) -> Option<StateJournal> {
+        config.journal_path.as_deref().map(StateJournal::open)
     }
 
     /// Resumes a checkpointed crawl against `source` with a fresh policy
@@ -257,9 +256,14 @@ impl<S: DataSource> Crawler<S> {
 
     /// Finalizes the crawl at its current state without issuing further
     /// queries (used by drivers that call [`Crawler::step`] themselves, like
-    /// the fleet coordinator). Emits [`CrawlEvent::CrawlFinished`] and
-    /// derives the report from the registry.
+    /// the fleet coordinator). Syncs the journal, so the last completed
+    /// query is durable (a failed sync costs durability, never the report),
+    /// then emits [`CrawlEvent::CrawlFinished`] and derives the report from
+    /// the registry.
     pub fn into_report(mut self, stop: StopReason) -> CrawlReport {
+        if let Some(journal) = self.journal.as_mut() {
+            let _ = journal.sync();
+        }
         self.bus.emit(CrawlEvent::CrawlFinished { stop, coverage: self.state.coverage() });
         self.bus.metrics().report().expect("CrawlFinished was just emitted")
     }
@@ -292,10 +296,8 @@ impl<S: DataSource> Crawler<S> {
     /// are both exhausted.
     pub fn step(&mut self) -> Option<()> {
         if self.journal.as_ref().is_some_and(|j| !j.has_base()) {
-            let base = self.checkpoint().to_text();
-            // Journal persistence failures never kill the crawl, mirroring
-            // checkpoint-store semantics; the crawl proceeds unjournaled.
-            self.rebase_journal(&base);
+            // Persistence failures never kill the crawl.
+            let _ = self.rebase_journal();
         }
         let planned = self.planner.plan(&mut self.state, &self.ingestor, &mut self.bus)?;
         let local_before =
@@ -362,47 +364,40 @@ impl<S: DataSource> Crawler<S> {
         self.maybe_checkpoint();
     }
 
-    /// Resets the journal (if any) to `base`, the serialized snapshot of the
-    /// current state. A failure drops the journal; the crawl goes on.
-    fn rebase_journal(&mut self, base: &str) {
-        if let Some(journal) = self.journal.as_mut() {
-            if journal.write_base(&mut self.state, base).is_err() {
-                self.journal = None;
-            }
+    /// Rebases the journal (if any) onto the current state, serialized
+    /// once; returns whether a previous generation was rotated to `.bak`.
+    /// A journal left without any base by a failed write is dropped and the
+    /// crawl goes on unjournaled; one with a base keeps extending its
+    /// previous generation.
+    fn rebase_journal(&mut self) -> Option<std::io::Result<bool>> {
+        let base = self.journal.is_some().then(|| self.checkpoint().to_text())?;
+        let journal = self.journal.as_mut()?;
+        let written = journal.write_base(&mut self.state, &base);
+        if !journal.has_base() {
+            self.journal = None;
         }
+        Some(written)
     }
 
-    /// Persists a periodic checkpoint when a store is configured and the
-    /// cadence is due. The cadence check runs before any snapshot is built,
-    /// and the store is borrowed, never cloned. Persistence failures never
-    /// kill the crawl — they are tallied as [`CrawlEvent::CheckpointFailed`]
-    /// and the previous on-disk generation stays valid.
+    /// Rebases the journal when the checkpoint cadence is due. A journal
+    /// dropped after a failed write is reopened first, so persistence
+    /// resumes at the next due checkpoint. Failures never kill the crawl:
+    /// they are tallied as [`CrawlEvent::CheckpointFailed`], and the
+    /// previous generation on disk stays valid.
     fn maybe_checkpoint(&mut self) {
-        if self.config.checkpoint_store.is_none() {
+        let Some(every) = self.config.checkpoint_every else { return };
+        if !self.bus.metrics().queries().is_multiple_of(every.max(1)) {
             return;
         }
-        let every = self.config.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY).max(1);
-        if !self.bus.metrics().queries().is_multiple_of(every) {
-            return;
+        if self.journal.is_none() {
+            self.journal = Self::open_journal(&self.config);
         }
-        // Serialized once: the store and the journal rebase write the same
-        // bytes.
-        let snapshot = self.checkpoint().to_text();
-        let saved = self
-            .config
-            .checkpoint_store
-            .as_ref()
-            .expect("presence checked above")
-            .save_text(&snapshot);
-        if saved.is_ok() {
-            // The snapshot is durable elsewhere: rebase the journal onto it
-            // and drop the deltas it absorbed.
-            self.rebase_journal(&snapshot);
-        }
-        self.bus.emit(match saved {
-            Ok(receipt) => CrawlEvent::CheckpointWritten { rotated_backup: receipt.rotated_backup },
-            Err(_) => CrawlEvent::CheckpointFailed,
-        });
+        let event = match self.rebase_journal() {
+            Some(Ok(rotated_backup)) => CrawlEvent::CheckpointWritten { rotated_backup },
+            Some(Err(_)) => CrawlEvent::CheckpointFailed,
+            None => return,
+        };
+        self.bus.emit(event);
     }
 }
 

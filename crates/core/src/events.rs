@@ -204,12 +204,12 @@ pub enum CrawlEvent {
         /// Crawler-vocabulary id of the requeued candidate.
         candidate: u32,
     },
-    /// A periodic checkpoint was persisted.
+    /// A periodic checkpoint was persisted: the journal was rebased onto it.
     CheckpointWritten {
         /// Whether the previous on-disk generation was rotated to `.bak`.
         rotated_backup: bool,
     },
-    /// A periodic checkpoint save failed (the crawl continues; the previous
+    /// A periodic journal rebase failed (the crawl continues; the previous
     /// on-disk generation remains valid).
     CheckpointFailed,
     /// The crawl resumed from a checkpoint with these already-billed

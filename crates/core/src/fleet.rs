@@ -51,11 +51,12 @@
 //! * the worker hands the victim's source handle back
 //!   ([`Crawler::into_source`]) and the coordinator rebuilds the job over
 //!   it from a small per-job record (policy, seeds, config, starting
-//!   checkpoint): from its last persisted checkpoint
-//!   ([`CrawlConfig::checkpoint_store`]) when one loads, else from its
-//!   starting [`FleetJob::resume`] or its seeds — completed rounds are not
-//!   re-billed, at most one checkpoint interval of work is repeated, and
-//!   no source ever needs to be `Clone`;
+//!   checkpoint): from its state journal ([`CrawlConfig::journal_path`])
+//!   through [`StateJournal::recover`] — the recovery path of every crawl
+//!   and of `dwc resume` — when it recovers, else from its starting
+//!   [`FleetJob::resume`] or its seeds. Completed rounds are not re-billed,
+//!   a journaled job repeats at most the query in flight, and no source
+//!   ever needs to be `Clone`;
 //! * a job that panics more than [`FleetConfig::max_restarts`] times is
 //!   abandoned with [`StopReason::WorkerFailed`] instead of wedging the
 //!   fleet;
@@ -82,6 +83,7 @@ use crate::config::{ConfigError, RetryPolicy};
 use crate::crawler::{CrawlConfig, CrawlReport, Crawler, StopReason};
 use crate::events::CrawlEvent;
 use crate::health::{BreakerConfig, CircuitBreaker, JobHealth};
+use crate::journal::StateJournal;
 use crate::metrics::MetricsRegistry;
 use crate::policy::PolicyKind;
 use crate::sched::{Pool, SchedulerStats, TaskCtx};
@@ -639,7 +641,7 @@ enum SliceEnd<S: DataSource> {
     },
     /// The slice panicked. The crawler's in-memory state is suspect, so only
     /// its source handle comes back; the coordinator rebuilds the job over
-    /// it from the last durable checkpoint.
+    /// it from its journal's last completed query.
     Panicked(S),
 }
 
@@ -701,10 +703,11 @@ impl Recipe {
         }
     }
 
-    /// The job's last persisted checkpoint, if any generation loads.
+    /// The job's state after its last journaled query, if its journal
+    /// recovers.
     fn last_checkpoint(&self) -> Option<Checkpoint> {
-        let store = self.config.checkpoint_store.as_ref()?;
-        store.load_or_backup().ok().map(|(cp, _)| cp)
+        let path = self.config.journal_path.as_deref()?;
+        StateJournal::recover(path).ok().flatten().map(|rec| rec.checkpoint)
     }
 }
 
@@ -943,14 +946,9 @@ impl<S: DataSource> Coordinator<'_, S> {
                 sources.push(report);
                 continue;
             }
+            // Finalizing syncs the job's journal: its last state is what
+            // `dwc resume --workers` picks up.
             let crawler = slot.crawler.take().expect("unfinished job has a parked crawler");
-            // A finished job's last state is durable even between periodic
-            // checkpoint ticks (what `dwc resume --workers` picks up). Best
-            // effort: a failed final save leaves the last periodic
-            // generation valid, exactly like CheckpointFailed mid-crawl.
-            if let Some(store) = &slot.recipe.config.checkpoint_store {
-                let _ = store.save(&crawler.checkpoint());
-            }
             let stop = if slot.done {
                 StopReason::FrontierExhausted
             } else if slot.parked {
@@ -1154,7 +1152,7 @@ impl<S: DataSource> FleetController<S> {
 /// Runs the fleet to budget exhaustion (or until every job's frontier is
 /// dry) on the bounded work-stealing pool, supervising every job as the
 /// [module docs](self) describe: a panicking slice restarts its job from
-/// its last checkpoint (up to [`FleetConfig::max_restarts`] times, then the
+/// its journal (up to [`FleetConfig::max_restarts`] times, then the
 /// job finishes as [`StopReason::WorkerFailed`]), and a job whose failure
 /// streak trips its breaker is paused. All accounting is in elapsed rounds
 /// (requests + backoff waits).
@@ -1199,7 +1197,6 @@ fn apply_default_retry(job_config: &mut CrawlConfig, fleet: &FleetConfig) {
 mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultPlanSource};
-    use crate::store::CheckpointStore;
     use dwc_server::{FaultPolicy, InterfaceSpec, WebDbServer};
     use std::sync::Arc;
 
@@ -1209,7 +1206,7 @@ mod tests {
         WebDbServer::new(t, spec)
     }
 
-    fn scratch_store(name: &str) -> CheckpointStore {
+    fn scratch_journal(name: &str) -> std::path::PathBuf {
         use std::sync::atomic::{AtomicU64, Ordering};
         static N: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
@@ -1218,7 +1215,7 @@ mod tests {
             N.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        CheckpointStore::new(dir.join("job.ckpt"))
+        dir.join("job.jnl")
     }
 
     fn job(seed_value: &str) -> FleetJob<WebDbServer> {
@@ -1416,13 +1413,9 @@ mod tests {
 
     #[test]
     fn fleet_resumes_a_job_from_its_checkpoint() {
-        let store = scratch_store("fleet-resume");
-        let partial_config = CrawlConfig::builder()
-            .known_target_size(5)
-            .checkpoint_store(store.clone())
-            .checkpoint_every(1)
-            .build()
-            .unwrap();
+        let journal = scratch_journal("fleet-resume");
+        let partial_config =
+            CrawlConfig::builder().known_target_size(5).journal_path(&journal).build().unwrap();
         let partial = run_fleet(
             vec![FleetJob {
                 source: figure1_server(),
@@ -1435,7 +1428,8 @@ mod tests {
             FleetConfig::builder().total_rounds(2).slice(2).build().unwrap(),
         );
         assert!(partial.sources[0].records < 5, "tiny budget must stop early");
-        let (cp, _) = store.load_or_backup().expect("final checkpoint persisted");
+        let cp =
+            StateJournal::recover(&journal).unwrap().expect("final state journaled").checkpoint;
         assert!(cp.rounds > 0);
         let resumed = run_fleet(
             vec![FleetJob {
@@ -1458,11 +1452,11 @@ mod tests {
     /// One job over a fault-plan-wrapped shared server.
     fn faulty_job(
         plan: FaultPlan,
-        store: Option<CheckpointStore>,
+        journal: Option<&std::path::Path>,
     ) -> FleetJob<FaultPlanSource<Arc<WebDbServer>>> {
         let mut builder = CrawlConfig::builder().known_target_size(5).max_requeues(10);
-        if let Some(store) = store {
-            builder = builder.checkpoint_store(store).checkpoint_every(1);
+        if let Some(journal) = journal {
+            builder = builder.journal_path(journal);
         }
         FleetJob {
             source: FaultPlanSource::new(Arc::new(figure1_server()), plan),
@@ -1490,22 +1484,22 @@ mod tests {
 
     #[test]
     fn panicking_slice_restarts_from_checkpoint_and_finishes() {
-        let store = scratch_store("restart");
-        let jobs = vec![faulty_job(FaultPlan::new().panic_at(4), Some(store.clone()))];
+        let journal = scratch_journal("restart");
+        let jobs = vec![faulty_job(FaultPlan::new().panic_at(4), Some(&journal))];
         let config = FleetConfig::builder().total_rounds(1000).slice(5).build().unwrap();
         let report = run_fleet(jobs, config);
         assert_eq!(report.health[0].worker_restarts, 1, "one injected crash, one restart");
         assert!(!report.health[0].abandoned);
         assert_eq!(report.sources[0].records, 5, "recovery must lose no records");
-        assert!(store.exists(), "periodic checkpoints were persisted");
+        assert!(journal.exists(), "the journal was persisted");
     }
 
     #[test]
     fn job_without_restart_budget_is_abandoned() {
-        let store = scratch_store("abandon");
+        let journal = scratch_journal("abandon");
         // Panic on every early request: even rebuilt jobs die again.
         let plan = FaultPlan::new().panic_at(1).panic_at(2).panic_at(3).panic_at(4);
-        let jobs = vec![faulty_job(plan, Some(store))];
+        let jobs = vec![faulty_job(plan, Some(&journal))];
         let config =
             FleetConfig::builder().total_rounds(1000).slice(5).max_restarts(2).build().unwrap();
         let report = run_fleet(jobs, config);
@@ -1516,10 +1510,10 @@ mod tests {
 
     #[test]
     fn breaker_trips_on_burst_and_recovers() {
-        let store = scratch_store("breaker");
+        let journal = scratch_journal("breaker");
         // 20 consecutive transient failures starting at request 4: long
         // enough that a slice boundary lands mid-burst with a live streak.
-        let jobs = vec![faulty_job(FaultPlan::new().burst(4, 20), Some(store))];
+        let jobs = vec![faulty_job(FaultPlan::new().burst(4, 20), Some(&journal))];
         let config = FleetConfig::builder()
             .total_rounds(4000)
             .slice(8)

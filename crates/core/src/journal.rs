@@ -1,23 +1,24 @@
-//! Incremental crawl-state journal: per-query delta frames over a
-//! checkpointed base.
+//! The crawl-state journal: the one durable form of a crawl.
 //!
-//! Periodic checkpoints ([`crate::store::CheckpointStore`]) bound recovery
-//! loss to one checkpoint *interval* — up to [`crate::crawler::DEFAULT_CHECKPOINT_EVERY`]
-//! queries of re-spent communication rounds. The [`StateJournal`] closes that
-//! gap with a log-structured append per completed query: frame 0 holds a
-//! full v2 checkpoint blob (the *base*), every later frame a small text
-//! *delta* describing exactly what one query changed — new vocabulary
-//! entries, status transitions, `L_queried` growth, harvested records, and
-//! the cost counters. Both layers share the same trust model: the base is a
-//! checksummed checkpoint, each delta frame is independently checksummed by
-//! the [`dwc_store::FrameLog`] framing, and recovery replays the longest
-//! valid prefix — a crash mid-append loses at most the query being framed.
+//! A [`StateJournal`] is a [`dwc_store::FrameLog`] whose frame 0 holds a
+//! full v2 checkpoint blob (the *base*) and whose every later frame is a
+//! small text *delta* describing exactly what one completed query changed —
+//! new vocabulary entries, status transitions, `L_queried` growth,
+//! harvested records, and the cost counters. Both layers share one trust
+//! model: the base is a checksummed checkpoint, each frame is independently
+//! checksummed by the framing, and recovery replays the longest valid
+//! prefix — a crash mid-append loses at most the query being framed.
 //!
-//! When the periodic checkpointer succeeds, the crawler rewrites the journal
-//! base from the freshly persisted snapshot (the same serialized bytes) and
-//! truncates the deltas: the journal never grows past one checkpoint
-//! interval of frames. [`latest_resume_point`] picks whichever of the
-//! journal and the checkpoint store holds more completed queries.
+//! **Rebasing.** Every [`crate::CrawlConfig::checkpoint_every`] completed
+//! queries (never, when it is unset) the crawler starts a new generation
+//! from a fresh base, atomically: the base frame is written to
+//! `<journal>.tmp` and synced, the current generation is rotated to
+//! `<journal>.bak`, and the temporary is renamed into place. At every
+//! instant one complete generation is on disk. A failed rebase leaves the
+//! previous generation in place, and the crawl keeps appending to it;
+//! [`StateJournal::recover`] falls back to `.bak` when the primary holds no
+//! intact base, and never reads `.tmp`. A journal therefore holds at most
+//! one rebase interval of deltas, and a crawl writes no other file.
 //!
 //! **Cost.** A delta costs what its query changed, not what the crawl has
 //! accumulated. The journal never rescans the state: [`CrawlState`] logs
@@ -45,11 +46,10 @@ use crate::checkpoint::{
     escape_into, push_ids, push_u64, status_char, unescape, Checkpoint, CheckpointError,
 };
 use crate::state::{CandStatus, CrawlState};
-use crate::store::{CheckpointStore, StoreError};
 use dwc_model::ValueId;
 use dwc_store::FrameLog;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 fn status_from(c: &str) -> Result<CandStatus, CheckpointError> {
     match c {
@@ -67,6 +67,18 @@ fn parse_ids(s: &str, what: &'static str) -> Result<Vec<u32>, CheckpointError> {
     s.split(',').map(|t| t.parse().map_err(|_| CheckpointError::Malformed(what))).collect()
 }
 
+/// `path` with `suffix` appended to its file name: the `.tmp` and `.bak`
+/// siblings of a journal.
+fn sibling(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(suffix);
+    path.with_file_name(name)
+}
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
 /// What [`StateJournal::recover`] found on disk.
 #[derive(Debug)]
 pub struct JournalRecovery {
@@ -77,12 +89,19 @@ pub struct JournalRecovery {
     pub deltas_applied: u64,
     /// Whether a torn or corrupt tail was discarded during replay.
     pub torn: bool,
+    /// Whether the primary held no intact base and the `.bak` generation
+    /// was replayed instead.
+    pub from_backup: bool,
 }
 
-/// Append-only per-query state journal over a [`FrameLog`].
+/// Append-only per-query state journal over a [`FrameLog`], rebased
+/// atomically onto fresh bases (see the module docs).
 #[derive(Debug)]
 pub struct StateJournal {
-    log: FrameLog,
+    path: PathBuf,
+    /// The current generation: `None` until this handle writes its first
+    /// base, so the journal a crawl resumed from stays untouched until then.
+    log: Option<FrameLog>,
     /// Statuses as of the last frame (its length is the framed vocabulary
     /// size), patched in place from the state's change log.
     shadow_status: Vec<CandStatus>,
@@ -92,64 +111,76 @@ pub struct StateJournal {
     changed: Vec<ValueId>,
     /// The frame under construction, reused across frames.
     frame: String,
-    has_base: bool,
     /// The full-state diff every frame must equal byte for byte.
     #[cfg(test)]
     reference: reference::FullDiff,
 }
 
 impl StateJournal {
-    /// Opens the journal at `path`, creating it if missing. Existing frames
-    /// are kept (a torn tail is cut off) until the first
-    /// [`StateJournal::write_base`] resets the log, so a crawl resumed from
-    /// this journal loses nothing to a crash before its first query.
-    pub fn open(path: &Path) -> io::Result<Self> {
-        let log =
-            if path.exists() { FrameLog::open_append(path)? } else { FrameLog::create(path)? };
-        Ok(StateJournal {
-            log,
+    /// A journal at `path`. Nothing is read or written until the first
+    /// [`StateJournal::write_base`], so a crawl resumed from this journal
+    /// loses nothing to a crash before its first query.
+    pub fn open(path: impl Into<PathBuf>) -> Self {
+        StateJournal {
+            path: path.into(),
+            log: None,
             shadow_status: Vec::new(),
             shadow_records_len: 0,
             shadow_queried_len: 0,
             changed: Vec::new(),
             frame: String::new(),
-            has_base: false,
             #[cfg(test)]
             reference: reference::FullDiff::default(),
-        })
+        }
     }
 
     /// Whether this handle has written its base frame yet.
     pub fn has_base(&self) -> bool {
-        self.has_base
+        self.log.is_some()
     }
 
-    /// Frames in the journal (base + deltas).
+    /// Frames in this handle's generation (base + deltas).
     pub fn frames(&self) -> u64 {
-        self.log.frames()
+        self.log.as_ref().map_or(0, FrameLog::frames)
     }
 
-    /// Resets the journal to a fresh base snapshot: truncates every frame
-    /// and writes `base` — `state` serialized by [`Checkpoint::to_text`] —
-    /// as frame 0. Called at crawl start (after seeds are planted) and after
-    /// every successful periodic checkpoint, with the bytes the store just
-    /// wrote; the journal then only carries deltas newer than durable state
-    /// elsewhere. Clears the state's change log, which the base absorbed.
-    pub fn write_base(&mut self, state: &mut CrawlState, base: &str) -> io::Result<()> {
-        self.log.reset()?;
-        self.log.append(base.as_bytes())?;
-        self.log.sync()?;
+    /// Starts a new generation from `base`, `state` serialized by
+    /// [`Checkpoint::to_text`]: writes it as frame 0 of `<path>.tmp`
+    /// (creating parent directories), syncs it, rotates the current
+    /// generation, if any, to `<path>.bak`, renames the temporary into
+    /// place and syncs the directory. Returns whether a previous generation
+    /// was rotated. Clears the state's change log, which the base absorbed.
+    /// Called before a crawl's first query and at every periodic checkpoint.
+    ///
+    /// An error before the new generation is in place leaves the state
+    /// untouched and the handle on its previous generation, which further
+    /// deltas extend. An error syncing the directory comes after the
+    /// switch: the new generation is in place, and further deltas extend it.
+    pub fn write_base(&mut self, state: &mut CrawlState, base: &str) -> io::Result<bool> {
+        let tmp = sibling(&self.path, ".tmp");
+        let mut log = FrameLog::create(&tmp)?;
+        log.append(base.as_bytes())?;
+        log.sync()?;
+        let rotated = match std::fs::rename(&self.path, sibling(&self.path, ".bak")) {
+            Ok(()) => true,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => false,
+            Err(e) => return Err(e),
+        };
+        std::fs::rename(&tmp, &self.path)?;
+        self.log = Some(log);
         self.shadow_status.clear();
         self.shadow_status.extend_from_slice(state.status());
         self.shadow_records_len = state.local.num_records();
         self.shadow_queried_len = state.queried().len();
         state.clear_changes();
-        self.has_base = true;
         #[cfg(test)]
         {
             self.reference = reference::FullDiff::of(state);
         }
-        Ok(())
+        // The renames survive a power loss only once their directory does.
+        let dir = self.path.parent().filter(|d| !d.as_os_str().is_empty());
+        std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+        Ok(rotated)
     }
 
     /// Appends one delta frame: everything `state` changed since the last
@@ -165,7 +196,7 @@ impl StateJournal {
         rounds: u64,
         queries: u64,
     ) -> io::Result<()> {
-        assert!(self.has_base, "journal delta before base frame");
+        let Some(log) = self.log.as_mut() else { panic!("journal delta before base frame") };
         let low_water = state.take_changes(&mut self.changed);
         let out = &mut self.frame;
         out.clear();
@@ -229,98 +260,58 @@ impl StateJournal {
             self.reference.frame(state, rounds, queries),
             "delta frame differs from the full-state diff"
         );
-        self.log.append(self.frame.as_bytes())?;
+        log.append(self.frame.as_bytes())?;
         self.shadow_queried_len = state.queried().len();
         self.shadow_records_len = state.local.num_records();
         Ok(())
     }
 
+    /// Forces this handle's generation to durable storage. Deltas are only
+    /// flushed to the OS as they are appended; a finishing crawl syncs once,
+    /// so its final state is as durable as its last base.
+    pub fn sync(&mut self) -> io::Result<()> {
+        self.log.as_mut().map_or(Ok(()), FrameLog::sync)
+    }
+
     /// Replays the journal at `path`: parses the base checkpoint from frame
-    /// 0 and folds every intact delta frame into it. Returns `Ok(None)` when
-    /// the file is missing or holds no valid base frame.
+    /// 0 and folds every intact delta frame into it. When the primary holds
+    /// no intact base (missing, or damaged within its first frame), the
+    /// `.bak` generation is replayed instead; `.tmp` is never read. Returns
+    /// `Ok(None)` when neither file holds any bytes — a journal that has not
+    /// written its first base.
+    ///
+    /// # Errors
+    /// An unreadable file; a primary with bytes but no intact base and no
+    /// intact `.bak`; or intact frames that do not decode to a consistent
+    /// state — frames that passed their checksums are not torn writes, so a
+    /// bad one is an error, not a tail to discard.
     pub fn recover(path: &Path) -> io::Result<Option<JournalRecovery>> {
-        let replay = FrameLog::replay(path)?;
-        let Some(base) = replay.frames.first() else {
-            return Ok(None);
-        };
-        let text = std::str::from_utf8(base)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "journal base not UTF-8"))?;
-        let mut cp = Checkpoint::from_text(text).map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("journal base: {e}"))
-        })?;
+        let mut replay = FrameLog::replay(path)?;
+        let mut from_backup = false;
+        if replay.frames.is_empty() {
+            let backup = FrameLog::replay(&sibling(path, ".bak"))?;
+            if backup.frames.is_empty() {
+                return if replay.torn || backup.torn {
+                    Err(invalid(format!("journal {} has no intact base frame", path.display())))
+                } else {
+                    Ok(None)
+                };
+            }
+            (replay, from_backup) = (backup, true);
+        }
+        let text = std::str::from_utf8(&replay.frames[0])
+            .map_err(|_| invalid("journal base not UTF-8".into()))?;
+        let mut cp =
+            Checkpoint::from_text(text).map_err(|e| invalid(format!("journal base: {e}")))?;
         let mut deltas_applied = 0u64;
         for frame in &replay.frames[1..] {
-            let text = std::str::from_utf8(frame).map_err(|_| {
-                io::Error::new(io::ErrorKind::InvalidData, "journal delta not UTF-8")
-            })?;
-            apply_delta(&mut cp, text).map_err(|e| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("journal delta: {e}"))
-            })?;
+            let text = std::str::from_utf8(frame)
+                .map_err(|_| invalid("journal delta not UTF-8".into()))?;
+            apply_delta(&mut cp, text).map_err(|e| invalid(format!("journal delta: {e}")))?;
             deltas_applied += 1;
         }
-        Ok(Some(JournalRecovery { checkpoint: cp, deltas_applied, torn: replay.torn }))
-    }
-}
-
-/// Where a [`ResumePoint`] was read from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResumeOrigin {
-    /// The checkpoint store; `from_backup` when the primary file was
-    /// unreadable and the `.bak` generation was used.
-    Store {
-        /// Whether the `.bak` generation was used.
-        from_backup: bool,
-    },
-    /// The state journal, replayed to its last intact frame.
-    Journal {
-        /// Delta frames applied on top of the journal's base.
-        deltas_applied: u64,
-        /// Whether a torn tail was discarded.
-        torn: bool,
-    },
-}
-
-/// The state a crashed crawl resumes from.
-#[derive(Debug)]
-pub struct ResumePoint {
-    /// The recovered state, ready for [`crate::Crawler::resume`].
-    pub checkpoint: Checkpoint,
-    /// Where it came from.
-    pub origin: ResumeOrigin,
-}
-
-/// Finds the newest state a crashed crawl can resume from: the checkpoint
-/// store's latest intact generation or the journal's last intact frame,
-/// whichever has more completed queries (the store on a tie). A journal
-/// runs up to one checkpoint interval ahead of the store, so preferring it
-/// keeps those queries' rounds from being spent twice.
-///
-/// # Errors
-/// A journal that cannot be read or replayed is an error (its frames passed
-/// their checksums, so a bad one is not a torn write). Without journal
-/// state, the store's load error is returned; with neither source named,
-/// or both empty, [`StoreError::Missing`].
-pub fn latest_resume_point(
-    store: Option<&CheckpointStore>,
-    journal: Option<&Path>,
-) -> Result<ResumePoint, StoreError> {
-    let from_journal = match journal {
-        Some(path) => StateJournal::recover(path)?,
-        None => None,
-    };
-    let from_store = store.map(CheckpointStore::load_or_backup);
-    match (from_store, from_journal) {
-        (Some(Ok((cp, from_backup))), rec)
-            if rec.as_ref().is_none_or(|r| r.checkpoint.queries <= cp.queries) =>
-        {
-            Ok(ResumePoint { checkpoint: cp, origin: ResumeOrigin::Store { from_backup } })
-        }
-        (_, Some(rec)) => Ok(ResumePoint {
-            checkpoint: rec.checkpoint,
-            origin: ResumeOrigin::Journal { deltas_applied: rec.deltas_applied, torn: rec.torn },
-        }),
-        (Some(Err(e)), None) => Err(e),
-        _ => Err(StoreError::Missing(journal.unwrap_or(Path::new("")).to_path_buf())),
+        cp.validate().map_err(|e| invalid(format!("journal deltas: {e}")))?;
+        Ok(Some(JournalRecovery { checkpoint: cp, deltas_applied, torn: replay.torn, from_backup }))
     }
 }
 
@@ -469,13 +460,21 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
 
+    /// A journal path in a fresh directory (its `.tmp` and `.bak` siblings
+    /// land there too); [`clean`] removes the directory.
     fn scratch(name: &str) -> PathBuf {
         use std::sync::atomic::{AtomicU64, Ordering};
         static N: AtomicU64 = AtomicU64::new(0);
         let n = N.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!("dwc-journal-{}-{n}-{name}.jnl", std::process::id()))
+        let dir =
+            std::env::temp_dir().join(format!("dwc-journal-{}-{n}-{name}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join("crawl.jnl")
+    }
+
+    fn clean(path: &Path) {
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 
     /// One attribute with one frontier value, `a1`.
@@ -486,39 +485,58 @@ mod tests {
         st
     }
 
-    /// Writes `st` as the journal's base, at `rounds` rounds.
-    fn write_base(j: &mut StateJournal, st: &mut CrawlState, rounds: u64) -> Checkpoint {
+    /// Writes `st` as the journal's base, at `rounds` rounds; returns the
+    /// base and whether the rebase rotated a previous generation.
+    fn write_base(j: &mut StateJournal, st: &mut CrawlState, rounds: u64) -> (Checkpoint, bool) {
         let cp = Checkpoint::capture(st, rounds, 0);
-        j.write_base(st, &cp.to_text()).unwrap();
-        cp
+        let rotated = j.write_base(st, &cp.to_text()).unwrap();
+        (cp, rotated)
+    }
+
+    /// Discovers a new frontier value and frames the change.
+    fn one_delta(j: &mut StateJournal, st: &mut CrawlState, value: &str, rounds: u64) {
+        let v = st.intern(dwc_model::AttrId(0), value);
+        st.set_status(v, CandStatus::Frontier);
+        j.append_delta(st, rounds, rounds).unwrap();
+    }
+
+    /// Writes `frames` as a journal at `path`, checksummed and intact.
+    fn write_frames(path: &Path, frames: &[&str]) {
+        let mut log = FrameLog::create(path).unwrap();
+        for frame in frames {
+            log.append(frame.as_bytes()).unwrap();
+        }
     }
 
     #[test]
     fn base_only_recovers_the_checkpoint() {
         let path = scratch("base");
-        let mut j = StateJournal::open(&path).unwrap();
+        let mut j = StateJournal::open(&path);
         assert!(!j.has_base());
-        let base = write_base(&mut j, &mut base_state(), 0);
+        let (base, _) = write_base(&mut j, &mut base_state(), 0);
         let rec = StateJournal::recover(&path).unwrap().unwrap();
         assert_eq!(rec.checkpoint, base);
         assert_eq!(rec.deltas_applied, 0);
-        assert!(!rec.torn);
-        let _ = std::fs::remove_file(&path);
+        assert!(!rec.torn && !rec.from_backup);
+        assert!(!sibling(&path, ".tmp").exists(), "the temporary is renamed away");
+        clean(&path);
     }
 
     #[test]
     fn missing_or_baseless_journal_recovers_none() {
         let path = scratch("missing");
         assert!(StateJournal::recover(&path).unwrap().is_none());
-        let _ = StateJournal::open(&path).unwrap();
+        let _ = StateJournal::open(&path);
+        assert!(!path.exists(), "opening writes nothing");
+        std::fs::write(&path, b"").unwrap();
         assert!(StateJournal::recover(&path).unwrap().is_none(), "no base frame yet");
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 
     #[test]
     fn deltas_replay_state_changes() {
         let path = scratch("deltas");
-        let mut j = StateJournal::open(&path).unwrap();
+        let mut j = StateJournal::open(&path);
         let mut st = base_state();
         write_base(&mut j, &mut st, 0);
 
@@ -550,52 +568,157 @@ mod tests {
         assert_eq!(rec.checkpoint.queried, Vec::<u32>::new());
         assert_eq!(rec.checkpoint.status[0], CandStatus::Frontier);
         assert_eq!(rec.checkpoint, Checkpoint::capture(&st, 4, 2));
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 
     #[test]
     fn rebased_journal_truncates_deltas() {
         let path = scratch("rebase");
-        let mut j = StateJournal::open(&path).unwrap();
+        let mut j = StateJournal::open(&path);
         let mut st = base_state();
         write_base(&mut j, &mut st, 0);
-        let a2 = st.intern(dwc_model::AttrId(0), "a2");
-        st.set_status(a2, CandStatus::Frontier);
-        j.append_delta(&mut st, 1, 1).unwrap();
+        one_delta(&mut j, &mut st, "a2", 1);
         assert_eq!(j.frames(), 2);
         write_base(&mut j, &mut st, 9);
         assert_eq!(j.frames(), 1, "rebase drops absorbed deltas");
         let rec = StateJournal::recover(&path).unwrap().unwrap();
         assert_eq!(rec.checkpoint.rounds, 9);
         assert_eq!(rec.deltas_applied, 0);
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
     }
 
     #[test]
     fn opening_keeps_frames_until_the_next_base() {
         let path = scratch("reopen");
-        let mut j = StateJournal::open(&path).unwrap();
+        let mut j = StateJournal::open(&path);
         let mut st = base_state();
         write_base(&mut j, &mut st, 0);
-        let a2 = st.intern(dwc_model::AttrId(0), "a2");
-        st.set_status(a2, CandStatus::Frontier);
-        j.append_delta(&mut st, 2, 1).unwrap();
+        one_delta(&mut j, &mut st, "a2", 2);
         drop(j);
 
-        let mut reopened = StateJournal::open(&path).unwrap();
+        let mut reopened = StateJournal::open(&path);
         assert!(!reopened.has_base());
-        assert_eq!(reopened.frames(), 2, "opening must not truncate the journal");
+        assert_eq!(FrameLog::replay(&path).unwrap().frames.len(), 2, "opening truncated");
         let rec = StateJournal::recover(&path).unwrap().unwrap();
-        assert_eq!(rec.checkpoint, Checkpoint::capture(&st, 2, 1));
+        assert_eq!(rec.checkpoint, Checkpoint::capture(&st, 2, 2));
         write_base(&mut reopened, &mut st, 2);
         assert_eq!(StateJournal::recover(&path).unwrap().unwrap().deltas_applied, 0);
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
+    }
+
+    #[test]
+    fn rebase_rotates_the_previous_generation_to_bak() {
+        let path = scratch("rotate");
+        let mut j = StateJournal::open(&path);
+        let mut st = base_state();
+        let (_, rotated) = write_base(&mut j, &mut st, 0);
+        assert!(!rotated, "nothing to rotate on the first base");
+        one_delta(&mut j, &mut st, "a2", 1);
+        let before = Checkpoint::capture(&st, 1, 1);
+        let (base, rotated) = write_base(&mut j, &mut st, 5);
+        assert!(rotated, "the second base rotates the first generation");
+        assert_eq!(StateJournal::recover(&path).unwrap().unwrap().checkpoint, base);
+        let bak = StateJournal::recover(&sibling(&path, ".bak")).unwrap().unwrap();
+        assert_eq!(bak.checkpoint, before, "the previous generation survives as .bak");
+        assert_eq!(bak.deltas_applied, 1);
+        clean(&path);
+    }
+
+    /// Flips one payload byte of the base frame: its checksum fails, so the
+    /// primary holds no intact base.
+    fn damage_base(path: &Path) {
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[20] ^= 0x01;
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    #[test]
+    fn damaged_primary_base_recovers_from_bak() {
+        let path = scratch("fallback");
+        let mut j = StateJournal::open(&path);
+        let mut st = base_state();
+        write_base(&mut j, &mut st, 0);
+        one_delta(&mut j, &mut st, "a2", 1);
+        let previous = Checkpoint::capture(&st, 1, 1);
+        write_base(&mut j, &mut st, 6);
+        one_delta(&mut j, &mut st, "a3", 7);
+        damage_base(&path);
+        let rec = StateJournal::recover(&path).unwrap().unwrap();
+        assert!(rec.from_backup, "recovery must come from the .bak generation");
+        assert_eq!(rec.checkpoint, previous, "one rebase interval lost, crawl still resumable");
+        clean(&path);
+    }
+
+    #[test]
+    fn damaged_primary_without_bak_is_an_error() {
+        let path = scratch("no-backup");
+        let mut j = StateJournal::open(&path);
+        write_base(&mut j, &mut base_state(), 0);
+        damage_base(&path);
+        let err = StateJournal::recover(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        clean(&path);
+    }
+
+    /// Of a journal's two generations, recovery resumes from the one with
+    /// more completed queries: the primary whenever it holds a base (a
+    /// rebase starts it where `.bak` ends), `.bak` only without one.
+    #[test]
+    fn resume_point_prefers_whichever_source_has_more_queries() {
+        let path = scratch("choice");
+        let mut j = StateJournal::open(&path);
+        let mut st = base_state();
+        write_base(&mut j, &mut st, 0);
+        for (i, value) in ["a2", "a3", "a4"].into_iter().enumerate() {
+            one_delta(&mut j, &mut st, value, i as u64 + 1);
+        }
+        let rebase = Checkpoint::capture(&st, 3, 3).to_text();
+        j.write_base(&mut st, &rebase).unwrap();
+        one_delta(&mut j, &mut st, "a5", 4);
+        let newest = StateJournal::recover(&path).unwrap().unwrap();
+        let bak = StateJournal::recover(&sibling(&path, ".bak")).unwrap().unwrap();
+        assert_eq!((newest.checkpoint.queries, bak.checkpoint.queries), (4, 3));
+        assert!(!newest.from_backup);
+        assert_eq!(newest.checkpoint, Checkpoint::capture(&st, 4, 4));
+
+        std::fs::remove_file(&path).unwrap();
+        let fallback = StateJournal::recover(&path).unwrap().unwrap();
+        assert!(fallback.from_backup, "a primary lost between the two renames");
+        assert_eq!(fallback.checkpoint, bak.checkpoint);
+        std::fs::remove_file(sibling(&path, ".bak")).unwrap();
+        assert!(StateJournal::recover(&path).unwrap().is_none());
+        clean(&path);
+    }
+
+    #[test]
+    fn leftover_tmp_is_never_read() {
+        let path = scratch("tmp");
+        let mut j = StateJournal::open(&path);
+        let (base, _) = write_base(&mut j, &mut base_state(), 2);
+        let mut newer = base.clone();
+        newer.rounds = 99;
+        let tmp = sibling(&path, ".tmp");
+        write_frames(&tmp, &[&newer.to_text()]);
+        assert_eq!(StateJournal::recover(&path).unwrap().unwrap().checkpoint, base);
+        std::fs::remove_file(&path).unwrap();
+        assert!(StateJournal::recover(&path).unwrap().is_none(), "a valid .tmp is still not read");
+        clean(&path);
+    }
+
+    #[test]
+    fn rebase_creates_parent_directories() {
+        let root = scratch("deep");
+        let path = root.with_file_name("a").join("b").join("crawl.jnl");
+        let mut j = StateJournal::open(&path);
+        let (base, _) = write_base(&mut j, &mut base_state(), 2);
+        assert_eq!(StateJournal::recover(&path).unwrap().unwrap().checkpoint, base);
+        clean(&root);
     }
 
     #[test]
     fn mid_list_removal_frames_the_full_list() {
         let path = scratch("swap-remove");
-        let mut j = StateJournal::open(&path).unwrap();
+        let mut j = StateJournal::open(&path);
         let mut st = CrawlState::new(vec!["A".into()], vec![true], 10);
         let ids: Vec<ValueId> =
             ["a", "b", "c"].iter().map(|s| st.intern(dwc_model::AttrId(0), s)).collect();
@@ -620,11 +743,38 @@ mod tests {
         assert_eq!(delta, "d\t5\t1\nv\t0\td\tQ\ns\t0\tF\nqf\t3,1,2\n");
         let rec = StateJournal::recover(&path).unwrap().unwrap();
         assert_eq!(rec.checkpoint, Checkpoint::capture(&st, 5, 1));
-        let _ = std::fs::remove_file(&path);
+        clean(&path);
+    }
+
+    /// Checksummed frames that decode to an impossible state are errors,
+    /// never aborts: a base whose attribute count would size a 2.4 TB
+    /// allocation, and deltas naming ids past the vocabulary.
+    #[test]
+    fn frames_with_impossible_counts_or_ids_are_errors() {
+        let one_value = "DWC-CHECKPOINT v1\nmeta\t10\t0\t0\t0\nattrs\t1\na\tA\t1\nvalues\t1\n\
+                         v\t0\ta1\nstatus\tF\nqueried\t\nrecords\t0\n";
+        let cases: [&[&str]; 5] = [
+            &["DWC-CHECKPOINT v1\nmeta\t10\t0\t0\t0\nattrs\t100000000000\n"],
+            &[one_value, "d\t1\t1\nr\t9\t0,4\n"],
+            &[one_value, "d\t1\t1\nqa\t0,1\n"],
+            &[one_value, "d\t1\t1\nv\t3\ta2\tF\n"],
+            &[one_value, "d\t1\t1\nv\t0\ta1\tF\n"],
+        ];
+        for frames in cases {
+            let path = scratch("bad-frames");
+            write_frames(&path, frames);
+            let err = StateJournal::recover(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{frames:?}");
+            clean(&path);
+        }
+        let path = scratch("good-frames");
+        write_frames(&path, &[one_value, "d\t1\t1\nqa\t0\n"]);
+        assert_eq!(StateJournal::recover(&path).unwrap().unwrap().checkpoint.queried, [0]);
+        clean(&path);
     }
 
     /// Journaled crawls under every fault kind of the CI matrix, with and
-    /// without periodic checkpoints: every frame must equal the full-state
+    /// without periodic rebases: every frame must equal the full-state
     /// diff byte for byte (asserted inside `append_delta`), and `burst`
     /// must reach the requeue path.
     #[test]
@@ -654,14 +804,13 @@ mod tests {
         for (kind, plan) in plans {
             for checkpoint_every in [None, Some(7)] {
                 let path = scratch(kind);
-                let store = CheckpointStore::new(path.with_extension("ckpt"));
                 let mut config = CrawlConfig::builder()
                     .max_rounds(600)
                     .prober(ProberMode::Wire)
                     .max_retries(4)
                     .journal_path(&path);
                 if let Some(every) = checkpoint_every {
-                    config = config.checkpoint_store(store.clone()).checkpoint_every(every);
+                    config = config.checkpoint_every(every);
                 }
                 let source = FaultPlanSource::new(
                     WebDbServer::new(table.clone(), spec.clone()),
@@ -678,39 +827,88 @@ mod tests {
                 if kind == "burst" {
                     assert!(report.requeued_queries > 0, "burst must exercise requeues");
                 }
-                let _ = std::fs::remove_file(&path);
-                let _ = std::fs::remove_file(store.path());
-                let _ = std::fs::remove_file(store.backup_path());
+                clean(&path);
             }
         }
     }
 
+    /// A journal-only crawl rebasing every `k` queries never holds more
+    /// than its base and `k` deltas, and still recovers the exact state.
     #[test]
-    fn resume_point_prefers_whichever_source_has_more_queries() {
-        let path = scratch("resume-point");
-        let store = CheckpointStore::new(path.with_extension("ckpt"));
-        let mut st = base_state();
-        let mut j = StateJournal::open(&path).unwrap();
-        let base = write_base(&mut j, &mut st, 4);
-        store.save(&base).unwrap();
-        let tie = latest_resume_point(Some(&store), Some(&path)).unwrap();
-        assert_eq!(tie.origin, ResumeOrigin::Store { from_backup: false });
+    fn rebasing_crawl_holds_at_most_k_plus_one_frames() {
+        use crate::policy::PolicyKind;
+        use crate::{CrawlConfig, Crawler};
+        use dwc_server::{InterfaceSpec, WebDbServer};
 
-        j.append_delta(&mut st, 6, 1).unwrap();
-        let newer = latest_resume_point(Some(&store), Some(&path)).unwrap();
-        assert_eq!(newer.origin, ResumeOrigin::Journal { deltas_applied: 1, torn: false });
-        assert_eq!(newer.checkpoint.queries, 1);
-        let journal_only = latest_resume_point(None, Some(&path)).unwrap();
-        assert_eq!(journal_only.checkpoint, newer.checkpoint);
+        let table = dwc_datagen::Preset::Imdb.table(0.002, 3);
+        let server = WebDbServer::new(table.clone(), InterfaceSpec::permissive(table.schema(), 10));
+        let path = scratch("bounded");
+        let k = 5;
+        let config = CrawlConfig::builder().max_rounds(300).journal_path(&path).checkpoint_every(k);
+        let mut crawler =
+            Crawler::new(&server, PolicyKind::GreedyLink.build(), config.build().unwrap());
+        crawler.add_seed("Language", "Language_0");
+        while crawler.elapsed_rounds() < 300 && crawler.step().is_some() {
+            let frames = FrameLog::replay(&path).unwrap().frames.len() as u64;
+            assert!(
+                frames <= k + 1,
+                "{frames} frames after {} queries",
+                crawler.metrics().queries()
+            );
+        }
+        assert!(crawler.checkpoints_written() >= 3, "the crawl must rebase several times");
+        assert_eq!(crawler.checkpoints_written(), crawler.metrics().queries() / k);
+        assert_eq!(StateJournal::recover(&path).unwrap().unwrap().checkpoint, crawler.checkpoint());
+        clean(&path);
+    }
 
-        std::fs::remove_file(&path).unwrap();
-        let store_only = latest_resume_point(Some(&store), Some(&path)).unwrap();
-        assert_eq!(store_only.checkpoint, base);
-        std::fs::remove_file(store.path()).unwrap();
-        assert!(matches!(
-            latest_resume_point(Some(&store), Some(&path)),
-            Err(StoreError::Missing(_))
-        ));
-        assert!(matches!(latest_resume_point(None, None), Err(StoreError::Missing(_))));
+    /// A rebase that cannot write its temporary emits `CheckpointFailed`
+    /// and the crawl goes on: a journal with a base keeps extending its
+    /// previous generation, one that never wrote a base is reopened at the
+    /// next due checkpoint, and persistence resumes once the obstacle is
+    /// gone.
+    #[test]
+    fn failed_rebases_keep_the_previous_generation_and_retry() {
+        use crate::policy::PolicyKind;
+        use crate::{CrawlConfig, Crawler};
+        use dwc_server::{InterfaceSpec, WebDbServer};
+
+        let table = dwc_datagen::Preset::Imdb.table(0.002, 3);
+        let server = WebDbServer::new(table.clone(), InterfaceSpec::permissive(table.schema(), 10));
+        let path = scratch("failing");
+        let (tmp, bak) = (sibling(&path, ".tmp"), sibling(&path, ".bak"));
+        let k = 4;
+        let config = CrawlConfig::builder().journal_path(&path).checkpoint_every(k);
+        let mut crawler =
+            Crawler::new(&server, PolicyKind::GreedyLink.build(), config.build().unwrap());
+        crawler.add_seed("Language", "Language_0");
+        let step_to = |crawler: &mut Crawler<&WebDbServer>, queries: u64| {
+            while crawler.metrics().queries() < queries {
+                crawler.step().expect("the frontier outlasts the test");
+            }
+        };
+
+        // A directory in the temporary's place fails every rebase, the
+        // crawl's first base included: the crawl runs unjournaled.
+        std::fs::create_dir(&tmp).unwrap();
+        step_to(&mut crawler, k);
+        assert!(!path.exists());
+        std::fs::remove_dir(&tmp).unwrap();
+        step_to(&mut crawler, 2 * k);
+        assert_eq!(StateJournal::recover(&path).unwrap().unwrap().checkpoint, crawler.checkpoint());
+
+        std::fs::create_dir(&tmp).unwrap();
+        step_to(&mut crawler, 3 * k + 1);
+        assert!(!bak.exists(), "the failed rebase rotated nothing");
+        let rec = StateJournal::recover(&path).unwrap().unwrap();
+        assert_eq!((rec.checkpoint, rec.deltas_applied), (crawler.checkpoint(), k + 1));
+        std::fs::remove_dir(&tmp).unwrap();
+        step_to(&mut crawler, 4 * k);
+        assert_eq!(StateJournal::recover(&path).unwrap().unwrap().checkpoint, crawler.checkpoint());
+        assert!(bak.exists());
+
+        let report = crawler.into_report(crate::StopReason::QueryBudget);
+        assert_eq!((report.checkpoints_written, report.checkpoint_failures), (2, 2));
+        clean(&path);
     }
 }

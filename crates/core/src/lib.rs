@@ -75,7 +75,7 @@ pub use fleet::{
     FleetController, FleetJob, FleetOps, FleetReport, HarvestAllocator, WeightedFairAllocator,
 };
 pub use health::{BreakerConfig, BreakerState, CircuitBreaker, JobHealth};
-pub use journal::{latest_resume_point, JournalRecovery, ResumeOrigin, ResumePoint, StateJournal};
+pub use journal::{JournalRecovery, StateJournal};
 pub use local::LocalDb;
 pub use metrics::{replay_report, replay_service_report, replay_usage, MetricsRegistry};
 pub use policy::{PolicyKind, SelectionPolicy};
@@ -91,6 +91,6 @@ pub use source::{
 };
 pub use stage::{Executor, Ingestor, Planner};
 pub use state::{CandStatus, CrawlState, QueryOutcome};
-pub use store::{CheckpointStore, SaveReceipt, StoreError};
+pub use store::CheckpointStore;
 pub use tenant::{RateLimit, Tenant, TenantId, TokenBucket, UsageLedger};
 pub use trace::{CrawlTrace, TraceError};

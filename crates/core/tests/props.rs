@@ -126,15 +126,19 @@ fn page_strategy() -> impl Strategy<Value = ExtractedPage> {
         })
 }
 
-/// A structurally valid checkpoint over arbitrary value strings.
+/// A structurally valid checkpoint over arbitrary value strings: each
+/// `(attr, string)` pair is listed once, as a vocabulary interns it.
 fn checkpoint_from(values: Vec<(u16, String)>, rounds: u64, queries: u64) -> Checkpoint {
+    let mut seen = std::collections::HashSet::new();
+    let values: Vec<(u16, String)> =
+        values.into_iter().map(|(a, s)| (a % 3, s)).filter(|v| seen.insert(v.clone())).collect();
     let n = values.len();
     Checkpoint {
         attr_names: vec!["A".into(), "B".into(), "C".into()],
         attr_queriable: vec![true, true, false],
         page_size: 7,
         keyword_mode: queries.is_multiple_of(2),
-        values: values.into_iter().map(|(a, s)| (a % 3, s)).collect(),
+        values,
         status: (0..n)
             .map(|i| if i.is_multiple_of(2) { CandStatus::Frontier } else { CandStatus::Queried })
             .collect(),
@@ -149,7 +153,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Checkpoint text serialization round-trips arbitrary content,
-    /// including metacharacters in attribute names and values.
+    /// including metacharacters in attribute names and values, exactly
+    /// when the checkpoint is consistent: every value's attribute exists
+    /// and no `(attr, string)` pair repeats. Anything else is malformed.
     #[test]
     fn checkpoint_text_roundtrips(
         attr_names in prop::collection::vec(any::<String>(), 1..4),
@@ -172,8 +178,18 @@ proptest! {
             rounds,
             queries,
         };
-        let back = Checkpoint::from_text(&cp.to_text()).unwrap();
-        prop_assert_eq!(back, cp);
+        let mut seen = std::collections::HashSet::new();
+        let consistent = cp
+            .values
+            .iter()
+            .all(|(a, s)| usize::from(*a) < cp.attr_names.len() && seen.insert((a, s)));
+        match Checkpoint::from_text(&cp.to_text()) {
+            Ok(back) => {
+                prop_assert!(consistent, "an inconsistent checkpoint was accepted");
+                prop_assert_eq!(back, cp);
+            }
+            Err(e) => prop_assert!(!consistent, "a consistent checkpoint was rejected: {e}"),
+        }
     }
 
     /// Round-trips survive value strings built specifically to attack the

@@ -3,8 +3,10 @@
 //! The crawler's incremental state journal appends one frame per completed
 //! query; recovery replays frames in order and stops at the first frame that
 //! is truncated or fails its checksum — everything before the tear is
-//! trusted, everything after is discarded, exactly the contract of the v2
-//! checksummed checkpoint store this log extends to per-query granularity.
+//! trusted, everything after is discarded, the contract of the v2
+//! checksummed checkpoint format extended to per-query granularity. A log
+//! keeps appending to its file when the file is renamed while open (the
+//! journal writes each new generation under a temporary name).
 //!
 //! Frame wire format, all little-endian:
 //!
@@ -15,7 +17,7 @@
 use crate::fnv1a64;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Maximum accepted frame payload (a corrupt length prefix must not drive a
 /// multi-gigabyte allocation).
@@ -25,7 +27,6 @@ const MAX_FRAME: u32 = 256 << 20;
 #[derive(Debug)]
 pub struct FrameLog {
     file: File,
-    path: PathBuf,
     len: u64,
     frames: u64,
 }
@@ -40,7 +41,7 @@ impl FrameLog {
         }
         let file =
             OpenOptions::new().read(true).write(true).create(true).truncate(true).open(path)?;
-        Ok(FrameLog { file, path: path.to_path_buf(), len: 0, frames: 0 })
+        Ok(FrameLog { file, len: 0, frames: 0 })
     }
 
     /// Opens an existing log for appending, first replaying it to find the
@@ -50,17 +51,7 @@ impl FrameLog {
         let replay = Self::replay(path)?;
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         file.set_len(replay.valid_len)?;
-        Ok(FrameLog {
-            file,
-            path: path.to_path_buf(),
-            len: replay.valid_len,
-            frames: replay.frames.len() as u64,
-        })
-    }
-
-    /// The log's path.
-    pub fn path(&self) -> &Path {
-        &self.path
+        Ok(FrameLog { file, len: replay.valid_len, frames: replay.frames.len() as u64 })
     }
 
     /// Number of frames appended (or replayed) so far.
@@ -166,7 +157,7 @@ pub struct ReplayedLog {
 mod tests {
     use super::*;
 
-    fn scratch(name: &str) -> PathBuf {
+    fn scratch(name: &str) -> std::path::PathBuf {
         use std::sync::atomic::{AtomicU64, Ordering};
         static N: AtomicU64 = AtomicU64::new(0);
         let n = N.fetch_add(1, Ordering::Relaxed);

@@ -1,12 +1,13 @@
 //! Crash-safe fleet supervision: a worker is killed mid-crawl by an
-//! injected panic, the supervisor restarts it from its last on-disk
-//! checkpoint, and a second job rides out a fault burst behind its
+//! injected panic, the supervisor restarts it from its on-disk state
+//! journal, and a second job rides out a fault burst behind its
 //! per-source circuit breaker — no records are lost either way.
 //!
 //! Run with: `cargo run --release --example fault_tolerant_fleet`
 
 use deep_web_crawler::core::fleet::{run_fleet, FleetConfig, FleetJob};
 use deep_web_crawler::prelude::*;
+use std::path::Path;
 use std::sync::Arc;
 
 fn server(seed: u64) -> Arc<WebDbServer> {
@@ -18,13 +19,13 @@ fn server(seed: u64) -> Arc<WebDbServer> {
 fn job(
     seed: u64,
     plan: FaultPlan,
-    store: Option<CheckpointStore>,
+    journal: Option<&Path>,
 ) -> FleetJob<FaultPlanSource<Arc<WebDbServer>>> {
     let mut builder = CrawlConfig::builder().max_requeues(20);
-    if let Some(store) = store {
-        // Snapshot after every completed query: a killed worker redoes at
+    if let Some(journal) = journal {
+        // One journal frame per completed query: a killed worker redoes at
         // most the one query that was in flight.
-        builder = builder.checkpoint_store(store).checkpoint_every(1);
+        builder = builder.journal_path(journal);
     }
     FleetJob {
         source: FaultPlanSource::new(server(seed), plan),
@@ -52,12 +53,12 @@ fn main() {
 
     let dir = std::env::temp_dir().join(format!("dwc-example-fleet-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("scratch dir");
-    let store = CheckpointStore::new(dir.join("job0.ckpt"));
+    let journal = dir.join("job0.jnl");
 
     // Job 0 panics at its 25th page request (a worker crash); job 1 sees a
     // 50-request transient burst (a source brown-out).
     let jobs = vec![
-        job(11, FaultPlan::new().panic_at(25), Some(store.clone())),
+        job(11, FaultPlan::new().panic_at(25), Some(&journal)),
         job(13, FaultPlan::new().burst(10, 50), None),
     ];
     let config = FleetConfig::builder()
@@ -90,7 +91,7 @@ fn main() {
     );
     println!(
         "both jobs harvested their full fault-free record sets; job 0 resumed from {}",
-        store.path().display()
+        journal.display()
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,11 +5,9 @@
 //! dwc graph <FILE.csv>
 //! dwc crawl <FILE.csv> [--policy bfs|dfs|random|freq|gl|mmmi]
 //!           [--seed-value ATTR=VALUE]... [--budget ROUNDS] [--page-size K]
-//!           [--cap N] [--coverage F] [--keyword] [--stats]
-//!           [--checkpoint OUT] [--resume IN] [--trace OUT.csv]
-//!           [--checkpoint-path FILE] [--checkpoint-every N]
-//!           [--events FILE.jsonl]
-//! dwc resume <FILE.csv> --checkpoint-path FILE | --journal FILE [crawl flags]
+//!           [--cap N] [--coverage F] [--keyword] [--stats] [--trace OUT.csv]
+//!           [--journal FILE [--checkpoint-every N]] [--events FILE.jsonl]
+//! dwc resume <FILE.csv> --journal FILE [crawl flags]
 //! dwc serve <FILE.csv> --seed-value ATTR=VALUE... [--connections N]
 //!           [--requests R] [--queue D] [--serve-workers W]
 //!           [--latency-us N|MIN:MAX] [--decode-us N] [--deadline MS]
@@ -18,19 +16,18 @@
 //! `generate` writes a synthetic dataset as CSV; `graph` prints the
 //! attribute-value-graph statistics of a CSV table (Figure 2 style);
 //! `crawl` runs a crawl against an in-process server over the CSV table and
-//! reports cost and coverage, optionally checkpointing/resuming and dumping
+//! reports cost and coverage, optionally journaling the crawl and dumping
 //! the per-query trace for plotting.
 //!
-//! Crash safety: `--checkpoint-path` turns on *periodic* checkpointing
-//! through [`CheckpointStore`] (atomic temp-file + rename, `.bak` rotation),
-//! every `--checkpoint-every` completed queries (default
-//! [`DEFAULT_CHECKPOINT_EVERY`]); `--journal` adds one delta frame per
-//! completed query. After a crash, `dwc resume` reloads the latest intact
-//! snapshot — falling back to the `.bak` generation when the primary is torn
-//! — or the journal's last intact frame, whichever has more completed
-//! queries, and continues the crawl, still checkpointing and journaling
-//! into the same files. The plain `--checkpoint`/`--resume` flags remain the
-//! one-shot, bare-file variant.
+//! Crash safety: `--journal FILE` persists the crawl in a [`StateJournal`]
+//! — a checkpoint base, then one checksummed delta frame per completed
+//! query — and `--checkpoint-every N` rebases it atomically every N queries
+//! (temp file, fsync, `.bak` rotation, rename), so it holds at most N
+//! deltas. After a crash, `dwc resume --journal FILE` recovers the
+//! journal's last intact frame (from the `.bak` generation when the
+//! primary holds no intact base) and continues the crawl, journaling into
+//! the same file. Crawls, fleet restarts and `dwc resume` share that one
+//! recovery path.
 //!
 //! Observability: `--events FILE.jsonl` streams every structured crawl event
 //! as one JSON line. Replaying the file through
@@ -44,8 +41,7 @@
 //! same service over a pool of N client connections — the protocol-real
 //! transport — with `--deadline MS` attaching a per-request deadline.
 
-use deep_web_crawler::core::crawler::{StopReason, DEFAULT_CHECKPOINT_EVERY};
-use deep_web_crawler::core::journal::{latest_resume_point, ResumeOrigin};
+use deep_web_crawler::core::crawler::StopReason;
 use deep_web_crawler::core::serve::SourceService;
 use deep_web_crawler::datagen::loader::{load_csv, to_csv};
 use deep_web_crawler::model::components::Connectivity;
@@ -86,14 +82,12 @@ USAGE:
   dwc graph <FILE.csv>
   dwc crawl <FILE.csv> [--policy bfs|dfs|random|freq|gl|mmmi]
             [--seed-value ATTR=VALUE]... [--budget ROUNDS] [--page-size K]
-            [--cap N] [--coverage F] [--keyword] [--stats]
-            [--checkpoint OUT] [--resume IN] [--trace OUT.csv]
-            [--checkpoint-path FILE] [--checkpoint-every N]
-            [--journal FILE] [--mem-budget MB]
+            [--cap N] [--coverage F] [--keyword] [--stats] [--trace OUT.csv]
+            [--journal FILE [--checkpoint-every N]] [--mem-budget MB]
             [--events FILE.jsonl]
             [--connect N] [--deadline MS] [--queue D] [--serve-workers W]
             [--latency-us N|MIN:MAX] [--decode-us N]
-  dwc resume <FILE.csv> --checkpoint-path FILE | --journal FILE
+  dwc resume <FILE.csv> --journal FILE
             [--workers N] [--allocation even|harvest|weighted-fair]
             [crawl flags]
   dwc fleet <FILE.csv> --seed-value ATTR=VALUE... [--workers N]
@@ -111,13 +105,14 @@ USAGE:
             [--connect N] [--serve-workers W] [--queue D] [--hedge-us N]
   dwc help
 
-Crash safety: --checkpoint-path enables periodic, atomic checkpointing
-(every --checkpoint-every queries; .bak rotation). --journal additionally
-appends one checksummed delta frame per completed query to a frame log
-(rebased at each periodic checkpoint). After a crash, `dwc resume` with
-the same --checkpoint-path and/or --journal restarts from whichever holds
-more completed queries: the latest intact snapshot or the journal's last
-intact frame. With --journal, a kill loses at most the query in flight.
+Crash safety: --journal FILE persists the crawl as a checksummed frame
+log: a checkpoint base, then one delta frame per completed query.
+--checkpoint-every N rebases it every N queries, atomically (temp file,
+fsync, rename; the previous generation is kept as FILE.bak), so the
+journal holds at most N deltas; without it the journal is never rebased.
+After a crash, `dwc resume --journal FILE` restarts from the journal's
+last intact frame (from FILE.bak when FILE has no intact base): a kill
+loses at most the query in flight.
 
 Out-of-core storage: --mem-budget MB packs the table into file-backed
 segments and serves it through a sized buffer pool; three quarters of the
@@ -309,8 +304,15 @@ fn parse_policy(name: &str) -> Result<PolicyKind, String> {
     })
 }
 
-fn cmd_crawl(args: &[String], resume_from_store: bool) -> Result<(), String> {
+fn cmd_crawl(args: &[String], resume: bool) -> Result<(), String> {
     let (pos, flags) = parse_flags(args)?;
+    // Unknown flags are otherwise ignored; a retired persistence flag must
+    // not leave a crawl silently unpersisted.
+    let retired =
+        |n: &str| n == "resume" || (n.starts_with("checkpoint") && n != "checkpoint-every");
+    if let Some((name, _)) = flags.iter().find(|(n, _)| retired(n)) {
+        return Err(format!("--{name} is retired: persist with --journal FILE, then `dwc resume`"));
+    }
     let path = pos.first().ok_or("crawl needs a CSV file")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let table = load_csv(&text).map_err(|e| e.to_string())?;
@@ -337,23 +339,17 @@ fn cmd_crawl(args: &[String], resume_from_store: bool) -> Result<(), String> {
         let ms: u64 = ms.parse().map_err(|_| "bad --deadline")?;
         builder = builder.deadline(std::time::Duration::from_millis(ms));
     }
-    let store = flag(&flags, "checkpoint-path").map(CheckpointStore::new);
     let journal = flag(&flags, "journal");
-    if resume_from_store && store.is_none() && journal.is_none() {
-        return Err("resume needs --checkpoint-path FILE or --journal FILE".into());
-    }
-    if let Some(ref s) = store {
-        builder = builder.checkpoint_store(s.clone());
-        let every: u64 = flag(&flags, "checkpoint-every")
-            .unwrap_or(&DEFAULT_CHECKPOINT_EVERY.to_string())
-            .parse()
-            .map_err(|_| "bad --checkpoint-every")?;
-        builder = builder.checkpoint_every(every);
-    } else if flag(&flags, "checkpoint-every").is_some() {
-        return Err("--checkpoint-every needs --checkpoint-path FILE".into());
-    }
     if let Some(journal) = journal {
         builder = builder.journal_path(journal);
+    } else if resume {
+        return Err("resume needs --journal FILE".into());
+    }
+    if let Some(every) = flag(&flags, "checkpoint-every") {
+        if journal.is_none() {
+            return Err("--checkpoint-every needs --journal FILE".into());
+        }
+        builder = builder.checkpoint_every(every.parse().map_err(|_| "bad --checkpoint-every")?);
     }
     let mem_budget = parse_mem_budget(&flags)?;
     if let Some(mb) = mem_budget {
@@ -362,14 +358,14 @@ fn cmd_crawl(args: &[String], resume_from_store: bool) -> Result<(), String> {
     let config = builder.build().map_err(|e| e.to_string())?;
 
     let workers = parse_workers(&flags)?;
-    if workers.is_some() && !resume_from_store {
+    if workers.is_some() && !resume {
         return Err("--workers applies to `dwc resume` and `dwc fleet`".into());
     }
 
     let server = build_server(table, interface, mem_budget)?;
 
     if let Some(connections) = parse_connect(&flags)? {
-        if resume_from_store || flag(&flags, "resume").is_some() {
+        if resume {
             return Err("--connect applies to fresh crawls, not resume".into());
         }
         let config_serve = parse_serve_flags(&flags)?.build().map_err(|e| e.to_string())?;
@@ -377,7 +373,7 @@ fn cmd_crawl(args: &[String], resume_from_store: bool) -> Result<(), String> {
         let pool = service.connect_pool(connections).map_err(|e| e.to_string())?;
         let mut crawler = Crawler::new(pool, policy.build(), config);
         seed_crawler(&mut crawler, &flags)?;
-        run_and_report(crawler, &flags, store.as_ref(), n)?;
+        run_and_report(crawler, &flags, n)?;
         let served = service.shutdown();
         eprintln!(
             "service   : {} completed / {} shed ({:.1}% of offered) / {} cancelled",
@@ -397,43 +393,32 @@ fn cmd_crawl(args: &[String], resume_from_store: bool) -> Result<(), String> {
         return Ok(());
     }
 
-    let crawler = if resume_from_store {
-        let point = latest_resume_point(store.as_ref(), journal.map(std::path::Path::new))
-            .map_err(|e| e.to_string())?;
-        match point.origin {
-            ResumeOrigin::Store { from_backup: true } => {
-                let s = store.as_ref().expect("only a store has a backup");
-                eprintln!(
-                    "primary checkpoint {} unreadable; resumed from backup {}",
-                    s.path().display(),
-                    s.backup_path().display()
-                );
+    let crawler = match journal.filter(|_| resume) {
+        Some(path) => {
+            let rec = StateJournal::recover(std::path::Path::new(path))
+                .map_err(|e| format!("recovering {path}: {e}"))?
+                .ok_or_else(|| format!("journal {path} holds no crawl state"))?;
+            eprintln!(
+                "resumed from journal {path}{}: base + {} deltas{}",
+                if rec.from_backup { ".bak (no intact base in the primary)" } else { "" },
+                rec.deltas_applied,
+                if rec.torn { " (torn tail discarded)" } else { "" }
+            );
+            let cp = rec.checkpoint;
+            eprintln!("resuming at {} records / {} rounds", cp.records.len(), cp.rounds);
+            if let Some(workers) = workers {
+                return resume_pooled(server, policy, cp, config, workers, &flags, n);
             }
-            ResumeOrigin::Store { from_backup: false } => {}
-            ResumeOrigin::Journal { deltas_applied, torn } => eprintln!(
-                "resumed from journal {}: base + {deltas_applied} deltas{}",
-                journal.unwrap_or_default(),
-                if torn { " (torn tail discarded)" } else { "" }
-            ),
+            Crawler::resume(&server, policy.build(), &cp, config)
         }
-        let cp = point.checkpoint;
-        eprintln!("resuming at {} records / {} rounds", cp.records.len(), cp.rounds);
-        if let Some(workers) = workers {
-            return resume_pooled(server, policy, cp, config, workers, &flags, n);
+        None => {
+            let mut crawler = Crawler::new(&server, policy.build(), config);
+            seed_crawler(&mut crawler, &flags)?;
+            crawler
         }
-        Crawler::resume(&server, policy.build(), &cp, config)
-    } else if let Some(resume_path) = flag(&flags, "resume") {
-        let blob = std::fs::read_to_string(resume_path)
-            .map_err(|e| format!("reading {resume_path}: {e}"))?;
-        let cp = Checkpoint::from_text(&blob).map_err(|e| e.to_string())?;
-        Crawler::resume(&server, policy.build(), &cp, config)
-    } else {
-        let mut crawler = Crawler::new(&server, policy.build(), config);
-        seed_crawler(&mut crawler, &flags)?;
-        crawler
     };
 
-    run_and_report(crawler, &flags, store.as_ref(), n)
+    run_and_report(crawler, &flags, n)
 }
 
 /// Adds every `--seed-value ATTR=VALUE` to the crawler, requiring at least
@@ -453,22 +438,20 @@ fn seed_crawler<S: deep_web_crawler::core::DataSource>(
         seeded = true;
     }
     if !seeded {
-        return Err("crawl needs at least one --seed-value ATTR=VALUE (or --resume)".into());
+        return Err("crawl needs at least one --seed-value ATTR=VALUE".into());
     }
     Ok(())
 }
 
 /// Runs a constructed crawl to its stop condition and prints the report —
 /// generic over the transport, so the in-process and `--connect` paths share
-/// the event streaming, checkpointing, and reporting verbatim.
+/// the event streaming and reporting verbatim.
 fn run_and_report<S: deep_web_crawler::core::DataSource>(
     mut crawler: Crawler<S>,
     flags: &[(String, String)],
-    store: Option<&CheckpointStore>,
     n: usize,
 ) -> Result<(), String> {
-    // Run manually so a checkpoint can be taken at the end regardless of the
-    // stop reason.
+    // Run manually so the stop reason can be explained.
     if let Some(events_path) = flag(flags, "events") {
         let file = std::fs::File::create(events_path)
             .map_err(|e| format!("creating {events_path}: {e}"))?;
@@ -485,19 +468,8 @@ fn run_and_report<S: deep_web_crawler::core::DataSource>(
             break StopReason::FrontierExhausted;
         }
     };
-    if let Some(cp_path) = flag(flags, "checkpoint") {
-        std::fs::write(cp_path, crawler.checkpoint().to_text())
-            .map_err(|e| format!("writing {cp_path}: {e}"))?;
-        eprintln!("checkpoint written to {cp_path}");
-    }
-    if let Some(s) = store {
-        // Final snapshot so `dwc resume` after a clean exit is a no-op crawl.
-        s.save(&crawler.checkpoint()).map_err(|e| format!("saving checkpoint: {e}"))?;
-        eprintln!(
-            "{} periodic + 1 final checkpoint in {}",
-            crawler.checkpoints_written(),
-            s.path().display()
-        );
+    if let Some(path) = flag(flags, "journal") {
+        eprintln!("journal {path}: {} periodic rebases", crawler.checkpoints_written());
     }
     if flag(flags, "stats").is_some() {
         println!(

@@ -55,13 +55,13 @@ pub mod prelude {
     pub use dwc_core::policy::{MmmiConfig, PolicyKind, Saturation, SelectionPolicy};
     pub use dwc_core::{
         run_fleet, shrink_plan, AbortPolicy, AllocationStrategy, BreakerConfig, CancelToken,
-        ChaosKind, ChaosPlan, ChaosState, ChaosTally, Checkpoint, CheckpointStore, CircuitBreaker,
-        ClientPool, ConfigError, Connection, CrawlConfig, CrawlError, CrawlEvent, CrawlReport,
-        CrawlTrace, Crawler, DataSource, DomainTable, EventSink, FaultKind, FaultPlan,
-        FaultPlanSource, FaultySource, FleetConfig, FleetController, FleetJob, FleetReport,
-        JobHealth, JsonlSink, LatencyModel, MemorySink, MetricsRegistry, ProberMode, QueryMode,
-        RateLimit, RetryPolicy, SchedulerStats, ServeConfig, ServiceReport, SourceRequest,
-        SourceService, StopReason, StoreError, Tenant, TenantId, UsageLedger,
+        ChaosKind, ChaosPlan, ChaosState, ChaosTally, Checkpoint, CircuitBreaker, ClientPool,
+        ConfigError, Connection, CrawlConfig, CrawlError, CrawlEvent, CrawlReport, CrawlTrace,
+        Crawler, DataSource, DomainTable, EventSink, FaultKind, FaultPlan, FaultPlanSource,
+        FaultySource, FleetConfig, FleetController, FleetJob, FleetReport, JobHealth, JsonlSink,
+        LatencyModel, MemorySink, MetricsRegistry, ProberMode, QueryMode, RateLimit, RetryPolicy,
+        SchedulerStats, ServeConfig, ServiceReport, SourceRequest, SourceService, StateJournal,
+        StopReason, Tenant, TenantId, UsageLedger,
     };
     pub use dwc_datagen::presets::Preset;
     pub use dwc_datagen::{PairedDataset, PairedSpec};

@@ -2,9 +2,9 @@
 //! end to end through the public façade.
 //!
 //! * **Kill and recover** — a fleet job killed mid-crawl by a scheduled
-//!   panic is restarted from its last persisted checkpoint and finishes
-//!   with the same record count as an uninterrupted baseline, at a total
-//!   cost within one checkpoint interval of the baseline.
+//!   panic is restarted from its state journal and finishes with the same
+//!   record count as an uninterrupted baseline, at a total cost within the
+//!   one query that was in flight.
 //! * **Circuit breaker** — a job hit by a long fault burst trips its
 //!   per-source breaker, is paused, probed half-open, recovers, and still
 //!   loses zero records.
@@ -15,11 +15,12 @@
 
 use deep_web_crawler::core::fleet::{run_fleet, FleetConfig, FleetJob};
 use deep_web_crawler::prelude::*;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A small IMDB-flavoured source: big enough that crawls span many queries
-/// (so checkpoints and slices interleave with faults), capped so one query
+/// (so journal frames and slices interleave with faults), capped so one query
 /// costs a bounded number of pages.
 fn imdb_server(seed: u64) -> Arc<WebDbServer> {
     let table = Preset::Imdb.table(0.002, seed);
@@ -27,7 +28,7 @@ fn imdb_server(seed: u64) -> Arc<WebDbServer> {
     Arc::new(WebDbServer::new(table, spec))
 }
 
-fn scratch_store(name: &str) -> CheckpointStore {
+fn scratch_journal(name: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
         "dwc-faultinj-{}-{}-{name}",
@@ -35,18 +36,18 @@ fn scratch_store(name: &str) -> CheckpointStore {
         N.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::create_dir_all(&dir).unwrap();
-    CheckpointStore::new(dir.join("job.ckpt"))
+    dir.join("job.jnl")
 }
 
 /// One supervised job over a faulty view of an IMDB source.
 fn job(
     data_seed: u64,
     plan: FaultPlan,
-    store: Option<CheckpointStore>,
+    journal: Option<&Path>,
 ) -> FleetJob<FaultPlanSource<Arc<WebDbServer>>> {
     let mut builder = CrawlConfig::builder().max_requeues(20);
-    if let Some(store) = store {
-        builder = builder.checkpoint_store(store).checkpoint_every(1);
+    if let Some(journal) = journal {
+        builder = builder.journal_path(journal);
     }
     FleetJob {
         source: FaultPlanSource::new(imdb_server(data_seed), plan),
@@ -78,36 +79,57 @@ fn baseline(data_seed: u64) -> deep_web_crawler::core::fleet::FleetReport {
     run_fleet(vec![job(data_seed, FaultPlan::new(), None)], fleet_config())
 }
 
-/// Kill-and-recover: with a checkpoint after every query, a worker killed by
-/// a mid-crawl panic restarts from disk and redoes at most the one query
-/// that was in flight — so the harvested set matches the uninterrupted
-/// baseline and the cost overshoot is bounded by one checkpoint interval.
+/// Kill-and-recover: with a journal frame after every query, a worker
+/// killed by a mid-crawl panic restarts from disk and redoes at most the
+/// one query that was in flight — so the harvested set matches the
+/// uninterrupted baseline and the cost overshoot is bounded by that query.
 #[test]
 fn killed_worker_recovers_from_checkpoint_and_matches_baseline() {
     let clean = baseline(11);
     assert_eq!(clean.worker_restarts(), 0);
-    let store = scratch_store("kill-recover");
-    let faulted = run_fleet(
-        vec![job(11, FaultPlan::new().panic_at(25), Some(store.clone()))],
-        fleet_config(),
-    );
+    let journal = scratch_journal("kill-recover");
+    let faulted =
+        run_fleet(vec![job(11, FaultPlan::new().panic_at(25), Some(&journal))], fleet_config());
     assert_eq!(faulted.worker_restarts(), 1, "the scheduled panic kills exactly one worker");
     assert!(!faulted.health[0].abandoned);
-    assert!(store.exists(), "periodic checkpoints persisted");
+    assert!(journal.exists(), "the journal persisted");
     assert_eq!(
         faulted.sources[0].records, clean.sources[0].records,
         "recovery must not lose or duplicate records"
     );
     assert_eq!(faulted.sources[0].stop, clean.sources[0].stop);
-    // One checkpoint interval is one query here; with the result cap at 40
-    // and pages of 10, redoing the in-flight query costs at most 4 requests
-    // plus that query's retry backoff. 16 elapsed rounds is a safe envelope.
+    // The journal frames every query; with the result cap at 40 and pages
+    // of 10, redoing the in-flight query costs at most 4 requests plus that
+    // query's retry backoff. 16 elapsed rounds is a safe envelope.
     let slack = 16;
     assert!(
         faulted.total_rounds <= clean.total_rounds + slack,
-        "recovery redid more than one checkpoint interval: {} vs baseline {}",
+        "recovery redid more than the query in flight: {} vs baseline {}",
         faulted.total_rounds,
         clean.total_rounds
+    );
+}
+
+/// The restart resumes from the journal, not from the seeds. The fleet
+/// bills a restarted job's rounds as a running maximum, so only the
+/// source's own request counter shows work done twice: here it may exceed
+/// the uninterrupted crawl's by the pages of the query in flight, never by
+/// the 59 requests a restart from the seeds would repeat.
+#[test]
+fn killed_worker_resumes_from_its_journal_not_its_seeds() {
+    let served = |plan: FaultPlan, journal: Option<&Path>| {
+        let job = job(11, plan, journal);
+        let server = Arc::clone(job.source.inner());
+        let report = run_fleet(vec![job], fleet_config());
+        (report.sources[0].records, server.rounds_used())
+    };
+    let (clean_records, clean_served) = served(FaultPlan::new(), None);
+    let journal = scratch_journal("no-repeat");
+    let (records, faulted_served) = served(FaultPlan::new().panic_at(60), Some(&journal));
+    assert_eq!(records, clean_records);
+    assert!(
+        faulted_served <= clean_served + 4,
+        "the restart repeated completed queries: {faulted_served} requests vs {clean_served}"
     );
 }
 
@@ -148,23 +170,22 @@ fn matrix_plan(kind: &str, seed: u64) -> FaultPlan {
     }
 }
 
-/// The matrix invariant: whatever the fault kind and seed, a supervised
-/// fleet with periodic checkpoints harvests exactly the fault-free record
+/// The matrix invariant: whatever the fault kind and seed, a supervised,
+/// journaled fleet harvests exactly the fault-free record
 /// set, and the per-kind side effects show up in the report.
 #[test]
 fn fault_matrix_preserves_the_harvest() {
     let kind = std::env::var("DWC_FAULT_KIND").unwrap_or_else(|_| "mixed".into());
     let seed: u64 = std::env::var("DWC_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1);
     let clean = baseline(17);
-    let store = scratch_store("matrix");
-    let report =
-        run_fleet(vec![job(17, matrix_plan(&kind, seed), Some(store.clone()))], fleet_config());
+    let journal = scratch_journal("matrix");
+    let report = run_fleet(vec![job(17, matrix_plan(&kind, seed), Some(&journal))], fleet_config());
     assert!(!report.health[0].abandoned, "kind {kind} seed {seed} exhausted its restart budget");
     assert_eq!(
         report.sources[0].records, clean.sources[0].records,
         "kind {kind} seed {seed} lost records"
     );
-    assert!(store.exists());
+    assert!(journal.exists());
     let r = &report.sources[0];
     match kind.as_str() {
         "stall" => assert!(r.stall_rounds > 0, "stall plan must bill stall rounds"),

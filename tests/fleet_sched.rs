@@ -32,7 +32,7 @@ fn figure1_server() -> WebDbServer {
     WebDbServer::new(t, spec)
 }
 
-fn scratch_store(name: &str) -> CheckpointStore {
+fn scratch_journal(name: &str) -> std::path::PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
         "dwc-fleetsched-{}-{}-{name}",
@@ -40,7 +40,7 @@ fn scratch_store(name: &str) -> CheckpointStore {
         N.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::create_dir_all(&dir).unwrap();
-    CheckpointStore::new(dir.join("job.ckpt"))
+    dir.join("job.jnl")
 }
 
 /// One self-contained figure-1 job. Every figure-1 query costs exactly one
@@ -123,18 +123,18 @@ fn budget_is_conserved_and_reports_match_baseline_across_the_grid() {
 }
 
 /// A panicking slice must take down only its own job: the supervisor
-/// rebuilds the victim from its checkpoint while the pool keeps draining
+/// rebuilds the victim from its journal while the pool keeps draining
 /// the three healthy siblings, whose health stays spotless.
 #[test]
 fn slice_panic_restarts_only_the_victim_job() {
     for &workers in &worker_counts() {
-        let store = scratch_store("victim");
+        let journal = scratch_journal("victim");
         let mut fleet_jobs: Vec<FleetJob<FaultPlanSource<Arc<WebDbServer>>>> = Vec::new();
         for i in 0..4 {
             let plan = if i == 0 { FaultPlan::new().panic_at(4) } else { FaultPlan::new() };
             let mut builder = CrawlConfig::builder().known_target_size(5);
             if i == 0 {
-                builder = builder.checkpoint_store(store.clone()).checkpoint_every(1);
+                builder = builder.journal_path(&journal);
             }
             fleet_jobs.push(FleetJob {
                 source: FaultPlanSource::new(Arc::new(figure1_server()), plan),
@@ -282,14 +282,14 @@ fn fault_matrix_holds_at_every_pool_width() {
     let kind = std::env::var("DWC_FAULT_KIND").unwrap_or_else(|_| "mixed".into());
     let seed: u64 = std::env::var("DWC_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1);
     for &workers in &worker_counts() {
-        let store = scratch_store("matrix");
+        let journal = scratch_journal("matrix");
         let mut fleet_jobs: Vec<FleetJob<FaultPlanSource<Arc<WebDbServer>>>> = Vec::new();
         for i in 0..3 {
             let plan = if i == 0 { matrix_plan(&kind, seed) } else { FaultPlan::new() };
             let mut builder =
                 CrawlConfig::builder().known_target_size(5).max_requeues(10).max_retries(8);
             if i == 0 {
-                builder = builder.checkpoint_store(store.clone()).checkpoint_every(1);
+                builder = builder.journal_path(&journal);
             }
             fleet_jobs.push(FleetJob {
                 source: FaultPlanSource::new(Arc::new(figure1_server()), plan),
@@ -525,14 +525,14 @@ fn tenanted_fault_matrix_conserves_and_replays_ledgers() {
     let kind = std::env::var("DWC_FAULT_KIND").unwrap_or_else(|_| "mixed".into());
     let seed: u64 = std::env::var("DWC_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1);
     for &workers in &worker_counts() {
-        let store = scratch_store("tenant-ledger");
+        let journal = scratch_journal("tenant-ledger");
         let mut fleet_jobs: Vec<FleetJob<FaultPlanSource<Arc<WebDbServer>>>> = Vec::new();
         for i in 0..3 {
             let plan = if i == 0 { matrix_plan(&kind, seed) } else { FaultPlan::new() };
             let mut builder =
                 CrawlConfig::builder().known_target_size(5).max_requeues(10).max_retries(8);
             if i == 0 {
-                builder = builder.checkpoint_store(store.clone()).checkpoint_every(1);
+                builder = builder.journal_path(&journal);
             }
             fleet_jobs.push(FleetJob {
                 source: FaultPlanSource::new(Arc::new(figure1_server()), plan),

@@ -16,10 +16,10 @@
 //!    frame boundary (and mid-frame), recover exactly the state the crawler
 //!    had after that query, resume, and the finished crawl matches the
 //!    uninterrupted baseline exactly. A resume after a kill past the last
-//!    periodic checkpoint takes the journal's newer state and re-spends no
+//!    periodic rebase takes the journal's newest state and re-spends no
 //!    rounds.
 
-use deep_web_crawler::core::{latest_resume_point, JournalRecovery, ResumeOrigin, StateJournal};
+use deep_web_crawler::core::JournalRecovery;
 use deep_web_crawler::model::{AttrId, AttrSpec, Schema, UniversalTable};
 use deep_web_crawler::prelude::*;
 use deep_web_crawler::store::{FilePager, FrameLog, MemPager, MemoryBudget, SegmentTable};
@@ -291,12 +291,18 @@ fn kill_at_every_frame(
         for extra in [0u64, 5] {
             let end = (cut + extra).min(bytes.len() as u64) as usize;
             std::fs::write(&cut_path, &bytes[..end]).expect("write cut journal");
-            let recovered = StateJournal::recover(&cut_path).expect("recover");
+            let recovered = StateJournal::recover(&cut_path);
             if i == 0 {
-                assert!(recovered.is_none(), "no base frame survives an empty cut");
+                // Bases are renamed into place whole, so no crash leaves a
+                // partial one: an empty journal has no state yet, and a
+                // damaged first frame (with no `.bak`) is an error.
+                match extra {
+                    0 => assert!(recovered.expect("recover").is_none(), "empty cut"),
+                    _ => assert!(recovered.is_err(), "a torn base frame must not pass as none"),
+                }
                 continue;
             }
-            let rec = recovered.expect("base frame present");
+            let rec = recovered.expect("recover").expect("base frame present");
             assert_eq!(rec.deltas_applied, (i - 1) as u64, "cut after frame {i}");
             if extra > 0 && end < bytes.len() {
                 assert!(rec.torn, "a half-frame tail must be flagged torn");
@@ -373,21 +379,20 @@ fn journal_recovers_at_every_kill_point() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A kill 7 queries past the last periodic checkpoint. The journal holds
-/// those queries; the store does not. Resume must take the journal's state,
-/// reopening the journal must not truncate it before the resumed crawl's
-/// first base, and the resumed crawl must bill exactly the uninterrupted
-/// crawl's rounds: the fresh server sees only the rounds after the kill.
+/// A kill 7 queries past the last periodic rebase. The journal's current
+/// generation holds the rebase's base and those 7 queries. Resume must
+/// recover the state at the kill, reopening the journal must not truncate
+/// it before the resumed crawl's first base, and the resumed crawl must
+/// bill exactly the uninterrupted crawl's rounds: the fresh server sees
+/// only the rounds after the kill.
 #[test]
 fn resume_from_the_journal_respends_no_rounds() {
     let table = imdb_table(3);
     let dir = scratch_dir("resume");
     let journal_path = dir.join("crawl.journal");
-    let store = CheckpointStore::new(dir.join("crawl.ckpt"));
     let config = CrawlConfig::builder()
         .max_rounds(300)
         .journal_path(&journal_path)
-        .checkpoint_store(store.clone())
         .checkpoint_every(10)
         .build()
         .expect("valid crawl config");
@@ -405,9 +410,11 @@ fn resume_from_the_journal_respends_no_rounds() {
     assert!(killed_at.rounds < baseline.rounds, "the kill must interrupt the crawl");
     drop(crawler);
 
-    assert_eq!(store.load().expect("periodic checkpoint").queries, 20);
-    let point = latest_resume_point(Some(&store), Some(&journal_path)).expect("resume point");
-    assert_eq!(point.origin, ResumeOrigin::Journal { deltas_applied: 7, torn: false });
+    let previous = dir.join("crawl.journal.bak");
+    let previous = StateJournal::recover(&previous).expect("recover .bak").expect("base frame");
+    assert_eq!(previous.checkpoint.queries, 20, "the rebase at 20 rotated its predecessor");
+    let point = StateJournal::recover(&journal_path).expect("recover").expect("base frame");
+    assert_eq!((point.deltas_applied, point.torn, point.from_backup), (7, false, false));
     assert_eq!(point.checkpoint, killed_at);
 
     let fresh = WebDbServer::new(table.clone(), interface(&table));
