@@ -546,7 +546,7 @@ mod tests {
         st.push_queried(a1);
         let a2 = st.intern(dwc_model::AttrId(0), "a2");
         st.set_status(a2, CandStatus::Frontier);
-        st.local.insert(7, vec![a1, a2]);
+        st.local.insert(7, &[a1, a2]);
         j.append_delta(&mut st, 3, 1).unwrap();
 
         let rec = StateJournal::recover(&path).unwrap().unwrap();

@@ -10,8 +10,14 @@
 //! * the record list itself, over which the MMMI policy's batch
 //!   mutual-information recomputation iterates (§3.3).
 
-use dwc_model::{PackedLists, ValueId};
-use std::collections::HashSet;
+use dwc_model::{PackedLists, U64Table, ValueId};
+
+/// The packed key `(a << 32) | b` of the value pair `(a, b)`, `a < b`: an
+/// undirected edge of `G_local`, or a co-occurring pair.
+#[inline]
+pub(crate) fn pair_key(a: ValueId, b: ValueId) -> u64 {
+    (u64::from(a.0) << 32) | u64::from(b.0)
+}
 
 /// The crawler's local database and statistics table.
 ///
@@ -20,14 +26,16 @@ use std::collections::HashSet;
 /// per-record allocator overhead dominated the record bytes themselves.
 #[derive(Debug, Default)]
 pub struct LocalDb {
-    seen_keys: HashSet<u64>,
+    seen_keys: U64Table,
     /// Source keys in insertion order, parallel to `records`.
     keys: Vec<u64>,
     records: PackedLists<ValueId>,
     value_count: Vec<u32>,
     degree: Vec<u32>,
-    /// Packed undirected edge keys `(min << 32) | max` of `G_local`.
-    edges: HashSet<u64>,
+    /// Edges of `G_local`, by [`pair_key`].
+    edges: U64Table,
+    /// The record being inserted, sorted and deduplicated; reused.
+    scratch: Vec<ValueId>,
 }
 
 impl LocalDb {
@@ -43,7 +51,7 @@ impl LocalDb {
 
     /// Whether the record with this source key has been harvested already.
     pub fn contains_key(&self, key: u64) -> bool {
-        self.seen_keys.contains(&key)
+        self.seen_keys.contains(key)
     }
 
     /// `num(q, DB_local)`: local records containing `v`.
@@ -97,35 +105,39 @@ impl LocalDb {
     }
 
     /// Inserts a record if its key is new. `values` are crawler-vocabulary
-    /// ids. Returns `true` when the record was new (a *harvested* record in
-    /// the paper's sense; duplicates are the waste the policies minimize).
-    pub fn insert(&mut self, key: u64, mut values: Vec<ValueId>) -> bool {
+    /// ids in any order, repeats allowed; they are sorted and deduplicated
+    /// into a reused buffer. Returns `true` when the record was new (a
+    /// *harvested* record in the paper's sense; duplicates are the waste the
+    /// policies minimize).
+    pub fn insert(&mut self, key: u64, values: &[ValueId]) -> bool {
         if !self.seen_keys.insert(key) {
             return false;
         }
-        values.sort_unstable();
-        values.dedup();
-        let max_idx = values.last().map_or(0, |v| v.index());
+        let sorted = &mut self.scratch;
+        sorted.clear();
+        sorted.extend_from_slice(values);
+        sorted.sort_unstable();
+        sorted.dedup();
+        let max_idx = sorted.last().map_or(0, |v| v.index());
         if max_idx >= self.value_count.len() {
             self.value_count.resize(max_idx + 1, 0);
             self.degree.resize(max_idx + 1, 0);
         }
-        for &v in &values {
+        for &v in sorted.iter() {
             self.value_count[v.index()] += 1;
         }
         // Update exact local-graph degrees: each new clique edge bumps both
         // endpoints.
-        for (i, &a) in values.iter().enumerate() {
-            for &b in &values[i + 1..] {
-                let packed = (u64::from(a.0) << 32) | u64::from(b.0);
-                if self.edges.insert(packed) {
+        for (i, &a) in sorted.iter().enumerate() {
+            for &b in &sorted[i + 1..] {
+                if self.edges.insert(pair_key(a, b)) {
                     self.degree[a.index()] += 1;
                     self.degree[b.index()] += 1;
                 }
             }
         }
         self.keys.push(key);
-        self.records.push(&values);
+        self.records.push(sorted);
         true
     }
 }
@@ -141,8 +153,8 @@ mod tests {
     #[test]
     fn insert_dedups_by_key() {
         let mut db = LocalDb::new();
-        assert!(db.insert(1, vec![v(0), v(1)]));
-        assert!(!db.insert(1, vec![v(0), v(1)]));
+        assert!(db.insert(1, &[v(0), v(1)]));
+        assert!(!db.insert(1, &[v(0), v(1)]));
         assert_eq!(db.num_records(), 1);
         assert!(db.contains_key(1));
         assert!(!db.contains_key(2));
@@ -151,8 +163,8 @@ mod tests {
     #[test]
     fn counts_accumulate() {
         let mut db = LocalDb::new();
-        db.insert(1, vec![v(0), v(1)]);
-        db.insert(2, vec![v(0), v(2)]);
+        db.insert(1, &[v(0), v(1)]);
+        db.insert(2, &[v(0), v(2)]);
         assert_eq!(db.count(v(0)), 2);
         assert_eq!(db.count(v(1)), 1);
         assert_eq!(db.count(v(9)), 0);
@@ -162,15 +174,15 @@ mod tests {
     fn degrees_match_local_graph() {
         let mut db = LocalDb::new();
         // Two records sharing v0: G_local = triangle-ish.
-        db.insert(1, vec![v(0), v(1)]);
-        db.insert(2, vec![v(0), v(2)]);
+        db.insert(1, &[v(0), v(1)]);
+        db.insert(2, &[v(0), v(2)]);
         assert_eq!(db.degree(v(0)), 2);
         assert_eq!(db.degree(v(1)), 1);
         assert_eq!(db.degree(v(2)), 1);
         assert_eq!(db.num_edges(), 2);
         // Re-observing the same edge through another record adds nothing.
-        db.insert(3, vec![v(0), v(1)]);
-        assert!(!db.insert(3, vec![v(0), v(1)]));
+        db.insert(3, &[v(0), v(1)]);
+        assert!(!db.insert(3, &[v(0), v(1)]));
         assert_eq!(db.degree(v(0)), 2);
         assert_eq!(db.num_edges(), 2);
     }
@@ -178,7 +190,7 @@ mod tests {
     #[test]
     fn record_values_dedup_within_record() {
         let mut db = LocalDb::new();
-        db.insert(7, vec![v(3), v(3), v(1)]);
+        db.insert(7, &[v(3), v(3), v(1)]);
         assert_eq!(db.count(v(3)), 1);
         let rec: Vec<_> = db.records().next().unwrap().to_vec();
         assert_eq!(rec, vec![v(1), v(3)]);
@@ -187,7 +199,7 @@ mod tests {
     #[test]
     fn clique_edges_from_larger_record() {
         let mut db = LocalDb::new();
-        db.insert(1, vec![v(0), v(1), v(2), v(3)]);
+        db.insert(1, &[v(0), v(1), v(2), v(3)]);
         assert_eq!(db.num_edges(), 6, "C(4,2) clique edges");
         for i in 0..4 {
             assert_eq!(db.degree(v(i)), 3);
@@ -197,9 +209,9 @@ mod tests {
     #[test]
     fn keyed_since_yields_the_new_tail() {
         let mut db = LocalDb::new();
-        db.insert(10, vec![v(0)]);
+        db.insert(10, &[v(0)]);
         let mark = db.num_records();
-        db.insert(11, vec![v(2), v(1)]);
+        db.insert(11, &[v(2), v(1)]);
         let tail: Vec<(u64, Vec<ValueId>)> =
             db.keyed_since(mark).map(|(k, r)| (k, r.to_vec())).collect();
         assert_eq!(tail, vec![(11, vec![v(1), v(2)])]);
@@ -210,7 +222,7 @@ mod tests {
     #[test]
     fn empty_record_is_counted_but_harmless() {
         let mut db = LocalDb::new();
-        assert!(db.insert(5, vec![]));
+        assert!(db.insert(5, &[]));
         assert_eq!(db.num_records(), 1);
         assert_eq!(db.num_edges(), 0);
     }

@@ -437,8 +437,8 @@ mod tests {
         let a2 = st.vocab.get(AttrId(0), "a2").unwrap();
         let alien = st.intern(AttrId(1), "alien");
         // One record entirely inside the table, one carrying an unknown value.
-        st.local.insert(1, vec![a2]);
-        st.local.insert(2, vec![a2, alien]);
+        st.local.insert(1, &[a2]);
+        st.local.insert(2, &[a2, alien]);
         p.ingest_new_records(&st);
         assert_eq!(p.delta_size, 1);
         // a2 appears in 1 Δ_DM record; alien too.
@@ -474,8 +474,8 @@ mod tests {
         // Simulate: c1 was queried and covered 2 sample records; two records
         // containing a2 are local.
         st.set_status(c1, CandStatus::Queried);
-        st.local.insert(1, vec![a2, c1]);
-        st.local.insert(2, vec![a2, c1]);
+        st.local.insert(1, &[a2, c1]);
+        st.local.insert(2, &[a2, c1]);
         p.on_query_done(&st, c1, &QueryOutcome::default());
         let hr = p.hr_qdb(&st, a2);
         // est_total = |DBlocal|·P(a2,DM)/P(Lq,DM) = 2·0.6/0.4 = 3 matches;

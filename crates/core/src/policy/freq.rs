@@ -79,9 +79,9 @@ mod tests {
         st.set_status(hot, CandStatus::Frontier);
         st.set_status(cold, CandStatus::Frontier);
         for k in 0..3 {
-            st.local.insert(k, vec![hot]);
+            st.local.insert(k, &[hot]);
         }
-        st.local.insert(99, vec![cold]);
+        st.local.insert(99, &[cold]);
         let mut p = FreqGreedy::new();
         p.on_discovered(&st, hot);
         p.on_discovered(&st, cold);
@@ -95,13 +95,13 @@ mod tests {
         let b = st.intern(AttrId(0), "b");
         st.set_status(a, CandStatus::Frontier);
         st.set_status(b, CandStatus::Frontier);
-        st.local.insert(1, vec![a]);
+        st.local.insert(1, &[a]);
         let mut p = FreqGreedy::new();
         p.on_discovered(&st, a);
         p.on_discovered(&st, b);
         // b surges past a.
-        st.local.insert(2, vec![b]);
-        st.local.insert(3, vec![b]);
+        st.local.insert(2, &[b]);
+        st.local.insert(3, &[b]);
         let outcome = QueryOutcome { touched_values: vec![b], ..Default::default() };
         p.on_query_done(&st, a, &outcome);
         assert_eq!(p.select(&st), Some(b));

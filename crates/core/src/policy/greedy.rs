@@ -132,10 +132,10 @@ mod tests {
         // leaf; leaf with hub and mid; solo with nothing.
         let extra1 = st.intern(AttrId(0), "x1");
         let extra2 = st.intern(AttrId(0), "x2");
-        st.local.insert(1, vec![ids[0], ids[1], ids[2]]);
-        st.local.insert(2, vec![ids[0], extra1]);
-        st.local.insert(3, vec![ids[0], extra2]);
-        st.local.insert(4, vec![ids[3]]);
+        st.local.insert(1, &[ids[0], ids[1], ids[2]]);
+        st.local.insert(2, &[ids[0], extra1]);
+        st.local.insert(3, &[ids[0], extra2]);
+        st.local.insert(4, &[ids[3]]);
         (st, ids)
     }
 
@@ -161,7 +161,7 @@ mod tests {
         let extras: Vec<ValueId> = (0..6).map(|i| st.intern(AttrId(0), &format!("y{i}"))).collect();
         let mut rec = vec![ids[3]];
         rec.extend(&extras);
-        st.local.insert(99, rec);
+        st.local.insert(99, &rec);
         let outcome = QueryOutcome { touched_values: vec![ids[3]], ..Default::default() };
         p.on_query_done(&st, ids[0], &outcome);
         assert_eq!(st.local.degree(ids[3]), 6);
@@ -179,7 +179,7 @@ mod tests {
         // mid is now stale; after re-pushing via on_query_done the policy
         // must not return mid twice.
         let e = st.intern(AttrId(0), "z");
-        st.local.insert(50, vec![ids[1], e]);
+        st.local.insert(50, &[ids[1], e]);
         let outcome = QueryOutcome { touched_values: vec![ids[1]], ..Default::default() };
         p.on_query_done(&st, ids[0], &outcome);
         let mut seen = std::collections::HashSet::new();
@@ -232,7 +232,7 @@ mod tests {
             let filler = st.intern(AttrId(0), &format!("filler{round}"));
             let mut rec = ids.clone();
             rec.push(filler);
-            st.local.insert(1000 + round, rec);
+            st.local.insert(1000 + round, &rec);
             let outcome = QueryOutcome { touched_values: ids.clone(), ..Default::default() };
             p.on_query_done(&st, ids[0], &outcome);
             max_len = max_len.max(p.heap_len());
@@ -256,7 +256,7 @@ mod tests {
         // Churn mid's entry hundreds of times to force compactions.
         for i in 0..300u64 {
             let e = st.intern(AttrId(0), &format!("churn{i}"));
-            st.local.insert(2000 + i, vec![ids[1], e]);
+            st.local.insert(2000 + i, &[ids[1], e]);
             let outcome = QueryOutcome { touched_values: vec![ids[1]], ..Default::default() };
             p.on_query_done(&st, ids[0], &outcome);
         }

@@ -283,7 +283,7 @@ mod tests {
                     key += 1;
                     key
                 },
-                vec![ids[0], ids[1]],
+                &[ids[0], ids[1]],
             );
         }
         st.local.insert(
@@ -291,7 +291,7 @@ mod tests {
                 key += 1;
                 key
             },
-            vec![ids[0], ids[2]],
+            &[ids[0], ids[2]],
         );
         for _ in 0..2 {
             st.local.insert(
@@ -299,7 +299,7 @@ mod tests {
                     key += 1;
                     key
                 },
-                vec![ids[2]],
+                &[ids[2]],
             );
         }
         st.local.insert(
@@ -307,7 +307,7 @@ mod tests {
                 key += 1;
                 key
             },
-            vec![ids[3]],
+            &[ids[3]],
         );
         (st, ids)
     }
@@ -367,7 +367,7 @@ mod tests {
                 key += 1;
                 key
             },
-            vec![q, hub, tiny],
+            &[q, hub, tiny],
         );
         for i in 0..4u32 {
             let other = st.intern(AttrId(0), &format!("x{i}"));
@@ -376,7 +376,7 @@ mod tests {
                     key += 1;
                     key
                 },
-                vec![hub, other],
+                &[hub, other],
             );
         }
         // PMI(hub, q) = ln(1·5/(5·1)) = 0; PMI(tiny, q) = ln(5) > 0.
@@ -404,7 +404,7 @@ mod tests {
                 for j in 0..i {
                     let filler = st.intern(AttrId(0), &format!("f{i}_{j}"));
                     key += 1;
-                    st.local.insert(key, vec![v, filler]);
+                    st.local.insert(key, &[v, filler]);
                 }
                 v
             })
@@ -412,7 +412,7 @@ mod tests {
         // A couple of dependency edges so scores are not all-absent.
         for &v in &ids[..3] {
             key += 1;
-            st.local.insert(key, vec![q, v]);
+            st.local.insert(key, &[q, v]);
         }
         let mut small = Mmmi::new(MmmiConfig { trigger: Saturation::Immediately, batch: 5 });
         let mut full = Mmmi::new(MmmiConfig { trigger: Saturation::Immediately, batch: 100 });

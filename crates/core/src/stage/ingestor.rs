@@ -9,28 +9,35 @@
 //! not a scan over every harvested record per query.
 
 use crate::extract::{ExtractedPageRef, ExtractedRecord, ExtractedRecordRef};
+use crate::local::pair_key;
 use crate::state::{CandStatus, CrawlState};
-use dwc_model::{AttrId, ValueId};
-use std::collections::HashMap;
+use dwc_model::{AttrId, U64Table, ValueId};
 
 /// Incrementally maintained co-occurrence counts between values of
 /// *different* attributes.
 ///
-/// `counts[v][w]` is the number of harvested records containing both `v` and
-/// `w` (each record counted once; values within a record are deduplicated,
+/// A pair's count is the number of harvested records containing both values
+/// (each record counted once; values within a record are deduplicated,
 /// matching [`crate::local::LocalDb`]'s stored form). Same-attribute pairs
 /// are never recorded — conjunctive partners must come from other attributes.
+/// Each value keeps a list of its partners, and each pair's count is found
+/// through a [`U64Table`] keyed by the packed pair.
 #[derive(Debug, Default)]
 pub struct CoOccurrenceIndex {
     enabled: bool,
-    counts: HashMap<ValueId, HashMap<ValueId, u32>>,
+    /// Per value, its partners, each with the pair's index into `counts`.
+    partners: Vec<Vec<(ValueId, u32)>>,
+    /// One count per pair, in first-seen order.
+    counts: Vec<u32>,
+    /// Packed pair (`pair_key`, smaller id first) → index into `counts`.
+    pairs: U64Table<u32>,
 }
 
 impl CoOccurrenceIndex {
     /// An index that tracks pairs only when `enabled` (conjunctive mode);
     /// a disabled index costs nothing per ingested record.
     pub fn new(enabled: bool) -> Self {
-        CoOccurrenceIndex { enabled, counts: HashMap::new() }
+        CoOccurrenceIndex { enabled, ..Self::default() }
     }
 
     /// Whether the index records pairs at all.
@@ -50,8 +57,18 @@ impl CoOccurrenceIndex {
                 if state.vocab.attr_of(b) == attr_a {
                     continue;
                 }
-                *self.counts.entry(a).or_default().entry(b).or_insert(0) += 1;
-                *self.counts.entry(b).or_default().entry(a).or_insert(0) += 1;
+                let next = u32::try_from(self.counts.len()).expect("at most u32::MAX pairs");
+                if let Some(pair) = self.pairs.try_insert(pair_key(a, b), next) {
+                    self.counts[pair as usize] += 1;
+                    continue;
+                }
+                self.counts.push(1);
+                // `values` is sorted, so `b` is the larger id.
+                if b.index() >= self.partners.len() {
+                    self.partners.resize_with(b.index() + 1, Vec::new);
+                }
+                self.partners[a.index()].push((b, next));
+                self.partners[b.index()].push((a, next));
             }
         }
     }
@@ -59,7 +76,7 @@ impl CoOccurrenceIndex {
     /// Rebuilds the index from every record already in `DB_local` (the
     /// resume path: checkpoints persist records, not derived indexes).
     pub fn rebuild(&mut self, state: &CrawlState) {
-        self.counts.clear();
+        *self = Self::new(self.enabled);
         if !self.enabled {
             return;
         }
@@ -71,14 +88,14 @@ impl CoOccurrenceIndex {
     /// How many records contain both `v` and `w` (zero when never seen
     /// together, or when they share an attribute).
     pub fn count(&self, v: ValueId, w: ValueId) -> u32 {
-        self.counts.get(&v).and_then(|m| m.get(&w)).copied().unwrap_or(0)
+        self.pairs.get(pair_key(v.min(w), v.max(w))).map_or(0, |pair| self.counts[pair as usize])
     }
 
     /// The locally most co-occurring partner values of `v`, one per distinct
     /// attribute other than `v`'s (and each other's). Partners make the
     /// conjunction as unrestrictive as local knowledge allows — a popular
-    /// co-value keeps the intersection large. Equivalent to
-    /// [`best_partners_by_scan`] but served from the incremental index.
+    /// co-value keeps the intersection large. Ranks exactly like a scan of
+    /// every harvested record (the tests' oracle), served from the index.
     pub fn best_partners(
         &self,
         state: &CrawlState,
@@ -89,9 +106,9 @@ impl CoOccurrenceIndex {
             return Vec::new();
         }
         let ranked: Vec<(ValueId, u32)> = self
-            .counts
-            .get(&v)
-            .map(|m| m.iter().map(|(&w, &c)| (w, c)).collect())
+            .partners
+            .get(v.index())
+            .map(|list| list.iter().map(|&(w, pair)| (w, self.counts[pair as usize])).collect())
             .unwrap_or_default();
         rank_partners(state, v, ranked, want)
     }
@@ -124,14 +141,15 @@ fn rank_partners(
 }
 
 /// Reference implementation of partner selection that scans every record in
-/// `DB_local` per query (the pre-index behavior). Kept for the benchmark
-/// and equivalence tests pitting it against [`CoOccurrenceIndex`].
-pub fn best_partners_by_scan(state: &CrawlState, v: ValueId, want: usize) -> Vec<(String, String)> {
+/// `DB_local` per query (the pre-index behavior): the oracle the index's
+/// tests are checked against.
+#[cfg(test)]
+fn best_partners_by_scan(state: &CrawlState, v: ValueId, want: usize) -> Vec<(String, String)> {
     if want == 0 {
         return Vec::new();
     }
     let my_attr = state.vocab.attr_of(v);
-    let mut co_counts: HashMap<ValueId, u32> = HashMap::new();
+    let mut co_counts: std::collections::HashMap<ValueId, u32> = Default::default();
     for rec in state.local.records() {
         if rec.binary_search(&v).is_err() {
             continue;
@@ -166,6 +184,8 @@ pub struct Ingestor {
     /// Scratch `(attribute, field index)` pairs reused across
     /// [`Ingestor::ingest_record_ref`] calls.
     resolved_scratch: Vec<(AttrId, u32)>,
+    /// Scratch value ids of the record being ingested, reused across records.
+    values_scratch: Vec<ValueId>,
 }
 
 impl Ingestor {
@@ -176,6 +196,7 @@ impl Ingestor {
             co: CoOccurrenceIndex::new(track_cooccurrence),
             attr_memo: Vec::new(),
             resolved_scratch: Vec::new(),
+            values_scratch: Vec::new(),
         }
     }
 
@@ -204,11 +225,11 @@ impl Ingestor {
         if state.local.contains_key(rec.key) {
             return false;
         }
-        let mut values = Vec::with_capacity(rec.fields.len());
+        let mut values = std::mem::take(&mut self.values_scratch);
+        values.clear();
         for (attr_name, s) in &rec.fields {
             let Some(attr) = state.attr_by_name(attr_name) else { continue };
-            let vid = state.intern(attr, s);
-            values.push(vid);
+            values.push(state.intern(attr, s));
         }
         self.finish_record(state, rec.key, values, touched, newly_discovered)
     }
@@ -235,7 +256,8 @@ impl Ingestor {
                 self.resolved_scratch.push((attr, i as u32));
             }
         }
-        let mut values = Vec::with_capacity(self.resolved_scratch.len());
+        let mut values = std::mem::take(&mut self.values_scratch);
+        values.clear();
         state.intern_page(
             self.resolved_scratch
                 .iter()
@@ -277,7 +299,8 @@ impl Ingestor {
     }
 
     /// Shared tail of both ingest paths: candidate promotion, `DB_local`
-    /// insertion, and the co-occurrence feed.
+    /// insertion, and the co-occurrence feed. `values` is the scratch
+    /// buffer, handed back for the next record.
     fn finish_record(
         &mut self,
         state: &mut CrawlState,
@@ -294,11 +317,11 @@ impl Ingestor {
             }
         }
         let before = state.local.num_records();
-        let inserted = state.local.insert(key, values);
+        let inserted = state.local.insert(key, &values);
+        self.values_scratch = values;
         if inserted && self.co.is_enabled() {
             if let Some(stored) = state.local.records_since(before).next() {
-                let stored = stored.to_vec();
-                self.co.observe_record(state, &stored);
+                self.co.observe_record(state, stored);
             }
         }
         inserted
@@ -402,6 +425,38 @@ mod tests {
         let a1 = state.vocab.intern(AttrId(0), "a1");
         let b1 = state.vocab.intern(AttrId(1), "b1");
         assert_eq!(ing.co_index().count(a1, b1), 2, "records 1 and 4");
+    }
+
+    #[test]
+    fn index_ranks_partners_like_the_scan_on_ebay() {
+        use dwc_datagen::Preset;
+        let table = Preset::Ebay.table(0.05, 1);
+        let names: Vec<String> = table.schema().iter().map(|(_, a)| a.name.clone()).collect();
+        let mut state = CrawlState::new(names.clone(), vec![true; names.len()], 10);
+        let mut ing = Ingestor::new(true);
+        let (mut touched, mut newly) = (Vec::new(), Vec::new());
+        for (key, (_, rec)) in table.iter().enumerate() {
+            let fields = rec
+                .values()
+                .iter()
+                .map(|&v| {
+                    let attr = table.interner().attr_of(v);
+                    (names[attr.0 as usize].clone(), table.interner().value_str(v).to_owned())
+                })
+                .collect();
+            let rec = ExtractedRecord { key: key as u64, fields };
+            ing.ingest_record(&mut state, &rec, &mut touched, &mut newly);
+        }
+        let step = state.vocab.len() / 64;
+        let candidates: Vec<ValueId> = state.vocab.iter_ids().step_by(step).take(64).collect();
+        assert_eq!(candidates.len(), 64);
+        for &v in &candidates {
+            assert_eq!(
+                ing.co_index().best_partners(&state, v, 1),
+                best_partners_by_scan(&state, v, 1),
+                "partners of {v:?} must rank exactly like the scan"
+            );
+        }
     }
 
     #[test]

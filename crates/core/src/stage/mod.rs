@@ -23,5 +23,5 @@ pub mod ingestor;
 pub mod planner;
 
 pub use executor::{ExecResult, Executor};
-pub use ingestor::{best_partners_by_scan, CoOccurrenceIndex, Ingestor, PageIngest};
+pub use ingestor::{CoOccurrenceIndex, Ingestor, PageIngest};
 pub use planner::{PlannedQuery, Planner};

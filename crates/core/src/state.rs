@@ -176,8 +176,11 @@ impl CrawlState {
             ValueId(v)
         };
         state.queried = cp.queried.iter().map(|&q| id(q, "queried")).collect();
+        let mut record = Vec::new();
         for (key, vals) in &cp.records {
-            state.local.insert(*key, vals.iter().map(|&v| id(v, "record")).collect());
+            record.clear();
+            record.extend(vals.iter().map(|&v| id(v, "record")));
+            state.local.insert(*key, &record);
         }
         state
     }
@@ -334,7 +337,7 @@ mod tests {
         let mut st = tiny_state();
         assert_eq!(st.coverage(), None);
         st.target_size = Some(4);
-        st.local.insert(1, vec![]);
+        st.local.insert(1, &[]);
         assert_eq!(st.coverage(), Some(0.25));
         st.target_size = Some(0);
         assert_eq!(st.coverage(), Some(1.0));

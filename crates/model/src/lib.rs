@@ -11,6 +11,8 @@
 //! This crate provides:
 //!
 //! * [`interner`] — attribute-qualified value interning ([`ValueId`]s),
+//! * [`flat`] — the open-addressing slot rule the interner probes by, and
+//!   [`U64Table`], the crawler's integer-keyed set and map,
 //! * [`schema`] — attribute metadata and interface schemas (Definition 2.2),
 //! * [`table`] — the universal table ([`UniversalTable`]) with its distinct
 //!   attribute value (DAV) set,
@@ -31,12 +33,14 @@ pub mod components;
 pub mod degree;
 pub mod domset;
 pub mod fixtures;
+pub mod flat;
 pub mod graph;
 pub mod interner;
 pub mod packed;
 pub mod schema;
 pub mod table;
 
+pub use flat::U64Table;
 pub use graph::AvGraph;
 pub use interner::{value_hash, AttrId, ValueId, ValueInterner};
 pub use packed::{PackedError, PackedLists};

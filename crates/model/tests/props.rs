@@ -1,11 +1,39 @@
 //! Property tests for the data-model substrate.
 
 use dwc_model::components::UnionFind;
-use dwc_model::{AttrId, Record, ValueId, ValueInterner};
+use dwc_model::{AttrId, Record, U64Table, ValueId, ValueInterner};
 use proptest::prelude::*;
+
+/// Value ids at both ends of the `u32` range.
+fn edge_id_strategy() -> impl Strategy<Value = u32> {
+    prop_oneof![0u32..6, (u32::MAX - 5)..=u32::MAX]
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `U64Table` as a set of packed value pairs `(a << 32) | b` agrees with
+    /// std's `HashSet` when ids sit near 0 and near `u32::MAX`: the keys
+    /// crowd both ends of the `u64` range, and `(u32::MAX, u32::MAX)` packs
+    /// to the table's empty-slot sentinel.
+    #[test]
+    fn u64_table_agrees_with_std_on_packed_pairs(
+        pairs in prop::collection::vec((edge_id_strategy(), edge_id_strategy()), 0..200),
+    ) {
+        let mut table = U64Table::<()>::new();
+        let mut oracle = std::collections::HashSet::new();
+        for &(a, b) in &pairs {
+            let key = (u64::from(a) << 32) | u64::from(b);
+            prop_assert_eq!(table.insert(key), oracle.insert(key));
+        }
+        prop_assert_eq!(table.len(), oracle.len());
+        for a in (0u32..6).chain((u32::MAX - 5)..=u32::MAX) {
+            for b in (0u32..6).chain((u32::MAX - 5)..=u32::MAX) {
+                let key = (u64::from(a) << 32) | u64::from(b);
+                prop_assert_eq!(table.contains(key), oracle.contains(&key));
+            }
+        }
+    }
 
     /// Interning arbitrary strings (any unicode) round-trips exactly, and
     /// repeated interning is idempotent.
