@@ -405,10 +405,10 @@ impl<S: DataSource> Crawler<S> {
 mod tests {
     use super::*;
     use crate::config::RetryPolicy;
+    use crate::fault::{FaultPlan, FaultPlanSource};
     use crate::policy::PolicyKind;
-    use crate::source::FaultySource;
     use dwc_model::fixtures::figure1_table;
-    use dwc_server::{FaultPolicy, InterfaceSpec, WebDbServer};
+    use dwc_server::{InterfaceSpec, WebDbServer};
 
     fn figure1_server(page_size: usize) -> WebDbServer {
         let t = figure1_table();
@@ -514,48 +514,27 @@ mod tests {
 
     #[test]
     fn transient_faults_are_retried_and_counted() {
-        let t = figure1_table();
-        let spec = InterfaceSpec::permissive(t.schema(), 10);
-        let server = WebDbServer::new(t, spec).with_faults(FaultPolicy::every(2));
+        let source = FaultPlanSource::new(figure1_server(10), FaultPlan::every(2));
         let config = CrawlConfig::builder().max_retries(3).build().unwrap();
-        let mut crawler = Crawler::new(&server, PolicyKind::Bfs.build(), config);
+        let mut crawler = Crawler::new(&source, PolicyKind::Bfs.build(), config);
         crawler.add_seed("A", "a2");
         let report = crawler.run();
         assert_eq!(report.records, 5, "faults must not lose records");
         assert!(report.transient_failures > 0);
         assert!(report.rounds > report.queries, "failed rounds are counted");
         assert!(report.backoff_rounds > 0, "retries wait before re-asking");
-    }
-
-    #[test]
-    fn faulty_source_decorator_behaves_like_builtin_faults() {
-        let run_with = |decorated: bool| {
-            let t = figure1_table();
-            let spec = InterfaceSpec::permissive(t.schema(), 10);
-            let config = CrawlConfig::builder().max_retries(3).build().unwrap();
-            let report = if decorated {
-                let source = FaultySource::new(WebDbServer::new(t, spec), FaultPolicy::every(2));
-                let mut crawler = Crawler::new(source, PolicyKind::Bfs.build(), config);
-                crawler.add_seed("A", "a2");
-                crawler.run()
-            } else {
-                let server = WebDbServer::new(t, spec).with_faults(FaultPolicy::every(2));
-                let mut crawler = Crawler::new(&server, PolicyKind::Bfs.build(), config);
-                crawler.add_seed("A", "a2");
-                crawler.run()
-            };
-            (report.records, report.rounds, report.transient_failures)
-        };
-        assert_eq!(run_with(true), run_with(false));
+        assert_eq!(
+            (report.rounds, report.queries, report.transient_failures, report.backoff_rounds),
+            (17, 9, 8, 8)
+        );
+        assert_eq!(report.rounds, DataSource::rounds_used(&source), "every round billed once");
     }
 
     #[test]
     fn backoff_counts_against_round_budget() {
         // Every request fails; generous retries but a tiny round budget. The
         // budget must stop the crawl even though no page ever arrives.
-        let t = figure1_table();
-        let spec = InterfaceSpec::permissive(t.schema(), 10);
-        let server = WebDbServer::new(t, spec).with_faults(FaultPolicy::every(1));
+        let server = FaultPlanSource::new(figure1_server(10), FaultPlan::every(1));
         let config = CrawlConfig::builder()
             .max_rounds(10)
             .retry(RetryPolicy {
@@ -803,9 +782,7 @@ mod tests {
         use crate::events::MemorySink;
         // One fault total: the first query fails entirely (fail-fast retry
         // default) and its candidate is requeued.
-        let t = figure1_table();
-        let spec = InterfaceSpec::permissive(t.schema(), 10);
-        let server = WebDbServer::new(t, spec).with_faults(FaultPolicy::every(1).up_to(1));
+        let server = FaultPlanSource::new(figure1_server(10), FaultPlan::new().transient_at(1));
         let config = CrawlConfig::builder().known_target_size(5).max_requeues(5).build().unwrap();
         let mut crawler = Crawler::new(&server, PolicyKind::Bfs.build(), config.clone());
         assert!(crawler.add_seed("A", "a2"));

@@ -3,11 +3,12 @@
 //! The paper's crawler architecture (§2.5) has a Result Extractor that
 //! "extracts data records from the result pages and feeds them into
 //! DB_local". Amazon's Web Service returns XML (§5), which this module
-//! parses. The parser is a small hand-rolled scanner for the wire format of
-//! `dwc-server::wire` — no XML dependency, strict enough to reject malformed
-//! pages, and round-trip exact with the serializer.
+//! parses. The parsers are small hand-rolled scanners for the wire format of
+//! `dwc-server::wire` and the HTML of `dwc-server::html` — no XML
+//! dependency, strict enough to reject malformed pages, round-trip exact with
+//! the serializers, and zero-copy: fields borrow from the page buffer.
 
-use dwc_server::wire::{unescape_xml, unescape_xml_cow};
+use dwc_server::wire::unescape_xml_cow;
 use std::borrow::Cow;
 
 /// A record extracted from a result page: source key + field strings.
@@ -58,8 +59,8 @@ impl ExtractedRecordRef<'_> {
 }
 
 /// A parsed result page borrowing from the wire buffer — the hot-path view
-/// produced by [`parse_page_ref`] / [`parse_html_page_ref`] and consumed by
-/// `DataSource::visit_page` callbacks.
+/// produced by [`parse_page_ref`] / [`parse_html_page_ref`] and handed to
+/// `DataSource::respond` visitors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExtractedPageRef<'a> {
     /// Zero-based page index.
@@ -83,8 +84,9 @@ impl ExtractedPageRef<'_> {
         }
     }
 
-    /// A borrowed view over an owned page — lets legacy `query_page` sources
-    /// feed zero-copy consumers without duplicating the strings.
+    /// A borrowed view over an owned page — lets a source that holds an owned
+    /// copy (the hedging client pool keeps the winning attempt's page) feed
+    /// zero-copy visitors without duplicating the strings.
     pub fn borrowed(page: &ExtractedPage) -> ExtractedPageRef<'_> {
         ExtractedPageRef {
             page_index: page.page_index,
@@ -132,79 +134,13 @@ impl std::error::Error for ExtractError {}
 /// Parses a template-generated HTML result page (the `dwc-server::html`
 /// wrapper): a `#summary` line carrying the page index and optional total, a
 /// repeated `div.item` block per record with `span.f` fields, and an `#next`
-/// marker on non-final pages.
+/// marker on non-final pages. Field names and values are `Cow` slices into
+/// `html`, allocating only where an entity needs unescaping.
 ///
 /// This is the "structured data extraction from template-generated result
 /// pages" step the paper's §6 cites as the orthogonal companion problem; the
 /// wrapper here is known rather than induced, but the crawler-side pipeline
 /// (HTML → records) is exercised end-to-end.
-pub fn parse_html_page(html: &str) -> Result<ExtractedPage, ExtractError> {
-    let summary_start =
-        html.find("<div id=\"summary\">").ok_or(ExtractError::MissingResultsElement)?
-            + "<div id=\"summary\">".len();
-    let summary_end =
-        html[summary_start..].find("</div>").ok_or(ExtractError::MissingResultsElement)?
-            + summary_start;
-    let summary = &html[summary_start..summary_end];
-    let page_index: usize = summary
-        .strip_prefix("page ")
-        .and_then(|s| s.split(' ').next())
-        .and_then(|s| s.parse().ok())
-        .ok_or(ExtractError::BadAttribute("page"))?;
-    let total_matches = match summary.find("— ") {
-        Some(pos) => Some(
-            summary[pos + "— ".len()..]
-                .split(' ')
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or(ExtractError::BadAttribute("total"))?,
-        ),
-        None => None,
-    };
-    let has_more = html.contains("<a id=\"next\"");
-    let mut records = Vec::new();
-    let mut rest = &html[summary_end..];
-    while let Some(item_start) = rest.find("<div class=\"item\" id=\"item-") {
-        let key_start = item_start + "<div class=\"item\" id=\"item-".len();
-        let key_end =
-            rest[key_start..].find('"').ok_or(ExtractError::MalformedElement("item"))? + key_start;
-        let key: u64 =
-            rest[key_start..key_end].parse().map_err(|_| ExtractError::BadAttribute("key"))?;
-        let body_start =
-            rest[key_end..].find('>').ok_or(ExtractError::MalformedElement("item"))? + key_end + 1;
-        let body_end =
-            rest[body_start..].find("</div>").ok_or(ExtractError::MalformedElement("item"))?
-                + body_start;
-        let mut fields = Vec::new();
-        let mut item_body = &rest[body_start..body_end];
-        while let Some(f_start) = item_body.find("<span class=\"f\" title=\"") {
-            let attr_start = f_start + "<span class=\"f\" title=\"".len();
-            let attr_end =
-                item_body[attr_start..].find('"').ok_or(ExtractError::MalformedElement("field"))?
-                    + attr_start;
-            let val_start =
-                item_body[attr_end..].find('>').ok_or(ExtractError::MalformedElement("field"))?
-                    + attr_end
-                    + 1;
-            let val_end = item_body[val_start..]
-                .find("</span>")
-                .ok_or(ExtractError::MalformedElement("field"))?
-                + val_start;
-            fields.push((
-                unescape_xml(&item_body[attr_start..attr_end]),
-                unescape_xml(&item_body[val_start..val_end]),
-            ));
-            item_body = &item_body[val_end + "</span>".len()..];
-        }
-        records.push(ExtractedRecord { key, fields });
-        rest = &rest[body_end + "</div>".len()..];
-    }
-    Ok(ExtractedPage { page_index, total_matches, has_more, records })
-}
-
-/// Zero-copy flavor of [`parse_html_page`]: the same scanner and the same
-/// rejections, but field names/values are `Cow` slices into `html`,
-/// allocating only where an entity needs unescaping.
 pub fn parse_html_page_ref(html: &str) -> Result<ExtractedPageRef<'_>, ExtractError> {
     let summary_start =
         html.find("<div id=\"summary\">").ok_or(ExtractError::MissingResultsElement)?
@@ -278,54 +214,6 @@ fn attr_value<'a>(tag: &'a str, needle: &str) -> Option<&'a str> {
     Some(&tag[start..end])
 }
 
-/// Parses one result page in the wire format.
-pub fn parse_page(xml: &str) -> Result<ExtractedPage, ExtractError> {
-    let xml = xml.trim_start();
-    let rest = xml.strip_prefix("<results").ok_or(ExtractError::MissingResultsElement)?;
-    let header_end = rest.find('>').ok_or(ExtractError::MissingResultsElement)?;
-    let header = &rest[..header_end];
-    let page_index: usize = attr_value(header, "page=\"")
-        .and_then(|s| s.parse().ok())
-        .ok_or(ExtractError::BadAttribute("page"))?;
-    let has_more = match attr_value(header, "more=\"") {
-        Some("true") => true,
-        Some("false") => false,
-        _ => return Err(ExtractError::BadAttribute("more")),
-    };
-    let total_matches = match attr_value(header, "total=\"") {
-        Some(s) => Some(s.parse().map_err(|_| ExtractError::BadAttribute("total"))?),
-        None => None,
-    };
-    let mut body = &rest[header_end + 1..];
-    let mut records = Vec::new();
-    while let Some(rec_start) = body.find("<record") {
-        let rec_rest = &body[rec_start + "<record".len()..];
-        let rec_header_end = rec_rest.find('>').ok_or(ExtractError::MalformedElement("record"))?;
-        let key: u64 = attr_value(&rec_rest[..rec_header_end], "key=\"")
-            .and_then(|s| s.parse().ok())
-            .ok_or(ExtractError::BadAttribute("key"))?;
-        let rec_body_all = &rec_rest[rec_header_end + 1..];
-        let rec_end =
-            rec_body_all.find("</record>").ok_or(ExtractError::MalformedElement("record"))?;
-        let mut rec_body = &rec_body_all[..rec_end];
-        let mut fields = Vec::new();
-        while let Some(f_start) = rec_body.find("<field") {
-            let f_rest = &rec_body[f_start + "<field".len()..];
-            let f_header_end = f_rest.find('>').ok_or(ExtractError::MalformedElement("field"))?;
-            let attr = attr_value(&f_rest[..f_header_end], "attr=\"")
-                .ok_or(ExtractError::BadAttribute("attr"))?;
-            let f_body_all = &f_rest[f_header_end + 1..];
-            let f_end =
-                f_body_all.find("</field>").ok_or(ExtractError::MalformedElement("field"))?;
-            fields.push((unescape_xml(attr), unescape_xml(&f_body_all[..f_end])));
-            rec_body = &f_body_all[f_end + "</field>".len()..];
-        }
-        records.push(ExtractedRecord { key, fields });
-        body = &rec_body_all[rec_end + "</record>".len()..];
-    }
-    Ok(ExtractedPage { page_index, total_matches, has_more, records })
-}
-
 /// Reads a `name="value"` pair the serializer emits as ` name="` directly at
 /// the front of `s` (the only form `dwc-server::wire` produces). Returns the
 /// raw value slice and the text after the closing quote. Attribute values are
@@ -336,15 +224,15 @@ fn leading_quoted<'a>(s: &'a str, needle: &str) -> Option<(&'a str, &'a str)> {
     Some((&v[..end], &v[end + 1..]))
 }
 
-/// Zero-copy flavor of [`parse_page`]: same grammar and rejections, but every
-/// attribute name and value is a `Cow` slice into `xml`, and the scanner is
-/// built for the hot path. Instead of repeated substring searches (whose
-/// per-call setup dominates on short elements), it rides two invariants of the
-/// wire serializer: element content is escaped, so the next `<` after an open
-/// tag is always the closing tag; and attributes are emitted in one canonical
-/// spelling (`<record key="..">`, `<field attr="..">`). The only allocations
-/// left on a well-formed page are the record/field `Vec`s and any string that
-/// actually contains an `&` entity.
+/// Parses one result page in the wire format. Every attribute name and value
+/// is a `Cow` slice into `xml`, and the scanner is built for the hot path.
+/// Instead of repeated substring searches (whose per-call setup dominates on
+/// short elements), it rides two invariants of the wire serializer: element
+/// content is escaped, so the next `<` after an open tag is always the
+/// closing tag; and attributes are emitted in one canonical spelling
+/// (`<record key="..">`, `<field attr="..">`). The only allocations left on a
+/// well-formed page are the record/field `Vec`s and any string that actually
+/// contains an `&` entity.
 pub fn parse_page_ref(xml: &str) -> Result<ExtractedPageRef<'_>, ExtractError> {
     let xml = xml.trim_start();
     let rest = xml.strip_prefix("<results").ok_or(ExtractError::MissingResultsElement)?;
@@ -403,43 +291,12 @@ pub fn parse_page_ref(xml: &str) -> Result<ExtractedPageRef<'_>, ExtractError> {
     Ok(ExtractedPageRef { page_index, total_matches, has_more, records })
 }
 
-/// Serializes an extracted page back to the XML wire format — the crawler-side
-/// inverse of [`parse_page`]. Round-trip exact for any page (names and values
-/// are XML-escaped).
-///
-/// Used by the fault-injection harness ([`crate::fault::FaultPlanSource`]) to
-/// materialize a page as wire bytes, truncate them, and demonstrate that the
-/// extractor rejects the damage; also handy for recording crawls.
-pub fn page_to_wire(page: &ExtractedPage) -> String {
-    use dwc_server::wire::escape_xml;
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(64 + page.records.len() * 128);
-    let _ = write!(out, "<results page=\"{}\" more=\"{}\"", page.page_index, page.has_more);
-    if let Some(total) = page.total_matches {
-        let _ = write!(out, " total=\"{total}\"");
-    }
-    out.push_str(">\n");
-    for rec in &page.records {
-        let _ = writeln!(out, "  <record key=\"{}\">", rec.key);
-        for (attr, value) in &rec.fields {
-            let _ = writeln!(
-                out,
-                "    <field attr=\"{}\">{}</field>",
-                escape_xml(attr),
-                escape_xml(value)
-            );
-        }
-        out.push_str("  </record>\n");
-    }
-    out.push_str("</results>\n");
-    out
-}
-
-/// Re-encodes a borrowed [`ExtractedPageRef`] into the XML wire format,
-/// byte-identical to [`page_to_wire`] on the equivalent owned page. This is
-/// the serving-tier frame encoder: a [`crate::serve::SourceService`] worker
-/// visits the inner source's page zero-copy, encodes the view straight off
-/// the borrow, and ships the frame — no owned [`ExtractedPage`] detour.
+/// Re-encodes a borrowed [`ExtractedPageRef`] into the XML wire format — the
+/// crawler-side inverse of [`parse_page_ref`], round-trip exact for any page
+/// (names and values are XML-escaped). This is the serving-tier frame
+/// encoder: a [`crate::serve::SourceService`] worker visits the inner
+/// source's page zero-copy, encodes the view straight off the borrow, and
+/// ships the frame — no owned [`ExtractedPage`] detour.
 pub fn page_ref_to_wire(page: &ExtractedPageRef<'_>) -> String {
     use dwc_server::wire::escape_xml;
     use std::fmt::Write as _;
@@ -470,8 +327,137 @@ mod tests {
     use super::*;
     use dwc_model::fixtures::figure1_table;
     use dwc_model::AttrId;
-    use dwc_server::wire::page_to_xml;
+    use dwc_server::wire::{page_to_xml, unescape_xml};
     use dwc_server::{InterfaceSpec, Query, WebDbServer};
+    use proptest::prelude::*;
+
+    // Owned reference parsers: every string is copied out of the document.
+    // The zero-copy scanners must agree with them, page for page.
+
+    /// Owned reference parser for the XML wire format.
+    fn parse_page(xml: &str) -> Result<ExtractedPage, ExtractError> {
+        let xml = xml.trim_start();
+        let rest = xml.strip_prefix("<results").ok_or(ExtractError::MissingResultsElement)?;
+        let header_end = rest.find('>').ok_or(ExtractError::MissingResultsElement)?;
+        let header = &rest[..header_end];
+        let page_index: usize = attr_value(header, "page=\"")
+            .and_then(|s| s.parse().ok())
+            .ok_or(ExtractError::BadAttribute("page"))?;
+        let has_more = match attr_value(header, "more=\"") {
+            Some("true") => true,
+            Some("false") => false,
+            _ => return Err(ExtractError::BadAttribute("more")),
+        };
+        let total_matches = match attr_value(header, "total=\"") {
+            Some(s) => Some(s.parse().map_err(|_| ExtractError::BadAttribute("total"))?),
+            None => None,
+        };
+        let mut body = &rest[header_end + 1..];
+        let mut records = Vec::new();
+        while let Some(rec_start) = body.find("<record") {
+            let rec_rest = &body[rec_start + "<record".len()..];
+            let rec_header_end =
+                rec_rest.find('>').ok_or(ExtractError::MalformedElement("record"))?;
+            let key: u64 = attr_value(&rec_rest[..rec_header_end], "key=\"")
+                .and_then(|s| s.parse().ok())
+                .ok_or(ExtractError::BadAttribute("key"))?;
+            let rec_body_all = &rec_rest[rec_header_end + 1..];
+            let rec_end =
+                rec_body_all.find("</record>").ok_or(ExtractError::MalformedElement("record"))?;
+            let mut rec_body = &rec_body_all[..rec_end];
+            let mut fields = Vec::new();
+            while let Some(f_start) = rec_body.find("<field") {
+                let f_rest = &rec_body[f_start + "<field".len()..];
+                let f_header_end =
+                    f_rest.find('>').ok_or(ExtractError::MalformedElement("field"))?;
+                let attr = attr_value(&f_rest[..f_header_end], "attr=\"")
+                    .ok_or(ExtractError::BadAttribute("attr"))?;
+                let f_body_all = &f_rest[f_header_end + 1..];
+                let f_end =
+                    f_body_all.find("</field>").ok_or(ExtractError::MalformedElement("field"))?;
+                fields.push((unescape_xml(attr), unescape_xml(&f_body_all[..f_end])));
+                rec_body = &f_body_all[f_end + "</field>".len()..];
+            }
+            records.push(ExtractedRecord { key, fields });
+            body = &rec_body_all[rec_end + "</record>".len()..];
+        }
+        Ok(ExtractedPage { page_index, total_matches, has_more, records })
+    }
+
+    /// Owned reference parser for the HTML wrapper.
+    fn parse_html_page(html: &str) -> Result<ExtractedPage, ExtractError> {
+        let summary_start =
+            html.find("<div id=\"summary\">").ok_or(ExtractError::MissingResultsElement)?
+                + "<div id=\"summary\">".len();
+        let summary_end =
+            html[summary_start..].find("</div>").ok_or(ExtractError::MissingResultsElement)?
+                + summary_start;
+        let summary = &html[summary_start..summary_end];
+        let page_index: usize = summary
+            .strip_prefix("page ")
+            .and_then(|s| s.split(' ').next())
+            .and_then(|s| s.parse().ok())
+            .ok_or(ExtractError::BadAttribute("page"))?;
+        let total_matches = match summary.find("— ") {
+            Some(pos) => Some(
+                summary[pos + "— ".len()..]
+                    .split(' ')
+                    .next()
+                    .and_then(|s| s.parse().ok())
+                    .ok_or(ExtractError::BadAttribute("total"))?,
+            ),
+            None => None,
+        };
+        let has_more = html.contains("<a id=\"next\"");
+        let mut records = Vec::new();
+        let mut rest = &html[summary_end..];
+        while let Some(item_start) = rest.find("<div class=\"item\" id=\"item-") {
+            let key_start = item_start + "<div class=\"item\" id=\"item-".len();
+            let key_end =
+                rest[key_start..].find('"').ok_or(ExtractError::MalformedElement("item"))?
+                    + key_start;
+            let key: u64 =
+                rest[key_start..key_end].parse().map_err(|_| ExtractError::BadAttribute("key"))?;
+            let body_start =
+                rest[key_end..].find('>').ok_or(ExtractError::MalformedElement("item"))?
+                    + key_end
+                    + 1;
+            let body_end =
+                rest[body_start..].find("</div>").ok_or(ExtractError::MalformedElement("item"))?
+                    + body_start;
+            let mut fields = Vec::new();
+            let mut item_body = &rest[body_start..body_end];
+            while let Some(f_start) = item_body.find("<span class=\"f\" title=\"") {
+                let attr_start = f_start + "<span class=\"f\" title=\"".len();
+                let attr_end = item_body[attr_start..]
+                    .find('"')
+                    .ok_or(ExtractError::MalformedElement("field"))?
+                    + attr_start;
+                let val_start = item_body[attr_end..]
+                    .find('>')
+                    .ok_or(ExtractError::MalformedElement("field"))?
+                    + attr_end
+                    + 1;
+                let val_end = item_body[val_start..]
+                    .find("</span>")
+                    .ok_or(ExtractError::MalformedElement("field"))?
+                    + val_start;
+                fields.push((
+                    unescape_xml(&item_body[attr_start..attr_end]),
+                    unescape_xml(&item_body[val_start..val_end]),
+                ));
+                item_body = &item_body[val_end + "</span>".len()..];
+            }
+            records.push(ExtractedRecord { key, fields });
+            rest = &rest[body_end + "</div>".len()..];
+        }
+        Ok(ExtractedPage { page_index, total_matches, has_more, records })
+    }
+
+    /// Encodes an owned page through the serving tier's frame encoder.
+    fn to_wire(page: &ExtractedPage) -> String {
+        page_ref_to_wire(&ExtractedPageRef::borrowed(page))
+    }
 
     fn roundtrip_page() -> (ExtractedPage, usize) {
         let t = figure1_table();
@@ -513,7 +499,7 @@ mod tests {
     #[test]
     fn crawler_side_serializer_roundtrips() {
         let (page, _) = roundtrip_page();
-        let wire = page_to_wire(&page);
+        let wire = to_wire(&page);
         assert_eq!(parse_page(&wire).unwrap(), page);
         let nasty = ExtractedPage {
             page_index: 2,
@@ -524,7 +510,7 @@ mod tests {
                 fields: vec![("T&C".into(), "a<b>&\"c\"".into())],
             }],
         };
-        assert_eq!(parse_page(&page_to_wire(&nasty)).unwrap(), nasty);
+        assert_eq!(parse_page(&to_wire(&nasty)).unwrap(), nasty);
     }
 
     #[test]
@@ -624,7 +610,7 @@ mod tests {
     #[test]
     fn zero_copy_parser_agrees_with_owned_on_fixtures() {
         let (page, _) = roundtrip_page();
-        let wire = page_to_wire(&page);
+        let wire = to_wire(&page);
         let by_ref = parse_page_ref(&wire).unwrap();
         assert_eq!(by_ref.to_owned_page(), parse_page(&wire).unwrap());
         // No field in the figure-1 fixture needs unescaping, so every slice
@@ -651,7 +637,7 @@ mod tests {
                 ],
             }],
         };
-        let wire = page_to_wire(&nasty);
+        let wire = to_wire(&nasty);
         let by_ref = parse_page_ref(&wire).unwrap();
         assert_eq!(by_ref.to_owned_page(), nasty);
         let fields = &by_ref.records[0].fields;
@@ -682,5 +668,92 @@ mod tests {
         let (page, _) = roundtrip_page();
         let view = ExtractedPageRef::borrowed(&page);
         assert_eq!(view.to_owned_page(), page);
+    }
+
+    /// Deterministic companion to `zero_copy_and_owned_parsers_agree`: the
+    /// exact corpus the tests above escape by hand, one field per pairing.
+    #[test]
+    fn zero_copy_and_owned_parsers_agree_on_seed_corpus() {
+        let corpus =
+            ["a<b>&\"c\"", "T&C", "&amp;", "&notanentity;", "&", "clean", "", "'quoted'", "é⟩𝄞"];
+        for (i, attr) in corpus.iter().enumerate() {
+            for value in &corpus {
+                let page = ExtractedPage {
+                    page_index: i,
+                    total_matches: Some(corpus.len()),
+                    has_more: false,
+                    records: vec![ExtractedRecord {
+                        key: i as u64,
+                        fields: vec![(attr.to_string(), value.to_string())],
+                    }],
+                };
+                let wire = to_wire(&page);
+                let owned = parse_page(&wire).unwrap();
+                let zero_copy = parse_page_ref(&wire).unwrap().to_owned_page();
+                assert_eq!(owned, zero_copy, "parsers disagree on {wire}");
+                assert_eq!(owned, page, "round-trip must be exact for {wire}");
+            }
+        }
+    }
+
+    /// Strings stacked with everything the XML escaping layer must survive:
+    /// bare entities and entity look-alikes (`&amp;`, `&notanentity`, a lone
+    /// `&`), the markup characters themselves, quotes, and multi-byte
+    /// unicode. Seeded with the `"a<b>&\"c\""` corpus the tests above use.
+    fn escape_adversarial_string() -> impl Strategy<Value = String> {
+        let fragment = prop_oneof![
+            Just("a<b>&\"c\"".to_string()),
+            Just("T&C".to_string()),
+            Just("&amp;".to_string()),
+            Just("&lt;field&gt;".to_string()),
+            Just("&notanentity;".to_string()),
+            Just("&".to_string()),
+            Just("&#38;".to_string()),
+            Just("<".to_string()),
+            Just(">".to_string()),
+            Just("\"".to_string()),
+            Just("'".to_string()),
+            Just("</field>".to_string()),
+            Just("é⟩𝄞".to_string()),
+            ".{0,4}",
+        ];
+        prop::collection::vec(fragment, 0..6).prop_map(|parts| parts.concat())
+    }
+
+    /// An extracted page whose attribute names and values are adversarially
+    /// escaped strings.
+    fn page_strategy() -> impl Strategy<Value = ExtractedPage> {
+        let field = (escape_adversarial_string(), escape_adversarial_string());
+        let record = (any::<u64>(), prop::collection::vec(field, 0..4))
+            .prop_map(|(key, fields)| ExtractedRecord { key, fields });
+        (
+            prop::collection::vec(record, 0..5),
+            0usize..100,
+            prop::option::of(0usize..10_000),
+            any::<bool>(),
+        )
+            .prop_map(|(records, page_index, total_matches, has_more)| ExtractedPage {
+                page_index,
+                total_matches,
+                has_more,
+                records,
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The zero-copy wire parser and the owned oracle agree on every
+        /// page the frame encoder writes — including adversarially escaped
+        /// attribute names and values — and both round-trip the original
+        /// page exactly.
+        #[test]
+        fn zero_copy_and_owned_parsers_agree(page in page_strategy()) {
+            let wire = to_wire(&page);
+            let owned = parse_page(&wire).unwrap();
+            let zero_copy = parse_page_ref(&wire).unwrap().to_owned_page();
+            prop_assert_eq!(&owned, &zero_copy, "parsers disagree on {}", wire);
+            prop_assert_eq!(&owned, &page, "wire round-trip must be exact");
+        }
     }
 }

@@ -1,14 +1,16 @@
 //! Seeded, deterministic multi-kind fault injection — the harness the
-//! fault-tolerance layer is tested against.
+//! fault-tolerance layer is tested against, and the one source-side fault
+//! schedule in the crate.
 //!
-//! [`crate::FaultySource`] injects one failure mode (a transient error every
-//! N requests). A production crawler faces a richer bestiary: bursts of
-//! throttling, requests that stall and waste wall-clock rounds, result pages
-//! that arrive truncated, and faults severe enough to kill the worker
-//! process outright. [`FaultPlan`] schedules any mix of these at exact
-//! request indices — either hand-placed or generated from a seed — so every
-//! recovery path (retry, requeue, checkpoint resume, supervisor restart,
-//! circuit breaker) can be exercised deterministically and asserted on.
+//! A production crawler faces throttling and 5xx responses, bursts of them,
+//! requests that stall and waste wall-clock rounds, result pages that arrive
+//! truncated, and faults severe enough to kill the worker process outright.
+//! [`FaultPlan`] schedules any mix of these at exact request indices —
+//! hand-placed, periodic ([`FaultPlan::every`]), or generated from a seed —
+//! so every recovery path (retry, requeue, checkpoint resume, supervisor
+//! restart, circuit breaker) can be exercised deterministically and asserted
+//! on. Faults on the wire itself (dropped, duplicated or reordered frames)
+//! are [`crate::chaos::ChaosPlan`]'s job.
 //!
 //! A plan is *pure schedule*; [`FaultPlanSource`] is the [`DataSource`]
 //! decorator that executes it. The decorator's mutable side (the request
@@ -18,7 +20,6 @@
 //! restarts reuse the job's own handle, so the schedule keeps advancing
 //! instead of replaying the same fault forever.
 
-use crate::extract::{page_to_wire, parse_page, ExtractedPage};
 use crate::source::{CrawlError, DataSource};
 use dwc_server::InterfaceSpec;
 use std::collections::BTreeMap;
@@ -54,9 +55,9 @@ pub enum FaultKind {
         /// Extra elapsed rounds wasted waiting for the response.
         rounds: u64,
     },
-    /// The result page is truncated in flight; the Result Extractor rejects
+    /// The result page is damaged in flight and the Result Extractor rejects
     /// it (surfaced as [`CrawlError::CorruptPage`]). The request *does* reach
-    /// the source and is billed there.
+    /// the source and is billed there; the caller never sees the page.
     Corrupt,
     /// A worker-killing panic — models a crash of the crawling process
     /// itself. Only a fleet ([`crate::fleet::run_fleet`], which supervises
@@ -69,18 +70,29 @@ pub enum FaultKind {
 ///
 /// Build one by placing events explicitly ([`transient_at`](Self::transient_at),
 /// [`burst`](Self::burst), [`stall_at`](Self::stall_at),
-/// [`corrupt_at`](Self::corrupt_at), [`panic_at`](Self::panic_at)) or
-/// generate a reproducible mix from a seed ([`seeded`](Self::seeded)).
-/// Requests not named by the plan succeed normally.
+/// [`corrupt_at`](Self::corrupt_at), [`panic_at`](Self::panic_at)), start
+/// from a periodic transient schedule ([`every`](Self::every)), or generate a
+/// reproducible mix from a seed ([`seeded`](Self::seeded)). Requests not
+/// named by the plan succeed normally.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     events: BTreeMap<u64, FaultKind>,
+    /// Every request whose number is a multiple of this fails transiently,
+    /// unless an explicit event names it.
+    period: Option<u64>,
 }
 
 impl FaultPlan {
     /// An empty plan: no faults.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A plan failing every `n`-th request (1-based) with a transient fault.
+    /// Explicit events placed on top take precedence at their indices.
+    pub fn every(n: u64) -> Self {
+        assert!(n > 0, "fault period must be positive");
+        FaultPlan { events: BTreeMap::new(), period: Some(n) }
     }
 
     /// Schedules `kind` at request number `request_no` (1-based), replacing
@@ -143,22 +155,26 @@ impl FaultPlan {
         plan
     }
 
-    /// The fault scheduled at `request_no`, if any.
+    /// The fault scheduled at `request_no`, if any: an explicit event, else
+    /// the periodic transient.
     pub fn event_at(&self, request_no: u64) -> Option<FaultKind> {
-        self.events.get(&request_no).copied()
+        self.events.get(&request_no).copied().or_else(|| {
+            self.period.filter(|&n| request_no.is_multiple_of(n)).map(|_| FaultKind::Transient)
+        })
     }
 
-    /// Number of scheduled events.
+    /// Number of explicitly placed events (a period adds an unbounded
+    /// series on top).
     pub fn len(&self) -> usize {
         self.events.len()
     }
 
     /// Whether the plan schedules no faults at all.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.events.is_empty() && self.period.is_none()
     }
 
-    /// Iterates `(request_no, kind)` in request order.
+    /// Iterates the explicit `(request_no, kind)` events in request order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, FaultKind)> + '_ {
         self.events.iter().map(|(&n, &k)| (n, k))
     }
@@ -276,23 +292,9 @@ impl<S: DataSource> DataSource for FaultPlanSource<S> {
             }
             Some(FaultKind::Corrupt) => {
                 // The inner request executes (and is billed there), but the
-                // caller's visitor never runs: the page is materialized only
-                // to simulate the truncation below.
-                let mut owned = None;
-                self.inner.respond(request, &mut |view| owned = Some(view.to_owned_page()))?;
-                let page: ExtractedPage = owned.expect("respond visits on success");
+                // page is lost in flight: the caller's visitor never runs.
+                self.inner.respond(request, &mut |_| {})?;
                 self.state.corrupt.fetch_add(1, Ordering::Relaxed);
-                // Materialize the page as wire bytes and truncate them, as a
-                // flaky connection would. The extractor must reject the
-                // damage; either way the crawler sees a corrupt page. (A cut
-                // landing after a complete record can still parse — which is
-                // precisely why the error, not the parse, is authoritative.)
-                let wire = page_to_wire(&page);
-                let mut cut = wire.len() * 2 / 3;
-                while cut > 0 && !wire.is_char_boundary(cut) {
-                    cut -= 1;
-                }
-                let _ = parse_page(&wire[..cut]);
                 Err(CrawlError::CorruptPage)
             }
             Some(FaultKind::Panic) => {
@@ -314,7 +316,8 @@ impl<S: DataSource> DataSource for FaultPlanSource<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::ProberMode;
+    use crate::extract::ExtractedPage;
+    use crate::source::{ProberMode, SourceRequest};
     use dwc_model::fixtures::figure1_table;
     use dwc_server::{Query, WebDbServer};
 
@@ -328,9 +331,7 @@ mod tests {
         Query::ByString { attr: "A".into(), value: "a2".into() }
     }
 
-    /// Fetches one page as an owned value through the `respond` envelope —
-    /// the test-side convenience the deprecated `query_page` shim used to
-    /// provide.
+    /// Fetches one page as an owned value through the `respond` envelope.
     fn query_page<S: DataSource>(
         s: &S,
         query: &Query,
@@ -338,7 +339,7 @@ mod tests {
         prober: ProberMode,
     ) -> Result<ExtractedPage, CrawlError> {
         let mut owned = None;
-        s.respond(&crate::source::SourceRequest::new(query, page, prober), &mut |view| {
+        s.respond(&SourceRequest::new(query, page, prober), &mut |view| {
             owned = Some(view.to_owned_page())
         })?;
         Ok(owned.expect("respond visits exactly once on success"))
@@ -354,6 +355,80 @@ mod tests {
         assert_eq!(plan.event_at(9), Some(FaultKind::Corrupt));
         assert_eq!(plan.event_at(11), Some(FaultKind::Panic));
         assert_eq!(plan.len(), 5);
+    }
+
+    #[test]
+    fn none_never_fails() {
+        let plan = FaultPlan::new();
+        assert!(plan.is_empty());
+        assert!((1..100).all(|i| plan.event_at(i).is_none()));
+        // Wrapping a source in an empty plan changes nothing: every request
+        // is served, and billed once, by the inner source.
+        let s = FaultPlanSource::new(server(), plan);
+        for _ in 0..3 {
+            assert!(query_page(&s, &a2(), 0, ProberMode::InProcess).is_ok());
+        }
+        assert_eq!(s.tally(), FaultTally::default());
+        assert_eq!(s.inner().rounds_used(), 3);
+        assert_eq!(DataSource::rounds_used(&s), 3);
+    }
+
+    #[test]
+    fn every_third_fails() {
+        let plan = FaultPlan::every(3);
+        assert!(!plan.is_empty());
+        let fails: Vec<u64> = (1..=10).filter(|&i| plan.event_at(i).is_some()).collect();
+        assert_eq!(fails, vec![3, 6, 9]);
+        assert_eq!(plan.event_at(9), Some(FaultKind::Transient));
+    }
+
+    #[test]
+    fn explicit_events_take_precedence_over_the_period() {
+        let plan = FaultPlan::every(3).stall_at(6, 4).corrupt_at(7).burst(10, 2);
+        assert_eq!(plan.event_at(3), Some(FaultKind::Transient), "the period still fires");
+        assert_eq!(plan.event_at(6), Some(FaultKind::Stall { rounds: 4 }), "explicit event wins");
+        assert_eq!(plan.event_at(7), Some(FaultKind::Corrupt));
+        assert_eq!(plan.event_at(8), None);
+        // The burst covers 10 and 11, the period 9 and 12: four in a row.
+        let run: Vec<bool> =
+            (9..=13).map(|i| plan.event_at(i) == Some(FaultKind::Transient)).collect();
+        assert_eq!(run, [true, true, true, true, false]);
+        assert_eq!(plan.len(), 4, "len counts the explicit events only");
+    }
+
+    #[test]
+    fn max_faults_caps_injection() {
+        // A capped schedule is a finite burst: the first two requests fail,
+        // and none after them.
+        let plan = FaultPlan::new().burst(1, 2);
+        assert_eq!(plan.event_at(1), Some(FaultKind::Transient));
+        assert_eq!(plan.event_at(2), Some(FaultKind::Transient));
+        assert!((3..1000).all(|i| plan.event_at(i).is_none()), "the cap is spent");
+        assert_eq!(plan.len(), 2);
+    }
+
+    #[test]
+    fn state_tracks_and_caps_injection() {
+        // The shared state counts every request and every injected fault;
+        // once the burst is spent, requests pass through untouched.
+        let s = FaultPlanSource::new(server(), FaultPlan::new().burst(2, 2));
+        assert!(query_page(&s, &a2(), 0, ProberMode::InProcess).is_ok());
+        for _ in 0..2 {
+            assert_eq!(query_page(&s, &a2(), 0, ProberMode::InProcess), Err(CrawlError::Transient));
+        }
+        for _ in 0..5 {
+            assert!(query_page(&s, &a2(), 0, ProberMode::InProcess).is_ok(), "the cap is spent");
+        }
+        assert_eq!(s.requests_seen(), 8);
+        assert_eq!(s.tally(), FaultTally { transient: 2, ..FaultTally::default() });
+        assert_eq!(s.inner().rounds_used(), 6);
+        assert_eq!(DataSource::rounds_used(&s), 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn zero_period_panics() {
+        let _ = FaultPlan::every(0);
     }
 
     #[test]
@@ -391,13 +466,38 @@ mod tests {
     #[test]
     fn billing_splits_absorbed_and_served_faults() {
         // Request 1 transient (absorbed: billed by wrapper), request 2
-        // corrupt (served: billed by inner), request 3 clean.
+        // corrupt (served: billed by inner), request 3 the clean retry.
         let s = FaultPlanSource::new(server(), FaultPlan::new().transient_at(1).corrupt_at(2));
-        let _ = query_page(&s, &a2(), 0, ProberMode::InProcess);
-        let _ = query_page(&s, &a2(), 0, ProberMode::InProcess);
-        let _ = query_page(&s, &a2(), 0, ProberMode::InProcess);
+        assert_eq!(query_page(&s, &a2(), 0, ProberMode::InProcess), Err(CrawlError::Transient));
+        assert_eq!(query_page(&s, &a2(), 0, ProberMode::InProcess), Err(CrawlError::CorruptPage));
+        let page = query_page(&s, &a2(), 0, ProberMode::InProcess).expect("the retry succeeds");
+        assert_eq!(page.records.len(), 3);
         assert_eq!(s.inner().rounds_used(), 2, "corrupt + clean reached the server");
         assert_eq!(DataSource::rounds_used(&s), 3, "every request is billed exactly once");
+    }
+
+    #[test]
+    fn state_cap_is_exact_under_contention() {
+        // Eight threads race for request numbers through clones of one
+        // source: each number is claimed once, so exactly the scheduled
+        // burst fires — never one fault more or less.
+        let s = FaultPlanSource::new(std::sync::Arc::new(server()), FaultPlan::new().burst(1, 100));
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                let (s, start) = (s.clone(), &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..250 {
+                        let _ = query_page(&s, &a2(), 0, ProberMode::InProcess);
+                    }
+                });
+            }
+        });
+        assert_eq!(s.requests_seen(), 2000);
+        assert_eq!(s.tally().transient, 100, "the schedule must never overshoot the burst");
+        assert_eq!(s.inner().rounds_used(), 1900);
+        assert_eq!(DataSource::rounds_used(&s), 2000);
     }
 
     #[test]

@@ -130,7 +130,7 @@ impl AllocationStrategy {
 ///
 /// `S` is any [`DataSource`] handle a pool worker can own while the job's
 /// slice runs: a `WebDbServer` (exclusive), an `Arc<WebDbServer>` (shared
-/// with other jobs), or a [`crate::FaultySource`]-wrapped source.
+/// with other jobs), or a [`crate::FaultPlanSource`]-wrapped source.
 pub struct FleetJob<S: DataSource> {
     /// The target source handle.
     pub source: S,
@@ -1197,7 +1197,7 @@ fn apply_default_retry(job_config: &mut CrawlConfig, fleet: &FleetConfig) {
 mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultPlanSource};
-    use dwc_server::{FaultPolicy, InterfaceSpec, WebDbServer};
+    use dwc_server::{InterfaceSpec, WebDbServer};
     use std::sync::Arc;
 
     fn figure1_server() -> WebDbServer {
@@ -1542,11 +1542,11 @@ mod tests {
 
     #[test]
     fn shared_source_with_faults_loses_no_records() {
-        // The ISSUE acceptance scenario: two crawlers share one server with
-        // FaultPolicy::every(7); retries (billed as rounds + backoff) must
-        // still deliver every record to both jobs.
-        let shared = Arc::new(figure1_server().with_faults(FaultPolicy::every(7)));
-        let jobs: Vec<FleetJob<Arc<WebDbServer>>> = ["a2", "a3"]
+        // Two crawlers share one source failing every 7th request; retries
+        // (billed as rounds + backoff) must still deliver every record to
+        // both jobs.
+        let shared = Arc::new(FaultPlanSource::new(figure1_server(), FaultPlan::every(7)));
+        let jobs: Vec<FleetJob<Arc<FaultPlanSource<WebDbServer>>>> = ["a2", "a3"]
             .iter()
             .map(|seed| FleetJob {
                 source: Arc::clone(&shared),
@@ -1568,9 +1568,9 @@ mod tests {
         }
         let failures: u64 = report.sources.iter().map(|r| r.transient_failures).sum();
         assert!(failures > 0, "the fault schedule must actually have fired");
-        assert_eq!(failures, shared.faults_injected());
+        assert_eq!(failures, shared.tally().transient);
         let summed: u64 = report.sources.iter().map(|r| r.rounds).sum();
-        assert_eq!(summed, shared.rounds_used(), "failed rounds are billed too");
+        assert_eq!(summed, DataSource::rounds_used(&shared), "failed rounds are billed too");
     }
 
     // ---- tenancy -------------------------------------------------------

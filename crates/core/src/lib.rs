@@ -23,7 +23,7 @@
 //! trait — a [`source::SourceRequest`]/[`source::SourceResponse`] envelope per
 //! page request, `&self`, atomically billed — which makes an in-process
 //! [`dwc_server::WebDbServer`], a fault-injecting decorator
-//! ([`source::FaultySource`]), and a protocol-backed [`serve::Connection`]
+//! ([`fault::FaultPlanSource`]), and a protocol-backed [`serve::Connection`]
 //! into a [`serve::SourceService`] (bounded queue, admission control,
 //! deadlines, cancellation) interchangeable.
 //! Because the trait is implemented for `&S` and `Arc<S>` too, the same
@@ -86,8 +86,7 @@ pub use serve::{
     SourceService,
 };
 pub use source::{
-    CancelToken, CrawlError, DataSource, FaultySource, PageMeta, ServiceMeta, SourceRequest,
-    SourceResponse,
+    CancelToken, CrawlError, DataSource, PageMeta, ServiceMeta, SourceRequest, SourceResponse,
 };
 pub use stage::{Executor, Ingestor, Planner};
 pub use state::{CandStatus, CrawlState, QueryOutcome};

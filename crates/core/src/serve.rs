@@ -314,8 +314,7 @@ fn wire_checksum(wire: &str) -> u64 {
 }
 
 /// Truncates a wire frame at roughly two thirds of its length on a char
-/// boundary — the same mutilation [`crate::fault::FaultPlanSource`] applies,
-/// here modeling the *wire* (not the source) garbling the frame.
+/// boundary, modeling the *wire* (not the source) garbling the frame.
 fn truncate_wire(wire: &mut String) {
     let mut cut = (wire.len() * 2) / 3;
     while cut > 0 && !wire.is_char_boundary(cut) {

@@ -5,7 +5,7 @@
 //! — successful or not — costs one communication round (Definition 2.3).
 //! [`DataSource`] captures exactly that contract, so [`crate::Crawler`] can
 //! drive an in-process [`WebDbServer`], a fault-injecting decorator
-//! ([`FaultySource`]), or a protocol-backed connection
+//! ([`crate::fault::FaultPlanSource`]), or a protocol-backed connection
 //! ([`crate::serve::Connection`]) interchangeably.
 //!
 //! The boundary is a request/response seam: the crawler submits a
@@ -13,12 +13,10 @@
 //! service-level intent — an optional deadline and a [`CancelToken`]) and
 //! receives a [`SourceResponse`] (page facts plus, when the source really is
 //! a service, the [`ServiceMeta`] observed for the request). The single
-//! entry point is [`DataSource::respond`]; the older
-//! [`query_page`](DataSource::query_page) / [`visit_page`](DataSource::visit_page)
-//! methods survive one release as thin deprecated shims over it.
+//! entry point is [`DataSource::respond`].
 //!
 //! Results cross the boundary in *extracted* form
-//! ([`crate::extract::ExtractedPage`]: attribute names + value strings) —
+//! ([`crate::extract::ExtractedPageRef`]: attribute names + value strings) —
 //! the crawler never touches server-side id spaces or backing tables. How a
 //! page is materialized (direct translation, XML wire round-trip, HTML
 //! wrapper extraction) is the source's business, selected per request by
@@ -29,12 +27,10 @@
 //! `Arc<WebDbServer>` clones hand every worker the same atomic round
 //! counter, so the source is billed globally no matter who asks.
 
-#[cfg(any(feature = "compat", test))]
-use crate::extract::ExtractedPage;
 use crate::extract::{parse_html_page_ref, parse_page_ref, ExtractedPageRef, ExtractedRecordRef};
 use dwc_server::{InterfaceSpec, Query, RenderFormat, ServerError, WebDbServer};
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -103,10 +99,7 @@ impl CrawlError {
 
 impl From<ServerError> for CrawlError {
     fn from(e: ServerError) -> Self {
-        match e {
-            ServerError::Transient => CrawlError::Transient,
-            fatal => CrawlError::Fatal(fatal),
-        }
+        CrawlError::Fatal(e)
     }
 }
 
@@ -273,42 +266,6 @@ pub trait DataSource {
         visit: &mut dyn FnMut(&ExtractedPageRef<'_>),
     ) -> Result<SourceResponse, CrawlError>;
 
-    /// Requests one result page of `query`, materialized per `prober`, as an
-    /// owned [`ExtractedPage`].
-    ///
-    /// Pre-envelope compatibility shim, gated behind the `compat` feature.
-    /// No in-tree caller remains; external callers should migrate to
-    /// [`respond`](DataSource::respond).
-    #[cfg(feature = "compat")]
-    #[deprecated(note = "use `respond` with a `SourceRequest` envelope")]
-    fn query_page(
-        &self,
-        query: &Query,
-        page_index: usize,
-        prober: ProberMode,
-    ) -> Result<ExtractedPage, CrawlError> {
-        let mut owned = None;
-        self.respond(&SourceRequest::new(query, page_index, prober), &mut |page| {
-            owned = Some(page.to_owned_page());
-        })?;
-        Ok(owned.expect("respond visits exactly once on success"))
-    }
-
-    /// Zero-copy page fetch without the envelope.
-    ///
-    /// Pre-envelope compatibility shim, gated behind the `compat` feature.
-    #[cfg(feature = "compat")]
-    #[deprecated(note = "use `respond` with a `SourceRequest` envelope")]
-    fn visit_page(
-        &self,
-        query: &Query,
-        page_index: usize,
-        prober: ProberMode,
-        visit: &mut dyn FnMut(&ExtractedPageRef<'_>),
-    ) -> Result<PageMeta, CrawlError> {
-        self.respond(&SourceRequest::new(query, page_index, prober), visit).map(|r| r.meta)
-    }
-
     /// The source's advertised interface: form fields, queriability, page
     /// size, caps. Everything a crawler knows about the source up front.
     fn interface(&self) -> &InterfaceSpec;
@@ -440,69 +397,12 @@ impl DataSource for WebDbServer {
     }
 }
 
-/// A decorator that injects transient faults in front of any source.
-///
-/// [`WebDbServer`] has built-in fault injection; this wrapper provides the
-/// same deterministic schedule for sources that don't (a real HTTP backend,
-/// a shared server whose own policy is disabled). An injected fault consumes
-/// the request *before* it reaches the inner source — the round is billed
-/// here, so `rounds_used` is inner rounds plus injected faults.
-pub struct FaultySource<S> {
-    inner: S,
-    policy: dwc_server::FaultPolicy,
-    state: dwc_server::fault::FaultState,
-    requests: AtomicU64,
-}
-
-impl<S: DataSource> FaultySource<S> {
-    /// Wraps `inner`, failing requests per `policy`.
-    pub fn new(inner: S, policy: dwc_server::FaultPolicy) -> Self {
-        FaultySource {
-            inner,
-            policy,
-            state: dwc_server::fault::FaultState::new(),
-            requests: AtomicU64::new(0),
-        }
-    }
-
-    /// The wrapped source.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Number of faults injected by this wrapper so far.
-    pub fn faults_injected(&self) -> u64 {
-        self.state.injected()
-    }
-}
-
-impl<S: DataSource> DataSource for FaultySource<S> {
-    fn respond(
-        &self,
-        request: &SourceRequest<'_>,
-        visit: &mut dyn FnMut(&ExtractedPageRef<'_>),
-    ) -> Result<SourceResponse, CrawlError> {
-        let request_no = self.requests.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.state.try_inject(&self.policy, request_no) {
-            return Err(CrawlError::Transient);
-        }
-        self.inner.respond(request, visit)
-    }
-
-    fn interface(&self) -> &InterfaceSpec {
-        self.inner.interface()
-    }
-
-    fn rounds_used(&self) -> u64 {
-        self.inner.rounds_used() + self.faults_injected()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::extract::ExtractedPage;
+    use crate::fault::{FaultPlan, FaultPlanSource};
     use dwc_model::fixtures::figure1_table;
-    use dwc_server::FaultPolicy;
 
     fn server() -> WebDbServer {
         let t = figure1_table();
@@ -540,13 +440,49 @@ mod tests {
 
     #[test]
     fn fatal_and_transient_errors_are_distinguished() {
-        let s = server().with_faults(FaultPolicy::every(2));
+        let s = FaultPlanSource::new(server(), FaultPlan::every(2));
         let bad = Query::ByString { attr: "Nope".into(), value: "x".into() };
         let err = fetch(&s, &bad, 0, ProberMode::InProcess).unwrap_err();
         assert!(!err.is_transient());
         assert!(matches!(err, CrawlError::Fatal(ServerError::UnknownAttribute { .. })));
         let err = fetch(&s, &a2_query(), 0, ProberMode::InProcess).unwrap_err();
         assert!(err.is_transient(), "request 2 hits the fault schedule");
+    }
+
+    #[test]
+    fn faulty_source_injects_on_respond() {
+        // Every second request faults before it reaches the server, in
+        // every prober mode, and a faulted request never runs the visitor.
+        let s = FaultPlanSource::new(server(), FaultPlan::every(2));
+        let q = a2_query();
+        for prober in [ProberMode::InProcess, ProberMode::Wire, ProberMode::Html] {
+            assert_eq!(fetch(&s, &q, 0, prober).unwrap().records.len(), 3, "{prober:?}");
+            let mut visited = false;
+            let err =
+                s.respond(&SourceRequest::new(&q, 0, prober), &mut |_| visited = true).unwrap_err();
+            assert_eq!(err, CrawlError::Transient, "{prober:?}");
+            assert!(!visited, "{prober:?}: an injected fault must not invoke the visitor");
+        }
+        assert_eq!(s.requests_seen(), 6);
+        assert_eq!(s.tally().transient, 3);
+    }
+
+    #[test]
+    fn faulty_source_bills_injected_rounds() {
+        // Each injected fault costs the wrapper exactly one round (a stall's
+        // waiting is reported in its error, not billed) and never reaches
+        // the server.
+        let s = FaultPlanSource::new(server(), FaultPlan::every(2).stall_at(4, 5));
+        assert!(fetch(&s, &a2_query(), 0, ProberMode::InProcess).is_ok());
+        assert_eq!(fetch(&s, &a2_query(), 0, ProberMode::InProcess), Err(CrawlError::Transient));
+        assert!(fetch(&s, &a2_query(), 0, ProberMode::InProcess).is_ok());
+        assert_eq!(
+            fetch(&s, &a2_query(), 0, ProberMode::InProcess),
+            Err(CrawlError::Stalled { wasted_rounds: 5 })
+        );
+        assert!(fetch(&s, &a2_query(), 0, ProberMode::InProcess).is_ok());
+        assert_eq!(s.inner().rounds_used(), 3, "the faults never reached the server");
+        assert_eq!(DataSource::rounds_used(&s), 5, "3 served + 2 injected");
     }
 
     #[test]
@@ -653,29 +589,5 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, CrawlError::Fatal(_)));
         assert!(!visited, "errors must not invoke the visitor");
-    }
-
-    #[test]
-    fn faulty_source_injects_on_respond() {
-        let f = FaultySource::new(server(), FaultPolicy::every(2));
-        assert!(visit_owned(&f, &a2_query(), 0, ProberMode::Wire).is_ok());
-        assert_eq!(
-            visit_owned(&f, &a2_query(), 0, ProberMode::Wire).unwrap_err(),
-            CrawlError::Transient
-        );
-        let (meta, _) = visit_owned(&f, &a2_query(), 0, ProberMode::Wire).unwrap();
-        assert!(meta.served_from_cache, "retry after the fault reuses the cached render");
-        assert_eq!(f.faults_injected(), 1);
-    }
-
-    #[test]
-    fn faulty_source_bills_injected_rounds() {
-        let f = FaultySource::new(server(), FaultPolicy::every(2));
-        assert!(fetch(&f, &a2_query(), 0, ProberMode::InProcess).is_ok());
-        assert_eq!(fetch(&f, &a2_query(), 0, ProberMode::InProcess), Err(CrawlError::Transient));
-        assert!(fetch(&f, &a2_query(), 0, ProberMode::InProcess).is_ok());
-        assert_eq!(f.faults_injected(), 1);
-        assert_eq!(DataSource::rounds_used(&f), 3, "2 served + 1 injected");
-        assert_eq!(f.inner().rounds_used(), 2, "the fault never reached the server");
     }
 }

@@ -207,8 +207,9 @@ impl Executor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultPlan, FaultPlanSource};
     use dwc_model::fixtures::figure1_table;
-    use dwc_server::{FaultPolicy, InterfaceSpec, WebDbServer};
+    use dwc_server::{InterfaceSpec, WebDbServer};
 
     fn state_for(server: &WebDbServer) -> CrawlState {
         let iface = server.interface();
@@ -282,12 +283,12 @@ mod tests {
     fn total_transient_failure_is_flagged_for_requeue() {
         let t = figure1_table();
         let spec = InterfaceSpec::permissive(t.schema(), 10);
-        let server = WebDbServer::new(t, spec).with_faults(FaultPolicy::every(1));
-        let mut state = state_for(&server);
+        let source = FaultPlanSource::new(WebDbServer::new(t, spec), FaultPlan::every(1));
+        let mut state = state_for(source.inner());
         let mut ingestor = Ingestor::new(false);
         let mut bus = EventBus::new();
         let exec = Executor::from_config(&CrawlConfig::default());
-        let result = exec.run(&server, &a2_query(), 0, &mut state, &mut ingestor, &mut bus);
+        let result = exec.run(&source, &a2_query(), 0, &mut state, &mut ingestor, &mut bus);
         assert!(result.outcome.failed_transient, "zero pages + transient error");
         assert_eq!(result.outcome.pages, 0);
         assert!(bus.metrics().fault_streak() > 0, "the streak survives for supervisors");
@@ -297,13 +298,13 @@ mod tests {
     fn retries_emit_backoff_and_recover() {
         let t = figure1_table();
         let spec = InterfaceSpec::permissive(t.schema(), 10);
-        let server = WebDbServer::new(t, spec).with_faults(FaultPolicy::every(1).up_to(2));
-        let mut state = state_for(&server);
+        let source = FaultPlanSource::new(WebDbServer::new(t, spec), FaultPlan::new().burst(1, 2));
+        let mut state = state_for(source.inner());
         let mut ingestor = Ingestor::new(false);
         let mut bus = EventBus::new();
         let config = CrawlConfig::builder().max_retries(3).build().unwrap();
         let exec = Executor::from_config(&config);
-        let result = exec.run(&server, &a2_query(), 0, &mut state, &mut ingestor, &mut bus);
+        let result = exec.run(&source, &a2_query(), 0, &mut state, &mut ingestor, &mut bus);
         assert_eq!(result.outcome.new_records, 3, "retries must not lose the page");
         assert!(bus.metrics().backoff_rounds() > 0, "waits between attempts are billed");
         assert_eq!(bus.metrics().fault_streak(), 0, "an intact page resets the streak");

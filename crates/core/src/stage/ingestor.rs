@@ -8,7 +8,7 @@
 //! per-value co-occurrence count so partner selection is an index lookup,
 //! not a scan over every harvested record per query.
 
-use crate::extract::{ExtractedPageRef, ExtractedRecord, ExtractedRecordRef};
+use crate::extract::{ExtractedPageRef, ExtractedRecordRef};
 use crate::local::pair_key;
 use crate::state::{CandStatus, CrawlState};
 use dwc_model::{AttrId, U64Table, ValueId};
@@ -210,15 +210,13 @@ impl Ingestor {
         self.co.rebuild(state);
     }
 
-    /// Inserts one extracted record into `DB_local`; returns `true` when new.
-    /// Decomposes the record into candidate values (the "decompose" step):
-    /// every value is pushed to `touched`, and values seen for the first
-    /// time that can actually be queried are promoted to the frontier and
-    /// pushed to `newly_discovered`.
+    /// Owned-record reference path: interns each field through the scalar
+    /// [`CrawlState::intern`]. The zero-copy path must match it exactly.
+    #[cfg(test)]
     pub fn ingest_record(
         &mut self,
         state: &mut CrawlState,
-        rec: &ExtractedRecord,
+        rec: &crate::extract::ExtractedRecord,
         touched: &mut Vec<ValueId>,
         newly_discovered: &mut Vec<ValueId>,
     ) -> bool {
@@ -234,12 +232,16 @@ impl Ingestor {
         self.finish_record(state, rec.key, values, touched, newly_discovered)
     }
 
-    /// Zero-copy counterpart of [`Ingestor::ingest_record`]: the record's
-    /// fields still borrow the wire buffer, attribute names resolve through
-    /// the memo, and every value string is hashed exactly once via the
-    /// vocabulary's batch path ([`crate::state::CrawlState::intern_page`]).
-    /// Behavior (insertions, promotions, `touched`/`newly_discovered`) is
-    /// identical to the owned path.
+    /// Inserts one extracted record into `DB_local`; returns `true` when new.
+    /// Decomposes the record into candidate values (the "decompose" step):
+    /// every value is pushed to `touched`, and values seen for the first
+    /// time that can actually be queried are promoted to the frontier and
+    /// pushed to `newly_discovered`.
+    ///
+    /// The record's fields still borrow the wire buffer, attribute names
+    /// resolve through the memo, and every value string is hashed exactly
+    /// once via the vocabulary's batch path
+    /// ([`crate::state::CrawlState::intern_page`]).
     pub fn ingest_record_ref(
         &mut self,
         state: &mut CrawlState,
@@ -331,6 +333,7 @@ impl Ingestor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::extract::ExtractedRecord;
     use dwc_model::AttrId;
 
     fn abc_state() -> CrawlState {

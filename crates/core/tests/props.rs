@@ -3,39 +3,12 @@
 //! randomly generated databases.
 
 use dwc_core::checkpoint::Checkpoint;
-use dwc_core::extract::{page_to_wire, parse_page, parse_page_ref, ExtractedPage, ExtractedRecord};
 use dwc_core::policy::PolicyKind;
 use dwc_core::state::CandStatus;
 use dwc_core::{AbortPolicy, CrawlConfig, Crawler, LocalDb, QueryMode};
 use dwc_model::{AttrId, AttrSpec, Schema, UniversalTable, ValueId};
 use dwc_server::{InterfaceSpec, WebDbServer};
 use proptest::prelude::*;
-
-/// Deterministic companion to `zero_copy_and_owned_parsers_agree`: the exact
-/// corpus the extractor's unit tests escape by hand, one field per pairing.
-#[test]
-fn zero_copy_and_owned_parsers_agree_on_seed_corpus() {
-    let corpus =
-        ["a<b>&\"c\"", "T&C", "&amp;", "&notanentity;", "&", "clean", "", "'quoted'", "é⟩𝄞"];
-    for (i, attr) in corpus.iter().enumerate() {
-        for value in &corpus {
-            let page = ExtractedPage {
-                page_index: i,
-                total_matches: Some(corpus.len()),
-                has_more: false,
-                records: vec![ExtractedRecord {
-                    key: i as u64,
-                    fields: vec![(attr.to_string(), value.to_string())],
-                }],
-            };
-            let wire = page_to_wire(&page);
-            let owned = parse_page(&wire).unwrap();
-            let zero_copy = parse_page_ref(&wire).unwrap().to_owned_page();
-            assert_eq!(owned, zero_copy, "parsers disagree on {wire}");
-            assert_eq!(owned, page, "round-trip must be exact for {wire}");
-        }
-    }
-}
 
 fn schema() -> Schema {
     Schema::new(vec![AttrSpec::queriable("A"), AttrSpec::queriable("B"), AttrSpec::queriable("C")])
@@ -80,50 +53,6 @@ fn adversarial_string() -> impl Strategy<Value = String> {
         ".{0,3}",
     ];
     prop::collection::vec(fragment, 0..6).prop_map(|parts| parts.concat())
-}
-
-/// Strings stacked with everything the XML escaping layer must survive:
-/// bare entities and entity look-alikes (`&amp;`, `&notanentity`, a lone
-/// `&`), the markup characters themselves, quotes, and multi-byte unicode.
-/// Seeded with the `"a<b>&\"c\""` corpus the extractor's unit tests use.
-fn escape_adversarial_string() -> impl Strategy<Value = String> {
-    let fragment = prop_oneof![
-        Just("a<b>&\"c\"".to_string()),
-        Just("T&C".to_string()),
-        Just("&amp;".to_string()),
-        Just("&lt;field&gt;".to_string()),
-        Just("&notanentity;".to_string()),
-        Just("&".to_string()),
-        Just("&#38;".to_string()),
-        Just("<".to_string()),
-        Just(">".to_string()),
-        Just("\"".to_string()),
-        Just("'".to_string()),
-        Just("</field>".to_string()),
-        Just("é⟩𝄞".to_string()),
-        ".{0,4}",
-    ];
-    prop::collection::vec(fragment, 0..6).prop_map(|parts| parts.concat())
-}
-
-/// An extracted page whose attribute names and values are adversarially
-/// escaped strings.
-fn page_strategy() -> impl Strategy<Value = ExtractedPage> {
-    let field = (escape_adversarial_string(), escape_adversarial_string());
-    let record = (any::<u64>(), prop::collection::vec(field, 0..4))
-        .prop_map(|(key, fields)| ExtractedRecord { key, fields });
-    (
-        prop::collection::vec(record, 0..5),
-        0usize..100,
-        prop::option::of(0usize..10_000),
-        any::<bool>(),
-    )
-        .prop_map(|(records, page_index, total_matches, has_more)| ExtractedPage {
-            page_index,
-            total_matches,
-            has_more,
-            records,
-        })
 }
 
 /// A structurally valid checkpoint over arbitrary value strings: each
@@ -328,18 +257,6 @@ proptest! {
         prop_assert_eq!(resumed.records, baseline.records);
         prop_assert_eq!(resumed.rounds, baseline.rounds, "BFS resume is cost-exact");
         prop_assert_eq!(resumed.queries, baseline.queries);
-    }
-
-    /// The zero-copy wire parser and the legacy owned parser agree on every
-    /// page — including adversarially escaped attribute names and values —
-    /// and both round-trip the original page exactly.
-    #[test]
-    fn zero_copy_and_owned_parsers_agree(page in page_strategy()) {
-        let wire = page_to_wire(&page);
-        let owned = parse_page(&wire).unwrap();
-        let zero_copy = parse_page_ref(&wire).unwrap().to_owned_page();
-        prop_assert_eq!(&owned, &zero_copy, "parsers disagree on {}", wire);
-        prop_assert_eq!(&owned, &page, "wire round-trip must be exact");
     }
 
     /// Keyword-mode coverage is a superset of structured-mode coverage: any

@@ -27,9 +27,6 @@ pub enum ServerError {
         /// Predicates the query carried.
         got: usize,
     },
-    /// A transient failure (timeout, throttling, 5xx). The round still counts
-    /// — the crawler paid the round-trip — and a retry may succeed.
-    Transient,
 }
 
 impl fmt::Display for ServerError {
@@ -47,7 +44,6 @@ impl fmt::Display for ServerError {
             ServerError::TooFewPredicates { required, got } => {
                 write!(f, "this form requires at least {required} filled fields, got {got}")
             }
-            ServerError::Transient => write!(f, "transient server failure"),
         }
     }
 }
@@ -62,6 +58,6 @@ mod tests {
     fn display_is_informative() {
         let e = ServerError::NotQueriable { attr: "Price".into() };
         assert!(e.to_string().contains("Price"));
-        assert!(ServerError::Transient.to_string().contains("transient"));
+        assert!(ServerError::KeywordUnsupported.to_string().contains("keyword"));
     }
 }

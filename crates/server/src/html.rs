@@ -25,18 +25,13 @@ use std::fmt::Write as _;
 /// Renders a result page as a template-generated HTML document.
 pub fn page_to_html(page: &ResultPage, table: &UniversalTable) -> String {
     let mut out = String::with_capacity(128 + page.records.len() * 160);
-    page_to_html_into(page, table, &mut out);
+    page_to_html_parts(page, table.interner(), table.schema(), &mut out);
     out
 }
 
-/// Renders a result page into a caller-provided buffer (appending), escaping
-/// field names and values in place instead of through per-field temporaries.
-pub fn page_to_html_into(page: &ResultPage, table: &UniversalTable, out: &mut String) {
-    page_to_html_parts(page, table.interner(), table.schema(), out);
-}
-
-/// Renders through an interner + schema pair directly (see
-/// [`crate::wire::page_to_xml_parts`]): the paged backend renders identical
+/// Renders into a caller-provided buffer (appending) through an interner +
+/// schema pair directly (see [`crate::wire::page_to_xml_parts`]), escaping
+/// field names and values in place: the paged backend renders identical
 /// bytes through this same function.
 pub fn page_to_html_parts(
     page: &ResultPage,

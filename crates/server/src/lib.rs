@@ -13,9 +13,7 @@
 //! * enforces a **result cap** per query (Amazon's limit of 3200, and the
 //!   tighter 10/50 limits of Figure 6),
 //! * can serialize pages to an XML-ish **wire format** (Amazon Web Service
-//!   returns XML documents), and
-//! * can inject deterministic **transient faults** for crawler-hardening
-//!   tests.
+//!   returns XML documents) or a template-generated **HTML** page.
 //!
 //! The server counts every page request; the crawler never sees anything the
 //! real interface would not expose.
@@ -25,7 +23,6 @@
 
 pub mod cache;
 pub mod error;
-pub mod fault;
 pub mod html;
 pub mod index;
 pub mod interface;
@@ -34,7 +31,6 @@ pub mod wire;
 
 pub use cache::{PageCache, RenderFormat, RenderedPage};
 pub use error::ServerError;
-pub use fault::{FaultPolicy, FaultState};
 pub use index::InvertedIndex;
 pub use interface::{InterfaceSpec, Query};
 pub use server::{PageRecord, ResultPage, WebDbServer};

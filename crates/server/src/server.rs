@@ -8,7 +8,6 @@
 
 use crate::cache::{PageCache, RenderFormat, RenderedPage};
 use crate::error::ServerError;
-use crate::fault::{FaultPolicy, FaultState};
 use crate::index::InvertedIndex;
 use crate::interface::{InterfaceSpec, Query};
 use dwc_model::{RecordId, Schema, UniversalTable, ValueId, ValueInterner};
@@ -83,22 +82,20 @@ impl Backend {
 
 /// An in-memory structured web database behind a query interface.
 ///
-/// All request/fault accounting lives in atomics, so a single server can be
+/// Request accounting lives in an atomic, so a single server can be
 /// probed concurrently through `&self` — share one instance between crawler
 /// workers as `Arc<WebDbServer>` and every page request lands in the same
 /// global round counter (Definition 2.3 bills the *source*, not the worker).
 ///
 /// Records and postings come from a [`Backend`]: fully resident
 /// ([`WebDbServer::new`]) or served from paged segments
-/// ([`WebDbServer::paged`]). The interface, fault policy, billing, and page
-/// cache are backend-independent.
+/// ([`WebDbServer::paged`]). The interface, billing, and page cache are
+/// backend-independent.
 #[derive(Debug)]
 pub struct WebDbServer {
     backend: Backend,
     interface: InterfaceSpec,
-    fault: FaultPolicy,
     requests: AtomicU64,
-    faults: FaultState,
     cache: PageCache,
 }
 
@@ -107,9 +104,7 @@ impl Clone for WebDbServer {
         WebDbServer {
             backend: self.backend.clone(),
             interface: self.interface.clone(),
-            fault: self.fault.clone(),
             requests: AtomicU64::new(self.rounds_used()),
-            faults: self.faults.clone(),
             // A clone serves its own traffic: it starts with a cold cache.
             cache: self.cache.clone(),
         }
@@ -123,9 +118,7 @@ impl WebDbServer {
         WebDbServer {
             backend: Backend::Resident { table, index },
             interface,
-            fault: FaultPolicy::none(),
             requests: AtomicU64::new(0),
-            faults: FaultState::new(),
             cache: PageCache::default(),
         }
     }
@@ -137,17 +130,9 @@ impl WebDbServer {
         WebDbServer {
             backend: Backend::Paged(table),
             interface,
-            fault: FaultPolicy::none(),
             requests: AtomicU64::new(0),
-            faults: FaultState::new(),
             cache: PageCache::default(),
         }
-    }
-
-    /// Enables deterministic transient-fault injection.
-    pub fn with_faults(mut self, fault: FaultPolicy) -> Self {
-        self.fault = fault;
-        self
     }
 
     /// Sizes the rendered-page cache (`0` disables it).
@@ -216,17 +201,6 @@ impl WebDbServer {
         self.requests.load(Ordering::Relaxed)
     }
 
-    /// Number of transient faults injected so far.
-    pub fn faults_injected(&self) -> u64 {
-        self.faults.injected()
-    }
-
-    /// Resets the communication-round counter (between experiment runs).
-    pub fn reset_rounds(&self) {
-        self.requests.store(0, Ordering::Relaxed);
-        self.faults.reset();
-    }
-
     /// Number of records that match `query` (oracle helper for tests and
     /// harnesses; not part of the crawler-visible interface).
     pub fn oracle_match_count(&self, query: &Query) -> usize {
@@ -249,22 +223,22 @@ impl WebDbServer {
     /// communication round. Takes `&self`: concurrent callers each get their
     /// own request number from the shared atomic counter.
     pub fn query_page(&self, query: &Query, page_index: usize) -> Result<ResultPage, ServerError> {
-        self.bill()?;
+        self.bill();
         self.compute_page(query, page_index)
     }
 
     /// Serves one page already rendered to its wire form, reusing the page
     /// cache: overlapping requests from fleet workers sharing this source
     /// skip the resolve + paginate + render work entirely. The communication
-    /// round (and any injected fault) is billed exactly as in
-    /// [`WebDbServer::query_page`] — a cache hit is cheaper, not free.
+    /// round is billed exactly as in [`WebDbServer::query_page`] — a cache
+    /// hit is cheaper, not free.
     pub fn rendered_page(
         &self,
         query: &Query,
         page_index: usize,
         format: RenderFormat,
     ) -> Result<RenderedPage, ServerError> {
-        self.bill()?;
+        self.bill();
         if let Some(text) = self.cache.get(format, query, page_index) {
             return Ok(RenderedPage::new(text, true));
         }
@@ -282,14 +256,10 @@ impl WebDbServer {
         Ok(RenderedPage::new(text, false))
     }
 
-    /// Charges one communication round and rolls the fault dice — the
-    /// billable prefix shared by every page entry point.
-    fn bill(&self) -> Result<(), ServerError> {
-        let request_no = self.requests.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.faults.try_inject(&self.fault, request_no) {
-            return Err(ServerError::Transient);
-        }
-        Ok(())
+    /// Charges one communication round — the billable prefix shared by
+    /// every page entry point.
+    fn bill(&self) {
+        self.requests.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Resolves, paginates, and materializes one result page (no billing).
@@ -626,19 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_injection_costs_rounds_and_recovers() {
-        let t = figure1_table();
-        let spec = InterfaceSpec::permissive(t.schema(), 10);
-        let s = WebDbServer::new(t, spec).with_faults(FaultPolicy::every(2));
-        let a2 = val(&s, 0, "a2");
-        let q = Query::Value(a2);
-        assert!(s.query_page(&q, 0).is_ok()); // request 1
-        assert_eq!(s.query_page(&q, 0), Err(ServerError::Transient)); // request 2
-        assert!(s.query_page(&q, 0).is_ok()); // request 3: retry succeeds
-        assert_eq!(s.rounds_used(), 3);
-    }
-
-    #[test]
     fn conjunctive_query_intersects() {
         let s = figure1_server(10);
         // a2 ∧ c2 matches records 2 and 3 only.
@@ -736,19 +693,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_injection_applies_before_the_cache() {
-        let t = figure1_table();
-        let spec = InterfaceSpec::permissive(t.schema(), 10);
-        let s = WebDbServer::new(t, spec).with_faults(FaultPolicy::every(2));
-        let a2 = val(&s, 0, "a2");
-        let q = Query::Value(a2);
-        assert!(s.rendered_page(&q, 0, RenderFormat::Xml).is_ok()); // request 1
-                                                                    // Request 2 faults even though the page is cached.
-        assert!(matches!(s.rendered_page(&q, 0, RenderFormat::Xml), Err(ServerError::Transient)));
-        assert!(s.rendered_page(&q, 0, RenderFormat::Xml).unwrap().cache_hit());
-    }
-
-    #[test]
     fn paged_backend_serves_identical_pages() {
         use dwc_store::MemPager;
         let t = figure1_table();
@@ -798,15 +742,5 @@ mod tests {
         let st = SegmentTable::from_table(&t, Box::new(MemPager::new(128)), 4096).unwrap();
         let paged = WebDbServer::paged(Arc::new(st), spec);
         let _ = paged.table();
-    }
-
-    #[test]
-    fn reset_rounds_zeroes_counter() {
-        let s = figure1_server(10);
-        let a2 = val(&s, 0, "a2");
-        s.query_page(&Query::Value(a2), 0).unwrap();
-        assert_eq!(s.rounds_used(), 1);
-        s.reset_rounds();
-        assert_eq!(s.rounds_used(), 0);
     }
 }

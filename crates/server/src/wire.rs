@@ -88,20 +88,14 @@ pub fn unescape_xml_cow(s: &str) -> Cow<'_, str> {
 /// attribute names and value strings through the server's table.
 pub fn page_to_xml(page: &ResultPage, table: &UniversalTable) -> String {
     let mut out = String::with_capacity(64 + page.records.len() * 128);
-    page_to_xml_into(page, table, &mut out);
+    page_to_xml_parts(page, table.interner(), table.schema(), &mut out);
     out
 }
 
-/// Renders a result page into a caller-provided buffer (appending), so a
-/// server loop can reuse one allocation across pages.
-pub fn page_to_xml_into(page: &ResultPage, table: &UniversalTable, out: &mut String) {
-    page_to_xml_parts(page, table.interner(), table.schema(), out);
-}
-
-/// Renders through an interner + schema pair directly — rendering only ever
-/// needs those two, so backends without a resident `UniversalTable` (the
-/// paged segment store) share this exact code path and produce identical
-/// bytes.
+/// Renders into a caller-provided buffer (appending) through an interner +
+/// schema pair directly — rendering only ever needs those two, so backends
+/// without a resident `UniversalTable` (the paged segment store) share this
+/// exact code path and produce identical bytes.
 pub fn page_to_xml_parts(
     page: &ResultPage,
     interner: &ValueInterner,

@@ -173,8 +173,9 @@ impl SegmentTableBuilder {
 ///
 /// All read methods take `&self` (the pool serializes page faults
 /// internally) and **panic on storage I/O errors**: the segment files are
-/// infrastructure, not a simulated source — source-level faults stay in the
-/// server's `FaultPolicy`, so fault parity between backends is untouched.
+/// infrastructure, not a simulated source — source-level faults are
+/// injected above the server (dwc-core's `FaultPlanSource`), so fault parity
+/// between backends is untouched.
 #[derive(Debug)]
 pub struct SegmentTable {
     schema: Schema,

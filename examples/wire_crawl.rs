@@ -2,9 +2,10 @@
 //!
 //! The crawler here never touches in-process result structures: every page is
 //! serialized to the XML wire format (as Amazon's Web Service returned XML to
-//! the paper's crawler) and re-parsed by the Result Extractor. The server
-//! also injects a transient failure every 7th request; the crawler retries
-//! and still harvests everything.
+//! the paper's crawler) and re-parsed by the Result Extractor. A
+//! `FaultPlanSource` in front of the server fails every 7th request with a
+//! transient fault; the crawler retries, and no record behind a failed
+//! request is lost.
 //!
 //! Run with: `cargo run --release --example wire_crawl`
 
@@ -16,7 +17,8 @@ fn main() {
     println!("ACM-like source: {} records, {} distinct values", n, table.num_distinct_values());
 
     let interface = InterfaceSpec::permissive(table.schema(), 10);
-    let server = WebDbServer::new(table, interface).with_faults(FaultPolicy::every(7));
+    let server = WebDbServer::new(table, interface);
+    let source = FaultPlanSource::new(server, FaultPlan::every(7));
     let config = CrawlConfig::builder()
         .known_target_size(n)
         .prober(ProberMode::Wire)
@@ -24,7 +26,7 @@ fn main() {
         .abort(AbortPolicy::standard())
         .build()
         .expect("valid crawl config");
-    let mut crawler = Crawler::new(&server, PolicyKind::GreedyLink.build(), config);
+    let mut crawler = Crawler::new(&source, PolicyKind::GreedyLink.build(), config);
     crawler.add_seed("Conference", "Conference_0");
     crawler.add_seed("Author", "Author_3");
     let report = crawler.run();
@@ -41,5 +43,7 @@ fn main() {
         report.transient_failures, report.aborted_queries
     );
     assert!(report.transient_failures > 0, "the fault injector must have fired");
+    assert_eq!(report.transient_failures, source.tally().transient);
+    assert_eq!(report.rounds, DataSource::rounds_used(&source), "every round billed once");
     println!("\nevery record crossed the XML wire format and the Result Extractor.");
 }

@@ -13,7 +13,7 @@
 //! * [`stats`] (`dwc-stats`) — Zipf sampling, Student-t, capture–recapture,
 //!   PMI, regression;
 //! * [`server`] (`dwc-server`) — the simulated structured web-database
-//!   server (pagination, result caps, totals, XML wire format, faults);
+//!   server (pagination, result caps, totals, XML and HTML result pages);
 //! * [`datagen`] (`dwc-datagen`) — generative domain datasets standing in
 //!   for eBay / ACM / DBLP / IMDB / Amazon-DVD;
 //! * [`store`] (`dwc-store`) — out-of-core packed storage: segment files,
@@ -46,7 +46,13 @@
 pub use dwc_core as core;
 pub use dwc_datagen as datagen;
 pub use dwc_model as model;
-pub use dwc_server as server;
+/// The simulated structured web-database server (`dwc-server`).
+pub mod server {
+    pub use dwc_server::*;
+
+    #[cfg(test)]
+    mod tests;
+}
 pub use dwc_stats as stats;
 pub use dwc_store as store;
 
@@ -58,13 +64,13 @@ pub mod prelude {
         ChaosKind, ChaosPlan, ChaosState, ChaosTally, Checkpoint, CircuitBreaker, ClientPool,
         ConfigError, Connection, CrawlConfig, CrawlError, CrawlEvent, CrawlReport, CrawlTrace,
         Crawler, DataSource, DomainTable, EventSink, FaultKind, FaultPlan, FaultPlanSource,
-        FaultySource, FleetConfig, FleetController, FleetJob, FleetReport, JobHealth, JsonlSink,
-        LatencyModel, MemorySink, MetricsRegistry, ProberMode, QueryMode, RateLimit, RetryPolicy,
-        SchedulerStats, ServeConfig, ServiceReport, SourceRequest, SourceService, StateJournal,
-        StopReason, Tenant, TenantId, UsageLedger,
+        FleetConfig, FleetController, FleetJob, FleetReport, JobHealth, JsonlSink, LatencyModel,
+        MemorySink, MetricsRegistry, ProberMode, QueryMode, RateLimit, RetryPolicy, SchedulerStats,
+        ServeConfig, ServiceReport, SourceRequest, SourceService, StateJournal, StopReason, Tenant,
+        TenantId, UsageLedger,
     };
     pub use dwc_datagen::presets::Preset;
     pub use dwc_datagen::{PairedDataset, PairedSpec};
     pub use dwc_model::{AvGraph, Schema, UniversalTable};
-    pub use dwc_server::{FaultPolicy, InterfaceSpec, Query, WebDbServer};
+    pub use dwc_server::{InterfaceSpec, Query, WebDbServer};
 }

@@ -1,7 +1,8 @@
 //! Concurrency stress tests: many crawlers hammering one shared
 //! `Arc<WebDbServer>` must agree with the server's own global round counter
 //! (Definition 2.3 bills the *source*, whichever worker asks), and fault
-//! injection under concurrency must cost rounds without losing records.
+//! injection under concurrency — one `FaultPlanSource` shared by every
+//! worker — must cost rounds without losing records.
 
 use deep_web_crawler::core::fleet::{run_fleet, FleetConfig, FleetJob};
 use deep_web_crawler::prelude::*;
@@ -49,13 +50,13 @@ fn threads_sharing_a_server_sum_to_its_global_counter() {
     );
 }
 
-/// The same invariant holds when the shared server injects transient faults:
+/// The same invariant holds when the shared source injects transient faults:
 /// failed requests are billed rounds (Def. 2.3) and counted by both sides.
 #[test]
 fn concurrent_crawls_bill_failed_rounds_consistently() {
     let table = Preset::Imdb.table(0.005, 9);
     let spec = InterfaceSpec::permissive(table.schema(), 10);
-    let server = Arc::new(WebDbServer::new(table, spec).with_faults(FaultPolicy::every(5)));
+    let server = Arc::new(FaultPlanSource::new(WebDbServer::new(table, spec), FaultPlan::every(5)));
     let handles: Vec<_> = (0..4)
         .map(|i| {
             let server = Arc::clone(&server);
@@ -75,11 +76,11 @@ fn concurrent_crawls_bill_failed_rounds_consistently() {
     let results: Vec<(u64, u64)> = handles.into_iter().map(|h| h.join().unwrap()).collect();
     let summed_rounds: u64 = results.iter().map(|&(r, _)| r).sum();
     let summed_failures: u64 = results.iter().map(|&(_, f)| f).sum();
-    assert_eq!(summed_rounds, server.rounds_used());
+    assert_eq!(summed_rounds, DataSource::rounds_used(&server));
     assert!(summed_failures > 0, "the every-5 schedule must fire under concurrency");
     assert_eq!(
         summed_failures,
-        server.faults_injected(),
+        server.tally().transient,
         "every injected fault surfaced as exactly one crawler-side transient failure"
     );
 }
@@ -91,8 +92,8 @@ fn fleet_jobs_share_a_faulty_source_without_losing_records() {
     let table = Preset::Imdb.table(0.005, 21);
     let n = table.num_records();
     let spec = InterfaceSpec::permissive(table.schema(), 10);
-    let shared = Arc::new(WebDbServer::new(table, spec).with_faults(FaultPolicy::every(7)));
-    let jobs: Vec<FleetJob<Arc<WebDbServer>>> = (0..2)
+    let shared = Arc::new(FaultPlanSource::new(WebDbServer::new(table, spec), FaultPlan::every(7)));
+    let jobs: Vec<FleetJob<Arc<FaultPlanSource<WebDbServer>>>> = (0..2)
         .map(|i| FleetJob {
             source: Arc::clone(&shared),
             policy: PolicyKind::GreedyLink,
@@ -131,7 +132,7 @@ fn fleet_jobs_share_a_faulty_source_without_losing_records() {
         );
     }
     let summed: u64 = report.sources.iter().map(|r| r.rounds).sum();
-    assert_eq!(summed, shared.rounds_used(), "shared billing stays exact under faults");
+    assert_eq!(summed, DataSource::rounds_used(&shared), "shared billing stays exact under faults");
     let failures: u64 = report.sources.iter().map(|r| r.transient_failures).sum();
     assert!(failures > 0, "the every-7 fault schedule must have fired");
 }

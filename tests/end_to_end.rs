@@ -104,19 +104,16 @@ fn wire_and_in_process_probers_agree() {
 fn faults_change_cost_not_content() {
     let table = Preset::Ebay.table(0.005, 2);
     let n = table.num_records();
-    let run = |faults: Option<FaultPolicy>| {
-        let mut server =
-            WebDbServer::new(table.clone(), InterfaceSpec::permissive(table.schema(), 10));
-        if let Some(f) = faults {
-            server = server.with_faults(f);
-        }
+    let run = |plan: FaultPlan| {
+        let server = WebDbServer::new(table.clone(), InterfaceSpec::permissive(table.schema(), 10));
+        let source = FaultPlanSource::new(server, plan);
         let config = CrawlConfig::builder().known_target_size(n).max_retries(4).build().unwrap();
-        let mut crawler = Crawler::new(&server, PolicyKind::Bfs.build(), config);
+        let mut crawler = Crawler::new(&source, PolicyKind::Bfs.build(), config);
         crawler.add_seed("Categories", "Categories_0");
         crawler.run()
     };
-    let clean = run(None);
-    let faulty = run(Some(FaultPolicy::every(5)));
+    let clean = run(FaultPlan::new());
+    let faulty = run(FaultPlan::every(5));
     assert_eq!(clean.records, faulty.records, "faults must not lose records");
     assert_eq!(clean.queries, faulty.queries);
     assert!(faulty.rounds > clean.rounds, "retries cost extra rounds");

@@ -9,6 +9,9 @@
 //! checkpoint/resume path (late-attached sinks get a snapshot event), and
 //! property-tested across seeded fault plans.
 
+mod common;
+
+use common::{fault_matrix_cell, matrix_plan};
 use deep_web_crawler::core::metrics::replay_report;
 use deep_web_crawler::prelude::*;
 use proptest::prelude::*;
@@ -35,35 +38,22 @@ fn run_with_sink(plan: FaultPlan, data_seed: u64) -> (CrawlReport, Vec<CrawlEven
     (report, sink.collected())
 }
 
-/// The non-lethal cells of the fault matrix (a `panic` plan kills the
-/// crawling thread itself; its parity story is the resume-path test below).
-fn matrix_plan(kind: &str, seed: u64) -> FaultPlan {
-    match kind {
-        "burst" => FaultPlan::new().burst(8 + seed % 13, 40),
-        "stall" => FaultPlan::seeded(seed, 600, 0.08, &[FaultKind::Stall { rounds: 3 }]),
-        "corrupt" => FaultPlan::seeded(seed, 600, 0.10, &[FaultKind::Corrupt]),
-        _ => FaultPlan::seeded(
-            seed,
-            600,
-            0.08,
-            &[FaultKind::Transient, FaultKind::Stall { rounds: 2 }, FaultKind::Corrupt],
-        ),
-    }
-}
-
 /// Replay parity across the fault matrix. `DWC_FAULT_KIND`/`DWC_FAULT_SEED`
-/// narrow the sweep to one CI matrix cell; unset, every kind runs.
+/// narrow the sweep to one CI matrix cell; unset, every non-lethal kind runs.
 #[test]
 fn replay_matches_report_across_the_fault_matrix() {
-    let seed: u64 = std::env::var("DWC_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1);
-    let kinds: Vec<String> = match std::env::var("DWC_FAULT_KIND") {
-        // The panic cell exercises the resume path; here it degrades to the
-        // mixed plan so every matrix cell still checks stream parity.
-        Ok(kind) if kind != "panic" => vec![kind],
-        _ => ["burst", "stall", "corrupt", "mixed"].iter().map(|s| s.to_string()).collect(),
+    let (kind, seed) = fault_matrix_cell();
+    let kinds: Vec<String> = if std::env::var_os("DWC_FAULT_KIND").is_some() {
+        vec![kind]
+    } else {
+        ["burst", "stall", "corrupt", "mixed"].iter().map(|s| s.to_string()).collect()
     };
     for kind in kinds {
-        let (report, events) = run_with_sink(matrix_plan(&kind, seed), 17);
+        // A `panic` plan kills the crawling thread itself (its parity story
+        // is the resume-path test below); here it runs the mixed plan so
+        // every matrix cell still checks stream parity.
+        let plan = matrix_plan(if kind == "panic" { "mixed" } else { &kind }, seed);
+        let (report, events) = run_with_sink(plan, 17);
         assert!(
             matches!(events.last(), Some(CrawlEvent::CrawlFinished { .. })),
             "kind {kind}: the stream must end with the verdict"

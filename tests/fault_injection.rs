@@ -9,10 +9,13 @@
 //!   per-source breaker, is paused, probed half-open, recovers, and still
 //!   loses zero records.
 //! * **Fault matrix** — the same no-loss invariant under each fault kind,
-//!   parameterized by `DWC_FAULT_KIND` (`burst`|`stall`|`corrupt`|`panic`|
-//!   `mixed`) and `DWC_FAULT_SEED` so CI can sweep a seeds × kinds matrix
-//!   with a single test binary.
+//!   parameterized by `DWC_FAULT_KIND` (`none`|`burst`|`stall`|`corrupt`|
+//!   `panic`|`mixed`) and `DWC_FAULT_SEED` so CI can sweep a seeds × kinds
+//!   matrix with a single test binary (the plans live in `common`).
 
+mod common;
+
+use common::{fault_matrix_cell, matrix_plan};
 use deep_web_crawler::core::fleet::{run_fleet, FleetConfig, FleetJob};
 use deep_web_crawler::prelude::*;
 use std::path::{Path, PathBuf};
@@ -152,31 +155,12 @@ fn breaker_trips_on_burst_recovers_and_loses_nothing() {
     assert!(rendered.contains("trips"), "FleetReport::Display surfaces breaker activity");
 }
 
-/// Builds the fault plan the CI matrix selects via `DWC_FAULT_KIND`; the
-/// schedule is offset by `DWC_FAULT_SEED` so different matrix cells hit
-/// different crawl phases.
-fn matrix_plan(kind: &str, seed: u64) -> FaultPlan {
-    match kind {
-        "burst" => FaultPlan::new().burst(8 + seed % 13, 40),
-        "stall" => FaultPlan::seeded(seed, 600, 0.08, &[FaultKind::Stall { rounds: 3 }]),
-        "corrupt" => FaultPlan::seeded(seed, 600, 0.10, &[FaultKind::Corrupt]),
-        "panic" => FaultPlan::new().panic_at(9 + seed % 17).panic_at(60 + seed % 29),
-        _ => FaultPlan::seeded(
-            seed,
-            600,
-            0.08,
-            &[FaultKind::Transient, FaultKind::Stall { rounds: 2 }, FaultKind::Corrupt],
-        ),
-    }
-}
-
 /// The matrix invariant: whatever the fault kind and seed, a supervised,
 /// journaled fleet harvests exactly the fault-free record
 /// set, and the per-kind side effects show up in the report.
 #[test]
 fn fault_matrix_preserves_the_harvest() {
-    let kind = std::env::var("DWC_FAULT_KIND").unwrap_or_else(|_| "mixed".into());
-    let seed: u64 = std::env::var("DWC_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1);
+    let (kind, seed) = fault_matrix_cell();
     let clean = baseline(17);
     let journal = scratch_journal("matrix");
     let report = run_fleet(vec![job(17, matrix_plan(&kind, seed), Some(&journal))], fleet_config());
@@ -188,11 +172,16 @@ fn fault_matrix_preserves_the_harvest() {
     assert!(journal.exists());
     let r = &report.sources[0];
     match kind.as_str() {
+        "none" => {
+            assert_eq!((r.transient_failures, r.stall_rounds), (0, 0), "no plan, no faults");
+            assert_eq!(report.worker_restarts(), 0);
+        }
         "stall" => assert!(r.stall_rounds > 0, "stall plan must bill stall rounds"),
         "corrupt" => assert!(r.corrupt_pages > 0, "corrupt plan must surface corrupt pages"),
         "panic" => assert!(report.worker_restarts() >= 1, "panic plan must force a restart"),
         "burst" => assert!(r.transient_failures > 0),
-        _ => assert!(r.transient_failures > 0, "mixed plan must inject something"),
+        "mixed" => assert!(r.transient_failures > 0, "mixed plan must inject something"),
+        other => unreachable!("matrix_plan rejects kind {other:?}"),
     }
     assert!(
         report.total_rounds >= clean.total_rounds,

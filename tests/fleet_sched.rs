@@ -257,19 +257,22 @@ fn single_worker_fleet_is_fully_deterministic() {
 }
 
 /// Builds the fault plan the CI matrix selects via `DWC_FAULT_KIND`,
-/// scaled to a figure-1 crawl (~15 requests per attempt).
+/// scaled to a figure-1 crawl (~15 requests per attempt). The kinds are those
+/// of `tests/common`'s plan, which is scaled to the IMDB crawls.
 fn matrix_plan(kind: &str, seed: u64) -> FaultPlan {
     match kind {
+        "none" => FaultPlan::new(),
         "burst" => FaultPlan::new().burst(2 + seed % 5, 6),
         "stall" => FaultPlan::seeded(seed, 40, 0.15, &[FaultKind::Stall { rounds: 2 }]),
         "corrupt" => FaultPlan::seeded(seed, 40, 0.15, &[FaultKind::Corrupt]),
         "panic" => FaultPlan::new().panic_at(3 + seed % 7),
-        _ => FaultPlan::seeded(
+        "mixed" => FaultPlan::seeded(
             seed,
             40,
             0.12,
             &[FaultKind::Transient, FaultKind::Stall { rounds: 2 }, FaultKind::Corrupt],
         ),
+        other => panic!("unknown DWC_FAULT_KIND {other:?}"),
     }
 }
 

@@ -19,6 +19,9 @@
 //!    periodic rebase takes the journal's newest state and re-spends no
 //!    rounds.
 
+mod common;
+
+use common::{fault_matrix_cell, matrix_plan};
 use deep_web_crawler::core::JournalRecovery;
 use deep_web_crawler::model::{AttrId, AttrSpec, Schema, UniversalTable};
 use deep_web_crawler::prelude::*;
@@ -57,29 +60,6 @@ fn paged_server(table: &UniversalTable, dir: &std::path::Path) -> WebDbServer {
     WebDbServer::paged(Arc::new(seg), interface(table)).with_page_cache(budget.page_cache_entries())
 }
 
-/// The fault plan the CI matrix selects via `DWC_FAULT_KIND`, mirroring the
-/// crash and serving-parity suites so all three cover the same cells.
-fn matrix_plan(kind: &str, seed: u64) -> FaultPlan {
-    match kind {
-        "none" => FaultPlan::new(),
-        "burst" => FaultPlan::new().burst(8 + seed % 13, 40),
-        "stall" => FaultPlan::seeded(seed, 600, 0.08, &[FaultKind::Stall { rounds: 3 }]),
-        "corrupt" => FaultPlan::seeded(seed, 600, 0.10, &[FaultKind::Corrupt]),
-        _ => FaultPlan::seeded(
-            seed,
-            600,
-            0.08,
-            &[FaultKind::Transient, FaultKind::Stall { rounds: 2 }, FaultKind::Corrupt],
-        ),
-    }
-}
-
-fn fault_matrix_cell() -> (String, u64) {
-    let kind = std::env::var("DWC_FAULT_KIND").unwrap_or_else(|_| "mixed".into());
-    let seed = std::env::var("DWC_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(7);
-    (kind, seed)
-}
-
 fn crawl_config() -> CrawlConfig {
     CrawlConfig::builder()
         .max_rounds(1_500)
@@ -102,20 +82,16 @@ fn run_crawl<S: DataSource>(source: S, config: CrawlConfig) -> CrawlReport {
 #[test]
 fn paged_backend_reproduces_resident_reports_across_fault_matrix() {
     let (kind, seed) = fault_matrix_cell();
+    // A `panic` cell needs a supervisor; a single crawler runs `mixed`.
+    let plan = || matrix_plan(if kind == "panic" { "mixed" } else { &kind }, seed);
     let table = imdb_table(3);
     let dir = scratch_dir("matrix");
 
     let resident = run_crawl(
-        FaultPlanSource::new(
-            WebDbServer::new(table.clone(), interface(&table)),
-            matrix_plan(&kind, seed),
-        ),
+        FaultPlanSource::new(WebDbServer::new(table.clone(), interface(&table)), plan()),
         crawl_config(),
     );
-    let paged = run_crawl(
-        FaultPlanSource::new(paged_server(&table, &dir), matrix_plan(&kind, seed)),
-        crawl_config(),
-    );
+    let paged = run_crawl(FaultPlanSource::new(paged_server(&table, &dir), plan()), crawl_config());
 
     assert_eq!(
         paged, resident,
@@ -371,7 +347,7 @@ fn journal_recovers_at_every_kill_point() {
     let faulty_path = dir.join("faulty.journal");
     let source = FaultPlanSource::new(
         WebDbServer::new(table.clone(), interface(&table)),
-        matrix_plan(&kind, seed),
+        matrix_plan(if kind == "panic" { "mixed" } else { &kind }, seed),
     );
     let (report, states) = stepped_crawl(source, config(&faulty_path));
     assert!(report.records > 0, "fault cell {kind}/{seed} harvested nothing");

@@ -14,6 +14,9 @@
 //! (`report.rounds == source.rounds_used()`), shed and cancelled requests
 //! included.
 
+mod common;
+
+use common::{fault_matrix_cell, matrix_plan};
 use deep_web_crawler::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -22,31 +25,6 @@ fn imdb_server(seed: u64) -> Arc<WebDbServer> {
     let table = Preset::Imdb.table(0.002, seed);
     let spec = InterfaceSpec::permissive(table.schema(), 10).with_result_cap(40);
     Arc::new(WebDbServer::new(table, spec))
-}
-
-/// The fault plan the CI matrix selects via `DWC_FAULT_KIND`, mirroring the
-/// crash suite's schedule so both suites cover the same cells.
-fn matrix_plan(kind: &str, seed: u64) -> FaultPlan {
-    match kind {
-        "none" => FaultPlan::new(),
-        "burst" => FaultPlan::new().burst(8 + seed % 13, 40),
-        "stall" => FaultPlan::seeded(seed, 600, 0.08, &[FaultKind::Stall { rounds: 3 }]),
-        "corrupt" => FaultPlan::seeded(seed, 600, 0.10, &[FaultKind::Corrupt]),
-        // `panic` cells cover supervisor restarts, which need the fleet; the
-        // single-crawler parity run swaps in the mixed plan instead.
-        _ => FaultPlan::seeded(
-            seed,
-            600,
-            0.08,
-            &[FaultKind::Transient, FaultKind::Stall { rounds: 2 }, FaultKind::Corrupt],
-        ),
-    }
-}
-
-fn fault_matrix_cell() -> (String, u64) {
-    let kind = std::env::var("DWC_FAULT_KIND").unwrap_or_else(|_| "mixed".into());
-    let seed = std::env::var("DWC_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(7);
-    (kind, seed)
 }
 
 fn crawl_config() -> CrawlConfig {
@@ -73,11 +51,12 @@ fn run_crawl<S: DataSource>(source: S, config: CrawlConfig) -> CrawlReport {
 #[test]
 fn protocol_crawl_report_is_identical_to_in_process() {
     let (kind, seed) = fault_matrix_cell();
+    // A `panic` cell needs a supervisor; a single crawler runs `mixed`.
+    let plan = || matrix_plan(if kind == "panic" { "mixed" } else { &kind }, seed);
 
-    let in_process =
-        run_crawl(FaultPlanSource::new(imdb_server(3), matrix_plan(&kind, seed)), crawl_config());
+    let in_process = run_crawl(FaultPlanSource::new(imdb_server(3), plan()), crawl_config());
 
-    let faulty = Arc::new(FaultPlanSource::new(imdb_server(3), matrix_plan(&kind, seed)));
+    let faulty = Arc::new(FaultPlanSource::new(imdb_server(3), plan()));
     let service = SourceService::start(Arc::clone(&faulty), ServeConfig::default());
     let conn = service.connect();
     let protocol = run_crawl(conn.clone(), crawl_config());
