@@ -8,7 +8,7 @@
 //! dependency, strict enough to reject malformed pages, round-trip exact with
 //! the serializers, and zero-copy: fields borrow from the page buffer.
 
-use dwc_server::wire::unescape_xml_cow;
+use dwc_server::wire::{push_escaped, unescape_xml, unescape_xml_cow};
 use std::borrow::Cow;
 
 /// A record extracted from a result page: source key + field strings.
@@ -84,10 +84,10 @@ impl ExtractedPageRef<'_> {
         }
     }
 
-    /// A borrowed view over an owned page — lets a source that holds an owned
-    /// copy (the hedging client pool keeps the winning attempt's page) feed
-    /// zero-copy visitors without duplicating the strings.
-    pub fn borrowed(page: &ExtractedPage) -> ExtractedPageRef<'_> {
+    /// A borrowed view over an owned page, so tests can feed owned fixtures
+    /// to the frame encoder and to zero-copy visitors.
+    #[cfg(test)]
+    pub(crate) fn borrowed(page: &ExtractedPage) -> ExtractedPageRef<'_> {
         ExtractedPageRef {
             page_index: page.page_index,
             total_matches: page.total_matches,
@@ -214,25 +214,49 @@ fn attr_value<'a>(tag: &'a str, needle: &str) -> Option<&'a str> {
     Some(&tag[start..end])
 }
 
+/// The offset of the first `byte` in `s`. A plain byte scan: the gaps
+/// between wire tags and the names and values inside them are a few bytes
+/// long, where a `str::find` call's setup costs more than the scan.
+fn byte_at(s: &str, byte: u8) -> Option<usize> {
+    s.bytes().position(|b| b == byte)
+}
+
+/// Splits `s` at its first `stop` byte, which must be ASCII so the split
+/// lands on a char boundary. One pass both finds the end of a name or value
+/// and sees whether it holds an `&` entity: the text comes back borrowed,
+/// or unescaped into an owned string when it does.
+fn text_until(s: &str, stop: u8) -> Option<(Cow<'_, str>, &str)> {
+    let mut entity = false;
+    for (i, b) in s.bytes().enumerate() {
+        if b == stop {
+            let text = &s[..i];
+            let text = if entity { Cow::Owned(unescape_xml(text)) } else { Cow::Borrowed(text) };
+            return Some((text, &s[i..]));
+        }
+        entity |= b == b'&';
+    }
+    None
+}
+
 /// Reads a `name="value"` pair the serializer emits as ` name="` directly at
-/// the front of `s` (the only form `dwc-server::wire` produces). Returns the
-/// raw value slice and the text after the closing quote. Attribute values are
-/// escaped on the wire, so the next `"` always terminates the value.
-fn leading_quoted<'a>(s: &'a str, needle: &str) -> Option<(&'a str, &'a str)> {
-    let v = s.strip_prefix(needle)?;
-    let end = v.find('"')?;
-    Some((&v[..end], &v[end + 1..]))
+/// the front of `s` (the only form `dwc-server::wire` produces), closing the
+/// tag with `>`. Returns the value and the text after the `>`. Attribute
+/// values are escaped on the wire, so the next `"` always terminates the
+/// value.
+fn leading_attr<'a>(s: &'a str, needle: &str) -> Option<(Cow<'a, str>, &'a str)> {
+    let (value, rest) = text_until(s.strip_prefix(needle)?, b'"')?;
+    Some((value, rest[1..].strip_prefix('>')?))
 }
 
 /// Parses one result page in the wire format. Every attribute name and value
 /// is a `Cow` slice into `xml`, and the scanner is built for the hot path.
-/// Instead of repeated substring searches (whose per-call setup dominates on
-/// short elements), it rides two invariants of the wire serializer: element
-/// content is escaped, so the next `<` after an open tag is always the
-/// closing tag; and attributes are emitted in one canonical spelling
-/// (`<record key="..">`, `<field attr="..">`). The only allocations left on a
-/// well-formed page are the record/field `Vec`s and any string that actually
-/// contains an `&` entity.
+/// Instead of substring searches (whose per-call setup dominates on short
+/// elements), it scans bytes and rides two invariants of the wire
+/// serializer: element content is escaped, so the next `<` after an open tag
+/// is always the closing tag; and attributes are emitted in one canonical
+/// spelling (`<record key="..">`, `<field attr="..">`). The only allocations
+/// left on a well-formed page are the record/field `Vec`s and any string that
+/// actually contains an `&` entity.
 pub fn parse_page_ref(xml: &str) -> Result<ExtractedPageRef<'_>, ExtractError> {
     let xml = xml.trim_start();
     let rest = xml.strip_prefix("<results").ok_or(ExtractError::MissingResultsElement)?;
@@ -252,34 +276,41 @@ pub fn parse_page_ref(xml: &str) -> Result<ExtractedPageRef<'_>, ExtractError> {
     };
     let mut cur = &rest[header_end + 1..];
     let mut records = Vec::new();
-    'scan: while let Some(lt) = cur.find('<') {
+    // Records on one page share a schema, so each record's field vector is
+    // sized from the one before it, and the first record's length sizes the
+    // record vector for the rest of the page.
+    let mut width = 0;
+    'scan: while let Some(lt) = byte_at(cur, b'<') {
         let tag = &cur[lt..];
         let Some(rec_hdr) = tag.strip_prefix("<record") else {
             // Not a record ("</results>" or stray text): skip past the `<`.
             cur = &tag[1..];
             continue;
         };
-        let (key_str, mut rec_body) = leading_quoted(rec_hdr, " key=\"")
-            .and_then(|(k, after)| Some((k, after.strip_prefix('>')?)))
-            .ok_or(ExtractError::BadAttribute("key"))?;
+        let (key_str, mut rec_body) =
+            leading_attr(rec_hdr, " key=\"").ok_or(ExtractError::BadAttribute("key"))?;
         let key: u64 = key_str.parse().map_err(|_| ExtractError::BadAttribute("key"))?;
-        let mut fields = Vec::new();
+        let mut fields = Vec::with_capacity(width);
         loop {
-            let flt = rec_body.find('<').ok_or(ExtractError::MalformedElement("record"))?;
+            let flt = byte_at(rec_body, b'<').ok_or(ExtractError::MalformedElement("record"))?;
             let ftag = &rec_body[flt..];
             if let Some(f_hdr) = ftag.strip_prefix("<field") {
-                let (attr, val_area) = leading_quoted(f_hdr, " attr=\"")
-                    .and_then(|(a, after)| Some((a, after.strip_prefix('>')?)))
-                    .ok_or(ExtractError::BadAttribute("attr"))?;
+                let (attr, val_area) =
+                    leading_attr(f_hdr, " attr=\"").ok_or(ExtractError::BadAttribute("attr"))?;
                 // Content is escaped, so this `<` is the closing tag — or the
                 // element never closes and the page is damaged.
-                let val_end = val_area.find('<').ok_or(ExtractError::MalformedElement("field"))?;
-                if !val_area[val_end..].starts_with("</field>") {
-                    return Err(ExtractError::MalformedElement("field"));
-                }
-                fields.push((unescape_xml_cow(attr), unescape_xml_cow(&val_area[..val_end])));
-                rec_body = &val_area[val_end + "</field>".len()..];
+                let (value, close) =
+                    text_until(val_area, b'<').ok_or(ExtractError::MalformedElement("field"))?;
+                rec_body = close
+                    .strip_prefix("</field>")
+                    .ok_or(ExtractError::MalformedElement("field"))?;
+                fields.push((attr, value));
             } else if let Some(after) = ftag.strip_prefix("</record>") {
+                if records.is_empty() {
+                    let first = tag.len() - after.len();
+                    records.reserve(1 + after.len() / first);
+                }
+                width = fields.len();
                 records.push(ExtractedRecordRef { key, fields });
                 cur = after;
                 continue 'scan;
@@ -293,14 +324,24 @@ pub fn parse_page_ref(xml: &str) -> Result<ExtractedPageRef<'_>, ExtractError> {
 
 /// Re-encodes a borrowed [`ExtractedPageRef`] into the XML wire format — the
 /// crawler-side inverse of [`parse_page_ref`], round-trip exact for any page
-/// (names and values are XML-escaped). This is the serving-tier frame
-/// encoder: a [`crate::serve::SourceService`] worker visits the inner
-/// source's page zero-copy, encodes the view straight off the borrow, and
-/// ships the frame — no owned [`ExtractedPage`] detour.
+/// (names and values are XML-escaped), and byte for byte the document
+/// `dwc-server::wire` renders for the same page. This is the serving-tier
+/// frame encoder: a [`crate::serve::SourceService`] worker visits the inner
+/// source's page zero-copy and escapes each name and value straight off the
+/// borrow into one buffer, sized up front for the unescaped page.
 pub fn page_ref_to_wire(page: &ExtractedPageRef<'_>) -> String {
-    use dwc_server::wire::escape_xml;
     use std::fmt::Write as _;
-    let mut out = String::with_capacity(64 + page.records.len() * 128);
+    const RECORD_MARKUP: usize = "  <record key=\"18446744073709551615\">\n  </record>\n".len();
+    const FIELD_MARKUP: usize = "    <field attr=\"\"></field>\n".len();
+    let text: usize = page
+        .records
+        .iter()
+        .map(|rec| {
+            RECORD_MARKUP
+                + rec.fields.iter().map(|(a, v)| FIELD_MARKUP + a.len() + v.len()).sum::<usize>()
+        })
+        .sum();
+    let mut out = String::with_capacity(96 + text);
     let _ = write!(out, "<results page=\"{}\" more=\"{}\"", page.page_index, page.has_more);
     if let Some(total) = page.total_matches {
         let _ = write!(out, " total=\"{total}\"");
@@ -309,12 +350,11 @@ pub fn page_ref_to_wire(page: &ExtractedPageRef<'_>) -> String {
     for rec in &page.records {
         let _ = writeln!(out, "  <record key=\"{}\">", rec.key);
         for (attr, value) in &rec.fields {
-            let _ = writeln!(
-                out,
-                "    <field attr=\"{}\">{}</field>",
-                escape_xml(attr),
-                escape_xml(value)
-            );
+            out.push_str("    <field attr=\"");
+            push_escaped(&mut out, attr);
+            out.push_str("\">");
+            push_escaped(&mut out, value);
+            out.push_str("</field>\n");
         }
         out.push_str("  </record>\n");
     }
@@ -327,7 +367,7 @@ mod tests {
     use super::*;
     use dwc_model::fixtures::figure1_table;
     use dwc_model::AttrId;
-    use dwc_server::wire::{page_to_xml, unescape_xml};
+    use dwc_server::wire::page_to_xml;
     use dwc_server::{InterfaceSpec, Query, WebDbServer};
     use proptest::prelude::*;
 
@@ -740,8 +780,46 @@ mod tests {
             })
     }
 
+    /// A random table rendered by the server as one result page: up to four
+    /// attributes and six records, every name and value an adversarially
+    /// escaped string (empty ones included).
+    fn rendered_table_strategy() -> impl Strategy<Value = String> {
+        let names = prop::collection::vec(escape_adversarial_string(), 1..5);
+        let rows =
+            prop::collection::vec(prop::collection::vec(escape_adversarial_string(), 4), 0..7);
+        let header = (0usize..100, prop::option::of(0usize..10_000), any::<bool>());
+        (names, rows, header).prop_map(|(names, rows, (page_index, total_matches, has_more))| {
+            use dwc_model::{AttrSpec, Schema, UniversalTable};
+            use dwc_server::{PageRecord, ResultPage};
+            let attrs = names.iter().map(|n| AttrSpec::queriable(n)).collect();
+            let mut table = UniversalTable::new(Schema::new(attrs));
+            let records = rows
+                .iter()
+                .enumerate()
+                .map(|(key, row)| {
+                    let fields = (0..names.len()).map(|a| (AttrId(a as u16), &row[a]));
+                    let id = table.push_record_strs(fields);
+                    PageRecord { key: key as u64, values: table.record(id).values().to_vec() }
+                })
+                .collect();
+            let page = ResultPage { page_index, total_matches, records, has_more };
+            let mut xml = String::new();
+            dwc_server::wire::page_to_xml_parts(&page, table.interner(), table.schema(), &mut xml);
+            xml
+        })
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The serving tier's frame encoder reproduces the server's render
+        /// byte for byte: parsing a rendered page and re-encoding the view
+        /// gives back the same document.
+        #[test]
+        fn encoder_matches_the_renderer_byte_for_byte(xml in rendered_table_strategy()) {
+            let view = parse_page_ref(&xml).unwrap();
+            prop_assert_eq!(page_ref_to_wire(&view), xml);
+        }
 
         /// The zero-copy wire parser and the owned oracle agree on every
         /// page the frame encoder writes — including adversarially escaped

@@ -42,7 +42,10 @@
 //!   round cancelled and the retransmit re-executes; killed *after*
 //!   executing, the outcome survives in the dedup window and the retransmit
 //!   is served from it. Either way the queue and the billing counters
-//!   survive the restart, so `ServiceReport` replay parity still holds.
+//!   survive the restart, so `ServiceReport` replay parity still holds. An
+//!   inner source that panics mid-request (it bills the attempt itself) is
+//!   caught on the worker, which forgets the request id and keeps serving:
+//!   the client and any parked retransmits retransmit and re-execute.
 //! * **Conservation.** Every request that reached the service is billed
 //!   exactly once: `rounds_used = executed + shed + cancelled +
 //!   retransmitted`. Request frames the wire ate before admission bill
@@ -72,16 +75,19 @@
 //!
 //! Responses cross the boundary as frames: the worker visits the inner
 //! source's page zero-copy, re-encodes it with
-//! [`crate::extract::page_ref_to_wire`], stamps an FNV-1a checksum, and the
-//! client verifies and re-parses with [`crate::extract::parse_page_ref`] —
+//! [`crate::extract::page_ref_to_wire`], stamps a checksum that folds the
+//! frame 8 bytes at a time with its length, and the client verifies and
+//! re-parses with [`crate::extract::parse_page_ref`] —
 //! a checksum mismatch means the wire truncated the frame in transit
 //! (retransmit; the intact frame is served from the dedup window), while a
 //! parse failure on an intact frame means the source itself served garbage
-//! (surfaced as [`CrawlError::CorruptPage`], exactly as in-process).
+//! (surfaced as [`CrawlError::CorruptPage`], exactly as in-process). The
+//! frame is written once and shared: the dedup window, parked waiters and
+//! every reply hold a handle to it, never a copy.
 
 use crate::chaos::{ChaosKind, ChaosState};
 use crate::events::{BreakerPhase, CrawlEvent, EventBus, EventSink};
-use crate::extract::{page_ref_to_wire, parse_page_ref, ExtractedPage, ExtractedPageRef};
+use crate::extract::{page_ref_to_wire, parse_page_ref, ExtractedPageRef};
 use crate::fault::splitmix64;
 use crate::health::{BreakerConfig, CircuitBreaker};
 use crate::source::{
@@ -93,6 +99,7 @@ use crate::ConfigError;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use dwc_server::{InterfaceSpec, Query};
 use std::collections::{HashMap, VecDeque};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -304,34 +311,49 @@ impl ServeConfigBuilder {
     }
 }
 
-/// FNV-1a over the frame body. Lets the client tell transit corruption
-/// (checksum mismatch → retransmit) from a source that genuinely served a
-/// corrupt page (intact checksum, unparseable body →
-/// [`CrawlError::CorruptPage`]).
-fn wire_checksum(wire: &str) -> u64 {
-    wire.bytes()
-        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+/// The frame checksum: the frame length, then every 8-byte little-endian
+/// word (the last one zero-padded), each folded in by xor, an odd multiply
+/// and a rotation, and a splitmix64 finish. Every step is a bijection in the
+/// state for a fixed word and in the word for a fixed state, so two frames of
+/// one length that differ inside one word (any single bit flip) always get
+/// different checksums. Lets the client tell transit corruption (checksum
+/// mismatch → retransmit) from a source that genuinely served a corrupt page
+/// (intact checksum, unparseable body → [`CrawlError::CorruptPage`]).
+fn wire_checksum(bytes: &[u8]) -> u64 {
+    let fold = |h: u64, word: u64| (h ^ word).wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(29);
+    let mut words = bytes.chunks_exact(8);
+    let mut h = fold(0xcbf2_9ce4_8422_2325, bytes.len() as u64);
+    for word in &mut words {
+        h = fold(h, u64::from_le_bytes(word.try_into().expect("chunks_exact yields 8 bytes")));
+    }
+    let mut last = [0u8; 8];
+    last[..words.remainder().len()].copy_from_slice(words.remainder());
+    splitmix64(fold(h, u64::from_le_bytes(last)))
 }
 
-/// Truncates a wire frame at roughly two thirds of its length on a char
-/// boundary, modeling the *wire* (not the source) garbling the frame.
-fn truncate_wire(wire: &mut String) {
+/// The prefix of a wire frame that survives a cut at roughly two thirds of
+/// its length on a char boundary, modeling the *wire* (not the source)
+/// garbling the frame.
+fn truncated(wire: &str) -> &str {
     let mut cut = (wire.len() * 2) / 3;
-    while cut > 0 && !wire.is_char_boundary(cut) {
+    while !wire.is_char_boundary(cut) {
         cut -= 1;
     }
-    wire.truncate(cut);
+    &wire[..cut]
 }
 
 /// The frame a worker ships back on success: the page re-encoded into the
 /// XML wire format plus the service-level facts that ride alongside it.
+/// The encoded page is shared, not copied: the dedup window, parked waiters
+/// and every reply to one request id hold a handle to the buffer the worker
+/// wrote.
 #[derive(Clone)]
 struct ReplyFrame {
-    wire: String,
+    wire: Arc<String>,
     served_from_cache: bool,
     latency_us: u64,
-    /// FNV-1a of `wire` as it left the worker; survives chaos truncation so
-    /// the client can detect it.
+    /// [`wire_checksum`] of `wire` as it left the worker; survives chaos
+    /// truncation so the client can detect it.
     checksum: u64,
 }
 
@@ -387,7 +409,8 @@ enum DedupEntry {
     /// A worker is executing this id; later transmissions park their reply
     /// senders here and the executor fans the outcome out.
     InFlight(Vec<Sender<Reply>>),
-    /// The id's outcome, served verbatim to any later transmission.
+    /// The id's outcome, served verbatim (a handle on the same frame) to
+    /// any later transmission.
     Done(Reply),
 }
 
@@ -574,8 +597,9 @@ fn ship_reply(job: &Job, mut payload: Reply) {
     if job.chaos.corrupt_reply {
         if let Ok(frame) = &mut payload {
             // The checksum still describes the intact frame, so the client
-            // detects the truncation and retransmits.
-            truncate_wire(&mut frame.wire);
+            // detects the truncation and retransmits. The cut goes to a copy:
+            // the shared frame stays intact for the retransmit.
+            frame.wire = Arc::new(truncated(&frame.wire).to_owned());
         }
     }
     let _ = job.reply.try_send(payload);
@@ -663,19 +687,32 @@ fn worker_loop<S: DataSource>(
         };
         let mut wire = None;
         let mut records = 0u32;
-        let outcome = inner.respond(&request, &mut |page| {
-            records = page.records.len() as u32;
-            wire = Some(page_ref_to_wire(page));
-        });
+        let executed = panic::catch_unwind(AssertUnwindSafe(|| {
+            inner.respond(&request, &mut |page| {
+                records = page.records.len() as u32;
+                wire = Some(page_ref_to_wire(page));
+            })
+        }));
+        let Ok(outcome) = executed else {
+            // The inner source panicked mid-request and billed the attempt
+            // itself. Forget the id: dropping its in-flight entry closes
+            // every parked waiter's channel, and this job's channel drops
+            // with the job, so each client retransmits and re-executes. The
+            // worker restarts in place and keeps serving.
+            shared.dedup.lock().expect("dedup poisoned").entries.remove(&job.rid);
+            shared.emit(CrawlEvent::RequestCompleted { latency_us: latency(&job) });
+            shared.emit(CrawlEvent::ServiceRestarted);
+            continue;
+        };
         if !config.decode_per_record.is_zero() && records > 0 {
             thread::sleep(config.decode_per_record * records);
         }
         let latency_us = latency(&job);
         let payload: Reply = outcome.map(|resp| {
             let wire = wire.expect("respond visits exactly once on success");
-            let checksum = wire_checksum(&wire);
+            let checksum = wire_checksum(wire.as_bytes());
             ReplyFrame {
-                wire,
+                wire: Arc::new(wire),
                 served_from_cache: resp.meta.served_from_cache,
                 latency_us,
                 checksum,
@@ -915,15 +952,15 @@ impl<S: DataSource> Connection<S> {
         Ok(SubmitOutcome::Wait(reply_rx, depth))
     }
 
-    /// The full client-side protocol for one logical request: transmit,
-    /// await, verify, and retransmit with the same request id until the
-    /// wire yields an intact frame (or a definitive error).
-    fn respond_with_rid(
+    /// The client-side transmission protocol for one logical request:
+    /// transmit, await, verify, and retransmit with the same request id
+    /// until the wire yields an intact frame (or a definitive error).
+    /// Returns the intact frame and the queue depth its transmission saw.
+    fn fetch_frame(
         &self,
         request: &SourceRequest<'_>,
         rid: u64,
-        visit: &mut dyn FnMut(&ExtractedPageRef<'_>),
-    ) -> Result<SourceResponse, CrawlError> {
+    ) -> Result<(ReplyFrame, u32), CrawlError> {
         for _ in 0..RETRANSMIT_LIMIT {
             let (reply_rx, depth) = match self.submit(request, rid)? {
                 SubmitOutcome::Wait(rx, depth) => (rx, depth),
@@ -939,25 +976,38 @@ impl<S: DataSource> Connection<S> {
                 // window guarantees we never re-execute a completed request.
                 Err(_) => continue,
             };
-            if wire_checksum(&frame.wire) != frame.checksum {
+            if wire_checksum(frame.wire.as_bytes()) != frame.checksum {
                 // Truncated in transit; the intact frame is cached.
                 continue;
             }
-            let page = parse_page_ref(&frame.wire).map_err(|_| CrawlError::CorruptPage)?;
-            let meta = PageMeta {
-                page_index: page.page_index,
-                total_matches: page.total_matches,
-                has_more: page.has_more,
-                served_from_cache: frame.served_from_cache,
-            };
-            visit(&page);
-            return Ok(SourceResponse {
-                meta,
-                service: Some(ServiceMeta { queue_depth: depth, latency_us: frame.latency_us }),
-            });
+            return Ok((frame, depth));
         }
         // The wire never stabilized within the safety valve.
         Err(CrawlError::Cancelled)
+    }
+}
+
+impl ReplyFrame {
+    /// Parses an intact frame and hands the page to `visit`. A frame that
+    /// passed its checksum but does not parse means the source itself
+    /// served garbage.
+    fn deliver(
+        &self,
+        queue_depth: u32,
+        visit: &mut dyn FnMut(&ExtractedPageRef<'_>),
+    ) -> Result<SourceResponse, CrawlError> {
+        let page = parse_page_ref(&self.wire).map_err(|_| CrawlError::CorruptPage)?;
+        let meta = PageMeta {
+            page_index: page.page_index,
+            total_matches: page.total_matches,
+            has_more: page.has_more,
+            served_from_cache: self.served_from_cache,
+        };
+        visit(&page);
+        Ok(SourceResponse {
+            meta,
+            service: Some(ServiceMeta { queue_depth, latency_us: self.latency_us }),
+        })
     }
 }
 
@@ -968,7 +1018,8 @@ impl<S: DataSource> DataSource for Connection<S> {
         visit: &mut dyn FnMut(&ExtractedPageRef<'_>),
     ) -> Result<SourceResponse, CrawlError> {
         let rid = self.shared.request_ids.fetch_add(1, Ordering::Relaxed);
-        self.respond_with_rid(request, rid, visit)
+        let (frame, depth) = self.fetch_frame(request, rid)?;
+        frame.deliver(depth, visit)
     }
 
     fn interface(&self) -> &InterfaceSpec {
@@ -1036,19 +1087,15 @@ impl OwnedRequest {
 }
 
 /// Runs one transmission protocol attempt on its own thread, reporting the
-/// outcome (and the harvested page) on `tx`.
+/// intact frame it fetched (or its definitive error) on `tx`.
 fn spawn_attempt<S: DataSource + Send + Sync + 'static>(
     conn: Connection<S>,
     request: OwnedRequest,
     rid: u64,
-    tx: Sender<(Result<SourceResponse, CrawlError>, Option<ExtractedPage>)>,
+    tx: Sender<Result<(ReplyFrame, u32), CrawlError>>,
 ) {
     thread::spawn(move || {
-        let mut page = None;
-        let result = conn.respond_with_rid(&request.as_request(), rid, &mut |view| {
-            page = Some(view.to_owned_page());
-        });
-        let _ = tx.try_send((result, page));
+        let _ = tx.try_send(conn.fetch_frame(&request.as_request(), rid));
     });
 }
 
@@ -1169,9 +1216,9 @@ impl<S> ClientPool<S> {
 impl<S: DataSource + Send + Sync + 'static> ClientPool<S> {
     /// The hedged transmission protocol: run the primary attempt on its own
     /// thread, and if the reply outlives the threshold, race a same-id
-    /// duplicate on the next connection. First intact reply wins; the
-    /// loser's token is fired so a still-queued hedge cancels instead of
-    /// executing.
+    /// duplicate on the next connection. First intact frame wins and is
+    /// parsed once, here; the loser's token is fired so a still-queued
+    /// hedge cancels instead of executing.
     fn respond_hedged(
         &self,
         primary: usize,
@@ -1184,7 +1231,7 @@ impl<S: DataSource + Send + Sync + 'static> ClientPool<S> {
         let owned = OwnedRequest::capture(request);
         let (tx, rx) = bounded(2);
         spawn_attempt(conn.clone(), owned.clone(), rid, tx.clone());
-        let (result, page) = match rx.recv_timeout(threshold) {
+        let fetched = match rx.recv_timeout(threshold) {
             Ok(first) => first,
             Err(RecvTimeoutError::Timeout) => {
                 conn.shared.emit(CrawlEvent::Hedged { request: rid });
@@ -1209,10 +1256,8 @@ impl<S: DataSource + Send + Sync + 'static> ClientPool<S> {
             }
             Err(RecvTimeoutError::Disconnected) => return Err(CrawlError::Cancelled),
         };
-        let response = result?;
-        let page = page.expect("winning attempt visited exactly once");
-        visit(&ExtractedPageRef::borrowed(&page));
-        Ok(response)
+        let (frame, depth) = fetched?;
+        frame.deliver(depth, visit)
     }
 }
 
@@ -1246,6 +1291,7 @@ mod tests {
     use super::*;
     use crate::chaos::ChaosPlan;
     use crate::events::MemorySink;
+    use crate::fault::{FaultPlan, FaultPlanSource};
     use crate::metrics::replay_service_report;
     use dwc_model::fixtures::figure1_table;
     use dwc_model::AttrId;
@@ -1685,11 +1731,105 @@ mod tests {
     #[test]
     fn checksum_catches_truncation_and_roundtrips_cleanly() {
         let intact = "<page><r a=\"x\"/></page>".to_owned();
-        let sum = wire_checksum(&intact);
-        assert_eq!(sum, wire_checksum(&intact.clone()));
-        let mut cut = intact.clone();
-        truncate_wire(&mut cut);
+        let sum = wire_checksum(intact.as_bytes());
+        assert_eq!(sum, wire_checksum(intact.clone().as_bytes()));
+        let cut = truncated(&intact);
         assert!(cut.len() < intact.len());
-        assert_ne!(wire_checksum(&cut), sum);
+        assert_ne!(wire_checksum(cut.as_bytes()), sum);
+    }
+
+    /// A full first page of the Fig. 3 table (DBLP preset at scale 0.05,
+    /// page size 10), encoded by the serving tier exactly as a worker ships
+    /// it.
+    fn fig3_frame() -> String {
+        let table = dwc_datagen::presets::Preset::Dblp.table(0.05, 1);
+        let spec = InterfaceSpec::permissive(table.schema(), 10);
+        let server = WebDbServer::new(table, spec);
+        let values = server.table().record(dwc_model::RecordId(0)).values().to_vec();
+        for v in values {
+            let mut frame = None;
+            server
+                .respond(&SourceRequest::new(&Query::Value(v), 0, ProberMode::Wire), &mut |page| {
+                    if page.records.len() == 10 {
+                        frame = Some(page_ref_to_wire(page));
+                    }
+                })
+                .unwrap();
+            if let Some(frame) = frame {
+                return frame;
+            }
+        }
+        panic!("record 0 of the Fig. 3 table has a value with a full first page");
+    }
+
+    /// Every truncation and every single-bit flip of a real frame changes
+    /// its checksum, and the parser returns an error or a page on each
+    /// damaged frame that is still UTF-8, never panicking.
+    #[test]
+    fn adversarial_frames_change_the_checksum_and_never_panic_the_parser() {
+        let frame = fig3_frame();
+        let intact = frame.as_bytes();
+        let sum = wire_checksum(intact);
+        assert!(parse_page_ref(&frame).is_ok());
+        let mut parsed = 0;
+        for cut in 0..intact.len() {
+            assert_ne!(wire_checksum(&intact[..cut]), sum, "truncation at {cut}");
+            if let Ok(text) = std::str::from_utf8(&intact[..cut]) {
+                parsed += usize::from(parse_page_ref(text).is_ok());
+            }
+        }
+        let mut flipped = intact.to_vec();
+        for bit in 0..intact.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(wire_checksum(&flipped), sum, "flip of bit {bit}");
+            if let Ok(text) = std::str::from_utf8(&flipped) {
+                parsed += usize::from(parse_page_ref(text).is_ok());
+            }
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+        // Some damaged frames still parse (a flipped digit in a key), which
+        // is why the checksum, not the parser, detects transit damage.
+        assert!(parsed > 0);
+    }
+
+    /// The inner source panics on its first request. The worker survives
+    /// it, the client's retransmit re-executes and is served, and the
+    /// drained report balances. A regression hangs `respond`, so it runs on
+    /// its own thread under a timeout.
+    fn panicking_source_is_retried_and_served(workers: usize) {
+        let server = server();
+        let query = a2(&server);
+        let inner = Arc::new(FaultPlanSource::new(server, FaultPlan::new().panic_at(1)));
+        let config = ServeConfig::builder().workers(workers).build().unwrap();
+        let service = SourceService::start(Arc::clone(&inner), config);
+        let conn = service.connect();
+        let (tx, rx) = bounded(1);
+        thread::spawn(move || {
+            let mut records = 0;
+            let outcome = conn
+                .respond(&SourceRequest::new(&query, 0, ProberMode::Wire), &mut |page| {
+                    records = page.records.len();
+                })
+                .map(|_| records);
+            let _ = tx.try_send((outcome, conn.rounds_used()));
+        });
+        let (outcome, rounds) =
+            rx.recv_timeout(Duration::from_secs(10)).expect("respond returns within 10 s");
+        assert_eq!(outcome, Ok(2), "the retransmit serves the page");
+        assert_eq!(rounds, 2, "the panicked attempt and the re-execution");
+        let report = service.shutdown();
+        assert_eq!(report.restarts, 1);
+        assert_eq!(report.enqueued, 2);
+        assert_eq!(report.enqueued, report.completed + report.cancelled);
+    }
+
+    #[test]
+    fn panicking_source_is_retried_and_served_on_one_worker() {
+        panicking_source_is_retried_and_served(1);
+    }
+
+    #[test]
+    fn panicking_source_is_retried_and_served_on_two_workers() {
+        panicking_source_is_retried_and_served(2);
     }
 }

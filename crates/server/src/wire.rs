@@ -32,19 +32,25 @@ pub fn escape_xml(s: &str) -> String {
 }
 
 /// Appends `s` to `out` with the five XML-mandated escapes applied — the
-/// allocation-free building block behind [`escape_xml`] and the `*_into`
-/// renderers.
+/// allocation-free building block behind [`escape_xml`], both renderers and
+/// the serving tier's frame encoder. Clean runs between escapable bytes are
+/// copied whole; the five are ASCII, so every run ends on a char boundary.
 pub fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            _ => out.push(c),
-        }
+    let mut clean = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            b'\'' => "&apos;",
+            _ => continue,
+        };
+        out.push_str(&s[clean..i]);
+        out.push_str(entity);
+        clean = i + 1;
     }
+    out.push_str(&s[clean..]);
 }
 
 /// Unescapes the five XML entities; unknown entities are left verbatim.
@@ -134,11 +140,49 @@ mod tests {
     use crate::server::WebDbServer;
     use dwc_model::fixtures::figure1_table;
     use dwc_model::AttrId;
+    use proptest::prelude::*;
 
     #[test]
     fn escape_roundtrip() {
         let nasty = r#"Tom & Jerry <"quoted"> 'n stuff"#;
         assert_eq!(unescape_xml(&escape_xml(nasty)), nasty);
+    }
+
+    /// One `char` at a time: the escaping `push_escaped` must reproduce.
+    fn escape_by_char(s: &str) -> String {
+        let mut out = String::new();
+        for c in s.chars() {
+            match c {
+                '&' => out.push_str("&amp;"),
+                '<' => out.push_str("&lt;"),
+                '>' => out.push_str("&gt;"),
+                '"' => out.push_str("&quot;"),
+                '\'' => out.push_str("&apos;"),
+                _ => out.push(c),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn run_copy_escaping_matches_the_char_oracle_on_edge_cases() {
+        for s in ["", "&", "clean", "&&", "<>\"'&", "a&b", "é&⟩<𝄞>", "&amp;", "tail&", "&head"]
+        {
+            let mut out = String::from("prefix:");
+            push_escaped(&mut out, s);
+            assert_eq!(out, format!("prefix:{}", escape_by_char(s)), "on {s:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Run-copy escaping agrees with the per-char oracle on strings
+        /// mixing all five escapable characters with multi-byte UTF-8.
+        #[test]
+        fn run_copy_escaping_matches_the_char_oracle(s in ".{0,24}") {
+            prop_assert_eq!(escape_xml(&s), escape_by_char(&s));
+        }
     }
 
     #[test]
