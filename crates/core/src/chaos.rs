@@ -112,8 +112,8 @@ impl ChaosKind {
         }
     }
 
-    /// Parses a spec-string token. Accepts exactly what [`as_str`]
-    /// (ChaosKind::as_str) produces.
+    /// Parses a spec-string token. Accepts exactly what
+    /// [`as_str`](ChaosKind::as_str) produces.
     pub fn parse(token: &str) -> Option<ChaosKind> {
         ChaosKind::ALL.into_iter().find(|k| k.as_str() == token)
     }

@@ -42,16 +42,11 @@ pub struct RetryPolicy {
     pub backoff_base: u64,
     /// Upper bound on a single backoff wait, in simulated rounds.
     pub backoff_cap: u64,
-    /// Jitter seed. `None` keeps the exact exponential schedule; `Some(s)`
-    /// draws each wait uniformly from `[1, exponential]`, decorrelating
-    /// retry storms across clients that share a fault (see
-    /// [`backoff_jittered`](RetryPolicy::backoff_jittered)).
-    pub jitter_seed: Option<u64>,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy { max_retries: 0, backoff_base: 1, backoff_cap: 64, jitter_seed: None }
+        RetryPolicy { max_retries: 0, backoff_base: 1, backoff_cap: 64 }
     }
 }
 
@@ -61,43 +56,14 @@ impl RetryPolicy {
         RetryPolicy { max_retries: n, ..Default::default() }
     }
 
-    /// The same policy with jittered backoff seeded by `seed` (typically the
-    /// crawl seed, so the schedule is deterministic per crawl).
-    pub fn with_jitter(mut self, seed: u64) -> Self {
-        self.jitter_seed = Some(seed);
-        self
-    }
-
-    /// Simulated rounds to wait before retry attempt `attempt` (1-based),
-    /// on the exact exponential schedule (ignores jitter). Attempt 0 is the
-    /// initial request: no wait.
+    /// Simulated rounds to wait before retry attempt `attempt` (1-based).
+    /// Attempt 0 is the initial request: no wait.
     pub fn backoff_before(&self, attempt: u32) -> u64 {
         if attempt == 0 {
             return 0;
         }
         let exp = (attempt - 1).min(63);
         self.backoff_base.saturating_mul(1u64 << exp).min(self.backoff_cap)
-    }
-
-    /// Jittered backoff before retry `attempt`: with a jitter seed, a
-    /// deterministic draw from `[1, backoff_before(attempt)]` keyed on
-    /// `(seed, salt, attempt)` — same seed and salt, same schedule; clients
-    /// retrying the same fault with different salts (e.g. their elapsed
-    /// round counts) spread out instead of hammering in lockstep. Without a
-    /// seed this is exactly [`backoff_before`](RetryPolicy::backoff_before).
-    pub fn backoff_jittered(&self, attempt: u32, salt: u64) -> u64 {
-        let exact = self.backoff_before(attempt);
-        match self.jitter_seed {
-            None => exact,
-            Some(seed) if exact > 1 => {
-                let draw = crate::fault::splitmix64(
-                    seed ^ salt.rotate_left(17)
-                        ^ u64::from(attempt).wrapping_mul(crate::fault::SPLITMIX_STEP),
-                );
-                1 + draw % exact
-            }
-            Some(_) => exact,
-        }
     }
 }
 
@@ -129,9 +95,6 @@ pub enum ConfigError {
     UnknownTenant(u32),
     /// A fleet defines a tenant registry but a job names no tenant.
     MissingTenant,
-    /// A memory budget of zero megabytes cannot size a buffer pool or page
-    /// cache.
-    ZeroMemBudget,
     /// A checkpoint cadence without a journal has nowhere to write.
     CheckpointNeedsJournal,
 }
@@ -172,9 +135,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::MissingTenant => {
                 write!(f, "the fleet defines a tenant registry but a job names no tenant")
-            }
-            ConfigError::ZeroMemBudget => {
-                write!(f, "memory budget must be at least 1 MiB")
             }
             ConfigError::CheckpointNeedsJournal => {
                 write!(f, "checkpoint_every needs a journal_path to rebase")
@@ -262,11 +222,6 @@ pub struct CrawlConfig {
     /// query over a checkpoint base. `None` disables persistence (manual
     /// [`crate::Crawler::checkpoint`] still works).
     pub journal_path: Option<PathBuf>,
-    /// Shared memory budget, in MiB, for out-of-core serving: the driver
-    /// splits it between the segment-store buffer pool and the server's
-    /// rendered-page cache (see `dwc_store::MemoryBudget`). `None` keeps the
-    /// fully resident defaults.
-    pub mem_budget_mb: Option<u64>,
     /// Per-request deadline: each page request's [`crate::SourceRequest`]
     /// carries `now + deadline` as its absolute deadline. In-process sources
     /// answer instantly and ignore it; a [`crate::serve::SourceService`]
@@ -293,7 +248,6 @@ impl Default for CrawlConfig {
             checkpoint_store: None,
             checkpoint_every: None,
             journal_path: None,
-            mem_budget_mb: None,
             deadline: None,
             cancel: None,
         }
@@ -357,14 +311,6 @@ impl CrawlConfigBuilder {
         self
     }
 
-    /// Seeds jittered retry backoff (typically with the crawl seed):
-    /// deterministic per seed, decorrelated across clients. See
-    /// [`RetryPolicy::backoff_jittered`].
-    pub fn retry_jitter(mut self, seed: u64) -> Self {
-        self.config.retry.jitter_seed = Some(seed);
-        self
-    }
-
     /// Caps total-failure requeues per value (0 = never requeue).
     pub fn max_requeues(mut self, n: u32) -> Self {
         self.config.max_requeues = n;
@@ -381,12 +327,6 @@ impl CrawlConfigBuilder {
     /// Persists the crawl in a state journal at `path`.
     pub fn journal_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.config.journal_path = Some(path.into());
-        self
-    }
-
-    /// Sets the shared out-of-core memory budget in MiB. Must be positive.
-    pub fn mem_budget_mb(mut self, mb: u64) -> Self {
-        self.config.mem_budget_mb = Some(mb);
         self
     }
 
@@ -445,9 +385,6 @@ impl CrawlConfigBuilder {
         if c.deadline == Some(Duration::ZERO) {
             return Err(ConfigError::ZeroDeadline);
         }
-        if c.mem_budget_mb == Some(0) {
-            return Err(ConfigError::ZeroMemBudget);
-        }
         Ok(self.config)
     }
 }
@@ -458,49 +395,13 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let r =
-            RetryPolicy { max_retries: 10, backoff_base: 2, backoff_cap: 9, ..Default::default() };
+        let r = RetryPolicy { max_retries: 10, backoff_base: 2, backoff_cap: 9 };
         assert_eq!(r.backoff_before(0), 0);
         assert_eq!(r.backoff_before(1), 2);
         assert_eq!(r.backoff_before(2), 4);
         assert_eq!(r.backoff_before(3), 8);
         assert_eq!(r.backoff_before(4), 9, "capped");
         assert_eq!(r.backoff_before(100), 9, "huge attempts saturate, no overflow");
-    }
-
-    #[test]
-    fn jittered_backoff_is_seeded_bounded_and_decorrelated() {
-        let base =
-            RetryPolicy { max_retries: 8, backoff_base: 4, backoff_cap: 64, jitter_seed: None };
-        // No seed: jittered == exact for every attempt and salt.
-        for attempt in 0..6 {
-            assert_eq!(base.backoff_jittered(attempt, 17), base.backoff_before(attempt));
-        }
-        let jittered = base.with_jitter(42);
-        assert_eq!(jittered.backoff_jittered(0, 0), 0, "attempt 0 never waits");
-        let mut varied = false;
-        for attempt in 1..=8 {
-            let exact = jittered.backoff_before(attempt);
-            for salt in 0..16 {
-                let wait = jittered.backoff_jittered(attempt, salt);
-                assert!((1..=exact).contains(&wait), "jitter stays in [1, exponential]");
-                assert_eq!(
-                    wait,
-                    jittered.backoff_jittered(attempt, salt),
-                    "same (seed, salt, attempt) must redraw identically"
-                );
-                if wait != jittered.backoff_jittered(attempt, salt + 1) {
-                    varied = true;
-                }
-            }
-        }
-        assert!(varied, "different salts must spread the schedule");
-        // Different seeds decorrelate the schedules.
-        let other = base.with_jitter(43);
-        assert!(
-            (1..=8).any(|a| jittered.backoff_jittered(a, 5) != other.backoff_jittered(a, 5)),
-            "seeds 42 and 43 should not produce identical schedules"
-        );
     }
 
     #[test]
@@ -538,11 +439,6 @@ mod tests {
             CrawlConfig::builder().deadline(Duration::ZERO).build().unwrap_err(),
             ConfigError::ZeroDeadline
         );
-        assert_eq!(
-            CrawlConfig::builder().mem_budget_mb(0).build().unwrap_err(),
-            ConfigError::ZeroMemBudget
-        );
-        assert!(CrawlConfig::builder().mem_budget_mb(64).build().is_ok());
         assert!(CrawlConfig::builder()
             .deadline(Duration::from_millis(50))
             .cancel(CancelToken::new())

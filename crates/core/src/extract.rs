@@ -3,12 +3,13 @@
 //! The paper's crawler architecture (§2.5) has a Result Extractor that
 //! "extracts data records from the result pages and feeds them into
 //! DB_local". Amazon's Web Service returns XML (§5), which this module
-//! parses. The parsers are small hand-rolled scanners for the wire format of
-//! `dwc-server::wire` and the HTML of `dwc-server::html` — no XML
-//! dependency, strict enough to reject malformed pages, round-trip exact with
-//! the serializers, and zero-copy: fields borrow from the page buffer.
+//! parses. The parser is a small hand-rolled scanner for the wire format of
+//! `dwc-server::wire` — no XML dependency, strict enough to reject malformed
+//! pages, round-trip exact with the serializers, and zero-copy: fields
+//! borrow from the page buffer. Extracting records from template-generated
+//! HTML is the orthogonal problem the paper's §6 sets aside.
 
-use dwc_server::wire::{push_escaped, unescape_xml, unescape_xml_cow};
+use dwc_server::wire::{push_escaped, unescape_xml};
 use std::borrow::Cow;
 
 /// A record extracted from a result page: source key + field strings.
@@ -59,8 +60,8 @@ impl ExtractedRecordRef<'_> {
 }
 
 /// A parsed result page borrowing from the wire buffer — the hot-path view
-/// produced by [`parse_page_ref`] / [`parse_html_page_ref`] and handed to
-/// `DataSource::respond` visitors.
+/// produced by [`parse_page_ref`] and handed to `DataSource::respond`
+/// visitors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExtractedPageRef<'a> {
     /// Zero-based page index.
@@ -130,80 +131,6 @@ impl std::fmt::Display for ExtractError {
 }
 
 impl std::error::Error for ExtractError {}
-
-/// Parses a template-generated HTML result page (the `dwc-server::html`
-/// wrapper): a `#summary` line carrying the page index and optional total, a
-/// repeated `div.item` block per record with `span.f` fields, and an `#next`
-/// marker on non-final pages. Field names and values are `Cow` slices into
-/// `html`, allocating only where an entity needs unescaping.
-///
-/// This is the "structured data extraction from template-generated result
-/// pages" step the paper's §6 cites as the orthogonal companion problem; the
-/// wrapper here is known rather than induced, but the crawler-side pipeline
-/// (HTML → records) is exercised end-to-end.
-pub fn parse_html_page_ref(html: &str) -> Result<ExtractedPageRef<'_>, ExtractError> {
-    let summary_start =
-        html.find("<div id=\"summary\">").ok_or(ExtractError::MissingResultsElement)?
-            + "<div id=\"summary\">".len();
-    let summary_end =
-        html[summary_start..].find("</div>").ok_or(ExtractError::MissingResultsElement)?
-            + summary_start;
-    let summary = &html[summary_start..summary_end];
-    let page_index: usize = summary
-        .strip_prefix("page ")
-        .and_then(|s| s.split(' ').next())
-        .and_then(|s| s.parse().ok())
-        .ok_or(ExtractError::BadAttribute("page"))?;
-    let total_matches = match summary.find("— ") {
-        Some(pos) => Some(
-            summary[pos + "— ".len()..]
-                .split(' ')
-                .next()
-                .and_then(|s| s.parse().ok())
-                .ok_or(ExtractError::BadAttribute("total"))?,
-        ),
-        None => None,
-    };
-    let has_more = html.contains("<a id=\"next\"");
-    let mut records = Vec::new();
-    let mut rest = &html[summary_end..];
-    while let Some(item_start) = rest.find("<div class=\"item\" id=\"item-") {
-        let key_start = item_start + "<div class=\"item\" id=\"item-".len();
-        let key_end =
-            rest[key_start..].find('"').ok_or(ExtractError::MalformedElement("item"))? + key_start;
-        let key: u64 =
-            rest[key_start..key_end].parse().map_err(|_| ExtractError::BadAttribute("key"))?;
-        let body_start =
-            rest[key_end..].find('>').ok_or(ExtractError::MalformedElement("item"))? + key_end + 1;
-        let body_end =
-            rest[body_start..].find("</div>").ok_or(ExtractError::MalformedElement("item"))?
-                + body_start;
-        let mut fields = Vec::new();
-        let mut item_body = &rest[body_start..body_end];
-        while let Some(f_start) = item_body.find("<span class=\"f\" title=\"") {
-            let attr_start = f_start + "<span class=\"f\" title=\"".len();
-            let attr_end =
-                item_body[attr_start..].find('"').ok_or(ExtractError::MalformedElement("field"))?
-                    + attr_start;
-            let val_start =
-                item_body[attr_end..].find('>').ok_or(ExtractError::MalformedElement("field"))?
-                    + attr_end
-                    + 1;
-            let val_end = item_body[val_start..]
-                .find("</span>")
-                .ok_or(ExtractError::MalformedElement("field"))?
-                + val_start;
-            fields.push((
-                unescape_xml_cow(&item_body[attr_start..attr_end]),
-                unescape_xml_cow(&item_body[val_start..val_end]),
-            ));
-            item_body = &item_body[val_end + "</span>".len()..];
-        }
-        records.push(ExtractedRecordRef { key, fields });
-        rest = &rest[body_end + "</div>".len()..];
-    }
-    Ok(ExtractedPageRef { page_index, total_matches, has_more, records })
-}
 
 /// Reads the value of `name="..."` inside an element's attribute area.
 /// `needle` must be the literal `name=\"` prefix — passing it pre-built keeps
@@ -371,8 +298,8 @@ mod tests {
     use dwc_server::{InterfaceSpec, Query, WebDbServer};
     use proptest::prelude::*;
 
-    // Owned reference parsers: every string is copied out of the document.
-    // The zero-copy scanners must agree with them, page for page.
+    // Owned reference parser: every string is copied out of the document.
+    // The zero-copy scanner must agree with it, page for page.
 
     /// Owned reference parser for the XML wire format.
     fn parse_page(xml: &str) -> Result<ExtractedPage, ExtractError> {
@@ -420,76 +347,6 @@ mod tests {
             }
             records.push(ExtractedRecord { key, fields });
             body = &rec_body_all[rec_end + "</record>".len()..];
-        }
-        Ok(ExtractedPage { page_index, total_matches, has_more, records })
-    }
-
-    /// Owned reference parser for the HTML wrapper.
-    fn parse_html_page(html: &str) -> Result<ExtractedPage, ExtractError> {
-        let summary_start =
-            html.find("<div id=\"summary\">").ok_or(ExtractError::MissingResultsElement)?
-                + "<div id=\"summary\">".len();
-        let summary_end =
-            html[summary_start..].find("</div>").ok_or(ExtractError::MissingResultsElement)?
-                + summary_start;
-        let summary = &html[summary_start..summary_end];
-        let page_index: usize = summary
-            .strip_prefix("page ")
-            .and_then(|s| s.split(' ').next())
-            .and_then(|s| s.parse().ok())
-            .ok_or(ExtractError::BadAttribute("page"))?;
-        let total_matches = match summary.find("— ") {
-            Some(pos) => Some(
-                summary[pos + "— ".len()..]
-                    .split(' ')
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or(ExtractError::BadAttribute("total"))?,
-            ),
-            None => None,
-        };
-        let has_more = html.contains("<a id=\"next\"");
-        let mut records = Vec::new();
-        let mut rest = &html[summary_end..];
-        while let Some(item_start) = rest.find("<div class=\"item\" id=\"item-") {
-            let key_start = item_start + "<div class=\"item\" id=\"item-".len();
-            let key_end =
-                rest[key_start..].find('"').ok_or(ExtractError::MalformedElement("item"))?
-                    + key_start;
-            let key: u64 =
-                rest[key_start..key_end].parse().map_err(|_| ExtractError::BadAttribute("key"))?;
-            let body_start =
-                rest[key_end..].find('>').ok_or(ExtractError::MalformedElement("item"))?
-                    + key_end
-                    + 1;
-            let body_end =
-                rest[body_start..].find("</div>").ok_or(ExtractError::MalformedElement("item"))?
-                    + body_start;
-            let mut fields = Vec::new();
-            let mut item_body = &rest[body_start..body_end];
-            while let Some(f_start) = item_body.find("<span class=\"f\" title=\"") {
-                let attr_start = f_start + "<span class=\"f\" title=\"".len();
-                let attr_end = item_body[attr_start..]
-                    .find('"')
-                    .ok_or(ExtractError::MalformedElement("field"))?
-                    + attr_start;
-                let val_start = item_body[attr_end..]
-                    .find('>')
-                    .ok_or(ExtractError::MalformedElement("field"))?
-                    + attr_end
-                    + 1;
-                let val_end = item_body[val_start..]
-                    .find("</span>")
-                    .ok_or(ExtractError::MalformedElement("field"))?
-                    + val_start;
-                fields.push((
-                    unescape_xml(&item_body[attr_start..attr_end]),
-                    unescape_xml(&item_body[val_start..val_end]),
-                ));
-                item_body = &item_body[val_end + "</span>".len()..];
-            }
-            records.push(ExtractedRecord { key, fields });
-            rest = &rest[body_end + "</div>".len()..];
         }
         Ok(ExtractedPage { page_index, total_matches, has_more, records })
     }
@@ -591,56 +448,6 @@ mod tests {
     }
 
     #[test]
-    fn html_roundtrip_matches_xml_roundtrip() {
-        use dwc_server::html::page_to_html;
-        let t = figure1_table();
-        let spec = InterfaceSpec::permissive(t.schema(), 2);
-        let s = WebDbServer::new(t, spec);
-        let a2 = s.table().interner().get(AttrId(0), "a2").unwrap();
-        let page = s.query_page(&Query::Value(a2), 0).unwrap();
-        let from_xml = parse_page(&page_to_xml(&page, s.table())).unwrap();
-        let from_html = parse_html_page(&page_to_html(&page, s.table())).unwrap();
-        assert_eq!(from_xml, from_html, "both wrappers extract the same records");
-    }
-
-    #[test]
-    fn html_handles_empty_and_no_total_pages() {
-        let doc = "<html><body>\n<div id=\"summary\">page 3 of results</div>\n</body></html>\n";
-        let parsed = parse_html_page(doc).unwrap();
-        assert_eq!(parsed.page_index, 3);
-        assert_eq!(parsed.total_matches, None);
-        assert!(!parsed.has_more);
-        assert!(parsed.records.is_empty());
-    }
-
-    #[test]
-    fn html_escaped_values_roundtrip() {
-        use dwc_model::{AttrSpec, Schema, UniversalTable};
-        use dwc_server::html::page_to_html;
-        let schema = Schema::new(vec![AttrSpec::queriable("T&C")]);
-        let mut t = UniversalTable::new(schema);
-        t.push_record_strs([(AttrId(0), "a<b> & \"c\"")]);
-        let spec = InterfaceSpec::permissive(t.schema(), 10);
-        let s = WebDbServer::new(t, spec);
-        let q = Query::ByString { attr: "T&C".into(), value: "a<b> & \"c\"".into() };
-        let page = s.query_page(&q, 0).unwrap();
-        let parsed = parse_html_page(&page_to_html(&page, s.table())).unwrap();
-        assert_eq!(parsed.records[0].fields[0], ("T&C".to_string(), "a<b> & \"c\"".to_string()));
-    }
-
-    #[test]
-    fn html_malformed_documents_rejected() {
-        assert_eq!(parse_html_page("<html></html>"), Err(ExtractError::MissingResultsElement));
-        assert_eq!(
-            parse_html_page("<div id=\"summary\">nonsense</div>"),
-            Err(ExtractError::BadAttribute("page"))
-        );
-        let bad_key =
-            "<div id=\"summary\">page 0 of results</div><div class=\"item\" id=\"item-xyz\"></div>";
-        assert_eq!(parse_html_page(bad_key), Err(ExtractError::BadAttribute("key")));
-    }
-
-    #[test]
     fn field_without_close_is_rejected() {
         let doc = "<results page=\"0\" more=\"false\"><record key=\"1\"><field attr=\"A\">oops</record></results>";
         assert_eq!(parse_page(doc), Err(ExtractError::MalformedElement("field")));
@@ -685,22 +492,6 @@ mod tests {
         assert!(matches!(fields[0].1, Cow::Owned(_)), "escaped value must own");
         assert!(matches!(fields[1].0, Cow::Borrowed(_)), "clean attr borrows");
         assert!(matches!(fields[1].1, Cow::Borrowed(_)), "clean value borrows");
-    }
-
-    #[test]
-    fn zero_copy_html_parser_agrees_with_owned() {
-        use dwc_model::{AttrSpec, Schema, UniversalTable};
-        use dwc_server::html::page_to_html;
-        let schema = Schema::new(vec![AttrSpec::queriable("T&C")]);
-        let mut t = UniversalTable::new(schema);
-        t.push_record_strs([(AttrId(0), "a<b> & \"c\"")]);
-        let spec = InterfaceSpec::permissive(t.schema(), 10);
-        let s = WebDbServer::new(t, spec);
-        let q = Query::ByString { attr: "T&C".into(), value: "a<b> & \"c\"".into() };
-        let page = s.query_page(&q, 0).unwrap();
-        let html = page_to_html(&page, s.table());
-        let by_ref = parse_html_page_ref(&html).unwrap();
-        assert_eq!(by_ref.to_owned_page(), parse_html_page(&html).unwrap());
     }
 
     #[test]

@@ -27,10 +27,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// `splitmix64` — the one tiny generator behind every seeded schedule in the
-/// engine: fault plans, chaos plans ([`crate::chaos::ChaosPlan`]), service
-/// latency sampling, and retry jitter. Stateless form: mixes its input with
-/// the golden-ratio increment, so independent streams decorrelate by salting
-/// the input.
+/// engine: fault plans, chaos plans ([`crate::chaos::ChaosPlan`]) and service
+/// latency sampling; it also finishes the frame checksum. Stateless form:
+/// mixes its input with the golden-ratio increment, so independent streams
+/// decorrelate by salting the input.
 pub(crate) fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

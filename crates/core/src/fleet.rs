@@ -1533,8 +1533,7 @@ mod tests {
         let mut on_default = CrawlConfig::default();
         apply_default_retry(&mut on_default, &fleet);
         assert_eq!(on_default.retry, fleet.default_retry, "default jobs get fleet retries");
-        let explicit =
-            RetryPolicy { max_retries: 2, backoff_base: 3, backoff_cap: 10, ..Default::default() };
+        let explicit = RetryPolicy { max_retries: 2, backoff_base: 3, backoff_cap: 10 };
         let mut custom = CrawlConfig { retry: explicit, ..CrawlConfig::default() };
         apply_default_retry(&mut custom, &fleet);
         assert_eq!(custom.retry, explicit, "explicit schedules pass through");

@@ -1,6 +1,6 @@
 //! The metrics registry: the single source of truth behind every report.
 //!
-//! A [`MetricsRegistry`] is an [`EventSink`](crate::events::EventSink) that
+//! A [`MetricsRegistry`] is an [`EventSink`] that
 //! folds the [`CrawlEvent`] stream into counters, the
 //! [`CrawlTrace`], and the final verdict. Nothing else in the engine keeps
 //! tallies: [`CrawlReport`], `FleetReport::health` and the trace are all

@@ -1,5 +1,5 @@
-//! The serving tier: [`WebDbServer`] (or any [`DataSource`]) behind a real
-//! request/response boundary.
+//! The serving tier: [`WebDbServer`](dwc_server::WebDbServer) (or any
+//! [`DataSource`]) behind a real request/response boundary.
 //!
 //! The paper's cost model (Definition 2.3) bills communication rounds
 //! against a *remote* query interface, but an in-process `DataSource` call
@@ -1831,5 +1831,19 @@ mod tests {
     #[test]
     fn panicking_source_is_retried_and_served_on_two_workers() {
         panicking_source_is_retried_and_served(2);
+    }
+
+    #[test]
+    fn queued_reply_channels_close_when_the_last_worker_exits() {
+        // A job still queued when the last worker drops its receiver must
+        // not keep its reply sender alive: the client sees a disconnect
+        // instead of blocking forever on a reply nobody will send.
+        use crossbeam::channel::TryRecvError;
+        let (jobs, worker) = bounded::<Sender<Reply>>(4);
+        let (reply, client) = bounded::<Reply>(1);
+        assert!(jobs.try_send(reply).is_ok());
+        drop(worker);
+        assert!(matches!(client.try_recv(), Err(TryRecvError::Disconnected)));
+        assert!(client.recv().is_err());
     }
 }

@@ -18,17 +18,16 @@
 //! Results cross the boundary in *extracted* form
 //! ([`crate::extract::ExtractedPageRef`]: attribute names + value strings) —
 //! the crawler never touches server-side id spaces or backing tables. How a
-//! page is materialized (direct translation, XML wire round-trip, HTML
-//! wrapper extraction) is the source's business, selected per request by
-//! [`ProberMode`].
+//! page is materialized (direct translation or an XML wire round-trip) is
+//! the source's business, selected per request by [`ProberMode`].
 //!
 //! Sharing: `DataSource` takes `&self`, and blanket impls cover `&S` and
 //! `Arc<S>`. N crawler workers can therefore target one server —
 //! `Arc<WebDbServer>` clones hand every worker the same atomic round
 //! counter, so the source is billed globally no matter who asks.
 
-use crate::extract::{parse_html_page_ref, parse_page_ref, ExtractedPageRef, ExtractedRecordRef};
-use dwc_server::{InterfaceSpec, Query, RenderFormat, ServerError, WebDbServer};
+use crate::extract::{parse_page_ref, ExtractedPageRef, ExtractedRecordRef};
+use dwc_server::{InterfaceSpec, Query, ServerError, WebDbServer};
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -45,10 +44,6 @@ pub enum ProberMode {
     /// Result Extractor — the full pipeline the paper's crawler runs against
     /// Amazon's Web Service.
     Wire,
-    /// Render each page as a template-generated HTML document and run the
-    /// HTML wrapper extractor — the pipeline against ordinary result pages
-    /// ("records … may be in the form of HTML Web pages", §1).
-    Html,
 }
 
 /// Why a page request failed, from the crawler's point of view.
@@ -313,9 +308,9 @@ impl<S: DataSource + ?Sized> DataSource for Arc<S> {
 impl DataSource for WebDbServer {
     /// The allocation-free in-process path. `InProcess` builds the borrowed
     /// view straight off the server's interner (no render, no parse, no
-    /// string copies); `Wire`/`Html` go through [`WebDbServer::rendered_page`],
-    /// so overlapping fleet workers reuse cached renders and the zero-copy
-    /// parsers slice the shared buffer in place. The request's deadline and
+    /// string copies); `Wire` goes through [`WebDbServer::rendered_page`], so
+    /// overlapping fleet workers reuse cached renders and the zero-copy
+    /// parser slices the shared buffer in place. The request's deadline and
     /// token are ignored: an in-process call returns before either could
     /// matter, which keeps single-worker crawls deterministic.
     fn respond(
@@ -361,21 +356,8 @@ impl DataSource for WebDbServer {
                 Ok(SourceResponse::in_process(meta))
             }
             ProberMode::Wire => {
-                let rendered = self.rendered_page(query, page_index, RenderFormat::Xml)?;
+                let rendered = self.rendered_page(query, page_index)?;
                 let view = parse_page_ref(rendered.text()).expect("wire format must round-trip");
-                let meta = PageMeta {
-                    page_index: view.page_index,
-                    total_matches: view.total_matches,
-                    has_more: view.has_more,
-                    served_from_cache: rendered.cache_hit(),
-                };
-                visit(&view);
-                Ok(SourceResponse::in_process(meta))
-            }
-            ProberMode::Html => {
-                let rendered = self.rendered_page(query, page_index, RenderFormat::Html)?;
-                let view =
-                    parse_html_page_ref(rendered.text()).expect("HTML wrapper must round-trip");
                 let meta = PageMeta {
                     page_index: view.page_index,
                     total_matches: view.total_matches,
@@ -434,8 +416,7 @@ mod tests {
         let base = fetch(&s, &a2_query(), 0, ProberMode::InProcess).unwrap();
         assert_eq!(base.records.len(), 3);
         assert_eq!(base, fetch(&s, &a2_query(), 0, ProberMode::Wire).unwrap());
-        assert_eq!(base, fetch(&s, &a2_query(), 0, ProberMode::Html).unwrap());
-        assert_eq!(DataSource::rounds_used(&s), 3);
+        assert_eq!(DataSource::rounds_used(&s), 2);
     }
 
     #[test]
@@ -455,7 +436,7 @@ mod tests {
         // every prober mode, and a faulted request never runs the visitor.
         let s = FaultPlanSource::new(server(), FaultPlan::every(2));
         let q = a2_query();
-        for prober in [ProberMode::InProcess, ProberMode::Wire, ProberMode::Html] {
+        for prober in [ProberMode::InProcess, ProberMode::Wire] {
             assert_eq!(fetch(&s, &q, 0, prober).unwrap().records.len(), 3, "{prober:?}");
             let mut visited = false;
             let err =
@@ -463,8 +444,8 @@ mod tests {
             assert_eq!(err, CrawlError::Transient, "{prober:?}");
             assert!(!visited, "{prober:?}: an injected fault must not invoke the visitor");
         }
-        assert_eq!(s.requests_seen(), 6);
-        assert_eq!(s.tally().transient, 3);
+        assert_eq!(s.requests_seen(), 4);
+        assert_eq!(s.tally().transient, 2);
     }
 
     #[test]
@@ -531,21 +512,21 @@ mod tests {
     fn visit_page_matches_query_page_in_every_prober_mode() {
         let s = server();
         let base = fetch(&s, &a2_query(), 0, ProberMode::InProcess).unwrap();
-        for prober in [ProberMode::InProcess, ProberMode::Wire, ProberMode::Html] {
+        for prober in [ProberMode::InProcess, ProberMode::Wire] {
             let (meta, owned) = visit_owned(&s, &a2_query(), 0, prober).unwrap();
             assert_eq!(owned, base, "{prober:?}");
             assert_eq!(meta.page_index, 0);
             assert_eq!(meta.total_matches, base.total_matches);
             assert_eq!(meta.has_more, base.has_more);
         }
-        assert_eq!(DataSource::rounds_used(&s), 4, "every visit bills a round");
+        assert_eq!(DataSource::rounds_used(&s), 3, "every visit bills a round");
     }
 
     #[test]
     fn respond_reports_no_service_meta_in_process() {
         let s = server();
         let q = a2_query();
-        for prober in [ProberMode::InProcess, ProberMode::Wire, ProberMode::Html] {
+        for prober in [ProberMode::InProcess, ProberMode::Wire] {
             let resp = s.respond(&SourceRequest::new(&q, 0, prober), &mut |_| {}).unwrap();
             assert_eq!(resp.service, None, "{prober:?}: no service boundary was crossed");
         }

@@ -187,10 +187,7 @@ impl Executor {
                 return PageFetch::GaveUp { transient: true };
             }
             if !matches!(err, CrawlError::Stalled { .. }) {
-                // Salting the jitter draw with elapsed rounds decorrelates
-                // clients that hit the same fault at different points in
-                // their crawls while keeping each crawl deterministic.
-                let wait = self.retry.backoff_jittered(attempt, bus.metrics().elapsed_rounds());
+                let wait = self.retry.backoff_before(attempt);
                 if wait > 0 {
                     bus.emit(CrawlEvent::BackoffBilled { rounds: wait });
                 }

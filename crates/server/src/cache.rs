@@ -17,8 +17,8 @@
 //!   bumps the cache epoch instead of walking entries; stale entries are
 //!   simply ignored on lookup and recycled by LRU eviction.
 //!
-//! Entries are keyed by a 64-bit fingerprint of `(format, query, page_index)`
-//! so a lookup never clones the query; the stored key is compared on hit, and
+//! Entries are keyed by a 64-bit fingerprint of `(query, page_index)` so a
+//! lookup never clones the query; the stored key is compared on hit, and
 //! a fingerprint collision between different keys just degrades to a miss.
 
 use crate::interface::Query;
@@ -27,15 +27,6 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Which wire representation a cached entry holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RenderFormat {
-    /// The XML web-service format (`crate::wire`).
-    Xml,
-    /// The template-generated HTML format (`crate::html`).
-    Html,
-}
 
 /// A rendered page handed out by the server: shared text plus whether it was
 /// served from cache (surfaced to crawlers as a `PageCacheHit` event).
@@ -72,7 +63,6 @@ pub const DEFAULT_PAGE_CACHE_CAPACITY: usize = 256;
 
 #[derive(Debug)]
 struct Entry {
-    format: RenderFormat,
     query: Query,
     page_index: usize,
     text: Arc<str>,
@@ -88,7 +78,7 @@ struct Inner {
 }
 
 /// A small LRU cache of rendered result pages keyed by
-/// `(format, query, page_index)`, with epoch invalidation.
+/// `(query, page_index)`, with epoch invalidation.
 ///
 /// All methods take `&self`; the map sits behind a `Mutex` (held only for a
 /// probe or an insert — never across a render) and the epoch/hit counters are
@@ -117,22 +107,17 @@ impl PageCache {
 
     /// Looks up a rendered page, counting the hit or miss. Entries from an
     /// older epoch are treated as absent (and evicted on contact).
-    pub fn get(&self, format: RenderFormat, query: &Query, page_index: usize) -> Option<Arc<str>> {
+    pub fn get(&self, query: &Query, page_index: usize) -> Option<Arc<str>> {
         if self.capacity == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
-        let fp = fingerprint(format, query, page_index);
+        let fp = fingerprint(query, page_index);
         let epoch = self.epoch.load(Ordering::Acquire);
         let mut inner = self.inner.lock().expect("page cache poisoned");
         // Probe first, mutate after, so the map borrow is released between.
         let probe = match inner.entries.get(&fp) {
-            Some(e)
-                if e.epoch == epoch
-                    && e.format == format
-                    && e.page_index == page_index
-                    && e.query == *query =>
-            {
+            Some(e) if e.epoch == epoch && e.page_index == page_index && e.query == *query => {
                 Some(Arc::clone(&e.text))
             }
             Some(_) => {
@@ -164,11 +149,11 @@ impl PageCache {
 
     /// Stores a freshly rendered page, evicting the least-recently-used
     /// entry when full.
-    pub fn insert(&self, format: RenderFormat, query: &Query, page_index: usize, text: Arc<str>) {
+    pub fn insert(&self, query: &Query, page_index: usize, text: Arc<str>) {
         if self.capacity == 0 {
             return;
         }
-        let fp = fingerprint(format, query, page_index);
+        let fp = fingerprint(query, page_index);
         let epoch = self.epoch.load(Ordering::Acquire);
         let mut inner = self.inner.lock().expect("page cache poisoned");
         if inner.entries.len() >= self.capacity && !inner.entries.contains_key(&fp) {
@@ -184,10 +169,9 @@ impl PageCache {
         }
         inner.tick += 1;
         let tick = inner.tick;
-        inner.entries.insert(
-            fp,
-            Entry { format, query: query.clone(), page_index, text, epoch, last_used: tick },
-        );
+        inner
+            .entries
+            .insert(fp, Entry { query: query.clone(), page_index, text, epoch, last_used: tick });
     }
 
     /// Invalidates every current entry in O(1) — called when the interface
@@ -236,9 +220,8 @@ impl Default for PageCache {
     }
 }
 
-fn fingerprint(format: RenderFormat, query: &Query, page_index: usize) -> u64 {
+fn fingerprint(query: &Query, page_index: usize) -> u64 {
     let mut h = DefaultHasher::new();
-    format.hash(&mut h);
     query.hash(&mut h);
     page_index.hash(&mut h);
     h.finish()
@@ -259,51 +242,50 @@ mod tests {
     #[test]
     fn hit_after_insert_and_counters() {
         let c = PageCache::new(8);
-        assert!(c.get(RenderFormat::Xml, &q("a"), 0).is_none());
-        c.insert(RenderFormat::Xml, &q("a"), 0, text("<page a>"));
-        let got = c.get(RenderFormat::Xml, &q("a"), 0).expect("hit");
+        assert!(c.get(&q("a"), 0).is_none());
+        c.insert(&q("a"), 0, text("<page a>"));
+        let got = c.get(&q("a"), 0).expect("hit");
         assert_eq!(&*got, "<page a>");
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 1);
     }
 
     #[test]
-    fn key_distinguishes_format_query_and_page() {
+    fn key_distinguishes_query_and_page() {
         let c = PageCache::new(8);
-        c.insert(RenderFormat::Xml, &q("a"), 0, text("xml"));
-        assert!(c.get(RenderFormat::Html, &q("a"), 0).is_none());
-        assert!(c.get(RenderFormat::Xml, &q("b"), 0).is_none());
-        assert!(c.get(RenderFormat::Xml, &q("a"), 1).is_none());
-        assert!(c.get(RenderFormat::Xml, &q("a"), 0).is_some());
+        c.insert(&q("a"), 0, text("xml"));
+        assert!(c.get(&q("b"), 0).is_none());
+        assert!(c.get(&q("a"), 1).is_none());
+        assert!(c.get(&q("a"), 0).is_some());
     }
 
     #[test]
     fn epoch_bump_invalidates_everything() {
         let c = PageCache::new(8);
-        c.insert(RenderFormat::Xml, &q("a"), 0, text("old"));
+        c.insert(&q("a"), 0, text("old"));
         c.bump_epoch();
-        assert!(c.get(RenderFormat::Xml, &q("a"), 0).is_none(), "stale epoch must miss");
-        c.insert(RenderFormat::Xml, &q("a"), 0, text("new"));
-        assert_eq!(&*c.get(RenderFormat::Xml, &q("a"), 0).unwrap(), "new");
+        assert!(c.get(&q("a"), 0).is_none(), "stale epoch must miss");
+        c.insert(&q("a"), 0, text("new"));
+        assert_eq!(&*c.get(&q("a"), 0).unwrap(), "new");
     }
 
     #[test]
     fn lru_eviction_keeps_recently_used() {
         let c = PageCache::new(2);
-        c.insert(RenderFormat::Xml, &q("a"), 0, text("a"));
-        c.insert(RenderFormat::Xml, &q("b"), 0, text("b"));
-        assert!(c.get(RenderFormat::Xml, &q("a"), 0).is_some(), "touch a");
-        c.insert(RenderFormat::Xml, &q("c"), 0, text("c"));
+        c.insert(&q("a"), 0, text("a"));
+        c.insert(&q("b"), 0, text("b"));
+        assert!(c.get(&q("a"), 0).is_some(), "touch a");
+        c.insert(&q("c"), 0, text("c"));
         assert!(c.len() <= 2);
-        assert!(c.get(RenderFormat::Xml, &q("a"), 0).is_some(), "a was recently used");
-        assert!(c.get(RenderFormat::Xml, &q("b"), 0).is_none(), "b was the LRU victim");
+        assert!(c.get(&q("a"), 0).is_some(), "a was recently used");
+        assert!(c.get(&q("b"), 0).is_none(), "b was the LRU victim");
     }
 
     #[test]
     fn zero_capacity_disables_the_cache() {
         let c = PageCache::new(0);
-        c.insert(RenderFormat::Xml, &q("a"), 0, text("a"));
-        assert!(c.get(RenderFormat::Xml, &q("a"), 0).is_none());
+        c.insert(&q("a"), 0, text("a"));
+        assert!(c.get(&q("a"), 0).is_none());
         assert_eq!(c.len(), 0);
         assert_eq!(c.hits(), 0);
     }
@@ -311,7 +293,7 @@ mod tests {
     #[test]
     fn clone_starts_empty() {
         let c = PageCache::new(4);
-        c.insert(RenderFormat::Xml, &q("a"), 0, text("a"));
+        c.insert(&q("a"), 0, text("a"));
         let c2 = c.clone();
         assert_eq!(c2.len(), 0);
         assert_eq!(c2.capacity(), 4);

@@ -5,6 +5,7 @@
 //! two counting passes (no per-posting allocation).
 
 use dwc_model::{RecordId, UniversalTable, ValueId};
+use dwc_store::postings;
 
 /// Inverted index: postings per distinct attribute value.
 ///
@@ -68,107 +69,19 @@ impl InvertedIndex {
     }
 
     /// Intersection of several postings lists as sorted record ids (used for
-    /// conjunctive multi-attribute queries). An empty input intersects to
-    /// nothing.
-    ///
-    /// The two shortest lists are intersected straight out of the index (no
-    /// upfront copy of the shortest list), and each pairwise step switches to
-    /// galloping search when the longer side is ≥[`GALLOP_SKEW`]× the shorter
-    /// — the common shape for conjunctions of one rare and one popular value.
+    /// conjunctive multi-attribute queries), by the shortest-first galloping
+    /// fold of [`dwc_store::postings::intersect`]. An empty input intersects
+    /// to nothing.
     pub fn intersect(&self, values: &[ValueId]) -> Vec<RecordId> {
-        match values {
-            [] => Vec::new(),
-            [v] => self.postings(*v).iter().map(|&r| RecordId(r)).collect(),
-            [first, rest @ ..] => {
-                // Start from the shortest list for early exit.
-                let mut lists: Vec<&[u32]> = Vec::with_capacity(values.len());
-                lists.push(self.postings(*first));
-                for v in rest {
-                    lists.push(self.postings(*v));
-                }
-                lists.sort_by_key(|l| l.len());
-                let mut acc = Vec::with_capacity(lists[0].len());
-                intersect_sorted(lists[0], lists[1], &mut acc);
-                for l in &lists[2..] {
-                    if acc.is_empty() {
-                        break;
-                    }
-                    let mut out = Vec::with_capacity(acc.len().min(l.len()));
-                    intersect_sorted(&acc, l, &mut out);
-                    acc = out;
-                }
-                acc.into_iter().map(RecordId).collect()
-            }
-        }
+        let mut lists: Vec<&[u32]> = values.iter().map(|&v| self.postings(v)).collect();
+        postings::intersect(&mut lists).into_iter().map(RecordId).collect()
     }
-
-    /// Skew ratio at which pairwise intersection abandons the linear merge
-    /// for galloping search through the longer list.
-    pub const GALLOP_SKEW: usize = 8;
 
     /// Union of several postings lists as sorted record ids (used for keyword
     /// queries that hit the same string under multiple attributes).
     pub fn union(&self, values: &[ValueId]) -> Vec<RecordId> {
-        match values {
-            [] => Vec::new(),
-            [v] => self.postings(*v).iter().map(|&r| RecordId(r)).collect(),
-            _ => {
-                let mut all: Vec<u32> =
-                    values.iter().flat_map(|&v| self.postings(v).iter().copied()).collect();
-                all.sort_unstable();
-                all.dedup();
-                all.into_iter().map(RecordId).collect()
-            }
-        }
-    }
-}
-
-/// Intersects two sorted, duplicate-free `u32` slices into `out`.
-///
-/// Balanced inputs use the classic two-cursor linear merge; when one side is
-/// ≥[`InvertedIndex::GALLOP_SKEW`]× longer, each element of the short side is
-/// located in the long side by exponential (galloping) probe + binary search,
-/// turning the cost from `O(n + m)` into `O(n log m)`.
-fn intersect_sorted(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    if small.is_empty() || large.is_empty() {
-        return;
-    }
-    if large.len() >= InvertedIndex::GALLOP_SKEW * small.len() {
-        let mut lo = 0usize;
-        for &x in small {
-            let rest = &large[lo..];
-            if rest.is_empty() {
-                break;
-            }
-            // Double the probe until it lands at or past `x`, then binary
-            // search the bracketed prefix for the lower bound.
-            let mut win = 1usize;
-            while win < rest.len() && rest[win] < x {
-                win = win.saturating_mul(2);
-            }
-            let end = (win + 1).min(rest.len());
-            let idx = rest[..end].partition_point(|&y| y < x);
-            if idx < rest.len() && rest[idx] == x {
-                out.push(x);
-                lo += idx + 1;
-            } else {
-                lo += idx;
-            }
-        }
-    } else {
-        let (mut i, mut j) = (0, 0);
-        while i < small.len() && j < large.len() {
-            match small[i].cmp(&large[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    out.push(small[i]);
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
+        let lists: Vec<&[u32]> = values.iter().map(|&v| self.postings(v)).collect();
+        postings::union(&lists).into_iter().map(RecordId).collect()
     }
 }
 
@@ -244,44 +157,6 @@ mod tests {
         assert!(idx.union(&[]).is_empty());
     }
 
-    /// Naive reference intersection for differential checks.
-    fn naive_intersect(a: &[u32], b: &[u32]) -> Vec<u32> {
-        a.iter().copied().filter(|x| b.contains(x)).collect()
-    }
-
-    #[test]
-    fn galloping_agrees_with_linear_merge_on_skewed_lists() {
-        // Long side 0,3,6,…,2997 (1000 elems); short side is 5 elems — skew
-        // 200× forces the galloping path in both argument orders.
-        let large: Vec<u32> = (0..1000).map(|i| i * 3).collect();
-        let small: Vec<u32> = vec![0, 7, 600, 1500, 2997];
-        let expect = naive_intersect(&small, &large);
-        assert_eq!(expect, vec![0, 600, 1500, 2997], "fixture sanity");
-        for (a, b) in [(&small, &large), (&large, &small)] {
-            let mut out = Vec::new();
-            intersect_sorted(a, b, &mut out);
-            assert_eq!(out, expect);
-        }
-    }
-
-    #[test]
-    fn galloping_handles_boundary_positions() {
-        let large: Vec<u32> = (100..200).collect();
-        // Probes before the start, at both ends, past the end, and between.
-        for small in [
-            vec![0, 1, 2],
-            vec![100],
-            vec![199],
-            vec![200, 300],
-            vec![99, 100, 199, 200],
-            vec![150],
-        ] {
-            let mut out = Vec::new();
-            intersect_sorted(&small, &large, &mut out);
-            assert_eq!(out, naive_intersect(&small, &large), "small = {small:?}");
-        }
-    }
-
     #[test]
     fn skewed_conjunction_through_the_index() {
         use dwc_model::{AttrSpec, Schema, UniversalTable};
@@ -296,22 +171,10 @@ mod tests {
         let idx = InvertedIndex::build(&t);
         let common = t.interner().get(AttrId(0), "common").unwrap();
         let rare = t.interner().get(AttrId(1), "rare").unwrap();
-        assert!(idx.match_count(common) >= InvertedIndex::GALLOP_SKEW * idx.match_count(rare));
+        assert!(idx.match_count(common) >= postings::GALLOP_SKEW * idx.match_count(rare));
         let got = idx.intersect(&[common, rare]);
         assert_eq!(got, vec![RecordId(7), RecordId(157), RecordId(307)]);
         assert_eq!(idx.intersect(&[rare, common]), got, "order-insensitive");
-    }
-
-    #[test]
-    fn three_way_intersection_with_mixed_skew() {
-        let a: Vec<u32> = (0..2000).collect();
-        let b: Vec<u32> = (0..2000).filter(|x| x % 2 == 0).collect();
-        let c: Vec<u32> = vec![3, 4, 10, 11, 1998];
-        let mut ab = Vec::new();
-        intersect_sorted(&a, &b, &mut ab);
-        let mut abc = Vec::new();
-        intersect_sorted(&ab, &c, &mut abc);
-        assert_eq!(abc, vec![4, 10, 1998]);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   §3.4 abortion heuristics depend on this),
 //! * enforces a **result cap** per query (Amazon's limit of 3200, and the
 //!   tighter 10/50 limits of Figure 6),
-//! * can serialize pages to an XML-ish **wire format** (Amazon Web Service
-//!   returns XML documents) or a template-generated **HTML** page.
+//! * serializes pages to an XML **wire format**, as Amazon's Web Service
+//!   returns XML documents (Section 5).
 //!
 //! The server counts every page request; the crawler never sees anything the
 //! real interface would not expose.
@@ -23,13 +23,12 @@
 
 pub mod cache;
 pub mod error;
-pub mod html;
 pub mod index;
 pub mod interface;
 pub mod server;
 pub mod wire;
 
-pub use cache::{PageCache, RenderFormat, RenderedPage};
+pub use cache::{PageCache, RenderedPage};
 pub use error::ServerError;
 pub use index::InvertedIndex;
 pub use interface::{InterfaceSpec, Query};

@@ -6,7 +6,7 @@
 //! per-query result cap truncates deep pagination (Section 5.4), and the
 //! total match count is reported when the interface says so (Section 3.4).
 
-use crate::cache::{PageCache, RenderFormat, RenderedPage};
+use crate::cache::{PageCache, RenderedPage};
 use crate::error::ServerError;
 use crate::index::InvertedIndex;
 use crate::interface::{InterfaceSpec, Query};
@@ -87,9 +87,8 @@ impl Backend {
 /// workers as `Arc<WebDbServer>` and every page request lands in the same
 /// global round counter (Definition 2.3 bills the *source*, not the worker).
 ///
-/// Records and postings come from a [`Backend`]: fully resident
-/// ([`WebDbServer::new`]) or served from paged segments
-/// ([`WebDbServer::paged`]). The interface, billing, and page cache are
+/// Records and postings are either fully resident ([`WebDbServer::new`])
+/// or served from paged segments ([`WebDbServer::paged`]). The interface, billing, and page cache are
 /// backend-independent.
 #[derive(Debug)]
 pub struct WebDbServer {
@@ -227,32 +226,26 @@ impl WebDbServer {
         self.compute_page(query, page_index)
     }
 
-    /// Serves one page already rendered to its wire form, reusing the page
-    /// cache: overlapping requests from fleet workers sharing this source
-    /// skip the resolve + paginate + render work entirely. The communication
-    /// round is billed exactly as in [`WebDbServer::query_page`] — a cache
-    /// hit is cheaper, not free.
+    /// Serves one page already rendered to the XML wire format, reusing the
+    /// page cache: overlapping requests from fleet workers sharing this
+    /// source skip the resolve + paginate + render work entirely. The
+    /// communication round is billed exactly as in
+    /// [`WebDbServer::query_page`] — a cache hit is cheaper, not free.
     pub fn rendered_page(
         &self,
         query: &Query,
         page_index: usize,
-        format: RenderFormat,
     ) -> Result<RenderedPage, ServerError> {
         self.bill();
-        if let Some(text) = self.cache.get(format, query, page_index) {
+        if let Some(text) = self.cache.get(query, page_index) {
             return Ok(RenderedPage::new(text, true));
         }
         let page = self.compute_page(query, page_index)?;
         let mut buf = String::with_capacity(128 + page.records.len() * 160);
         let (interner, schema) = (self.backend.interner(), self.backend.schema());
-        match format {
-            RenderFormat::Xml => crate::wire::page_to_xml_parts(&page, interner, schema, &mut buf),
-            RenderFormat::Html => {
-                crate::html::page_to_html_parts(&page, interner, schema, &mut buf)
-            }
-        }
+        crate::wire::page_to_xml_parts(&page, interner, schema, &mut buf);
         let text: Arc<str> = Arc::from(buf);
-        self.cache.insert(format, query, page_index, Arc::clone(&text));
+        self.cache.insert(query, page_index, Arc::clone(&text));
         Ok(RenderedPage::new(text, false))
     }
 
@@ -662,9 +655,9 @@ mod tests {
         let s = figure1_server(10);
         let a2 = val(&s, 0, "a2");
         let q = Query::Value(a2);
-        let r1 = s.rendered_page(&q, 0, RenderFormat::Xml).unwrap();
+        let r1 = s.rendered_page(&q, 0).unwrap();
         assert!(!r1.cache_hit(), "first render is a miss");
-        let r2 = s.rendered_page(&q, 0, RenderFormat::Xml).unwrap();
+        let r2 = s.rendered_page(&q, 0).unwrap();
         assert!(r2.cache_hit(), "identical request is served from cache");
         assert_eq!(r1.text(), r2.text());
         assert_eq!(s.rounds_used(), 2, "a cache hit is cheaper, not free");
@@ -672,10 +665,6 @@ mod tests {
         // The cached XML matches a fresh render of the same page.
         let page = s.query_page(&q, 0).unwrap();
         assert_eq!(r1.text(), crate::wire::page_to_xml(&page, s.table()));
-        // Formats are cached independently.
-        let html = s.rendered_page(&q, 0, RenderFormat::Html).unwrap();
-        assert!(!html.cache_hit());
-        assert_ne!(html.text(), r1.text());
     }
 
     #[test]
@@ -685,9 +674,9 @@ mod tests {
         let mut s = WebDbServer::new(t, spec.clone());
         let a2 = val(&s, 0, "a2");
         let q = Query::Value(a2);
-        let before = s.rendered_page(&q, 0, RenderFormat::Xml).unwrap();
+        let before = s.rendered_page(&q, 0).unwrap();
         s.set_interface(spec.with_result_cap(1));
-        let after = s.rendered_page(&q, 0, RenderFormat::Xml).unwrap();
+        let after = s.rendered_page(&q, 0).unwrap();
         assert!(!after.cache_hit(), "epoch bump must force a re-render");
         assert_ne!(before.text(), after.text(), "the cap changed the page");
     }
@@ -721,11 +710,9 @@ mod tests {
                     paged.query_page(q, page),
                     "structured page {page} of {q:?}"
                 );
-                for format in [RenderFormat::Xml, RenderFormat::Html] {
-                    let r = resident.rendered_page(q, page, format).unwrap();
-                    let p = paged.rendered_page(q, page, format).unwrap();
-                    assert_eq!(r.text(), p.text(), "{format:?} page {page} of {q:?}");
-                }
+                let r = resident.rendered_page(q, page).unwrap();
+                let p = paged.rendered_page(q, page).unwrap();
+                assert_eq!(r.text(), p.text(), "rendered page {page} of {q:?}");
             }
         }
         // Error paths route through the same interface checks.

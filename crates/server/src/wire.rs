@@ -21,7 +21,6 @@
 
 use crate::server::ResultPage;
 use dwc_model::{Schema, UniversalTable, ValueInterner};
-use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// Escapes text content / attribute values.
@@ -32,9 +31,10 @@ pub fn escape_xml(s: &str) -> String {
 }
 
 /// Appends `s` to `out` with the five XML-mandated escapes applied — the
-/// allocation-free building block behind [`escape_xml`], both renderers and
-/// the serving tier's frame encoder. Clean runs between escapable bytes are
-/// copied whole; the five are ASCII, so every run ends on a char boundary.
+/// allocation-free building block behind [`escape_xml`], the page renderer
+/// and the serving tier's frame encoder. Clean runs between escapable bytes
+/// are copied whole; the five are ASCII, so every run ends on a char
+/// boundary.
 pub fn push_escaped(out: &mut String, s: &str) {
     let mut clean = 0;
     for (i, b) in s.bytes().enumerate() {
@@ -77,17 +77,6 @@ pub fn unescape_xml(s: &str) -> String {
     }
     out.push_str(rest);
     out
-}
-
-/// Borrowing flavor of [`unescape_xml`]: returns the input slice untouched
-/// when it contains no `&` (the overwhelmingly common case on the wire hot
-/// path) and only allocates when an entity actually needs resolving.
-pub fn unescape_xml_cow(s: &str) -> Cow<'_, str> {
-    if s.contains('&') {
-        Cow::Owned(unescape_xml(s))
-    } else {
-        Cow::Borrowed(s)
-    }
 }
 
 /// Serializes a result page to the XML wire format, resolving value ids to
@@ -189,17 +178,6 @@ mod tests {
     fn unescape_leaves_unknown_entities() {
         assert_eq!(unescape_xml("a&nbsp;b"), "a&nbsp;b");
         assert_eq!(unescape_xml("trailing &"), "trailing &");
-    }
-
-    #[test]
-    fn cow_unescape_borrows_when_no_entity_is_present() {
-        assert!(matches!(unescape_xml_cow("Hanks, Tom"), Cow::Borrowed(_)));
-        assert!(matches!(unescape_xml_cow(""), Cow::Borrowed(_)));
-        let owned = unescape_xml_cow("a&amp;b");
-        assert!(matches!(owned, Cow::Owned(_)));
-        assert_eq!(owned, "a&b");
-        // Unknown entities still force the owned path but stay verbatim.
-        assert_eq!(unescape_xml_cow("a&nbsp;b"), "a&nbsp;b");
     }
 
     #[test]

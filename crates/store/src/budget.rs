@@ -21,8 +21,8 @@ pub struct MemoryBudget {
 }
 
 impl MemoryBudget {
-    /// A budget of `mb` mebibytes. Zero is rejected upstream (CLI parse and
-    /// `ConfigError::ZeroMemBudget`); here it simply yields empty caches.
+    /// A budget of `mb` mebibytes. The CLI rejects zero when it parses
+    /// `--mem-budget`; here zero simply yields empty caches.
     pub fn from_mb(mb: u64) -> Self {
         MemoryBudget { bytes: mb.saturating_mul(1 << 20) }
     }

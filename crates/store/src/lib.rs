@@ -12,6 +12,8 @@
 //! * [`list`] — packed, offset-indexed `u32` list columns ([`ListStore`]):
 //!   one fixed-width end-offset segment plus one packed little-endian data
 //!   segment, the layout shared by record values and postings;
+//! * [`postings`] — the one intersection and union over sorted postings
+//!   lists, shared by the resident and the paged server backends;
 //! * [`table`] — [`SegmentTable`], a paged universal table + inverted index
 //!   serving the exact record/postings shapes the resident server produces,
 //!   so a storage-backend swap is invisible above the `DataSource` seam;
@@ -33,6 +35,7 @@ pub mod list;
 pub mod log;
 pub mod pager;
 pub mod pool;
+pub mod postings;
 pub mod table;
 
 pub use budget::MemoryBudget;

@@ -20,6 +20,7 @@
 use crate::list::{ListStore, ListWriter};
 use crate::pager::{FilePager, SegmentPager, DEFAULT_PAGE_SIZE};
 use crate::pool::{BufferPool, PoolStats};
+use crate::postings;
 use dwc_model::{AttrId, AttrSpec, Schema, ValueId, ValueInterner};
 use std::io;
 use std::path::Path;
@@ -276,61 +277,14 @@ impl SegmentTable {
 
     /// Sorted union of several postings lists (keyword queries).
     pub fn union(&self, values: &[ValueId]) -> Vec<u32> {
-        match values {
-            [] => Vec::new(),
-            [v] => self.postings_vec(*v),
-            _ => {
-                let mut all: Vec<u32> = values.iter().flat_map(|&v| self.postings_vec(v)).collect();
-                all.sort_unstable();
-                all.dedup();
-                all
-            }
-        }
+        let lists: Vec<Vec<u32>> = values.iter().map(|&v| self.postings_vec(v)).collect();
+        postings::union(&lists.iter().map(Vec::as_slice).collect::<Vec<_>>())
     }
 
     /// Sorted intersection of several postings lists (conjunctive queries).
     pub fn intersect(&self, values: &[ValueId]) -> Vec<u32> {
-        match values {
-            [] => Vec::new(),
-            [v] => self.postings_vec(*v),
-            _ => {
-                let mut lists: Vec<Vec<u32>> =
-                    values.iter().map(|&v| self.postings_vec(v)).collect();
-                lists.sort_by_key(Vec::len);
-                let mut acc = lists[0].clone();
-                for l in &lists[1..] {
-                    if acc.is_empty() {
-                        break;
-                    }
-                    let mut out = Vec::with_capacity(acc.len().min(l.len()));
-                    let (mut i, mut j) = (0, 0);
-                    while i < acc.len() && j < l.len() {
-                        match acc[i].cmp(&l[j]) {
-                            std::cmp::Ordering::Less => i += 1,
-                            std::cmp::Ordering::Greater => j += 1,
-                            std::cmp::Ordering::Equal => {
-                                out.push(acc[i]);
-                                i += 1;
-                                j += 1;
-                            }
-                        }
-                    }
-                    acc = out;
-                }
-                acc
-            }
-        }
-    }
-
-    /// Streams every record through `f(rid, values)` in id order (analysis
-    /// and test helper).
-    pub fn scan_records<F>(&self, mut f: F)
-    where
-        F: FnMut(u32, &[u32]),
-    {
-        self.records
-            .scan(self.pager.as_ref(), &self.pool, |rid, vals| f(rid as u32, vals))
-            .expect("segment store I/O");
+        let lists: Vec<Vec<u32>> = values.iter().map(|&v| self.postings_vec(v)).collect();
+        postings::intersect(&mut lists.iter().map(Vec::as_slice).collect::<Vec<_>>())
     }
 
     /// Persists the table's metadata (schema, interner spill, column

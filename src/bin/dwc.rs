@@ -47,6 +47,7 @@ use deep_web_crawler::datagen::loader::{load_csv, to_csv};
 use deep_web_crawler::model::components::Connectivity;
 use deep_web_crawler::model::degree::DegreeDistribution;
 use deep_web_crawler::prelude::*;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -210,6 +211,44 @@ fn parse_mem_budget(flags: &[(String, String)]) -> Result<Option<u64>, String> {
     }
 }
 
+/// The out-of-core serving `--mem-budget MB` asks for: the budget, and a
+/// directory made fresh for this run's segment files. Dropping it removes
+/// the directory with the segments in it, so bind it before the server it
+/// backs: the server, and its open segment files, go first.
+struct Paging {
+    mb: u64,
+    dir: PathBuf,
+}
+
+impl Paging {
+    /// Creates `dwc-segments-<pid>-<n>` in the temp directory.
+    fn create(mb: u64) -> Result<Self, String> {
+        Ok(Paging { mb, dir: fresh_segment_dir(&std::env::temp_dir())? })
+    }
+}
+
+impl Drop for Paging {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// Creates `dwc-segments-<pid>-<n>` under `parent` for the first `n` whose
+/// directory does not exist yet, so segments that an earlier process with
+/// the same pid left behind are never reopened.
+fn fresh_segment_dir(parent: &Path) -> Result<PathBuf, String> {
+    let pid = std::process::id();
+    for n in 0..1000 {
+        let dir = parent.join(format!("dwc-segments-{pid}-{n}"));
+        match std::fs::create_dir(&dir) {
+            Ok(()) => return Ok(dir),
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {}
+            Err(e) => return Err(format!("creating {}: {e}", dir.display())),
+        }
+    }
+    Err(format!("no free dwc-segments-{pid}-N directory in {}", parent.display()))
+}
+
 /// Builds the serving backend. Without `--mem-budget` the table is served
 /// resident, exactly as before. With it, the table is packed into
 /// file-backed segments and served out-of-core, the buffer pool and the
@@ -219,14 +258,12 @@ fn parse_mem_budget(flags: &[(String, String)]) -> Result<Option<u64>, String> {
 fn build_server(
     table: UniversalTableHandle,
     interface: InterfaceSpec,
-    mem_budget: Option<u64>,
+    paging: Option<&Paging>,
 ) -> Result<WebDbServer, String> {
     use deep_web_crawler::store::{FilePager, MemoryBudget, SegmentTable, DEFAULT_PAGE_SIZE};
-    let Some(mb) = mem_budget else { return Ok(WebDbServer::new(table, interface)) };
-    let budget = MemoryBudget::from_mb(mb);
-    let dir = std::env::temp_dir().join(format!("dwc-segments-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-    let pager = FilePager::open(&dir, DEFAULT_PAGE_SIZE)
+    let Some(Paging { mb, dir }) = paging else { return Ok(WebDbServer::new(table, interface)) };
+    let budget = MemoryBudget::from_mb(*mb);
+    let pager = FilePager::open(dir, DEFAULT_PAGE_SIZE)
         .map_err(|e| format!("opening segment dir {}: {e}", dir.display()))?;
     let seg = SegmentTable::from_table(&table, Box::new(pager), budget.pool_bytes())
         .map_err(|e| format!("packing segments: {e}"))?;
@@ -352,9 +389,6 @@ fn cmd_crawl(args: &[String], resume: bool) -> Result<(), String> {
         builder = builder.checkpoint_every(every.parse().map_err(|_| "bad --checkpoint-every")?);
     }
     let mem_budget = parse_mem_budget(&flags)?;
-    if let Some(mb) = mem_budget {
-        builder = builder.mem_budget_mb(mb);
-    }
     let config = builder.build().map_err(|e| e.to_string())?;
 
     let workers = parse_workers(&flags)?;
@@ -362,7 +396,8 @@ fn cmd_crawl(args: &[String], resume: bool) -> Result<(), String> {
         return Err("--workers applies to `dwc resume` and `dwc fleet`".into());
     }
 
-    let server = build_server(table, interface, mem_budget)?;
+    let paging = mem_budget.map(Paging::create).transpose()?;
+    let server = build_server(table, interface, paging.as_ref())?;
 
     if let Some(connections) = parse_connect(&flags)? {
         if resume {
@@ -1043,13 +1078,9 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
     }
     let fleet = fleet.build().map_err(|e| e.to_string())?;
 
-    let mem_budget = parse_mem_budget(&flags)?;
-    let shared = Arc::new(build_server(table, interface, mem_budget)?);
-    let mut config = CrawlConfig::builder().known_target_size(n);
-    if let Some(mb) = mem_budget {
-        config = config.mem_budget_mb(mb);
-    }
-    let config = config.build().map_err(|e| e.to_string())?;
+    let paging = parse_mem_budget(&flags)?.map(Paging::create).transpose()?;
+    let shared = Arc::new(build_server(table, interface, paging.as_ref())?);
+    let config = CrawlConfig::builder().known_target_size(n).build().map_err(|e| e.to_string())?;
     let jobs: Vec<FleetJob<Arc<WebDbServer>>> = seeds
         .into_iter()
         .enumerate()
@@ -1089,4 +1120,26 @@ fn crawler_budget_hit<S: deep_web_crawler::core::DataSource>(
         }
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn segment_dirs_are_fresh_and_removed_on_drop() {
+        let parent = std::env::temp_dir().join(format!("dwc-bin-{}-fresh", std::process::id()));
+        let _ = std::fs::remove_dir_all(&parent);
+        // An earlier process with this pid left a segment file behind.
+        let stale = parent.join(format!("dwc-segments-{}-0", std::process::id()));
+        std::fs::create_dir_all(&stale).unwrap();
+        std::fs::write(stale.join("seg-0"), b"stale").unwrap();
+        let dir = fresh_segment_dir(&parent).unwrap();
+        assert_ne!(dir, stale, "an existing directory is never reused");
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "the new directory is empty");
+        drop(Paging { mb: 4, dir: dir.clone() });
+        assert!(!dir.exists(), "dropping the paging removes its directory");
+        assert!(stale.join("seg-0").exists(), "another run's directory is left alone");
+        std::fs::remove_dir_all(&parent).unwrap();
+    }
 }
