@@ -268,7 +268,11 @@ impl<S: DataSource> Crawler<S> {
         self.bus.metrics().report().expect("CrawlFinished was just emitted")
     }
 
-    fn budget_stop(&self) -> Option<StopReason> {
+    /// The stop rule [`Crawler::run`] checks before every query: the cancel
+    /// token, then the round budget, the query budget and the coverage
+    /// target, in that order. Loops that call [`Crawler::step`]
+    /// themselves check it the same way.
+    pub fn budget_stop(&self) -> Option<StopReason> {
         if self.config.cancel.as_ref().is_some_and(crate::source::CancelToken::is_cancelled) {
             return Some(StopReason::Cancelled);
         }

@@ -141,7 +141,7 @@ impl BreakerPhase {
 /// | `WorkerRestarted` | `JobHealth::worker_restarts` |
 /// | `JobAbandoned` | `JobHealth::abandoned` |
 /// | `SliceScheduled` | [`crate::SchedulerStats`] `slices_scheduled` / `rounds_granted` |
-/// | `SliceCompleted` | `SchedulerStats` `slices_completed` / `rounds_executed` / `steals` / `per_worker_slices`; [`crate::UsageLedger`] `rounds` / `pages` (per-job maxima) |
+/// | `SliceCompleted` | `SchedulerStats` `slices_completed` / `rounds_executed` / `per_worker_slices`; [`crate::UsageLedger`] `rounds` / `pages` (per-job maxima) |
 /// | `JobAttached` | `UsageLedger` `rounds` / `pages` baselines; tenant↔job membership |
 /// | `JobDetached` | `UsageLedger` `rounds` / `pages` (final per-job maxima) |
 /// | `TenantPreempted` | `UsageLedger::preempted` |
@@ -251,7 +251,7 @@ pub enum CrawlEvent {
         job: u32,
     },
     /// The fleet coordinator queued one budget slice for a job on the
-    /// work-stealing pool.
+    /// worker pool.
     SliceScheduled {
         /// Fleet job index.
         job: u32,
@@ -266,8 +266,6 @@ pub enum CrawlEvent {
         worker: u32,
         /// Elapsed rounds actually billed during the slice.
         rounds: u64,
-        /// Whether the worker stole the slice from a sibling's deque.
-        stolen: bool,
         /// Tenant billed for the slice (`None` in a tenant-blind fleet).
         tenant: Option<u32>,
         /// The job's *cumulative* billed rounds after the slice. Carried so
@@ -277,10 +275,9 @@ pub enum CrawlEvent {
         /// The job's cumulative page-request rounds after the slice.
         pages: u64,
     },
-    /// A job joined the fleet: at startup, on a post-panic restart, or live
-    /// via [`crate::fleet::FleetController::attach`]. Carries the job's
-    /// already-billed cumulative counters so a replayed stream seeds the
-    /// same baselines the coordinator used.
+    /// A job joined the fleet: at startup or on a post-panic restart.
+    /// Carries the job's already-billed cumulative counters so a replayed
+    /// stream seeds the same baselines the coordinator used.
     JobAttached {
         /// Fleet job index.
         job: u32,
@@ -292,8 +289,7 @@ pub enum CrawlEvent {
         /// Page-request rounds already executed when it attached.
         pages: u64,
     },
-    /// A job left the fleet: finalized, abandoned, or detached live via
-    /// [`crate::fleet::FleetController::detach`]. Carries the job's final
+    /// A job left the fleet: finalized or abandoned. Carries the job's final
     /// cumulative counters — the authoritative last word for the usage fold.
     JobDetached {
         /// Fleet job index.
@@ -437,14 +433,14 @@ impl CrawlEvent {
             CrawlEvent::SliceScheduled { job, rounds } => {
                 format!("{{\"event\":\"slice_scheduled\",\"job\":{job},\"rounds\":{rounds}}}")
             }
-            CrawlEvent::SliceCompleted { job, worker, rounds, stolen, tenant, total, pages } => {
+            CrawlEvent::SliceCompleted { job, worker, rounds, tenant, total, pages } => {
                 let tenant = match tenant {
                     Some(t) => format!(",\"tenant\":{t}"),
                     None => String::new(),
                 };
                 format!(
                     "{{\"event\":\"slice_completed\",\"job\":{job},\"worker\":{worker},\
-                     \"rounds\":{rounds},\"stolen\":{stolen}{tenant},\"total\":{total},\
+                     \"rounds\":{rounds}{tenant},\"total\":{total},\
                      \"pages\":{pages}}}"
                 )
             }
@@ -550,7 +546,6 @@ impl CrawlEvent {
                 job: json_u64(line, "job")? as u32,
                 worker: json_u64(line, "worker")? as u32,
                 rounds: json_u64(line, "rounds")?,
-                stolen: json_bool(line, "stolen")?,
                 tenant: json_u64(line, "tenant").map(|t| t as u32),
                 total: json_u64(line, "total")?,
                 pages: json_u64(line, "pages")?,
@@ -774,7 +769,6 @@ mod tests {
                 job: 3,
                 worker: 1,
                 rounds: 248,
-                stolen: true,
                 tenant: Some(2),
                 total: 500,
                 pages: 480,
@@ -783,7 +777,6 @@ mod tests {
                 job: 0,
                 worker: 0,
                 rounds: 10,
-                stolen: false,
                 tenant: None,
                 total: 10,
                 pages: 9,

@@ -1,4 +1,4 @@
-//! Fleet crawling on a bounded work-stealing scheduler.
+//! Fleet crawling on a bounded pool of worker threads.
 //!
 //! The paper closes with "our future work also includes the implementation
 //! and deployment of a real world product database crawler" — a crawler that
@@ -10,11 +10,10 @@
 //!   policy, own vocabulary, own `DB_local`); between budget slices the
 //!   crawler sits in a coordinator-owned slot, owning no thread;
 //! * slices are multiplexed onto a bounded [`Pool`] of
-//!   [`FleetConfig::workers`] threads (default `available_parallelism`) —
-//!   a global injector queue plus per-worker deques with sibling stealing
-//!   ([`crate::sched`]), so a 10k-job fleet runs on 8 threads instead of
-//!   10k threads × ~8 MB of stack, and one slow source never strands the
-//!   queue behind it;
+//!   [`FleetConfig::workers`] threads (default `available_parallelism`,
+//!   capped at the job count) draining one FIFO queue ([`crate::sched`]),
+//!   so a 10k-job fleet runs on 8 threads instead of 10k threads × ~8 MB
+//!   of stack, and one slow source holds only the worker running it;
 //! * jobs are generic over [`DataSource`], so a fleet can mix distinct
 //!   servers with *shared* ones — pass `Arc<WebDbServer>` clones and N
 //!   jobs probe the same source concurrently, every page request landing
@@ -36,9 +35,12 @@
 //!   fleet-level [`MetricsRegistry`], and [`FleetReport::scheduler`] is
 //!   derived from that stream ([`MetricsRegistry::scheduler_stats`]).
 //!
-//! With `workers = 1` the pool drains slices strictly in submission order
-//! and the coordinator folds outcomes in that same order, so a fixed-seed
-//! fleet run is bit-for-bit reproducible, event stream included.
+//! Reports depend only on the allocator's per-cycle grants, never on which
+//! worker ran a slice: the coordinator queues at most one slice per job
+//! per cycle and waits for the whole batch. With `workers = 1` the pool
+//! drains slices strictly in submission order and the coordinator folds
+//! outcomes in that same order, so a fixed-seed fleet run is bit-for-bit
+//! reproducible, event stream included.
 //!
 //! # Supervision
 //!
@@ -90,7 +92,6 @@ use crate::sched::{Pool, SchedulerStats, TaskCtx};
 use crate::source::DataSource;
 use crate::tenant::{validate_tenants, Tenant, TenantId, UsageLedger};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
 
 /// How the global round budget is divided across jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,9 +143,8 @@ pub struct FleetJob<S: DataSource> {
     /// Per-job config template (budgets are driven by the fleet; leave
     /// `max_rounds` unset).
     pub config: CrawlConfig,
-    /// Start from this checkpoint instead of the seeds (`dwc resume
-    /// --workers` routes a resumed crawl through a one-job fleet this way).
-    /// The checkpointed rounds count against [`FleetConfig::total_rounds`].
+    /// Start from this checkpoint instead of the seeds. The checkpointed
+    /// rounds count against [`FleetConfig::total_rounds`].
     pub resume: Option<Checkpoint>,
     /// The tenant this job runs (and is billed) under. Must name an entry
     /// of [`FleetConfig::tenants`] when the registry is non-empty; must be
@@ -292,25 +292,18 @@ impl FleetConfigBuilder {
 
 /// Validates a fleet's jobs against its tenant registry: with a non-empty
 /// registry every job must name a known tenant; with an empty registry
-/// no job may name one. The engines assert this; callers that want a
-/// recoverable error (the CLI, [`FleetController::attach`]) check first.
+/// no job may name one. [`run_fleet`] asserts this; callers that want a
+/// recoverable error (the CLI) check first.
 pub fn validate_fleet_jobs<S: DataSource>(
     jobs: &[FleetJob<S>],
     config: &FleetConfig,
 ) -> Result<(), ConfigError> {
-    for job in jobs {
-        validate_job_tenant(job.tenant, &config.tenants)?;
-    }
-    Ok(())
-}
-
-/// The single-job core of [`validate_fleet_jobs`].
-fn validate_job_tenant(tenant: Option<TenantId>, registry: &[Tenant]) -> Result<(), ConfigError> {
-    match tenant {
+    let registry = &config.tenants;
+    jobs.iter().try_for_each(|job| match job.tenant {
         Some(id) if !registry.iter().any(|t| t.id == id) => Err(ConfigError::UnknownTenant(id.0)),
         None if !registry.is_empty() => Err(ConfigError::MissingTenant),
         _ => Ok(()),
-    }
+    })
 }
 
 /// Result of a fleet crawl: one report per job, in input order.
@@ -622,7 +615,6 @@ struct SliceTask<S: DataSource> {
 struct SliceOutcome<S: DataSource> {
     idx: usize,
     worker: u32,
-    stolen: bool,
     end: SliceEnd<S>,
 }
 
@@ -672,7 +664,7 @@ fn slice_handler<S: DataSource>(ctx: TaskCtx, task: SliceTask<S>) -> SliceOutcom
         },
         Err(_) => SliceEnd::Panicked(crawler.into_source()),
     };
-    SliceOutcome { idx, worker: ctx.worker, stolen: ctx.stolen, end }
+    SliceOutcome { idx, worker: ctx.worker, end }
 }
 
 /// Everything of a [`FleetJob`] the coordinator keeps to rebuild the job
@@ -721,7 +713,7 @@ struct Slot<S: DataSource> {
     crawler: Option<Crawler<S>>,
     /// Recent normalized harvest rate, the proportional allocator's input.
     rate: f64,
-    /// No more slices: frontier exhausted, detached, or abandoned.
+    /// No more slices: frontier exhausted or abandoned.
     done: bool,
     /// Parked by cooperative preemption (tenant over quota). Parked is not
     /// done: the job finalizes with [`StopReason::QuotaExhausted`].
@@ -734,8 +726,8 @@ struct Slot<S: DataSource> {
     /// The job's supervision events; [`FleetReport::health`] is derived
     /// from these, never tallied by hand.
     supervision: MetricsRegistry,
-    /// The final report of a job that left early (detached or abandoned),
-    /// finalized and billed when it left.
+    /// The final report of an abandoned job, finalized and billed when it
+    /// left.
     report: Option<CrawlReport>,
 }
 
@@ -760,8 +752,8 @@ impl FleetStream {
 }
 
 /// The coordinator's state between allocation cycles. Every crawler is
-/// parked in its [`Slot`] here at a cycle boundary, so attach, detach and
-/// restart never race a pool worker.
+/// parked in its [`Slot`] here at a cycle boundary, so a restart never
+/// races a pool worker.
 struct Coordinator<'a, S: DataSource> {
     config: &'a FleetConfig,
     slots: Vec<Slot<S>>,
@@ -775,8 +767,8 @@ impl<S: DataSource> Coordinator<'_, S> {
         tenant.map(|t| self.config.tenants[t].id.0)
     }
 
-    /// Adds a job (initial or live-attached) and announces it. A resumed
-    /// job enters with its checkpointed rounds already billed.
+    /// Adds a job and announces it. A resumed job enters with its
+    /// checkpointed rounds already billed.
     fn admit(&mut self, job: FleetJob<S>) {
         let FleetJob { source, policy, seeds, mut config, resume, tenant } = job;
         apply_default_retry(&mut config, self.config);
@@ -836,21 +828,6 @@ impl<S: DataSource> Coordinator<'_, S> {
         self.stream.emit(event);
     }
 
-    /// Applies a controller detach: the job finalizes with
-    /// [`StopReason::Cancelled`] and its bill so far.
-    fn detach(&mut self, i: usize) {
-        let Some(slot) = self.slots.get_mut(i) else { return };
-        if slot.done || slot.parked {
-            return;
-        }
-        let crawler = slot.crawler.take().expect("parked at cycle boundary");
-        let (rounds, pages) = (crawler.elapsed_rounds(), crawler.rounds());
-        slot.report = Some(crawler.into_report(StopReason::Cancelled));
-        slot.done = true;
-        self.bill(i, rounds, pages);
-        self.retire(i);
-    }
-
     /// Cooperative preemption at the slice boundary: every job of a tenant
     /// that has consumed its quota is parked — no thread is held, the
     /// crawlers stay in their slots and finalize as QuotaExhausted.
@@ -894,7 +871,6 @@ impl<S: DataSource> Coordinator<'_, S> {
             job: i as u32,
             worker: out.worker,
             rounds: slice_rounds,
-            stolen: out.stolen,
             tenant,
             total: crawler.elapsed_rounds(),
             pages: crawler.rounds(),
@@ -942,12 +918,12 @@ impl<S: DataSource> Coordinator<'_, S> {
         for i in 0..self.slots.len() {
             let slot = &mut self.slots[i];
             if let Some(report) = slot.report.take() {
-                // Abandoned or detached: finalized (and billed) when it left.
+                // Abandoned: finalized (and billed) when it left.
                 sources.push(report);
                 continue;
             }
             // Finalizing syncs the job's journal: its last state is what
-            // `dwc resume --workers` picks up.
+            // `dwc resume` picks up.
             let crawler = slot.crawler.take().expect("unfinished job has a parked crawler");
             let stop = if slot.done {
                 StopReason::FrontierExhausted
@@ -980,19 +956,23 @@ impl<S: DataSource> Coordinator<'_, S> {
     }
 }
 
-/// The fleet engine behind [`run_fleet`] and [`run_fleet_controlled`]. The
-/// coordinator owns every parked crawler in a slot; each allocation cycle
-/// it drains controller ops, parks over-quota tenants, computes grants
-/// through the configured [`Allocator`], submits one [`SliceTask`] per
-/// granted job to the work-stealing pool (higher-priority tenants
-/// dispatched first), and folds the outcomes back into rates / budget /
-/// breaker / ledger state — restarting any job whose slice panicked —
-/// before the next cycle. A job is never in flight on two workers at once.
-fn run_pooled<S>(
-    jobs: Vec<FleetJob<S>>,
-    config: FleetConfig,
-    ops: Option<FleetOps<S>>,
-) -> FleetReport
+/// Runs the fleet to budget exhaustion (or until every job's frontier is
+/// dry) on a bounded pool of [`FleetConfig::resolved_workers`] threads,
+/// supervising every job as the [module docs](self) describe: a panicking
+/// slice restarts its job from its journal (up to
+/// [`FleetConfig::max_restarts`] times, then the job finishes as
+/// [`StopReason::WorkerFailed`]), and a job whose failure streak trips its
+/// breaker is paused. All accounting is in elapsed rounds (requests +
+/// backoff waits).
+///
+/// The coordinator owns every parked crawler in a slot. Each allocation
+/// cycle it parks over-quota tenants, computes grants through the
+/// configured [`Allocator`], queues one slice per granted job (those of
+/// higher-priority tenants first), and folds the outcomes back into rates
+/// / budget / breaker / ledger state — restarting any job whose slice
+/// panicked — before the next cycle. A job is never in flight on two
+/// workers at once.
+pub fn run_fleet<S>(jobs: Vec<FleetJob<S>>, config: FleetConfig) -> FleetReport
 where
     S: DataSource + Send + 'static,
 {
@@ -1000,9 +980,7 @@ where
     if let Err(e) = validate_fleet_jobs(&jobs, &config) {
         panic!("invalid fleet: {e}");
     }
-    // A controlled fleet can grow past its initial jobs, so its pool is
-    // sized from the configured width rather than the starting job count.
-    let workers = config.resolved_workers(if ops.is_some() { usize::MAX } else { jobs.len() });
+    let workers = config.resolved_workers(jobs.len());
     let mut fleet = Coordinator {
         config: &config,
         slots: Vec::with_capacity(jobs.len()),
@@ -1015,19 +993,6 @@ where
     let pool: Pool<SliceTask<S>, SliceOutcome<S>> = Pool::new(workers, slice_handler::<S>);
     let mut allocator = config.allocation.build_allocator();
     loop {
-        // Drain controller ops first: attaches add slots (and may be the
-        // fleet's first jobs), detaches finalize early.
-        for op in ops.iter().flat_map(|ops| ops.rx.try_iter()) {
-            match op {
-                // The controller validates; this is defense in depth.
-                FleetOp::Attach(job) => {
-                    if validate_job_tenant(job.tenant, &config.tenants).is_ok() {
-                        fleet.admit(*job);
-                    }
-                }
-                FleetOp::Detach(idx) => fleet.detach(idx),
-            }
-        }
         let spent: u64 = fleet.slots.iter().map(|s| s.rounds).sum();
         let remaining = config.total_rounds.saturating_sub(spent);
         if remaining == 0 || fleet.slots.iter().all(|s| s.done) {
@@ -1053,7 +1018,7 @@ where
         }
         let rates: Vec<f64> = fleet.slots.iter().map(|s| s.rate).collect();
         let tenant_of: Vec<Option<usize>> = fleet.slots.iter().map(|s| s.tenant).collect();
-        let grants = allocator.allocate(&AllocCycle {
+        let mut grants = allocator.allocate(&AllocCycle {
             active: &active,
             rates: &rates,
             remaining,
@@ -1065,121 +1030,24 @@ where
         if grants.is_empty() {
             break;
         }
-        // Priority-aware dispatch: grants are handed to the pool with the
-        // tenant's priority; the batch submit stable-sorts so
-        // higher-priority tenants' slices hit the injector first. Order
-        // only — grant amounts (and therefore reports) are unaffected.
-        let mut ordered: Vec<(u8, usize, u64)> = grants
-            .iter()
-            .map(|&(i, g)| (tenant_of[i].map_or(0, |t| config.tenants[t].priority), i, g))
-            .collect();
-        ordered.sort_by_key(|&(priority, _, _)| std::cmp::Reverse(priority));
-        let batch = ordered
-            .into_iter()
-            .map(|(priority, i, grant)| {
-                let crawler =
-                    fleet.slots[i].crawler.take().expect("active job has a parked crawler");
-                fleet.stream.emit(CrawlEvent::SliceScheduled { job: i as u32, rounds: grant });
-                (priority, SliceTask { idx: i, crawler, grant })
-            })
-            .collect();
-        pool.submit_batch(batch);
+        // Priority-aware dispatch: a stable sort puts higher-priority
+        // tenants' slices first in the queue, equal priorities in grant
+        // order. Order only — grant amounts (and therefore reports) are
+        // unaffected.
+        grants.sort_by_key(|&(i, _)| {
+            std::cmp::Reverse(tenant_of[i].map_or(0, |t| config.tenants[t].priority))
+        });
+        for &(i, grant) in &grants {
+            let crawler = fleet.slots[i].crawler.take().expect("active job has a parked crawler");
+            fleet.stream.emit(CrawlEvent::SliceScheduled { job: i as u32, rounds: grant });
+            pool.submit(SliceTask { idx: i, crawler, grant });
+        }
         for _ in 0..grants.len() {
             fleet.fold(pool.recv());
         }
     }
-    let _ = pool.join();
+    pool.join();
     fleet.finish(workers)
-}
-
-/// Ops a [`FleetController`] can apply to a running fleet.
-enum FleetOp<S: DataSource> {
-    Attach(Box<FleetJob<S>>),
-    Detach(usize),
-}
-
-/// The coordinator's end of a controller channel; pass to
-/// [`run_fleet_controlled`].
-pub struct FleetOps<S: DataSource> {
-    rx: mpsc::Receiver<FleetOp<S>>,
-}
-
-/// Live handle onto a running (or about-to-run) fleet: attach new jobs and
-/// detach running ones between allocation cycles.
-///
-/// Ops are applied at the next cycle boundary — jobs are all parked there,
-/// so attach/detach never races a pool worker. A detached job finalizes
-/// immediately with [`StopReason::Cancelled`] and its bill so far; an
-/// attached job joins the allocator's next cycle. Ops that arrive after
-/// the fleet has drained (budget exhausted or every job finished) are
-/// ignored.
-pub struct FleetController<S: DataSource> {
-    tx: mpsc::Sender<FleetOp<S>>,
-    tenants: Vec<Tenant>,
-}
-
-impl<S: DataSource> Clone for FleetController<S> {
-    fn clone(&self) -> Self {
-        FleetController { tx: self.tx.clone(), tenants: self.tenants.clone() }
-    }
-}
-
-impl<S: DataSource> FleetController<S> {
-    /// Creates a controller for a fleet that will run under `config`,
-    /// returning the handle and the ops end to pass to
-    /// [`run_fleet_controlled`].
-    pub fn channel(config: &FleetConfig) -> (FleetController<S>, FleetOps<S>) {
-        let (tx, rx) = mpsc::channel();
-        (FleetController { tx, tenants: config.tenants.clone() }, FleetOps { rx })
-    }
-
-    /// Queues a job for live attachment. The job's tenant is validated
-    /// against the fleet's registry before it is sent.
-    pub fn attach(&self, job: FleetJob<S>) -> Result<(), ConfigError> {
-        validate_job_tenant(job.tenant, &self.tenants)?;
-        let _ = self.tx.send(FleetOp::Attach(Box::new(job)));
-        Ok(())
-    }
-
-    /// Queues a detach of job `idx` (its index in attachment order). The
-    /// job finalizes with [`StopReason::Cancelled`] at the next cycle
-    /// boundary; unknown or already-finished indices are ignored.
-    pub fn detach(&self, idx: usize) {
-        let _ = self.tx.send(FleetOp::Detach(idx));
-    }
-}
-
-/// Runs the fleet to budget exhaustion (or until every job's frontier is
-/// dry) on the bounded work-stealing pool, supervising every job as the
-/// [module docs](self) describe: a panicking slice restarts its job from
-/// its journal (up to [`FleetConfig::max_restarts`] times, then the
-/// job finishes as [`StopReason::WorkerFailed`]), and a job whose failure
-/// streak trips its breaker is paused. All accounting is in elapsed rounds
-/// (requests + backoff waits).
-pub fn run_fleet<S>(jobs: Vec<FleetJob<S>>, config: FleetConfig) -> FleetReport
-where
-    S: DataSource + Send + 'static,
-{
-    run_pooled(jobs, config, None)
-}
-
-/// Runs the fleet like [`run_fleet`], additionally applying live
-/// attach/detach ops from a [`FleetController`] at every cycle boundary.
-///
-/// The fleet may start empty (`jobs` empty) as long as an attach is queued
-/// before the run begins; it exits when the budget is exhausted or every
-/// job attached so far has finished. Its pool is sized from
-/// [`FleetConfig::workers`] alone, since attaches may grow it past the
-/// initial job count.
-pub fn run_fleet_controlled<S>(
-    jobs: Vec<FleetJob<S>>,
-    config: FleetConfig,
-    ops: FleetOps<S>,
-) -> FleetReport
-where
-    S: DataSource + Send + 'static,
-{
-    run_pooled(jobs, config, Some(ops))
 }
 
 /// Substitutes the fleet's [`FleetConfig::default_retry`] into a job left on
@@ -1356,21 +1224,6 @@ mod tests {
         assert_eq!(wide.sources, serial.sources, "identical grant sequences, identical jobs");
         assert_eq!(wide.total_rounds, serial.total_rounds);
         assert_eq!(wide.health, serial.health);
-    }
-
-    #[test]
-    fn controlled_fleet_sizes_its_pool_for_attached_jobs() {
-        let config =
-            FleetConfig::builder().total_rounds(1000).slice(10).workers(4).build().unwrap();
-        let (controller, ops) = FleetController::channel(&config);
-        for seed in ["a1", "a2", "a3"] {
-            controller.attach(job(seed)).unwrap();
-        }
-        let controlled = run_fleet_controlled(vec![job("a2")], config.clone(), ops);
-        assert_eq!(controlled.sources.len(), 4);
-        assert_eq!(controlled.scheduler.workers, 4, "attaches can fill the configured width");
-        let plain = run_fleet(vec![job("a2"), job("a1"), job("a2"), job("a3")], config);
-        assert_eq!(plain.scheduler.workers, 4);
     }
 
     #[test]
@@ -1789,37 +1642,6 @@ mod tests {
     }
 
     #[test]
-    fn controller_attaches_and_detaches_jobs_live() {
-        let config = FleetConfig::builder()
-            .total_rounds(1000)
-            .slice(10)
-            .workers(1)
-            .tenants(vec![Tenant::new(0), Tenant::new(1)])
-            .build()
-            .unwrap();
-        let (controller, ops) = FleetController::channel(&config);
-        assert_eq!(
-            controller.attach(tenant_job("a2", 7)).unwrap_err(),
-            ConfigError::UnknownTenant(7),
-            "the controller validates tenants before sending"
-        );
-        controller.attach(tenant_job("a3", 1)).unwrap();
-        controller.detach(0);
-        let report = run_fleet_controlled(vec![tenant_job("a2", 0)], config, ops);
-        assert_eq!(report.sources.len(), 2, "the attached job joined the fleet");
-        assert_eq!(report.sources[0].stop, StopReason::Cancelled, "job 0 was detached");
-        assert_eq!(report.sources[0].records, 0, "detached before its first slice");
-        assert_eq!(report.sources[1].records, 5, "the attached job ran to exhaustion");
-        assert!(report
-            .events
-            .iter()
-            .any(|e| matches!(e, CrawlEvent::JobAttached { job: 1, tenant: Some(1), .. })));
-        assert!(report.events.iter().any(|e| matches!(e, CrawlEvent::JobDetached { job: 0, .. })));
-        let ledger_rounds: u64 = report.usage.iter().map(|(_, l)| l.rounds).sum();
-        assert_eq!(ledger_rounds, report.total_rounds, "attach/detach keeps conservation");
-    }
-
-    #[test]
     fn single_tenant_fleet_matches_tenant_blind_runs() {
         for allocation in [AllocationStrategy::Even, AllocationStrategy::HarvestProportional] {
             let config = |tenants: Vec<Tenant>| {
@@ -1895,5 +1717,35 @@ mod tests {
         assert_eq!(a.scheduler, b.scheduler);
         assert_eq!(a.usage, b.usage);
         assert_eq!(a.events, b.events, "the full event stream is deterministic");
+    }
+
+    #[test]
+    fn higher_priority_tenants_dispatch_first_in_every_cycle() {
+        // Tenant 1 outranks tenant 0, so each cycle queues its job's slice
+        // first; equal priorities keep grant order, and one worker runs the
+        // queue in exactly that order.
+        let tenants = vec![Tenant::new(0), Tenant::new(1).with_priority(3)];
+        let jobs = vec![tenant_job("a2", 0), tenant_job("a3", 0), tenant_job("a1", 1)];
+        let config = FleetConfig::builder()
+            .total_rounds(60)
+            .slice(6)
+            .workers(1)
+            .tenants(tenants)
+            .build()
+            .unwrap();
+        let report = run_fleet(jobs, config);
+        let jobs_of = |scheduled: bool| -> Vec<u32> {
+            let events = report.events.iter();
+            events
+                .filter_map(|e| match *e {
+                    CrawlEvent::SliceScheduled { job, .. } if scheduled => Some(job),
+                    CrawlEvent::SliceCompleted { job, .. } if !scheduled => Some(job),
+                    _ => None,
+                })
+                .collect()
+        };
+        let scheduled = jobs_of(true);
+        assert_eq!(scheduled[..3], [2, 0, 1], "priority first, then grant order");
+        assert_eq!(jobs_of(false), scheduled, "one worker completes slices in queue order");
     }
 }

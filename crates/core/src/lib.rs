@@ -71,8 +71,8 @@ pub use domain_table::DomainTable;
 pub use events::{BreakerPhase, CrawlEvent, EventBus, EventSink, JsonlSink, MemorySink};
 pub use fault::{FaultKind, FaultPlan, FaultPlanSource, FaultTally};
 pub use fleet::{
-    run_fleet, run_fleet_controlled, AllocationStrategy, Allocator, EvenAllocator, FleetConfig,
-    FleetController, FleetJob, FleetOps, FleetReport, HarvestAllocator, WeightedFairAllocator,
+    run_fleet, AllocationStrategy, Allocator, EvenAllocator, FleetConfig, FleetJob, FleetReport,
+    HarvestAllocator, WeightedFairAllocator,
 };
 pub use health::{BreakerConfig, BreakerState, CircuitBreaker, JobHealth};
 pub use journal::{JournalRecovery, StateJournal};
@@ -80,7 +80,7 @@ pub use local::LocalDb;
 pub use metrics::{replay_report, replay_service_report, replay_usage, MetricsRegistry};
 pub use policy::{PolicyKind, SelectionPolicy};
 pub use report::CrawlSummary;
-pub use sched::{Pool, SchedulerStats, TaskCtx, WorkerStats};
+pub use sched::{Pool, SchedulerStats, TaskCtx};
 pub use serve::{
     ClientPool, Connection, LatencyModel, ServeConfig, ServeConfigBuilder, ServiceReport,
     SourceService,

@@ -91,7 +91,6 @@ pub struct MetricsRegistry {
     slices_completed: u64,
     rounds_granted: u64,
     rounds_executed: u64,
-    steals: u64,
     per_worker_slices: Vec<u64>,
     requests_enqueued: u64,
     requests_shed: u64,
@@ -216,10 +215,9 @@ impl MetricsRegistry {
                 self.slices_scheduled += 1;
                 self.rounds_granted += rounds;
             }
-            CrawlEvent::SliceCompleted { job, worker, rounds, stolen, tenant, total, pages } => {
+            CrawlEvent::SliceCompleted { job, worker, rounds, tenant, total, pages } => {
                 self.slices_completed += 1;
                 self.rounds_executed += rounds;
-                self.steals += u64::from(stolen);
                 let idx = worker as usize;
                 if self.per_worker_slices.len() <= idx {
                     self.per_worker_slices.resize(idx + 1, 0);
@@ -404,7 +402,7 @@ impl MetricsRegistry {
             slices_completed: self.slices_completed,
             rounds_granted: self.rounds_granted,
             rounds_executed: self.rounds_executed,
-            steals: self.steals,
+            steals: 0,
             per_worker_slices,
         }
     }
@@ -650,7 +648,6 @@ mod tests {
                 job: 0,
                 worker: 2,
                 rounds: 97,
-                stolen: true,
                 tenant: None,
                 total: 97,
                 pages: 95,
@@ -659,7 +656,6 @@ mod tests {
                 job: 1,
                 worker: 0,
                 rounds: 50,
-                stolen: false,
                 tenant: None,
                 total: 50,
                 pages: 50,
@@ -673,7 +669,7 @@ mod tests {
         assert_eq!(s.slices_completed, 2);
         assert_eq!(s.rounds_granted, 150);
         assert_eq!(s.rounds_executed, 147);
-        assert_eq!(s.steals, 1);
+        assert_eq!(s.steals, 0, "one shared queue: nothing is ever stolen");
         assert_eq!(s.per_worker_slices, vec![1, 0, 1, 0], "padded to the pool size");
     }
 
@@ -689,7 +685,6 @@ mod tests {
                 job: 0,
                 worker: 0,
                 rounds: 10,
-                stolen: false,
                 tenant: Some(1),
                 total: 50,
                 pages: 47,
@@ -701,7 +696,6 @@ mod tests {
                 job: 1,
                 worker: 1,
                 rounds: 7,
-                stolen: true,
                 tenant: Some(2),
                 total: 12,
                 pages: 12,

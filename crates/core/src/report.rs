@@ -140,10 +140,9 @@ impl fmt::Display for FleetReport {
         if self.scheduler.slices_completed > 0 {
             writeln!(
                 f,
-                "  scheduler: {} workers, {} slices ({} stolen), {}/{} rounds executed/granted",
+                "  scheduler: {} workers, {} slices, {}/{} rounds executed/granted",
                 self.scheduler.workers,
                 self.scheduler.slices_completed,
-                self.scheduler.steals,
                 self.scheduler.rounds_executed,
                 self.scheduler.rounds_granted
             )?;

@@ -1,57 +1,37 @@
-//! Bounded work-stealing slice pool for fleet scheduling.
+//! Bounded slice pool for fleet scheduling: one FIFO queue, `N` workers.
 //!
 //! The fleet used to spawn one OS thread per crawl job — at 1k+ sources
 //! that is ~8 MB of stack per job and a coordinator drowning in context
 //! switches. This module multiplexes any number of queued *slices* (one
-//! budget grant for one job) onto `N` worker threads:
+//! budget grant for one job) onto `N` persistent worker threads:
 //!
-//! * the coordinator [`Pool::submit`]s tasks into a global
-//!   [`crossbeam::deque::Injector`] FIFO;
-//! * each worker owns a local FIFO deque and refills it from the injector
-//!   in batches ([`crossbeam::deque::Injector::steal_batch_and_pop`]), so
-//!   the global queue is not hammered per task;
-//! * an idle worker steals from a sibling's deque before parking, so one
-//!   slow slice never strands queued work behind it;
+//! * the coordinator [`Pool::submit`]s tasks into one
+//!   [`crossbeam::channel`] — the MPMC channel that also carries the
+//!   serving tier's jobs;
+//! * every worker `recv`s from that queue until the pool drops its sending
+//!   end, so an idle worker blocks in `recv` and a slow slice holds only
+//!   the worker running it while the others drain the rest;
 //! * results flow back over a single `mpsc` channel ([`Pool::recv`]) — one
-//!   injector + one result channel total, not a channel pair per job.
+//!   task queue + one result channel total, not a channel pair per job.
 //!
-//! With one worker the pool drains the injector strictly in submission
-//! order (local refills preserve the global FIFO prefix and there is no
-//! sibling to steal from), which is what makes `workers = 1` fleet runs
-//! bit-for-bit deterministic.
+//! With one worker the queue drains strictly in submission order, which is
+//! what makes `workers = 1` fleet runs bit-for-bit deterministic.
 //!
 //! The pool is deliberately oblivious to crawling: it moves `T`s through a
-//! `Fn(TaskCtx, T) -> R` handler. Budget accounting, supervision, and
-//! breaker policy all stay in [`crate::fleet`], which also re-submits a
-//! job's next slice only after folding the previous one — a job is never
-//! in flight on two workers at once.
+//! `Fn(TaskCtx, T) -> R` handler. Budget accounting, dispatch priority,
+//! supervision, and breaker policy all stay in [`crate::fleet`], which also
+//! re-submits a job's next slice only after folding the previous one — a job
+//! is never in flight on two workers at once.
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::time::Duration;
+use crossbeam::channel::{self, Sender};
+use std::sync::mpsc;
+use std::thread::JoinHandle;
 
-/// Where and how a task ended up running, passed to the pool handler.
+/// Where a task ran, passed to the pool handler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskCtx {
     /// Index of the worker thread executing the task (`0..workers`).
     pub worker: u32,
-    /// Whether the task was stolen from a sibling's deque rather than
-    /// taken from the global injector or the worker's own refill batch.
-    pub stolen: bool,
-}
-
-/// Per-worker lifetime counters, returned by [`Pool::join`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Index of the worker thread these counters belong to.
-    pub worker: u32,
-    /// Tasks this worker executed (from any source).
-    pub slices: u64,
-    /// Tasks this worker stole from a sibling's deque.
-    pub steals: u64,
-    /// Batch refills this worker pulled from the global injector.
-    pub refills: u64,
 }
 
 /// Scheduler-level counters for a whole fleet run, derived from
@@ -71,32 +51,26 @@ pub struct SchedulerStats {
     pub rounds_granted: u64,
     /// Elapsed rounds actually billed across all completed slices.
     pub rounds_executed: u64,
-    /// Completed slices that ran on a worker which stole them.
+    /// Always 0: workers share one queue and never steal from each other.
+    /// Kept only because existing benchmark readers still report it.
     pub steals: u64,
     /// Completed slices per worker, indexed by worker id.
     pub per_worker_slices: Vec<u64>,
 }
 
-/// Coordination state shared between the pool handle and its workers.
-struct Shared {
-    shutdown: AtomicBool,
-    gate: Mutex<()>,
-    cv: Condvar,
-}
-
-/// A bounded pool of worker threads draining a global task queue.
+/// A bounded pool of persistent worker threads draining one FIFO queue.
 ///
 /// Submit with [`Pool::submit`], collect with [`Pool::recv`] (results
 /// arrive in completion order, each tagged however the handler tags them),
 /// and tear down with [`Pool::join`] once every submitted task has been
 /// received. The handler must not panic — wrap fallible work in
 /// `catch_unwind` and encode the failure in `R`, as the fleet does.
+/// Dropping the pool without joining detaches its workers: each exits once
+/// the queue is drained or nobody is left to receive its result.
 pub struct Pool<T, R> {
-    workers: usize,
-    injector: Arc<Injector<T>>,
-    shared: Arc<Shared>,
-    result_rx: mpsc::Receiver<R>,
-    handles: Vec<std::thread::JoinHandle<WorkerStats>>,
+    tasks: Sender<T>,
+    results: mpsc::Receiver<R>,
+    handles: Vec<JoinHandle<()>>,
 }
 
 impl<T: Send + 'static, R: Send + 'static> Pool<T, R> {
@@ -106,187 +80,83 @@ impl<T: Send + 'static, R: Send + 'static> Pool<T, R> {
     where
         F: Fn(TaskCtx, T) -> R + Send + Clone + 'static,
     {
-        let workers = workers.max(1);
-        let injector = Arc::new(Injector::new());
-        let shared = Arc::new(Shared {
-            shutdown: AtomicBool::new(false),
-            gate: Mutex::new(()),
-            cv: Condvar::new(),
-        });
-        let (result_tx, result_rx) = mpsc::channel::<R>();
-        let locals: Vec<Worker<T>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<T>> = locals.iter().map(Worker::stealer).collect();
-        let handles = locals
-            .into_iter()
-            .enumerate()
-            .map(|(id, local)| {
-                let injector = Arc::clone(&injector);
-                let stealers = stealers.clone();
-                let shared = Arc::clone(&shared);
+        let (tasks, queue) = channel::unbounded::<T>();
+        let (result_tx, results) = mpsc::channel::<R>();
+        let handles = (0..workers.max(1) as u32)
+            .map(|worker| {
+                let queue = queue.clone();
                 let handler = handler.clone();
                 let result_tx = result_tx.clone();
                 std::thread::spawn(move || {
-                    worker_loop(
-                        id as u32, local, &injector, &stealers, &shared, handler, &result_tx,
-                    )
+                    while let Ok(task) = queue.recv() {
+                        if result_tx.send(handler(TaskCtx { worker }, task)).is_err() {
+                            break; // coordinator gone; nothing left to report to
+                        }
+                    }
                 })
             })
             .collect();
-        Pool { workers, injector, shared, result_rx, handles }
+        Pool { tasks, results, handles }
     }
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.handles.len()
     }
 
-    /// Enqueues a task on the global injector and wakes a parked worker.
+    /// Appends a task to the queue; the next idle worker picks it up.
     pub fn submit(&self, task: T) {
-        self.injector.push(task);
-        // Lock/unlock pairs with the workers' wait: a worker between its
-        // empty-check and its park will see the push after the timeout at
-        // the latest; one already parked is woken now.
-        drop(self.shared.gate.lock().expect("pool gate poisoned"));
-        self.shared.cv.notify_one();
-    }
-
-    /// Enqueues a batch of prioritized tasks: the batch is stable-sorted
-    /// by priority (highest first) and pushed onto the global injector in
-    /// that order, then every parked worker is woken.
-    ///
-    /// Priority is *dispatch order within the batch*, nothing more: with
-    /// one worker the batch executes exactly in the sorted order (so a
-    /// high-priority tenant's slice always starts first), and batches stay
-    /// FIFO relative to each other. Equal priorities keep their submission
-    /// order, which is what keeps `workers = 1` runs bit-for-bit
-    /// deterministic — and makes an all-equal-priority batch identical to
-    /// a sequence of plain [`Pool::submit`] calls.
-    pub fn submit_batch(&self, mut batch: Vec<(u8, T)>) {
-        batch.sort_by_key(|&(priority, _)| std::cmp::Reverse(priority));
-        let count = batch.len();
-        for (_, task) in batch {
-            self.injector.push(task);
-        }
-        if count > 0 {
-            drop(self.shared.gate.lock().expect("pool gate poisoned"));
-            self.shared.cv.notify_all();
-        }
+        // The queue is unbounded, so this fails only if every worker is gone.
+        assert!(self.tasks.try_send(task).is_ok(), "pool workers alive");
     }
 
     /// Blocks until the next result arrives. Call exactly once per
     /// submitted task; calling with nothing in flight deadlocks by design
     /// (the workers are still alive waiting for work).
     pub fn recv(&self) -> R {
-        self.result_rx.recv().expect("pool workers alive")
+        self.results.recv().expect("pool workers alive")
     }
 
-    /// Shuts the pool down and returns per-worker counters, indexed by
-    /// worker id. Any still-queued tasks are dropped unexecuted; call only
-    /// after every submitted task has been [`Pool::recv`]'d.
-    pub fn join(mut self) -> Vec<WorkerStats> {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.cv.notify_all();
-        let handles = std::mem::take(&mut self.handles);
-        handles.into_iter().map(|h| h.join().expect("pool worker panicked")).collect()
-    }
-}
-
-impl<T, R> Drop for Pool<T, R> {
-    /// Signals shutdown so workers exit instead of parking forever when the
-    /// pool is dropped without [`Pool::join`] (e.g. while the coordinator
-    /// unwinds from a panic). Threads are detached, not joined — joining
-    /// during a panic could deadlock on a worker mid-task.
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.cv.notify_all();
-    }
-}
-
-fn worker_loop<T, R, F>(
-    id: u32,
-    local: Worker<T>,
-    injector: &Injector<T>,
-    stealers: &[Stealer<T>],
-    shared: &Shared,
-    handler: F,
-    result_tx: &mpsc::Sender<R>,
-) -> WorkerStats
-where
-    F: Fn(TaskCtx, T) -> R,
-{
-    let mut stats = WorkerStats { worker: id, ..WorkerStats::default() };
-    loop {
-        // Own deque first, then a batch refill from the global queue, then
-        // steal from a sibling — the classic work-stealing order.
-        let next = local.pop().map(|t| (t, false)).or_else(|| {
-            if let Steal::Success(t) = injector.steal_batch_and_pop(&local) {
-                stats.refills += 1;
-                return Some((t, false));
-            }
-            stealers
-                .iter()
-                .enumerate()
-                .filter(|&(victim, _)| victim != id as usize)
-                .find_map(|(_, s)| s.steal().success())
-                .map(|t| {
-                    stats.steals += 1;
-                    (t, true)
-                })
-        });
-        match next {
-            Some((task, stolen)) => {
-                stats.slices += 1;
-                let result = handler(TaskCtx { worker: id, stolen }, task);
-                if result_tx.send(result).is_err() {
-                    break; // coordinator gone; nothing left to report to
-                }
-            }
-            None => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let guard = shared.gate.lock().expect("pool gate poisoned");
-                // Timeout bounds the cost of a wake-up lost between the
-                // empty-check above and this park.
-                let _unused = shared
-                    .cv
-                    .wait_timeout(guard, Duration::from_millis(1))
-                    .expect("pool gate poisoned");
-            }
+    /// Closes the queue and waits for every worker to exit. Call only after
+    /// every submitted task has been [`Pool::recv`]'d.
+    pub fn join(self) {
+        let Pool { tasks, handles, .. } = self;
+        drop(tasks);
+        for handle in handles {
+            handle.join().expect("pool worker panicked");
         }
     }
-    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn pool_runs_every_task_exactly_once() {
-        let pool = Pool::new(4, |_ctx: TaskCtx, x: u64| x * x);
+        let pool = Pool::new(4, |ctx: TaskCtx, x: u64| (ctx.worker, x * x));
+        assert_eq!(pool.workers(), 4);
         for x in 0..100u64 {
             pool.submit(x);
         }
         let mut sum = 0u64;
         for _ in 0..100 {
-            sum += pool.recv();
+            let (worker, square) = pool.recv();
+            assert!(worker < 4);
+            sum += square;
         }
         assert_eq!(sum, (0..100u64).map(|x| x * x).sum());
-        let stats = pool.join();
-        assert_eq!(stats.len(), 4);
-        assert_eq!(stats.iter().map(|s| s.slices).sum::<u64>(), 100);
-        for (i, s) in stats.iter().enumerate() {
-            assert_eq!(s.worker, i as u32, "stats come back indexed by worker id");
-        }
+        pool.join();
     }
 
     #[test]
     fn zero_workers_clamps_to_one() {
         let pool = Pool::new(0, |_ctx: TaskCtx, x: u32| x + 1);
+        assert_eq!(pool.workers(), 1);
         pool.submit(41);
         assert_eq!(pool.recv(), 42);
-        assert_eq!(pool.join().len(), 1);
+        pool.join();
     }
 
     #[test]
@@ -297,14 +167,13 @@ mod tests {
         }
         let got: Vec<u32> = (0..50).map(|_| pool.recv()).collect();
         assert_eq!(got, (0..50).collect::<Vec<_>>(), "one worker drains FIFO in order");
-        let stats = pool.join();
-        assert_eq!(stats[0].steals, 0, "nobody to steal from");
+        pool.join();
     }
 
     #[test]
     fn slow_task_does_not_strand_queued_work() {
         // Two workers, one long task submitted first: the second worker
-        // must drain the rest (refilled or stolen) while the first sleeps.
+        // must drain the rest of the queue while the first sleeps.
         let pool = Pool::new(2, |_ctx: TaskCtx, ms: u64| {
             std::thread::sleep(Duration::from_millis(ms));
             ms
@@ -324,30 +193,6 @@ mod tests {
             start.elapsed() < Duration::from_millis(400),
             "quick tasks must not serialize behind the sleeper"
         );
-        pool.join();
-    }
-
-    #[test]
-    fn batch_submit_dispatches_by_priority_then_fifo() {
-        let pool = Pool::new(1, |_ctx: TaskCtx, x: u32| x);
-        // Unsorted priorities; ties (priority 2) must keep submission order.
-        pool.submit_batch(vec![(0, 10), (2, 20), (1, 30), (2, 21)]);
-        let first: Vec<u32> = (0..4).map(|_| pool.recv()).collect();
-        assert_eq!(first, vec![20, 21, 30, 10], "highest priority first, stable ties");
-        // A later batch never jumps ahead of an earlier one.
-        pool.submit_batch(vec![(0, 40)]);
-        pool.submit_batch(vec![(9, 50)]);
-        assert_eq!(pool.recv(), 40);
-        assert_eq!(pool.recv(), 50);
-        pool.join();
-    }
-
-    #[test]
-    fn all_equal_priority_batch_matches_plain_submits() {
-        let pool = Pool::new(1, |_ctx: TaskCtx, x: u32| x);
-        pool.submit_batch((0..50u32).map(|x| (0u8, x)).collect());
-        let got: Vec<u32> = (0..50).map(|_| pool.recv()).collect();
-        assert_eq!(got, (0..50).collect::<Vec<_>>());
         pool.join();
     }
 

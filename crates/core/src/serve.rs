@@ -1296,6 +1296,7 @@ mod tests {
     use dwc_model::fixtures::figure1_table;
     use dwc_model::AttrId;
     use dwc_server::{InterfaceSpec, WebDbServer};
+    use std::sync::atomic::AtomicBool;
 
     fn server() -> WebDbServer {
         let table = figure1_table();
@@ -1680,16 +1681,60 @@ mod tests {
         assert_eq!(report.retransmitted, 1);
     }
 
+    /// A source that holds each request until its gate opens (10 s at
+    /// most), then serves it from the figure-1 server.
+    struct Gated {
+        server: WebDbServer,
+        open: Arc<AtomicBool>,
+    }
+
+    impl DataSource for Gated {
+        fn respond(
+            &self,
+            request: &SourceRequest<'_>,
+            visit: &mut dyn FnMut(&ExtractedPageRef<'_>),
+        ) -> Result<SourceResponse, CrawlError> {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !self.open.load(Ordering::Acquire) && Instant::now() < deadline {
+                thread::sleep(Duration::from_micros(200));
+            }
+            self.server.respond(request, visit)
+        }
+
+        fn interface(&self) -> &InterfaceSpec {
+            self.server.interface()
+        }
+
+        fn rounds_used(&self) -> u64 {
+            self.server.rounds_used()
+        }
+    }
+
+    /// A service-bus sink that opens a [`Gated`] source's gate once a
+    /// duplicate frame has been parked on an in-flight request.
+    struct OpenOnRetransmit(Arc<AtomicBool>);
+
+    impl EventSink for OpenOnRetransmit {
+        fn emit(&mut self, event: &CrawlEvent) {
+            if matches!(event, CrawlEvent::FrameRetransmitted { .. }) {
+                self.0.store(true, Ordering::Release);
+            }
+        }
+    }
+
     #[test]
     fn hedging_races_a_duplicate_and_executes_once() {
-        let inner = Arc::new(server());
-        let query = a2(&inner);
+        // The executing request is held until the hedge is parked on it,
+        // so the hedge can never lose the race to the dequeue-time cancel.
+        let inner = Arc::new(Gated { server: server(), open: Arc::default() });
+        let query = a2(&inner.server);
         let config = ServeConfig::builder()
             .workers(2)
             .latency(LatencyModel::Fixed(Duration::from_millis(20)))
             .build()
             .unwrap();
         let service = SourceService::start(Arc::clone(&inner), config);
+        service.add_sink(Box::new(OpenOnRetransmit(Arc::clone(&inner.open))));
         let pool = service.connect_pool(2).unwrap().with_hedging(Duration::from_millis(1));
         let mut seen = false;
         pool.respond(&SourceRequest::new(&query, 0, ProberMode::Wire), &mut |_| seen = true)

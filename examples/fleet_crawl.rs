@@ -61,8 +61,8 @@ fn main() {
         println!("  total: {} records in {} rounds", report.total_records(), report.total_rounds);
         let s = &report.scheduler;
         println!(
-            "  scheduler: {} pool workers, {} slices ({} stolen), {} rounds executed\n",
-            s.workers, s.slices_completed, s.steals, s.rounds_executed
+            "  scheduler: {} pool workers, {} slices, {} rounds executed\n",
+            s.workers, s.slices_completed, s.rounds_executed
         );
     }
     println!(

@@ -88,9 +88,7 @@ USAGE:
             [--events FILE.jsonl]
             [--connect N] [--deadline MS] [--queue D] [--serve-workers W]
             [--latency-us N|MIN:MAX] [--decode-us N]
-  dwc resume <FILE.csv> --journal FILE
-            [--workers N] [--allocation even|harvest|weighted-fair]
-            [crawl flags]
+  dwc resume <FILE.csv> --journal FILE [crawl flags]
   dwc fleet <FILE.csv> --seed-value ATTR=VALUE... [--workers N]
             [--policy bfs|dfs|random|freq|gl|mmmi] [--budget ROUNDS]
             [--slice ROUNDS] [--allocation even|harvest|weighted-fair]
@@ -125,10 +123,10 @@ Observability: --events streams the crawl's structured event log as JSONL;
 replaying it reconstructs the final report figure for figure.
 
 Fleet scheduling: `dwc fleet` runs one crawl job per --seed-value against a
-shared in-process server, multiplexed onto a bounded work-stealing pool of
---workers threads (default: available parallelism; must be >= 1). `dwc
-resume --workers N` routes the resumed crawl through the same pooled
-engine. --workers 0 is rejected.
+shared in-process server, multiplexed onto a bounded pool of --workers
+threads that drain one FIFO queue of budget slices (default: available
+parallelism, capped at the job count; --workers 0 is rejected). --workers
+and --allocation apply to `dwc fleet` only.
 
 Multi-tenancy: `dwc fleet --tenants SPEC` runs the fleet under a tenant
 registry — comma-separated WEIGHT[:QUOTA[:PRIO]] entries, ids 0..n, jobs
@@ -344,11 +342,15 @@ fn parse_policy(name: &str) -> Result<PolicyKind, String> {
 fn cmd_crawl(args: &[String], resume: bool) -> Result<(), String> {
     let (pos, flags) = parse_flags(args)?;
     // Unknown flags are otherwise ignored; a retired persistence flag must
-    // not leave a crawl silently unpersisted.
+    // not leave a crawl silently unpersisted, nor a fleet flag silently
+    // unapplied.
     let retired =
         |n: &str| n == "resume" || (n.starts_with("checkpoint") && n != "checkpoint-every");
     if let Some((name, _)) = flags.iter().find(|(n, _)| retired(n)) {
         return Err(format!("--{name} is retired: persist with --journal FILE, then `dwc resume`"));
+    }
+    if let Some((name, _)) = flags.iter().find(|(n, _)| n == "workers" || n == "allocation") {
+        return Err(format!("--{name} applies to `dwc fleet` only"));
     }
     let path = pos.first().ok_or("crawl needs a CSV file")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -390,11 +392,6 @@ fn cmd_crawl(args: &[String], resume: bool) -> Result<(), String> {
     }
     let mem_budget = parse_mem_budget(&flags)?;
     let config = builder.build().map_err(|e| e.to_string())?;
-
-    let workers = parse_workers(&flags)?;
-    if workers.is_some() && !resume {
-        return Err("--workers applies to `dwc resume` and `dwc fleet`".into());
-    }
 
     let paging = mem_budget.map(Paging::create).transpose()?;
     let server = build_server(table, interface, paging.as_ref())?;
@@ -441,9 +438,6 @@ fn cmd_crawl(args: &[String], resume: bool) -> Result<(), String> {
             );
             let cp = rec.checkpoint;
             eprintln!("resuming at {} records / {} rounds", cp.records.len(), cp.rounds);
-            if let Some(workers) = workers {
-                return resume_pooled(server, policy, cp, config, workers, &flags, n);
-            }
             Crawler::resume(&server, policy.build(), &cp, config)
         }
         None => {
@@ -494,7 +488,17 @@ fn run_and_report<S: deep_web_crawler::core::DataSource>(
         eprintln!("streaming events to {events_path}");
     }
     let stop = loop {
-        if let Some((reason, why)) = crawler_budget_hit(&crawler) {
+        if let Some(reason) = crawler.budget_stop() {
+            let why = match reason {
+                StopReason::RoundBudget => {
+                    format!("round budget {} exhausted", crawler.max_rounds().unwrap_or_default())
+                }
+                StopReason::CoverageReached => format!(
+                    "coverage target {} reached",
+                    crawler.target_coverage().unwrap_or_default()
+                ),
+                other => other.as_str().replace('_', " "),
+            };
             eprintln!("stopping: {why}");
             break reason;
         }
@@ -927,61 +931,6 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Routes a resumed crawl through a one-job pooled fleet (`--workers N`):
-/// the checkpoint re-enters via `FleetJob::resume`, and the round budget is
-/// enforced by the fleet coordinator instead of the manual loop — the
-/// checkpointed rounds count against it, matching the manual loop's
-/// cumulative accounting.
-fn resume_pooled(
-    server: WebDbServer,
-    policy: PolicyKind,
-    cp: Checkpoint,
-    mut config: CrawlConfig,
-    workers: usize,
-    flags: &[(String, String)],
-    n: usize,
-) -> Result<(), String> {
-    if flag(flags, "stats").is_some() || flag(flags, "events").is_some() {
-        return Err("--stats/--events are not supported together with --workers".into());
-    }
-    let mut fleet = FleetConfig::builder()
-        .workers(workers)
-        .total_rounds(config.max_rounds.take().unwrap_or(u64::MAX));
-    if let Some(allocation) = parse_allocation(flags)? {
-        fleet = fleet.allocation(allocation);
-    }
-    let fleet = fleet.build().map_err(|e| e.to_string())?;
-    let report = run_fleet(
-        vec![FleetJob {
-            source: server,
-            policy,
-            seeds: Vec::new(),
-            config,
-            resume: Some(cp),
-            tenant: None,
-        }],
-        fleet,
-    );
-    let r = &report.sources[0];
-    if let Some(trace_path) = flag(flags, "trace") {
-        std::fs::write(trace_path, r.trace.to_csv())
-            .map_err(|e| format!("writing {trace_path}: {e}"))?;
-        eprintln!("trace written to {trace_path}");
-    }
-    eprintln!(
-        "scheduler: {} workers, {} slices, {} rounds executed",
-        report.scheduler.workers,
-        report.scheduler.slices_completed,
-        report.scheduler.rounds_executed
-    );
-    println!("records   : {} / {}", r.records, n);
-    println!("coverage  : {:.1}%", r.final_coverage.unwrap_or(0.0) * 100.0);
-    println!("queries   : {}", r.queries);
-    println!("rounds    : {}", r.rounds);
-    println!("aborted   : {}", r.aborted_queries);
-    Ok(())
-}
-
 /// Parses `--allocation even|harvest|weighted-fair`; anything else is
 /// rejected at parse time.
 fn parse_allocation(flags: &[(String, String)]) -> Result<Option<AllocationStrategy>, String> {
@@ -1029,7 +978,7 @@ fn parse_tenants(spec: &str) -> Result<Vec<Tenant>, String> {
 }
 
 /// `dwc fleet`: one crawl job per `--seed-value`, all against a shared
-/// in-process server, multiplexed onto the bounded work-stealing pool.
+/// in-process server, multiplexed onto the bounded worker pool.
 fn cmd_fleet(args: &[String]) -> Result<(), String> {
     use std::sync::Arc;
     let (pos, flags) = parse_flags(args)?;
@@ -1097,29 +1046,6 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
     let report = run_fleet(jobs, fleet);
     print!("{report}");
     Ok(())
-}
-
-/// Mirrors the crawler's internal budget checks for the manual loop,
-/// returning the stop verdict alongside the human-readable reason.
-fn crawler_budget_hit<S: deep_web_crawler::core::DataSource>(
-    crawler: &Crawler<S>,
-) -> Option<(StopReason, String)> {
-    if let Some(cov) = crawler.state().coverage() {
-        if let Some(target) = crawler.target_coverage() {
-            if cov >= target {
-                return Some((
-                    StopReason::CoverageReached,
-                    format!("coverage target {target} reached"),
-                ));
-            }
-        }
-    }
-    if let Some(max) = crawler.max_rounds() {
-        if crawler.elapsed_rounds() >= max {
-            return Some((StopReason::RoundBudget, format!("round budget {max} exhausted")));
-        }
-    }
-    None
 }
 
 #[cfg(test)]

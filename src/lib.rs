@@ -64,8 +64,8 @@ pub mod prelude {
         ChaosKind, ChaosPlan, ChaosState, ChaosTally, Checkpoint, CircuitBreaker, ClientPool,
         ConfigError, Connection, CrawlConfig, CrawlError, CrawlEvent, CrawlReport, CrawlTrace,
         Crawler, DataSource, DomainTable, EventSink, FaultKind, FaultPlan, FaultPlanSource,
-        FleetConfig, FleetController, FleetJob, FleetReport, JobHealth, JsonlSink, LatencyModel,
-        MemorySink, MetricsRegistry, ProberMode, QueryMode, RateLimit, RetryPolicy, SchedulerStats,
+        FleetConfig, FleetJob, FleetReport, JobHealth, JsonlSink, LatencyModel, MemorySink,
+        MetricsRegistry, ProberMode, QueryMode, RateLimit, RetryPolicy, SchedulerStats,
         ServeConfig, ServiceReport, SourceRequest, SourceService, StateJournal, StopReason, Tenant,
         TenantId, UsageLedger,
     };

@@ -1,7 +1,8 @@
-//! The `dwc` binary under SIGKILL: a journaled crawl killed mid-run and
-//! continued with `dwc resume` prints the uninterrupted crawl's report, and
-//! a journal that decodes to an impossible state is an error, never an
-//! abort.
+//! The `dwc` binary's crawl loop and `dwc resume`: a journaled crawl
+//! killed mid-run by SIGKILL and continued with `dwc resume` prints the
+//! uninterrupted crawl's report; a journal that decodes to an impossible
+//! state is an error, never an abort; the manual crawl loop stops by the
+//! crawler's own stop rule; and fleet flags on `dwc resume` are refused.
 #![cfg(unix)]
 
 use deep_web_crawler::store::FrameLog;
@@ -107,5 +108,53 @@ fn resume_rejects_an_impossible_journal_with_an_error() {
         assert_eq!(out.status.code(), Some(1), "{frames:?}: {stderr}");
         assert!(stderr.contains("recovering"), "{frames:?}: {stderr}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `dwc crawl` drives the crawler step by step but stops by
+/// `Crawler::budget_stop`, the rule `Crawler::run` uses: when the round
+/// budget and the coverage target are both met, the round budget wins, and
+/// the event stream's `crawl_finished` line says so.
+#[test]
+fn crawl_loop_stops_by_the_crawlers_own_rule() {
+    let dir = scratch_dir("stop-rule");
+    let csv = dir.join("ebay.csv").to_str().expect("UTF-8 path").to_string();
+    let out = dwc(&["generate", "ebay", "--scale", "0.02", "--seed", "3", "--out", &csv]);
+    assert!(out.status.success(), "generate failed: {}", String::from_utf8_lossy(&out.stderr));
+    let events = dir.join("events.jsonl");
+    let events_arg = events.to_str().expect("UTF-8 path");
+    let crawl = ["--seed-value", "Seller=Seller_43", "--budget", "1", "--coverage", "0.001"];
+    let out = dwc(&[&["crawl", &csv][..], &crawl, &["--events", events_arg]].concat());
+    assert_eq!(report_lines(&out)[2], "rounds    : 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("stopping: round budget 1 exhausted"), "{stderr}");
+    let stream = std::fs::read_to_string(&events).expect("read events");
+    let finished = stream.lines().last().expect("a non-empty event stream");
+    assert!(
+        finished.starts_with(r#"{"event":"crawl_finished","stop":"round_budget""#),
+        "{finished}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `dwc resume` runs one crawl; fleet flags belong to `dwc fleet`. Each is
+/// refused with a message naming it, before the journal is touched.
+#[test]
+fn resume_refuses_fleet_flags_and_names_dwc_fleet() {
+    let dir = scratch_dir("fleet-flags");
+    let csv = generate(&dir, "0.001");
+    let journal = dir.join("crawl.jnl");
+    let journal_arg = journal.to_str().expect("UTF-8 path");
+    let crawl = ["--seed-value", "Author=Author_5", "--budget", "20", "--journal", journal_arg];
+    report_lines(&dwc(&[&["crawl", &csv][..], &crawl].concat()));
+    let before = std::fs::read(&journal).expect("read journal");
+    for extra in [&["--workers", "2"][..], &["--allocation", "even"][..]] {
+        let out = dwc(&[&["resume", &csv, "--journal", journal_arg][..], extra].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{extra:?}: {stderr}");
+        assert!(stderr.contains("dwc fleet"), "{extra:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{extra:?}: no report for a refused resume");
+    }
+    assert_eq!(std::fs::read(&journal).expect("read journal"), before, "journal untouched");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,4 +1,4 @@
-//! Acceptance suite for the work-stealing fleet scheduler.
+//! Acceptance suite for the fleet scheduler.
 //!
 //! * **Budget conservation** — a property sweep over job counts × worker
 //!   counts × budgets × slices × allocation strategies: the fleet never
@@ -253,7 +253,6 @@ fn single_worker_fleet_is_fully_deterministic() {
     let b = run();
     assert_eq!(a.sources, b.sources, "reports must be bit-for-bit identical");
     assert_eq!(a.scheduler, b.scheduler, "the slice schedule must be identical");
-    assert!(a.scheduler.steals == 0, "a single worker has nobody to steal from");
 }
 
 /// Builds the fault plan the CI matrix selects via `DWC_FAULT_KIND`,
