@@ -24,14 +24,12 @@
 //! Measured numbers land in `BENCH_7.json` at the repo root so CI's bench
 //! gate can archive them; a violated gate fails `cargo bench` loudly.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use dwc_core::serve::{LatencyModel, ServeConfig, ServiceReport, SourceService};
 use dwc_core::{
     ChaosKind, ChaosPlan, ChaosState, CrawlError, DataSource, ProberMode, SourceRequest,
 };
 use dwc_datagen::presets::Preset;
 use dwc_server::{Query, WebDbServer};
-use std::hint::black_box;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -178,7 +176,7 @@ fn percentile(sorted: &[u64], pct: usize) -> u64 {
     sorted[idx]
 }
 
-fn bench_chaos(c: &mut Criterion) {
+fn main() {
     let requests = requests_per_client();
 
     let mut unhedged = drive(None, requests);
@@ -295,28 +293,4 @@ fn bench_chaos(c: &mut Criterion) {
         u_p99 as f64 / h_p99.max(1) as f64,
         out.display()
     );
-
-    // Criterion numbers for the record: one hedged round-trip on a clean
-    // wire — the overhead floor hedging adds when it never has to fire.
-    let source = server();
-    let queries = workload(&source);
-    let service = SourceService::start(source, serve_config());
-    let pool = service.connect_pool(2).expect("pool size is nonzero").with_hedging(HEDGE_AFTER);
-    let mut group = c.benchmark_group("chaos");
-    group.sample_size(20);
-    group.bench_function("hedged_round_trip_clean_wire", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let q = &queries[i % queries.len()];
-            i += 1;
-            black_box(
-                pool.respond(&SourceRequest::new(q, 0, ProberMode::Wire), &mut |_| {})
-                    .expect("workload queries are valid"),
-            )
-        })
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench_chaos);
-criterion_main!(benches);

@@ -21,7 +21,6 @@
 //! Pool width follows `DWC_WORKERS` (default 8) so CI can pin the same
 //! matrix the fleet acceptance suite sweeps.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use dwc_core::fault::{FaultPlan, FaultPlanSource};
 use dwc_core::fleet::{run_fleet, AllocationStrategy, FleetConfig, FleetJob};
 use dwc_core::policy::PolicyKind;
@@ -115,7 +114,7 @@ fn weighted_progress(usage: &[(TenantId, UsageLedger)]) -> Vec<f64> {
         .collect()
 }
 
-fn bench_sched_stress(c: &mut Criterion) {
+fn main() {
     let n = job_count();
     let w = workers();
 
@@ -205,30 +204,4 @@ fn bench_sched_stress(c: &mut Criterion) {
          baseline at {n} jobs, measured {throughput_ratio:.3}x ({blind_elapsed:?} blind vs \
          {tenanted_elapsed:?} tenanted)"
     );
-
-    // Criterion numbers for the record (the gates above already enforced),
-    // at a smaller job count so the full suite stays fast.
-    let small = n / 10;
-    let mut group = c.benchmark_group("sched_stress");
-    group.sample_size(10);
-    group.bench_function("tenant_blind_even", |b| {
-        b.iter(|| {
-            black_box(run_fleet(
-                jobs(small, false),
-                fleet_config(small, AllocationStrategy::Even, false),
-            ))
-        })
-    });
-    group.bench_function("weighted_fair_8_tenants", |b| {
-        b.iter(|| {
-            black_box(run_fleet(
-                jobs(small, true),
-                fleet_config(small, AllocationStrategy::WeightedFair, true),
-            ))
-        })
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench_sched_stress);
-criterion_main!(benches);

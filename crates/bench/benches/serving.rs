@@ -17,12 +17,10 @@
 //! Measured numbers land in `BENCH_6.json` at the repo root so CI's bench
 //! gate can archive them; a violated gate fails `cargo bench` loudly.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use dwc_core::serve::{LatencyModel, ServeConfig, ServiceReport, SourceService};
 use dwc_core::{CrawlError, DataSource, ProberMode, SourceRequest};
 use dwc_datagen::presets::Preset;
 use dwc_server::{Query, WebDbServer};
-use std::hint::black_box;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -98,7 +96,7 @@ fn drive(
     (service.shutdown(), elapsed)
 }
 
-fn bench_serving(c: &mut Criterion) {
+fn main() {
     let source = server();
     let queries = workload(&source);
     assert!(queries.len() >= 8, "workload must not be empty");
@@ -211,26 +209,4 @@ fn bench_serving(c: &mut Criterion) {
         overload.shed_rate() * 100.0,
         out.display()
     );
-
-    // Criterion numbers for the record: one service round-trip with the
-    // queue idle — the floor under every latency percentile above.
-    let service = SourceService::start(Arc::clone(&source), ServeConfig::default());
-    let conn = service.connect();
-    let mut group = c.benchmark_group("serving");
-    group.sample_size(20);
-    group.bench_function("round_trip_idle", |b| {
-        let mut i = 0usize;
-        b.iter(|| {
-            let q = &queries[i % queries.len()];
-            i += 1;
-            black_box(
-                conn.respond(&SourceRequest::new(q, 0, ProberMode::Wire), &mut |_| {})
-                    .expect("workload queries are valid"),
-            )
-        })
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench_serving);
-criterion_main!(benches);

@@ -22,7 +22,6 @@
 //! Measured numbers go to `BENCH_9.json` at the repo root; either gate
 //! failing fails `cargo bench` (and CI's bench gate) loudly.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use dwc_core::{CrawlConfig, CrawlReport, Crawler, PolicyKind, ProberMode};
 use dwc_datagen::presets::{BigScale, Preset};
 use dwc_server::{InterfaceSpec, WebDbServer};
@@ -194,7 +193,7 @@ fn throughput_phase(dir: &Path, budget: MemoryBudget) -> (f64, f64) {
     (resident_pps, paged_pps)
 }
 
-fn bench_storage(c: &mut Criterion) {
+fn main() {
     let quick = quick_mode();
     let big_records = env_u64("DWC_BENCH9_BIG_RECORDS", if quick { 1_000_000 } else { 50_000_000 });
     let ceiling_mb = env_u64("DWC_BENCH9_CEILING_MB", if quick { 1_536 } else { 3_072 });
@@ -255,25 +254,4 @@ fn bench_storage(c: &mut Criterion) {
         "paged backend served {paged_pps:.0} pages/s vs resident {resident_pps:.0} — ratio \
          {ratio:.2} is under the {REQUIRED_THROUGHPUT} gate"
     );
-
-    // Criterion numbers for the record (the gates above already enforced).
-    let scale = if quick { 0.02 } else { 0.05 };
-    let table = Preset::Imdb.table(scale, SEED);
-    let crit_dir = scratch_dir("criterion");
-    let paged = {
-        let pager = FilePager::open(&crit_dir, DEFAULT_PAGE_SIZE).expect("open segment dir");
-        let seg = SegmentTable::from_table(&table, Box::new(pager), budget.pool_bytes())
-            .expect("pack segments");
-        WebDbServer::paged(Arc::new(seg), interface(table.schema()))
-    };
-    let resident = WebDbServer::new(table.clone(), interface(table.schema()));
-    let mut group = c.benchmark_group("storage_crawl");
-    group.sample_size(10);
-    group.bench_function("resident", |b| b.iter(|| black_box(run_crawl(&resident, 200))));
-    group.bench_function("paged", |b| b.iter(|| black_box(run_crawl(&paged, 200))));
-    group.finish();
-    std::fs::remove_dir_all(&crit_dir).ok();
 }
-
-criterion_group!(benches, bench_storage);
-criterion_main!(benches);

@@ -1,5 +1,5 @@
 //! Experiment harness: shared utilities for the per-table / per-figure
-//! binaries and the criterion benches.
+//! binaries and the gated benches.
 //!
 //! Each binary under `src/bin/` regenerates one artifact of the paper's
 //! evaluation (see DESIGN.md's per-experiment index). All experiments are

@@ -27,7 +27,9 @@
 //! it to a minimal failing subset — the smallest set of frame faults that
 //! still reproduces the failure — which is what gets printed and archived.
 //!
-//! The invariants the harness checks against any plan (see `tests/chaos.rs`):
+//! The invariants every chaos crawl must keep live in one place,
+//! [`ChaosRun::violation`], which both `tests/chaos.rs` and `dwc chaos`
+//! call:
 //!
 //! 1. **Crawl parity** — the crawl report is bit-identical to the fault-free
 //!    run with the same crawl seed: chaos is fully absorbed below the
@@ -38,7 +40,9 @@
 //! 3. **Replay parity** — service reports still fold deterministically from
 //!    their recorded event streams.
 
+use crate::crawler::CrawlReport;
 use crate::fault::{splitmix64, SPLITMIX_STEP};
+use crate::serve::ServiceReport;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -484,6 +488,73 @@ impl ChaosState {
             crashes: self.crashes.load(Ordering::Relaxed),
             halted: self.is_halted(),
         }
+    }
+}
+
+/// What one crawl through a chaos wire produced: everything the chaos
+/// invariants are checked on.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ChaosRun {
+    /// The crawl's report.
+    pub report: CrawlReport,
+    /// The service report folded live.
+    pub service: ServiceReport,
+    /// The service report replayed from the service's recorded events.
+    pub replayed: ServiceReport,
+    /// Rounds the inner source executed.
+    pub executed: u64,
+    /// The client's `rounds_used()`, read once every admitted request was
+    /// completed or cancelled.
+    pub rounds_used: u64,
+    /// Wire frames the client transmitted.
+    pub frames: u64,
+    /// Faults the wire injected.
+    pub tally: ChaosTally,
+}
+
+impl ChaosRun {
+    /// The first chaos invariant this run breaks, or `None` when all hold.
+    /// `plan` is the schedule the run faced and `baseline` the same crawl
+    /// without faults. In order: replay parity, billing conservation, and
+    /// absorption — the report equals the baseline, unless the plan halts
+    /// the service, in which case the crawl may end early but never harvest
+    /// more records than the baseline.
+    pub fn violation(&self, plan: &ChaosPlan, baseline: &CrawlReport) -> Option<String> {
+        if self.replayed != self.service {
+            return Some(format!(
+                "replay parity broken: live {:?} != replayed {:?}",
+                self.service, self.replayed
+            ));
+        }
+        let billed =
+            self.executed + self.service.shed + self.service.cancelled + self.service.retransmitted;
+        if self.rounds_used != billed {
+            return Some(format!(
+                "billing conservation broken: rounds_used {} != executed {} + shed {} + \
+                 cancelled {} + retransmitted {}",
+                self.rounds_used,
+                self.executed,
+                self.service.shed,
+                self.service.cancelled,
+                self.service.retransmitted
+            ));
+        }
+        let (run, base) = (&self.report, baseline);
+        if plan.iter().any(|(_, k)| k == ChaosKind::Halt) {
+            if run.records > base.records {
+                return Some(format!(
+                    "halted crawl harvested {} records, more than the baseline's {}",
+                    run.records, base.records
+                ));
+            }
+        } else if run != base {
+            return Some(format!(
+                "crawl report diverged from the fault-free baseline under a recoverable plan: \
+                 {} records / {} rounds / {} queries vs baseline {} / {} / {}",
+                run.records, run.rounds, run.queries, base.records, base.rounds, base.queries
+            ));
+        }
+        None
     }
 }
 

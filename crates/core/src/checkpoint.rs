@@ -16,8 +16,8 @@
 //! Version 2 (current) carries an FNV-1a checksum of the entire body in the
 //! header line, so *any* truncation or bit-rot — down to a lost trailing
 //! newline — is detected at parse time instead of resuming from silently
-//! damaged state. Version 1 blobs (no checksum) are still accepted; unknown
-//! future versions are rejected with [`CheckpointError::UnsupportedVersion`].
+//! damaged state. Any other version — the retired unchecksummed v1, or a
+//! future one — is rejected with [`CheckpointError::UnsupportedVersion`].
 //! Decoding is total: header counts never size an allocation beyond what
 //! the input can hold, and attribute indices and value ids are
 //! range-checked, so a bad blob is an error, never an abort or a panic.
@@ -27,6 +27,7 @@
 //! rotation. This module only defines the blob.
 
 use crate::state::{CandStatus, CrawlState};
+use dwc_model::packed::fnv1a64;
 use dwc_model::ValueId;
 use std::fmt::Write as _;
 
@@ -79,7 +80,7 @@ impl std::fmt::Display for CheckpointError {
         match self {
             CheckpointError::BadHeader => write!(f, "not a DWC checkpoint (bad header)"),
             CheckpointError::UnsupportedVersion(v) => {
-                write!(f, "unsupported checkpoint version {v:?} (this build reads v1 and v2)")
+                write!(f, "unsupported checkpoint version {v:?} (this build reads v2)")
             }
             CheckpointError::ChecksumMismatch { expected, actual } => write!(
                 f,
@@ -162,19 +163,8 @@ pub(crate) fn unescape(s: &str) -> Result<String, CheckpointError> {
     Ok(out)
 }
 
-const HEADER_V1: &str = "DWC-CHECKPOINT v1";
 const HEADER_V2_PREFIX: &str = "DWC-CHECKPOINT v2 crc=";
 const HEADER_ANY_PREFIX: &str = "DWC-CHECKPOINT ";
-
-/// FNV-1a over the raw bytes — dependency-free, stable across platforms.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 impl Checkpoint {
     /// Serializes to the current (v2) text format: a header line carrying the
@@ -234,9 +224,9 @@ impl Checkpoint {
         }
     }
 
-    /// Parses the text format, negotiating the version from the header: v2
-    /// (checksum verified before anything else), v1 (legacy, no checksum),
-    /// or an error for anything newer or foreign.
+    /// Parses the text format: a v2 header, whose checksum is verified
+    /// before anything else, or an error for any other version or a
+    /// foreign header.
     pub fn from_text(text: &str) -> Result<Self, CheckpointError> {
         let newline = text.find('\n');
         let header = match newline {
@@ -247,20 +237,19 @@ impl Checkpoint {
             Some(i) => &text[i + 1..],
             None => "",
         };
-        if let Some(crc_hex) = header.strip_prefix(HEADER_V2_PREFIX) {
-            let expected = u64::from_str_radix(crc_hex, 16)
-                .map_err(|_| CheckpointError::Malformed("header checksum"))?;
-            let actual = fnv1a64(body.as_bytes());
-            if actual != expected {
-                return Err(CheckpointError::ChecksumMismatch { expected, actual });
-            }
-        } else if header != HEADER_V1 {
+        let Some(crc_hex) = header.strip_prefix(HEADER_V2_PREFIX) else {
             return Err(match header.strip_prefix(HEADER_ANY_PREFIX) {
                 Some(version) => CheckpointError::UnsupportedVersion(
                     version.split(' ').next().unwrap_or(version).to_string(),
                 ),
                 None => CheckpointError::BadHeader,
             });
+        };
+        let expected = u64::from_str_radix(crc_hex, 16)
+            .map_err(|_| CheckpointError::Malformed("header checksum"))?;
+        let actual = fnv1a64(body.as_bytes());
+        if actual != expected {
+            return Err(CheckpointError::ChecksumMismatch { expected, actual });
         }
         Self::body_from_text(body)
     }
@@ -448,6 +437,13 @@ impl Checkpoint {
     }
 }
 
+/// `body` behind a v2 header carrying its checksum: a blob that passes the
+/// checksum, whatever its body says.
+#[cfg(test)]
+pub(crate) fn checksummed(body: &str) -> String {
+    format!("{HEADER_V2_PREFIX}{:016x}\n{body}", fnv1a64(body.as_bytes()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,7 +505,7 @@ mod tests {
         assert_eq!(Checkpoint::from_text("nope"), Err(CheckpointError::BadHeader));
         assert_eq!(Checkpoint::from_text(""), Err(CheckpointError::BadHeader));
         assert_eq!(
-            Checkpoint::from_text("DWC-CHECKPOINT v1\nmeta\tx"),
+            Checkpoint::from_text(&checksummed("meta\tx")),
             Err(CheckpointError::Malformed("meta"))
         );
         let truncated = demo().to_text().lines().take(4).collect::<Vec<_>>().join("\n");
@@ -517,12 +513,12 @@ mod tests {
     }
 
     #[test]
-    fn v1_blobs_still_parse() {
-        let cp = demo();
-        let text = cp.to_text();
+    fn v1_blobs_are_rejected_with_version_error() {
+        let text = demo().to_text();
         let body = &text[text.find('\n').unwrap() + 1..];
-        let v1 = format!("DWC-CHECKPOINT v1\n{body}");
-        assert_eq!(Checkpoint::from_text(&v1).unwrap(), cp);
+        let err = Checkpoint::from_text(&format!("DWC-CHECKPOINT v1\n{body}")).unwrap_err();
+        assert_eq!(err, CheckpointError::UnsupportedVersion("v1".into()));
+        assert_eq!(err.to_string(), "unsupported checkpoint version \"v1\" (this build reads v2)");
     }
 
     #[test]
@@ -570,25 +566,25 @@ mod tests {
     /// `Crawler::resume`, which would abort or panic on them.
     #[test]
     fn impossible_counts_and_ids_are_errors_not_aborts() {
-        let v1 = |body: &str| format!("DWC-CHECKPOINT v1\nmeta\t10\t0\t0\t0\n{body}");
+        let v2 = |body: &str| checksummed(&format!("meta\t10\t0\t0\t0\n{body}"));
         let one_value =
-            |tail: &str| v1(&format!("attrs\t1\na\tA\t1\nvalues\t1\nv\t0\ta1\nstatus\tF\n{tail}"));
+            |tail: &str| v2(&format!("attrs\t1\na\tA\t1\nvalues\t1\nv\t0\ta1\nstatus\tF\n{tail}"));
         let cases = [
-            (v1("attrs\t100000000000\n"), "attr line"),
-            (v1("attrs\t18446744073709551615\n"), "attr line"),
+            (v2("attrs\t100000000000\n"), "attr line"),
+            (v2("attrs\t18446744073709551615\n"), "attr line"),
             (one_value("queried\t\nrecords\t1\nr\t7\t5\n"), "record value id out of range"),
             (one_value("queried\t3\nrecords\t0\n"), "queried id out of range"),
             (
-                v1("attrs\t1\na\tA\t1\nvalues\t1\nv\t1\tb\nstatus\tF\nqueried\t\nrecords\t0\n"),
+                v2("attrs\t1\na\tA\t1\nvalues\t1\nv\t1\tb\nstatus\tF\nqueried\t\nrecords\t0\n"),
                 "value attr out of range",
             ),
             (
-                v1("attrs\t1\na\tA\t1\nvalues\t2\nv\t0\tb\nv\t0\tb\nstatus\tFF\nqueried\t\n\
+                v2("attrs\t1\na\tA\t1\nvalues\t2\nv\t0\tb\nv\t0\tb\nstatus\tFF\nqueried\t\n\
                     records\t0\n"),
                 "duplicate value",
             ),
-            (v1("attrs\t0\nvalues\t99999999999\nstatus\t\n"), "value line"),
-            (v1("attrs\t0\nvalues\t0\nstatus\t\nqueried\t\nrecords\t99999999999\n"), "record line"),
+            (v2("attrs\t0\nvalues\t99999999999\nstatus\t\n"), "value line"),
+            (v2("attrs\t0\nvalues\t0\nstatus\t\nqueried\t\nrecords\t99999999999\n"), "record line"),
         ];
         for (blob, what) in cases {
             assert_eq!(

@@ -751,10 +751,13 @@ mod tests {
     /// allocation, and deltas naming ids past the vocabulary.
     #[test]
     fn frames_with_impossible_counts_or_ids_are_errors() {
-        let one_value = "DWC-CHECKPOINT v1\nmeta\t10\t0\t0\t0\nattrs\t1\na\tA\t1\nvalues\t1\n\
-                         v\t0\ta1\nstatus\tF\nqueried\t\nrecords\t0\n";
+        let huge = &crate::checkpoint::checksummed("meta\t10\t0\t0\t0\nattrs\t100000000000\n");
+        let one_value = &crate::checkpoint::checksummed(
+            "meta\t10\t0\t0\t0\nattrs\t1\na\tA\t1\nvalues\t1\nv\t0\ta1\nstatus\tF\nqueried\t\n\
+             records\t0\n",
+        );
         let cases: [&[&str]; 5] = [
-            &["DWC-CHECKPOINT v1\nmeta\t10\t0\t0\t0\nattrs\t100000000000\n"],
+            &[huge],
             &[one_value, "d\t1\t1\nr\t9\t0,4\n"],
             &[one_value, "d\t1\t1\nqa\t0,1\n"],
             &[one_value, "d\t1\t1\nv\t3\ta2\tF\n"],

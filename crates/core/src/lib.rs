@@ -63,7 +63,9 @@ pub mod tenant;
 pub mod trace;
 
 pub use abort::AbortPolicy;
-pub use chaos::{shrink_plan, ChaosKind, ChaosPlan, ChaosSpecError, ChaosState, ChaosTally};
+pub use chaos::{
+    shrink_plan, ChaosKind, ChaosPlan, ChaosRun, ChaosSpecError, ChaosState, ChaosTally,
+};
 pub use checkpoint::Checkpoint;
 pub use config::{ConfigError, RetryPolicy};
 pub use crawler::{CrawlConfig, CrawlReport, Crawler, ProberMode, QueryMode, StopReason};

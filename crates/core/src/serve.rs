@@ -50,11 +50,16 @@
 //!   exactly once: `rounds_used = executed + shed + cancelled +
 //!   retransmitted`. Request frames the wire ate before admission bill
 //!   nothing.
-//! * **Hedging.** [`ClientPool::with_hedging`] races a duplicate of any
+//! * **Hedging.** [`ClientPool::with_hedging`] races one duplicate of any
 //!   request whose reply exceeds a latency threshold on the next connection,
-//!   with the same request id — the dedup window makes the race safe — and
-//!   cancels the loser. This bounds p99 under stall injection at a small
-//!   extra round cost (BENCH-7 gates both sides).
+//!   with the same request id — the dedup window makes the race safe. Both
+//!   jobs answer into one reply channel, and the calling thread runs the
+//!   same transmission loop as a lone [`Connection`]: the first intact
+//!   frame wins and fires the hedge's token, so a hedge still queued is
+//!   cancelled; a hedge shed, halted or lost at submit is billed as such
+//!   but never becomes the answer; nothing is transmitted after `respond`
+//!   returns. This bounds p99 under stall injection at a small extra round
+//!   cost (BENCH-7 gates both sides).
 //! * **Circuit breaking.** Every pool carries a [`CircuitBreaker`] per
 //!   connection: streaks of [`CrawlError::Rejected`] /
 //!   [`CrawlError::Cancelled`] trip a connection out of rotation, a cooled
@@ -96,7 +101,7 @@ use crate::source::{
 };
 use crate::tenant::{validate_tenants, Tenant, TenantId, TokenBucket};
 use crate::ConfigError;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use dwc_server::{InterfaceSpec, Query};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
@@ -753,16 +758,6 @@ fn worker_loop<S: DataSource>(
     }
 }
 
-/// What one submit attempt produced.
-enum SubmitOutcome {
-    /// The request frame reached the queue; await the reply here. Carries
-    /// the queue depth observed at admission.
-    Wait(Receiver<Reply>, u32),
-    /// The chaos wire ate the request frame before the service saw it:
-    /// nothing was billed; retransmit immediately.
-    RequestFrameLost,
-}
-
 /// The client half of the protocol transport: a [`DataSource`] that frames
 /// each request into the service's bounded queue and re-parses the reply.
 ///
@@ -816,10 +811,17 @@ impl<S> Connection<S> {
 }
 
 impl<S: DataSource> Connection<S> {
-    /// Transmits one wire frame pair's worth of request: decides the chaos
-    /// fate of the request and reply frames, builds the job, and offers it
-    /// to the queue.
-    fn submit(&self, request: &SourceRequest<'_>, rid: u64) -> Result<SubmitOutcome, CrawlError> {
+    /// Transmits one request: decides the chaos fate of its request and
+    /// reply frames, builds the job around `reply`, and offers it to the
+    /// queue. `Ok(Some(depth))` carries the queue depth at admission;
+    /// `Ok(None)` means the wire ate the request frame before the service
+    /// saw it (nothing billed; retransmit).
+    fn submit(
+        &self,
+        request: &SourceRequest<'_>,
+        rid: u64,
+        reply: Sender<Reply>,
+    ) -> Result<Option<u32>, CrawlError> {
         let mut jc = JobChaos::default();
         let mut duplicate = false;
         if let Some(chaos) = &self.chaos {
@@ -835,7 +837,7 @@ impl<S: DataSource> Connection<S> {
                     // link. None of these reach the service: unbilled.
                     ChaosKind::Drop | ChaosKind::Corrupt | ChaosKind::Disconnect => {
                         self.shared.emit(CrawlEvent::FrameDropped { frame });
-                        return Ok(SubmitOutcome::RequestFrameLost);
+                        return Ok(None);
                     }
                     ChaosKind::Stall => jc.exec_delay = chaos.plan().stall(),
                     ChaosKind::Reorder => jc.exec_delay = chaos.plan().reorder(),
@@ -867,21 +869,9 @@ impl<S: DataSource> Connection<S> {
                 }
             }
         }
-        if let Some(tenant) = self.tenant {
-            if !self.shared.admit(tenant, Instant::now()) {
-                // Token bucket empty: shed at the protocol seam and bill the
-                // round to the offending tenant (the request reached the
-                // service; Definition 2.3 counts requests, not outcomes).
-                self.shared.shed.fetch_add(1, Ordering::Relaxed);
-                self.shared.emit(CrawlEvent::RequestShed);
-                self.shared.emit(CrawlEvent::TenantThrottled { tenant });
-                return Err(CrawlError::Rejected);
-            }
-        }
         let deadline =
             request.deadline.or_else(|| self.default_deadline.map(|d| Instant::now() + d));
-        let (reply_tx, reply_rx) = bounded(1);
-        let job = Job {
+        let job = |chaos, reply| Job {
             query: request.query.clone(),
             page_index: request.page_index,
             prober: request.prober,
@@ -891,96 +881,123 @@ impl<S: DataSource> Connection<S> {
             seq: self.shared.seq.fetch_add(1, Ordering::Relaxed),
             rid,
             tenant: self.tenant,
-            chaos: jc,
-            reply: reply_tx,
+            chaos,
+            reply,
         };
-        match self.tx.try_send(job) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) => {
-                // Shed at admission: the request reached the service, so the
-                // service bills the round itself — to the tenant, when the
-                // connection has one.
-                self.shared.shed.fetch_add(1, Ordering::Relaxed);
-                self.shared.emit(CrawlEvent::RequestShed);
-                if let Some(tenant) = self.tenant {
-                    self.shared.emit(CrawlEvent::TenantThrottled { tenant });
-                }
-                return Err(CrawlError::Rejected);
-            }
-            Err(TrySendError::Disconnected(_)) => return Err(CrawlError::Cancelled),
-        }
-        let depth = self.tx.len() as u32;
-        self.shared.emit(CrawlEvent::RequestEnqueued { depth });
-        if let Some(tenant) = self.tenant {
-            self.shared.emit(CrawlEvent::TenantAdmitted { tenant });
-        }
+        let depth = self.enqueue(job(jc, reply))?;
         if duplicate {
             // The wire doubled the request frame: a second job with the
-            // same request id. The dedup window bills it as a retransmit
-            // and never re-executes; its reply channel is discarded.
-            let (dup_tx, _dup_rx) = bounded(1);
-            let dup = Job {
-                query: request.query.clone(),
-                page_index: request.page_index,
-                prober: request.prober,
-                deadline,
-                cancel: request.cancel.cloned(),
-                enqueued_at: Instant::now(),
-                seq: self.shared.seq.fetch_add(1, Ordering::Relaxed),
-                rid,
-                tenant: self.tenant,
-                chaos: JobChaos::default(),
-                reply: dup_tx,
-            };
-            match self.tx.try_send(dup) {
+            // same request id, admitted like any other. The dedup window
+            // bills it as a retransmit and never re-executes it; its reply
+            // goes nowhere.
+            let _ = self.enqueue(job(JobChaos::default(), bounded(1).0));
+        }
+        Ok(Some(depth))
+    }
+
+    /// The one admission path: the tenant's token bucket, then the bounded
+    /// queue. A refusal at either is a shed, billed here — the request
+    /// reached the service, and Definition 2.3 counts requests, not
+    /// outcomes — to the tenant when the connection has one. Returns the
+    /// queue depth the admitted job saw.
+    fn enqueue(&self, job: Job) -> Result<u32, CrawlError> {
+        let throttled = self.tenant.is_some_and(|t| !self.shared.admit(t, Instant::now()));
+        if !throttled {
+            match self.tx.try_send(job) {
                 Ok(()) => {
-                    self.shared.emit(CrawlEvent::RequestEnqueued { depth: self.tx.len() as u32 });
+                    let depth = self.tx.len() as u32;
+                    self.shared.emit(CrawlEvent::RequestEnqueued { depth });
                     if let Some(tenant) = self.tenant {
                         self.shared.emit(CrawlEvent::TenantAdmitted { tenant });
                     }
+                    return Ok(depth);
                 }
-                Err(TrySendError::Full(_)) => {
-                    self.shared.shed.fetch_add(1, Ordering::Relaxed);
-                    self.shared.emit(CrawlEvent::RequestShed);
-                    if let Some(tenant) = self.tenant {
-                        self.shared.emit(CrawlEvent::TenantThrottled { tenant });
-                    }
-                }
-                Err(TrySendError::Disconnected(_)) => {}
+                Err(TrySendError::Full(_)) => {}
+                Err(TrySendError::Disconnected(_)) => return Err(CrawlError::Cancelled),
             }
         }
-        Ok(SubmitOutcome::Wait(reply_rx, depth))
+        self.shared.shed.fetch_add(1, Ordering::Relaxed);
+        self.shared.emit(CrawlEvent::RequestShed);
+        if let Some(tenant) = self.tenant {
+            self.shared.emit(CrawlEvent::TenantThrottled { tenant });
+        }
+        Err(CrawlError::Rejected)
     }
 
-    /// The client-side transmission protocol for one logical request:
-    /// transmit, await, verify, and retransmit with the same request id
-    /// until the wire yields an intact frame (or a definitive error).
-    /// Returns the intact frame and the queue depth its transmission saw.
+    /// The one transmission loop, for a lone connection and a hedged pool
+    /// alike: transmit, await, verify, and retransmit with the same request
+    /// id until an intact frame (or a definitive error) arrives. Returns
+    /// the intact frame and the queue depth its transmission saw.
+    ///
+    /// Each transmission's job answers on a fresh reply channel. With
+    /// `hedge` set, a reply that outlives the threshold draws at most one
+    /// same-id hedge on the hedge connection, into the same channel and
+    /// under a token of its own; the first intact frame wins and fires it.
+    /// The loop retransmits only once every sender of the channel is gone,
+    /// so no job it sent can still answer, and it transmits nothing after
+    /// it returns.
     fn fetch_frame(
         &self,
         request: &SourceRequest<'_>,
-        rid: u64,
+        hedge: Option<(&Connection<S>, Duration)>,
     ) -> Result<(ReplyFrame, u32), CrawlError> {
+        let rid = self.shared.request_ids.fetch_add(1, Ordering::Relaxed);
+        let mut hedge = hedge.map(|(conn, after)| (conn, Instant::now() + after));
+        let mut token = None;
         for _ in 0..RETRANSMIT_LIMIT {
-            let (reply_rx, depth) = match self.submit(request, rid)? {
-                SubmitOutcome::Wait(rx, depth) => (rx, depth),
-                SubmitOutcome::RequestFrameLost => continue,
-            };
-            let frame = match reply_rx.recv() {
-                Ok(Ok(frame)) => frame,
-                // A definitive outcome from the service (inner error,
-                // cancel, …) ends the protocol — no retransmission.
-                Ok(Err(e)) => return Err(e),
-                // The reply channel died without an answer: the reply frame
-                // was lost or the worker crashed. Retransmit; the dedup
-                // window guarantees we never re-execute a completed request.
-                Err(_) => continue,
-            };
-            if wire_checksum(frame.wire.as_bytes()) != frame.checksum {
-                // Truncated in transit; the intact frame is cached.
+            let (tx, rx) = bounded(2);
+            // A sender is held back only while a hedge may still join.
+            let mut held = hedge.map(|hedge| (hedge, tx.clone()));
+            let Some(depth) = self.submit(request, rid, tx)? else {
                 continue;
+            };
+            let mut failed = None;
+            loop {
+                let reply = match held.take() {
+                    Some(((conn, at), tx)) => {
+                        match rx.recv_timeout(at.saturating_duration_since(Instant::now())) {
+                            // The transmission's only job answered first.
+                            Ok(reply) => reply,
+                            Err(_) => {
+                                // The reply outlived the threshold: one hedge
+                                // joins the channel. Shed, halted or lost at
+                                // submit, it is billed as such but never
+                                // answers.
+                                hedge = None;
+                                let cancel = token.insert(CancelToken::new());
+                                self.shared.emit(CrawlEvent::Hedged { request: rid });
+                                let _ = conn.submit(&request.with_cancel(cancel), rid, tx);
+                                continue;
+                            }
+                        }
+                    }
+                    None => match rx.recv() {
+                        Ok(reply) => reply,
+                        Err(_) => break,
+                    },
+                };
+                match reply {
+                    Ok(frame) if wire_checksum(frame.wire.as_bytes()) == frame.checksum => {
+                        if let Some(token) = &token {
+                            token.cancel();
+                        }
+                        return Ok((frame, depth));
+                    }
+                    // Truncated in transit; the intact frame is cached.
+                    Ok(_) => {}
+                    Err(e) => {
+                        failed.get_or_insert(e);
+                    }
+                }
             }
-            return Ok((frame, depth));
+            // Every sender is gone. A definitive outcome from the service
+            // (inner error, cancel, …) ends the protocol. Otherwise the
+            // reply was lost or truncated, or its worker crashed: retransmit;
+            // the dedup window guarantees a completed request never
+            // re-executes.
+            if let Some(e) = failed {
+                return Err(e);
+            }
         }
         // The wire never stabilized within the safety valve.
         Err(CrawlError::Cancelled)
@@ -1017,8 +1034,7 @@ impl<S: DataSource> DataSource for Connection<S> {
         request: &SourceRequest<'_>,
         visit: &mut dyn FnMut(&ExtractedPageRef<'_>),
     ) -> Result<SourceResponse, CrawlError> {
-        let rid = self.shared.request_ids.fetch_add(1, Ordering::Relaxed);
-        let (frame, depth) = self.fetch_frame(request, rid)?;
+        let (frame, depth) = self.fetch_frame(request, None)?;
         frame.deliver(depth, visit)
     }
 
@@ -1044,59 +1060,6 @@ impl Default for BreakerCell {
     fn default() -> Self {
         BreakerCell { breaker: CircuitBreaker::new(BreakerConfig::default()), streak: 0 }
     }
-}
-
-/// An owned copy of a request envelope, so hedge attempts can cross thread
-/// boundaries.
-#[derive(Clone)]
-struct OwnedRequest {
-    query: Query,
-    page_index: usize,
-    prober: ProberMode,
-    deadline: Option<Instant>,
-    cancel: Option<CancelToken>,
-}
-
-impl OwnedRequest {
-    fn capture(request: &SourceRequest<'_>) -> Self {
-        OwnedRequest {
-            query: request.query.clone(),
-            page_index: request.page_index,
-            prober: request.prober,
-            deadline: request.deadline,
-            cancel: request.cancel.cloned(),
-        }
-    }
-
-    /// Swaps in the pool-owned hedge token, so the pool can cancel a losing
-    /// hedge without ever firing the caller's (crawl-wide) token.
-    fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    fn as_request(&self) -> SourceRequest<'_> {
-        SourceRequest {
-            query: &self.query,
-            page_index: self.page_index,
-            prober: self.prober,
-            deadline: self.deadline,
-            cancel: self.cancel.as_ref(),
-        }
-    }
-}
-
-/// Runs one transmission protocol attempt on its own thread, reporting the
-/// intact frame it fetched (or its definitive error) on `tx`.
-fn spawn_attempt<S: DataSource + Send + Sync + 'static>(
-    conn: Connection<S>,
-    request: OwnedRequest,
-    rid: u64,
-    tx: Sender<Result<(ReplyFrame, u32), CrawlError>>,
-) {
-    thread::spawn(move || {
-        let _ = tx.try_send(conn.fetch_frame(&request.as_request(), rid));
-    });
 }
 
 /// A round-robin pool of [`Connection`]s — the fleet-facing client when N
@@ -1131,9 +1094,10 @@ impl<S> ClientPool<S> {
     }
 
     /// Enables request hedging: when a reply takes longer than `threshold`,
-    /// the pool races a duplicate (same request id — the dedup window makes
-    /// the race safe) on the next connection and takes whichever reply
-    /// lands first, cancelling the loser.
+    /// the pool races one duplicate (same request id — the dedup window
+    /// makes the race safe) on the next connection, into the same reply
+    /// channel. The first intact frame wins; a hedge still queued then is
+    /// cancelled at dequeue.
     pub fn with_hedging(mut self, threshold: Duration) -> Self {
         self.hedge_after = Some(threshold);
         self
@@ -1213,65 +1177,18 @@ impl<S> ClientPool<S> {
     }
 }
 
-impl<S: DataSource + Send + Sync + 'static> ClientPool<S> {
-    /// The hedged transmission protocol: run the primary attempt on its own
-    /// thread, and if the reply outlives the threshold, race a same-id
-    /// duplicate on the next connection. First intact frame wins and is
-    /// parsed once, here; the loser's token is fired so a still-queued
-    /// hedge cancels instead of executing.
-    fn respond_hedged(
-        &self,
-        primary: usize,
-        threshold: Duration,
-        request: &SourceRequest<'_>,
-        visit: &mut dyn FnMut(&ExtractedPageRef<'_>),
-    ) -> Result<SourceResponse, CrawlError> {
-        let conn = &self.connections[primary];
-        let rid = conn.shared.request_ids.fetch_add(1, Ordering::Relaxed);
-        let owned = OwnedRequest::capture(request);
-        let (tx, rx) = bounded(2);
-        spawn_attempt(conn.clone(), owned.clone(), rid, tx.clone());
-        let fetched = match rx.recv_timeout(threshold) {
-            Ok(first) => first,
-            Err(RecvTimeoutError::Timeout) => {
-                conn.shared.emit(CrawlEvent::Hedged { request: rid });
-                let hedge_token = CancelToken::new();
-                let hedge_idx = (primary + 1) % self.connections.len();
-                spawn_attempt(
-                    self.connections[hedge_idx].clone(),
-                    owned.with_cancel(hedge_token.clone()),
-                    rid,
-                    tx,
-                );
-                match rx.recv() {
-                    Ok(first) => {
-                        // First reply wins. If the primary won, this cancels
-                        // the hedge wherever it still queues; if the hedge
-                        // won, the token is already spent.
-                        hedge_token.cancel();
-                        first
-                    }
-                    Err(_) => return Err(CrawlError::Cancelled),
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return Err(CrawlError::Cancelled),
-        };
-        let (frame, depth) = fetched?;
-        frame.deliver(depth, visit)
-    }
-}
-
-impl<S: DataSource + Send + Sync + 'static> DataSource for ClientPool<S> {
+impl<S: DataSource> DataSource for ClientPool<S> {
     fn respond(
         &self,
         request: &SourceRequest<'_>,
         visit: &mut dyn FnMut(&ExtractedPageRef<'_>),
     ) -> Result<SourceResponse, CrawlError> {
         let idx = self.pick();
-        let outcome = match self.hedge_after {
-            None => self.connections[idx].respond(request, visit),
-            Some(threshold) => self.respond_hedged(idx, threshold, request, visit),
-        };
+        let next = &self.connections[(idx + 1) % self.connections.len()];
+        let hedge = self.hedge_after.map(|after| (next, after));
+        let outcome = self.connections[idx]
+            .fetch_frame(request, hedge)
+            .and_then(|(frame, depth)| frame.deliver(depth, visit));
         self.settle(idx, &outcome);
         outcome
     }
@@ -1682,10 +1599,18 @@ mod tests {
     }
 
     /// A source that holds each request until its gate opens (10 s at
-    /// most), then serves it from the figure-1 server.
+    /// most), then serves it from the figure-1 server. `entered` counts the
+    /// requests that reached it.
     struct Gated {
         server: WebDbServer,
         open: Arc<AtomicBool>,
+        entered: AtomicUsize,
+    }
+
+    impl Gated {
+        fn new() -> Self {
+            Gated { server: server(), open: Arc::default(), entered: AtomicUsize::new(0) }
+        }
     }
 
     impl DataSource for Gated {
@@ -1694,6 +1619,7 @@ mod tests {
             request: &SourceRequest<'_>,
             visit: &mut dyn FnMut(&ExtractedPageRef<'_>),
         ) -> Result<SourceResponse, CrawlError> {
+            self.entered.fetch_add(1, Ordering::AcqRel);
             let deadline = Instant::now() + Duration::from_secs(10);
             while !self.open.load(Ordering::Acquire) && Instant::now() < deadline {
                 thread::sleep(Duration::from_micros(200));
@@ -1710,15 +1636,24 @@ mod tests {
         }
     }
 
-    /// A service-bus sink that opens a [`Gated`] source's gate once a
-    /// duplicate frame has been parked on an in-flight request.
-    struct OpenOnRetransmit(Arc<AtomicBool>);
+    /// A service-bus sink that opens a [`Gated`] source's gate on the first
+    /// event its predicate picks.
+    struct OpenOn(Arc<AtomicBool>, fn(&CrawlEvent) -> bool);
 
-    impl EventSink for OpenOnRetransmit {
+    impl EventSink for OpenOn {
         fn emit(&mut self, event: &CrawlEvent) {
-            if matches!(event, CrawlEvent::FrameRetransmitted { .. }) {
+            if (self.1)(event) {
                 self.0.store(true, Ordering::Release);
             }
+        }
+    }
+
+    /// Polls `done` every 100 µs, failing after 10 s.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            thread::sleep(Duration::from_micros(100));
         }
     }
 
@@ -1726,7 +1661,7 @@ mod tests {
     fn hedging_races_a_duplicate_and_executes_once() {
         // The executing request is held until the hedge is parked on it,
         // so the hedge can never lose the race to the dequeue-time cancel.
-        let inner = Arc::new(Gated { server: server(), open: Arc::default() });
+        let inner = Arc::new(Gated::new());
         let query = a2(&inner.server);
         let config = ServeConfig::builder()
             .workers(2)
@@ -1734,7 +1669,8 @@ mod tests {
             .build()
             .unwrap();
         let service = SourceService::start(Arc::clone(&inner), config);
-        service.add_sink(Box::new(OpenOnRetransmit(Arc::clone(&inner.open))));
+        let parked = |e: &CrawlEvent| matches!(e, CrawlEvent::FrameRetransmitted { .. });
+        service.add_sink(Box::new(OpenOn(Arc::clone(&inner.open), parked)));
         let pool = service.connect_pool(2).unwrap().with_hedging(Duration::from_millis(1));
         let mut seen = false;
         pool.respond(&SourceRequest::new(&query, 0, ProberMode::Wire), &mut |_| seen = true)
@@ -1746,6 +1682,65 @@ mod tests {
         assert_eq!(inner.rounds_used(), 1, "dedup keeps the race exactly-once");
         // The hedge is billed: one executed + one retransmitted round.
         assert_eq!(report.retransmitted, 1);
+    }
+
+    #[test]
+    fn a_hedge_shed_at_admission_does_not_fail_a_served_request() {
+        // One worker held inside the primary and a queued filler fill the
+        // one-slot queue, so the hedge is shed at the door; the shed opens
+        // the gate and the primary is served.
+        let inner = Arc::new(Gated::new());
+        let query = a2(&inner.server);
+        let config = ServeConfig::builder().workers(1).queue_depth(1).build().unwrap();
+        let service = SourceService::start(Arc::clone(&inner), config);
+        let shed = |e: &CrawlEvent| matches!(e, CrawlEvent::RequestShed);
+        service.add_sink(Box::new(OpenOn(Arc::clone(&inner.open), shed)));
+        let pool = service.connect_pool(2).unwrap().with_hedging(Duration::from_millis(300));
+        let filler = service.connect();
+        let request = SourceRequest::new(&query, 0, ProberMode::Wire);
+        thread::scope(|s| {
+            let primary = s.spawn(|| pool.respond(&request, &mut |_| {}));
+            wait_until("the worker holds the primary", || {
+                inner.entered.load(Ordering::Acquire) == 1
+            });
+            let filler = s.spawn(|| filler.respond(&request, &mut |_| {}));
+            wait_until("the filler is queued", || service.tx.len() == 1);
+            assert!(primary.join().unwrap().is_ok(), "the primary's page is the answer");
+            filler.join().unwrap().unwrap();
+        });
+        drop((pool, filler));
+        let report = service.shutdown();
+        assert_eq!(report.hedged, 1);
+        assert_eq!(report.shed, 1, "the hedge was shed at admission");
+        assert_eq!(report.completed, 2);
+        assert_eq!(inner.rounds_used(), 2);
+    }
+
+    #[test]
+    fn nothing_is_transmitted_after_a_hedged_respond_returns() {
+        // The primary's request frame stalls 50 ms and its reply frame is
+        // lost; the hedge, sent at 5 ms, executes and answers first.
+        let inner = Arc::new(server());
+        let query = a2(&inner);
+        let config = ServeConfig::builder().workers(2).build().unwrap();
+        let service = SourceService::start(Arc::clone(&inner), config);
+        let plan = ChaosPlan::new().stall_at(1).drop_at(2).stall_for(Duration::from_millis(50));
+        let chaos = Arc::new(ChaosState::new(plan));
+        let pool = service
+            .connect_pool(2)
+            .unwrap()
+            .with_chaos(Arc::clone(&chaos))
+            .with_hedging(Duration::from_millis(5));
+        pool.respond(&SourceRequest::new(&query, 0, ProberMode::Wire), &mut |_| {}).unwrap();
+        let sent = chaos.frames_sent();
+        assert_eq!(sent, 4, "two frames each for the primary and the hedge");
+        drop(pool);
+        let report = service.shutdown();
+        assert_eq!(chaos.frames_sent(), sent, "the stalled primary never retransmits");
+        assert_eq!(report.hedged, 1);
+        assert_eq!(inner.rounds_used(), 1, "executed once");
+        assert_eq!(report.retransmitted, 1, "the primary is billed once, from the dedup window");
+        assert_eq!(conn_rounds(&report, inner.rounds_used()), 2);
     }
 
     #[test]

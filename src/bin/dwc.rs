@@ -404,7 +404,7 @@ fn cmd_crawl(args: &[String], resume: bool) -> Result<(), String> {
         let service = SourceService::start(std::sync::Arc::new(server), config_serve);
         let pool = service.connect_pool(connections).map_err(|e| e.to_string())?;
         let mut crawler = Crawler::new(pool, policy.build(), config);
-        seed_crawler(&mut crawler, &flags)?;
+        seed_crawler(&mut crawler, &seed_values(&flags, CRAWL_NEEDS_SEEDS)?)?;
         run_and_report(crawler, &flags, n)?;
         let served = service.shutdown();
         eprintln!(
@@ -442,7 +442,7 @@ fn cmd_crawl(args: &[String], resume: bool) -> Result<(), String> {
         }
         None => {
             let mut crawler = Crawler::new(&server, policy.build(), config);
-            seed_crawler(&mut crawler, &flags)?;
+            seed_crawler(&mut crawler, &seed_values(&flags, CRAWL_NEEDS_SEEDS)?)?;
             crawler
         }
     };
@@ -450,24 +450,37 @@ fn cmd_crawl(args: &[String], resume: bool) -> Result<(), String> {
     run_and_report(crawler, &flags, n)
 }
 
-/// Adds every `--seed-value ATTR=VALUE` to the crawler, requiring at least
-/// one.
+/// `dwc crawl`'s error when a fresh crawl has no seed.
+const CRAWL_NEEDS_SEEDS: &str = "crawl needs at least one --seed-value ATTR=VALUE";
+
+/// Every `--seed-value ATTR=VALUE` as an `(attr, value)` pair, split at the
+/// first `=`; `missing` is the subcommand's error when there is none.
+fn seed_values(flags: &[(String, String)], missing: &str) -> Result<Vec<(String, String)>, String> {
+    let seeds: Vec<(String, String)> = flags
+        .iter()
+        .filter(|(name, _)| name == "seed-value")
+        .map(|(_, value)| {
+            value
+                .split_once('=')
+                .map(|(a, v)| (a.to_string(), v.to_string()))
+                .ok_or_else(|| format!("--seed-value wants ATTR=VALUE, got {value:?}"))
+        })
+        .collect::<Result<_, _>>()?;
+    if seeds.is_empty() {
+        return Err(missing.into());
+    }
+    Ok(seeds)
+}
+
+/// Adds every seed to the crawler.
 fn seed_crawler<S: deep_web_crawler::core::DataSource>(
     crawler: &mut Crawler<S>,
-    flags: &[(String, String)],
+    seeds: &[(String, String)],
 ) -> Result<(), String> {
-    let mut seeded = false;
-    for (name, value) in flags.iter().filter(|(n, _)| n == "seed-value") {
-        let (attr, val) = value
-            .split_once('=')
-            .ok_or_else(|| format!("--{name} wants ATTR=VALUE, got {value:?}"))?;
-        if !crawler.add_seed(attr, val) {
+    for (attr, value) in seeds {
+        if !crawler.add_seed(attr, value) {
             return Err(format!("seed attribute {attr:?} is unknown or not queriable"));
         }
-        seeded = true;
-    }
-    if !seeded {
-        return Err("crawl needs at least one --seed-value ATTR=VALUE".into());
     }
     Ok(())
 }
@@ -595,19 +608,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         flag(&flags, "page-size").unwrap_or("10").parse().map_err(|_| "bad --page-size")?;
     let interface = InterfaceSpec::permissive(table.schema(), page_size);
 
-    let queries: Vec<Query> = flags
-        .iter()
-        .filter(|(name, _)| name == "seed-value")
-        .map(|(_, value)| {
-            value
-                .split_once('=')
-                .map(|(a, v)| Query::ByString { attr: a.to_string(), value: v.to_string() })
-                .ok_or_else(|| format!("--seed-value wants ATTR=VALUE, got {value:?}"))
-        })
-        .collect::<Result<_, _>>()?;
-    if queries.is_empty() {
-        return Err("serve needs at least one --seed-value ATTR=VALUE to query".into());
-    }
+    let queries: Vec<Query> =
+        seed_values(&flags, "serve needs at least one --seed-value ATTR=VALUE to query")?
+            .into_iter()
+            .map(|(attr, value)| Query::ByString { attr, value })
+            .collect();
     let connections: usize = match flag(&flags, "connections").unwrap_or("4").parse() {
         Ok(0) | Err(_) => return Err("--connections must be a positive count".into()),
         Ok(c) => c,
@@ -669,21 +674,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 
 /// One chaos crawl: the table behind a [`SourceService`], a seeded lossy
 /// wire on every pooled connection, and the crawl driven through it.
-struct ChaosOutcome {
-    report: CrawlReport,
-    service: ServiceReport,
-    replayed: ServiceReport,
-    inner_rounds: u64,
-    pool_rounds: u64,
-    frames: u64,
-    tally: ChaosTally,
-}
-
 fn chaos_crawl(
     table: &UniversalTableHandle,
     plan: &ChaosPlan,
     opts: &ChaosOptions,
-) -> Result<ChaosOutcome, String> {
+) -> Result<ChaosRun, String> {
     use std::sync::Arc;
     let interface = InterfaceSpec::permissive(table.schema(), opts.page_size);
     let inner = Arc::new(WebDbServer::new(table.clone(), interface));
@@ -704,11 +699,7 @@ fn chaos_crawl(
         pool = pool.with_hedging(threshold);
     }
     let mut crawler = Crawler::new(&pool, opts.policy.build(), opts.crawl.clone());
-    for (attr, value) in &opts.seeds {
-        if !crawler.add_seed(attr, value) {
-            return Err(format!("seed attribute {attr:?} is unknown or not queriable"));
-        }
-    }
+    seed_crawler(&mut crawler, &opts.seeds)?;
     let report = crawler.run();
     // Chaos duplicates and losing hedges may still be draining; wait until
     // every admitted request is accounted for before reading the bill.
@@ -719,15 +710,15 @@ fn chaos_crawl(
         }
         std::thread::sleep(std::time::Duration::from_micros(200));
     }
-    let pool_rounds = pool.rounds_used();
+    let rounds_used = pool.rounds_used();
     drop(pool);
     let service_report = service.shutdown();
-    Ok(ChaosOutcome {
+    Ok(ChaosRun {
         report,
         service: service_report,
         replayed: deep_web_crawler::core::replay_service_report(&sink.collected()),
-        inner_rounds: inner.rounds_used(),
-        pool_rounds,
+        executed: inner.rounds_used(),
+        rounds_used,
         frames: chaos.frames_sent(),
         tally: chaos.tally(),
     })
@@ -746,47 +737,6 @@ struct ChaosOptions {
     serve_workers: usize,
     queue_depth: usize,
     hedge: Option<std::time::Duration>,
-}
-
-/// Returns the first violated chaos invariant for `plan`, or `None`.
-fn chaos_violation(
-    table: &UniversalTableHandle,
-    plan: &ChaosPlan,
-    opts: &ChaosOptions,
-    baseline: &CrawlReport,
-) -> Result<Option<String>, String> {
-    let run = chaos_crawl(table, plan, opts)?;
-    if run.replayed != run.service {
-        return Ok(Some("replay parity broken: live report != replayed report".into()));
-    }
-    let billed =
-        run.inner_rounds + run.service.shed + run.service.cancelled + run.service.retransmitted;
-    if run.pool_rounds != billed {
-        return Ok(Some(format!(
-            "billing conservation broken: rounds_used {} != executed {} + shed {} + cancelled \
-             {} + retransmitted {}",
-            run.pool_rounds,
-            run.inner_rounds,
-            run.service.shed,
-            run.service.cancelled,
-            run.service.retransmitted
-        )));
-    }
-    let halts = plan.iter().any(|(_, k)| k == ChaosKind::Halt);
-    if halts {
-        if run.report.records > baseline.records {
-            return Ok(Some(format!(
-                "halted crawl harvested {} records, baseline only {}",
-                run.report.records, baseline.records
-            )));
-        }
-    } else if run.report != *baseline {
-        return Ok(Some(format!(
-            "crawl report diverged from the fault-free baseline: {} records / {} rounds vs {} / {}",
-            run.report.records, run.report.rounds, baseline.records, baseline.rounds
-        )));
-    }
-    Ok(None)
 }
 
 /// `dwc chaos`: a crawl through the serving tier behind a deterministic
@@ -809,19 +759,7 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
     }
     let crawl = builder.build().map_err(|e| e.to_string())?;
 
-    let seeds: Vec<(String, String)> = flags
-        .iter()
-        .filter(|(name, _)| name == "seed-value")
-        .map(|(_, value)| {
-            value
-                .split_once('=')
-                .map(|(a, v)| (a.to_string(), v.to_string()))
-                .ok_or_else(|| format!("--seed-value wants ATTR=VALUE, got {value:?}"))
-        })
-        .collect::<Result<_, _>>()?;
-    if seeds.is_empty() {
-        return Err("chaos needs at least one --seed-value ATTR=VALUE".into());
-    }
+    let seeds = seed_values(&flags, "chaos needs at least one --seed-value ATTR=VALUE")?;
 
     let opts = ChaosOptions {
         seeds,
@@ -874,11 +812,7 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
         let interface = InterfaceSpec::permissive(table.schema(), opts.page_size);
         let server = WebDbServer::new(table.clone(), interface);
         let mut crawler = Crawler::new(&server, opts.policy.build(), opts.crawl.clone());
-        for (attr, value) in &opts.seeds {
-            if !crawler.add_seed(attr, value) {
-                return Err(format!("seed attribute {attr:?} is unknown or not queriable"));
-            }
-        }
+        seed_crawler(&mut crawler, &opts.seeds)?;
         crawler.run()
     };
 
@@ -897,7 +831,7 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
         if run.tally.halted { " / HALTED" } else { "" }
     );
     println!("records    : {} / {} (baseline {})", run.report.records, n, baseline.records);
-    println!("rounds     : crawl {} / billed {}", run.report.rounds, run.pool_rounds);
+    println!("rounds     : crawl {} / billed {}", run.report.rounds, run.rounds_used);
     println!(
         "service    : {} completed / {} retransmitted / {} shed / {} cancelled / {} restarts / \
          {} hedged",
@@ -909,7 +843,7 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
         run.service.hedged
     );
 
-    match chaos_violation(&table, &plan, &opts, &baseline)? {
+    match run.violation(&plan, &baseline) {
         None => {
             println!("invariants : absorption, conservation, replay parity — all hold");
             Ok(())
@@ -918,7 +852,7 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
             eprintln!("invariant violated: {why}");
             eprintln!("shrinking the schedule (ddmin)...");
             let shrunk = shrink_plan(&plan, |p| {
-                matches!(chaos_violation(&table, p, &opts, &baseline), Ok(Some(_)))
+                chaos_crawl(&table, p, &opts).is_ok_and(|run| run.violation(p, &baseline).is_some())
             });
             Err(format!(
                 "{why}\nshrunk to {} fault(s); reproduce with:\n  dwc chaos {} --chaos-plan \
@@ -991,19 +925,8 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
         flag(&flags, "page-size").unwrap_or("10").parse().map_err(|_| "bad --page-size")?;
     let interface = InterfaceSpec::permissive(table.schema(), page_size);
 
-    let seeds: Vec<(String, String)> = flags
-        .iter()
-        .filter(|(name, _)| name == "seed-value")
-        .map(|(_, value)| {
-            value
-                .split_once('=')
-                .map(|(a, v)| (a.to_string(), v.to_string()))
-                .ok_or_else(|| format!("--seed-value wants ATTR=VALUE, got {value:?}"))
-        })
-        .collect::<Result<_, _>>()?;
-    if seeds.is_empty() {
-        return Err("fleet needs at least one --seed-value ATTR=VALUE (one job per seed)".into());
-    }
+    let seeds =
+        seed_values(&flags, "fleet needs at least one --seed-value ATTR=VALUE (one job per seed)")?;
 
     let mut fleet = FleetConfig::builder();
     if let Some(w) = parse_workers(&flags)? {

@@ -61,11 +61,11 @@ pub mod prelude {
     pub use dwc_core::policy::{MmmiConfig, PolicyKind, Saturation, SelectionPolicy};
     pub use dwc_core::{
         run_fleet, shrink_plan, AbortPolicy, AllocationStrategy, BreakerConfig, CancelToken,
-        ChaosKind, ChaosPlan, ChaosState, ChaosTally, Checkpoint, CircuitBreaker, ClientPool,
-        ConfigError, Connection, CrawlConfig, CrawlError, CrawlEvent, CrawlReport, CrawlTrace,
-        Crawler, DataSource, DomainTable, EventSink, FaultKind, FaultPlan, FaultPlanSource,
-        FleetConfig, FleetJob, FleetReport, JobHealth, JsonlSink, LatencyModel, MemorySink,
-        MetricsRegistry, ProberMode, QueryMode, RateLimit, RetryPolicy, SchedulerStats,
+        ChaosKind, ChaosPlan, ChaosRun, ChaosState, ChaosTally, Checkpoint, CircuitBreaker,
+        ClientPool, ConfigError, Connection, CrawlConfig, CrawlError, CrawlEvent, CrawlReport,
+        CrawlTrace, Crawler, DataSource, DomainTable, EventSink, FaultKind, FaultPlan,
+        FaultPlanSource, FleetConfig, FleetJob, FleetReport, JobHealth, JsonlSink, LatencyModel,
+        MemorySink, MetricsRegistry, ProberMode, QueryMode, RateLimit, RetryPolicy, SchedulerStats,
         ServeConfig, ServiceReport, SourceRequest, SourceService, StateJournal, StopReason, Tenant,
         TenantId, UsageLedger,
     };

@@ -22,8 +22,16 @@
 //! set, written to `target/chaos/` (CI uploads it as an artifact), and
 //! printed as a reproducible `dwc chaos --chaos-plan …` invocation.
 //!
+//! A hedged sweep runs the non-halt schedules again through a two-connection
+//! pool that hedges past a threshold below the stall, checking every
+//! invariant but determinism (hedges fire on wall-clock time).
+//!
+//! The invariants themselves are [`ChaosRun::violation`], the check
+//! `dwc chaos` runs too.
+//!
 //! CI selects one kind per job via `DWC_CHAOS_KIND` and offsets seeds via
-//! `DWC_CHAOS_SEED`; unset, the full 8 × 125 matrix runs.
+//! `DWC_CHAOS_SEED`, for the matrix and the hedged sweep alike; unset, the
+//! full 8 × 125 matrix runs.
 
 use deep_web_crawler::core::replay_service_report;
 use deep_web_crawler::model::fixtures::figure1_table;
@@ -34,7 +42,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Seeds per chaos kind: 8 kinds × 125 = 1,000 schedules when the matrix
-/// is not filtered down to one kind.
+/// is not filtered down to one kind, and 7 × 125 for the hedged sweep.
 const SEEDS_PER_KIND: u64 = 125;
 
 fn figure1_server() -> Arc<WebDbServer> {
@@ -53,44 +61,69 @@ fn run_crawl<S: DataSource>(source: S) -> CrawlReport {
     crawler.run()
 }
 
-/// Everything one chaos crawl produced, for invariant checking.
-struct ChaosRun {
-    report: CrawlReport,
-    service: ServiceReport,
-    replayed: ServiceReport,
-    inner_rounds: u64,
-    conn_rounds: u64,
-    tally: ChaosTally,
-}
-
-fn run_chaos(plan: &ChaosPlan) -> ChaosRun {
+/// Runs the GL crawl under `plan` on a fresh service over the figure-1
+/// table: through one connection on one worker, or, with `hedge` set,
+/// through a two-connection pool hedging past that threshold on two
+/// workers, so a hedge can overtake a stalled primary.
+fn run_chaos_with(plan: &ChaosPlan, hedge: Option<Duration>) -> ChaosRun {
     let inner = figure1_server();
-    let service = SourceService::start(Arc::clone(&inner), ServeConfig::default());
+    let workers = if hedge.is_some() { 2 } else { 1 };
+    let config = ServeConfig::builder().workers(workers).build().unwrap();
+    let service = SourceService::start(Arc::clone(&inner), config);
     let sink = MemorySink::new();
     service.add_sink(Box::new(sink.clone()));
     let chaos = Arc::new(ChaosState::new(plan.clone()));
-    let conn = service.connect().with_chaos(Arc::clone(&chaos));
-    let report = run_crawl(conn.clone());
-    // Chaos duplicates enqueued alongside the crawl's final request may
-    // still be draining when its reply lands; wait until every admitted
-    // request is accounted for before reading the billing counters.
+    let (report, rounds_used) = match hedge {
+        None => {
+            let conn = service.connect().with_chaos(Arc::clone(&chaos));
+            let report = run_crawl(&conn);
+            drain(&service);
+            (report, conn.rounds_used())
+        }
+        Some(threshold) => {
+            let pool = service
+                .connect_pool(2)
+                .unwrap()
+                .with_chaos(Arc::clone(&chaos))
+                .with_hedging(threshold);
+            let report = run_crawl(&pool);
+            drain(&service);
+            (report, pool.rounds_used())
+        }
+    };
+    let service_report = service.shutdown();
+    ChaosRun {
+        report,
+        service: service_report,
+        replayed: replay_service_report(&sink.collected()),
+        executed: inner.rounds_used(),
+        rounds_used,
+        frames: chaos.frames_sent(),
+        tally: chaos.tally(),
+    }
+}
+
+fn run_chaos(plan: &ChaosPlan) -> ChaosRun {
+    run_chaos_with(plan, None)
+}
+
+/// Hedge threshold of the hedged sweep: below the suite's 200 µs stall.
+const HEDGE_AFTER: Duration = Duration::from_micros(100);
+
+fn run_hedged(plan: &ChaosPlan) -> ChaosRun {
+    run_chaos_with(plan, Some(HEDGE_AFTER))
+}
+
+/// Waits until every admitted request is accounted for: chaos duplicates
+/// and losing hedges enqueued alongside the crawl's final request may
+/// still be draining when its reply lands.
+fn drain(service: &SourceService<WebDbServer>) {
     loop {
         let r = service.service_report();
         if r.enqueued == r.completed + r.cancelled {
             break;
         }
         std::thread::sleep(Duration::from_micros(200));
-    }
-    let conn_rounds = conn.rounds_used();
-    drop(conn);
-    let service_report = service.shutdown();
-    ChaosRun {
-        report,
-        service: service_report,
-        replayed: replay_service_report(&sink.collected()),
-        inner_rounds: inner.rounds_used(),
-        conn_rounds,
-        tally: chaos.tally(),
     }
 }
 
@@ -112,57 +145,26 @@ fn counters(r: &ServiceReport) -> [u64; 10] {
     ]
 }
 
-/// Runs `plan` and returns a description of the first violated invariant,
-/// or `None` when all hold. This is also the oracle handed to
-/// [`shrink_plan`].
-fn violation(plan: &ChaosPlan, baseline: &CrawlReport) -> Option<String> {
-    let run = run_chaos(plan);
-    if run.replayed != run.service {
-        return Some(format!(
-            "replay parity broken: live {:?} != replayed {:?}",
-            run.service, run.replayed
-        ));
-    }
-    let billed =
-        run.inner_rounds + run.service.shed + run.service.cancelled + run.service.retransmitted;
-    if run.conn_rounds != billed {
-        return Some(format!(
-            "billing conservation broken: rounds_used {} != executed {} + shed {} + \
-             cancelled {} + retransmitted {}",
-            run.conn_rounds,
-            run.inner_rounds,
-            run.service.shed,
-            run.service.cancelled,
-            run.service.retransmitted
-        ));
-    }
-    let halts = plan.iter().any(|(_, k)| k == ChaosKind::Halt);
-    if halts {
-        if run.report.records > baseline.records {
-            return Some(format!(
-                "halted crawl harvested {} records, more than the baseline's {}",
-                run.report.records, baseline.records
-            ));
-        }
-    } else if run.report != *baseline {
-        return Some(format!(
-            "crawl report diverged from the fault-free baseline under a recoverable plan: \
-             {} records / {} rounds / {} queries vs baseline {} / {} / {}",
-            run.report.records,
-            run.report.rounds,
-            run.report.queries,
-            baseline.records,
-            baseline.rounds,
-            baseline.queries
-        ));
-    }
-    None
+/// A seeded single-kind schedule over the first 48 frames. Sub-millisecond
+/// stall/reorder keeps 1,000 schedules fast while still exercising the
+/// delayed-execution paths.
+fn seeded_plan(seed: u64, kind: ChaosKind) -> ChaosPlan {
+    ChaosPlan::seeded(seed, 48, 0.2, &[kind])
+        .stall_for(Duration::from_micros(200))
+        .reorder_for(Duration::from_micros(100))
 }
 
-/// Shrinks a failing plan, writes the artifact CI uploads, and panics with
-/// a copy-pasteable reproduction.
-fn report_failure(kind: ChaosKind, seed: u64, plan: &ChaosPlan, why: &str, baseline: &CrawlReport) {
-    let shrunk = shrink_plan(plan, |p| violation(p, baseline).is_some());
+/// Shrinks a plan that `run` shows failing, writes the artifact CI
+/// uploads, and panics with a copy-pasteable reproduction.
+fn report_failure(
+    kind: ChaosKind,
+    seed: u64,
+    plan: &ChaosPlan,
+    why: &str,
+    baseline: &CrawlReport,
+    run: fn(&ChaosPlan) -> ChaosRun,
+) {
+    let shrunk = shrink_plan(plan, |p| run(p).violation(p, baseline).is_some());
     let spec = shrunk.to_spec();
     let dir = std::path::Path::new("target/chaos");
     let _ = std::fs::create_dir_all(dir);
@@ -211,13 +213,9 @@ fn seeded_chaos_matrix_holds_every_invariant() {
     for kind in matrix_kinds() {
         for i in 0..SEEDS_PER_KIND {
             let seed = base + i;
-            // Sub-millisecond stall/reorder keeps 1,000 schedules fast while
-            // still exercising the delayed-execution paths.
-            let plan = ChaosPlan::seeded(seed, 48, 0.2, &[kind])
-                .stall_for(Duration::from_micros(200))
-                .reorder_for(Duration::from_micros(100));
-            if let Some(why) = violation(&plan, &baseline) {
-                report_failure(kind, seed, &plan, &why, &baseline);
+            let plan = seeded_plan(seed, kind);
+            if let Some(why) = run_chaos(&plan).violation(&plan, &baseline) {
+                report_failure(kind, seed, &plan, &why, &baseline, run_chaos);
             }
             if i % 8 == 0 {
                 // Determinism: the same seed must reproduce the same crawl
@@ -247,9 +245,34 @@ fn mixed_kind_schedules_hold_every_invariant() {
         let plan = ChaosPlan::seeded(seed, 48, 0.25, &ChaosKind::ALL)
             .stall_for(Duration::from_micros(200))
             .reorder_for(Duration::from_micros(100));
-        if let Some(why) = violation(&plan, &baseline) {
-            report_failure(ChaosKind::Drop, seed, &plan, &why, &baseline);
+        if let Some(why) = run_chaos(&plan).violation(&plan, &baseline) {
+            report_failure(ChaosKind::Drop, seed, &plan, &why, &baseline, run_chaos);
         }
+    }
+}
+
+/// The matrix's non-halt schedules through a hedging pool. Hedges fire on
+/// wall-clock time, so a schedule's frame indices shift with timing and
+/// same-seed determinism is not checked; absorption, conservation and
+/// replay parity must hold on every run.
+#[test]
+fn hedged_chaos_sweep_holds_every_invariant_but_determinism() {
+    let baseline = run_crawl(&*figure1_server());
+    let base = seed_base();
+    let mut hedged = 0;
+    for kind in matrix_kinds().into_iter().filter(|&k| k != ChaosKind::Halt) {
+        for i in 0..SEEDS_PER_KIND {
+            let seed = base + i;
+            let plan = seeded_plan(seed, kind);
+            let run = run_hedged(&plan);
+            if let Some(why) = run.violation(&plan, &baseline) {
+                report_failure(kind, seed, &plan, &why, &baseline, run_hedged);
+            }
+            hedged += run.service.hedged;
+        }
+    }
+    if matrix_kinds().contains(&ChaosKind::Stall) {
+        assert!(hedged > 0, "no request outlived the {HEDGE_AFTER:?} threshold");
     }
 }
 

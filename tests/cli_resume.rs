@@ -5,6 +5,7 @@
 //! crawler's own stop rule; and fleet flags on `dwc resume` are refused.
 #![cfg(unix)]
 
+use deep_web_crawler::model::packed::fnv1a64;
 use deep_web_crawler::store::FrameLog;
 use std::os::unix::process::ExitStatusExt as _;
 use std::path::{Path, PathBuf};
@@ -91,12 +92,14 @@ fn killed_journaled_crawl_resumes_to_the_uninterrupted_report() {
 fn resume_rejects_an_impossible_journal_with_an_error() {
     let dir = scratch_dir("bad-journal");
     let csv = generate(&dir, "0.001");
-    let one_value = "DWC-CHECKPOINT v1\nmeta\t10\t0\t0\t0\nattrs\t1\na\tAuthor\t1\nvalues\t1\n\
-                     v\t0\tAuthor_5\nstatus\tF\nqueried\t\nrecords\t0\n";
-    let journals: [&[&str]; 2] = [
-        &["DWC-CHECKPOINT v1\nmeta\t10\t0\t0\t0\nattrs\t100000000000\n"],
-        &[one_value, "d\t1\t1\nr\t9\t0,4\n"],
-    ];
+    let checksummed =
+        |body: &str| format!("DWC-CHECKPOINT v2 crc={:016x}\n{body}", fnv1a64(body.as_bytes()));
+    let huge = &checksummed("meta\t10\t0\t0\t0\nattrs\t100000000000\n");
+    let one_value = &checksummed(
+        "meta\t10\t0\t0\t0\nattrs\t1\na\tAuthor\t1\nvalues\t1\nv\t0\tAuthor_5\nstatus\tF\n\
+         queried\t\nrecords\t0\n",
+    );
+    let journals: [&[&str]; 2] = [&[huge], &[one_value, "d\t1\t1\nr\t9\t0,4\n"]];
     for frames in journals {
         let journal = dir.join("bad.jnl");
         let mut log = FrameLog::create(&journal).expect("create journal");
