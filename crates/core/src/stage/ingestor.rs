@@ -9,9 +9,15 @@
 //! not a scan over every harvested record per query.
 
 use crate::extract::{ExtractedPageRef, ExtractedRecordRef};
-use crate::local::pair_key;
 use crate::state::{CandStatus, CrawlState};
 use dwc_model::{AttrId, U64Table, ValueId};
+
+/// The packed key `(a << 32) | b` of the co-occurring value pair `(a, b)`,
+/// `a < b`.
+#[inline]
+fn pair_key(a: ValueId, b: ValueId) -> u64 {
+    (u64::from(a.0) << 32) | u64::from(b.0)
+}
 
 /// Incrementally maintained co-occurrence counts between values of
 /// *different* attributes.

@@ -81,12 +81,19 @@ fn checkpoint_from(values: Vec<(u16, String)>, rounds: u64, queries: u64) -> Che
 /// Record keys for `LocalDb`: small ones (repeats likely), 0, and the top of
 /// the `u64` range, the empty-slot sentinel of its key table included.
 fn record_key_strategy() -> impl Strategy<Value = u64> {
-    prop_oneof![0u64..24, Just(0u64), Just(u64::MAX), Just(u64::MAX - 1), Just(1u64 << 63)]
+    prop_oneof![
+        0u64..160,
+        0u64..160,
+        Just(0u64),
+        Just(u64::MAX),
+        Just(u64::MAX - 1),
+        Just(1u64 << 63)
+    ]
 }
 
 /// Value ids for `LocalDb`: a dense low range plus ids with high bits set.
 /// `LocalDb`'s counts and degrees are columns indexed by id, so ids stop at
-/// 2^20; pair keys of ids near `u32::MAX` are checked on `U64Table` itself.
+/// 2^20.
 fn local_value_strategy() -> impl Strategy<Value = u32> {
     prop_oneof![0u32..40, 0u32..40, Just(65_535u32), Just(65_536u32), Just((1u32 << 20) - 1)]
 }
@@ -95,18 +102,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// `LocalDb`'s incremental counts, degrees and edge count equal a naive
-    /// recomputation over the records it accepted: first sighting of a key
+    /// recomputation over the records it accepted, after every insert (the
+    /// greedy policy reads degrees between inserts): first sighting of a key
     /// wins, values are deduplicated per record, and `G_local`'s edges are a
-    /// std `HashSet` of value pairs.
+    /// std `HashSet` of value pairs. The stream is long enough for values to
+    /// reach a third record and beyond.
     #[test]
     fn local_db_matches_a_naive_recount(
         records in prop::collection::vec(
             (record_key_strategy(), prop::collection::vec(local_value_strategy(), 0..8)),
-            0..40,
+            0..120,
         ),
     ) {
         let mut db = LocalDb::new();
         let mut kept: Vec<(u64, Vec<u32>)> = Vec::new();
+        let mut edges = std::collections::HashSet::new();
+        let mut count = std::collections::HashMap::<u32, u32>::new();
         for (key, values) in &records {
             let ids: Vec<ValueId> = values.iter().map(|&v| ValueId(v)).collect();
             let new = !kept.iter().any(|(k, _)| k == key);
@@ -116,32 +127,28 @@ proptest! {
                 let mut sorted = values.clone();
                 sorted.sort_unstable();
                 sorted.dedup();
+                for (i, &a) in sorted.iter().enumerate() {
+                    *count.entry(a).or_default() += 1;
+                    edges.extend(sorted[i + 1..].iter().map(|&b| (a, b)));
+                }
                 kept.push((*key, sorted));
             }
-        }
-        let mut edges = std::collections::HashSet::new();
-        let mut count = std::collections::HashMap::<u32, u32>::new();
-        for (_, rec) in &kept {
-            for (i, &a) in rec.iter().enumerate() {
-                *count.entry(a).or_default() += 1;
-                edges.extend(rec[i + 1..].iter().map(|&b| (a, b)));
+            let mut degree = std::collections::HashMap::<u32, u32>::new();
+            for &(a, b) in &edges {
+                *degree.entry(a).or_default() += 1;
+                *degree.entry(b).or_default() += 1;
+            }
+            prop_assert_eq!(db.num_records(), kept.len());
+            prop_assert_eq!(db.num_edges(), edges.len());
+            for v in (0..40).chain([65_535, 65_536, (1 << 20) - 1, 1 << 20]) {
+                prop_assert_eq!(db.count(ValueId(v)), count.get(&v).copied().unwrap_or(0));
+                prop_assert_eq!(db.degree(ValueId(v)), degree.get(&v).copied().unwrap_or(0));
             }
         }
-        let mut degree = std::collections::HashMap::<u32, u32>::new();
-        for &(a, b) in &edges {
-            *degree.entry(a).or_default() += 1;
-            *degree.entry(b).or_default() += 1;
-        }
-        prop_assert_eq!(db.num_records(), kept.len());
-        prop_assert_eq!(db.num_edges(), edges.len());
         let stored: Vec<(u64, Vec<u32>)> =
             db.iter_keyed().map(|(k, r)| (k, r.iter().map(|v| v.0).collect())).collect();
         prop_assert_eq!(stored, kept);
-        for v in (0..40).chain([65_535, 65_536, (1 << 20) - 1, 1 << 20]) {
-            prop_assert_eq!(db.count(ValueId(v)), count.get(&v).copied().unwrap_or(0));
-            prop_assert_eq!(db.degree(ValueId(v)), degree.get(&v).copied().unwrap_or(0));
-        }
-        for key in [0, 1, 23, u64::MAX, u64::MAX - 1, 1 << 63] {
+        for key in [0, 1, 23, 159, u64::MAX, u64::MAX - 1, 1 << 63] {
             prop_assert_eq!(db.contains_key(key), records.iter().any(|(k, _)| *k == key));
         }
     }

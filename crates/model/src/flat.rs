@@ -1,24 +1,25 @@
 //! Flat open addressing: the one slot rule, and a table keyed by `u64`.
 //!
 //! Every probe table in the workspace's hot paths is a power-of-two array of
-//! slots probed linearly from a *home slot*, and `home_slot` is the one rule
-//! that places it: the **top** `log2(len)` bits of a 64-bit hash. Both
-//! hashes fed to it end in a multiply — the interner's FxHash
-//! ([`crate::value_hash`]) and [`U64Table`]'s multiply-shift — and a product's
-//! low bits depend only on the low bits of its factors. Homing on the low
-//! bits therefore piles keys that differ only in their high bytes onto a few
-//! slots (DBLP's `Title_{i}` strings vary in the top bytes of their first
-//! word), while the top bits of the product see every input bit.
+//! slots probed linearly from a *home slot*, and [`home_slot`] is the one rule
+//! that places it: the **top** `log2(len)` bits of a 64-bit hash. Every hash
+//! fed to it ends in a multiply — the interner's FxHash
+//! ([`crate::value_hash`]), and the multiply-shift of [`U64Table`] and of
+//! `DB_local`'s lower-neighbour sets — and a product's low bits depend only
+//! on the low bits of its factors. Homing on the low bits therefore piles
+//! keys that differ only in their high bytes onto a few slots (DBLP's
+//! `Title_{i}` strings vary in the top bytes of their first word), while the
+//! top bits of the product see every input bit.
 //!
 //! [`U64Table`] serves the crawler's integer-keyed sets and maps: record
-//! keys, packed value pairs of `G_local`, and co-occurring pairs.
+//! keys and co-occurring value pairs.
 
 use std::hash::{BuildHasher, RandomState};
 
 /// Home slot of `hash` in a table of `len` slots: the top `log2(len)` bits of
 /// the hash. `len` must be a power of two of at least 2.
 #[inline]
-pub(crate) fn home_slot(hash: u64, len: usize) -> usize {
+pub fn home_slot(hash: u64, len: usize) -> usize {
     debug_assert!(len.is_power_of_two() && len >= 2, "slot count {len}");
     (hash >> (64 - len.trailing_zeros())) as usize
 }
@@ -28,19 +29,24 @@ const MIN_SLOTS: usize = 16;
 
 /// Whether `entries` entries overfill `slots` slots: load stays at most 7/8.
 #[inline]
-pub(crate) fn over_load(entries: usize, slots: usize) -> bool {
+pub fn over_load(entries: usize, slots: usize) -> bool {
     entries * 8 > slots * 7
 }
 
 /// Slots of a table sized to hold `entries` entries: the smallest power of
 /// two, at least 16, that `over_load` accepts. Called with one more than
 /// the current count whenever that count fills the table, it doubles it.
-pub(crate) fn slots_for(entries: usize) -> usize {
+pub fn slots_for(entries: usize) -> usize {
     let mut slots = MIN_SLOTS;
     while over_load(entries, slots) {
         slots *= 2;
     }
     slots
+}
+
+/// A freshly drawn odd multiplier for a multiply-shift hash.
+pub fn odd_multiplier() -> u64 {
+    RandomState::new().hash_one(0x9e37_79b9_7f4a_7c15_u64) | 1
 }
 
 /// Vacant-slot marker of [`U64Table`]. The key equal to it is held beside
@@ -77,8 +83,7 @@ impl<V: Copy + Default> Default for U64Table<V> {
 impl<V: Copy + Default> U64Table<V> {
     /// An empty table with a freshly drawn multiplier.
     pub fn new() -> Self {
-        let multiplier = RandomState::new().hash_one(0x9e37_79b9_7f4a_7c15_u64) | 1;
-        U64Table { slots: Vec::new(), filled: 0, sentinel: None, multiplier }
+        U64Table { slots: Vec::new(), filled: 0, sentinel: None, multiplier: odd_multiplier() }
     }
 
     /// Number of keys held.

@@ -11,8 +11,9 @@
 //! This crate provides:
 //!
 //! * [`interner`] — attribute-qualified value interning ([`ValueId`]s),
-//! * [`flat`] — the open-addressing slot rule the interner probes by, and
-//!   [`U64Table`], the crawler's integer-keyed set and map,
+//! * [`flat`] — the open-addressing slot rule the interner and the
+//!   crawler's neighbour sets probe by, and [`U64Table`], the crawler's
+//!   integer-keyed set and map,
 //! * [`schema`] — attribute metadata and interface schemas (Definition 2.2),
 //! * [`table`] — the universal table ([`UniversalTable`]) with its distinct
 //!   attribute value (DAV) set,
