@@ -19,6 +19,7 @@
 //! exact [`crate::CrawlReport`] the crawl returned.
 
 use std::io::Write;
+use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 
 /// Why a crawl ended.
@@ -145,14 +146,12 @@ impl BreakerPhase {
 /// | `JobAttached` | `UsageLedger` `rounds` / `pages` baselines; tenant↔job membership |
 /// | `JobDetached` | `UsageLedger` `rounds` / `pages` (final per-job maxima) |
 /// | `TenantPreempted` | `UsageLedger::preempted` |
-/// | `TenantAdmitted` | `UsageLedger::admitted` |
-/// | `TenantThrottled` | `UsageLedger::sheds` |
 /// | `RequestEnqueued` | [`crate::ServiceReport`] `enqueued` / queue-depth stats |
 /// | `RequestShed` | `ServiceReport::shed` |
 /// | `RequestCancelled` | `ServiceReport::cancelled` |
 /// | `RequestCompleted` | `ServiceReport::completed`; latency histogram |
 /// | `FrameDropped` | `ServiceReport::frames_dropped` |
-/// | `FrameRetransmitted` | `ServiceReport::retransmitted`; `UsageLedger::retransmits` |
+/// | `FrameRetransmitted` | `ServiceReport::retransmitted` |
 /// | `Hedged` | `ServiceReport::hedged` |
 /// | `ServiceRestarted` | `ServiceReport::restarts` |
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -308,18 +307,6 @@ pub enum CrawlEvent {
         /// Fleet job index that was parked.
         job: u32,
     },
-    /// The serving tier admitted a request through the tenant's token
-    /// bucket ([`crate::tenant::RateLimit`]).
-    TenantAdmitted {
-        /// Tenant whose bucket granted the token.
-        tenant: u32,
-    },
-    /// The serving tier shed a request because the tenant's token bucket
-    /// was empty. The round is still billed — to the offending tenant.
-    TenantThrottled {
-        /// Tenant whose bucket was empty.
-        tenant: u32,
-    },
     /// The serving tier admitted one request into its bounded queue
     /// ([`crate::serve::SourceService`]).
     RequestEnqueued {
@@ -357,9 +344,6 @@ pub enum CrawlEvent {
         /// Idempotent request id shared by every transmission of the
         /// request.
         request: u64,
-        /// Tenant billed for the duplicate, when the connection that sent
-        /// it was opened for one ([`crate::serve::SourceService::connect_for`]).
-        tenant: Option<u32>,
     },
     /// The client raced a hedge duplicate of a request whose reply exceeded
     /// the hedging threshold ([`crate::serve::ClientPool::with_hedging`]).
@@ -461,12 +445,6 @@ impl CrawlEvent {
             CrawlEvent::TenantPreempted { tenant, job } => {
                 format!("{{\"event\":\"tenant_preempted\",\"tenant\":{tenant},\"job\":{job}}}")
             }
-            CrawlEvent::TenantAdmitted { tenant } => {
-                format!("{{\"event\":\"tenant_admitted\",\"tenant\":{tenant}}}")
-            }
-            CrawlEvent::TenantThrottled { tenant } => {
-                format!("{{\"event\":\"tenant_throttled\",\"tenant\":{tenant}}}")
-            }
             CrawlEvent::RequestEnqueued { depth } => {
                 format!("{{\"event\":\"request_enqueued\",\"depth\":{depth}}}")
             }
@@ -478,12 +456,9 @@ impl CrawlEvent {
             CrawlEvent::FrameDropped { frame } => {
                 format!("{{\"event\":\"frame_dropped\",\"frame\":{frame}}}")
             }
-            CrawlEvent::FrameRetransmitted { request, tenant } => match tenant {
-                Some(t) => format!(
-                    "{{\"event\":\"frame_retransmitted\",\"request\":{request},\"tenant\":{t}}}"
-                ),
-                None => format!("{{\"event\":\"frame_retransmitted\",\"request\":{request}}}"),
-            },
+            CrawlEvent::FrameRetransmitted { request } => {
+                format!("{{\"event\":\"frame_retransmitted\",\"request\":{request}}}")
+            }
             CrawlEvent::Hedged { request } => {
                 format!("{{\"event\":\"hedged\",\"request\":{request}}}")
             }
@@ -493,98 +468,83 @@ impl CrawlEvent {
 
     /// Decodes one JSON object produced by [`CrawlEvent::to_json`]. Returns
     /// `None` on anything else — the parser understands exactly the flat
-    /// single-object lines this module writes, not arbitrary JSON.
+    /// single-object lines this module writes, not arbitrary JSON. A field
+    /// that is present but does not fit its type (an id past `u32::MAX`,
+    /// say) rejects the line; it is never wrapped or dropped.
     pub fn from_json(line: &str) -> Option<Self> {
         let kind = json_str(line, "event")?;
         Some(match kind {
-            "query_planned" => CrawlEvent::QueryPlanned {
-                candidate: json_u64(line, "candidate").map(|c| c as u32),
-            },
+            "query_planned" => CrawlEvent::QueryPlanned { candidate: json_opt(line, "candidate")? },
             "page_requested" => CrawlEvent::PageRequested,
             "page_fetched" => CrawlEvent::PageFetched {
-                returned: json_u64(line, "returned")?,
-                new: json_u64(line, "new")?,
+                returned: json(line, "returned")?,
+                new: json(line, "new")?,
             },
             "page_cache_hit" => CrawlEvent::PageCacheHit,
-            "transient_failure" => {
-                CrawlEvent::TransientFailure { corrupt: json_bool(line, "corrupt")? }
-            }
-            "backoff_billed" => CrawlEvent::BackoffBilled { rounds: json_u64(line, "rounds")? },
-            "stall_billed" => CrawlEvent::StallBilled { rounds: json_u64(line, "rounds")? },
+            "transient_failure" => CrawlEvent::TransientFailure { corrupt: json(line, "corrupt")? },
+            "backoff_billed" => CrawlEvent::BackoffBilled { rounds: json(line, "rounds")? },
+            "stall_billed" => CrawlEvent::StallBilled { rounds: json(line, "rounds")? },
             "query_aborted" => CrawlEvent::QueryAborted,
             "query_completed" => CrawlEvent::QueryCompleted,
-            "query_requeued" => {
-                CrawlEvent::QueryRequeued { candidate: json_u64(line, "candidate")? as u32 }
-            }
+            "query_requeued" => CrawlEvent::QueryRequeued { candidate: json(line, "candidate")? },
             "checkpoint_written" => {
-                CrawlEvent::CheckpointWritten { rotated_backup: json_bool(line, "rotated_backup")? }
+                CrawlEvent::CheckpointWritten { rotated_backup: json(line, "rotated_backup")? }
             }
             "checkpoint_failed" => CrawlEvent::CheckpointFailed,
             "crawl_resumed" => CrawlEvent::CrawlResumed {
-                rounds: json_u64(line, "rounds")?,
-                queries: json_u64(line, "queries")?,
-                records: json_u64(line, "records")?,
+                rounds: json(line, "rounds")?,
+                queries: json(line, "queries")?,
+                records: json(line, "records")?,
             },
             "crawl_finished" => CrawlEvent::CrawlFinished {
                 stop: StopReason::parse(json_str(line, "stop")?)?,
-                coverage: json_f64(line, "coverage"),
+                coverage: json_opt(line, "coverage")?,
             },
             "breaker_transition" => CrawlEvent::BreakerTransition {
-                job: json_u64(line, "job")? as u32,
+                job: json(line, "job")?,
                 from: BreakerPhase::parse(json_str(line, "from")?)?,
                 to: BreakerPhase::parse(json_str(line, "to")?)?,
             },
-            "worker_restarted" => {
-                CrawlEvent::WorkerRestarted { job: json_u64(line, "job")? as u32 }
-            }
-            "job_abandoned" => CrawlEvent::JobAbandoned { job: json_u64(line, "job")? as u32 },
+            "worker_restarted" => CrawlEvent::WorkerRestarted { job: json(line, "job")? },
+            "job_abandoned" => CrawlEvent::JobAbandoned { job: json(line, "job")? },
             "slice_scheduled" => CrawlEvent::SliceScheduled {
-                job: json_u64(line, "job")? as u32,
-                rounds: json_u64(line, "rounds")?,
+                job: json(line, "job")?,
+                rounds: json(line, "rounds")?,
             },
             "slice_completed" => CrawlEvent::SliceCompleted {
-                job: json_u64(line, "job")? as u32,
-                worker: json_u64(line, "worker")? as u32,
-                rounds: json_u64(line, "rounds")?,
-                tenant: json_u64(line, "tenant").map(|t| t as u32),
-                total: json_u64(line, "total")?,
-                pages: json_u64(line, "pages")?,
+                job: json(line, "job")?,
+                worker: json(line, "worker")?,
+                rounds: json(line, "rounds")?,
+                tenant: json_opt(line, "tenant")?,
+                total: json(line, "total")?,
+                pages: json(line, "pages")?,
             },
             "job_attached" => CrawlEvent::JobAttached {
-                job: json_u64(line, "job")? as u32,
-                tenant: json_u64(line, "tenant").map(|t| t as u32),
-                rounds: json_u64(line, "rounds")?,
-                pages: json_u64(line, "pages")?,
+                job: json(line, "job")?,
+                tenant: json_opt(line, "tenant")?,
+                rounds: json(line, "rounds")?,
+                pages: json(line, "pages")?,
             },
             "job_detached" => CrawlEvent::JobDetached {
-                job: json_u64(line, "job")? as u32,
-                rounds: json_u64(line, "rounds")?,
-                pages: json_u64(line, "pages")?,
+                job: json(line, "job")?,
+                rounds: json(line, "rounds")?,
+                pages: json(line, "pages")?,
             },
             "tenant_preempted" => CrawlEvent::TenantPreempted {
-                tenant: json_u64(line, "tenant")? as u32,
-                job: json_u64(line, "job")? as u32,
+                tenant: json(line, "tenant")?,
+                job: json(line, "job")?,
             },
-            "tenant_admitted" => {
-                CrawlEvent::TenantAdmitted { tenant: json_u64(line, "tenant")? as u32 }
-            }
-            "tenant_throttled" => {
-                CrawlEvent::TenantThrottled { tenant: json_u64(line, "tenant")? as u32 }
-            }
-            "request_enqueued" => {
-                CrawlEvent::RequestEnqueued { depth: json_u64(line, "depth")? as u32 }
-            }
+            "request_enqueued" => CrawlEvent::RequestEnqueued { depth: json(line, "depth")? },
             "request_shed" => CrawlEvent::RequestShed,
             "request_cancelled" => CrawlEvent::RequestCancelled,
             "request_completed" => {
-                CrawlEvent::RequestCompleted { latency_us: json_u64(line, "latency_us")? }
+                CrawlEvent::RequestCompleted { latency_us: json(line, "latency_us")? }
             }
-            "frame_dropped" => CrawlEvent::FrameDropped { frame: json_u64(line, "frame")? },
-            "frame_retransmitted" => CrawlEvent::FrameRetransmitted {
-                request: json_u64(line, "request")?,
-                tenant: json_u64(line, "tenant").map(|t| t as u32),
-            },
-            "hedged" => CrawlEvent::Hedged { request: json_u64(line, "request")? },
+            "frame_dropped" => CrawlEvent::FrameDropped { frame: json(line, "frame")? },
+            "frame_retransmitted" => {
+                CrawlEvent::FrameRetransmitted { request: json(line, "request")? }
+            }
+            "hedged" => CrawlEvent::Hedged { request: json(line, "request")? },
             "service_restarted" => CrawlEvent::ServiceRestarted,
             _ => return None,
         })
@@ -606,16 +566,16 @@ fn json_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     json_raw(line, key)?.strip_prefix('"')?.strip_suffix('"')
 }
 
-fn json_u64(line: &str, key: &str) -> Option<u64> {
+/// A required number or boolean field, parsed as its own type: a `u32`
+/// field past `u32::MAX` is `None`, not a wrapped id.
+fn json<T: FromStr>(line: &str, key: &str) -> Option<T> {
     json_raw(line, key)?.parse().ok()
 }
 
-fn json_bool(line: &str, key: &str) -> Option<bool> {
-    json_raw(line, key)?.parse().ok()
-}
-
-fn json_f64(line: &str, key: &str) -> Option<f64> {
-    json_raw(line, key)?.parse().ok()
+/// An optional field: `Some(None)` when the key is absent, `None` when it
+/// is present but does not parse as `T`.
+fn json_opt<T: FromStr>(line: &str, key: &str) -> Option<Option<T>> {
+    json_raw(line, key).map_or(Some(None), |raw| raw.parse().ok().map(Some))
 }
 
 /// A consumer of crawl events. Sinks must keep up — emission is synchronous
@@ -785,15 +745,12 @@ mod tests {
             CrawlEvent::JobAttached { job: 5, tenant: None, rounds: 0, pages: 0 },
             CrawlEvent::JobDetached { job: 4, rounds: 300, pages: 280 },
             CrawlEvent::TenantPreempted { tenant: 1, job: 4 },
-            CrawlEvent::TenantAdmitted { tenant: 3 },
-            CrawlEvent::TenantThrottled { tenant: 3 },
             CrawlEvent::RequestEnqueued { depth: 5 },
             CrawlEvent::RequestShed,
             CrawlEvent::RequestCancelled,
             CrawlEvent::RequestCompleted { latency_us: 1_250 },
             CrawlEvent::FrameDropped { frame: 17 },
-            CrawlEvent::FrameRetransmitted { request: 42, tenant: None },
-            CrawlEvent::FrameRetransmitted { request: 43, tenant: Some(6) },
+            CrawlEvent::FrameRetransmitted { request: 42 },
             CrawlEvent::Hedged { request: 42 },
             CrawlEvent::ServiceRestarted,
         ]
@@ -815,6 +772,56 @@ mod tests {
         assert_eq!(CrawlEvent::from_json("{\"event\":\"warp_drive\"}"), None);
         assert_eq!(CrawlEvent::from_json("{\"event\":\"page_fetched\"}"), None, "missing fields");
         assert_eq!(CrawlEvent::from_json("not json at all"), None);
+    }
+
+    #[test]
+    fn out_of_range_ids_are_rejected_not_wrapped() {
+        let wrapped = 1u64 << 32 | 1;
+        for line in [
+            format!("{{\"event\":\"job_abandoned\",\"job\":{wrapped}}}"),
+            format!("{{\"event\":\"query_planned\",\"candidate\":{wrapped}}}"),
+            format!("{{\"event\":\"query_requeued\",\"candidate\":{wrapped}}}"),
+            format!("{{\"event\":\"request_enqueued\",\"depth\":{wrapped}}}"),
+            format!("{{\"event\":\"tenant_preempted\",\"tenant\":{wrapped},\"job\":1}}"),
+            format!(
+                "{{\"event\":\"slice_completed\",\"job\":0,\"worker\":{wrapped},\
+                 \"rounds\":1,\"total\":1,\"pages\":1}}"
+            ),
+            format!(
+                "{{\"event\":\"job_attached\",\"job\":0,\"tenant\":{wrapped},\"rounds\":0,\
+                 \"pages\":0}}"
+            ),
+        ] {
+            assert_eq!(CrawlEvent::from_json(&line), None, "{line}");
+        }
+        let max = CrawlEvent::JobAbandoned { job: u32::MAX };
+        assert_eq!(CrawlEvent::from_json(&max.to_json()), Some(max));
+    }
+
+    /// Every truncation, and every single-bit flip that stays UTF-8, of
+    /// every variant's line decodes to nothing or to an event that
+    /// round-trips, and never panics.
+    #[test]
+    fn damaged_lines_decode_to_none_or_a_round_tripping_event() {
+        let check = |text: &str| {
+            if let Some(ev) = CrawlEvent::from_json(text) {
+                assert_eq!(CrawlEvent::from_json(&ev.to_json()), Some(ev), "from {text:?}");
+            }
+        };
+        for ev in all_variants() {
+            let line = ev.to_json();
+            for cut in (0..line.len()).filter(|&cut| line.is_char_boundary(cut)) {
+                check(&line[..cut]);
+            }
+            let mut bytes = line.into_bytes();
+            for bit in 0..bytes.len() * 8 {
+                bytes[bit / 8] ^= 1 << (bit % 8);
+                if let Ok(text) = std::str::from_utf8(&bytes) {
+                    check(text);
+                }
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
     }
 
     #[test]

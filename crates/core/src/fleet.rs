@@ -267,8 +267,7 @@ impl FleetConfigBuilder {
     }
 
     /// Sets the tenant registry. Validated at [`FleetConfigBuilder::build`]:
-    /// zero weights, zero quotas, zero-burst rate limits, and duplicate ids
-    /// are all rejected.
+    /// zero weights, zero quotas and duplicate ids are all rejected.
     pub fn tenants(mut self, tenants: Vec<Tenant>) -> Self {
         self.config.tenants = tenants;
         self

@@ -93,5 +93,5 @@ pub use source::{
 pub use stage::{Executor, Ingestor, Planner};
 pub use state::{CandStatus, CrawlState, QueryOutcome};
 pub use store::CheckpointStore;
-pub use tenant::{RateLimit, Tenant, TenantId, TokenBucket, UsageLedger};
+pub use tenant::{Tenant, TenantId, UsageLedger};
 pub use trace::{CrawlTrace, TraceError};

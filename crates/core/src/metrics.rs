@@ -117,11 +117,8 @@ pub struct MetricsRegistry {
     job_rounds: BTreeMap<u32, u64>,
     /// Per-job cumulative page-request rounds, folded like `job_rounds`.
     job_pages: BTreeMap<u32, u64>,
-    /// Per-tenant admission / shed / preemption / retransmit event counts.
-    tenant_admitted: BTreeMap<u32, u64>,
-    tenant_sheds: BTreeMap<u32, u64>,
+    /// Per-tenant preemption event counts.
     tenant_preempted: BTreeMap<u32, u64>,
-    tenant_retransmits: BTreeMap<u32, u64>,
     trace: CrawlTrace,
     stop: Option<StopReason>,
     final_coverage: Option<f64>,
@@ -245,12 +242,6 @@ impl MetricsRegistry {
             CrawlEvent::TenantPreempted { tenant, .. } => {
                 *self.tenant_preempted.entry(tenant).or_insert(0) += 1;
             }
-            CrawlEvent::TenantAdmitted { tenant } => {
-                *self.tenant_admitted.entry(tenant).or_insert(0) += 1;
-            }
-            CrawlEvent::TenantThrottled { tenant } => {
-                *self.tenant_sheds.entry(tenant).or_insert(0) += 1;
-            }
             CrawlEvent::RequestEnqueued { depth } => {
                 self.requests_enqueued += 1;
                 self.queue_depth_sum += u64::from(depth);
@@ -267,12 +258,7 @@ impl MetricsRegistry {
                 self.latency_buckets[latency_bucket(latency_us)] += 1;
             }
             CrawlEvent::FrameDropped { .. } => self.frames_dropped += 1,
-            CrawlEvent::FrameRetransmitted { tenant, .. } => {
-                self.frames_retransmitted += 1;
-                if let Some(t) = tenant {
-                    *self.tenant_retransmits.entry(t).or_insert(0) += 1;
-                }
-            }
+            CrawlEvent::FrameRetransmitted { .. } => self.frames_retransmitted += 1,
             CrawlEvent::Hedged { .. } => self.hedged_requests += 1,
             CrawlEvent::ServiceRestarted => self.service_restarts += 1,
         }
@@ -418,17 +404,11 @@ impl MetricsRegistry {
     /// `FleetReport::total_rounds`, faults and restarts included.
     pub fn usage_ledgers(&self) -> Vec<(u32, UsageLedger)> {
         let mut ids: std::collections::BTreeSet<u32> = self.job_tenant.values().copied().collect();
-        ids.extend(self.tenant_admitted.keys().copied());
-        ids.extend(self.tenant_sheds.keys().copied());
         ids.extend(self.tenant_preempted.keys().copied());
-        ids.extend(self.tenant_retransmits.keys().copied());
         ids.into_iter()
             .map(|t| {
                 let mut ledger = UsageLedger {
-                    admitted: self.tenant_admitted.get(&t).copied().unwrap_or(0),
-                    sheds: self.tenant_sheds.get(&t).copied().unwrap_or(0),
                     preempted: self.tenant_preempted.get(&t).copied().unwrap_or(0),
-                    retransmits: self.tenant_retransmits.get(&t).copied().unwrap_or(0),
                     ..UsageLedger::default()
                 };
                 for (&job, &tenant) in &self.job_tenant {
@@ -701,11 +681,6 @@ mod tests {
                 pages: 12,
             },
             CrawlEvent::TenantPreempted { tenant: 2, job: 1 },
-            CrawlEvent::TenantAdmitted { tenant: 1 },
-            CrawlEvent::TenantAdmitted { tenant: 1 },
-            CrawlEvent::TenantThrottled { tenant: 1 },
-            CrawlEvent::FrameRetransmitted { request: 9, tenant: Some(2) },
-            CrawlEvent::FrameRetransmitted { request: 10, tenant: None },
             CrawlEvent::JobDetached { job: 0, rounds: 50, pages: 47 },
             CrawlEvent::JobDetached { job: 1, rounds: 12, pages: 12 },
         ];
@@ -714,34 +689,8 @@ mod tests {
         }
         let usage = m.usage_ledgers();
         assert_eq!(usage.len(), 2);
-        assert_eq!(
-            usage[0],
-            (
-                1,
-                UsageLedger {
-                    rounds: 50,
-                    pages: 47,
-                    admitted: 2,
-                    sheds: 1,
-                    retransmits: 0,
-                    preempted: 0,
-                }
-            )
-        );
-        assert_eq!(
-            usage[1],
-            (
-                2,
-                UsageLedger {
-                    rounds: 12,
-                    pages: 12,
-                    admitted: 0,
-                    sheds: 0,
-                    retransmits: 1,
-                    preempted: 1,
-                }
-            )
-        );
+        assert_eq!(usage[0], (1, UsageLedger { rounds: 50, pages: 47, preempted: 0 }));
+        assert_eq!(usage[1], (2, UsageLedger { rounds: 12, pages: 12, preempted: 1 }));
         assert_eq!(replay_usage(&events), usage, "the live fold and the replay agree");
     }
 

@@ -150,14 +150,8 @@ impl fmt::Display for FleetReport {
         for (tenant, usage) in &self.usage {
             writeln!(
                 f,
-                "  tenant {tenant}: {} rounds / {} pages / {} admitted / {} shed / {} \
-                 retransmits / {} preemptions",
-                usage.rounds,
-                usage.pages,
-                usage.admitted,
-                usage.sheds,
-                usage.retransmits,
-                usage.preempted
+                "  tenant {tenant}: {} rounds / {} pages / {} preemptions",
+                usage.rounds, usage.pages, usage.preempted
             )?;
         }
         for (i, r) in self.sources.iter().enumerate() {

@@ -55,11 +55,15 @@
 //!   with the same request id — the dedup window makes the race safe. Both
 //!   jobs answer into one reply channel, and the calling thread runs the
 //!   same transmission loop as a lone [`Connection`]: the first intact
-//!   frame wins and fires the hedge's token, so a hedge still queued is
-//!   cancelled; a hedge shed, halted or lost at submit is billed as such
+//!   frame wins; a hedge shed, halted or lost at submit is billed as such
 //!   but never becomes the answer; nothing is transmitted after `respond`
-//!   returns. This bounds p99 under stall injection at a small extra round
-//!   cost (BENCH-7 gates both sides).
+//!   returns. Every transmission of a hedged request carries one token that
+//!   fires when `respond` returns: a transmission still queued then is
+//!   cancelled at dequeue, and one already dequeued (a stalled primary) is
+//!   billed as a retransmit at its dedup claim and never executes, however
+//!   long ago its outcome left the dedup window. This bounds p99 under
+//!   stall injection at a small extra round cost (BENCH-7 gates both
+//!   sides).
 //! * **Circuit breaking.** Every pool carries a [`CircuitBreaker`] per
 //!   connection: streaks of [`CrawlError::Rejected`] /
 //!   [`CrawlError::Cancelled`] trip a connection out of rotation, a cooled
@@ -99,7 +103,6 @@ use crate::source::{
     CancelToken, CrawlError, DataSource, PageMeta, ProberMode, ServiceMeta, SourceRequest,
     SourceResponse,
 };
-use crate::tenant::{validate_tenants, Tenant, TenantId, TokenBucket};
 use crate::ConfigError;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use dwc_server::{InterfaceSpec, Query};
@@ -220,11 +223,6 @@ pub struct ServeConfig {
     pub default_deadline: Option<Duration>,
     /// Seed for the latency distribution.
     pub seed: u64,
-    /// Tenant registry for per-tenant admission control. Tenants with a
-    /// [`crate::tenant::RateLimit`] get a token bucket at the protocol seam
-    /// ([`SourceService::connect_for`]); an empty registry leaves the
-    /// service tenant-blind.
-    pub tenants: Vec<Tenant>,
 }
 
 impl Default for ServeConfig {
@@ -236,7 +234,6 @@ impl Default for ServeConfig {
             decode_per_record: Duration::ZERO,
             default_deadline: None,
             seed: 0,
-            tenants: Vec::new(),
         }
     }
 }
@@ -293,12 +290,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Sets the tenant registry for per-tenant admission control.
-    pub fn tenants(mut self, tenants: Vec<Tenant>) -> Self {
-        self.config.tenants = tenants;
-        self
-    }
-
     /// Validates all knobs together.
     pub fn build(self) -> Result<ServeConfig, ConfigError> {
         let c = self.config;
@@ -311,7 +302,6 @@ impl ServeConfigBuilder {
         if c.default_deadline == Some(Duration::ZERO) {
             return Err(ConfigError::ZeroDeadline);
         }
-        validate_tenants(&c.tenants)?;
         Ok(c)
     }
 }
@@ -402,9 +392,9 @@ struct Job {
     /// Idempotent request id: identical across retransmits, duplicates and
     /// hedges of one logical request.
     rid: u64,
-    /// Tenant the submitting connection was opened for, if any; rides along
-    /// so service-side events bill the right principal.
-    tenant: Option<u32>,
+    /// A hedged request's token, fired once its `respond` returned: the
+    /// job is then billed but never executed. `None` for unhedged requests.
+    settled: Option<CancelToken>,
     chaos: JobChaos,
     reply: Sender<Reply>,
 }
@@ -420,8 +410,10 @@ enum DedupEntry {
 }
 
 /// Outcomes retained after completion; old entries are evicted FIFO. A
-/// retransmit always lands immediately after its lost frame, so a window
-/// this deep is effectively unbounded for real schedules.
+/// retransmit or chaos duplicate lands right after its first transmission,
+/// and a hedged request's late transmissions are settled by their token, not
+/// by this window, so a window this deep is effectively unbounded for real
+/// schedules.
 const DEDUP_WINDOW: usize = 256;
 
 /// Consecutive wire transmissions one `respond()` will attempt before
@@ -447,24 +439,11 @@ struct ServiceShared {
     seq: AtomicU64,
     request_ids: AtomicU64,
     dedup: Mutex<DedupTable>,
-    /// Per-tenant admission token buckets, one per registry entry carrying a
-    /// [`crate::tenant::RateLimit`]. Tenants without a limit are admitted
-    /// unconditionally (and still metered).
-    buckets: Mutex<HashMap<u32, TokenBucket>>,
 }
 
 impl ServiceShared {
     fn emit(&self, event: CrawlEvent) {
         self.bus.lock().expect("service bus poisoned").emit(event);
-    }
-
-    /// The admission decision for one request from `tenant` at time `now`:
-    /// `true` unless the tenant has a rate limit and its bucket is empty.
-    fn admit(&self, tenant: u32, now: Instant) -> bool {
-        match self.buckets.lock().expect("admission buckets poisoned").get_mut(&tenant) {
-            Some(bucket) => bucket.try_take(now),
-            None => true,
-        }
     }
 }
 
@@ -484,12 +463,6 @@ impl<S: DataSource + Send + Sync + 'static> SourceService<S> {
     /// Spawns the worker pool and starts serving `inner`.
     pub fn start(inner: Arc<S>, config: ServeConfig) -> Self {
         let (tx, rx) = bounded::<Job>(config.queue_depth);
-        let now = Instant::now();
-        let buckets = config
-            .tenants
-            .iter()
-            .filter_map(|t| t.rate.map(|rate| (t.id.0, TokenBucket::new(rate, now))))
-            .collect();
         let shared = Arc::new(ServiceShared {
             bus: Mutex::new(EventBus::new()),
             shed: AtomicU64::new(0),
@@ -498,7 +471,6 @@ impl<S: DataSource + Send + Sync + 'static> SourceService<S> {
             seq: AtomicU64::new(0),
             request_ids: AtomicU64::new(0),
             dedup: Mutex::new(DedupTable::default()),
-            buckets: Mutex::new(buckets),
         });
         let workers = (0..config.workers)
             .map(|_| {
@@ -521,22 +493,7 @@ impl<S: DataSource + Send + Sync + 'static> SourceService<S> {
             shared: Arc::clone(&self.shared),
             default_deadline: self.config.default_deadline,
             chaos: None,
-            tenant: None,
         }
-    }
-
-    /// A connection whose requests are admitted, billed, and metered under
-    /// `tenant`'s identity: the tenant's token bucket gates admission at
-    /// the protocol seam, and sheds / retransmits on the connection are
-    /// tagged with the tenant in the event stream. Rejects ids absent from
-    /// the registry ([`ServeConfig::tenants`]).
-    pub fn connect_for(&self, tenant: TenantId) -> Result<Connection<S>, ConfigError> {
-        if !self.config.tenants.iter().any(|t| t.id == tenant) {
-            return Err(ConfigError::UnknownTenant(tenant.0));
-        }
-        let mut conn = self.connect();
-        conn.tenant = Some(tenant.0);
-        Ok(conn)
     }
 
     /// A round-robin pool of `n` connections with per-connection circuit
@@ -583,7 +540,9 @@ impl<S: DataSource + Send + Sync + 'static> SourceService<S> {
 enum Claim {
     /// First transmission: execute it.
     Fresh,
-    /// Another worker is executing the id right now; the reply was parked.
+    /// Billed, with nothing to execute or ship: another worker is executing
+    /// the id right now and the reply was parked, or the job's hedged
+    /// request already returned.
     Parked,
     /// The id already completed; serve the cached outcome.
     Served(Reply),
@@ -616,6 +575,7 @@ fn worker_loop<S: DataSource>(
     shared: Arc<ServiceShared>,
     config: ServeConfig,
 ) {
+    let fired = |token: &Option<CancelToken>| token.as_ref().is_some_and(CancelToken::is_cancelled);
     while let Ok(job) = rx.recv() {
         let latency = |job: &Job| job.enqueued_at.elapsed().as_micros() as u64;
         if job.chaos.crash_before {
@@ -629,8 +589,7 @@ fn worker_loop<S: DataSource>(
             continue;
         }
         let expired = job.deadline.is_some_and(|d| Instant::now() >= d);
-        let fired = job.cancel.as_ref().is_some_and(CancelToken::is_cancelled);
-        if expired || fired {
+        if expired || fired(&job.cancel) || fired(&job.settled) {
             shared.cancelled.fetch_add(1, Ordering::Relaxed);
             shared.emit(CrawlEvent::RequestCancelled);
             let _ = job.reply.try_send(Err(CrawlError::Cancelled));
@@ -644,6 +603,9 @@ fn worker_loop<S: DataSource>(
         let claim = {
             let mut dedup = shared.dedup.lock().expect("dedup poisoned");
             match dedup.entries.get_mut(&job.rid) {
+                // The hedged request returned while this transmission was
+                // stalled; its outcome may have left the window since.
+                _ if fired(&job.settled) => Claim::Parked,
                 None => {
                     dedup.entries.insert(job.rid, DedupEntry::InFlight(Vec::new()));
                     Claim::Fresh
@@ -661,15 +623,13 @@ fn worker_loop<S: DataSource>(
                 // Billed as a new round (Definition 2.3 counts requests),
                 // but the executing worker will fan the single outcome out.
                 shared.retransmitted.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .emit(CrawlEvent::FrameRetransmitted { request: job.rid, tenant: job.tenant });
+                shared.emit(CrawlEvent::FrameRetransmitted { request: job.rid });
                 shared.emit(CrawlEvent::RequestCompleted { latency_us: latency(&job) });
                 continue;
             }
             Claim::Served(mut outcome) => {
                 shared.retransmitted.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .emit(CrawlEvent::FrameRetransmitted { request: job.rid, tenant: job.tenant });
+                shared.emit(CrawlEvent::FrameRetransmitted { request: job.rid });
                 let latency_us = latency(&job);
                 shared.emit(CrawlEvent::RequestCompleted { latency_us });
                 if let Ok(frame) = &mut outcome {
@@ -771,9 +731,6 @@ pub struct Connection<S> {
     shared: Arc<ServiceShared>,
     default_deadline: Option<Duration>,
     chaos: Option<Arc<ChaosState>>,
-    /// Tenant this connection was opened for
-    /// ([`SourceService::connect_for`]); `None` for tenant-blind clients.
-    tenant: Option<u32>,
 }
 
 impl<S> std::fmt::Debug for Connection<S> {
@@ -782,7 +739,6 @@ impl<S> std::fmt::Debug for Connection<S> {
             .field("queued", &self.tx.len())
             .field("default_deadline", &self.default_deadline)
             .field("chaos", &self.chaos.is_some())
-            .field("tenant", &self.tenant)
             .finish()
     }
 }
@@ -795,7 +751,6 @@ impl<S> Clone for Connection<S> {
             shared: Arc::clone(&self.shared),
             default_deadline: self.default_deadline,
             chaos: self.chaos.clone(),
-            tenant: self.tenant,
         }
     }
 }
@@ -812,14 +767,16 @@ impl<S> Connection<S> {
 
 impl<S: DataSource> Connection<S> {
     /// Transmits one request: decides the chaos fate of its request and
-    /// reply frames, builds the job around `reply`, and offers it to the
-    /// queue. `Ok(Some(depth))` carries the queue depth at admission;
-    /// `Ok(None)` means the wire ate the request frame before the service
-    /// saw it (nothing billed; retransmit).
+    /// reply frames, builds the job around `reply` and the hedged request's
+    /// `settled` token, and offers it to the queue. `Ok(Some(depth))`
+    /// carries the queue depth at admission; `Ok(None)` means the wire ate
+    /// the request frame before the service saw it (nothing billed;
+    /// retransmit).
     fn submit(
         &self,
         request: &SourceRequest<'_>,
         rid: u64,
+        settled: Option<&CancelToken>,
         reply: Sender<Reply>,
     ) -> Result<Option<u32>, CrawlError> {
         let mut jc = JobChaos::default();
@@ -880,7 +837,7 @@ impl<S: DataSource> Connection<S> {
             enqueued_at: Instant::now(),
             seq: self.shared.seq.fetch_add(1, Ordering::Relaxed),
             rid,
-            tenant: self.tenant,
+            settled: settled.cloned(),
             chaos,
             reply,
         };
@@ -895,33 +852,24 @@ impl<S: DataSource> Connection<S> {
         Ok(Some(depth))
     }
 
-    /// The one admission path: the tenant's token bucket, then the bounded
-    /// queue. A refusal at either is a shed, billed here — the request
-    /// reached the service, and Definition 2.3 counts requests, not
-    /// outcomes — to the tenant when the connection has one. Returns the
-    /// queue depth the admitted job saw.
+    /// The one admission path: the bounded queue. A full queue is a shed,
+    /// billed here — the request reached the service, and Definition 2.3
+    /// counts requests, not outcomes. Returns the queue depth the admitted
+    /// job saw.
     fn enqueue(&self, job: Job) -> Result<u32, CrawlError> {
-        let throttled = self.tenant.is_some_and(|t| !self.shared.admit(t, Instant::now()));
-        if !throttled {
-            match self.tx.try_send(job) {
-                Ok(()) => {
-                    let depth = self.tx.len() as u32;
-                    self.shared.emit(CrawlEvent::RequestEnqueued { depth });
-                    if let Some(tenant) = self.tenant {
-                        self.shared.emit(CrawlEvent::TenantAdmitted { tenant });
-                    }
-                    return Ok(depth);
-                }
-                Err(TrySendError::Full(_)) => {}
-                Err(TrySendError::Disconnected(_)) => return Err(CrawlError::Cancelled),
+        match self.tx.try_send(job) {
+            Ok(()) => {
+                let depth = self.tx.len() as u32;
+                self.shared.emit(CrawlEvent::RequestEnqueued { depth });
+                Ok(depth)
             }
+            Err(TrySendError::Full(_)) => {
+                self.shared.shed.fetch_add(1, Ordering::Relaxed);
+                self.shared.emit(CrawlEvent::RequestShed);
+                Err(CrawlError::Rejected)
+            }
+            Err(TrySendError::Disconnected(_)) => Err(CrawlError::Cancelled),
         }
-        self.shared.shed.fetch_add(1, Ordering::Relaxed);
-        self.shared.emit(CrawlEvent::RequestShed);
-        if let Some(tenant) = self.tenant {
-            self.shared.emit(CrawlEvent::TenantThrottled { tenant });
-        }
-        Err(CrawlError::Rejected)
     }
 
     /// The one transmission loop, for a lone connection and a hedged pool
@@ -931,11 +879,12 @@ impl<S: DataSource> Connection<S> {
     ///
     /// Each transmission's job answers on a fresh reply channel. With
     /// `hedge` set, a reply that outlives the threshold draws at most one
-    /// same-id hedge on the hedge connection, into the same channel and
-    /// under a token of its own; the first intact frame wins and fires it.
-    /// The loop retransmits only once every sender of the channel is gone,
-    /// so no job it sent can still answer, and it transmits nothing after
-    /// it returns.
+    /// same-id hedge on the hedge connection, into the same channel; the
+    /// first intact frame wins. Every job of a hedged request carries its
+    /// settled token, which fires on every return, so a job that outlives
+    /// the answer is billed but never executed. The loop retransmits only
+    /// once every sender of the channel is gone, so no job it sent can
+    /// still answer, and it transmits nothing after it returns.
     fn fetch_frame(
         &self,
         request: &SourceRequest<'_>,
@@ -943,12 +892,13 @@ impl<S: DataSource> Connection<S> {
     ) -> Result<(ReplyFrame, u32), CrawlError> {
         let rid = self.shared.request_ids.fetch_add(1, Ordering::Relaxed);
         let mut hedge = hedge.map(|(conn, after)| (conn, Instant::now() + after));
-        let mut token = None;
+        let settled = hedge.is_some().then(|| Settled(CancelToken::new()));
+        let token = settled.as_ref().map(|s| &s.0);
         for _ in 0..RETRANSMIT_LIMIT {
             let (tx, rx) = bounded(2);
             // A sender is held back only while a hedge may still join.
             let mut held = hedge.map(|hedge| (hedge, tx.clone()));
-            let Some(depth) = self.submit(request, rid, tx)? else {
+            let Some(depth) = self.submit(request, rid, token, tx)? else {
                 continue;
             };
             let mut failed = None;
@@ -964,9 +914,8 @@ impl<S: DataSource> Connection<S> {
                                 // submit, it is billed as such but never
                                 // answers.
                                 hedge = None;
-                                let cancel = token.insert(CancelToken::new());
                                 self.shared.emit(CrawlEvent::Hedged { request: rid });
-                                let _ = conn.submit(&request.with_cancel(cancel), rid, tx);
+                                let _ = conn.submit(request, rid, token, tx);
                                 continue;
                             }
                         }
@@ -978,10 +927,7 @@ impl<S: DataSource> Connection<S> {
                 };
                 match reply {
                     Ok(frame) if wire_checksum(frame.wire.as_bytes()) == frame.checksum => {
-                        if let Some(token) = &token {
-                            token.cancel();
-                        }
-                        return Ok((frame, depth));
+                        return Ok((frame, depth))
                     }
                     // Truncated in transit; the intact frame is cached.
                     Ok(_) => {}
@@ -1001,6 +947,16 @@ impl<S: DataSource> Connection<S> {
         }
         // The wire never stabilized within the safety valve.
         Err(CrawlError::Cancelled)
+    }
+}
+
+/// A hedged request's settled token, fired when `fetch_frame` returns by
+/// any path.
+struct Settled(CancelToken);
+
+impl Drop for Settled {
+    fn drop(&mut self) {
+        self.0.cancel();
     }
 }
 
@@ -1741,6 +1697,34 @@ mod tests {
         assert_eq!(inner.rounds_used(), 1, "executed once");
         assert_eq!(report.retransmitted, 1, "the primary is billed once, from the dedup window");
         assert_eq!(conn_rounds(&report, inner.rounds_used()), 2);
+    }
+
+    #[test]
+    fn a_stalled_hedged_primary_never_executes_after_its_outcome_is_evicted() {
+        // The primary's request frame stalls 200 ms and the hedge, sent at
+        // 1 ms, answers. While the primary sleeps, 300 requests (more than
+        // the dedup window holds) complete on a plain connection.
+        let inner = Arc::new(server());
+        let query = a2(&inner);
+        let config = ServeConfig::builder().workers(2).build().unwrap();
+        let service = SourceService::start(Arc::clone(&inner), config);
+        let plan = ChaosPlan::new().stall_at(1).stall_for(Duration::from_millis(200));
+        let pool = service
+            .connect_pool(2)
+            .unwrap()
+            .with_chaos(Arc::new(ChaosState::new(plan)))
+            .with_hedging(Duration::from_millis(1));
+        let request = SourceRequest::new(&query, 0, ProberMode::Wire);
+        pool.respond(&request, &mut |_| {}).unwrap();
+        let conn = service.connect();
+        for _ in 0..300 {
+            conn.respond(&request, &mut |_| {}).unwrap();
+        }
+        drop((pool, conn));
+        let report = service.shutdown();
+        assert_eq!(report.hedged, 1);
+        assert_eq!(inner.rounds_used(), 301, "one execution per logical request");
+        assert_eq!(report.retransmitted, 1, "the woken primary is billed, never executed");
     }
 
     #[test]

@@ -7,20 +7,17 @@
 //!
 //! * [`TenantId`] / [`Tenant`] — the registry entry validated by
 //!   [`crate::fleet::FleetConfigBuilder::tenants`]: scheduling weight, round
-//!   quota, admission [`RateLimit`], and dispatch priority.
+//!   quota, and dispatch priority.
 //! * [`UsageLedger`] — the per-tenant fold of the fleet event stream
-//!   (rounds, pages, admissions, sheds, retransmits, preemptions), reported
-//!   in [`crate::fleet::FleetReport::usage`] and reproducible bit-for-bit by
+//!   (rounds, pages, preemptions), reported in
+//!   [`crate::fleet::FleetReport::usage`] and reproducible bit-for-bit by
 //!   replaying the recorded events.
-//! * [`TokenBucket`] — the serving-tier admission gate enforcing a tenant's
-//!   [`RateLimit`] at the protocol seam.
 //!
 //! A fleet with an **empty registry** is tenant-blind and behaves exactly as
 //! before tenancy existed; nothing here is on any hot path unless tenants
 //! are configured.
 
 use crate::config::ConfigError;
-use std::time::Instant;
 
 /// Identity of a tenant — the billing/fairness principal a job runs under.
 ///
@@ -35,33 +32,12 @@ impl std::fmt::Display for TenantId {
     }
 }
 
-/// Admission rate limit enforced per tenant at the serving tier: a token
-/// bucket of `burst` capacity refilled at `per_sec` tokens per second.
-///
-/// `per_sec == 0` is legal and means "no refill": the tenant gets exactly
-/// `burst` admissions, ever — useful for tests and hard caps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RateLimit {
-    /// Bucket capacity: how many requests may be admitted back to back.
-    pub burst: u32,
-    /// Steady-state refill rate in tokens per second.
-    pub per_sec: u32,
-}
-
-impl RateLimit {
-    /// A limit admitting bursts of `burst` requests, refilling at `per_sec`
-    /// requests per second.
-    pub fn new(burst: u32, per_sec: u32) -> Self {
-        RateLimit { burst, per_sec }
-    }
-}
-
-/// One registry entry: a tenant and its scheduling/admission policy.
+/// One registry entry: a tenant and its scheduling policy.
 ///
 /// Built fluently — `Tenant::new(3).with_weight(5).with_quota(200)` — and
 /// validated as a set by [`validate_tenants`] (invoked from the
-/// `FleetConfig` and `ServeConfig` builders): zero weights, zero quotas,
-/// zero-burst rate limits, and duplicate ids are rejected at build time.
+/// `FleetConfig` builder): zero weights, zero quotas, and duplicate ids are
+/// rejected at build time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tenant {
     /// The tenant's identity; unique within a registry.
@@ -73,8 +49,6 @@ pub struct Tenant {
     /// one fleet run; once reached the tenant's jobs are parked
     /// (cooperative preemption at the next slice boundary).
     pub round_quota: Option<u64>,
-    /// Optional serving-tier admission rate limit.
-    pub rate: Option<RateLimit>,
     /// Dispatch priority: within one allocation cycle, slices of
     /// higher-priority tenants are handed to the pool first. Affects only
     /// dispatch *order*, never grant *amounts*, so reports are unchanged.
@@ -82,9 +56,9 @@ pub struct Tenant {
 }
 
 impl Tenant {
-    /// A default tenant: weight 1, no quota, no rate limit, priority 0.
+    /// A default tenant: weight 1, no quota, priority 0.
     pub fn new(id: u32) -> Self {
-        Tenant { id: TenantId(id), weight: 1, round_quota: None, rate: None, priority: 0 }
+        Tenant { id: TenantId(id), weight: 1, round_quota: None, priority: 0 }
     }
 
     /// Sets the weighted-fair scheduling weight.
@@ -99,12 +73,6 @@ impl Tenant {
         self
     }
 
-    /// Attaches a serving-tier admission rate limit.
-    pub fn with_rate(mut self, rate: RateLimit) -> Self {
-        self.rate = Some(rate);
-        self
-    }
-
     /// Sets the dispatch priority (higher dispatches first).
     pub fn with_priority(mut self, priority: u8) -> Self {
         self.priority = priority;
@@ -112,11 +80,8 @@ impl Tenant {
     }
 }
 
-/// Validates a tenant registry: positive weights, positive quotas,
-/// positive rate-limit bursts, unique ids.
-///
-/// Shared by the fleet and serve config builders so both seams reject the
-/// same misconfigurations identically.
+/// Validates a tenant registry: positive weights, positive quotas, unique
+/// ids. Called by [`crate::fleet::FleetConfigBuilder::build`].
 pub fn validate_tenants(tenants: &[Tenant]) -> Result<(), ConfigError> {
     let mut seen = std::collections::BTreeSet::new();
     for t in tenants {
@@ -125,11 +90,6 @@ pub fn validate_tenants(tenants: &[Tenant]) -> Result<(), ConfigError> {
         }
         if t.round_quota == Some(0) {
             return Err(ConfigError::ZeroTenantQuota(t.id.0));
-        }
-        if let Some(rate) = t.rate {
-            if rate.burst == 0 {
-                return Err(ConfigError::ZeroBudget("rate limit burst"));
-            }
         }
         if !seen.insert(t.id) {
             return Err(ConfigError::DuplicateTenant(t.id.0));
@@ -143,87 +103,34 @@ pub fn validate_tenants(tenants: &[Tenant]) -> Result<(), ConfigError> {
 /// `rounds` and `pages` are folded as per-job *cumulative maxima* from
 /// `SliceCompleted` / `JobAttached` (mirroring the coordinator's own
 /// `rounds_used` bookkeeping), so they stay exact under worker panics,
-/// restarts, and checkpoint resumes; the counters are plain event counts.
+/// restarts, and checkpoint resumes; `preempted` is a plain event count.
 /// The conservation invariant — the `rounds` fields of all ledgers sum to
 /// `FleetReport::total_rounds` exactly — is tested property-style in
 /// `tests/fleet_sched.rs`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UsageLedger {
-    /// Def. 2.3 rounds billed to the tenant (includes shed / cancelled /
-    /// retransmitted requests billed through the serving tier).
+    /// Def. 2.3 rounds billed to the tenant's jobs.
     pub rounds: u64,
     /// Page-request rounds actually executed against sources.
     pub pages: u64,
-    /// Requests admitted through the tenant's token bucket.
-    pub admitted: u64,
-    /// Requests shed at admission and billed to the tenant.
-    pub sheds: u64,
-    /// Duplicate frames answered by retransmission, billed to the tenant.
-    pub retransmits: u64,
     /// Times one of the tenant's jobs was parked at a slice boundary
     /// (quota exhaustion or tripped breaker under preemption).
     pub preempted: u64,
 }
 
-/// A token bucket enforcing a [`RateLimit`].
-///
-/// Time is passed in explicitly (`Instant`) so tests can drive refill
-/// deterministically; the serving tier passes `Instant::now()` at each
-/// admission decision.
-#[derive(Debug, Clone)]
-pub struct TokenBucket {
-    capacity: f64,
-    tokens: f64,
-    per_sec: f64,
-    last: Instant,
-}
-
-impl TokenBucket {
-    /// A full bucket for `limit`, with refill anchored at `now`.
-    pub fn new(limit: RateLimit, now: Instant) -> Self {
-        TokenBucket {
-            capacity: f64::from(limit.burst),
-            tokens: f64::from(limit.burst),
-            per_sec: f64::from(limit.per_sec),
-            last: now,
-        }
-    }
-
-    /// Attempts to take one token at time `now`; returns whether the
-    /// request is admitted. Refill accrues continuously and is capped at
-    /// the burst capacity.
-    pub fn try_take(&mut self, now: Instant) -> bool {
-        let dt = now.saturating_duration_since(self.last).as_secs_f64();
-        self.last = now;
-        self.tokens = (self.tokens + dt * self.per_sec).min(self.capacity);
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            true
-        } else {
-            false
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn builder_defaults_and_fluent_setters() {
-        let t = Tenant::new(7)
-            .with_weight(5)
-            .with_quota(100)
-            .with_rate(RateLimit::new(8, 2))
-            .with_priority(3);
+        let t = Tenant::new(7).with_weight(5).with_quota(100).with_priority(3);
         assert_eq!(t.id, TenantId(7));
         assert_eq!(t.weight, 5);
         assert_eq!(t.round_quota, Some(100));
-        assert_eq!(t.rate, Some(RateLimit { burst: 8, per_sec: 2 }));
         assert_eq!(t.priority, 3);
         let d = Tenant::new(0);
-        assert_eq!((d.weight, d.round_quota, d.rate, d.priority), (1, None, None, 0));
+        assert_eq!((d.weight, d.round_quota, d.priority), (1, None, 0));
     }
 
     #[test]
@@ -240,47 +147,7 @@ mod tests {
             validate_tenants(&[Tenant::new(0), Tenant::new(1), Tenant::new(0)]),
             Err(ConfigError::DuplicateTenant(0))
         );
-        assert_eq!(
-            validate_tenants(&[Tenant::new(3).with_rate(RateLimit::new(0, 5))]),
-            Err(ConfigError::ZeroBudget("rate limit burst"))
-        );
         assert_eq!(validate_tenants(&[Tenant::new(0), Tenant::new(1)]), Ok(()));
         assert_eq!(validate_tenants(&[]), Ok(()));
-    }
-
-    #[test]
-    fn token_bucket_admits_burst_then_throttles_then_refills() {
-        let t0 = Instant::now();
-        let mut bucket = TokenBucket::new(RateLimit::new(3, 2), t0);
-        assert!(bucket.try_take(t0));
-        assert!(bucket.try_take(t0));
-        assert!(bucket.try_take(t0));
-        assert!(!bucket.try_take(t0), "burst exhausted");
-        // One second at 2/s refills two tokens.
-        let t1 = t0 + Duration::from_secs(1);
-        assert!(bucket.try_take(t1));
-        assert!(bucket.try_take(t1));
-        assert!(!bucket.try_take(t1));
-    }
-
-    #[test]
-    fn zero_refill_bucket_is_a_hard_cap() {
-        let t0 = Instant::now();
-        let mut bucket = TokenBucket::new(RateLimit::new(2, 0), t0);
-        assert!(bucket.try_take(t0));
-        assert!(bucket.try_take(t0));
-        assert!(!bucket.try_take(t0 + Duration::from_secs(3600)), "never refills");
-    }
-
-    #[test]
-    fn refill_never_exceeds_burst_capacity() {
-        let t0 = Instant::now();
-        let mut bucket = TokenBucket::new(RateLimit::new(2, 100), t0);
-        assert!(bucket.try_take(t0));
-        // A long idle period must not bank more than `burst` tokens.
-        let t1 = t0 + Duration::from_secs(60);
-        assert!(bucket.try_take(t1));
-        assert!(bucket.try_take(t1));
-        assert!(!bucket.try_take(t1));
     }
 }

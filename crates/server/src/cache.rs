@@ -7,15 +7,11 @@
 //! value graph). The cache memoizes the rendered text behind `&self` so any
 //! worker's render is reusable by every other worker.
 //!
-//! Two deliberate properties:
-//!
-//! - **Billing is unaffected.** A cache hit skips the resolve + paginate +
-//!   render work, *not* the communication round — Definition 2.3 charges per
-//!   page request regardless of how cheaply the server can answer it. The
-//!   cache changes wall-clock cost only.
-//! - **Epoch invalidation.** [`crate::server::WebDbServer::set_interface`]
-//!   bumps the cache epoch instead of walking entries; stale entries are
-//!   simply ignored on lookup and recycled by LRU eviction.
+//! **Billing is unaffected.** A cache hit skips the resolve + paginate +
+//! render work, *not* the communication round — Definition 2.3 charges per
+//! page request regardless of how cheaply the server can answer it. The
+//! cache changes wall-clock cost only. A server's interface is fixed at
+//! construction, so a cached render never goes stale.
 //!
 //! Entries are keyed by a 64-bit fingerprint of `(query, page_index)` so a
 //! lookup never clones the query; the stored key is compared on hit, and
@@ -46,11 +42,6 @@ impl RenderedPage {
         &self.text
     }
 
-    /// Clones out the shared buffer (no copy of the text itself).
-    pub fn shared(&self) -> Arc<str> {
-        Arc::clone(&self.text)
-    }
-
     /// Whether this render was reused from the page cache.
     pub fn cache_hit(&self) -> bool {
         self.cache_hit
@@ -66,7 +57,6 @@ struct Entry {
     query: Query,
     page_index: usize,
     text: Arc<str>,
-    epoch: u64,
     last_used: u64,
 }
 
@@ -78,15 +68,14 @@ struct Inner {
 }
 
 /// A small LRU cache of rendered result pages keyed by
-/// `(query, page_index)`, with epoch invalidation.
+/// `(query, page_index)`.
 ///
 /// All methods take `&self`; the map sits behind a `Mutex` (held only for a
-/// probe or an insert — never across a render) and the epoch/hit counters are
+/// probe or an insert — never across a render) and the hit counters are
 /// atomics so readers of the stats never contend.
 #[derive(Debug)]
 pub struct PageCache {
     capacity: usize,
-    epoch: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     inner: Mutex<Inner>,
@@ -98,31 +87,26 @@ impl PageCache {
     pub fn new(capacity: usize) -> Self {
         PageCache {
             capacity,
-            epoch: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             inner: Mutex::new(Inner::default()),
         }
     }
 
-    /// Looks up a rendered page, counting the hit or miss. Entries from an
-    /// older epoch are treated as absent (and evicted on contact).
+    /// Looks up a rendered page, counting the hit or miss.
     pub fn get(&self, query: &Query, page_index: usize) -> Option<Arc<str>> {
         if self.capacity == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
         }
         let fp = fingerprint(query, page_index);
-        let epoch = self.epoch.load(Ordering::Acquire);
         let mut inner = self.inner.lock().expect("page cache poisoned");
         // Probe first, mutate after, so the map borrow is released between.
         let probe = match inner.entries.get(&fp) {
-            Some(e) if e.epoch == epoch && e.page_index == page_index && e.query == *query => {
-                Some(Arc::clone(&e.text))
-            }
+            Some(e) if e.page_index == page_index && e.query == *query => Some(Arc::clone(&e.text)),
             Some(_) => {
-                // Stale epoch or fingerprint collision: drop it so the slot
-                // is free for the fresh render.
+                // Fingerprint collision: drop it so the slot is free for the
+                // fresh render.
                 inner.entries.remove(&fp);
                 None
             }
@@ -154,30 +138,18 @@ impl PageCache {
             return;
         }
         let fp = fingerprint(query, page_index);
-        let epoch = self.epoch.load(Ordering::Acquire);
         let mut inner = self.inner.lock().expect("page cache poisoned");
         if inner.entries.len() >= self.capacity && !inner.entries.contains_key(&fp) {
-            // O(capacity) scan is fine at this size; prefer evicting a
-            // stale-epoch entry outright, else the least recently used.
-            let victim =
-                inner.entries.iter().find(|(_, e)| e.epoch != epoch).map(|(&k, _)| k).or_else(
-                    || inner.entries.iter().min_by_key(|(_, e)| e.last_used).map(|(&k, _)| k),
-                );
+            // O(capacity) scan for the least recently used entry is fine at
+            // this size.
+            let victim = inner.entries.iter().min_by_key(|(_, e)| e.last_used).map(|(&k, _)| k);
             if let Some(victim) = victim {
                 inner.entries.remove(&victim);
             }
         }
         inner.tick += 1;
         let tick = inner.tick;
-        inner
-            .entries
-            .insert(fp, Entry { query: query.clone(), page_index, text, epoch, last_used: tick });
-    }
-
-    /// Invalidates every current entry in O(1) — called when the interface
-    /// (and therefore pagination/caps) changes under the cache.
-    pub fn bump_epoch(&self) {
-        self.epoch.fetch_add(1, Ordering::AcqRel);
+        inner.entries.insert(fp, Entry { query: query.clone(), page_index, text, last_used: tick });
     }
 
     /// Cache hits served so far.
@@ -190,7 +162,7 @@ impl PageCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of entries currently stored (live and stale).
+    /// Number of entries currently stored.
     pub fn len(&self) -> usize {
         self.inner.lock().expect("page cache poisoned").entries.len()
     }
@@ -257,16 +229,6 @@ mod tests {
         assert!(c.get(&q("b"), 0).is_none());
         assert!(c.get(&q("a"), 1).is_none());
         assert!(c.get(&q("a"), 0).is_some());
-    }
-
-    #[test]
-    fn epoch_bump_invalidates_everything() {
-        let c = PageCache::new(8);
-        c.insert(&q("a"), 0, text("old"));
-        c.bump_epoch();
-        assert!(c.get(&q("a"), 0).is_none(), "stale epoch must miss");
-        c.insert(&q("a"), 0, text("new"));
-        assert_eq!(&*c.get(&q("a"), 0).unwrap(), "new");
     }
 
     #[test]

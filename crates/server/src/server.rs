@@ -187,14 +187,6 @@ impl WebDbServer {
         &self.interface
     }
 
-    /// Replaces the interface (used by the Figure 6 result-cap sweeps).
-    /// Bumps the page-cache epoch: pagination and caps may have changed, so
-    /// every cached render is invalid.
-    pub fn set_interface(&mut self, interface: InterfaceSpec) {
-        self.interface = interface;
-        self.cache.bump_epoch();
-    }
-
     /// Total page requests served so far — the crawl's communication cost.
     pub fn rounds_used(&self) -> u64 {
         self.requests.load(Ordering::Relaxed)
@@ -665,20 +657,6 @@ mod tests {
         // The cached XML matches a fresh render of the same page.
         let page = s.query_page(&q, 0).unwrap();
         assert_eq!(r1.text(), crate::wire::page_to_xml(&page, s.table()));
-    }
-
-    #[test]
-    fn interface_swap_invalidates_rendered_cache() {
-        let t = figure1_table();
-        let spec = InterfaceSpec::permissive(t.schema(), 10);
-        let mut s = WebDbServer::new(t, spec.clone());
-        let a2 = val(&s, 0, "a2");
-        let q = Query::Value(a2);
-        let before = s.rendered_page(&q, 0).unwrap();
-        s.set_interface(spec.with_result_cap(1));
-        let after = s.rendered_page(&q, 0).unwrap();
-        assert!(!after.cache_hit(), "epoch bump must force a re-render");
-        assert_ne!(before.text(), after.text(), "the cap changed the page");
     }
 
     #[test]

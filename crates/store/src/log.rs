@@ -44,17 +44,7 @@ impl FrameLog {
         Ok(FrameLog { file, len: 0, frames: 0 })
     }
 
-    /// Opens an existing log for appending, first replaying it to find the
-    /// valid prefix; a torn tail is truncated away so new frames extend the
-    /// trusted prefix.
-    pub fn open_append(path: &Path) -> io::Result<Self> {
-        let replay = Self::replay(path)?;
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
-        file.set_len(replay.valid_len)?;
-        Ok(FrameLog { file, len: replay.valid_len, frames: replay.frames.len() as u64 })
-    }
-
-    /// Number of frames appended (or replayed) so far.
+    /// Number of frames appended so far.
     pub fn frames(&self) -> u64 {
         self.frames
     }
@@ -83,15 +73,6 @@ impl FrameLog {
         self.file.write_all_at(&frame, self.len)?;
         self.len += frame.len() as u64;
         self.frames += 1;
-        Ok(())
-    }
-
-    /// Truncates the log back to empty (after its contents were absorbed
-    /// into a full snapshot).
-    pub fn reset(&mut self) -> io::Result<()> {
-        self.file.set_len(0)?;
-        self.len = 0;
-        self.frames = 0;
         Ok(())
     }
 
@@ -219,24 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn open_append_truncates_torn_tail_and_continues() {
-        let path = scratch("reopen");
-        let mut log = FrameLog::create(&path).unwrap();
-        log.append(b"keep me").unwrap();
-        log.append(b"torn").unwrap();
-        log.sync().unwrap();
-        let full = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() - 2]).unwrap();
-        let mut log = FrameLog::open_append(&path).unwrap();
-        assert_eq!(log.frames(), 1);
-        log.append(b"after recovery").unwrap();
-        let r = FrameLog::replay(&path).unwrap();
-        assert_eq!(r.frames, vec![b"keep me".to_vec(), b"after recovery".to_vec()]);
-        assert!(!r.torn);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn absurd_length_prefix_is_rejected() {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
@@ -245,18 +208,5 @@ mod tests {
         let r = FrameLog::replay_bytes(&bytes);
         assert!(r.frames.is_empty());
         assert!(r.torn);
-    }
-
-    #[test]
-    fn reset_empties_the_log() {
-        let path = scratch("reset");
-        let mut log = FrameLog::create(&path).unwrap();
-        log.append(b"gone").unwrap();
-        log.reset().unwrap();
-        assert!(log.is_empty());
-        log.append(b"fresh").unwrap();
-        let r = FrameLog::replay(&path).unwrap();
-        assert_eq!(r.frames, vec![b"fresh".to_vec()]);
-        let _ = std::fs::remove_file(&path);
     }
 }

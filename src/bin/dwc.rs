@@ -134,8 +134,8 @@ assigned round-robin (job i → tenant i mod n). With `--allocation
 weighted-fair` the round budget is divided by deficit round-robin over
 tenant weights; QUOTA caps a tenant's total rounds (its jobs are parked at
 the next slice boundary once reached) and PRIO orders dispatch within a
-cycle. The report gains a per-tenant usage ledger (rounds, pages, sheds,
-preemptions) that sums exactly to the fleet's total rounds.
+cycle. The report gains a per-tenant usage ledger (rounds, pages,
+preemptions) whose rounds sum exactly to the fleet's total rounds.
 
 Serving tier: `dwc serve` puts the table behind a request/response service
 (bounded --queue, admission control, --latency-us service times, per-record

@@ -13,7 +13,7 @@
 //! * [`stats`] (`dwc-stats`) — Zipf sampling, Student-t, capture–recapture,
 //!   PMI, regression;
 //! * [`server`] (`dwc-server`) — the simulated structured web-database
-//!   server (pagination, result caps, totals, XML and HTML result pages);
+//!   server (pagination, result caps, totals, XML result pages);
 //! * [`datagen`] (`dwc-datagen`) — generative domain datasets standing in
 //!   for eBay / ACM / DBLP / IMDB / Amazon-DVD;
 //! * [`store`] (`dwc-store`) — out-of-core packed storage: segment files,
@@ -65,7 +65,7 @@ pub mod prelude {
         ClientPool, ConfigError, Connection, CrawlConfig, CrawlError, CrawlEvent, CrawlReport,
         CrawlTrace, Crawler, DataSource, DomainTable, EventSink, FaultKind, FaultPlan,
         FaultPlanSource, FleetConfig, FleetJob, FleetReport, JobHealth, JsonlSink, LatencyModel,
-        MemorySink, MetricsRegistry, ProberMode, QueryMode, RateLimit, RetryPolicy, SchedulerStats,
+        MemorySink, MetricsRegistry, ProberMode, QueryMode, RetryPolicy, SchedulerStats,
         ServeConfig, ServiceReport, SourceRequest, SourceService, StateJournal, StopReason, Tenant,
         TenantId, UsageLedger,
     };
