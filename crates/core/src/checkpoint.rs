@@ -24,12 +24,13 @@
 //!
 //! Durable storage is the state journal's job ([`crate::journal`]): a
 //! checkpoint blob is its base frame, rebased atomically with `.bak`
-//! rotation. This module only defines the blob.
+//! rotation. This module only defines the blob and its one writer, which
+//! the journal's bases share.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 use crate::state::{CandStatus, CrawlState};
 use dwc_model::packed::fnv1a64;
 use dwc_model::ValueId;
-use std::fmt::Write as _;
 
 /// A serialized crawl snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,27 +94,30 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// Appends `s` to `out`, percent-escaping the format's metacharacters. Most
-/// strings contain none and are copied in one piece.
-pub(crate) fn escape_into(out: &mut String, s: &str) {
-    if !s.bytes().any(|b| matches!(b, b'%' | b'\t' | b'\n' | b'\r')) {
-        out.push_str(s);
-        return;
+/// Appends `s` to `out`, percent-escaping the format's metacharacters.
+/// Clean runs between them are copied whole; the metacharacters are ASCII,
+/// so every run ends on a character boundary and the output stays UTF-8.
+pub(crate) fn put_escaped(out: &mut Vec<u8>, s: &str) {
+    let bytes = s.as_bytes();
+    let mut clean = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        let escaped: &[u8] = match b {
+            b'%' => b"%25",
+            b'\t' => b"%09",
+            b'\n' => b"%0A",
+            b'\r' => b"%0D",
+            _ => continue,
+        };
+        out.extend_from_slice(&bytes[clean..i]);
+        out.extend_from_slice(escaped);
+        clean = i + 1;
     }
-    for c in s.chars() {
-        match c {
-            '%' => out.push_str("%25"),
-            '\t' => out.push_str("%09"),
-            '\n' => out.push_str("%0A"),
-            '\r' => out.push_str("%0D"),
-            _ => out.push(c),
-        }
-    }
+    out.extend_from_slice(&bytes[clean..]);
 }
 
 /// Appends the decimal digits of `n` (no formatting machinery: ids are the
 /// bulk of a checkpoint and of every journal frame).
-pub(crate) fn push_u64(out: &mut String, mut n: u64) {
+pub(crate) fn put_u64(out: &mut Vec<u8>, mut n: u64) {
     let mut digits = [0u8; 20];
     let mut i = digits.len();
     loop {
@@ -124,25 +128,44 @@ pub(crate) fn push_u64(out: &mut String, mut n: u64) {
             break;
         }
     }
-    digits[i..].iter().for_each(|&d| out.push(char::from(d)));
+    out.extend_from_slice(&digits[i..]);
 }
 
 /// Appends `ids` comma-separated (the format's id-list encoding).
-pub(crate) fn push_ids(out: &mut String, ids: impl IntoIterator<Item = u32>) {
+pub(crate) fn put_ids(out: &mut Vec<u8>, ids: impl IntoIterator<Item = u32>) {
     for (i, id) in ids.into_iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            out.push(b',');
         }
-        push_u64(out, u64::from(id));
+        put_u64(out, u64::from(id));
     }
 }
 
+/// Appends a body's `v` line: one vocabulary entry.
+pub(crate) fn put_value_line(out: &mut Vec<u8>, attr: u16, value: &str) {
+    out.extend_from_slice(b"v\t");
+    put_u64(out, u64::from(attr));
+    out.push(b'\t');
+    put_escaped(out, value);
+    out.push(b'\n');
+}
+
+/// Appends an `r` line: one harvested record (a body line and a journal
+/// delta line alike).
+pub(crate) fn put_record_line(out: &mut Vec<u8>, key: u64, ids: impl IntoIterator<Item = u32>) {
+    out.extend_from_slice(b"r\t");
+    put_u64(out, key);
+    out.push(b'\t');
+    put_ids(out, ids);
+    out.push(b'\n');
+}
+
 /// The one-letter code of a status (checkpoint `status` line, journal frames).
-pub(crate) fn status_char(s: CandStatus) -> char {
+pub(crate) fn status_byte(s: CandStatus) -> u8 {
     match s {
-        CandStatus::Undiscovered => 'U',
-        CandStatus::Frontier => 'F',
-        CandStatus::Queried => 'Q',
+        CandStatus::Undiscovered => b'U',
+        CandStatus::Frontier => b'F',
+        CandStatus::Queried => b'Q',
     }
 }
 
@@ -166,62 +189,107 @@ pub(crate) fn unescape(s: &str) -> Result<String, CheckpointError> {
 const HEADER_V2_PREFIX: &str = "DWC-CHECKPOINT v2 crc=";
 const HEADER_ANY_PREFIX: &str = "DWC-CHECKPOINT ";
 
+/// The sections of a v2 body, borrowed from wherever they live: an owned
+/// [`Checkpoint`], or the live [`CrawlState`] beside the state journal's
+/// cached `v` and `r` lines. [`Body::put_blob`] is the one writer of the
+/// format, so a journal base and [`Checkpoint::to_text`] agree byte for byte.
+pub(crate) struct Body<'a, Q> {
+    pub(crate) page_size: usize,
+    pub(crate) keyword_mode: bool,
+    pub(crate) rounds: u64,
+    pub(crate) queries: u64,
+    pub(crate) attr_names: &'a [String],
+    pub(crate) attr_queriable: &'a [bool],
+    /// Vocabulary size, and its formatted `v` lines ([`put_value_line`]).
+    pub(crate) values: usize,
+    pub(crate) value_lines: &'a [u8],
+    pub(crate) status: &'a [CandStatus],
+    /// `L_queried`, in issue order.
+    pub(crate) queried: Q,
+    /// Record count, and the formatted `r` lines ([`put_record_line`]).
+    pub(crate) records: usize,
+    pub(crate) record_lines: &'a [u8],
+}
+
+impl<Q: IntoIterator<Item = u32>> Body<'_, Q> {
+    /// Appends the v2 blob to `out`: the header line, whose checksum digits
+    /// are a placeholder until the body behind them has been written and
+    /// hashed, then the body.
+    pub(crate) fn put_blob(self, out: &mut Vec<u8>) {
+        out.extend_from_slice(HEADER_V2_PREFIX.as_bytes());
+        let crc_at = out.len();
+        out.extend_from_slice(b"0000000000000000\n");
+        let body_at = out.len();
+        out.extend_from_slice(b"meta\t");
+        put_u64(out, self.page_size as u64);
+        out.push(b'\t');
+        out.push(if self.keyword_mode { b'1' } else { b'0' });
+        out.push(b'\t');
+        put_u64(out, self.rounds);
+        out.push(b'\t');
+        put_u64(out, self.queries);
+        out.extend_from_slice(b"\nattrs\t");
+        put_u64(out, self.attr_names.len() as u64);
+        out.push(b'\n');
+        for (name, q) in self.attr_names.iter().zip(self.attr_queriable) {
+            out.extend_from_slice(b"a\t");
+            put_escaped(out, name);
+            out.push(b'\t');
+            out.push(if *q { b'1' } else { b'0' });
+            out.push(b'\n');
+        }
+        out.extend_from_slice(b"values\t");
+        put_u64(out, self.values as u64);
+        out.push(b'\n');
+        out.extend_from_slice(self.value_lines);
+        // Statuses as one compact line: U / F / Q per value.
+        out.extend_from_slice(b"status\t");
+        out.extend(self.status.iter().map(|&s| status_byte(s)));
+        out.extend_from_slice(b"\nqueried\t");
+        put_ids(out, self.queried);
+        out.extend_from_slice(b"\nrecords\t");
+        put_u64(out, self.records as u64);
+        out.push(b'\n');
+        out.extend_from_slice(self.record_lines);
+        let crc = fnv1a64(&out[body_at..]);
+        for (i, digit) in out[crc_at..body_at - 1].iter_mut().enumerate() {
+            *digit = b"0123456789abcdef"[((crc >> (60 - 4 * i)) & 0xf) as usize];
+        }
+    }
+}
+
 impl Checkpoint {
     /// Serializes to the current (v2) text format: a header line carrying the
     /// FNV-1a checksum of everything after it, then the body sections.
-    ///
-    /// The blob is built in one buffer: the header's checksum digits are a
-    /// placeholder until the body behind them has been written and hashed.
     pub fn to_text(&self) -> String {
-        let mut out = String::from(HEADER_V2_PREFIX);
-        let crc_at = out.len();
-        out.push_str("0000000000000000\n");
-        let body_at = out.len();
-        self.write_body(&mut out);
-        let crc = format!("{:016x}", fnv1a64(&out.as_bytes()[body_at..]));
-        out.replace_range(crc_at..crc_at + crc.len(), &crc);
-        out
-    }
-
-    /// Appends the body sections (everything after the header line).
-    fn write_body(&self, out: &mut String) {
-        let _ = writeln!(
-            out,
-            "meta\t{}\t{}\t{}\t{}",
-            self.page_size,
-            u8::from(self.keyword_mode),
-            self.rounds,
-            self.queries
-        );
-        let _ = writeln!(out, "attrs\t{}", self.attr_names.len());
-        for (name, q) in self.attr_names.iter().zip(&self.attr_queriable) {
-            out.push_str("a\t");
-            escape_into(out, name);
-            out.push('\t');
-            out.push(if *q { '1' } else { '0' });
-            out.push('\n');
-        }
-        let _ = writeln!(out, "values\t{}", self.values.len());
+        let mut value_lines = Vec::new();
         for (attr, s) in &self.values {
-            out.push_str("v\t");
-            push_u64(out, u64::from(*attr));
-            out.push('\t');
-            escape_into(out, s);
-            out.push('\n');
+            put_value_line(&mut value_lines, *attr, s);
         }
-        // Statuses as one compact line: U / F / Q per value.
-        out.push_str("status\t");
-        out.extend(self.status.iter().map(|&s| status_char(s)));
-        out.push_str("\nqueried\t");
-        push_ids(out, self.queried.iter().copied());
-        let _ = writeln!(out, "\nrecords\t{}", self.records.len());
-        for (key, vals) in &self.records {
-            out.push_str("r\t");
-            push_u64(out, *key);
-            out.push('\t');
-            push_ids(out, vals.iter().copied());
-            out.push('\n');
+        let mut record_lines = Vec::new();
+        for (key, ids) in &self.records {
+            put_record_line(&mut record_lines, *key, ids.iter().copied());
         }
+        let mut out = Vec::new();
+        Body {
+            page_size: self.page_size,
+            keyword_mode: self.keyword_mode,
+            rounds: self.rounds,
+            queries: self.queries,
+            attr_names: &self.attr_names,
+            attr_queriable: &self.attr_queriable,
+            values: self.values.len(),
+            value_lines: &value_lines,
+            status: &self.status,
+            queried: self.queried.iter().copied(),
+            records: self.records.len(),
+            record_lines: &record_lines,
+        }
+        .put_blob(&mut out);
+        // The writers copy UTF-8 strings whole and add only ASCII, so the
+        // lossy branch never runs.
+        String::from_utf8(out)
+            .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
     }
 
     /// Parses the text format: a v2 header, whose checksum is verified
@@ -491,9 +559,10 @@ mod tests {
 
     #[test]
     fn escaping_handles_metacharacters() {
-        let mut escaped = String::new();
-        escape_into(&mut escaped, "a\tb\nc%d\r");
-        assert_eq!(unescape(&escaped).unwrap(), "a\tb\nc%d\r");
+        let mut escaped = Vec::new();
+        put_escaped(&mut escaped, "a\tb\nc%d\r");
+        assert_eq!(escaped, b"a%09b%0Ac%25d%0D");
+        assert_eq!(unescape(std::str::from_utf8(&escaped).unwrap()).unwrap(), "a\tb\nc%d\r");
         let cp = demo();
         let text = cp.to_text();
         // One line per value, despite embedded tabs/newlines in strings.

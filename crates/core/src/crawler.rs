@@ -368,15 +368,14 @@ impl<S: DataSource> Crawler<S> {
         self.maybe_checkpoint();
     }
 
-    /// Rebases the journal (if any) onto the current state, serialized
-    /// once; returns whether a previous generation was rotated to `.bak`.
-    /// A journal left without any base by a failed write is dropped and the
-    /// crawl goes on unjournaled; one with a base keeps extending its
-    /// previous generation.
+    /// Rebases the journal (if any) onto the current state; returns whether
+    /// a previous generation was rotated to `.bak`. A journal left without
+    /// any base by a failed write is dropped and the crawl goes on
+    /// unjournaled; one with a base keeps extending its previous generation.
     fn rebase_journal(&mut self) -> Option<std::io::Result<bool>> {
-        let base = self.journal.is_some().then(|| self.checkpoint().to_text())?;
         let journal = self.journal.as_mut()?;
-        let written = journal.write_base(&mut self.state, &base);
+        let metrics = self.bus.metrics();
+        let written = journal.write_base(&mut self.state, metrics.rounds(), metrics.queries());
         if !journal.has_base() {
             self.journal = None;
         }

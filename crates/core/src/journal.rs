@@ -26,9 +26,21 @@
 //! mark. [`StateJournal::append_delta`] drains that log, compares only the
 //! logged ids against a shadow status vector it patches in place, and reads
 //! only the vocabulary, `L_queried` and record tails past the lengths it
-//! last framed. The invariant this rests on: **all status writes go through
+//! last framed (all of `L_queried` only when a removal cut into what it
+//! framed). The invariant this rests on: **all status writes go through
 //! `CrawlState::set_status`** and all removals from `L_queried` through
 //! `CrawlState::remove_queried` (the fields are private to enforce it).
+//!
+//! A rebase formats only what was added since the last one. The vocabulary
+//! and `DB_local`'s records only grow, so the journal keeps the `v` and `r`
+//! lines of its last base, with the vocabulary and record counts they
+//! cover, and formats only the entries past them; meta, attributes, the
+//! status line and `L_queried` are rewritten around the cached lines in the
+//! one reused frame buffer, which [`FrameLog`] writes as built. What is
+//! left is the durability contract and the format: copying the cached lines
+//! into the frame, the two FNV-1a passes over the base (the header's body
+//! checksum, then the frame's), one `sync_data` of the temporary, the two
+//! renames and one directory fsync.
 //!
 //! Delta frame payload (line-oriented, same percent-escaping as the
 //! checkpoint format):
@@ -41,9 +53,11 @@
 //! qf\t<id,id,...>                 full L_queried replacement (requeue path)
 //! r\t<key>\t<id,id,...>           one per newly harvested record
 //! ```
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 use crate::checkpoint::{
-    escape_into, push_ids, push_u64, status_char, unescape, Checkpoint, CheckpointError,
+    put_escaped, put_ids, put_record_line, put_u64, put_value_line, status_byte, unescape, Body,
+    Checkpoint, CheckpointError,
 };
 use crate::state::{CandStatus, CrawlState};
 use dwc_model::ValueId;
@@ -106,11 +120,14 @@ pub struct StateJournal {
     /// size), patched in place from the state's change log.
     shadow_status: Vec<CandStatus>,
     shadow_records_len: usize,
-    shadow_queried_len: usize,
+    /// `L_queried` as of the last frame.
+    shadow_queried: Vec<ValueId>,
     /// The drained status-change log, handed back empty on the next drain.
     changed: Vec<ValueId>,
-    /// The frame under construction, reused across frames.
-    frame: String,
+    /// The `v` and `r` lines of the last base.
+    sections: BaseSections,
+    /// The frame under construction (base or delta), reused across frames.
+    frame: Vec<u8>,
     /// The full-state diff every frame must equal byte for byte.
     #[cfg(test)]
     reference: reference::FullDiff,
@@ -126,9 +143,10 @@ impl StateJournal {
             log: None,
             shadow_status: Vec::new(),
             shadow_records_len: 0,
-            shadow_queried_len: 0,
+            shadow_queried: Vec::new(),
             changed: Vec::new(),
-            frame: String::new(),
+            sections: BaseSections::default(),
+            frame: Vec::new(),
             #[cfg(test)]
             reference: reference::FullDiff::default(),
         }
@@ -144,22 +162,54 @@ impl StateJournal {
         self.log.as_ref().map_or(0, FrameLog::frames)
     }
 
-    /// Starts a new generation from `base`, `state` serialized by
-    /// [`Checkpoint::to_text`]: writes it as frame 0 of `<path>.tmp`
-    /// (creating parent directories), syncs it, rotates the current
-    /// generation, if any, to `<path>.bak`, renames the temporary into
-    /// place and syncs the directory. Returns whether a previous generation
-    /// was rotated. Clears the state's change log, which the base absorbed.
-    /// Called before a crawl's first query and at every periodic checkpoint.
+    /// Starts a new generation from `state` at the given cost counters:
+    /// writes its v2 checkpoint blob (what [`Checkpoint::to_text`] makes of
+    /// the same state) as frame 0 of `<path>.tmp` (creating parent
+    /// directories), syncs it, rotates the current generation, if any, to
+    /// `<path>.bak`, renames the temporary into place and syncs the
+    /// directory. Returns whether a previous generation was rotated. Clears
+    /// the state's change log, which the base absorbed. Called before a
+    /// crawl's first query and at every periodic checkpoint.
+    ///
+    /// A handle journals one crawl: its cached sections assume `state` is
+    /// the state it last saw, grown since (a resumed crawl opens a new one).
     ///
     /// An error before the new generation is in place leaves the state
     /// untouched and the handle on its previous generation, which further
     /// deltas extend. An error syncing the directory comes after the
     /// switch: the new generation is in place, and further deltas extend it.
-    pub fn write_base(&mut self, state: &mut CrawlState, base: &str) -> io::Result<bool> {
+    pub fn write_base(
+        &mut self,
+        state: &mut CrawlState,
+        rounds: u64,
+        queries: u64,
+    ) -> io::Result<bool> {
+        self.sections.extend(state);
+        FrameLog::start_frame(&mut self.frame);
+        Body {
+            page_size: state.page_size,
+            keyword_mode: state.keyword_mode,
+            rounds,
+            queries,
+            attr_names: &state.attr_names,
+            attr_queriable: &state.attr_queriable,
+            values: self.sections.values,
+            value_lines: &self.sections.value_lines,
+            status: state.status(),
+            queried: state.queried().iter().map(|v| v.0),
+            records: self.sections.records,
+            record_lines: &self.sections.record_lines,
+        }
+        .put_blob(&mut self.frame);
+        #[cfg(test)]
+        assert_eq!(
+            std::str::from_utf8(&self.frame[dwc_store::FRAME_HEADER..]).unwrap(),
+            Checkpoint::capture(state, rounds, queries).to_text(),
+            "base differs from the checkpoint's text"
+        );
         let tmp = sibling(&self.path, ".tmp");
         let mut log = FrameLog::create(&tmp)?;
-        log.append(base.as_bytes())?;
+        log.append(&mut self.frame)?;
         log.sync()?;
         let rotated = match std::fs::rename(&self.path, sibling(&self.path, ".bak")) {
             Ok(()) => true,
@@ -171,7 +221,8 @@ impl StateJournal {
         self.shadow_status.clear();
         self.shadow_status.extend_from_slice(state.status());
         self.shadow_records_len = state.local.num_records();
-        self.shadow_queried_len = state.queried().len();
+        self.shadow_queried.clear();
+        self.shadow_queried.extend_from_slice(state.queried());
         state.clear_changes();
         #[cfg(test)]
         {
@@ -188,34 +239,38 @@ impl StateJournal {
     /// counters advanced). Drains the state's change log; the work is
     /// proportional to what changed.
     ///
-    /// # Panics
-    /// Panics if called before [`StateJournal::write_base`].
+    /// # Errors
+    /// `InvalidInput` before the first [`StateJournal::write_base`] (there
+    /// is no generation to extend, and the change log is left as it is);
+    /// any error writing the frame.
     pub fn append_delta(
         &mut self,
         state: &mut CrawlState,
         rounds: u64,
         queries: u64,
     ) -> io::Result<()> {
-        let Some(log) = self.log.as_mut() else { panic!("journal delta before base frame") };
+        let Some(log) = self.log.as_mut() else {
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, "journal delta before base"));
+        };
         let low_water = state.take_changes(&mut self.changed);
         let out = &mut self.frame;
-        out.clear();
-        out.push_str("d\t");
-        push_u64(out, rounds);
-        out.push('\t');
-        push_u64(out, queries);
-        out.push('\n');
+        FrameLog::start_frame(out);
+        out.extend_from_slice(b"d\t");
+        put_u64(out, rounds);
+        out.push(b'\t');
+        put_u64(out, queries);
+        out.push(b'\n');
         let known = self.shadow_status.len();
         for i in known..state.vocab.len() {
             let v = ValueId(i as u32);
             let status = state.status_of(v);
-            out.push_str("v\t");
-            push_u64(out, u64::from(state.vocab.attr_of(v).0));
-            out.push('\t');
-            escape_into(out, state.vocab.value_str(v));
-            out.push('\t');
-            out.push(status_char(status));
-            out.push('\n');
+            out.extend_from_slice(b"v\t");
+            put_u64(out, u64::from(state.vocab.attr_of(v).0));
+            out.push(b'\t');
+            put_escaped(out, state.vocab.value_str(v));
+            out.push(b'\t');
+            out.push(status_byte(status));
+            out.push(b'\n');
             self.shadow_status.push(status);
         }
         // Logged writes, in id order, that left a framed id's status
@@ -226,42 +281,42 @@ impl StateJournal {
             let status = state.status_of(v);
             if status != self.shadow_status[v.index()] {
                 self.shadow_status[v.index()] = status;
-                out.push_str("s\t");
-                push_u64(out, u64::from(v.0));
-                out.push('\t');
-                out.push(status_char(status));
-                out.push('\n');
+                out.extend_from_slice(b"s\t");
+                put_u64(out, u64::from(v.0));
+                out.push(b'\t');
+                out.push(status_byte(status));
+                out.push(b'\n');
             }
         }
         self.changed.clear();
         let queried = state.queried();
-        if low_water.is_some_and(|w| w < self.shadow_queried_len) {
-            // A requeue took an id out of the framed prefix: frame the whole
-            // list. L_queried holds one id per issued query, and this path
-            // runs only on requeues.
-            out.push_str("qf\t");
-            push_ids(out, queried.iter().map(|v| v.0));
-            out.push('\n');
-        } else if queried.len() > self.shadow_queried_len {
-            out.push_str("qa\t");
-            push_ids(out, queried[self.shadow_queried_len..].iter().map(|v| v.0));
-            out.push('\n');
+        let framed = self.shadow_queried.len();
+        if low_water.is_some_and(|w| w < framed) && !queried.starts_with(&self.shadow_queried) {
+            // A requeue took an id out of the framed prefix, and the ids
+            // pushed since did not restore it: frame the whole list.
+            // L_queried holds one id per issued query, and this path runs
+            // only on requeues.
+            out.extend_from_slice(b"qf\t");
+            put_ids(out, queried.iter().map(|v| v.0));
+            out.push(b'\n');
+            self.shadow_queried.clear();
+            self.shadow_queried.extend_from_slice(queried);
+        } else if queried.len() > framed {
+            out.extend_from_slice(b"qa\t");
+            put_ids(out, queried[framed..].iter().map(|v| v.0));
+            out.push(b'\n');
+            self.shadow_queried.extend_from_slice(&queried[framed..]);
         }
         for (key, vals) in state.local.keyed_since(self.shadow_records_len) {
-            out.push_str("r\t");
-            push_u64(out, key);
-            out.push('\t');
-            push_ids(out, vals.iter().map(|v| v.0));
-            out.push('\n');
+            put_record_line(out, key, vals.iter().map(|v| v.0));
         }
         #[cfg(test)]
         assert_eq!(
-            self.frame,
+            std::str::from_utf8(&self.frame[dwc_store::FRAME_HEADER..]).unwrap(),
             self.reference.frame(state, rounds, queries),
             "delta frame differs from the full-state diff"
         );
-        log.append(self.frame.as_bytes())?;
-        self.shadow_queried_len = state.queried().len();
+        log.append(&mut self.frame)?;
         self.shadow_records_len = state.local.num_records();
         Ok(())
     }
@@ -312,6 +367,37 @@ impl StateJournal {
         }
         cp.validate().map_err(|e| invalid(format!("journal deltas: {e}")))?;
         Ok(Some(JournalRecovery { checkpoint: cp, deltas_applied, torn: replay.torn, from_backup }))
+    }
+}
+
+/// The `v` and `r` lines of a journal's last base, with the vocabulary and
+/// record counts they cover. Both sections only grow, so each rebase
+/// formats just the entries added since the one before.
+#[derive(Debug, Default)]
+struct BaseSections {
+    values: usize,
+    value_lines: Vec<u8>,
+    records: usize,
+    record_lines: Vec<u8>,
+}
+
+impl BaseSections {
+    /// Formats the vocabulary entries and records `state` added since the
+    /// last call.
+    fn extend(&mut self, state: &CrawlState) {
+        for i in self.values..state.vocab.len() {
+            let v = ValueId(i as u32);
+            put_value_line(
+                &mut self.value_lines,
+                state.vocab.attr_of(v).0,
+                state.vocab.value_str(v),
+            );
+        }
+        self.values = state.vocab.len();
+        for (key, vals) in state.local.keyed_since(self.records) {
+            put_record_line(&mut self.record_lines, key, vals.iter().map(|v| v.0));
+        }
+        self.records = state.local.num_records();
     }
 }
 
@@ -377,7 +463,7 @@ fn apply_delta(cp: &mut Checkpoint, text: &str) -> Result<(), CheckpointError> {
 /// equal to this one's.
 #[cfg(test)]
 mod reference {
-    use crate::checkpoint::status_char;
+    use crate::checkpoint::status_byte;
     use crate::state::{CandStatus, CrawlState};
 
     /// Shadow of the whole state at the last frame.
@@ -424,12 +510,12 @@ mod reference {
                     "v\t{}\t{}\t{}\n",
                     state.vocab.attr_of(v).0,
                     escape(state.vocab.value_str(v)),
-                    status_char(now),
+                    char::from(status_byte(now)),
                 ));
             }
             for (i, (&now, &was)) in status.iter().zip(&self.status).enumerate() {
                 if now != was {
-                    out.push_str(&format!("s\t{i}\t{}\n", status_char(now)));
+                    out.push_str(&format!("s\t{i}\t{}\n", char::from(status_byte(now))));
                 }
             }
             let queried: Vec<u32> = state.queried().iter().map(|v| v.0).collect();
@@ -488,9 +574,8 @@ mod tests {
     /// Writes `st` as the journal's base, at `rounds` rounds; returns the
     /// base and whether the rebase rotated a previous generation.
     fn write_base(j: &mut StateJournal, st: &mut CrawlState, rounds: u64) -> (Checkpoint, bool) {
-        let cp = Checkpoint::capture(st, rounds, 0);
-        let rotated = j.write_base(st, &cp.to_text()).unwrap();
-        (cp, rotated)
+        let rotated = j.write_base(st, rounds, 0).unwrap();
+        (Checkpoint::capture(st, rounds, 0), rotated)
     }
 
     /// Discovers a new frontier value and frames the change.
@@ -503,8 +588,11 @@ mod tests {
     /// Writes `frames` as a journal at `path`, checksummed and intact.
     fn write_frames(path: &Path, frames: &[&str]) {
         let mut log = FrameLog::create(path).unwrap();
+        let mut buf = Vec::new();
         for frame in frames {
-            log.append(frame.as_bytes()).unwrap();
+            FrameLog::start_frame(&mut buf);
+            buf.extend_from_slice(frame.as_bytes());
+            log.append(&mut buf).unwrap();
         }
     }
 
@@ -672,8 +760,7 @@ mod tests {
         for (i, value) in ["a2", "a3", "a4"].into_iter().enumerate() {
             one_delta(&mut j, &mut st, value, i as u64 + 1);
         }
-        let rebase = Checkpoint::capture(&st, 3, 3).to_text();
-        j.write_base(&mut st, &rebase).unwrap();
+        j.write_base(&mut st, 3, 3).unwrap();
         one_delta(&mut j, &mut st, "a5", 4);
         let newest = StateJournal::recover(&path).unwrap().unwrap();
         let bak = StateJournal::recover(&sibling(&path, ".bak")).unwrap().unwrap();
@@ -774,6 +861,166 @@ mod tests {
         write_frames(&path, &[one_value, "d\t1\t1\nqa\t0\n"]);
         assert_eq!(StateJournal::recover(&path).unwrap().unwrap().checkpoint.queried, [0]);
         clean(&path);
+    }
+
+    #[test]
+    fn a_delta_before_any_base_is_an_invalid_input_error() {
+        let path = scratch("no-base");
+        let mut j = StateJournal::open(&path);
+        let mut st = base_state();
+        let err = j.append_delta(&mut st, 1, 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(!path.exists(), "nothing is written without a base");
+        write_base(&mut j, &mut st, 1);
+        one_delta(&mut j, &mut st, "a2", 2);
+        let rec = StateJournal::recover(&path).unwrap().unwrap();
+        assert_eq!(
+            rec.checkpoint,
+            Checkpoint::capture(&st, 2, 2),
+            "the refused delta lost nothing"
+        );
+        clean(&path);
+    }
+
+    /// A two-generation journal (a `.bak`, and a primary whose base and
+    /// deltas carry escaped values, status changes, a requeue and records)
+    /// under every truncation and every single-bit flip of the primary:
+    /// recovery returns a state the crawl passed through — the primary's
+    /// base plus a prefix of its deltas, or the `.bak` generation's state —
+    /// or an error. It never panics.
+    #[test]
+    fn damaged_primaries_recover_a_state_the_crawl_passed_through_or_err() {
+        let path = scratch("adversarial");
+        let mut j = StateJournal::open(&path);
+        let mut st = base_state();
+        let mut counters = 0;
+        let mut step = |j: &mut StateJournal, st: &mut CrawlState, value: &str| {
+            counters += 1;
+            let v = st.intern(dwc_model::AttrId(0), value);
+            st.set_status(v, CandStatus::Queried);
+            st.push_queried(v);
+            st.local.insert(counters, &[ValueId(0), v]);
+            j.append_delta(st, counters, counters).unwrap();
+            Checkpoint::capture(st, counters, counters)
+        };
+        j.write_base(&mut st, 0, 0).unwrap();
+        step(&mut j, &mut st, "b%\t1");
+        let bak_state = step(&mut j, &mut st, "c\r\nd");
+        j.write_base(&mut st, 2, 2).unwrap();
+        let mut primary_states = vec![bak_state.clone()];
+        primary_states.push(step(&mut j, &mut st, "é漢%0A"));
+        assert!(st.remove_queried(ValueId(1)));
+        st.set_status(ValueId(1), CandStatus::Frontier);
+        primary_states.push(step(&mut j, &mut st, "\n"));
+        let primary = std::fs::read(&path).unwrap();
+
+        let mut outcomes = [0usize; 3];
+        let mut check = |bytes: &[u8], what: &str| {
+            std::fs::write(&path, bytes).unwrap();
+            match StateJournal::recover(&path) {
+                Ok(Some(rec)) if rec.from_backup => {
+                    assert_eq!(rec.checkpoint, bak_state, "{what}: .bak generation");
+                    outcomes[1] += 1;
+                }
+                Ok(Some(rec)) => {
+                    let at = rec.deltas_applied as usize;
+                    assert_eq!(Some(&rec.checkpoint), primary_states.get(at), "{what}");
+                    outcomes[0] += 1;
+                }
+                Ok(None) => panic!("{what}: a journal with a .bak recovered nothing"),
+                Err(e) => {
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{what}");
+                    outcomes[2] += 1;
+                }
+            }
+        };
+        for cut in 0..primary.len() {
+            check(&primary[..cut], &format!("cut at {cut}"));
+        }
+        for bit in 0..primary.len() * 8 {
+            let mut flipped = primary.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            check(&flipped, &format!("bit {bit} flipped"));
+        }
+        let [primary_prefix, backup, _] = outcomes;
+        assert!(primary_prefix > 0 && backup > 0, "{outcomes:?}");
+        clean(&path);
+    }
+
+    /// Value and attribute-name fragments for [`random_interleavings`]: the
+    /// format's metacharacters, multi-byte UTF-8 and plain ASCII.
+    const FRAGMENTS: [&str; 8] = ["%", "\t", "\r", "\n", "é", "漢", "a", "b7"];
+
+    fn text(parts: &[usize]) -> String {
+        parts.iter().map(|&i| FRAGMENTS[i]).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+
+        /// Random interleavings of interning, status writes, `L_queried`
+        /// pushes and requeues, record inserts, bases and deltas: every base
+        /// equals `Checkpoint::to_text` of the live state and every delta
+        /// the full-state diff (both asserted inside the journal), and
+        /// recovery returns the live state after each frame.
+        #[test]
+        fn random_interleavings(
+            attrs in proptest::collection::vec(proptest::collection::vec(0usize..8, 0..4), 1..4),
+            ops in proptest::collection::vec(
+                (
+                    0u8..7,
+                    (0u32..64, 0u64..24),
+                    proptest::collection::vec(0usize..8, 0..5),
+                    proptest::collection::vec(0u32..64, 0..5),
+                ),
+                1..40,
+            ),
+        ) {
+            let path = scratch("interleavings");
+            let names: Vec<String> = attrs.iter().map(|a| text(a)).collect();
+            let mut st = CrawlState::new(names, vec![true; attrs.len()], 10);
+            let mut j = StateJournal::open(&path);
+            let mut counters = 0;
+            for (op, (pick, key), value, ids) in ops {
+                let n = st.vocab.len() as u32;
+                let id = |i: u32| ValueId(i % n.max(1));
+                match op {
+                    0 => {
+                        st.intern(dwc_model::AttrId((pick as usize % attrs.len()) as u16), &text(&value));
+                    }
+                    1 if n > 0 => {
+                        let status = [CandStatus::Undiscovered, CandStatus::Frontier, CandStatus::Queried];
+                        st.set_status(id(pick), status[key as usize % 3]);
+                    }
+                    2 if n > 0 => {
+                        st.set_status(id(pick), CandStatus::Queried);
+                        st.push_queried(id(pick));
+                    }
+                    3 if !st.queried().is_empty() => {
+                        let v = st.queried()[pick as usize % st.queried().len()];
+                        proptest::prop_assert!(st.remove_queried(v));
+                        st.set_status(v, CandStatus::Frontier);
+                    }
+                    4 if n > 0 => {
+                        let record: Vec<ValueId> = ids.iter().map(|&i| id(i)).collect();
+                        st.local.insert(key, &record);
+                    }
+                    5 | 6 => {
+                        counters += 1;
+                        if op == 5 {
+                            j.write_base(&mut st, counters, counters).unwrap();
+                        } else if let Err(e) = j.append_delta(&mut st, counters, counters) {
+                            proptest::prop_assert!(!j.has_base() && e.kind() == io::ErrorKind::InvalidInput);
+                            continue;
+                        }
+                        let rec = StateJournal::recover(&path).unwrap().unwrap();
+                        proptest::prop_assert_eq!(rec.checkpoint, Checkpoint::capture(&st, counters, counters));
+                    }
+                    _ => {}
+                }
+            }
+            clean(&path);
+        }
     }
 
     /// Journaled crawls under every fault kind of the CI matrix, with and

@@ -40,7 +40,7 @@ pub mod table;
 
 pub use budget::MemoryBudget;
 pub use list::{ListStore, ListWriter};
-pub use log::{FrameLog, ReplayedLog};
+pub use log::{FrameLog, ReplayedLog, FRAME_HEADER};
 pub use pager::{FilePager, MemPager, SegmentId, SegmentPager, DEFAULT_PAGE_SIZE};
 pub use pool::{BufferPool, PageRef, PoolStats};
 pub use table::{SegmentTable, SegmentTableBuilder};

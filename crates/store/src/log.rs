@@ -13,11 +13,20 @@
 //! ```text
 //! [u32 payload_len][u64 fnv1a64(payload)][payload bytes]
 //! ```
+//!
+//! A frame is built in place: [`FrameLog::start_frame`] reserves the header
+//! in the caller's buffer, the caller writes the payload behind it, and
+//! [`FrameLog::append`] fills the header in and writes the buffer as it
+//! stands — no payload is copied into a second buffer.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 use crate::fnv1a64;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read};
 use std::path::Path;
+
+/// Bytes of a frame header: the payload length and its checksum.
+pub const FRAME_HEADER: usize = 12;
 
 /// Maximum accepted frame payload (a corrupt length prefix must not drive a
 /// multi-gigabyte allocation).
@@ -59,18 +68,35 @@ impl FrameLog {
         self.frames == 0
     }
 
-    /// Appends one frame and flushes it to the OS.
-    pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
+    /// Starts a frame in `buf`: clears it and reserves the header that
+    /// [`FrameLog::append`] fills in. The payload is whatever the caller
+    /// appends to `buf` next.
+    pub fn start_frame(buf: &mut Vec<u8>) {
+        buf.clear();
+        buf.extend_from_slice(&[0; FRAME_HEADER]);
+    }
+
+    /// Appends the frame built in `frame` (a header reserved by
+    /// [`FrameLog::start_frame`], then the payload) and flushes it to the
+    /// OS. The header is filled in place and the buffer written as is.
+    ///
+    /// # Errors
+    /// `InvalidInput` when `frame` is shorter than a header or its payload
+    /// exceeds the frame limit; any error writing the file.
+    pub fn append(&mut self, frame: &mut [u8]) -> io::Result<()> {
         use std::os::unix::fs::FileExt as _;
+        let invalid = |msg| io::Error::new(io::ErrorKind::InvalidInput, msg);
+        let (header, payload) = frame
+            .split_at_mut_checked(FRAME_HEADER)
+            .ok_or_else(|| invalid("frame header missing"))?;
         let len = u32::try_from(payload.len())
             .ok()
             .filter(|&l| l <= MAX_FRAME)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-        let mut frame = Vec::with_capacity(12 + payload.len());
-        frame.extend_from_slice(&len.to_le_bytes());
-        frame.extend_from_slice(&fnv1a64(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        self.file.write_all_at(&frame, self.len)?;
+            .ok_or_else(|| invalid("frame too large"))?;
+        let (len_field, sum_field) = header.split_at_mut(4);
+        len_field.copy_from_slice(&len.to_le_bytes());
+        sum_field.copy_from_slice(&fnv1a64(payload).to_le_bytes());
+        self.file.write_all_at(frame, self.len)?;
         self.len += frame.len() as u64;
         self.frames += 1;
         Ok(())
@@ -98,28 +124,26 @@ impl FrameLog {
     /// Frame-parses a byte buffer (the log file's contents).
     pub fn replay_bytes(bytes: &[u8]) -> ReplayedLog {
         let mut frames = Vec::new();
-        let mut pos = 0usize;
-        let mut torn = false;
-        while bytes.len() - pos >= 12 {
-            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-            let sum = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("8 bytes"));
-            let body_start = pos + 12;
-            if len > MAX_FRAME as usize || bytes.len() - body_start < len {
-                torn = true;
+        let mut rest = bytes;
+        while let Some((&[l0, l1, l2, l3, sum @ ..], tail)) =
+            rest.split_first_chunk::<FRAME_HEADER>()
+        {
+            let len = u32::from_le_bytes([l0, l1, l2, l3]);
+            let Some((payload, next)) =
+                tail.split_at_checked(len as usize).filter(|_| len <= MAX_FRAME)
+            else {
                 break;
-            }
-            let payload = &bytes[body_start..body_start + len];
-            if fnv1a64(payload) != sum {
-                torn = true;
+            };
+            if fnv1a64(payload) != u64::from_le_bytes(sum) {
                 break;
             }
             frames.push(payload.to_vec());
-            pos = body_start + len;
+            rest = next;
         }
-        if pos < bytes.len() && !torn {
-            torn = true; // trailing partial header
-        }
-        ReplayedLog { frames, valid_len: pos as u64, torn }
+        // Anything past the valid prefix is a torn tail: a partial header,
+        // a short payload or a checksum mismatch.
+        let valid_len = (bytes.len() - rest.len()) as u64;
+        ReplayedLog { frames, valid_len, torn: !rest.is_empty() }
     }
 }
 
@@ -145,17 +169,48 @@ mod tests {
         std::env::temp_dir().join(format!("dwc-framelog-{}-{n}-{name}.log", std::process::id()))
     }
 
+    /// Frames `payload` in a fresh buffer and appends it.
+    fn append(log: &mut FrameLog, payload: &[u8]) {
+        let mut frame = Vec::new();
+        FrameLog::start_frame(&mut frame);
+        frame.extend_from_slice(payload);
+        log.append(&mut frame).unwrap();
+    }
+
     #[test]
     fn append_replay_round_trips() {
         let path = scratch("roundtrip");
         let mut log = FrameLog::create(&path).unwrap();
-        log.append(b"alpha").unwrap();
-        log.append(b"").unwrap();
-        log.append(b"gamma gamma").unwrap();
+        append(&mut log, b"alpha");
+        append(&mut log, b"");
+        append(&mut log, b"gamma gamma");
         let r = FrameLog::replay(&path).unwrap();
         assert!(!r.torn);
         assert_eq!(r.frames, vec![b"alpha".to_vec(), b"".to_vec(), b"gamma gamma".to_vec()]);
         assert_eq!(r.valid_len, log.len());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A reused buffer is framed in place: the header is written over its
+    /// reserved bytes, and a buffer too short to hold one is refused.
+    #[test]
+    fn frames_are_built_in_the_callers_buffer() {
+        let path = scratch("in-place");
+        let mut log = FrameLog::create(&path).unwrap();
+        let mut frame = Vec::new();
+        for payload in [&b"first"[..], b"second, longer", b""] {
+            FrameLog::start_frame(&mut frame);
+            frame.extend_from_slice(payload);
+            log.append(&mut frame).unwrap();
+            assert_eq!(frame[..4], (payload.len() as u32).to_le_bytes());
+            assert_eq!(frame[4..FRAME_HEADER], fnv1a64(payload).to_le_bytes());
+        }
+        let r = FrameLog::replay(&path).unwrap();
+        assert_eq!(r.frames, vec![b"first".to_vec(), b"second, longer".to_vec(), Vec::new()]);
+        assert_eq!(r.valid_len, log.len());
+        let err = log.append(&mut [0; FRAME_HEADER - 1]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(log.frames(), 3, "a refused frame is not counted");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -165,7 +220,7 @@ mod tests {
         let mut log = FrameLog::create(&path).unwrap();
         let payloads: Vec<Vec<u8>> = (0..5).map(|i| vec![i as u8; 10 + i]).collect();
         for p in &payloads {
-            log.append(p).unwrap();
+            append(&mut log, p);
         }
         log.sync().unwrap();
         let full = std::fs::read(&path).unwrap();
@@ -188,8 +243,8 @@ mod tests {
     fn corrupt_byte_invalidates_frame_and_tail() {
         let path = scratch("corrupt");
         let mut log = FrameLog::create(&path).unwrap();
-        log.append(b"first frame").unwrap();
-        log.append(b"second frame").unwrap();
+        append(&mut log, b"first frame");
+        append(&mut log, b"second frame");
         let mut bytes = std::fs::read(&path).unwrap();
         // Flip a byte inside the first payload.
         bytes[14] ^= 0xff;

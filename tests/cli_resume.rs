@@ -1,8 +1,9 @@
 //! The `dwc` binary's crawl loop and `dwc resume`: a journaled crawl
 //! killed mid-run by SIGKILL and continued with `dwc resume` prints the
-//! uninterrupted crawl's report; a journal that decodes to an impossible
-//! state is an error, never an abort; the manual crawl loop stops by the
-//! crawler's own stop rule; and fleet flags on `dwc resume` are refused.
+//! uninterrupted crawl's report and writes its journal byte for byte; a
+//! journal that decodes to an impossible state is an error, never an
+//! abort; the manual crawl loop stops by the crawler's own stop rule; and
+//! fleet flags on `dwc resume` are refused.
 #![cfg(unix)]
 
 use deep_web_crawler::model::packed::fnv1a64;
@@ -52,9 +53,15 @@ fn killed_journaled_crawl_resumes_to_the_uninterrupted_report() {
     let journal = dir.join("crawl.jnl");
     let journal_arg = journal.to_str().expect("UTF-8 path");
     let crawl = ["--seed-value", "Author=Author_5", "--cap", "20", "--budget", "30000"];
-    let baseline = report_lines(&dwc(&[&["crawl", &csv][..], &crawl].concat()));
+    fn persist_to(journal: &str) -> [&str; 4] {
+        ["--journal", journal, "--checkpoint-every", "1000"]
+    }
+    let uninterrupted = dir.join("uninterrupted.jnl");
+    let uninterrupted_arg = uninterrupted.to_str().expect("UTF-8 path");
+    let uninterrupted_crawl = [&["crawl", &csv][..], &crawl, &persist_to(uninterrupted_arg)];
+    let baseline = report_lines(&dwc(&uninterrupted_crawl.concat()));
 
-    let persist = ["--journal", journal_arg, "--checkpoint-every", "1000"];
+    let persist = persist_to(journal_arg);
     let mut child = Command::new(DWC)
         .args([&["crawl", &csv][..], &crawl, &persist].concat())
         .stdout(Stdio::null())
@@ -81,6 +88,15 @@ fn killed_journaled_crawl_resumes_to_the_uninterrupted_report() {
     assert!(String::from_utf8_lossy(&resumed.stderr).contains("resumed from journal"));
     let frames = FrameLog::replay(&journal).expect("replay journal").frames.len();
     assert!(frames <= 1001, "a journal rebased every 1000 queries holds {frames} frames");
+    // Rebases after the resume start from the recovered state: both
+    // generations must be the uninterrupted crawl's, byte for byte.
+    for suffix in ["", ".bak"] {
+        let read = |name: &str| std::fs::read(dir.join(format!("{name}{suffix}"))).expect("read");
+        assert!(
+            read("crawl.jnl") == read("uninterrupted.jnl"),
+            "the resumed crawl's journal{suffix} differs from the uninterrupted crawl's"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -103,8 +119,11 @@ fn resume_rejects_an_impossible_journal_with_an_error() {
     for frames in journals {
         let journal = dir.join("bad.jnl");
         let mut log = FrameLog::create(&journal).expect("create journal");
+        let mut buf = Vec::new();
         for frame in frames {
-            log.append(frame.as_bytes()).expect("append frame");
+            FrameLog::start_frame(&mut buf);
+            buf.extend_from_slice(frame.as_bytes());
+            log.append(&mut buf).expect("append frame");
         }
         let out = dwc(&["resume", &csv, "--journal", journal.to_str().expect("UTF-8 path")]);
         let stderr = String::from_utf8_lossy(&out.stderr);
