@@ -6,11 +6,13 @@
 //! round-trip. Two fleets drive the identical request stream through the
 //! identical plan:
 //!
-//! * **unhedged**: a plain `ClientPool` — every stalled frame is paid for
-//!   in full, so the client-side p99 sits at the stall duration;
-//! * **hedged**: `ClientPool::with_hedging(1.2ms)` — a duplicate attempt
-//!   races any request still unanswered past the threshold, and the dedup
-//!   window bills the loser as a retransmission instead of re-executing it.
+//! * **unhedged**: a plain `Connection` shared by every client thread —
+//!   every stalled frame is paid for in full, so the client-side p99 sits
+//!   at the stall duration;
+//! * **hedged**: the same connection `with_hedging(1.2ms)` — a duplicate
+//!   attempt races any request still unanswered past the threshold, and the
+//!   dedup window bills the loser as a retransmission instead of
+//!   re-executing it.
 //!
 //! Latency is measured where it matters: each `respond()` call is timed in
 //! the client thread (the `ServiceReport` percentiles only see per-job
@@ -105,9 +107,9 @@ struct Pass {
     elapsed: Duration,
 }
 
-/// Drives `CLIENTS` closed-loop clients through one pool — hedged or not —
-/// behind a fresh `ChaosState` seeded identically for every pass, timing
-/// each `respond()` at the call site.
+/// Drives `CLIENTS` closed-loop clients through one connection — hedged or
+/// not — behind a fresh `ChaosState` seeded identically for every pass,
+/// timing each `respond()` at the call site.
 fn drive(hedge: Option<Duration>, requests: usize) -> Pass {
     // Fresh inner server per pass: its round counter is cumulative, and the
     // billed-rounds gate compares passes, not lifetimes.
@@ -120,24 +122,23 @@ fn drive(hedge: Option<Duration>, requests: usize) -> Pass {
     let plan =
         ChaosPlan::seeded(CHAOS_SEED, horizon, STALL_RATE, &[ChaosKind::Stall]).stall_for(STALL);
     let chaos = Arc::new(ChaosState::new(plan));
-    let mut pool =
-        service.connect_pool(CLIENTS).expect("pool size is nonzero").with_chaos(Arc::clone(&chaos));
+    let mut conn = service.connect().with_chaos(Arc::clone(&chaos));
     if let Some(threshold) = hedge {
-        pool = pool.with_hedging(threshold);
+        conn = conn.with_hedging(threshold);
     }
-    let pool = Arc::new(pool);
+    let conn = Arc::new(conn);
 
     let start = Instant::now();
     let handles: Vec<_> = (0..CLIENTS)
         .map(|c| {
-            let pool = Arc::clone(&pool);
+            let conn = Arc::clone(&conn);
             let queries = queries.clone();
             std::thread::spawn(move || {
                 let mut samples = Vec::with_capacity(requests);
                 for i in 0..requests {
                     let q = &queries[(c + i) % queries.len()];
                     let t0 = Instant::now();
-                    match pool.respond(&SourceRequest::new(q, 0, ProberMode::Wire), &mut |_| {}) {
+                    match conn.respond(&SourceRequest::new(q, 0, ProberMode::Wire), &mut |_| {}) {
                         Ok(_) | Err(CrawlError::Rejected) | Err(CrawlError::Cancelled) => {}
                         Err(e) => panic!("workload queries are valid, got {e}"),
                     }
@@ -163,10 +164,10 @@ fn drive(hedge: Option<Duration>, requests: usize) -> Pass {
         }
         std::thread::sleep(Duration::from_micros(200));
     }
-    let rounds = pool.rounds_used();
+    let rounds = conn.rounds_used();
     let stalls_injected = chaos.tally().stalled;
     // `shutdown` blocks until every connection is gone — release ours.
-    drop(pool);
+    drop(conn);
     let report = service.shutdown();
     Pass { samples, rounds, report, stalls_injected, elapsed }
 }

@@ -398,7 +398,8 @@ impl ChaosTally {
 /// Live chaos bookkeeping shared by every connection on a wire: the plan,
 /// the monotone frame counter, the injected-fault tallies and the halt
 /// latch. One `Arc<ChaosState>` per service under test — the frame counter
-/// is global across the client pool, which is what makes plan indices mean
+/// is global across every connection that shares it, which is what makes
+/// plan indices mean
 /// "the N-th transmission anywhere on this wire".
 #[derive(Debug)]
 pub struct ChaosState {

@@ -82,8 +82,6 @@ pub enum ConfigError {
     ZeroQueueDepth,
     /// A zero deadline would cancel every request at admission.
     ZeroDeadline,
-    /// A client pool needs at least one connection.
-    ZeroConnections,
     /// A tenant with zero weight can never be granted rounds under
     /// weighted-fair allocation.
     ZeroTenantWeight(u32),
@@ -117,9 +115,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::ZeroDeadline => {
                 write!(f, "a request deadline must be positive")
-            }
-            ConfigError::ZeroConnections => {
-                write!(f, "a client pool needs at least one connection")
             }
             ConfigError::ZeroTenantWeight(id) => {
                 write!(f, "tenant {id} has zero weight and would never be scheduled")

@@ -249,19 +249,23 @@ pub enum CrawlEvent {
         /// Fleet job index.
         job: u32,
     },
-    /// The fleet coordinator queued one budget slice for a job on the
-    /// worker pool.
+    /// The fleet coordinator handed out one budget slice for a job; it runs
+    /// in the current allocation cycle on one of the fleet's workers.
     SliceScheduled {
         /// Fleet job index.
         job: u32,
         /// Rounds granted for this slice.
         rounds: u64,
     },
-    /// A pool worker finished executing a job's slice (without panicking).
+    /// A worker finished executing a job's slice (without panicking).
+    /// Recorded when the coordinator folds the outcome, in the cycle's
+    /// dispatch order, so the stream does not depend on which slice
+    /// finished first.
     SliceCompleted {
         /// Fleet job index.
         job: u32,
-        /// Pool worker that executed the slice.
+        /// Worker that executed the slice (0 is the coordinator's thread):
+        /// the one field of a fleet's stream that may vary with its width.
         worker: u32,
         /// Elapsed rounds actually billed during the slice.
         rounds: u64,
@@ -346,7 +350,7 @@ pub enum CrawlEvent {
         request: u64,
     },
     /// The client raced a hedge duplicate of a request whose reply exceeded
-    /// the hedging threshold ([`crate::serve::ClientPool::with_hedging`]).
+    /// the hedging threshold ([`crate::serve::Connection::with_hedging`]).
     Hedged {
         /// Idempotent request id the hedge duplicates.
         request: u64,

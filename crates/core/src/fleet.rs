@@ -1,4 +1,4 @@
-//! Fleet crawling on a bounded pool of worker threads.
+//! Fleet crawling on scoped worker threads.
 //!
 //! The paper closes with "our future work also includes the implementation
 //! and deployment of a real world product database crawler" — a crawler that
@@ -9,11 +9,11 @@
 //! * each job is a **parked state machine** around its own crawler (own
 //!   policy, own vocabulary, own `DB_local`); between budget slices the
 //!   crawler sits in a coordinator-owned slot, owning no thread;
-//! * slices are multiplexed onto a bounded [`Pool`] of
-//!   [`FleetConfig::workers`] threads (default `available_parallelism`,
-//!   capped at the job count) draining one FIFO queue ([`crate::sched`]),
-//!   so a 10k-job fleet runs on 8 threads instead of 10k threads × ~8 MB
-//!   of stack, and one slow source holds only the worker running it;
+//! * each allocation cycle's slices run on at most [`FleetConfig::workers`]
+//!   threads (default `available_parallelism`, capped at the job count),
+//!   the coordinator's among them, so a 10k-job fleet runs on 8 threads
+//!   instead of 10k threads × ~8 MB of stack, and one slow source holds
+//!   only the worker running it;
 //! * jobs are generic over [`DataSource`], so a fleet can mix distinct
 //!   servers with *shared* ones — pass `Arc<WebDbServer>` clones and N
 //!   jobs probe the same source concurrently, every page request landing
@@ -36,20 +36,20 @@
 //!   derived from that stream ([`MetricsRegistry::scheduler_stats`]).
 //!
 //! Reports depend only on the allocator's per-cycle grants, never on which
-//! worker ran a slice: the coordinator queues at most one slice per job
-//! per cycle and waits for the whole batch. With `workers = 1` the pool
-//! drains slices strictly in submission order and the coordinator folds
-//! outcomes in that same order, so a fixed-seed fleet run is bit-for-bit
-//! reproducible, event stream included.
+//! worker ran a slice: the coordinator hands out at most one slice per job
+//! per cycle, waits for the whole batch, and folds the outcomes in dispatch
+//! order, not completion order. So a fixed-seed fleet over deterministic
+//! sources reproduces its reports and its event stream bit for bit at every
+//! width; only [`CrawlEvent::SliceCompleted`]'s `worker` tag varies.
 //!
 //! # Supervision
 //!
 //! Every fleet is supervised; there is no unsupervised mode:
 //!
 //! * every slice runs under [`std::panic::catch_unwind`] — isolation is
-//!   per *slice*, not per thread, so a panicking job never takes a pool
-//!   worker (or its queued siblings) down with it, and a panic never
-//!   unwinds out of [`run_fleet`];
+//!   per *slice*, not per thread, so a panicking job never takes a worker
+//!   (or the slices still waiting in its cycle) down with it, and a panic
+//!   never unwinds out of [`run_fleet`];
 //! * the worker hands the victim's source handle back
 //!   ([`Crawler::into_source`]) and the coordinator rebuilds the job over
 //!   it from a small per-job record (policy, seeds, config, starting
@@ -88,10 +88,11 @@ use crate::health::{BreakerConfig, CircuitBreaker, JobHealth};
 use crate::journal::StateJournal;
 use crate::metrics::MetricsRegistry;
 use crate::policy::PolicyKind;
-use crate::sched::{Pool, SchedulerStats, TaskCtx};
+use crate::sched::SchedulerStats;
 use crate::source::DataSource;
 use crate::tenant::{validate_tenants, Tenant, TenantId, UsageLedger};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
 /// How the global round budget is divided across jobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,9 +130,10 @@ impl AllocationStrategy {
 
 /// One crawl job of the fleet.
 ///
-/// `S` is any [`DataSource`] handle a pool worker can own while the job's
-/// slice runs: a `WebDbServer` (exclusive), an `Arc<WebDbServer>` (shared
-/// with other jobs), or a [`crate::FaultPlanSource`]-wrapped source.
+/// `S` is any [`DataSource`] handle a worker thread can own while the job's
+/// slice runs: a `WebDbServer` (exclusive), an `Arc<WebDbServer>` or a
+/// `&WebDbServer` (shared with other jobs), or a
+/// [`crate::FaultPlanSource`]-wrapped source.
 pub struct FleetJob<S: DataSource> {
     /// The target source handle.
     pub source: S,
@@ -161,7 +163,8 @@ pub struct FleetConfig {
     pub slice: u64,
     /// Budget split strategy.
     pub allocation: AllocationStrategy,
-    /// Pool worker threads. `None` (the default) resolves to
+    /// Worker threads per allocation cycle, the coordinator's included.
+    /// `None` (the default) resolves to
     /// `std::thread::available_parallelism()`; the resolved count is capped
     /// at the job count (idle workers buy nothing). `Some(0)` is rejected
     /// by the builder.
@@ -240,7 +243,7 @@ impl FleetConfigBuilder {
         self
     }
 
-    /// Sets the pool worker-thread count. Must be positive; leave unset for
+    /// Sets the worker-thread count. Must be positive; leave unset for
     /// `available_parallelism`.
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = Some(workers);
@@ -391,7 +394,7 @@ impl AllocCycle<'_> {
 /// fleet constructs exactly one allocator per run and calls it once per
 /// cycle, after folding every outcome of the previous cycle, so the grant
 /// sequence — and hence the reports on deterministic sources — does not
-/// depend on the pool width.
+/// depend on the fleet's width.
 pub trait Allocator {
     /// Computes this cycle's grants.
     fn allocate(&mut self, cycle: &AllocCycle<'_>) -> Vec<(usize, u64)>;
@@ -603,14 +606,14 @@ impl Allocator for WeightedFairAllocator {
     }
 }
 
-/// One budget slice queued on the pool: a parked crawler plus its grant.
+/// One budget slice of a cycle: a parked crawler plus its grant.
 struct SliceTask<S: DataSource> {
     idx: usize,
     crawler: Crawler<S>,
     grant: u64,
 }
 
-/// What a pool worker hands back after executing (or crashing on) a slice.
+/// What a worker hands back after executing (or crashing on) a slice.
 struct SliceOutcome<S: DataSource> {
     idx: usize,
     worker: u32,
@@ -636,10 +639,10 @@ enum SliceEnd<S: DataSource> {
     Panicked(S),
 }
 
-/// Executes one slice on a pool worker: steps the crawler until the grant
+/// Executes one slice on worker `worker`: steps the crawler until the grant
 /// is spent or the frontier dries up, under `catch_unwind` so a panicking
 /// job is isolated per *slice* and the worker thread survives.
-fn slice_handler<S: DataSource>(ctx: TaskCtx, task: SliceTask<S>) -> SliceOutcome<S> {
+fn slice_handler<S: DataSource>(worker: u32, task: SliceTask<S>) -> SliceOutcome<S> {
     let SliceTask { idx, mut crawler, grant } = task;
     let before = crawler.elapsed_rounds();
     let target = before + grant;
@@ -663,7 +666,34 @@ fn slice_handler<S: DataSource>(ctx: TaskCtx, task: SliceTask<S>) -> SliceOutcom
         },
         Err(_) => SliceEnd::Panicked(crawler.into_source()),
     };
-    SliceOutcome { idx, worker: ctx.worker, end }
+    SliceOutcome { idx, worker, end }
+}
+
+/// Runs one cycle's slices on at most `workers` threads, the calling thread
+/// as worker 0. Each worker takes the next slice of the dispatch-ordered
+/// list until none is left, so a slow slice holds only its own worker.
+/// Outcomes come back in dispatch order, whatever order they finished in.
+fn run_cycle<S: DataSource + Send>(
+    workers: usize,
+    tasks: Vec<SliceTask<S>>,
+) -> Vec<SliceOutcome<S>> {
+    let helpers = workers.min(tasks.len()).saturating_sub(1) as u32;
+    let queue = Mutex::new(tasks.into_iter().enumerate());
+    let drain = |worker| -> Vec<_> {
+        std::iter::from_fn(|| queue.lock().expect("slice queue poisoned").next())
+            .map(|(pos, task)| (pos, slice_handler(worker, task)))
+            .collect()
+    };
+    let mut done = std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..=helpers).map(|w| s.spawn(move || drain(w))).collect();
+        let mut done = drain(0);
+        for handle in spawned {
+            done.extend(handle.join().expect("slices catch their own panics"));
+        }
+        done
+    });
+    done.sort_unstable_by_key(|&(pos, _)| pos);
+    done.into_iter().map(|(_, outcome)| outcome).collect()
 }
 
 /// Everything of a [`FleetJob`] the coordinator keeps to rebuild the job
@@ -752,7 +782,7 @@ impl FleetStream {
 
 /// The coordinator's state between allocation cycles. Every crawler is
 /// parked in its [`Slot`] here at a cycle boundary, so a restart never
-/// races a pool worker.
+/// races a worker.
 struct Coordinator<'a, S: DataSource> {
     config: &'a FleetConfig,
     slots: Vec<Slot<S>>,
@@ -956,7 +986,7 @@ impl<S: DataSource> Coordinator<'_, S> {
 }
 
 /// Runs the fleet to budget exhaustion (or until every job's frontier is
-/// dry) on a bounded pool of [`FleetConfig::resolved_workers`] threads,
+/// dry) on at most [`FleetConfig::resolved_workers`] threads per cycle,
 /// supervising every job as the [module docs](self) describe: a panicking
 /// slice restarts its job from its journal (up to
 /// [`FleetConfig::max_restarts`] times, then the job finishes as
@@ -966,14 +996,15 @@ impl<S: DataSource> Coordinator<'_, S> {
 ///
 /// The coordinator owns every parked crawler in a slot. Each allocation
 /// cycle it parks over-quota tenants, computes grants through the
-/// configured [`Allocator`], queues one slice per granted job (those of
-/// higher-priority tenants first), and folds the outcomes back into rates
-/// / budget / breaker / ledger state — restarting any job whose slice
-/// panicked — before the next cycle. A job is never in flight on two
-/// workers at once.
+/// configured [`Allocator`], runs one slice per granted job (those of
+/// higher-priority tenants first in the dispatch order), and folds the
+/// outcomes back in dispatch order into rates / budget / breaker / ledger
+/// state — restarting any job whose slice panicked — before the next
+/// cycle. A job is never in flight on two workers at once, and every
+/// worker is joined before its cycle ends, so sources may borrow.
 pub fn run_fleet<S>(jobs: Vec<FleetJob<S>>, config: FleetConfig) -> FleetReport
 where
-    S: DataSource + Send + 'static,
+    S: DataSource + Send,
 {
     assert!(config.slice > 0, "slice must be positive");
     if let Err(e) = validate_fleet_jobs(&jobs, &config) {
@@ -989,7 +1020,6 @@ where
     for job in jobs {
         fleet.admit(job);
     }
-    let pool: Pool<SliceTask<S>, SliceOutcome<S>> = Pool::new(workers, slice_handler::<S>);
     let mut allocator = config.allocation.build_allocator();
     loop {
         let spent: u64 = fleet.slots.iter().map(|s| s.rounds).sum();
@@ -1030,22 +1060,22 @@ where
             break;
         }
         // Priority-aware dispatch: a stable sort puts higher-priority
-        // tenants' slices first in the queue, equal priorities in grant
+        // tenants' slices first in the list, equal priorities in grant
         // order. Order only — grant amounts (and therefore reports) are
         // unaffected.
         grants.sort_by_key(|&(i, _)| {
             std::cmp::Reverse(tenant_of[i].map_or(0, |t| config.tenants[t].priority))
         });
+        let mut tasks = Vec::with_capacity(grants.len());
         for &(i, grant) in &grants {
             let crawler = fleet.slots[i].crawler.take().expect("active job has a parked crawler");
             fleet.stream.emit(CrawlEvent::SliceScheduled { job: i as u32, rounds: grant });
-            pool.submit(SliceTask { idx: i, crawler, grant });
+            tasks.push(SliceTask { idx: i, crawler, grant });
         }
-        for _ in 0..grants.len() {
-            fleet.fold(pool.recv());
+        for outcome in run_cycle(workers, tasks) {
+            fleet.fold(outcome);
         }
     }
-    pool.join();
     fleet.finish(workers)
 }
 
@@ -1073,7 +1103,27 @@ mod tests {
         WebDbServer::new(t, spec)
     }
 
-    fn scratch_journal(name: &str) -> std::path::PathBuf {
+    /// A journal path in a fresh directory; dropping it removes the
+    /// directory with the journal in it.
+    struct ScratchJournal(std::path::PathBuf);
+
+    impl std::ops::Deref for ScratchJournal {
+        type Target = std::path::Path;
+
+        fn deref(&self) -> &std::path::Path {
+            &self.0
+        }
+    }
+
+    impl Drop for ScratchJournal {
+        fn drop(&mut self) {
+            if let Some(dir) = self.0.parent() {
+                let _ = std::fs::remove_dir_all(dir);
+            }
+        }
+    }
+
+    fn scratch_journal(name: &str) -> ScratchJournal {
         use std::sync::atomic::{AtomicU64, Ordering};
         static N: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
@@ -1082,7 +1132,19 @@ mod tests {
             N.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        dir.join("job.jnl")
+        ScratchJournal(dir.join("job.jnl"))
+    }
+
+    /// A fleet event stream with every [`CrawlEvent::SliceCompleted`]'s
+    /// worker tag zeroed: the one field that may differ between widths.
+    fn masked(events: &[CrawlEvent]) -> Vec<CrawlEvent> {
+        let mask = |e: &CrawlEvent| match *e {
+            CrawlEvent::SliceCompleted { job, rounds, tenant, total, pages, .. } => {
+                CrawlEvent::SliceCompleted { job, worker: 0, rounds, tenant, total, pages }
+            }
+            other => other,
+        };
+        events.iter().map(mask).collect()
     }
 
     fn job(seed_value: &str) -> FleetJob<WebDbServer> {
@@ -1207,6 +1269,126 @@ mod tests {
     }
 
     #[test]
+    fn jobs_may_borrow_their_source() {
+        // Every worker is joined before `run_fleet` returns, so jobs can
+        // crawl a server the caller still owns.
+        let server = figure1_server();
+        let jobs: Vec<FleetJob<&WebDbServer>> = ["a2", "a3"]
+            .iter()
+            .map(|seed| FleetJob {
+                source: &server,
+                policy: PolicyKind::GreedyLink,
+                seeds: vec![("A".into(), seed.to_string())],
+                config: CrawlConfig::builder().known_target_size(5).build().unwrap(),
+                resume: None,
+                tenant: None,
+            })
+            .collect();
+        let config =
+            FleetConfig::builder().total_rounds(1000).slice(10).workers(2).build().unwrap();
+        let report = run_fleet(jobs, config);
+        for r in &report.sources {
+            assert_eq!(r.records, 5, "each job harvests the full database");
+        }
+        let summed: u64 = report.sources.iter().map(|r| r.rounds).sum();
+        assert_eq!(summed, server.rounds_used());
+    }
+
+    /// A figure-1 source whose first request is held until `gate.0` has
+    /// served `gate.1` requests (10 s at most); `opened` records that the
+    /// count, not the time limit, released it.
+    struct HeldUntil {
+        server: Arc<WebDbServer>,
+        gate: Option<(Arc<WebDbServer>, u64)>,
+        held: std::sync::atomic::AtomicBool,
+        opened: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl DataSource for HeldUntil {
+        fn respond(
+            &self,
+            request: &crate::source::SourceRequest<'_>,
+            visit: &mut dyn FnMut(&crate::extract::ExtractedPageRef<'_>),
+        ) -> Result<crate::source::SourceResponse, crate::source::CrawlError> {
+            use std::sync::atomic::Ordering;
+            use std::time::{Duration, Instant};
+            if let Some((others, count)) = &self.gate {
+                if !self.held.swap(true, Ordering::AcqRel) {
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while others.rounds_used() < *count && Instant::now() < deadline {
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                    self.opened.store(others.rounds_used() >= *count, Ordering::Release);
+                }
+            }
+            self.server.respond(request, visit)
+        }
+
+        fn interface(&self) -> &InterfaceSpec {
+            self.server.interface()
+        }
+
+        fn rounds_used(&self) -> u64 {
+            self.server.rounds_used()
+        }
+    }
+
+    #[test]
+    fn a_slow_slice_does_not_strand_the_rest_of_its_cycle() {
+        // Jobs 1–3 share one server; job 0's first request is held until
+        // that server has served their three whole crawls. Each grant of
+        // the one cycle covers a whole figure-1 crawl, so the hold ends on
+        // the count only if the other worker runs all three slices while
+        // job 0's worker waits.
+        let config = || CrawlConfig::builder().known_target_size(5).build().unwrap();
+        let one_crawl = {
+            let server = figure1_server();
+            let mut crawler = Crawler::new(&server, PolicyKind::GreedyLink.build(), config());
+            crawler.add_seed("A", "a2");
+            crawler.run().rounds
+        };
+        let others = Arc::new(figure1_server());
+        let opened = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let jobs: Vec<FleetJob<HeldUntil>> = (0..4)
+            .map(|i| FleetJob {
+                source: HeldUntil {
+                    server: if i == 0 { Arc::new(figure1_server()) } else { Arc::clone(&others) },
+                    gate: (i == 0).then(|| (Arc::clone(&others), 3 * one_crawl)),
+                    held: Default::default(),
+                    opened: Arc::clone(&opened),
+                },
+                policy: PolicyKind::GreedyLink,
+                seeds: vec![("A".into(), "a2".into())],
+                config: config(),
+                resume: None,
+                tenant: None,
+            })
+            .collect();
+        let fleet =
+            FleetConfig::builder().total_rounds(1000).slice(400).workers(2).build().unwrap();
+        let report = run_fleet(jobs, fleet);
+        assert!(
+            opened.load(std::sync::atomic::Ordering::Acquire),
+            "the other three slices ran while job 0's slice was held"
+        );
+        let completed: Vec<(u32, u32)> = report
+            .events
+            .iter()
+            .filter_map(|e| match *e {
+                CrawlEvent::SliceCompleted { job, worker, .. } => Some((job, worker)),
+                _ => None,
+            })
+            .collect();
+        let jobs: Vec<u32> = completed.iter().map(|&(job, _)| job).collect();
+        assert_eq!(jobs, [0, 1, 2, 3], "one cycle, folded in dispatch order");
+        let held_on = completed[0].1;
+        assert!(completed[1..].iter().all(|&(_, worker)| worker != held_on));
+        for r in &report.sources {
+            assert_eq!(r.records, 5);
+        }
+    }
+
+    #[test]
     fn wide_pool_report_matches_single_worker_run() {
         let make = || vec![job("a2"), job("a1"), job("a3"), job("a2")];
         let config = |workers| {
@@ -1223,6 +1405,7 @@ mod tests {
         assert_eq!(wide.sources, serial.sources, "identical grant sequences, identical jobs");
         assert_eq!(wide.total_rounds, serial.total_rounds);
         assert_eq!(wide.health, serial.health);
+        assert_eq!(masked(&wide.events), masked(&serial.events), "outcomes fold in dispatch order");
     }
 
     #[test]
@@ -1240,6 +1423,7 @@ mod tests {
             s.slices_completed,
             "per-worker tallies cover every completed slice"
         );
+        assert_eq!(s.per_worker_slices.len(), 2, "worker ids stay below the width");
         assert!(s.rounds_executed <= s.rounds_granted, "figure1 queries never overshoot");
         assert_eq!(s.rounds_executed, report.total_rounds);
     }
@@ -1267,7 +1451,7 @@ mod tests {
     fn fleet_resumes_a_job_from_its_checkpoint() {
         let journal = scratch_journal("fleet-resume");
         let partial_config =
-            CrawlConfig::builder().known_target_size(5).journal_path(&journal).build().unwrap();
+            CrawlConfig::builder().known_target_size(5).journal_path(&*journal).build().unwrap();
         let partial = run_fleet(
             vec![FleetJob {
                 source: figure1_server(),
@@ -1688,7 +1872,8 @@ mod tests {
         let serial = run_fleet(make(), config(1));
         assert_eq!(wide.sources, serial.sources, "identical grant sequences");
         assert_eq!(wide.total_rounds, serial.total_rounds);
-        assert_eq!(wide.usage, serial.usage, "both pool widths fold the same ledgers");
+        assert_eq!(wide.usage, serial.usage, "both widths fold the same ledgers");
+        assert_eq!(masked(&wide.events), masked(&serial.events), "outcomes fold in dispatch order");
     }
 
     #[test]
@@ -1720,9 +1905,9 @@ mod tests {
 
     #[test]
     fn higher_priority_tenants_dispatch_first_in_every_cycle() {
-        // Tenant 1 outranks tenant 0, so each cycle queues its job's slice
-        // first; equal priorities keep grant order, and one worker runs the
-        // queue in exactly that order.
+        // Tenant 1 outranks tenant 0, so each cycle dispatches its job's
+        // slice first; equal priorities keep grant order, and outcomes fold
+        // in exactly that order.
         let tenants = vec![Tenant::new(0), Tenant::new(1).with_priority(3)];
         let jobs = vec![tenant_job("a2", 0), tenant_job("a3", 0), tenant_job("a1", 1)];
         let config = FleetConfig::builder()
@@ -1745,6 +1930,6 @@ mod tests {
         };
         let scheduled = jobs_of(true);
         assert_eq!(scheduled[..3], [2, 0, 1], "priority first, then grant order");
-        assert_eq!(jobs_of(false), scheduled, "one worker completes slices in queue order");
+        assert_eq!(jobs_of(false), scheduled, "outcomes fold in dispatch order");
     }
 }

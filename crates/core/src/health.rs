@@ -9,11 +9,11 @@
 //! * **Open** — the streak reached [`BreakerConfig::trip_after`]; the job is
 //!   paused and excluded from allocation for
 //!   [`BreakerConfig::cooldown`] allocation rounds, so its budget flows to
-//!   healthy jobs instead of being burned on a source that is down. On the
-//!   pooled scheduler "paused" means *removed from the run queue*: the
-//!   job's crawler stays parked in its coordinator slot and no slice is
-//!   submitted for it, so a tripped job holds no pool worker (and blocks no
-//!   thread) while it cools down.
+//!   healthy jobs instead of being burned on a source that is down.
+//!   "Paused" means *left out of the allocation*: the job's crawler stays
+//!   parked in its coordinator slot and no slice is handed out for it, so a
+//!   tripped job holds no worker (and blocks no thread) while it cools
+//!   down.
 //! * **HalfOpen** — cooldown elapsed; the job gets one probe slice. A clean
 //!   slice closes the breaker (a *recovery*); more faults re-open it.
 //!

@@ -82,10 +82,9 @@ pub use local::LocalDb;
 pub use metrics::{replay_report, replay_service_report, replay_usage, MetricsRegistry};
 pub use policy::{PolicyKind, SelectionPolicy};
 pub use report::CrawlSummary;
-pub use sched::{Pool, SchedulerStats, TaskCtx};
+pub use sched::SchedulerStats;
 pub use serve::{
-    ClientPool, Connection, LatencyModel, ServeConfig, ServeConfigBuilder, ServiceReport,
-    SourceService,
+    Connection, LatencyModel, ServeConfig, ServeConfigBuilder, ServiceReport, SourceService,
 };
 pub use source::{
     CancelToken, CrawlError, DataSource, PageMeta, ServiceMeta, SourceRequest, SourceResponse,

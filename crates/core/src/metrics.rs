@@ -373,10 +373,10 @@ impl MetricsRegistry {
 
     /// Derives the scheduler section of a fleet report from the
     /// [`CrawlEvent::SliceScheduled`] / [`CrawlEvent::SliceCompleted`]
-    /// stream recorded here. `workers` reports the pool size the fleet ran
-    /// with (the event stream alone can only prove which workers completed
-    /// at least one slice, so the count is supplied by the caller);
-    /// `per_worker_slices` is padded out to that size.
+    /// stream recorded here. `workers` reports the worker count the fleet
+    /// resolved to (the event stream alone can only prove which workers
+    /// completed at least one slice, so the count is supplied by the
+    /// caller); `per_worker_slices` is padded out to that size.
     pub fn scheduler_stats(&self, workers: u32) -> crate::sched::SchedulerStats {
         let mut per_worker_slices = self.per_worker_slices.clone();
         if per_worker_slices.len() < workers as usize {
@@ -462,8 +462,6 @@ impl MetricsRegistry {
             retransmitted: self.frames_retransmitted,
             hedged: self.hedged_requests,
             restarts: self.service_restarts,
-            breaker_trips: self.breaker_trips,
-            breaker_recoveries: self.breaker_recoveries,
         }
     }
 }
@@ -650,7 +648,7 @@ mod tests {
         assert_eq!(s.rounds_granted, 150);
         assert_eq!(s.rounds_executed, 147);
         assert_eq!(s.steals, 0, "one shared queue: nothing is ever stolen");
-        assert_eq!(s.per_worker_slices, vec![1, 0, 1, 0], "padded to the pool size");
+        assert_eq!(s.per_worker_slices, vec![1, 0, 1, 0], "padded to the worker count");
     }
 
     #[test]

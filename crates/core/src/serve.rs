@@ -8,7 +8,9 @@
 //! missing seam. It owns an inner source, a bounded job queue, and a pool of
 //! worker threads; [`Connection`] is the client half — itself a
 //! [`DataSource`], so every policy, engine, and fleet above the seam runs
-//! unmodified against either transport:
+//! unmodified against either transport. A connection carries concurrent
+//! requests from any number of threads (each transmission answers on its
+//! own reply channel), so threads share one by reference, `Arc` or clone:
 //!
 //! ```text
 //!  Crawler ──respond(SourceRequest)──▶ Connection ──try_send──▶ [bounded queue]
@@ -50,26 +52,16 @@
 //!   exactly once: `rounds_used = executed + shed + cancelled +
 //!   retransmitted`. Request frames the wire ate before admission bill
 //!   nothing.
-//! * **Hedging.** [`ClientPool::with_hedging`] races one duplicate of any
-//!   request whose reply exceeds a latency threshold on the next connection,
-//!   with the same request id — the dedup window makes the race safe. Both
-//!   jobs answer into one reply channel, and the calling thread runs the
-//!   same transmission loop as a lone [`Connection`]: the first intact
-//!   frame wins; a hedge shed, halted or lost at submit is billed as such
-//!   but never becomes the answer; nothing is transmitted after `respond`
-//!   returns. Every transmission of a hedged request carries one token that
-//!   fires when `respond` returns: a transmission still queued then is
-//!   cancelled at dequeue, and one already dequeued (a stalled primary) is
-//!   billed as a retransmit at its dedup claim and never executes, however
-//!   long ago its outcome left the dedup window. This bounds p99 under
-//!   stall injection at a small extra round cost (BENCH-7 gates both
-//!   sides).
-//! * **Circuit breaking.** Every pool carries a [`CircuitBreaker`] per
-//!   connection: streaks of [`CrawlError::Rejected`] /
-//!   [`CrawlError::Cancelled`] trip a connection out of rotation, a cooled
-//!   breaker probes half-open, and every transition lands on the service bus
-//!   as a [`CrawlEvent::BreakerTransition`] so trips are visible in the
-//!   [`ServiceReport`].
+//! * **Hedging.** [`Connection::with_hedging`] sends one same-id duplicate
+//!   of any request whose reply outlives a latency threshold, on the same
+//!   connection into the same reply channel: the dedup window makes the
+//!   race safe, and the first intact frame wins. A hedge shed, halted or
+//!   lost at submit is billed but never answers, and nothing is transmitted
+//!   after `respond` returns: the request's token fires then, so a
+//!   transmission still queued is cancelled at dequeue and a stalled
+//!   primary is billed as a retransmit, never executed, however long ago
+//!   its outcome left the dedup window. BENCH-7 gates the p99 it buys
+//!   against the rounds it costs.
 //! * **Observability.** The service runs its own [`EventBus`], emitting
 //!   [`CrawlEvent::RequestEnqueued`] / [`CrawlEvent::RequestShed`] /
 //!   [`CrawlEvent::RequestCancelled`] / [`CrawlEvent::RequestCompleted`]
@@ -95,10 +87,9 @@
 //! every reply hold a handle to it, never a copy.
 
 use crate::chaos::{ChaosKind, ChaosState};
-use crate::events::{BreakerPhase, CrawlEvent, EventBus, EventSink};
+use crate::events::{CrawlEvent, EventBus, EventSink};
 use crate::extract::{page_ref_to_wire, parse_page_ref, ExtractedPageRef};
 use crate::fault::splitmix64;
-use crate::health::{BreakerConfig, CircuitBreaker};
 use crate::source::{
     CancelToken, CrawlError, DataSource, PageMeta, ProberMode, ServiceMeta, SourceRequest,
     SourceResponse,
@@ -108,7 +99,7 @@ use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use dwc_server::{InterfaceSpec, Query};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -144,14 +135,10 @@ pub struct ServiceReport {
     /// Retransmitted or duplicated request frames served from the dedup
     /// window: billed as new rounds, never executed twice.
     pub retransmitted: u64,
-    /// Requests the client pool hedged past the latency threshold.
+    /// Requests a hedging connection hedged past its latency threshold.
     pub hedged: u64,
     /// Service worker crash-and-restart cycles survived.
     pub restarts: u64,
-    /// Connection circuit-breaker trips (entries into `Open`).
-    pub breaker_trips: u64,
-    /// Connection circuit-breaker recoveries (clean half-open probes).
-    pub breaker_recoveries: u64,
 }
 
 impl ServiceReport {
@@ -449,8 +436,7 @@ impl ServiceShared {
 
 /// A [`DataSource`] served over a bounded queue by worker threads. Create
 /// with [`SourceService::start`], obtain clients with
-/// [`connect`](SourceService::connect) /
-/// [`connect_pool`](SourceService::connect_pool).
+/// [`connect`](SourceService::connect).
 pub struct SourceService<S> {
     inner: Arc<S>,
     tx: Sender<Job>,
@@ -484,8 +470,9 @@ impl<S: DataSource + Send + Sync + 'static> SourceService<S> {
         SourceService { inner, tx, shared, config, workers }
     }
 
-    /// A new client connection. Connections are cheap (a channel handle and
-    /// two `Arc`s) and may be cloned or created per worker.
+    /// A new client connection: a channel handle and two `Arc`s onto the
+    /// service's one queue, dedup window and bill. One connection serves
+    /// any number of threads at once.
     pub fn connect(&self) -> Connection<S> {
         Connection {
             inner: Arc::clone(&self.inner),
@@ -493,21 +480,8 @@ impl<S: DataSource + Send + Sync + 'static> SourceService<S> {
             shared: Arc::clone(&self.shared),
             default_deadline: self.config.default_deadline,
             chaos: None,
-        }
-    }
-
-    /// A round-robin pool of `n` connections with per-connection circuit
-    /// breakers at the default thresholds. `n` must be positive.
-    pub fn connect_pool(&self, n: usize) -> Result<ClientPool<S>, ConfigError> {
-        if n == 0 {
-            return Err(ConfigError::ZeroConnections);
-        }
-        Ok(ClientPool {
-            connections: (0..n).map(|_| self.connect()).collect(),
-            cursor: AtomicUsize::new(0),
             hedge_after: None,
-            breakers: (0..n).map(|_| Mutex::new(BreakerCell::default())).collect(),
-        })
+        }
     }
 
     /// Attaches a streaming sink to the service-side event bus. Attach
@@ -731,6 +705,7 @@ pub struct Connection<S> {
     shared: Arc<ServiceShared>,
     default_deadline: Option<Duration>,
     chaos: Option<Arc<ChaosState>>,
+    hedge_after: Option<Duration>,
 }
 
 impl<S> std::fmt::Debug for Connection<S> {
@@ -739,6 +714,7 @@ impl<S> std::fmt::Debug for Connection<S> {
             .field("queued", &self.tx.len())
             .field("default_deadline", &self.default_deadline)
             .field("chaos", &self.chaos.is_some())
+            .field("hedge_after", &self.hedge_after)
             .finish()
     }
 }
@@ -751,6 +727,7 @@ impl<S> Clone for Connection<S> {
             shared: Arc::clone(&self.shared),
             default_deadline: self.default_deadline,
             chaos: self.chaos.clone(),
+            hedge_after: self.hedge_after,
         }
     }
 }
@@ -761,6 +738,14 @@ impl<S> Connection<S> {
     /// plan's frame indices count transmissions across all of them.
     pub fn with_chaos(mut self, chaos: Arc<ChaosState>) -> Self {
         self.chaos = Some(chaos);
+        self
+    }
+
+    /// Enables request hedging: a reply still missing `threshold` after
+    /// `respond` began draws one same-id duplicate into the same reply
+    /// channel, and the first intact frame wins (see the module docs).
+    pub fn with_hedging(mut self, threshold: Duration) -> Self {
+        self.hedge_after = Some(threshold);
         self
     }
 }
@@ -872,39 +857,35 @@ impl<S: DataSource> Connection<S> {
         }
     }
 
-    /// The one transmission loop, for a lone connection and a hedged pool
-    /// alike: transmit, await, verify, and retransmit with the same request
-    /// id until an intact frame (or a definitive error) arrives. Returns
-    /// the intact frame and the queue depth its transmission saw.
+    /// The one transmission loop, hedged or not: transmit, await, verify,
+    /// and retransmit with the same request id until an intact frame (or a
+    /// definitive error) arrives. Returns the intact frame and the queue
+    /// depth its transmission saw.
     ///
     /// Each transmission's job answers on a fresh reply channel. With
-    /// `hedge` set, a reply that outlives the threshold draws at most one
-    /// same-id hedge on the hedge connection, into the same channel; the
-    /// first intact frame wins. Every job of a hedged request carries its
-    /// settled token, which fires on every return, so a job that outlives
-    /// the answer is billed but never executed. The loop retransmits only
-    /// once every sender of the channel is gone, so no job it sent can
-    /// still answer, and it transmits nothing after it returns.
-    fn fetch_frame(
-        &self,
-        request: &SourceRequest<'_>,
-        hedge: Option<(&Connection<S>, Duration)>,
-    ) -> Result<(ReplyFrame, u32), CrawlError> {
+    /// hedging on, a reply that outlives the threshold draws at most one
+    /// same-id hedge, into the same channel; the first intact frame wins.
+    /// Every job of a hedged request carries its settled token, which fires
+    /// on every return, so a job that outlives the answer is billed but
+    /// never executed. The loop retransmits only once every sender of the
+    /// channel is gone, so no job it sent can still answer, and it
+    /// transmits nothing after it returns.
+    fn fetch_frame(&self, request: &SourceRequest<'_>) -> Result<(ReplyFrame, u32), CrawlError> {
         let rid = self.shared.request_ids.fetch_add(1, Ordering::Relaxed);
-        let mut hedge = hedge.map(|(conn, after)| (conn, Instant::now() + after));
-        let settled = hedge.is_some().then(|| Settled(CancelToken::new()));
+        let mut hedge_at = self.hedge_after.map(|after| Instant::now() + after);
+        let settled = hedge_at.is_some().then(|| Settled(CancelToken::new()));
         let token = settled.as_ref().map(|s| &s.0);
         for _ in 0..RETRANSMIT_LIMIT {
             let (tx, rx) = bounded(2);
             // A sender is held back only while a hedge may still join.
-            let mut held = hedge.map(|hedge| (hedge, tx.clone()));
+            let mut held = hedge_at.map(|at| (at, tx.clone()));
             let Some(depth) = self.submit(request, rid, token, tx)? else {
                 continue;
             };
             let mut failed = None;
             loop {
                 let reply = match held.take() {
-                    Some(((conn, at), tx)) => {
+                    Some((at, tx)) => {
                         match rx.recv_timeout(at.saturating_duration_since(Instant::now())) {
                             // The transmission's only job answered first.
                             Ok(reply) => reply,
@@ -913,9 +894,9 @@ impl<S: DataSource> Connection<S> {
                                 // joins the channel. Shed, halted or lost at
                                 // submit, it is billed as such but never
                                 // answers.
-                                hedge = None;
+                                hedge_at = None;
                                 self.shared.emit(CrawlEvent::Hedged { request: rid });
-                                let _ = conn.submit(request, rid, token, tx);
+                                let _ = self.submit(request, rid, token, tx);
                                 continue;
                             }
                         }
@@ -990,7 +971,7 @@ impl<S: DataSource> DataSource for Connection<S> {
         request: &SourceRequest<'_>,
         visit: &mut dyn FnMut(&ExtractedPageRef<'_>),
     ) -> Result<SourceResponse, CrawlError> {
-        let (frame, depth) = self.fetch_frame(request, None)?;
+        let (frame, depth) = self.fetch_frame(request)?;
         frame.deliver(depth, visit)
     }
 
@@ -1006,159 +987,6 @@ impl<S: DataSource> DataSource for Connection<S> {
     }
 }
 
-/// One connection's circuit breaker plus the failure streak feeding it.
-struct BreakerCell {
-    breaker: CircuitBreaker,
-    streak: u32,
-}
-
-impl Default for BreakerCell {
-    fn default() -> Self {
-        BreakerCell { breaker: CircuitBreaker::new(BreakerConfig::default()), streak: 0 }
-    }
-}
-
-/// A round-robin pool of [`Connection`]s — the fleet-facing client when N
-/// logical connections share one service. Also a [`DataSource`]; the round
-/// counters are shared, so billing is global across the pool.
-///
-/// Every pool carries a circuit breaker per connection: streaks of
-/// [`CrawlError::Rejected`] / [`CrawlError::Cancelled`] trip the connection
-/// out of rotation until its cooldown elapses and a half-open probe
-/// succeeds. [`with_hedging`](ClientPool::with_hedging) additionally races
-/// a same-id duplicate of any request whose reply exceeds the threshold.
-pub struct ClientPool<S> {
-    connections: Vec<Connection<S>>,
-    cursor: AtomicUsize,
-    hedge_after: Option<Duration>,
-    breakers: Vec<Mutex<BreakerCell>>,
-}
-
-impl<S> std::fmt::Debug for ClientPool<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClientPool")
-            .field("connections", &self.connections.len())
-            .field("hedge_after", &self.hedge_after)
-            .finish()
-    }
-}
-
-impl<S> ClientPool<S> {
-    /// Number of connections in the pool.
-    pub fn connections(&self) -> usize {
-        self.connections.len()
-    }
-
-    /// Enables request hedging: when a reply takes longer than `threshold`,
-    /// the pool races one duplicate (same request id — the dedup window
-    /// makes the race safe) on the next connection, into the same reply
-    /// channel. The first intact frame wins; a hedge still queued then is
-    /// cancelled at dequeue.
-    pub fn with_hedging(mut self, threshold: Duration) -> Self {
-        self.hedge_after = Some(threshold);
-        self
-    }
-
-    /// Replaces every connection's circuit breaker with one at the given
-    /// thresholds (streaks reset).
-    pub fn with_breakers(self, config: BreakerConfig) -> Self {
-        for cell in &self.breakers {
-            let mut cell = cell.lock().expect("breaker poisoned");
-            cell.breaker = CircuitBreaker::new(config);
-            cell.streak = 0;
-        }
-        self
-    }
-
-    /// Interposes one chaos wire in front of every connection in the pool.
-    /// They share the frame counter, so plan indices count transmissions
-    /// pool-wide.
-    pub fn with_chaos(mut self, chaos: Arc<ChaosState>) -> Self {
-        for conn in &mut self.connections {
-            conn.chaos = Some(Arc::clone(&chaos));
-        }
-        self
-    }
-
-    fn emit_transition(&self, idx: usize, from: BreakerPhase, to: BreakerPhase) {
-        self.connections[idx].shared.emit(CrawlEvent::BreakerTransition {
-            job: idx as u32,
-            from,
-            to,
-        });
-    }
-
-    /// One allocation round: cool open breakers, then pick the round-robin
-    /// choice, skipping connections whose breaker is open. With every
-    /// breaker open the pool degrades to plain round-robin rather than
-    /// refusing service.
-    fn pick(&self) -> usize {
-        let n = self.connections.len();
-        let start = self.cursor.fetch_add(1, Ordering::Relaxed) % n;
-        for (idx, cell) in self.breakers.iter().enumerate() {
-            let transition = cell.lock().expect("breaker poisoned").breaker.tick();
-            if let Some((from, to)) = transition {
-                self.emit_transition(idx, from, to);
-            }
-        }
-        for offset in 0..n {
-            let idx = (start + offset) % n;
-            if !self.breakers[idx].lock().expect("breaker poisoned").breaker.is_open() {
-                return idx;
-            }
-        }
-        start
-    }
-
-    /// Feeds one dispatch outcome into the chosen connection's breaker.
-    /// Service-level failures (shed, cancelled) count against the
-    /// connection; inner-source errors travelled the wire fine and do not.
-    fn settle(&self, idx: usize, outcome: &Result<SourceResponse, CrawlError>) {
-        let failed = matches!(outcome, Err(CrawlError::Rejected) | Err(CrawlError::Cancelled));
-        let transition = {
-            let mut cell = self.breakers[idx].lock().expect("breaker poisoned");
-            cell.streak = if failed { cell.streak.saturating_add(1) } else { 0 };
-            let streak = cell.streak;
-            let transition = cell.breaker.observe(streak);
-            if let Some((_, BreakerPhase::Open)) = transition {
-                // The streak restarts its count toward the next trip; the
-                // half-open probe's own outcome decides recovery.
-                cell.streak = 0;
-            }
-            transition
-        };
-        if let Some((from, to)) = transition {
-            self.emit_transition(idx, from, to);
-        }
-    }
-}
-
-impl<S: DataSource> DataSource for ClientPool<S> {
-    fn respond(
-        &self,
-        request: &SourceRequest<'_>,
-        visit: &mut dyn FnMut(&ExtractedPageRef<'_>),
-    ) -> Result<SourceResponse, CrawlError> {
-        let idx = self.pick();
-        let next = &self.connections[(idx + 1) % self.connections.len()];
-        let hedge = self.hedge_after.map(|after| (next, after));
-        let outcome = self.connections[idx]
-            .fetch_frame(request, hedge)
-            .and_then(|(frame, depth)| frame.deliver(depth, visit));
-        self.settle(idx, &outcome);
-        outcome
-    }
-
-    fn interface(&self) -> &InterfaceSpec {
-        self.connections[0].interface()
-    }
-
-    fn rounds_used(&self) -> u64 {
-        // Counters are shared service-wide; any connection reports them all.
-        self.connections[0].rounds_used()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1169,7 +997,7 @@ mod tests {
     use dwc_model::fixtures::figure1_table;
     use dwc_model::AttrId;
     use dwc_server::{InterfaceSpec, WebDbServer};
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
 
     fn server() -> WebDbServer {
         let table = figure1_table();
@@ -1228,13 +1056,6 @@ mod tests {
             .unwrap();
         assert_eq!(ok.queue_depth, 4);
         assert_eq!(ok.workers, 2);
-    }
-
-    #[test]
-    fn zero_connection_pools_are_rejected() {
-        let service = SourceService::start(Arc::new(server()), ServeConfig::default());
-        assert_eq!(service.connect_pool(0).unwrap_err(), ConfigError::ZeroConnections);
-        assert_eq!(service.connect_pool(3).unwrap().connections(), 3);
     }
 
     #[test]
@@ -1367,19 +1188,61 @@ mod tests {
     }
 
     #[test]
-    fn pool_round_robins_and_shares_billing() {
+    fn one_connection_serves_many_threads_on_one_bill() {
         let inner = Arc::new(server());
         let query = a2(&inner);
-        let service = SourceService::start(Arc::clone(&inner), ServeConfig::default());
-        let pool = service.connect_pool(3).unwrap();
-        for _ in 0..6 {
-            pool.respond(&SourceRequest::new(&query, 0, ProberMode::InProcess), &mut |_| {})
-                .unwrap();
-        }
-        assert_eq!(pool.rounds_used(), 6);
-        assert_eq!(pool.rounds_used(), inner.rounds_used());
-        drop(pool);
+        let config = ServeConfig::builder().workers(2).build().unwrap();
+        let service = SourceService::start(Arc::clone(&inner), config);
+        let conn = service.connect();
+        thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| {
+                    for _ in 0..2 {
+                        let request = SourceRequest::new(&query, 0, ProberMode::InProcess);
+                        conn.respond(&request, &mut |_| {}).unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(conn.rounds_used(), 6);
+        assert_eq!(conn.rounds_used(), inner.rounds_used());
+        drop(conn);
         assert_eq!(service.shutdown().completed, 6);
+    }
+
+    #[test]
+    fn a_hedged_connection_shared_by_threads_executes_each_request_once() {
+        // Every reply takes 2 ms against a 100 µs threshold, so requests
+        // from three threads hedge while others are in flight.
+        let inner = Arc::new(server());
+        let query = a2(&inner);
+        let config = ServeConfig::builder()
+            .workers(2)
+            .latency(LatencyModel::Fixed(Duration::from_millis(2)))
+            .build()
+            .unwrap();
+        let service = SourceService::start(Arc::clone(&inner), config);
+        let conn = service.connect().with_hedging(Duration::from_micros(100));
+        thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| {
+                    for _ in 0..4 {
+                        let request = SourceRequest::new(&query, 0, ProberMode::Wire);
+                        conn.respond(&request, &mut |_| {}).unwrap();
+                    }
+                });
+            }
+        });
+        wait_until("losing hedges drain", || {
+            let r = service.service_report();
+            r.enqueued == r.completed + r.cancelled
+        });
+        assert_eq!(inner.rounds_used(), 12, "one execution per logical request");
+        let billed = conn.rounds_used();
+        drop(conn);
+        let report = service.shutdown();
+        assert!(report.hedged > 0);
+        assert_eq!(billed, 12 + report.hedged, "each hedge bills exactly one round");
     }
 
     #[test]
@@ -1627,12 +1490,12 @@ mod tests {
         let service = SourceService::start(Arc::clone(&inner), config);
         let parked = |e: &CrawlEvent| matches!(e, CrawlEvent::FrameRetransmitted { .. });
         service.add_sink(Box::new(OpenOn(Arc::clone(&inner.open), parked)));
-        let pool = service.connect_pool(2).unwrap().with_hedging(Duration::from_millis(1));
+        let conn = service.connect().with_hedging(Duration::from_millis(1));
         let mut seen = false;
-        pool.respond(&SourceRequest::new(&query, 0, ProberMode::Wire), &mut |_| seen = true)
+        conn.respond(&SourceRequest::new(&query, 0, ProberMode::Wire), &mut |_| seen = true)
             .unwrap();
         assert!(seen);
-        drop(pool);
+        drop(conn);
         let report = service.shutdown();
         assert_eq!(report.hedged, 1, "the 20ms reply outlived the 1ms threshold");
         assert_eq!(inner.rounds_used(), 1, "dedup keeps the race exactly-once");
@@ -1651,11 +1514,11 @@ mod tests {
         let service = SourceService::start(Arc::clone(&inner), config);
         let shed = |e: &CrawlEvent| matches!(e, CrawlEvent::RequestShed);
         service.add_sink(Box::new(OpenOn(Arc::clone(&inner.open), shed)));
-        let pool = service.connect_pool(2).unwrap().with_hedging(Duration::from_millis(300));
+        let conn = service.connect().with_hedging(Duration::from_millis(300));
         let filler = service.connect();
         let request = SourceRequest::new(&query, 0, ProberMode::Wire);
         thread::scope(|s| {
-            let primary = s.spawn(|| pool.respond(&request, &mut |_| {}));
+            let primary = s.spawn(|| conn.respond(&request, &mut |_| {}));
             wait_until("the worker holds the primary", || {
                 inner.entered.load(Ordering::Acquire) == 1
             });
@@ -1664,7 +1527,7 @@ mod tests {
             assert!(primary.join().unwrap().is_ok(), "the primary's page is the answer");
             filler.join().unwrap().unwrap();
         });
-        drop((pool, filler));
+        drop((conn, filler));
         let report = service.shutdown();
         assert_eq!(report.hedged, 1);
         assert_eq!(report.shed, 1, "the hedge was shed at admission");
@@ -1682,15 +1545,12 @@ mod tests {
         let service = SourceService::start(Arc::clone(&inner), config);
         let plan = ChaosPlan::new().stall_at(1).drop_at(2).stall_for(Duration::from_millis(50));
         let chaos = Arc::new(ChaosState::new(plan));
-        let pool = service
-            .connect_pool(2)
-            .unwrap()
-            .with_chaos(Arc::clone(&chaos))
-            .with_hedging(Duration::from_millis(5));
-        pool.respond(&SourceRequest::new(&query, 0, ProberMode::Wire), &mut |_| {}).unwrap();
+        let conn =
+            service.connect().with_chaos(Arc::clone(&chaos)).with_hedging(Duration::from_millis(5));
+        conn.respond(&SourceRequest::new(&query, 0, ProberMode::Wire), &mut |_| {}).unwrap();
         let sent = chaos.frames_sent();
         assert_eq!(sent, 4, "two frames each for the primary and the hedge");
-        drop(pool);
+        drop(conn);
         let report = service.shutdown();
         assert_eq!(chaos.frames_sent(), sent, "the stalled primary never retransmits");
         assert_eq!(report.hedged, 1);
@@ -1709,47 +1569,21 @@ mod tests {
         let config = ServeConfig::builder().workers(2).build().unwrap();
         let service = SourceService::start(Arc::clone(&inner), config);
         let plan = ChaosPlan::new().stall_at(1).stall_for(Duration::from_millis(200));
-        let pool = service
-            .connect_pool(2)
-            .unwrap()
+        let hedged = service
+            .connect()
             .with_chaos(Arc::new(ChaosState::new(plan)))
             .with_hedging(Duration::from_millis(1));
         let request = SourceRequest::new(&query, 0, ProberMode::Wire);
-        pool.respond(&request, &mut |_| {}).unwrap();
+        hedged.respond(&request, &mut |_| {}).unwrap();
         let conn = service.connect();
         for _ in 0..300 {
             conn.respond(&request, &mut |_| {}).unwrap();
         }
-        drop((pool, conn));
+        drop((hedged, conn));
         let report = service.shutdown();
         assert_eq!(report.hedged, 1);
         assert_eq!(inner.rounds_used(), 301, "one execution per logical request");
         assert_eq!(report.retransmitted, 1, "the woken primary is billed, never executed");
-    }
-
-    #[test]
-    fn breaker_trips_out_of_rotation_and_recovers_via_half_open_probe() {
-        let inner = Arc::new(server());
-        let query = a2(&inner);
-        let service = SourceService::start(Arc::clone(&inner), ServeConfig::default());
-        let pool = service
-            .connect_pool(1)
-            .unwrap()
-            .with_breakers(BreakerConfig { trip_after: 2, cooldown: 1 });
-        // Two service-level failures (expired deadlines) trip the breaker.
-        for _ in 0..2 {
-            let expired =
-                SourceRequest::new(&query, 0, ProberMode::Wire).with_deadline(Instant::now());
-            assert_eq!(pool.respond(&expired, &mut |_| {}).unwrap_err(), CrawlError::Cancelled);
-        }
-        // Next dispatch ticks the cooldown into HalfOpen and probes; the
-        // clean probe recovers the breaker.
-        pool.respond(&SourceRequest::new(&query, 0, ProberMode::Wire), &mut |_| {}).unwrap();
-        pool.respond(&SourceRequest::new(&query, 0, ProberMode::Wire), &mut |_| {}).unwrap();
-        drop(pool);
-        let report = service.shutdown();
-        assert_eq!(report.breaker_trips, 1);
-        assert_eq!(report.breaker_recoveries, 1);
     }
 
     #[test]

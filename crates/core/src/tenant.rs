@@ -50,7 +50,7 @@ pub struct Tenant {
     /// (cooperative preemption at the next slice boundary).
     pub round_quota: Option<u64>,
     /// Dispatch priority: within one allocation cycle, slices of
-    /// higher-priority tenants are handed to the pool first. Affects only
+    /// higher-priority tenants are handed to the workers first. Affects only
     /// dispatch *order*, never grant *amounts*, so reports are unchanged.
     pub priority: u8,
 }

@@ -33,6 +33,11 @@ pub enum CsvError {
         /// 1-based row number (header = 1).
         row: usize,
     },
+    /// The header has more columns than [`Schema::MAX_ATTRS`].
+    TooManyColumns {
+        /// Columns in the header.
+        columns: usize,
+    },
 }
 
 impl std::fmt::Display for CsvError {
@@ -44,6 +49,9 @@ impl std::fmt::Display for CsvError {
             }
             CsvError::TooManyFields { row } => {
                 write!(f, "row {row} has more fields than the header")
+            }
+            CsvError::TooManyColumns { columns } => {
+                write!(f, "the header has {columns} columns; the limit is {}", Schema::MAX_ATTRS)
             }
         }
     }
@@ -145,6 +153,9 @@ pub fn load_csv(text: &str) -> Result<UniversalTable, CsvError> {
     let Some(header) = rows.next().transpose()? else { return Err(CsvError::MissingHeader) };
     if header.is_empty() || header.iter().all(|h| h.is_empty()) {
         return Err(CsvError::MissingHeader);
+    }
+    if header.len() > Schema::MAX_ATTRS {
+        return Err(CsvError::TooManyColumns { columns: header.len() });
     }
     let mut specs = Vec::with_capacity(header.len());
     let mut multi = Vec::with_capacity(header.len());
@@ -345,6 +356,22 @@ mod tests {
         assert_eq!(load_csv("").unwrap_err(), CsvError::MissingHeader);
         assert!(matches!(load_csv("A\n\"oops"), Err(CsvError::UnterminatedQuote { .. })));
         assert_eq!(load_csv("A\nx,y\n").unwrap_err(), CsvError::TooManyFields { row: 2 });
+    }
+
+    #[test]
+    fn the_widest_header_loads_and_one_column_more_is_an_error() {
+        let header = |columns: usize| -> String {
+            let names: Vec<String> = (0..columns).map(|c| format!("c{c}")).collect();
+            format!("{}\n{}\n", names.join(","), ",".repeat(columns - 2) + ",last")
+        };
+        let widest = load_csv(&header(Schema::MAX_ATTRS)).unwrap();
+        assert_eq!(widest.schema().len(), 65_535);
+        let last = widest.schema().attr_by_name("c65534").unwrap();
+        assert_eq!(widest.interner().get(last, "last").map(|v| widest.count_matches(v)), Some(1));
+        assert_eq!(
+            load_csv(&header(Schema::MAX_ATTRS + 1)).unwrap_err(),
+            CsvError::TooManyColumns { columns: 65_536 }
+        );
     }
 
     #[test]

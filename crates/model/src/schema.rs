@@ -46,9 +46,13 @@ pub struct Schema {
 }
 
 impl Schema {
-    /// Builds a schema from attribute specs.
+    /// The most attributes a schema holds: an [`AttrId`] is a `u16`.
+    pub const MAX_ATTRS: usize = u16::MAX as usize;
+
+    /// Builds a schema from attribute specs. Panics past
+    /// [`Schema::MAX_ATTRS`]; decoders of untrusted input check it first.
     pub fn new(attrs: Vec<AttrSpec>) -> Self {
-        assert!(attrs.len() <= u16::MAX as usize, "too many attributes");
+        assert!(attrs.len() <= Self::MAX_ATTRS, "too many attributes");
         Schema { attrs }
     }
 

@@ -315,7 +315,10 @@ impl SegmentTable {
     }
 
     /// Reattaches a table persisted under `dir` (segment files + meta),
-    /// with a buffer pool of `pool_bytes`.
+    /// with a buffer pool of `pool_bytes`. A meta that is truncated, fails
+    /// its checksum, or passes it but names more attributes than a schema
+    /// holds, a segment the directory lacks, or list and element counts its
+    /// segments' lengths disagree with is `InvalidData`.
     pub fn open(dir: &Path, pool_bytes: usize) -> io::Result<Self> {
         let bytes = std::fs::read(dir.join("table.meta"))?;
         let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_owned());
@@ -344,14 +347,23 @@ impl SegmentTable {
         for c in &mut cols {
             *c = next_u64(&mut at)?;
         }
-        let records = ListStore::from_parts(cols[0] as u32, cols[1] as u32, cols[2], cols[3]);
-        let postings = ListStore::from_parts(cols[4] as u32, cols[5] as u32, cols[6], cols[7]);
+        let segment = |id: u64| u32::try_from(id).map_err(|_| bad("segment id past u32"));
+        let records = ListStore::from_parts(segment(cols[0])?, segment(cols[1])?, cols[2], cols[3]);
+        let postings =
+            ListStore::from_parts(segment(cols[4])?, segment(cols[5])?, cols[6], cols[7]);
         if at + 4 > payload.len() {
             return Err(bad("segment table meta truncated"));
         }
         let num_attrs =
             u32::from_le_bytes(payload[at..at + 4].try_into().expect("4 bytes")) as usize;
         at += 4;
+        if num_attrs > Schema::MAX_ATTRS {
+            return Err(bad("segment table meta has more attributes than a schema holds"));
+        }
+        // Every attribute takes at least a length and two flag bytes.
+        if num_attrs > (payload.len() - at) / 6 {
+            return Err(bad("segment table meta truncated"));
+        }
         let mut attrs = Vec::with_capacity(num_attrs);
         for _ in 0..num_attrs {
             if at + 4 > payload.len() {
@@ -379,6 +391,20 @@ impl SegmentTable {
         let interner = ValueInterner::from_packed_bytes(&payload[at..at + ilen])
             .map_err(|e| bad(&format!("interner spill: {e}")))?;
         let pager = FilePager::open(dir, DEFAULT_PAGE_SIZE)?;
+        // A column's segments exist and hold one u64 end offset per list and
+        // one u32 per element, as the writer left them.
+        let fits = |(offsets, data, count, elems): (u32, u32, u64, u64)| {
+            offsets < pager.num_segments()
+                && data < pager.num_segments()
+                && count.checked_mul(8) == Some(pager.segment_len(offsets))
+                && elems.checked_mul(4) == Some(pager.segment_len(data))
+        };
+        if postings.len() != interner.len() as u64
+            || !fits(records.parts())
+            || !fits(postings.parts())
+        {
+            return Err(bad("segment table meta disagrees with its segments"));
+        }
         let pool = BufferPool::with_budget(pool_bytes, pager.page_size());
         Ok(SegmentTable { schema, interner, records, postings, pager: Box::new(pager), pool })
     }
@@ -519,6 +545,79 @@ mod tests {
         bytes[mid] ^= 0xff;
         std::fs::write(&meta, bytes).unwrap();
         assert!(SegmentTable::open(&dir, 1 << 16).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Byte offset of the attribute count in a meta: the magic, then eight
+    /// `u64` column fields.
+    const ATTRS_AT: usize = 8 + 64;
+
+    /// `meta` with its body edited by `edit` and the checksum recomputed,
+    /// as a hostile writer would.
+    fn resealed(meta: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut body = meta[..meta.len() - 8].to_vec();
+        edit(&mut body);
+        let sum = crate::fnv1a64(&body);
+        body.extend_from_slice(&sum.to_le_bytes());
+        body
+    }
+
+    fn set_u64(body: &mut [u8], at: usize, value: u64) {
+        body[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    }
+
+    #[test]
+    fn hostile_metas_behind_a_valid_checksum_are_invalid_data() {
+        let dir = scratch_dir("hostile");
+        let t = figure1_table();
+        let pager = FilePager::open(&dir, DEFAULT_PAGE_SIZE).unwrap();
+        let st = SegmentTable::from_table(&t, Box::new(pager), 1 << 16).unwrap();
+        st.save_meta(&dir).unwrap();
+        drop(st);
+        let path = dir.join("table.meta");
+        let meta = std::fs::read(&path).unwrap();
+        let attrs_end = {
+            let mut at = ATTRS_AT + 4;
+            for (_, spec) in t.schema().iter() {
+                at += 4 + spec.name.len() + 2;
+            }
+            at
+        };
+        let column = |i: usize| 8 + 8 * i;
+        let hostile: Vec<(&str, Vec<u8>)> = vec![
+            (
+                "an attribute count of u32::MAX",
+                resealed(&meta, |b| b[ATTRS_AT..ATTRS_AT + 4].copy_from_slice(&[0xff; 4])),
+            ),
+            (
+                "65,536 well-formed attributes",
+                resealed(&meta, |b| {
+                    let tail = b.split_off(attrs_end);
+                    b.truncate(ATTRS_AT);
+                    b.extend_from_slice(&65_536u32.to_le_bytes());
+                    for _ in 0..65_536 {
+                        b.extend_from_slice(&[0, 0, 0, 0, 1, 0]);
+                    }
+                    b.extend_from_slice(&tail);
+                }),
+            ),
+            ("a segment id past u32", resealed(&meta, |b| set_u64(b, column(1), 1 << 32))),
+            ("a segment the directory lacks", resealed(&meta, |b| set_u64(b, column(4), 99))),
+            ("one record too many", resealed(&meta, |b| set_u64(b, column(2), 6))),
+            ("one posting too many", resealed(&meta, |b| set_u64(b, column(7), 1 << 20))),
+            ("a list count past u64 bytes", resealed(&meta, |b| set_u64(b, column(2), u64::MAX))),
+            (
+                "a postings count unlike the interner's",
+                resealed(&meta, |b| set_u64(b, column(6), 3)),
+            ),
+        ];
+        for (what, bytes) in hostile {
+            std::fs::write(&path, &bytes).unwrap();
+            let err = SegmentTable::open(&dir, 1 << 16).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
+        std::fs::write(&path, &meta).unwrap();
+        assert_matches_resident(&SegmentTable::open(&dir, 1 << 16).unwrap(), &t);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

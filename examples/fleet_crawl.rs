@@ -5,7 +5,8 @@
 //! Part 1 compares even budget allocation against harvest-proportional
 //! allocation over four distinct stores. Part 2 points two workers at the
 //! *same* store through `Arc<WebDbServer>`: the server bills every round to
-//! one shared atomic counter, whichever worker asks.
+//! one shared atomic counter, whichever worker asks, and the example asserts
+//! that counter equals the fleet's billed total.
 //!
 //! Run with: `cargo run --release --example fleet_crawl`
 
@@ -61,7 +62,7 @@ fn main() {
         println!("  total: {} records in {} rounds", report.total_records(), report.total_rounds);
         let s = &report.scheduler;
         println!(
-            "  scheduler: {} pool workers, {} slices, {} rounds executed\n",
+            "  scheduler: {} workers, {} slices, {} rounds executed\n",
             s.workers, s.slices_completed, s.rounds_executed
         );
     }
@@ -98,5 +99,10 @@ fn main() {
         "  server's own global round counter: {} (== sum of the workers' {})",
         shared.rounds_used(),
         report.total_rounds
+    );
+    assert_eq!(
+        shared.rounds_used(),
+        report.total_rounds,
+        "the shared server billed exactly the rounds the fleet counted"
     );
 }

@@ -37,9 +37,9 @@
 //! Serving tier: `dwc serve` puts the table behind a
 //! [`SourceService`] (bounded queue, admission control, modeled latency)
 //! and drives open client load against it, reporting throughput, shed rate,
-//! and tail latency. `dwc crawl --connect N` routes a crawl through the
-//! same service over a pool of N client connections — the protocol-real
-//! transport — with `--deadline MS` attaching a per-request deadline.
+//! and tail latency. `dwc crawl --connect` routes a crawl through the same
+//! service over one client connection — the protocol-real transport — with
+//! `--deadline MS` attaching a per-request deadline.
 
 use deep_web_crawler::core::crawler::StopReason;
 use deep_web_crawler::core::serve::SourceService;
@@ -86,7 +86,7 @@ USAGE:
             [--cap N] [--coverage F] [--keyword] [--stats] [--trace OUT.csv]
             [--journal FILE [--checkpoint-every N]] [--mem-budget MB]
             [--events FILE.jsonl]
-            [--connect N] [--deadline MS] [--queue D] [--serve-workers W]
+            [--connect] [--deadline MS] [--queue D] [--serve-workers W]
             [--latency-us N|MIN:MAX] [--decode-us N]
   dwc resume <FILE.csv> --journal FILE [crawl flags]
   dwc fleet <FILE.csv> --seed-value ATTR=VALUE... [--workers N]
@@ -101,7 +101,7 @@ USAGE:
   dwc chaos <FILE.csv> --seed-value ATTR=VALUE... [--policy P] [--budget R]
             [--page-size K] [--chaos-seed N] [--chaos-rate F]
             [--chaos-horizon N] [--chaos-kind K[,K...]] [--chaos-plan SPEC]
-            [--connect N] [--serve-workers W] [--queue D] [--hedge-us N]
+            [--serve-workers W] [--queue D] [--hedge-us N]
   dwc help
 
 Crash safety: --journal FILE persists the crawl as a checksummed frame
@@ -123,10 +123,12 @@ Observability: --events streams the crawl's structured event log as JSONL;
 replaying it reconstructs the final report figure for figure.
 
 Fleet scheduling: `dwc fleet` runs one crawl job per --seed-value against a
-shared in-process server, multiplexed onto a bounded pool of --workers
-threads that drain one FIFO queue of budget slices (default: available
-parallelism, capped at the job count; --workers 0 is rejected). --workers
-and --allocation apply to `dwc fleet` only.
+shared in-process server. Each allocation cycle's budget slices run on at
+most --workers threads (default: available parallelism, capped at the job
+count; --workers 0 is rejected), each taking the next slice in dispatch
+order; outcomes are folded in that order, so reports and event streams do
+not depend on the width. --workers and --allocation apply to `dwc fleet`
+only.
 
 Multi-tenancy: `dwc fleet --tenants SPEC` runs the fleet under a tenant
 registry — comma-separated WEIGHT[:QUOTA[:PRIO]] entries, ids 0..n, jobs
@@ -141,9 +143,9 @@ Serving tier: `dwc serve` puts the table behind a request/response service
 (bounded --queue, admission control, --latency-us service times, per-record
 --decode-us cost, --deadline MS deadlines) and hammers it with --connections
 closed-loop clients, reporting req/s, shed rate, and p50/p95/p99 latency.
-`dwc crawl --connect N` drives the crawl itself through that service over a
-round-robin pool of N connections; the crawl report is identical to the
-in-process transport, and shed/cancelled requests are billed as rounds.
+`dwc crawl --connect` drives the crawl itself through that service over one
+connection; the crawl report is identical to the in-process transport, and
+shed/cancelled requests are billed as rounds.
 
 Chaos testing: `dwc chaos` interposes a deterministic lossy wire between
 the crawl and the service. --chaos-plan takes an exact frame:kind schedule
@@ -152,22 +154,31 @@ crash halt); otherwise a schedule is drawn from --chaos-seed / --chaos-rate
 / --chaos-horizon / --chaos-kind. The run checks the chaos invariants
 (report absorption, billing conservation, replay parity) against a
 fault-free baseline; a violated schedule is ddmin-shrunk and reprinted as a
-reproducible --chaos-plan invocation. --hedge-us enables client hedging.
+`dwc chaos` command line with every flag of the run and the shrunk schedule
+as --chaos-plan. --hedge-us N makes the connection hedge any request still
+unanswered after N microseconds.
 ";
 
 /// Parsed command line: positional arguments plus accumulated `--flag value`
 /// pairs.
 type ParsedArgs = (Vec<String>, Vec<(String, String)>);
 
+/// Flags that take no value.
+const SWITCHES: [&str; 3] = ["keyword", "stats", "connect"];
+
 /// Tiny flag parser: returns (positional args, flag map); repeatable flags
-/// accumulate.
+/// accumulate. A switch followed by a number is refused, so a retired count
+/// (`--connect 2`) is an error instead of a stray positional argument.
 fn parse_flags(args: &[String]) -> Result<ParsedArgs, String> {
     let mut positional = Vec::new();
     let mut flags = Vec::new();
-    let mut it = args.iter();
+    let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
-            if name == "keyword" || name == "stats" {
+            if SWITCHES.contains(&name) {
+                if it.peek().is_some_and(|v| v.parse::<u64>().is_ok()) {
+                    return Err(format!("--{name} is a switch and takes no value"));
+                }
                 flags.push((name.to_string(), "true".to_string()));
                 continue;
             }
@@ -396,14 +407,13 @@ fn cmd_crawl(args: &[String], resume: bool) -> Result<(), String> {
     let paging = mem_budget.map(Paging::create).transpose()?;
     let server = build_server(table, interface, paging.as_ref())?;
 
-    if let Some(connections) = parse_connect(&flags)? {
+    if flag(&flags, "connect").is_some() {
         if resume {
             return Err("--connect applies to fresh crawls, not resume".into());
         }
         let config_serve = parse_serve_flags(&flags)?.build().map_err(|e| e.to_string())?;
         let service = SourceService::start(std::sync::Arc::new(server), config_serve);
-        let pool = service.connect_pool(connections).map_err(|e| e.to_string())?;
-        let mut crawler = Crawler::new(pool, policy.build(), config);
+        let mut crawler = Crawler::new(service.connect(), policy.build(), config);
         seed_crawler(&mut crawler, &seed_values(&flags, CRAWL_NEEDS_SEEDS)?)?;
         run_and_report(crawler, &flags, n)?;
         let served = service.shutdown();
@@ -543,18 +553,6 @@ fn run_and_report<S: deep_web_crawler::core::DataSource>(
     Ok(())
 }
 
-/// Parses `--connect`, rejecting 0 — a protocol crawl needs at least one
-/// connection.
-fn parse_connect(flags: &[(String, String)]) -> Result<Option<usize>, String> {
-    match flag(flags, "connect") {
-        None => Ok(None),
-        Some(v) => match v.parse::<usize>() {
-            Ok(0) | Err(_) => Err("--connect must be a positive connection count".into()),
-            Ok(c) => Ok(Some(c)),
-        },
-    }
-}
-
 /// Builds the serving-tier config from `--queue`, `--serve-workers`,
 /// `--latency-us N|MIN:MAX`, `--decode-us`, and `--serve-seed`; the caller
 /// finishes the builder (so `dwc serve` can attach `--deadline` as the
@@ -673,11 +671,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 /// One chaos crawl: the table behind a [`SourceService`], a seeded lossy
-/// wire on every pooled connection, and the crawl driven through it.
+/// wire on the one connection, and the crawl driven through it.
 fn chaos_crawl(
     table: &UniversalTableHandle,
     plan: &ChaosPlan,
     opts: &ChaosOptions,
+    crawl: &CrawlConfig,
 ) -> Result<ChaosRun, String> {
     use std::sync::Arc;
     let interface = InterfaceSpec::permissive(table.schema(), opts.page_size);
@@ -691,14 +690,11 @@ fn chaos_crawl(
     let sink = MemorySink::new();
     service.add_sink(Box::new(sink.clone()));
     let chaos = Arc::new(ChaosState::new(plan.clone()));
-    let mut pool = service
-        .connect_pool(opts.connections)
-        .map_err(|e| e.to_string())?
-        .with_chaos(Arc::clone(&chaos));
-    if let Some(threshold) = opts.hedge {
-        pool = pool.with_hedging(threshold);
+    let mut conn = service.connect().with_chaos(Arc::clone(&chaos));
+    if let Some(us) = opts.hedge_us {
+        conn = conn.with_hedging(std::time::Duration::from_micros(us));
     }
-    let mut crawler = Crawler::new(&pool, opts.policy.build(), opts.crawl.clone());
+    let mut crawler = Crawler::new(&conn, parse_policy(&opts.policy)?.build(), crawl.clone());
     seed_crawler(&mut crawler, &opts.seeds)?;
     let report = crawler.run();
     // Chaos duplicates and losing hedges may still be draining; wait until
@@ -710,8 +706,8 @@ fn chaos_crawl(
         }
         std::thread::sleep(std::time::Duration::from_micros(200));
     }
-    let rounds_used = pool.rounds_used();
-    drop(pool);
+    let rounds_used = conn.rounds_used();
+    drop(conn);
     let service_report = service.shutdown();
     Ok(ChaosRun {
         report,
@@ -728,55 +724,92 @@ fn chaos_crawl(
 /// per run.
 type UniversalTableHandle = deep_web_crawler::model::UniversalTable;
 
+/// Every `dwc chaos` flag that shapes a run besides the schedule, parsed
+/// once; [`ChaosOptions::repro`] prints them back.
+#[derive(Debug, Clone, PartialEq)]
 struct ChaosOptions {
     seeds: Vec<(String, String)>,
-    policy: PolicyKind,
-    crawl: CrawlConfig,
+    policy: String,
+    budget: Option<u64>,
     page_size: usize,
-    connections: usize,
     serve_workers: usize,
     queue_depth: usize,
-    hedge: Option<std::time::Duration>,
+    hedge_us: Option<u64>,
+}
+
+impl ChaosOptions {
+    fn from_flags(flags: &[(String, String)]) -> Result<Self, String> {
+        let policy = flag(flags, "policy").unwrap_or("gl");
+        parse_policy(policy)?;
+        let number = |name: &str| -> Result<Option<u64>, String> {
+            flag(flags, name).map(|v| v.parse().map_err(|_| format!("bad --{name}"))).transpose()
+        };
+        Ok(ChaosOptions {
+            seeds: seed_values(flags, "chaos needs at least one --seed-value ATTR=VALUE")?,
+            policy: policy.to_string(),
+            budget: number("budget")?,
+            page_size: number("page-size")?.unwrap_or(10) as usize,
+            serve_workers: number("serve-workers")?.unwrap_or(1) as usize,
+            queue_depth: number("queue")?.unwrap_or(32) as usize,
+            hedge_us: number("hedge-us")?,
+        })
+    }
+
+    /// The crawl each run performs, over a table of `n` records.
+    fn crawl_config(&self, n: usize) -> Result<CrawlConfig, String> {
+        let mut builder = CrawlConfig::builder().known_target_size(n).prober(ProberMode::Wire);
+        if let Some(budget) = self.budget {
+            builder = builder.max_rounds(budget);
+        }
+        builder.build().map_err(|e| e.to_string())
+    }
+
+    /// The `dwc chaos` command line that replays a run over `csv` under
+    /// `plan`: every flag above, then the schedule as an exact
+    /// `--chaos-plan`.
+    fn repro(&self, csv: &str, plan: &ChaosPlan) -> String {
+        let mut args = vec!["dwc".to_string(), "chaos".into(), csv.into()];
+        let mut push = |name: &str, value: String| args.extend([format!("--{name}"), value]);
+        for (attr, value) in &self.seeds {
+            push("seed-value", format!("{attr}={value}"));
+        }
+        push("policy", self.policy.clone());
+        if let Some(budget) = self.budget {
+            push("budget", budget.to_string());
+        }
+        push("page-size", self.page_size.to_string());
+        push("serve-workers", self.serve_workers.to_string());
+        push("queue", self.queue_depth.to_string());
+        if let Some(us) = self.hedge_us {
+            push("hedge-us", us.to_string());
+        }
+        push("chaos-plan", plan.to_spec());
+        args.iter().map(|a| shell_quote(a)).collect::<Vec<_>>().join(" ")
+    }
+}
+
+/// `arg` as one POSIX shell word: bare when it holds only characters no
+/// shell treats specially, else single-quoted.
+fn shell_quote(arg: &str) -> String {
+    let plain = |c: char| c.is_ascii_alphanumeric() || "-_=.,:/+@%".contains(c);
+    if !arg.is_empty() && arg.chars().all(plain) {
+        arg.to_string()
+    } else {
+        format!("'{}'", arg.replace('\'', "'\\''"))
+    }
 }
 
 /// `dwc chaos`: a crawl through the serving tier behind a deterministic
 /// lossy wire, with the chaos invariants checked against a fault-free
 /// baseline and ddmin shrinking on violation.
 fn cmd_chaos(args: &[String]) -> Result<(), String> {
-    use std::time::Duration;
     let (pos, flags) = parse_flags(args)?;
     let path = pos.first().ok_or("chaos needs a CSV file")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let table = load_csv(&text).map_err(|e| e.to_string())?;
     let n = table.num_records();
-
-    let policy = parse_policy(flag(&flags, "policy").unwrap_or("gl"))?;
-    let page_size: usize =
-        flag(&flags, "page-size").unwrap_or("10").parse().map_err(|_| "bad --page-size")?;
-    let mut builder = CrawlConfig::builder().known_target_size(n).prober(ProberMode::Wire);
-    if let Some(b) = flag(&flags, "budget") {
-        builder = builder.max_rounds(b.parse().map_err(|_| "bad --budget")?);
-    }
-    let crawl = builder.build().map_err(|e| e.to_string())?;
-
-    let seeds = seed_values(&flags, "chaos needs at least one --seed-value ATTR=VALUE")?;
-
-    let opts = ChaosOptions {
-        seeds,
-        policy,
-        crawl,
-        page_size,
-        connections: parse_connect(&flags)?.unwrap_or(1),
-        serve_workers: flag(&flags, "serve-workers")
-            .unwrap_or("1")
-            .parse()
-            .map_err(|_| "bad --serve-workers")?,
-        queue_depth: flag(&flags, "queue").unwrap_or("32").parse().map_err(|_| "bad --queue")?,
-        hedge: flag(&flags, "hedge-us")
-            .map(|v| v.parse::<u64>().map_err(|_| "bad --hedge-us"))
-            .transpose()?
-            .map(Duration::from_micros),
-    };
+    let opts = ChaosOptions::from_flags(&flags)?;
+    let crawl = opts.crawl_config(n)?;
 
     let (plan, origin) = match flag(&flags, "chaos-plan") {
         Some(spec) => (ChaosPlan::from_spec(spec).map_err(|e| e.to_string())?, "explicit plan"),
@@ -811,12 +844,12 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
     let baseline = {
         let interface = InterfaceSpec::permissive(table.schema(), opts.page_size);
         let server = WebDbServer::new(table.clone(), interface);
-        let mut crawler = Crawler::new(&server, opts.policy.build(), opts.crawl.clone());
+        let mut crawler = Crawler::new(&server, parse_policy(&opts.policy)?.build(), crawl.clone());
         seed_crawler(&mut crawler, &opts.seeds)?;
         crawler.run()
     };
 
-    let run = chaos_crawl(&table, &plan, &opts)?;
+    let run = chaos_crawl(&table, &plan, &opts, &crawl)?;
     eprintln!("chaos      : {origin}, {} fault(s) over {} wire frames", plan.len(), run.frames);
     eprintln!(
         "injected   : {} dropped / {} dup / {} corrupt / {} stalled / {} reordered / {} \
@@ -852,14 +885,13 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
             eprintln!("invariant violated: {why}");
             eprintln!("shrinking the schedule (ddmin)...");
             let shrunk = shrink_plan(&plan, |p| {
-                chaos_crawl(&table, p, &opts).is_ok_and(|run| run.violation(p, &baseline).is_some())
+                chaos_crawl(&table, p, &opts, &crawl)
+                    .is_ok_and(|run| run.violation(p, &baseline).is_some())
             });
             Err(format!(
-                "{why}\nshrunk to {} fault(s); reproduce with:\n  dwc chaos {} --chaos-plan \
-                 \"{}\"",
+                "{why}\nshrunk to {} fault(s); reproduce with:\n  {}",
                 shrunk.len(),
-                path,
-                shrunk.to_spec()
+                opts.repro(path, &shrunk)
             ))
         }
     }
@@ -912,7 +944,7 @@ fn parse_tenants(spec: &str) -> Result<Vec<Tenant>, String> {
 }
 
 /// `dwc fleet`: one crawl job per `--seed-value`, all against a shared
-/// in-process server, multiplexed onto the bounded worker pool.
+/// in-process server, each cycle's slices spread over `--workers` threads.
 fn cmd_fleet(args: &[String]) -> Result<(), String> {
     use std::sync::Arc;
     let (pos, flags) = parse_flags(args)?;
@@ -965,7 +997,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
             tenant: (!tenants.is_empty()).then(|| tenants[i % tenants.len()].id),
         })
         .collect();
-    eprintln!("fleet: {} jobs on {} pool workers", jobs.len(), fleet.resolved_workers(jobs.len()));
+    eprintln!("fleet: {} jobs on {} workers", jobs.len(), fleet.resolved_workers(jobs.len()));
     let report = run_fleet(jobs, fleet);
     print!("{report}");
     Ok(())
@@ -990,5 +1022,78 @@ mod tests {
         assert!(!dir.exists(), "dropping the paging removes its directory");
         assert!(stale.join("seg-0").exists(), "another run's directory is left alone");
         std::fs::remove_dir_all(&parent).unwrap();
+    }
+
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    /// Splits a line into POSIX shell words: single quotes and backslash
+    /// escapes, which is all [`shell_quote`] writes.
+    fn shell_words(line: &str) -> Vec<String> {
+        let mut words = Vec::new();
+        let mut word: Option<String> = None;
+        let mut quoted = false;
+        let mut chars = line.chars();
+        while let Some(c) = chars.next() {
+            match c {
+                '\'' => {
+                    quoted = !quoted;
+                    word.get_or_insert_with(String::new);
+                }
+                '\\' if !quoted => word.get_or_insert_with(String::new).extend(chars.next()),
+                ' ' if !quoted => words.extend(word.take()),
+                c => word.get_or_insert_with(String::new).push(c),
+            }
+        }
+        words.extend(word);
+        words
+    }
+
+    #[test]
+    fn a_shrunk_chaos_repro_replays_every_flag_of_the_run() {
+        let runs = [
+            strings(&["data.csv", "--seed-value", "Author=Author_5"]),
+            strings(&[
+                "data.csv",
+                "--seed-value",
+                "Author=Author_5",
+                "--seed-value",
+                "Title=it's \\ odd",
+                "--policy",
+                "mmmi",
+                "--budget",
+                "300",
+                "--page-size",
+                "7",
+                "--serve-workers",
+                "3",
+                "--queue",
+                "9",
+                "--hedge-us",
+                "250",
+                "--chaos-seed",
+                "3",
+            ]),
+        ];
+        let plan = ChaosPlan::from_spec("12:drop,40:stall").unwrap();
+        for args in runs {
+            let (_, flags) = parse_flags(&args).unwrap();
+            let opts = ChaosOptions::from_flags(&flags).unwrap();
+            let words = shell_words(&opts.repro("my data.csv", &plan));
+            assert_eq!(words[..2], ["dwc", "chaos"]);
+            let (pos, flags) = parse_flags(&words[2..]).unwrap();
+            assert_eq!(pos, ["my data.csv"]);
+            assert_eq!(ChaosOptions::from_flags(&flags).unwrap(), opts, "{args:?}");
+            assert_eq!(flag(&flags, "chaos-plan"), Some(plan.to_spec().as_str()));
+        }
+    }
+
+    #[test]
+    fn a_switch_refuses_a_count() {
+        let err = parse_flags(&strings(&["data.csv", "--connect", "2"])).unwrap_err();
+        assert_eq!(err, "--connect is a switch and takes no value");
+        let (pos, flags) = parse_flags(&strings(&["--connect", "data.csv"])).unwrap();
+        assert_eq!((pos, flag(&flags, "connect")), (strings(&["data.csv"]), Some("true")));
     }
 }

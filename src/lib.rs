@@ -62,12 +62,12 @@ pub mod prelude {
     pub use dwc_core::{
         run_fleet, shrink_plan, AbortPolicy, AllocationStrategy, BreakerConfig, CancelToken,
         ChaosKind, ChaosPlan, ChaosRun, ChaosState, ChaosTally, Checkpoint, CircuitBreaker,
-        ClientPool, ConfigError, Connection, CrawlConfig, CrawlError, CrawlEvent, CrawlReport,
-        CrawlTrace, Crawler, DataSource, DomainTable, EventSink, FaultKind, FaultPlan,
-        FaultPlanSource, FleetConfig, FleetJob, FleetReport, JobHealth, JsonlSink, LatencyModel,
-        MemorySink, MetricsRegistry, ProberMode, QueryMode, RetryPolicy, SchedulerStats,
-        ServeConfig, ServiceReport, SourceRequest, SourceService, StateJournal, StopReason, Tenant,
-        TenantId, UsageLedger,
+        ConfigError, Connection, CrawlConfig, CrawlError, CrawlEvent, CrawlReport, CrawlTrace,
+        Crawler, DataSource, DomainTable, EventSink, FaultKind, FaultPlan, FaultPlanSource,
+        FleetConfig, FleetJob, FleetReport, JobHealth, JsonlSink, LatencyModel, MemorySink,
+        MetricsRegistry, ProberMode, QueryMode, RetryPolicy, SchedulerStats, ServeConfig,
+        ServiceReport, SourceRequest, SourceService, StateJournal, StopReason, Tenant, TenantId,
+        UsageLedger,
     };
     pub use dwc_datagen::presets::Preset;
     pub use dwc_datagen::{PairedDataset, PairedSpec};

@@ -22,9 +22,9 @@
 //! set, written to `target/chaos/` (CI uploads it as an artifact), and
 //! printed as a reproducible `dwc chaos --chaos-plan …` invocation.
 //!
-//! A hedged sweep runs the non-halt schedules again through a two-connection
-//! pool that hedges past a threshold below the stall, checking every
-//! invariant but determinism (hedges fire on wall-clock time).
+//! A hedged sweep runs the non-halt schedules again through a connection
+//! that hedges past a threshold below the stall, checking every invariant
+//! but determinism (hedges fire on wall-clock time).
 //!
 //! The invariants themselves are [`ChaosRun::violation`], the check
 //! `dwc chaos` runs too.
@@ -62,9 +62,9 @@ fn run_crawl<S: DataSource>(source: S) -> CrawlReport {
 }
 
 /// Runs the GL crawl under `plan` on a fresh service over the figure-1
-/// table: through one connection on one worker, or, with `hedge` set,
-/// through a two-connection pool hedging past that threshold on two
-/// workers, so a hedge can overtake a stalled primary.
+/// table through one connection: on one worker, or, with `hedge` set,
+/// hedging past that threshold on two workers, so a hedge can overtake a
+/// stalled primary.
 fn run_chaos_with(plan: &ChaosPlan, hedge: Option<Duration>) -> ChaosRun {
     let inner = figure1_server();
     let workers = if hedge.is_some() { 2 } else { 1 };
@@ -73,24 +73,14 @@ fn run_chaos_with(plan: &ChaosPlan, hedge: Option<Duration>) -> ChaosRun {
     let sink = MemorySink::new();
     service.add_sink(Box::new(sink.clone()));
     let chaos = Arc::new(ChaosState::new(plan.clone()));
-    let (report, rounds_used) = match hedge {
-        None => {
-            let conn = service.connect().with_chaos(Arc::clone(&chaos));
-            let report = run_crawl(&conn);
-            drain(&service);
-            (report, conn.rounds_used())
-        }
-        Some(threshold) => {
-            let pool = service
-                .connect_pool(2)
-                .unwrap()
-                .with_chaos(Arc::clone(&chaos))
-                .with_hedging(threshold);
-            let report = run_crawl(&pool);
-            drain(&service);
-            (report, pool.rounds_used())
-        }
-    };
+    let mut conn = service.connect().with_chaos(Arc::clone(&chaos));
+    if let Some(threshold) = hedge {
+        conn = conn.with_hedging(threshold);
+    }
+    let report = run_crawl(&conn);
+    drain(&service);
+    let rounds_used = conn.rounds_used();
+    drop(conn);
     let service_report = service.shutdown();
     ChaosRun {
         report,
@@ -130,7 +120,7 @@ fn drain(service: &SourceService<WebDbServer>) {
 /// The counter half of a [`ServiceReport`] — everything that must be
 /// deterministic across same-seed runs (latencies are wall-clock and are
 /// not).
-fn counters(r: &ServiceReport) -> [u64; 10] {
+fn counters(r: &ServiceReport) -> [u64; 8] {
     [
         r.enqueued,
         r.completed,
@@ -140,8 +130,6 @@ fn counters(r: &ServiceReport) -> [u64; 10] {
         r.retransmitted,
         r.hedged,
         r.restarts,
-        r.breaker_trips,
-        r.breaker_recoveries,
     ]
 }
 
@@ -251,7 +239,7 @@ fn mixed_kind_schedules_hold_every_invariant() {
     }
 }
 
-/// The matrix's non-halt schedules through a hedging pool. Hedges fire on
+/// The matrix's non-halt schedules through a hedging connection. Hedges fire on
 /// wall-clock time, so a schedule's frame indices shift with timing and
 /// same-seed determinism is not checked; absorption, conservation and
 /// replay parity must hold on every run.

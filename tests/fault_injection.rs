@@ -31,7 +31,27 @@ fn imdb_server(seed: u64) -> Arc<WebDbServer> {
     Arc::new(WebDbServer::new(table, spec))
 }
 
-fn scratch_journal(name: &str) -> PathBuf {
+/// A journal path in a fresh directory under the temp dir; dropping it
+/// removes the directory with the journal in it.
+struct ScratchJournal(PathBuf);
+
+impl std::ops::Deref for ScratchJournal {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchJournal {
+    fn drop(&mut self) {
+        if let Some(dir) = self.0.parent() {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
+fn scratch_journal(name: &str) -> ScratchJournal {
     static N: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
         "dwc-faultinj-{}-{}-{name}",
@@ -39,7 +59,7 @@ fn scratch_journal(name: &str) -> PathBuf {
         N.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join("job.jnl")
+    ScratchJournal(dir.join("job.jnl"))
 }
 
 /// One supervised job over a faulty view of an IMDB source.
@@ -69,7 +89,7 @@ fn fleet_config() -> FleetConfig {
         .default_retry(RetryPolicy::retries(4))
         .max_restarts(5)
         .breaker(BreakerConfig { trip_after: 3, cooldown: 2 });
-    // CI's scheduler stress sweeps pool widths over the same fault matrix;
+    // CI's scheduler stress sweeps fleet widths over the same fault matrix;
     // every invariant here must hold at any worker count.
     if let Some(w) = std::env::var("DWC_WORKERS").ok().and_then(|s| s.parse().ok()) {
         builder = builder.workers(w);

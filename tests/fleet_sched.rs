@@ -2,18 +2,19 @@
 //!
 //! * **Budget conservation** — a property sweep over job counts × worker
 //!   counts × budgets × slices × allocation strategies: the fleet never
-//!   bills more than `total_rounds`, and a wide pool's report is identical
-//!   to a `workers = 1` run's on deterministic sources (the allocator sees
-//!   the same inputs every cycle whatever the width, so any drift is a
-//!   scheduler bug, not an allocation difference).
+//!   bills more than `total_rounds`, and a wide fleet's report and event
+//!   stream are identical to a `workers = 1` run's on deterministic sources
+//!   (the allocator sees the same inputs every cycle whatever the width,
+//!   and outcomes fold in dispatch order, so any drift is a scheduler bug,
+//!   not an allocation difference).
 //! * **Victim isolation** — a slice panic kills exactly the faulty job;
-//!   the pool keeps draining its siblings, which finish untouched — even
+//!   the workers keep draining its siblings, which finish untouched — even
 //!   when the source cannot be cloned.
 //! * **Determinism** — a `workers = 1` fleet is bit-for-bit reproducible:
 //!   same reports (per-query traces included) and same slice schedule on
 //!   every run.
 //! * **Stress matrix** — the CI fault matrix (`DWC_FAULT_KIND` ×
-//!   `DWC_FAULT_SEED`) replayed at the pool width given by `DWC_WORKERS`,
+//!   `DWC_FAULT_SEED`) replayed at the fleet width given by `DWC_WORKERS`,
 //!   so supervision invariants are exercised at 1, 2, and 8 workers.
 
 use deep_web_crawler::core::fleet::{
@@ -23,6 +24,7 @@ use deep_web_crawler::core::fleet::{
 use deep_web_crawler::core::replay_usage;
 use deep_web_crawler::prelude::*;
 use proptest::prelude::*;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -32,7 +34,27 @@ fn figure1_server() -> WebDbServer {
     WebDbServer::new(t, spec)
 }
 
-fn scratch_journal(name: &str) -> std::path::PathBuf {
+/// A journal path in a fresh directory under the temp dir; dropping it
+/// removes the directory with the journal in it.
+struct ScratchJournal(PathBuf);
+
+impl std::ops::Deref for ScratchJournal {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchJournal {
+    fn drop(&mut self) {
+        if let Some(dir) = self.0.parent() {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+}
+
+fn scratch_journal(name: &str) -> ScratchJournal {
     static N: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
         "dwc-fleetsched-{}-{}-{name}",
@@ -40,7 +62,7 @@ fn scratch_journal(name: &str) -> std::path::PathBuf {
         N.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::create_dir_all(&dir).unwrap();
-    dir.join("job.jnl")
+    ScratchJournal(dir.join("job.jnl"))
 }
 
 /// One self-contained figure-1 job. Every figure-1 query costs exactly one
@@ -62,7 +84,7 @@ fn jobs(n: usize) -> Vec<FleetJob<WebDbServer>> {
     (0..n).map(|i| job(seeds[i % seeds.len()])).collect()
 }
 
-/// Pool widths to sweep: the CI matrix pins one via `DWC_WORKERS`; local
+/// Fleet widths to sweep: the CI matrix pins one via `DWC_WORKERS`; local
 /// runs cover the serial, small, and oversubscribed cases.
 fn worker_counts() -> Vec<usize> {
     match std::env::var("DWC_WORKERS").ok().and_then(|s| s.parse().ok()) {
@@ -71,9 +93,21 @@ fn worker_counts() -> Vec<usize> {
     }
 }
 
+/// A fleet event stream with every `SliceCompleted`'s worker tag zeroed:
+/// the one field that may differ between widths.
+fn masked(events: &[CrawlEvent]) -> Vec<CrawlEvent> {
+    let mask = |e: &CrawlEvent| match *e {
+        CrawlEvent::SliceCompleted { job, rounds, tenant, total, pages, .. } => {
+            CrawlEvent::SliceCompleted { job, worker: 0, rounds, tenant, total, pages }
+        }
+        other => other,
+    };
+    events.iter().map(mask).collect()
+}
+
 /// The property sweep: billed rounds never exceed the budget, and every
-/// pool width reports exactly what the `workers = 1` baseline does, across
-/// the whole parameter grid.
+/// width reports exactly what the `workers = 1` baseline does, event stream
+/// included, across the whole parameter grid.
 #[test]
 fn budget_is_conserved_and_reports_match_baseline_across_the_grid() {
     for &n in &[1usize, 3, 17] {
@@ -115,6 +149,11 @@ fn budget_is_conserved_and_reports_match_baseline_across_the_grid() {
                             "pooled report diverged from the single-worker run at {ctx}"
                         );
                         assert_eq!(pooled.total_rounds, baseline.total_rounds, "at {ctx}");
+                        assert_eq!(
+                            masked(&pooled.events),
+                            masked(&baseline.events),
+                            "event stream diverged from the single-worker run at {ctx}"
+                        );
                     }
                 }
             }
@@ -123,7 +162,7 @@ fn budget_is_conserved_and_reports_match_baseline_across_the_grid() {
 }
 
 /// A panicking slice must take down only its own job: the supervisor
-/// rebuilds the victim from its journal while the pool keeps draining
+/// rebuilds the victim from its journal while the workers keep draining
 /// the three healthy siblings, whose health stays spotless.
 #[test]
 fn slice_panic_restarts_only_the_victim_job() {
@@ -134,7 +173,7 @@ fn slice_panic_restarts_only_the_victim_job() {
             let plan = if i == 0 { FaultPlan::new().panic_at(4) } else { FaultPlan::new() };
             let mut builder = CrawlConfig::builder().known_target_size(5);
             if i == 0 {
-                builder = builder.journal_path(&journal);
+                builder = builder.journal_path(&*journal);
             }
             fleet_jobs.push(FleetJob {
                 source: FaultPlanSource::new(Arc::new(figure1_server()), plan),
@@ -233,10 +272,9 @@ fn run_fleet_restarts_a_panicking_job_over_a_non_clone_source() {
     }
 }
 
-/// `workers = 1` is the reproducibility anchor: one worker drains the
-/// injector strictly in submission order, so two identical runs produce
-/// identical reports (per-query traces included) *and* identical slice
-/// schedules.
+/// `workers = 1` is the reproducibility anchor: the coordinator runs every
+/// slice itself in dispatch order, so two identical runs produce identical
+/// reports (per-query traces included) *and* identical slice schedules.
 #[test]
 fn single_worker_fleet_is_fully_deterministic() {
     let run = || {
@@ -276,7 +314,7 @@ fn matrix_plan(kind: &str, seed: u64) -> FaultPlan {
 }
 
 /// The CI stress cell: a supervised fleet (one faulted job among healthy
-/// siblings) must preserve the full harvest at whatever pool width
+/// siblings) must preserve the full harvest at whatever fleet width
 /// `DWC_WORKERS` pins — supervision semantics cannot depend on how slices
 /// interleave across workers.
 #[test]
@@ -291,7 +329,7 @@ fn fault_matrix_holds_at_every_pool_width() {
             let mut builder =
                 CrawlConfig::builder().known_target_size(5).max_requeues(10).max_retries(8);
             if i == 0 {
-                builder = builder.journal_path(&journal);
+                builder = builder.journal_path(&*journal);
             }
             fleet_jobs.push(FleetJob {
                 source: FaultPlanSource::new(Arc::new(figure1_server()), plan),
@@ -521,7 +559,7 @@ proptest! {
 /// Satellite: per-tenant ledgers survive the whole fault matrix — the
 /// `rounds` fields sum exactly to the fleet total, and replaying
 /// `FleetReport::events` through a fresh registry reproduces every ledger
-/// bit-for-bit, at every pool width, under every `DWC_FAULT_KIND` plan.
+/// bit-for-bit, at every fleet width, under every `DWC_FAULT_KIND` plan.
 #[test]
 fn tenanted_fault_matrix_conserves_and_replays_ledgers() {
     let kind = std::env::var("DWC_FAULT_KIND").unwrap_or_else(|_| "mixed".into());
@@ -534,7 +572,7 @@ fn tenanted_fault_matrix_conserves_and_replays_ledgers() {
             let mut builder =
                 CrawlConfig::builder().known_target_size(5).max_requeues(10).max_retries(8);
             if i == 0 {
-                builder = builder.journal_path(&journal);
+                builder = builder.journal_path(&*journal);
             }
             fleet_jobs.push(FleetJob {
                 source: FaultPlanSource::new(Arc::new(figure1_server()), plan),

@@ -228,10 +228,10 @@ proptest! {
             .build()
             .expect("valid serve config");
         let service = SourceService::start(Arc::clone(&server), config);
-        let pool = Arc::new(service.connect_pool(2).expect("nonzero pool"));
+        let conn = Arc::new(service.connect());
 
         let crawl = |policy_seed: u64| {
-            let pool = Arc::clone(&pool);
+            let conn = Arc::clone(&conn);
             let mut builder = CrawlConfig::builder()
                 .max_rounds(60)
                 .prober(ProberMode::Wire)
@@ -242,7 +242,7 @@ proptest! {
             let config = builder.build().expect("valid crawl config");
             std::thread::spawn(move || {
                 let mut crawler =
-                    Crawler::new(pool, PolicyKind::Random(policy_seed).build(), config);
+                    Crawler::new(conn, PolicyKind::Random(policy_seed).build(), config);
                 crawler.add_seed("A", "v0");
                 crawler.add_seed("B", "v1");
                 crawler.run().rounds
@@ -251,9 +251,9 @@ proptest! {
         let threads = [crawl(1), crawl(2)];
         let crawled: u64 = threads.into_iter().map(|t| t.join().expect("crawl thread")).sum();
 
-        prop_assert_eq!(crawled, pool.rounds_used(), "every round billed exactly once");
+        prop_assert_eq!(crawled, conn.rounds_used(), "every round billed exactly once");
 
-        drop(pool);
+        drop(conn);
         let served = service.shutdown();
         prop_assert_eq!(served.enqueued, served.completed + served.cancelled,
             "a drained queue completes or cancels everything it admitted");

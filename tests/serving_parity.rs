@@ -78,18 +78,32 @@ fn protocol_crawl_report_is_identical_to_in_process() {
     assert_eq!(served.cancelled, 0);
 }
 
-/// Parity also holds through a connection pool: N logical connections into
-/// one service are still one source, with one global bill.
+/// Parity also holds through a hedging connection: a hedge is a same-id
+/// second transmission, served from the dedup window, so it moves nothing
+/// above the seam. Hedges fire on wall-clock time; each one bills exactly
+/// one extra round, whichever way it ends.
 #[test]
-fn pooled_connections_preserve_parity() {
+fn hedged_connection_preserves_parity() {
     let in_process = run_crawl(imdb_server(11), crawl_config());
 
-    let service = SourceService::start(imdb_server(11), ServeConfig::default());
-    let pool = service.connect_pool(4).expect("nonzero pool");
-    let protocol = run_crawl(&pool, crawl_config());
-
+    let config = ServeConfig::builder().workers(2).build().expect("valid serve config");
+    let service = SourceService::start(imdb_server(11), config);
+    let conn = service.connect().with_hedging(Duration::from_micros(200));
+    let protocol = run_crawl(&conn, crawl_config());
     assert_eq!(protocol, in_process);
-    assert_eq!(protocol.rounds, pool.rounds_used());
+
+    // Losing hedges may still be draining when the crawl's last reply lands.
+    loop {
+        let r = service.service_report();
+        if r.enqueued == r.completed + r.cancelled {
+            break;
+        }
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let billed = conn.rounds_used();
+    drop(conn);
+    let served = service.shutdown();
+    assert_eq!(billed, protocol.rounds + served.hedged, "one round per hedge, none lost");
 }
 
 /// A crawl-wide token fired before the run stops the crawl at its first
