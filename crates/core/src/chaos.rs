@@ -563,6 +563,26 @@ impl ChaosRun {
 mod tests {
     use super::*;
 
+    /// Every truncation and every bit flip that stays UTF-8 of a spec
+    /// naming every kind parses to an error or to a plan that round-trips
+    /// through its spec, and never panics.
+    #[test]
+    fn damaged_specs_are_errors_or_round_tripping_plans() {
+        let plan = ChaosKind::ALL
+            .iter()
+            .enumerate()
+            .fold(ChaosPlan::new(), |plan, (i, &kind)| plan.at(7 + 130 * i as u64, kind));
+        assert_eq!(plan.len(), ChaosKind::ALL.len());
+        let mut parsed = 0;
+        crate::for_each_damaged(&plan.to_spec(), |spec| {
+            if let Ok(plan) = ChaosPlan::from_spec(spec) {
+                assert_eq!(ChaosPlan::from_spec(&plan.to_spec()), Ok(plan), "from {spec:?}");
+                parsed += 1;
+            }
+        });
+        assert!(parsed > 0, "every prefix that ends between entries parses");
+    }
+
     #[test]
     fn seeded_plans_are_deterministic_and_rate_bounded() {
         let a = ChaosPlan::seeded(42, 1000, 0.1, &[]);

@@ -630,6 +630,25 @@ mod tests {
         }
     }
 
+    /// FNV-1a is not a MAC: a hostile writer can reseal any body behind a
+    /// valid checksum. Every truncation and every bit flip that stays UTF-8
+    /// of a body with escaped names and values, `L_queried` and records,
+    /// resealed, decodes to an error or to a checkpoint that passes
+    /// `validate`, and never panics.
+    #[test]
+    fn resealed_damaged_bodies_are_errors_or_valid_checkpoints() {
+        let text = demo().to_text();
+        let body = &text[text.find('\n').unwrap() + 1..];
+        let mut decoded = 0;
+        crate::for_each_damaged(body, |damaged| {
+            if let Ok(cp) = Checkpoint::from_text(&checksummed(damaged)) {
+                assert_eq!(cp.validate(), Ok(()), "from {damaged:?}");
+                decoded += 1;
+            }
+        });
+        assert!(decoded > 0, "some flips (a digit of a count or key) still decode");
+    }
+
     /// Header counts past what the input holds, and ids past the
     /// vocabulary, are errors: none may size an allocation or reach
     /// `Crawler::resume`, which would abort or panic on them.

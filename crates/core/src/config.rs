@@ -12,7 +12,7 @@
 //! [`CrawlConfig::checkpoint_every`] sets how often it is rebased.
 
 use crate::abort::AbortPolicy;
-use crate::source::{CancelToken, ProberMode};
+use crate::source::ProberMode;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -182,8 +182,6 @@ pub struct CrawlConfig {
     /// Stop after this many elapsed rounds — page requests plus retry
     /// backoff waits (Figures 5–6 use 10,000).
     pub max_rounds: Option<u64>,
-    /// Stop after this many queries.
-    pub max_queries: Option<u64>,
     /// Stop when true coverage reaches this fraction (requires
     /// `known_target_size`; Figure 3 uses 0.9).
     pub target_coverage: Option<f64>,
@@ -222,17 +220,12 @@ pub struct CrawlConfig {
     /// answer instantly and ignore it; a [`crate::serve::SourceService`]
     /// cancels (and bills) requests still queued past it.
     pub deadline: Option<Duration>,
-    /// Cooperative cancellation for the whole crawl: when the token fires,
-    /// the executor stops submitting requests and the driver finalizes the
-    /// report with [`crate::StopReason::Cancelled`].
-    pub cancel: Option<CancelToken>,
 }
 
 impl Default for CrawlConfig {
     fn default() -> Self {
         CrawlConfig {
             max_rounds: None,
-            max_queries: None,
             target_coverage: None,
             known_target_size: None,
             abort: AbortPolicy::default(),
@@ -244,7 +237,6 @@ impl Default for CrawlConfig {
             checkpoint_every: None,
             journal_path: None,
             deadline: None,
-            cancel: None,
         }
     }
 }
@@ -266,12 +258,6 @@ impl CrawlConfigBuilder {
     /// Caps elapsed rounds (requests + backoff waits). Must be positive.
     pub fn max_rounds(mut self, rounds: u64) -> Self {
         self.config.max_rounds = Some(rounds);
-        self
-    }
-
-    /// Caps issued queries. Must be positive.
-    pub fn max_queries(mut self, queries: u64) -> Self {
-        self.config.max_queries = Some(queries);
         self
     }
 
@@ -343,20 +329,11 @@ impl CrawlConfigBuilder {
         self
     }
 
-    /// Attaches a crawl-wide cancellation token.
-    pub fn cancel(mut self, token: CancelToken) -> Self {
-        self.config.cancel = Some(token);
-        self
-    }
-
     /// Validates and returns the configuration.
     pub fn build(self) -> Result<CrawlConfig, ConfigError> {
         let c = &self.config;
         if c.max_rounds == Some(0) {
             return Err(ConfigError::ZeroBudget("max_rounds"));
-        }
-        if c.max_queries == Some(0) {
-            return Err(ConfigError::ZeroBudget("max_queries"));
         }
         if c.checkpoint_every == Some(0) {
             return Err(ConfigError::ZeroBudget("checkpoint_every"));
@@ -412,10 +389,6 @@ mod tests {
             ConfigError::ZeroBudget("max_rounds")
         );
         assert_eq!(
-            CrawlConfig::builder().max_queries(0).build().unwrap_err(),
-            ConfigError::ZeroBudget("max_queries")
-        );
-        assert_eq!(
             CrawlConfig::builder()
                 .query_mode(QueryMode::Conjunctive { arity: 1 })
                 .build()
@@ -434,11 +407,7 @@ mod tests {
             CrawlConfig::builder().deadline(Duration::ZERO).build().unwrap_err(),
             ConfigError::ZeroDeadline
         );
-        assert!(CrawlConfig::builder()
-            .deadline(Duration::from_millis(50))
-            .cancel(CancelToken::new())
-            .build()
-            .is_ok());
+        assert!(CrawlConfig::builder().deadline(Duration::from_millis(50)).build().is_ok());
         assert!(CrawlConfig::builder()
             .max_rounds(10_000)
             .known_target_size(5)

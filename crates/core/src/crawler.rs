@@ -268,23 +268,15 @@ impl<S: DataSource> Crawler<S> {
         self.bus.metrics().report().expect("CrawlFinished was just emitted")
     }
 
-    /// The stop rule [`Crawler::run`] checks before every query: the cancel
-    /// token, then the round budget, the query budget and the coverage
-    /// target, in that order. Loops that call [`Crawler::step`]
-    /// themselves check it the same way.
+    /// The stop rule [`Crawler::run`] checks before every query: the
+    /// paper's two conditions, the round budget (Def. 2.3; Figs. 5–6) and
+    /// then the coverage target (Fig. 3). Loops that call
+    /// [`Crawler::step`] themselves — the fleet's slices among them —
+    /// check it the same way.
     pub fn budget_stop(&self) -> Option<StopReason> {
-        if self.config.cancel.as_ref().is_some_and(crate::source::CancelToken::is_cancelled) {
-            return Some(StopReason::Cancelled);
-        }
-        let metrics = self.bus.metrics();
         if let Some(max) = self.config.max_rounds {
-            if metrics.elapsed_rounds() >= max {
+            if self.bus.metrics().elapsed_rounds() >= max {
                 return Some(StopReason::RoundBudget);
-            }
-        }
-        if let Some(max) = self.config.max_queries {
-            if metrics.queries() >= max {
-                return Some(StopReason::QueryBudget);
             }
         }
         if let (Some(target), Some(cov)) = (self.config.target_coverage, self.state.coverage()) {
@@ -489,17 +481,6 @@ mod tests {
         let report = crawler.run();
         assert_eq!(report.stop, StopReason::RoundBudget);
         assert_eq!(report.rounds, 2);
-    }
-
-    #[test]
-    fn query_budget_respected() {
-        let server = figure1_server(10);
-        let config = CrawlConfig::builder().max_queries(1).build().unwrap();
-        let mut crawler = Crawler::new(&server, PolicyKind::Bfs.build(), config);
-        crawler.add_seed("A", "a2");
-        let report = crawler.run();
-        assert_eq!(report.stop, StopReason::QueryBudget);
-        assert_eq!(report.queries, 1);
     }
 
     #[test]

@@ -29,16 +29,11 @@ pub enum StopReason {
     FrontierExhausted,
     /// The round budget was exhausted.
     RoundBudget,
-    /// The query budget was exhausted.
-    QueryBudget,
     /// The coverage target was reached.
     CoverageReached,
     /// The fleet abandoned the job after its worker exceeded the
     /// restart budget ([`crate::fleet::FleetConfig::max_restarts`]).
     WorkerFailed,
-    /// The crawl's [`crate::source::CancelToken`] fired: the driver stopped
-    /// issuing requests and finalized the report at the current state.
-    Cancelled,
     /// The job's tenant exhausted its round quota
     /// ([`crate::tenant::Tenant::round_quota`]) and the fleet parked the job
     /// at a slice boundary (cooperative preemption).
@@ -51,10 +46,8 @@ impl StopReason {
         match self {
             StopReason::FrontierExhausted => "frontier_exhausted",
             StopReason::RoundBudget => "round_budget",
-            StopReason::QueryBudget => "query_budget",
             StopReason::CoverageReached => "coverage_reached",
             StopReason::WorkerFailed => "worker_failed",
-            StopReason::Cancelled => "cancelled",
             StopReason::QuotaExhausted => "quota_exhausted",
         }
     }
@@ -63,10 +56,8 @@ impl StopReason {
         Some(match s {
             "frontier_exhausted" => StopReason::FrontierExhausted,
             "round_budget" => StopReason::RoundBudget,
-            "query_budget" => StopReason::QueryBudget,
             "coverage_reached" => StopReason::CoverageReached,
             "worker_failed" => StopReason::WorkerFailed,
-            "cancelled" => StopReason::Cancelled,
             "quota_exhausted" => StopReason::QuotaExhausted,
             _ => return None,
         })
@@ -322,8 +313,8 @@ pub enum CrawlEvent {
     /// (Definition 2.3 counts requests, not outcomes).
     RequestShed,
     /// An admitted request was cancelled at dequeue — its deadline expired
-    /// while it waited, or its cancellation token fired. Billed like any
-    /// other round.
+    /// while it waited, its hedged request had already been answered, or
+    /// its worker crashed before executing it. Billed like any other round.
     RequestCancelled,
     /// The serving tier finished processing an admitted request (whether the
     /// payload succeeded or carried a source error).
@@ -813,18 +804,7 @@ mod tests {
             }
         };
         for ev in all_variants() {
-            let line = ev.to_json();
-            for cut in (0..line.len()).filter(|&cut| line.is_char_boundary(cut)) {
-                check(&line[..cut]);
-            }
-            let mut bytes = line.into_bytes();
-            for bit in 0..bytes.len() * 8 {
-                bytes[bit / 8] ^= 1 << (bit % 8);
-                if let Ok(text) = std::str::from_utf8(&bytes) {
-                    check(text);
-                }
-                bytes[bit / 8] ^= 1 << (bit % 8);
-            }
+            crate::for_each_damaged(&ev.to_json(), check);
         }
     }
 

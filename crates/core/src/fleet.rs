@@ -23,7 +23,14 @@
 //!   [`AllocationStrategy`]: evenly, or proportionally to each job's
 //!   observed recent harvest rate — the fleet-level analogue of per-query
 //!   selection (spend the next rounds where they buy the most new records);
-//!   grants in a cycle are clamped to the remaining global budget;
+//!   grants in a cycle are clamped to the remaining global budget, but a
+//!   slice steps whole queries until its grant is spent, so its last query
+//!   can run past the grant and the fleet's bill can end a few rounds past
+//!   [`FleetConfig::total_rounds`];
+//! * a job's own limits — [`CrawlConfig::max_rounds`] and
+//!   [`CrawlConfig::target_coverage`] — end it exactly as they end a lone
+//!   crawl: each slice checks [`Crawler::budget_stop`] before every query,
+//!   and the job finishes with that stop reason;
 //! * jobs are billed in **elapsed rounds** — page requests plus retry
 //!   backoff waits ([`crate::RetryPolicy`]) — so a job stuck retrying a
 //!   flaky source drains its own budget, not its siblings';
@@ -142,8 +149,10 @@ pub struct FleetJob<S: DataSource> {
     /// Seed values (attribute name, value string). Ignored when `resume`
     /// is set — a resumed crawl re-enters its persisted frontier instead.
     pub seeds: Vec<(String, String)>,
-    /// Per-job config template (budgets are driven by the fleet; leave
-    /// `max_rounds` unset).
+    /// Per-job config. The fleet's grants pace the job; its own
+    /// `max_rounds` and `target_coverage`, when set, end it as they end a
+    /// lone crawl ([`Crawler::budget_stop`]), and it finishes with that
+    /// stop reason.
     pub config: CrawlConfig,
     /// Start from this checkpoint instead of the seeds. The checkpointed
     /// rounds count against [`FleetConfig::total_rounds`].
@@ -158,6 +167,8 @@ pub struct FleetJob<S: DataSource> {
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// Total elapsed rounds across all jobs (requests + backoff waits).
+    /// Grants never sum past it; a slice's last query may still run past
+    /// its grant, so the fleet's bill can end slightly above it.
     pub total_rounds: u64,
     /// Rounds distributed per allocation slice.
     pub slice: u64,
@@ -359,7 +370,7 @@ impl FleetReport {
 /// coordinator. Job-indexed slices (`rates`, `tenant_of`) cover *all* jobs;
 /// the allocator must only grant to indices listed in `active`.
 pub struct AllocCycle<'a> {
-    /// Indices of schedulable jobs: not done, breaker closed, tenant not
+    /// Indices of schedulable jobs: not stopped, breaker closed, tenant not
     /// quota-parked.
     pub active: &'a [usize],
     /// Per-job recent normalized harvest rates.
@@ -624,14 +635,16 @@ struct SliceOutcome<S: DataSource> {
 /// would only add an allocation to every slice.
 #[allow(clippy::large_enum_variant)]
 enum SliceEnd<S: DataSource> {
-    /// The grant was spent or the frontier dried up; the crawler returns to
-    /// its coordinator slot.
+    /// The grant was spent or the job stopped; the crawler returns to its
+    /// coordinator slot.
     Parked {
         crawler: Crawler<S>,
         /// Elapsed rounds billed during this slice alone.
         slice_rounds: u64,
         recent_rate: f64,
-        exhausted: bool,
+        /// Why the job stopped during this slice, if it did: its frontier
+        /// dried up or its own [`Crawler::budget_stop`] fired.
+        stop: Option<StopReason>,
     },
     /// The slice panicked. The crawler's in-memory state is suspect, so only
     /// its source handle comes back; the coordinator rebuilds the job over
@@ -640,28 +653,34 @@ enum SliceEnd<S: DataSource> {
 }
 
 /// Executes one slice on worker `worker`: steps the crawler until the grant
-/// is spent or the frontier dries up, under `catch_unwind` so a panicking
-/// job is isolated per *slice* and the worker thread survives.
+/// is spent, the frontier dries up or the job's own stop rule fires, under
+/// `catch_unwind` so a panicking job is isolated per *slice* and the worker
+/// thread survives. The stop rule is checked before every query and once
+/// more when the grant is spent, as [`Crawler::run`] checks it.
 fn slice_handler<S: DataSource>(worker: u32, task: SliceTask<S>) -> SliceOutcome<S> {
     let SliceTask { idx, mut crawler, grant } = task;
     let before = crawler.elapsed_rounds();
     let target = before + grant;
     let stepped = catch_unwind(AssertUnwindSafe(|| {
-        let mut exhausted = false;
-        while !exhausted && crawler.elapsed_rounds() < target {
-            exhausted = crawler.step().is_none();
+        while crawler.elapsed_rounds() < target {
+            if let Some(stop) = crawler.budget_stop() {
+                return Some(stop);
+            }
+            if crawler.step().is_none() {
+                return Some(StopReason::FrontierExhausted);
+            }
         }
-        exhausted
+        crawler.budget_stop()
     }));
     let end = match stepped {
-        Ok(exhausted) => SliceEnd::Parked {
+        Ok(stop) => SliceEnd::Parked {
             slice_rounds: crawler.elapsed_rounds() - before,
-            recent_rate: crawler.state().recent_harvest_mean(8).unwrap_or(if exhausted {
+            recent_rate: crawler.state().recent_harvest_mean(8).unwrap_or(if stop.is_some() {
                 0.0
             } else {
                 1.0
             }),
-            exhausted,
+            stop,
             crawler,
         },
         Err(_) => SliceEnd::Panicked(crawler.into_source()),
@@ -742,10 +761,12 @@ struct Slot<S: DataSource> {
     crawler: Option<Crawler<S>>,
     /// Recent normalized harvest rate, the proportional allocator's input.
     rate: f64,
-    /// No more slices: frontier exhausted or abandoned.
-    done: bool,
+    /// Why the job takes no more slices, once it stopped: its frontier
+    /// dried up, its own round budget or coverage target fired, or it was
+    /// abandoned ([`StopReason::WorkerFailed`]).
+    stop: Option<StopReason>,
     /// Parked by cooperative preemption (tenant over quota). Parked is not
-    /// done: the job finalizes with [`StopReason::QuotaExhausted`].
+    /// stopped: the job finalizes with [`StopReason::QuotaExhausted`].
     parked: bool,
     /// Billed elapsed rounds and page requests: running maxima over every
     /// crawler the job has had, so a restart never un-bills.
@@ -810,7 +831,7 @@ impl<S: DataSource> Coordinator<'_, S> {
             tenant,
             crawler: None,
             rate: 1.0,
-            done: false,
+            stop: None,
             parked: false,
             rounds: 0,
             pages: 0,
@@ -864,7 +885,7 @@ impl<S: DataSource> Coordinator<'_, S> {
         let config = self.config;
         for (i, slot) in self.slots.iter_mut().enumerate() {
             let Some(t) = slot.tenant else { continue };
-            if slot.done || slot.parked {
+            if slot.stop.is_some() || slot.parked {
                 continue;
             }
             if config.tenants[t].round_quota.is_some_and(|q| self.tenant_used[t] >= q) {
@@ -889,9 +910,9 @@ impl<S: DataSource> Coordinator<'_, S> {
     /// Folds one slice outcome back into the job's slot.
     fn fold(&mut self, out: SliceOutcome<S>) {
         let i = out.idx;
-        let (crawler, slice_rounds, recent_rate, exhausted) = match out.end {
-            SliceEnd::Parked { crawler, slice_rounds, recent_rate, exhausted } => {
-                (crawler, slice_rounds, recent_rate, exhausted)
+        let (crawler, slice_rounds, recent_rate, stop) = match out.end {
+            SliceEnd::Parked { crawler, slice_rounds, recent_rate, stop } => {
+                (crawler, slice_rounds, recent_rate, stop)
             }
             SliceEnd::Panicked(source) => return self.recover(i, source),
         };
@@ -907,7 +928,7 @@ impl<S: DataSource> Coordinator<'_, S> {
         self.bill(i, crawler.elapsed_rounds(), crawler.rounds());
         let slot = &mut self.slots[i];
         slot.rate = recent_rate;
-        slot.done |= exhausted;
+        slot.stop = stop;
         if let Some((from, to)) = slot.breaker.observe(crawler.fault_streak()) {
             slot.supervision.record(&CrawlEvent::BreakerTransition { job: i as u32, from, to });
             // A tripped tenant job is parked off the schedule: that is a
@@ -928,7 +949,7 @@ impl<S: DataSource> Coordinator<'_, S> {
         let crawler = slot.recipe.build(source, checkpoint.as_ref());
         if slot.supervision.worker_restarts() >= self.config.max_restarts {
             slot.supervision.record(&CrawlEvent::JobAbandoned { job: i as u32 });
-            slot.done = true;
+            slot.stop = Some(StopReason::WorkerFailed);
             slot.report = Some(crawler.into_report(StopReason::WorkerFailed));
             self.retire(i);
             return;
@@ -954,13 +975,11 @@ impl<S: DataSource> Coordinator<'_, S> {
             // Finalizing syncs the job's journal: its last state is what
             // `dwc resume` picks up.
             let crawler = slot.crawler.take().expect("unfinished job has a parked crawler");
-            let stop = if slot.done {
-                StopReason::FrontierExhausted
-            } else if slot.parked {
+            let stop = slot.stop.unwrap_or(if slot.parked {
                 StopReason::QuotaExhausted
             } else {
                 StopReason::RoundBudget
-            };
+            });
             let pages = crawler.rounds();
             let report = crawler.into_report(stop);
             self.bill(i, report.elapsed_rounds(), pages);
@@ -985,8 +1004,8 @@ impl<S: DataSource> Coordinator<'_, S> {
     }
 }
 
-/// Runs the fleet to budget exhaustion (or until every job's frontier is
-/// dry) on at most [`FleetConfig::resolved_workers`] threads per cycle,
+/// Runs the fleet to budget exhaustion (or until every job stopped: its
+/// frontier dried up, or its own round budget or coverage target fired) on at most [`FleetConfig::resolved_workers`] threads per cycle,
 /// supervising every job as the [module docs](self) describe: a panicking
 /// slice restarts its job from its journal (up to
 /// [`FleetConfig::max_restarts`] times, then the job finishes as
@@ -1024,14 +1043,14 @@ where
     loop {
         let spent: u64 = fleet.slots.iter().map(|s| s.rounds).sum();
         let remaining = config.total_rounds.saturating_sub(spent);
-        if remaining == 0 || fleet.slots.iter().all(|s| s.done) {
+        if remaining == 0 || fleet.slots.iter().all(|s| s.stop.is_some()) {
             break;
         }
         fleet.preempt_over_quota();
         fleet.tick_breakers();
         // A tripped or parked job is paused by *not scheduling it* — it
         // holds no thread, its crawler just stays parked in its slot.
-        let schedulable = |s: &Slot<S>| !s.done && !s.parked;
+        let schedulable = |s: &Slot<S>| s.stop.is_none() && !s.parked;
         let active: Vec<usize> = (0..fleet.slots.len())
             .filter(|&i| schedulable(&fleet.slots[i]) && !fleet.slots[i].breaker.is_open())
             .collect();

@@ -1157,7 +1157,7 @@ mod tests {
         assert_eq!(StateJournal::recover(&path).unwrap().unwrap().checkpoint, crawler.checkpoint());
         assert!(bak.exists());
 
-        let report = crawler.into_report(crate::StopReason::QueryBudget);
+        let report = crawler.into_report(crate::StopReason::RoundBudget);
         assert_eq!((report.checkpoints_written, report.checkpoint_failures), (2, 2));
         clean(&path);
     }

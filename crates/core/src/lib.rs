@@ -25,7 +25,7 @@
 //! [`dwc_server::WebDbServer`], a fault-injecting decorator
 //! ([`fault::FaultPlanSource`]), and a protocol-backed [`serve::Connection`]
 //! into a [`serve::SourceService`] (bounded queue, admission control,
-//! deadlines, cancellation) interchangeable.
+//! deadlines) interchangeable.
 //! Because the trait is implemented for `&S` and `Arc<S>` too, the same
 //! generic [`Crawler`] covers both exclusive borrow-style use and fleets of
 //! workers sharing one source ([`fleet`]).
@@ -86,11 +86,27 @@ pub use sched::SchedulerStats;
 pub use serve::{
     Connection, LatencyModel, ServeConfig, ServeConfigBuilder, ServiceReport, SourceService,
 };
-pub use source::{
-    CancelToken, CrawlError, DataSource, PageMeta, ServiceMeta, SourceRequest, SourceResponse,
-};
+pub use source::{CrawlError, DataSource, PageMeta, SourceRequest, SourceResponse};
 pub use stage::{Executor, Ingestor, Planner};
 pub use state::{CandStatus, CrawlState, QueryOutcome};
 pub use store::CheckpointStore;
 pub use tenant::{Tenant, TenantId, UsageLedger};
 pub use trace::{CrawlTrace, TraceError};
+
+/// Hands `check` every prefix of `text` that ends on a char boundary and
+/// every single-bit flip of `text` that is still UTF-8: the damage every
+/// decoder of untrusted text must survive with an error or a valid value.
+#[cfg(test)]
+pub(crate) fn for_each_damaged(text: &str, mut check: impl FnMut(&str)) {
+    for cut in (0..text.len()).filter(|&cut| text.is_char_boundary(cut)) {
+        check(&text[..cut]);
+    }
+    let mut bytes = text.as_bytes().to_vec();
+    for bit in 0..bytes.len() * 8 {
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        if let Ok(flipped) = std::str::from_utf8(&bytes) {
+            check(flipped);
+        }
+        bytes[bit / 8] ^= 1 << (bit % 8);
+    }
+}

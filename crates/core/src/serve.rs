@@ -28,9 +28,8 @@
 //!   [`CrawlError::Rejected`] and the service bills the round itself (the
 //!   request reached the service; Definition 2.3 counts requests, not
 //!   outcomes). The queue can never grow unboundedly.
-//! * **Deadlines & cancellation.** A queued request whose deadline passes or
-//!   whose [`CancelToken`] fires is cancelled at dequeue — billed, answered
-//!   [`CrawlError::Cancelled`], never executed.
+//! * **Deadlines.** A queued request whose deadline passes is cancelled at
+//!   dequeue — billed, answered [`CrawlError::Cancelled`], never executed.
 //! * **Exactly-once under a lossy wire.** Every logical request carries an
 //!   idempotent request id. The service keeps a bounded dedup window: the
 //!   first transmission of an id executes, every later transmission of the
@@ -57,7 +56,7 @@
 //!   connection into the same reply channel: the dedup window makes the
 //!   race safe, and the first intact frame wins. A hedge shed, halted or
 //!   lost at submit is billed but never answers, and nothing is transmitted
-//!   after `respond` returns: the request's token fires then, so a
+//!   after `respond` returns: the request is marked settled then, so a
 //!   transmission still queued is cancelled at dequeue and a stalled
 //!   primary is billed as a retransmit, never executed, however long ago
 //!   its outcome left the dedup window. BENCH-7 gates the p99 it buys
@@ -70,9 +69,11 @@
 //!   [`CrawlEvent::ServiceRestarted`];
 //!   [`MetricsRegistry`](crate::metrics::MetricsRegistry) folds them into a
 //!   [`ServiceReport`], and [`crate::metrics::replay_service_report`]
-//!   reproduces it from a recorded stream. Service events never enter the
-//!   *crawl* bus — crawl reports stay bit-identical across transports,
-//!   which is what the parity and chaos suites check.
+//!   reproduces it from a recorded stream. This stream is the one place a
+//!   request's queue depth and latency are reported; responses carry page
+//!   facts only. Service events never enter the *crawl* bus — crawl reports
+//!   stay bit-identical across transports, which is what the parity and
+//!   chaos suites check.
 //!
 //! Responses cross the boundary as frames: the worker visits the inner
 //! source's page zero-copy, re-encodes it with
@@ -90,16 +91,13 @@ use crate::chaos::{ChaosKind, ChaosState};
 use crate::events::{CrawlEvent, EventBus, EventSink};
 use crate::extract::{page_ref_to_wire, parse_page_ref, ExtractedPageRef};
 use crate::fault::splitmix64;
-use crate::source::{
-    CancelToken, CrawlError, DataSource, PageMeta, ProberMode, ServiceMeta, SourceRequest,
-    SourceResponse,
-};
+use crate::source::{CrawlError, DataSource, PageMeta, ProberMode, SourceRequest, SourceResponse};
 use crate::ConfigError;
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use dwc_server::{InterfaceSpec, Query};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -115,7 +113,8 @@ pub struct ServiceReport {
     pub completed: u64,
     /// Requests refused at admission because the queue was full.
     pub shed: u64,
-    /// Requests cancelled at dequeue (deadline expired or token fired).
+    /// Requests cancelled at dequeue (deadline expired, hedged request
+    /// already settled, or worker crashed before executing).
     pub cancelled: u64,
     /// Largest queue depth observed at any admission.
     pub max_queue_depth: u32,
@@ -325,7 +324,7 @@ fn truncated(wire: &str) -> &str {
 }
 
 /// The frame a worker ships back on success: the page re-encoded into the
-/// XML wire format plus the service-level facts that ride alongside it.
+/// XML wire format plus whether the source served it from its render cache.
 /// The encoded page is shared, not copied: the dedup window, parked waiters
 /// and every reply to one request id hold a handle to the buffer the worker
 /// wrote.
@@ -333,7 +332,6 @@ fn truncated(wire: &str) -> &str {
 struct ReplyFrame {
     wire: Arc<String>,
     served_from_cache: bool,
-    latency_us: u64,
     /// [`wire_checksum`] of `wire` as it left the worker; survives chaos
     /// truncation so the client can detect it.
     checksum: u64,
@@ -373,15 +371,15 @@ struct Job {
     page_index: usize,
     prober: ProberMode,
     deadline: Option<Instant>,
-    cancel: Option<CancelToken>,
     enqueued_at: Instant,
     seq: u64,
     /// Idempotent request id: identical across retransmits, duplicates and
     /// hedges of one logical request.
     rid: u64,
-    /// A hedged request's token, fired once its `respond` returned: the
-    /// job is then billed but never executed. `None` for unhedged requests.
-    settled: Option<CancelToken>,
+    /// A hedged request's settled flag, set once its `respond` returned:
+    /// the job is then billed but never executed. `None` for unhedged
+    /// requests.
+    settled: Option<Arc<AtomicBool>>,
     chaos: JobChaos,
     reply: Sender<Reply>,
 }
@@ -398,7 +396,7 @@ enum DedupEntry {
 
 /// Outcomes retained after completion; old entries are evicted FIFO. A
 /// retransmit or chaos duplicate lands right after its first transmission,
-/// and a hedged request's late transmissions are settled by their token, not
+/// and a hedged request's late transmissions are settled by its flag, not
 /// by this window, so a window this deep is effectively unbounded for real
 /// schedules.
 const DEDUP_WINDOW: usize = 256;
@@ -549,7 +547,7 @@ fn worker_loop<S: DataSource>(
     shared: Arc<ServiceShared>,
     config: ServeConfig,
 ) {
-    let fired = |token: &Option<CancelToken>| token.as_ref().is_some_and(CancelToken::is_cancelled);
+    let settled = |job: &Job| job.settled.as_ref().is_some_and(|s| s.load(Ordering::Acquire));
     while let Ok(job) = rx.recv() {
         let latency = |job: &Job| job.enqueued_at.elapsed().as_micros() as u64;
         if job.chaos.crash_before {
@@ -563,7 +561,7 @@ fn worker_loop<S: DataSource>(
             continue;
         }
         let expired = job.deadline.is_some_and(|d| Instant::now() >= d);
-        if expired || fired(&job.cancel) || fired(&job.settled) {
+        if expired || settled(&job) {
             shared.cancelled.fetch_add(1, Ordering::Relaxed);
             shared.emit(CrawlEvent::RequestCancelled);
             let _ = job.reply.try_send(Err(CrawlError::Cancelled));
@@ -579,7 +577,7 @@ fn worker_loop<S: DataSource>(
             match dedup.entries.get_mut(&job.rid) {
                 // The hedged request returned while this transmission was
                 // stalled; its outcome may have left the window since.
-                _ if fired(&job.settled) => Claim::Parked,
+                _ if settled(&job) => Claim::Parked,
                 None => {
                     dedup.entries.insert(job.rid, DedupEntry::InFlight(Vec::new()));
                     Claim::Fresh
@@ -601,14 +599,10 @@ fn worker_loop<S: DataSource>(
                 shared.emit(CrawlEvent::RequestCompleted { latency_us: latency(&job) });
                 continue;
             }
-            Claim::Served(mut outcome) => {
+            Claim::Served(outcome) => {
                 shared.retransmitted.fetch_add(1, Ordering::Relaxed);
                 shared.emit(CrawlEvent::FrameRetransmitted { request: job.rid });
-                let latency_us = latency(&job);
-                shared.emit(CrawlEvent::RequestCompleted { latency_us });
-                if let Ok(frame) = &mut outcome {
-                    frame.latency_us = latency_us;
-                }
+                shared.emit(CrawlEvent::RequestCompleted { latency_us: latency(&job) });
                 ship_reply(&job, outcome);
                 continue;
             }
@@ -622,7 +616,6 @@ fn worker_loop<S: DataSource>(
             page_index: job.page_index,
             prober: job.prober,
             deadline: job.deadline,
-            cancel: job.cancel.as_ref(),
         };
         let mut wire = None;
         let mut records = 0u32;
@@ -653,7 +646,6 @@ fn worker_loop<S: DataSource>(
             ReplyFrame {
                 wire: Arc::new(wire),
                 served_from_cache: resp.meta.served_from_cache,
-                latency_us,
                 checksum,
             }
         });
@@ -753,17 +745,16 @@ impl<S> Connection<S> {
 impl<S: DataSource> Connection<S> {
     /// Transmits one request: decides the chaos fate of its request and
     /// reply frames, builds the job around `reply` and the hedged request's
-    /// `settled` token, and offers it to the queue. `Ok(Some(depth))`
-    /// carries the queue depth at admission; `Ok(None)` means the wire ate
-    /// the request frame before the service saw it (nothing billed;
-    /// retransmit).
+    /// `settled` flag, and offers it to the queue. `Ok(false)` means the
+    /// wire ate the request frame before the service saw it (nothing
+    /// billed; retransmit).
     fn submit(
         &self,
         request: &SourceRequest<'_>,
         rid: u64,
-        settled: Option<&CancelToken>,
+        settled: Option<&Arc<AtomicBool>>,
         reply: Sender<Reply>,
-    ) -> Result<Option<u32>, CrawlError> {
+    ) -> Result<bool, CrawlError> {
         let mut jc = JobChaos::default();
         let mut duplicate = false;
         if let Some(chaos) = &self.chaos {
@@ -779,7 +770,7 @@ impl<S: DataSource> Connection<S> {
                     // link. None of these reach the service: unbilled.
                     ChaosKind::Drop | ChaosKind::Corrupt | ChaosKind::Disconnect => {
                         self.shared.emit(CrawlEvent::FrameDropped { frame });
-                        return Ok(None);
+                        return Ok(false);
                     }
                     ChaosKind::Stall => jc.exec_delay = chaos.plan().stall(),
                     ChaosKind::Reorder => jc.exec_delay = chaos.plan().reorder(),
@@ -818,7 +809,6 @@ impl<S: DataSource> Connection<S> {
             page_index: request.page_index,
             prober: request.prober,
             deadline,
-            cancel: request.cancel.cloned(),
             enqueued_at: Instant::now(),
             seq: self.shared.seq.fetch_add(1, Ordering::Relaxed),
             rid,
@@ -826,7 +816,7 @@ impl<S: DataSource> Connection<S> {
             chaos,
             reply,
         };
-        let depth = self.enqueue(job(jc, reply))?;
+        self.enqueue(job(jc, reply))?;
         if duplicate {
             // The wire doubled the request frame: a second job with the
             // same request id, admitted like any other. The dedup window
@@ -834,19 +824,18 @@ impl<S: DataSource> Connection<S> {
             // goes nowhere.
             let _ = self.enqueue(job(JobChaos::default(), bounded(1).0));
         }
-        Ok(Some(depth))
+        Ok(true)
     }
 
     /// The one admission path: the bounded queue. A full queue is a shed,
     /// billed here — the request reached the service, and Definition 2.3
-    /// counts requests, not outcomes. Returns the queue depth the admitted
-    /// job saw.
-    fn enqueue(&self, job: Job) -> Result<u32, CrawlError> {
+    /// counts requests, not outcomes. The queue depth the admitted job saw
+    /// goes to the service's event stream.
+    fn enqueue(&self, job: Job) -> Result<(), CrawlError> {
         match self.tx.try_send(job) {
             Ok(()) => {
-                let depth = self.tx.len() as u32;
-                self.shared.emit(CrawlEvent::RequestEnqueued { depth });
-                Ok(depth)
+                self.shared.emit(CrawlEvent::RequestEnqueued { depth: self.tx.len() as u32 });
+                Ok(())
             }
             Err(TrySendError::Full(_)) => {
                 self.shared.shed.fetch_add(1, Ordering::Relaxed);
@@ -859,29 +848,28 @@ impl<S: DataSource> Connection<S> {
 
     /// The one transmission loop, hedged or not: transmit, await, verify,
     /// and retransmit with the same request id until an intact frame (or a
-    /// definitive error) arrives. Returns the intact frame and the queue
-    /// depth its transmission saw.
+    /// definitive error) arrives.
     ///
     /// Each transmission's job answers on a fresh reply channel. With
     /// hedging on, a reply that outlives the threshold draws at most one
     /// same-id hedge, into the same channel; the first intact frame wins.
-    /// Every job of a hedged request carries its settled token, which fires
+    /// Every job of a hedged request carries its settled flag, which is set
     /// on every return, so a job that outlives the answer is billed but
     /// never executed. The loop retransmits only once every sender of the
     /// channel is gone, so no job it sent can still answer, and it
     /// transmits nothing after it returns.
-    fn fetch_frame(&self, request: &SourceRequest<'_>) -> Result<(ReplyFrame, u32), CrawlError> {
+    fn fetch_frame(&self, request: &SourceRequest<'_>) -> Result<ReplyFrame, CrawlError> {
         let rid = self.shared.request_ids.fetch_add(1, Ordering::Relaxed);
         let mut hedge_at = self.hedge_after.map(|after| Instant::now() + after);
-        let settled = hedge_at.is_some().then(|| Settled(CancelToken::new()));
-        let token = settled.as_ref().map(|s| &s.0);
+        let settled = hedge_at.is_some().then(|| Settled(Arc::default()));
+        let flag = settled.as_ref().map(|s| &s.0);
         for _ in 0..RETRANSMIT_LIMIT {
             let (tx, rx) = bounded(2);
             // A sender is held back only while a hedge may still join.
             let mut held = hedge_at.map(|at| (at, tx.clone()));
-            let Some(depth) = self.submit(request, rid, token, tx)? else {
+            if !self.submit(request, rid, flag, tx)? {
                 continue;
-            };
+            }
             let mut failed = None;
             loop {
                 let reply = match held.take() {
@@ -896,7 +884,7 @@ impl<S: DataSource> Connection<S> {
                                 // answers.
                                 hedge_at = None;
                                 self.shared.emit(CrawlEvent::Hedged { request: rid });
-                                let _ = self.submit(request, rid, token, tx);
+                                let _ = self.submit(request, rid, flag, tx);
                                 continue;
                             }
                         }
@@ -908,7 +896,7 @@ impl<S: DataSource> Connection<S> {
                 };
                 match reply {
                     Ok(frame) if wire_checksum(frame.wire.as_bytes()) == frame.checksum => {
-                        return Ok((frame, depth))
+                        return Ok(frame)
                     }
                     // Truncated in transit; the intact frame is cached.
                     Ok(_) => {}
@@ -931,13 +919,13 @@ impl<S: DataSource> Connection<S> {
     }
 }
 
-/// A hedged request's settled token, fired when `fetch_frame` returns by
-/// any path.
-struct Settled(CancelToken);
+/// A hedged request's settled flag, set when `fetch_frame` returns by any
+/// path.
+struct Settled(Arc<AtomicBool>);
 
 impl Drop for Settled {
     fn drop(&mut self) {
-        self.0.cancel();
+        self.0.store(true, Ordering::Release);
     }
 }
 
@@ -947,7 +935,6 @@ impl ReplyFrame {
     /// served garbage.
     fn deliver(
         &self,
-        queue_depth: u32,
         visit: &mut dyn FnMut(&ExtractedPageRef<'_>),
     ) -> Result<SourceResponse, CrawlError> {
         let page = parse_page_ref(&self.wire).map_err(|_| CrawlError::CorruptPage)?;
@@ -958,10 +945,7 @@ impl ReplyFrame {
             served_from_cache: self.served_from_cache,
         };
         visit(&page);
-        Ok(SourceResponse {
-            meta,
-            service: Some(ServiceMeta { queue_depth, latency_us: self.latency_us }),
-        })
+        Ok(SourceResponse { meta })
     }
 }
 
@@ -971,8 +955,7 @@ impl<S: DataSource> DataSource for Connection<S> {
         request: &SourceRequest<'_>,
         visit: &mut dyn FnMut(&ExtractedPageRef<'_>),
     ) -> Result<SourceResponse, CrawlError> {
-        let (frame, depth) = self.fetch_frame(request)?;
-        frame.deliver(depth, visit)
+        self.fetch_frame(request)?.deliver(visit)
     }
 
     fn interface(&self) -> &InterfaceSpec {
@@ -1068,7 +1051,6 @@ mod tests {
                 direct = Some(page.to_owned_page());
             })
             .unwrap();
-        assert!(direct_meta.service.is_none());
 
         let service = SourceService::start(Arc::clone(&inner), ServeConfig::default());
         let conn = service.connect();
@@ -1082,8 +1064,6 @@ mod tests {
         assert_eq!(response.meta.page_index, direct_meta.meta.page_index);
         assert_eq!(response.meta.total_matches, direct_meta.meta.total_matches);
         assert_eq!(response.meta.has_more, direct_meta.meta.has_more);
-        let service_meta = response.service.expect("protocol responses carry service meta");
-        assert!(service_meta.latency_us < 10_000_000);
 
         // One executed request, zero shed/cancelled: billing matches the
         // inner counter exactly (the direct probe billed one round too).
@@ -1169,22 +1149,6 @@ mod tests {
         assert_eq!(report.cancelled, 1);
         assert_eq!(report.enqueued, 1);
         assert_eq!(report.completed, 0);
-    }
-
-    #[test]
-    fn fired_token_cancels_queued_requests() {
-        let inner = Arc::new(server());
-        let query = a2(&inner);
-        let service = SourceService::start(Arc::clone(&inner), ServeConfig::default());
-        let conn = service.connect();
-
-        let token = CancelToken::new();
-        token.cancel();
-        let request = SourceRequest::new(&query, 0, ProberMode::Wire).with_cancel(&token);
-        assert_eq!(conn.respond(&request, &mut |_| {}).unwrap_err(), CrawlError::Cancelled);
-
-        drop(conn);
-        assert_eq!(service.shutdown().cancelled, 1);
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //! ([`crate::serve::Connection`]) interchangeably.
 //!
 //! The boundary is a request/response seam: the crawler submits a
-//! [`SourceRequest`] envelope (query, page index, prober mode, and the
-//! service-level intent — an optional deadline and a [`CancelToken`]) and
-//! receives a [`SourceResponse`] (page facts plus, when the source really is
-//! a service, the [`ServiceMeta`] observed for the request). The single
-//! entry point is [`DataSource::respond`].
+//! [`SourceRequest`] envelope (query, page index, prober mode, and an
+//! optional deadline — the one piece of service-level intent) and receives
+//! a [`SourceResponse`] (page facts). The single entry point is
+//! [`DataSource::respond`]. A service's own observations — queue depth,
+//! latency — travel on its event stream
+//! ([`crate::serve::ServiceReport`]), not on each response.
 //!
 //! Results cross the boundary in *extracted* form
 //! ([`crate::extract::ExtractedPageRef`]: attribute names + value strings) —
@@ -29,7 +30,6 @@
 use crate::extract::{parse_page_ref, ExtractedPageRef, ExtractedRecordRef};
 use dwc_server::{InterfaceSpec, Query, ServerError, WebDbServer};
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -69,9 +69,9 @@ pub enum CrawlError {
     /// this is the client half of the backpressure loop.
     Rejected,
     /// The request was cancelled before execution: its deadline expired
-    /// while queued, or its [`CancelToken`] fired. The round is billed; a
-    /// retry with a fresh deadline may succeed, while a fired token makes
-    /// the executor stop re-submitting entirely.
+    /// while queued, or the service was gone. The round is billed when the
+    /// request reached the service; a retry with a fresh deadline may
+    /// succeed.
     Cancelled,
     /// A definitive interface rejection — retrying the identical request
     /// cannot succeed.
@@ -107,7 +107,7 @@ impl std::fmt::Display for CrawlError {
             }
             CrawlError::CorruptPage => write!(f, "corrupt result page rejected by extractor"),
             CrawlError::Rejected => write!(f, "request shed at admission (service queue full)"),
-            CrawlError::Cancelled => write!(f, "request cancelled (deadline or token)"),
+            CrawlError::Cancelled => write!(f, "request cancelled (deadline or service gone)"),
             CrawlError::Fatal(e) => write!(f, "fatal source error: {e}"),
         }
     }
@@ -122,41 +122,13 @@ impl std::error::Error for CrawlError {
     }
 }
 
-/// A shared cancellation flag: cloning hands out another handle to the same
-/// flag, so a driver can cancel every in-flight and future request built
-/// from the token. Cancellation is cooperative — the serving tier checks it
-/// at dequeue, the executor before each attempt; neither interrupts an
-/// execution already running.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken {
-    flag: Arc<AtomicBool>,
-}
-
-impl CancelToken {
-    /// A fresh, uncancelled token.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fires the token. Irrevocable; every clone observes it.
-    pub fn cancel(&self) {
-        self.flag.store(true, Ordering::Release);
-    }
-
-    /// Whether the token has fired.
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
-    }
-}
-
 /// One page request, as an explicit envelope.
 ///
 /// The crawl semantics (`query`, `page_index`, `prober`) say *what* to
-/// fetch; the service intent (`deadline`, `cancel`) says *how long the
-/// caller is willing to wait*. In-process sources answer immediately and
-/// ignore the service fields — which is exactly what keeps single-worker
-/// crawls bit-for-bit reproducible — while the serving tier
-/// ([`crate::serve`]) enforces them against its queue.
+/// fetch; the `deadline` says *how long the caller is willing to wait*.
+/// In-process sources answer immediately and ignore it — which is exactly
+/// what keeps single-worker crawls bit-for-bit reproducible — while the
+/// serving tier ([`crate::serve`]) enforces it against its queue.
 #[derive(Debug, Clone, Copy)]
 pub struct SourceRequest<'a> {
     /// The query to execute.
@@ -168,31 +140,18 @@ pub struct SourceRequest<'a> {
     /// Absolute point after which the caller no longer wants the response.
     /// A queued request past its deadline is cancelled (and billed).
     pub deadline: Option<Instant>,
-    /// Cooperative cancellation handle for this request.
-    pub cancel: Option<&'a CancelToken>,
 }
 
 impl<'a> SourceRequest<'a> {
-    /// An envelope with no deadline and no cancellation token.
+    /// An envelope with no deadline.
     pub fn new(query: &'a Query, page_index: usize, prober: ProberMode) -> Self {
-        SourceRequest { query, page_index, prober, deadline: None, cancel: None }
+        SourceRequest { query, page_index, prober, deadline: None }
     }
 
     /// Sets an absolute deadline.
     pub fn with_deadline(mut self, deadline: Instant) -> Self {
         self.deadline = Some(deadline);
         self
-    }
-
-    /// Attaches a cancellation token.
-    pub fn with_cancel(mut self, cancel: &'a CancelToken) -> Self {
-        self.cancel = Some(cancel);
-        self
-    }
-
-    /// Whether the envelope is already dead on arrival: its token fired.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancel.is_some_and(CancelToken::is_cancelled)
     }
 }
 
@@ -211,33 +170,11 @@ pub struct PageMeta {
     pub served_from_cache: bool,
 }
 
-/// What the serving tier observed while handling one request. In-process
-/// sources never attach this — their responses are function returns, not
-/// service completions — so its presence is also the marker that a response
-/// crossed a real request/response boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServiceMeta {
-    /// Queue depth right after this request was admitted.
-    pub queue_depth: u32,
-    /// Wall-clock latency from admission to reply, in microseconds (queue
-    /// wait + modeled service latency + execution + decode cost).
-    pub latency_us: u64,
-}
-
 /// The response envelope paired with [`SourceRequest`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SourceResponse {
     /// Page-level facts (the records themselves went to the visitor).
     pub meta: PageMeta,
-    /// Service-level observations, when the source is a real service.
-    pub service: Option<ServiceMeta>,
-}
-
-impl SourceResponse {
-    /// A response straight from an in-process source: page facts only.
-    pub fn in_process(meta: PageMeta) -> Self {
-        SourceResponse { meta, service: None }
-    }
 }
 
 /// A queryable structured web source, as a crawler sees it.
@@ -310,9 +247,9 @@ impl DataSource for WebDbServer {
     /// view straight off the server's interner (no render, no parse, no
     /// string copies); `Wire` goes through [`WebDbServer::rendered_page`], so
     /// overlapping fleet workers reuse cached renders and the zero-copy
-    /// parser slices the shared buffer in place. The request's deadline and
-    /// token are ignored: an in-process call returns before either could
-    /// matter, which keeps single-worker crawls deterministic.
+    /// parser slices the shared buffer in place. The request's deadline is
+    /// ignored: an in-process call returns before it could matter, which
+    /// keeps single-worker crawls deterministic.
     fn respond(
         &self,
         request: &SourceRequest<'_>,
@@ -353,7 +290,7 @@ impl DataSource for WebDbServer {
                     served_from_cache: false,
                 };
                 visit(&view);
-                Ok(SourceResponse::in_process(meta))
+                Ok(SourceResponse { meta })
             }
             ProberMode::Wire => {
                 let rendered = self.rendered_page(query, page_index)?;
@@ -365,7 +302,7 @@ impl DataSource for WebDbServer {
                     served_from_cache: rendered.cache_hit(),
                 };
                 visit(&view);
-                Ok(SourceResponse::in_process(meta))
+                Ok(SourceResponse { meta })
             }
         }
     }
@@ -473,19 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_token_fires_once_for_every_clone() {
-        let token = CancelToken::new();
-        let clone = token.clone();
-        assert!(!token.is_cancelled());
-        let q = a2_query();
-        let req = SourceRequest::new(&q, 0, ProberMode::InProcess).with_cancel(&clone);
-        assert!(!req.is_cancelled());
-        token.cancel();
-        assert!(clone.is_cancelled());
-        assert!(req.is_cancelled(), "the envelope observes the shared flag");
-    }
-
-    #[test]
     fn blanket_impls_share_the_billing() {
         let s = Arc::new(server());
         let a = Arc::clone(&s);
@@ -523,26 +447,13 @@ mod tests {
     }
 
     #[test]
-    fn respond_reports_no_service_meta_in_process() {
-        let s = server();
-        let q = a2_query();
-        for prober in [ProberMode::InProcess, ProberMode::Wire] {
-            let resp = s.respond(&SourceRequest::new(&q, 0, prober), &mut |_| {}).unwrap();
-            assert_eq!(resp.service, None, "{prober:?}: no service boundary was crossed");
-        }
-    }
-
-    #[test]
     fn in_process_respond_ignores_deadline_and_token() {
-        // The envelope may carry service intent, but an in-process source
-        // answers immediately — determinism requires it never consults them.
+        // The envelope may carry a deadline, but an in-process source
+        // answers immediately — determinism requires it never consults it.
         let s = server();
         let q = a2_query();
-        let token = CancelToken::new();
-        token.cancel();
         let req = SourceRequest::new(&q, 0, ProberMode::InProcess)
-            .with_deadline(Instant::now() - std::time::Duration::from_secs(1))
-            .with_cancel(&token);
+            .with_deadline(Instant::now() - std::time::Duration::from_secs(1));
         let mut visited = false;
         let resp = s.respond(&req, &mut |_| visited = true).unwrap();
         assert!(visited);

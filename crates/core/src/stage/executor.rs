@@ -12,7 +12,7 @@ use crate::abort::{AbortPolicy, AbortState};
 use crate::config::{CrawlConfig, RetryPolicy};
 use crate::events::{CrawlEvent, EventBus};
 use crate::extract::ExtractedPageRef;
-use crate::source::{CancelToken, CrawlError, DataSource, PageMeta, ProberMode, SourceRequest};
+use crate::source::{CrawlError, DataSource, PageMeta, ProberMode, SourceRequest};
 use crate::stage::ingestor::{Ingestor, PageIngest};
 use crate::state::{CrawlState, QueryOutcome};
 use dwc_model::ValueId;
@@ -48,7 +48,6 @@ pub struct Executor {
     prober: ProberMode,
     max_rounds: Option<u64>,
     deadline: Option<Duration>,
-    cancel: Option<CancelToken>,
 }
 
 impl Executor {
@@ -61,7 +60,6 @@ impl Executor {
             prober: config.prober,
             max_rounds: config.max_rounds,
             deadline: config.deadline,
-            cancel: config.cancel.clone(),
         }
     }
 
@@ -156,18 +154,10 @@ impl Executor {
     ) -> PageFetch {
         let mut attempt = 0u32;
         loop {
-            // A fired crawl token stops re-submission BEFORE the round is
-            // requested: nothing is offered to the source, nothing is billed.
-            if self.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
-                return PageFetch::GaveUp { transient: true };
-            }
             bus.emit(CrawlEvent::PageRequested);
             let mut request = SourceRequest::new(query, page_index, self.prober);
             if let Some(per_request) = self.deadline {
                 request = request.with_deadline(Instant::now() + per_request);
-            }
-            if let Some(token) = self.cancel.as_ref() {
-                request = request.with_cancel(token);
             }
             let err = match source.respond(&request, visit) {
                 Ok(response) => return PageFetch::Meta(response.meta),

@@ -282,6 +282,47 @@ pub fn to_csv(table: &UniversalTable) -> String {
 mod tests {
     use super::*;
 
+    /// Every truncation and every single-bit flip that stays UTF-8 of a
+    /// document with quoted fields, escaped quotes, a quoted newline and
+    /// both header flags loads to an error or to a table whose every value
+    /// is non-empty and belongs to a header column, at most one per
+    /// single-valued column, and never panics.
+    #[test]
+    fn damaged_documents_load_to_an_error_or_a_consistent_table() {
+        let doc = "Title,Author+,Year*\n\"Paper, the \"\"first\"\"\",smith;jones,2004\n\
+                   \"two\nlines\",lee;,\"2005\"\n";
+        let mut loaded = 0;
+        let mut check = |text: &str| {
+            let Ok(table) = load_csv(text) else { return };
+            let (schema, interner) = (table.schema(), table.interner());
+            for (_, rec) in table.iter() {
+                let mut per_column = vec![0usize; schema.len()];
+                for &v in rec.values() {
+                    let attr = interner.attr_of(v);
+                    assert!((attr.0 as usize) < schema.len(), "from {text:?}");
+                    assert!(!interner.value_str(v).is_empty(), "from {text:?}");
+                    per_column[attr.0 as usize] += 1;
+                }
+                for (i, &n) in per_column.iter().enumerate() {
+                    assert!(n <= 1 || schema.attr(AttrId(i as u16)).multi_valued, "from {text:?}");
+                }
+            }
+            loaded += 1;
+        };
+        for cut in (0..doc.len()).filter(|&cut| doc.is_char_boundary(cut)) {
+            check(&doc[..cut]);
+        }
+        let mut bytes = doc.as_bytes().to_vec();
+        for bit in 0..bytes.len() * 8 {
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(text) = std::str::from_utf8(&bytes) {
+                check(text);
+            }
+            bytes[bit / 8] ^= 1 << (bit % 8);
+        }
+        assert!(loaded > 0);
+    }
+
     const SAMPLE: &str =
         "Title,Author+,Year*\n\"Paper, the first\",smith;jones,2004\nSecond paper,lee,2005\n";
 

@@ -21,10 +21,10 @@
 //! FxHash ends in a multiply, so its low bits see only the low bytes of the
 //! last word; homing on them put DBLP's 37,814 values on 1,621 of 65,536
 //! slots and made a successful lookup walk about 71 slots, where the top bits
-//! need about 2. [`value_hash`] itself is frozen: the packed image stores it
-//! per value, `SegmentTable` persists that image, and the end-to-end
-//! benchmark's table fingerprints hash it, so only the slot rule — never the
-//! hash — may change.
+//! need about 2. [`value_hash`] itself is frozen: the packed image
+//! ([`ValueInterner::to_packed_bytes`]) stores it per value and the
+//! end-to-end benchmark's table fingerprints hash that image, so only the
+//! slot rule — never the hash — may change.
 
 use crate::flat::{home_slot, over_load, slots_for};
 use std::fmt;
@@ -273,19 +273,19 @@ impl ValueInterner {
 }
 
 /// Magic header of the packed interner image.
-const SPILL_MAGIC: &[u8; 8] = b"DWCINTR1";
+const IMAGE_MAGIC: &[u8; 8] = b"DWCINTR1";
 
 impl ValueInterner {
-    /// Serializes the interner to a packed byte image: arena bytes plus the
-    /// span-length / attribute / **precomputed hash** columns, with an
-    /// FNV-1a checksum trailer. Because the hashes travel with the image,
-    /// [`ValueInterner::from_packed_bytes`] rebuilds the probe table without
-    /// ever rehashing a string — spilling and reloading a multi-million
-    /// value interner costs one sequential pass each way.
+    /// Serializes the interner to a packed byte image: the magic, the
+    /// attribute count, the value count and the arena length, then the
+    /// arena bytes and the span-length / attribute / **precomputed hash**
+    /// columns, with an FNV-1a checksum trailer. The end-to-end benchmark
+    /// fingerprints every generated table by this image, so its bytes are
+    /// frozen; nothing reads it back.
     pub fn to_packed_bytes(&self) -> Vec<u8> {
         let n = self.spans.len();
         let mut out = Vec::with_capacity(8 + 4 + 16 + self.arena.len() + n * 14 + 8);
-        out.extend_from_slice(SPILL_MAGIC);
+        out.extend_from_slice(IMAGE_MAGIC);
         out.extend_from_slice(&self.num_attrs.to_le_bytes());
         out.extend_from_slice(&(n as u64).to_le_bytes());
         out.extend_from_slice(&(self.arena.len() as u64).to_le_bytes());
@@ -302,66 +302,6 @@ impl ValueInterner {
         let sum = crate::packed::fnv1a64(&out);
         out.extend_from_slice(&sum.to_le_bytes());
         out
-    }
-
-    /// Reloads a packed image produced by [`ValueInterner::to_packed_bytes`].
-    /// Ids, strings, attributes and hashes come back identical; the probe
-    /// table is re-placed from the stored hashes (no string is rehashed).
-    pub fn from_packed_bytes(bytes: &[u8]) -> Result<Self, crate::packed::PackedError> {
-        use crate::packed::PackedError;
-        if bytes.len() < 8 + 4 + 16 + 8 {
-            return Err(PackedError::Truncated);
-        }
-        let (payload, trailer) = bytes.split_at(bytes.len() - 8);
-        let sum = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-        if crate::packed::fnv1a64(payload) != sum {
-            return Err(PackedError::Checksum);
-        }
-        if &payload[..8] != SPILL_MAGIC {
-            return Err(PackedError::Magic);
-        }
-        let num_attrs = u32::from_le_bytes(payload[8..12].try_into().expect("4 bytes"));
-        let count = u64::from_le_bytes(payload[12..20].try_into().expect("8 bytes")) as usize;
-        let arena_len = u64::from_le_bytes(payload[20..28].try_into().expect("8 bytes")) as usize;
-        let body = &payload[28..];
-        let need = arena_len
-            .checked_add(count.checked_mul(14).ok_or(PackedError::Layout)?)
-            .ok_or(PackedError::Layout)?;
-        if body.len() != need {
-            return Err(PackedError::Truncated);
-        }
-        let (arena_bytes, cols) = body.split_at(arena_len);
-        let arena = String::from_utf8(arena_bytes.to_vec()).map_err(|_| PackedError::Utf8)?;
-        let (len_col, cols) = cols.split_at(count * 4);
-        let (attr_col, hash_col) = cols.split_at(count * 2);
-        let mut spans = Vec::with_capacity(count);
-        let mut offset = 0u64;
-        for c in len_col.chunks_exact(4) {
-            let len = u32::from_le_bytes(c.try_into().expect("4 bytes"));
-            let start = u32::try_from(offset).map_err(|_| PackedError::Layout)?;
-            spans.push((start, len));
-            offset += u64::from(len);
-        }
-        if offset != arena_len as u64 {
-            return Err(PackedError::Layout);
-        }
-        // Span boundaries must fall on UTF-8 character boundaries.
-        if spans.iter().any(|&(s, _)| !arena.is_char_boundary(s as usize)) {
-            return Err(PackedError::Layout);
-        }
-        let attrs: Vec<AttrId> = attr_col
-            .chunks_exact(2)
-            .map(|c| AttrId(u16::from_le_bytes(c.try_into().expect("2 bytes"))))
-            .collect();
-        let hashes: Vec<u64> = hash_col
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect();
-        let mut it = ValueInterner { arena, spans, attrs, hashes, slots: Vec::new(), num_attrs };
-        if count > 0 {
-            it.rebuild_slots(slots_for(count + 1));
-        }
-        Ok(it)
     }
 }
 
@@ -496,47 +436,22 @@ mod tests {
         assert_eq!(it.len(), 1000);
     }
 
+    /// The end-to-end benchmark fingerprints tables by this image, so its
+    /// layout and its stored hashes must never move.
     #[test]
-    fn packed_spill_round_trips_without_rehashing() {
+    fn packed_image_bytes_are_frozen() {
         let mut it = ValueInterner::new();
-        let ids: Vec<_> =
-            (0..500).map(|i| it.intern(AttrId((i % 7) as u16), &format!("value-{i}-αβ"))).collect();
-        let bytes = it.to_packed_bytes();
-        let back = ValueInterner::from_packed_bytes(&bytes).unwrap();
-        assert_eq!(back.len(), it.len());
-        for (i, &id) in ids.iter().enumerate() {
-            assert_eq!(back.value_str(id), it.value_str(id));
-            assert_eq!(back.attr_of(id), it.attr_of(id));
-            assert_eq!(back.hash_of(id), it.hash_of(id), "hash column is preserved verbatim");
-            assert_eq!(
-                back.get(AttrId((i % 7) as u16), &format!("value-{i}-αβ")),
-                Some(id),
-                "probe table rebuilt from stored hashes resolves every id"
-            );
-        }
-        // The reloaded interner keeps assigning ids exactly where the
-        // original would.
-        let mut a = it.clone();
-        let mut b = back;
-        assert_eq!(a.intern(AttrId(1), "brand new"), b.intern(AttrId(1), "brand new"));
-    }
-
-    #[test]
-    fn packed_spill_rejects_corruption() {
-        use crate::packed::PackedError;
-        let mut it = ValueInterner::new();
-        it.intern(AttrId(0), "x");
-        let bytes = it.to_packed_bytes();
-        assert!(matches!(
-            ValueInterner::from_packed_bytes(&bytes[..5]),
-            Err(PackedError::Truncated)
-        ));
-        let mut flipped = bytes.clone();
-        flipped[10] ^= 0x40;
-        assert!(matches!(ValueInterner::from_packed_bytes(&flipped), Err(PackedError::Checksum)));
-        let empty = ValueInterner::new().to_packed_bytes();
-        let back = ValueInterner::from_packed_bytes(&empty).unwrap();
-        assert!(back.is_empty());
+        it.intern(AttrId(0), "ab");
+        it.intern(AttrId(1), "αβ");
+        let image = it.to_packed_bytes();
+        let mut head = b"DWCINTR1".to_vec();
+        head.extend_from_slice(&2u32.to_le_bytes());
+        head.extend_from_slice(&2u64.to_le_bytes());
+        head.extend_from_slice(&6u64.to_le_bytes());
+        head.extend_from_slice("abαβ".as_bytes());
+        assert_eq!(image[..head.len()], head[..]);
+        assert_eq!(image.len(), head.len() + 2 * (4 + 2 + 8) + 8);
+        assert_eq!(crate::packed::fnv1a64(&image), 0x8dec_77c3_3f5f_fbb0);
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //! * [`domset`] — greedy and exact weighted dominating set solvers
 //!   (Definition 2.4's optimal-crawl characterization),
 //! * [`packed`] — packed value encoding: offset-indexed list arenas shared
-//!   by the resident crawler state and the out-of-core segment layer, plus
-//!   the interner's prehashed spill image.
+//!   by the resident crawler state and the out-of-core segment layer, and
+//!   the FNV-1a checksum.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,6 +44,6 @@ pub mod table;
 pub use flat::U64Table;
 pub use graph::AvGraph;
 pub use interner::{value_hash, AttrId, ValueId, ValueInterner};
-pub use packed::{PackedError, PackedLists};
+pub use packed::PackedLists;
 pub use schema::{AttrSpec, Schema};
 pub use table::{Record, RecordId, UniversalTable};

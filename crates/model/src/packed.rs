@@ -8,10 +8,8 @@
 //! end offsets — the same encoding `dwc-store` writes to disk, kept here so
 //! the resident and paged representations are literally the same bytes.
 
-use std::fmt;
-
-/// FNV-1a 64-bit hash over a byte slice — the framing checksum used by the
-/// interner spill format, the checkpoint store, and the frame log.
+/// FNV-1a 64-bit hash over a byte slice — the checksum of the packed
+/// interner image, the checkpoint and the frame log.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -93,35 +91,6 @@ impl<T: Copy> PackedLists<T> {
             + self.data.capacity() * std::mem::size_of::<T>()
     }
 }
-
-/// Errors decoding a packed byte image (interner spill, segment metadata).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PackedError {
-    /// The image ended before its declared contents.
-    Truncated,
-    /// The magic header did not match.
-    Magic,
-    /// The trailing checksum did not match the payload.
-    Checksum,
-    /// String data was not valid UTF-8.
-    Utf8,
-    /// Internal lengths were inconsistent.
-    Layout,
-}
-
-impl fmt::Display for PackedError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PackedError::Truncated => write!(f, "packed image truncated"),
-            PackedError::Magic => write!(f, "packed image has wrong magic header"),
-            PackedError::Checksum => write!(f, "packed image failed its checksum"),
-            PackedError::Utf8 => write!(f, "packed image holds invalid UTF-8"),
-            PackedError::Layout => write!(f, "packed image layout is inconsistent"),
-        }
-    }
-}
-
-impl std::error::Error for PackedError {}
 
 #[cfg(test)]
 mod tests {

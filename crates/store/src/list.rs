@@ -95,23 +95,6 @@ pub struct ListStore {
 }
 
 impl ListStore {
-    /// Reconstructs a store from persisted metadata (see
-    /// [`SegmentTable`](crate::table::SegmentTable) meta files).
-    pub fn from_parts(
-        seg_offsets: SegmentId,
-        seg_data: SegmentId,
-        count: u64,
-        total_elems: u64,
-    ) -> Self {
-        ListStore { seg_offsets, seg_data, count, total_elems }
-    }
-
-    /// `(offsets segment, data segment, count, total elements)` for
-    /// persistence.
-    pub fn parts(&self) -> (SegmentId, SegmentId, u64, u64) {
-        (self.seg_offsets, self.seg_data, self.count, self.total_elems)
-    }
-
     /// Number of lists.
     pub fn len(&self) -> u64 {
         self.count

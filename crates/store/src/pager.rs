@@ -138,23 +138,13 @@ struct SegmentFile {
 const FLUSH_BYTES: usize = 1 << 20;
 
 impl FilePager {
-    /// Creates a pager over `dir` (created if absent). Existing segment
-    /// files in the directory are reopened in id order, so a pager over a
-    /// previously written directory sees its segments again.
+    /// Creates a pager over `dir` (created if absent) with no segments.
+    /// Segment files an earlier pager left in `dir` are never read:
+    /// [`SegmentPager::create_segment`] truncates the file it reuses.
     pub fn open(dir: &Path, page_size: usize) -> io::Result<Self> {
         let page_size = check_page_size(page_size);
         std::fs::create_dir_all(dir)?;
-        let mut segments = Vec::new();
-        loop {
-            let path = segment_path(dir, segments.len() as u32);
-            if !path.exists() {
-                break;
-            }
-            let file = OpenOptions::new().read(true).write(true).open(&path)?;
-            let flushed = file.metadata()?.len();
-            segments.push(SegmentFile { file, flushed, tail: Vec::new() });
-        }
-        Ok(FilePager { dir: dir.to_path_buf(), page_size, segments })
+        Ok(FilePager { dir: dir.to_path_buf(), page_size, segments: Vec::new() })
     }
 
     /// The directory holding this pager's segment files.
@@ -293,16 +283,17 @@ mod tests {
         let mut p = FilePager::open(&dir, 128).unwrap();
         exercise(&mut p);
         p.sync().unwrap();
-        let len_a = p.segment_len(0);
         drop(p);
-        // Reopen: same segments, same bytes.
-        let p2 = FilePager::open(&dir, 128).unwrap();
-        assert_eq!(p2.num_segments(), 2);
-        assert_eq!(p2.segment_len(0), len_a);
+        // Reopen: the old segment files are still there, but the pager
+        // starts empty and a new segment never reads their bytes.
+        let mut p2 = FilePager::open(&dir, 128).unwrap();
+        assert_eq!(p2.num_segments(), 0);
+        let s = p2.create_segment().unwrap();
+        assert_eq!(s, 0);
+        assert_eq!(p2.segment_len(s), 0);
         let mut buf = vec![0u8; 128];
-        let n = p2.read_page(0, 0, &mut buf).unwrap();
-        assert_eq!(n, 128);
-        assert_eq!(&buf[..3], &[1, 2, 3]);
+        assert_eq!(p2.read_page(s, 0, &mut buf).unwrap(), 0);
+        exercise(&mut p2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -16,14 +16,17 @@
 //! processed in contiguous id *buckets*, each bucket filled by one
 //! sequential scan of the record segment and appended sequentially to the
 //! postings segment.
+//!
+//! A table is built once, into an empty pager, and lives as long as that
+//! pager: there is no metadata file and no path that reopens a packed
+//! directory.
 
 use crate::list::{ListStore, ListWriter};
-use crate::pager::{FilePager, SegmentPager, DEFAULT_PAGE_SIZE};
+use crate::pager::SegmentPager;
 use crate::pool::{BufferPool, PoolStats};
 use crate::postings;
-use dwc_model::{AttrId, AttrSpec, Schema, ValueId, ValueInterner};
+use dwc_model::{AttrId, Schema, ValueId, ValueInterner};
 use std::io;
-use std::path::Path;
 
 /// Default RAM allowance for one postings bucket during the build (64 MiB of
 /// packed postings, i.e. 16M postings per scan).
@@ -286,128 +289,6 @@ impl SegmentTable {
         let lists: Vec<Vec<u32>> = values.iter().map(|&v| self.postings_vec(v)).collect();
         postings::intersect(&mut lists.iter().map(Vec::as_slice).collect::<Vec<_>>())
     }
-
-    /// Persists the table's metadata (schema, interner spill, column
-    /// layouts) as `table.meta` under `dir`, next to a [`FilePager`]'s
-    /// segment files, so [`SegmentTable::open`] can reattach later.
-    pub fn save_meta(&self, dir: &Path) -> io::Result<()> {
-        let mut out = Vec::new();
-        out.extend_from_slice(b"DWCSEGT1");
-        let (ro, rd, rc, re) = self.records.parts();
-        let (po, pd, pc, pe) = self.postings.parts();
-        for x in [u64::from(ro), u64::from(rd), rc, re, u64::from(po), u64::from(pd), pc, pe] {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.schema.len() as u32).to_le_bytes());
-        for (_, spec) in self.schema.iter() {
-            let name = spec.name.as_bytes();
-            out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-            out.extend_from_slice(name);
-            out.push(u8::from(spec.queriable));
-            out.push(u8::from(spec.multi_valued));
-        }
-        let interner = self.interner.to_packed_bytes();
-        out.extend_from_slice(&(interner.len() as u64).to_le_bytes());
-        out.extend_from_slice(&interner);
-        let sum = crate::fnv1a64(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        std::fs::write(dir.join("table.meta"), out)
-    }
-
-    /// Reattaches a table persisted under `dir` (segment files + meta),
-    /// with a buffer pool of `pool_bytes`. A meta that is truncated, fails
-    /// its checksum, or passes it but names more attributes than a schema
-    /// holds, a segment the directory lacks, or list and element counts its
-    /// segments' lengths disagree with is `InvalidData`.
-    pub fn open(dir: &Path, pool_bytes: usize) -> io::Result<Self> {
-        let bytes = std::fs::read(dir.join("table.meta"))?;
-        let bad = |msg: &str| io::Error::new(io::ErrorKind::InvalidData, msg.to_owned());
-        if bytes.len() < 8 + 64 + 4 + 8 + 8 {
-            return Err(bad("segment table meta truncated"));
-        }
-        let (payload, trailer) = bytes.split_at(bytes.len() - 8);
-        let sum = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-        if crate::fnv1a64(payload) != sum {
-            return Err(bad("segment table meta failed checksum"));
-        }
-        if &payload[..8] != b"DWCSEGT1" {
-            return Err(bad("segment table meta has wrong magic"));
-        }
-        let mut at = 8usize;
-        let next_u64 = |at: &mut usize| -> io::Result<u64> {
-            let end = *at + 8;
-            if end > payload.len() {
-                return Err(bad("segment table meta truncated"));
-            }
-            let v = u64::from_le_bytes(payload[*at..end].try_into().expect("8 bytes"));
-            *at = end;
-            Ok(v)
-        };
-        let mut cols = [0u64; 8];
-        for c in &mut cols {
-            *c = next_u64(&mut at)?;
-        }
-        let segment = |id: u64| u32::try_from(id).map_err(|_| bad("segment id past u32"));
-        let records = ListStore::from_parts(segment(cols[0])?, segment(cols[1])?, cols[2], cols[3]);
-        let postings =
-            ListStore::from_parts(segment(cols[4])?, segment(cols[5])?, cols[6], cols[7]);
-        if at + 4 > payload.len() {
-            return Err(bad("segment table meta truncated"));
-        }
-        let num_attrs =
-            u32::from_le_bytes(payload[at..at + 4].try_into().expect("4 bytes")) as usize;
-        at += 4;
-        if num_attrs > Schema::MAX_ATTRS {
-            return Err(bad("segment table meta has more attributes than a schema holds"));
-        }
-        // Every attribute takes at least a length and two flag bytes.
-        if num_attrs > (payload.len() - at) / 6 {
-            return Err(bad("segment table meta truncated"));
-        }
-        let mut attrs = Vec::with_capacity(num_attrs);
-        for _ in 0..num_attrs {
-            if at + 4 > payload.len() {
-                return Err(bad("segment table meta truncated"));
-            }
-            let len = u32::from_le_bytes(payload[at..at + 4].try_into().expect("4 bytes")) as usize;
-            at += 4;
-            if at + len + 2 > payload.len() {
-                return Err(bad("segment table meta truncated"));
-            }
-            let name = std::str::from_utf8(&payload[at..at + len])
-                .map_err(|_| bad("segment table meta attr name not UTF-8"))?
-                .to_owned();
-            at += len;
-            let queriable = payload[at] != 0;
-            let multi_valued = payload[at + 1] != 0;
-            at += 2;
-            attrs.push(AttrSpec { name, queriable, multi_valued });
-        }
-        let schema = Schema::new(attrs);
-        let ilen = next_u64(&mut at)? as usize;
-        if at + ilen != payload.len() {
-            return Err(bad("segment table meta truncated"));
-        }
-        let interner = ValueInterner::from_packed_bytes(&payload[at..at + ilen])
-            .map_err(|e| bad(&format!("interner spill: {e}")))?;
-        let pager = FilePager::open(dir, DEFAULT_PAGE_SIZE)?;
-        // A column's segments exist and hold one u64 end offset per list and
-        // one u32 per element, as the writer left them.
-        let fits = |(offsets, data, count, elems): (u32, u32, u64, u64)| {
-            offsets < pager.num_segments()
-                && data < pager.num_segments()
-                && count.checked_mul(8) == Some(pager.segment_len(offsets))
-                && elems.checked_mul(4) == Some(pager.segment_len(data))
-        };
-        if postings.len() != interner.len() as u64
-            || !fits(records.parts())
-            || !fits(postings.parts())
-        {
-            return Err(bad("segment table meta disagrees with its segments"));
-        }
-        let pool = BufferPool::with_budget(pool_bytes, pager.page_size());
-        Ok(SegmentTable { schema, interner, records, postings, pager: Box::new(pager), pool })
-    }
 }
 
 #[cfg(test)]
@@ -415,18 +296,7 @@ mod tests {
     use super::*;
     use crate::pager::MemPager;
     use dwc_model::fixtures::figure1_table;
-    use dwc_model::UniversalTable;
-    use std::path::PathBuf;
-
-    fn scratch_dir(name: &str) -> PathBuf {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static N: AtomicU64 = AtomicU64::new(0);
-        let n = N.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("dwc-segtable-{}-{n}-{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
+    use dwc_model::{AttrSpec, UniversalTable};
 
     fn paged_copy(table: &UniversalTable, page_size: usize, pool_bytes: usize) -> SegmentTable {
         SegmentTable::from_table(table, Box::new(MemPager::new(page_size)), pool_bytes).unwrap()
@@ -526,98 +396,5 @@ mod tests {
         assert_eq!(st.union(&[a2, c2]), vec![1, 2, 3, 4]);
         assert_eq!(st.intersect(&[a2, c2]), vec![2, 3]);
         assert_eq!(st.intersect(&[]), Vec::<u32>::new());
-    }
-
-    #[test]
-    fn persists_and_reopens_from_directory() {
-        let dir = scratch_dir("persist");
-        let t = figure1_table();
-        let pager = FilePager::open(&dir, DEFAULT_PAGE_SIZE).unwrap();
-        let st = SegmentTable::from_table(&t, Box::new(pager), 1 << 16).unwrap();
-        st.save_meta(&dir).unwrap();
-        drop(st);
-        let st = SegmentTable::open(&dir, 1 << 16).unwrap();
-        assert_matches_resident(&st, &t);
-        // Tampering with the meta is detected.
-        let meta = dir.join("table.meta");
-        let mut bytes = std::fs::read(&meta).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
-        std::fs::write(&meta, bytes).unwrap();
-        assert!(SegmentTable::open(&dir, 1 << 16).is_err());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Byte offset of the attribute count in a meta: the magic, then eight
-    /// `u64` column fields.
-    const ATTRS_AT: usize = 8 + 64;
-
-    /// `meta` with its body edited by `edit` and the checksum recomputed,
-    /// as a hostile writer would.
-    fn resealed(meta: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-        let mut body = meta[..meta.len() - 8].to_vec();
-        edit(&mut body);
-        let sum = crate::fnv1a64(&body);
-        body.extend_from_slice(&sum.to_le_bytes());
-        body
-    }
-
-    fn set_u64(body: &mut [u8], at: usize, value: u64) {
-        body[at..at + 8].copy_from_slice(&value.to_le_bytes());
-    }
-
-    #[test]
-    fn hostile_metas_behind_a_valid_checksum_are_invalid_data() {
-        let dir = scratch_dir("hostile");
-        let t = figure1_table();
-        let pager = FilePager::open(&dir, DEFAULT_PAGE_SIZE).unwrap();
-        let st = SegmentTable::from_table(&t, Box::new(pager), 1 << 16).unwrap();
-        st.save_meta(&dir).unwrap();
-        drop(st);
-        let path = dir.join("table.meta");
-        let meta = std::fs::read(&path).unwrap();
-        let attrs_end = {
-            let mut at = ATTRS_AT + 4;
-            for (_, spec) in t.schema().iter() {
-                at += 4 + spec.name.len() + 2;
-            }
-            at
-        };
-        let column = |i: usize| 8 + 8 * i;
-        let hostile: Vec<(&str, Vec<u8>)> = vec![
-            (
-                "an attribute count of u32::MAX",
-                resealed(&meta, |b| b[ATTRS_AT..ATTRS_AT + 4].copy_from_slice(&[0xff; 4])),
-            ),
-            (
-                "65,536 well-formed attributes",
-                resealed(&meta, |b| {
-                    let tail = b.split_off(attrs_end);
-                    b.truncate(ATTRS_AT);
-                    b.extend_from_slice(&65_536u32.to_le_bytes());
-                    for _ in 0..65_536 {
-                        b.extend_from_slice(&[0, 0, 0, 0, 1, 0]);
-                    }
-                    b.extend_from_slice(&tail);
-                }),
-            ),
-            ("a segment id past u32", resealed(&meta, |b| set_u64(b, column(1), 1 << 32))),
-            ("a segment the directory lacks", resealed(&meta, |b| set_u64(b, column(4), 99))),
-            ("one record too many", resealed(&meta, |b| set_u64(b, column(2), 6))),
-            ("one posting too many", resealed(&meta, |b| set_u64(b, column(7), 1 << 20))),
-            ("a list count past u64 bytes", resealed(&meta, |b| set_u64(b, column(2), u64::MAX))),
-            (
-                "a postings count unlike the interner's",
-                resealed(&meta, |b| set_u64(b, column(6), 3)),
-            ),
-        ];
-        for (what, bytes) in hostile {
-            std::fs::write(&path, &bytes).unwrap();
-            let err = SegmentTable::open(&dir, 1 << 16).expect_err(what);
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
-        }
-        std::fs::write(&path, &meta).unwrap();
-        assert_matches_resident(&SegmentTable::open(&dir, 1 << 16).unwrap(), &t);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

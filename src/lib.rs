@@ -60,14 +60,13 @@ pub use dwc_store as store;
 pub mod prelude {
     pub use dwc_core::policy::{MmmiConfig, PolicyKind, Saturation, SelectionPolicy};
     pub use dwc_core::{
-        run_fleet, shrink_plan, AbortPolicy, AllocationStrategy, BreakerConfig, CancelToken,
-        ChaosKind, ChaosPlan, ChaosRun, ChaosState, ChaosTally, Checkpoint, CircuitBreaker,
-        ConfigError, Connection, CrawlConfig, CrawlError, CrawlEvent, CrawlReport, CrawlTrace,
-        Crawler, DataSource, DomainTable, EventSink, FaultKind, FaultPlan, FaultPlanSource,
-        FleetConfig, FleetJob, FleetReport, JobHealth, JsonlSink, LatencyModel, MemorySink,
-        MetricsRegistry, ProberMode, QueryMode, RetryPolicy, SchedulerStats, ServeConfig,
-        ServiceReport, SourceRequest, SourceService, StateJournal, StopReason, Tenant, TenantId,
-        UsageLedger,
+        run_fleet, shrink_plan, AbortPolicy, AllocationStrategy, BreakerConfig, ChaosKind,
+        ChaosPlan, ChaosRun, ChaosState, ChaosTally, Checkpoint, CircuitBreaker, ConfigError,
+        Connection, CrawlConfig, CrawlError, CrawlEvent, CrawlReport, CrawlTrace, Crawler,
+        DataSource, DomainTable, EventSink, FaultKind, FaultPlan, FaultPlanSource, FleetConfig,
+        FleetJob, FleetReport, JobHealth, JsonlSink, LatencyModel, MemorySink, MetricsRegistry,
+        ProberMode, QueryMode, RetryPolicy, SchedulerStats, ServeConfig, ServiceReport,
+        SourceRequest, SourceService, StateJournal, StopReason, Tenant, TenantId, UsageLedger,
     };
     pub use dwc_datagen::presets::Preset;
     pub use dwc_datagen::{PairedDataset, PairedSpec};

@@ -19,8 +19,9 @@
 //!    report and the same service counters.
 //!
 //! A failing schedule is ddmin-shrunk ([`shrink_plan`]) to a 1-minimal fault
-//! set, written to `target/chaos/` (CI uploads it as an artifact), and
-//! printed as a reproducible `dwc chaos --chaos-plan …` invocation.
+//! set, written to `target/chaos/` (CI uploads it as an artifact) beside the
+//! figure-1 fixture as CSV, and printed as a `dwc chaos` command line that
+//! carries every flag of the run and replays it over that CSV.
 //!
 //! A hedged sweep runs the non-halt schedules again through a connection
 //! that hedges past a threshold below the stall, checking every invariant
@@ -34,10 +35,13 @@
 //! full 8 × 125 matrix runs.
 
 use deep_web_crawler::core::replay_service_report;
+use deep_web_crawler::datagen::loader::to_csv;
 use deep_web_crawler::model::fixtures::figure1_table;
 use deep_web_crawler::model::{AttrId, AttrSpec, Schema, UniversalTable};
 use deep_web_crawler::prelude::*;
 use proptest::prelude::*;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -45,30 +49,43 @@ use std::time::Duration;
 /// is not filtered down to one kind, and 7 × 125 for the hedged sweep.
 const SEEDS_PER_KIND: u64 = 125;
 
+/// The crawl every schedule runs: GL from `A=a2` over the figure-1 table,
+/// two records a page, 400 rounds at most.
+const SEED: (&str, &str) = ("A", "a2");
+const PAGE_SIZE: usize = 2;
+const BUDGET: u64 = 400;
+
 fn figure1_server() -> Arc<WebDbServer> {
     let table = figure1_table();
-    let spec = InterfaceSpec::permissive(table.schema(), 2);
+    let spec = InterfaceSpec::permissive(table.schema(), PAGE_SIZE);
     Arc::new(WebDbServer::new(table, spec))
 }
 
 fn crawl_config() -> CrawlConfig {
-    CrawlConfig::builder().max_rounds(400).prober(ProberMode::Wire).build().unwrap()
+    CrawlConfig::builder().max_rounds(BUDGET).prober(ProberMode::Wire).build().unwrap()
 }
 
 fn run_crawl<S: DataSource>(source: S) -> CrawlReport {
     let mut crawler = Crawler::new(source, PolicyKind::GreedyLink.build(), crawl_config());
-    crawler.add_seed("A", "a2");
+    crawler.add_seed(SEED.0, SEED.1);
     crawler.run()
 }
 
+/// Service workers of a run: two when hedging, so a hedge can overtake a
+/// stalled primary, else one.
+fn serve_workers(hedge: Option<Duration>) -> usize {
+    if hedge.is_some() {
+        2
+    } else {
+        1
+    }
+}
+
 /// Runs the GL crawl under `plan` on a fresh service over the figure-1
-/// table through one connection: on one worker, or, with `hedge` set,
-/// hedging past that threshold on two workers, so a hedge can overtake a
-/// stalled primary.
+/// table through one connection, hedging past `hedge` when it is set.
 fn run_chaos_with(plan: &ChaosPlan, hedge: Option<Duration>) -> ChaosRun {
     let inner = figure1_server();
-    let workers = if hedge.is_some() { 2 } else { 1 };
-    let config = ServeConfig::builder().workers(workers).build().unwrap();
+    let config = ServeConfig::builder().workers(serve_workers(hedge)).build().unwrap();
     let service = SourceService::start(Arc::clone(&inner), config);
     let sink = MemorySink::new();
     service.add_sink(Box::new(sink.clone()));
@@ -142,33 +159,84 @@ fn seeded_plan(seed: u64, kind: ChaosKind) -> ChaosPlan {
         .reorder_for(Duration::from_micros(100))
 }
 
-/// Shrinks a plan that `run` shows failing, writes the artifact CI
-/// uploads, and panics with a copy-pasteable reproduction.
+/// Writes the figure-1 table as CSV into `dir`, the file a printed
+/// reproduction crawls.
+fn write_fixture(dir: &Path) -> PathBuf {
+    let _ = std::fs::create_dir_all(dir);
+    let csv = dir.join("figure1.csv");
+    let _ = std::fs::write(&csv, to_csv(&figure1_table()));
+    csv
+}
+
+/// The `dwc chaos` arguments that replay a run under `plan` over the
+/// fixture at `csv`: every flag of the run that `dwc chaos` takes, then the
+/// plan. `dwc chaos` takes no stall or reorder duration; it uses the plan's
+/// defaults.
+fn repro_args(csv: &Path, plan: &ChaosPlan, hedge: Option<Duration>) -> Vec<String> {
+    let mut args = vec!["dwc".to_string(), "chaos".into(), csv.display().to_string()];
+    let mut flag = |name: &str, value: String| args.extend([format!("--{name}"), value]);
+    flag("seed-value", format!("{}={}", SEED.0, SEED.1));
+    flag("policy", "gl".into());
+    flag("budget", BUDGET.to_string());
+    flag("page-size", PAGE_SIZE.to_string());
+    flag("serve-workers", serve_workers(hedge).to_string());
+    flag("queue", ServeConfig::default().queue_depth.to_string());
+    if let Some(threshold) = hedge {
+        flag("hedge-us", threshold.as_micros().to_string());
+    }
+    flag("chaos-plan", plan.to_spec());
+    args
+}
+
+/// `args` as one shell line, each word single-quoted unless it holds only
+/// characters no shell treats specially.
+fn repro_line(args: &[String]) -> String {
+    let plain = |c: char| c.is_ascii_alphanumeric() || "-_=.,:/+@%".contains(c);
+    let word = |a: &String| {
+        if !a.is_empty() && a.chars().all(plain) {
+            a.clone()
+        } else {
+            format!("'{}'", a.replace('\'', "'\\''"))
+        }
+    };
+    args.iter().map(word).collect::<Vec<_>>().join(" ")
+}
+
+/// Shrinks a plan that runs with `hedge` show failing, writes the artifact
+/// CI uploads and the fixture its repro line names, and panics with that
+/// line.
 fn report_failure(
     kind: ChaosKind,
     seed: u64,
     plan: &ChaosPlan,
     why: &str,
     baseline: &CrawlReport,
-    run: fn(&ChaosPlan) -> ChaosRun,
+    hedge: Option<Duration>,
 ) {
-    let shrunk = shrink_plan(plan, |p| run(p).violation(p, baseline).is_some());
+    let shrunk = shrink_plan(plan, |p| run_chaos_with(p, hedge).violation(p, baseline).is_some());
     let spec = shrunk.to_spec();
-    let dir = std::path::Path::new("target/chaos");
-    let _ = std::fs::create_dir_all(dir);
-    let artifact = dir.join(format!("shrunk-{kind}-{seed}.txt"));
+    let dir = Path::new("target/chaos");
+    let repro = repro_line(&repro_args(&write_fixture(dir), &shrunk, hedge));
+    let sweep = if hedge.is_some() { "-hedged" } else { "" };
+    let artifact = dir.join(format!("shrunk-{kind}-{seed}{sweep}.txt"));
+    let defaults = ChaosPlan::new();
     let _ = std::fs::write(
         &artifact,
         format!(
             "kind: {kind}\nseed: {seed}\nviolation: {why}\nfull plan: {}\nshrunk plan: {spec}\n\
-             repro: dwc chaos --chaos-plan \"{spec}\"\n",
-            plan.to_spec()
+             stall: {:?}, reorder: {:?} (dwc chaos takes neither; it uses {:?} and {:?})\n\
+             repro: {repro}\n",
+            plan.to_spec(),
+            shrunk.stall(),
+            shrunk.reorder(),
+            defaults.stall(),
+            defaults.reorder()
         ),
     );
     panic!(
         "chaos schedule {kind}/{seed} violated an invariant: {why}\n\
          shrunk to {} fault(s): {spec}\n\
-         reproduce with: dwc chaos --chaos-plan \"{spec}\"\n\
+         reproduce with: {repro}\n\
          (also written to {})",
         shrunk.len(),
         artifact.display()
@@ -203,7 +271,7 @@ fn seeded_chaos_matrix_holds_every_invariant() {
             let seed = base + i;
             let plan = seeded_plan(seed, kind);
             if let Some(why) = run_chaos(&plan).violation(&plan, &baseline) {
-                report_failure(kind, seed, &plan, &why, &baseline, run_chaos);
+                report_failure(kind, seed, &plan, &why, &baseline, None);
             }
             if i % 8 == 0 {
                 // Determinism: the same seed must reproduce the same crawl
@@ -234,7 +302,7 @@ fn mixed_kind_schedules_hold_every_invariant() {
             .stall_for(Duration::from_micros(200))
             .reorder_for(Duration::from_micros(100));
         if let Some(why) = run_chaos(&plan).violation(&plan, &baseline) {
-            report_failure(ChaosKind::Drop, seed, &plan, &why, &baseline, run_chaos);
+            report_failure(ChaosKind::Drop, seed, &plan, &why, &baseline, None);
         }
     }
 }
@@ -254,13 +322,46 @@ fn hedged_chaos_sweep_holds_every_invariant_but_determinism() {
             let plan = seeded_plan(seed, kind);
             let run = run_hedged(&plan);
             if let Some(why) = run.violation(&plan, &baseline) {
-                report_failure(kind, seed, &plan, &why, &baseline, run_hedged);
+                report_failure(kind, seed, &plan, &why, &baseline, Some(HEDGE_AFTER));
             }
             hedged += run.service.hedged;
         }
     }
     if matrix_kinds().contains(&ChaosKind::Stall) {
         assert!(hedged > 0, "no request outlived the {HEDGE_AFTER:?} threshold");
+    }
+}
+
+/// The repro line a failure prints replays through the `dwc` binary, hedged
+/// and not: the fixture it names loads, every flag parses, and the crawl
+/// harvests what the suite's baseline harvests.
+#[test]
+fn a_printed_repro_line_replays_through_dwc() {
+    let baseline = run_crawl(&*figure1_server());
+    let n = figure1_table().num_records();
+    let dir = std::env::temp_dir().join(format!("dwc-chaos-repro-{}", std::process::id()));
+    let csv = write_fixture(&dir);
+    let kinds: Vec<ChaosKind> =
+        ChaosKind::ALL.into_iter().filter(|&k| k != ChaosKind::Halt).collect();
+    let plan = ChaosPlan::seeded(seed_base(), 48, 0.25, &kinds);
+    assert!(!plan.is_empty());
+    let runs: Vec<(String, std::process::Output)> = [None, Some(HEDGE_AFTER)]
+        .into_iter()
+        .map(|hedge| {
+            let args = repro_args(&csv, &plan, hedge);
+            let out = Command::new(env!("CARGO_BIN_EXE_dwc")).args(&args[1..]).output();
+            (repro_line(&args), out.expect("run dwc"))
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    for (line, out) in runs {
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{line}: {}", String::from_utf8_lossy(&out.stderr));
+        let records = baseline.records;
+        assert!(
+            stdout.contains(&format!("records    : {records} / {n} (baseline {records})")),
+            "{line}: {stdout}"
+        );
     }
 }
 

@@ -1,12 +1,17 @@
 //! Acceptance suite for the fleet scheduler.
 //!
 //! * **Budget conservation** — a property sweep over job counts × worker
-//!   counts × budgets × slices × allocation strategies: the fleet never
-//!   bills more than `total_rounds`, and a wide fleet's report and event
-//!   stream are identical to a `workers = 1` run's on deterministic sources
-//!   (the allocator sees the same inputs every cycle whatever the width,
-//!   and outcomes fold in dispatch order, so any drift is a scheduler bug,
-//!   not an allocation difference).
+//!   counts × budgets × slices × allocation strategies on figure-1 jobs,
+//!   whose every query costs one round: there the fleet bills at most
+//!   `total_rounds`, and a wide fleet's report and event stream are
+//!   identical to a `workers = 1` run's on deterministic sources (the
+//!   allocator sees the same inputs every cycle whatever the width, and
+//!   outcomes fold in dispatch order, so any drift is a scheduler bug, not
+//!   an allocation difference). A multi-page query can still run past its
+//!   slice's grant, so elsewhere the bill may end a few rounds past
+//!   `total_rounds`.
+//! * **A job's own limits** — a job's `max_rounds` or `target_coverage`
+//!   ends it exactly as it ends a lone crawl.
 //! * **Victim isolation** — a slice panic kills exactly the faulty job;
 //!   the workers keep draining its siblings, which finish untouched — even
 //!   when the source cannot be cloned.
@@ -403,6 +408,51 @@ fn harvest_allocator_splits_evenly_when_all_rates_are_zero() {
         tenant_used: &[],
     });
     assert_eq!(grants, vec![(0, 3), (1, 3), (2, 3)]);
+}
+
+/// A job's own round budget or coverage target ends it as it ends a lone
+/// crawl: one IMDB job on one worker, in 300-round slices of a 3,000-round
+/// fleet, reports exactly what the same crawl run alone reports. A slice
+/// that skips the job's stop rule lets the executor's round cap turn every
+/// later query into an unbilled no-op that still marks its candidate
+/// queried, or crawls on past the coverage target.
+#[test]
+fn a_jobs_own_limits_end_it_as_they_end_a_lone_crawl() {
+    let table = Preset::Imdb.table(0.01, 2);
+    let n = table.num_records();
+    let spec = InterfaceSpec::permissive(table.schema(), 10);
+    let server = WebDbServer::new(table, spec);
+    let seeds = vec![("Director".to_string(), "Director_1".to_string())];
+    let limits = [
+        (CrawlConfig::builder().max_rounds(50), StopReason::RoundBudget),
+        (
+            CrawlConfig::builder().known_target_size(n).target_coverage(0.05),
+            StopReason::CoverageReached,
+        ),
+    ];
+    for (builder, stop) in limits {
+        let config = builder.build().unwrap();
+        let lone = {
+            let mut crawler = Crawler::new(&server, PolicyKind::GreedyLink.build(), config.clone());
+            crawler.add_seed("Director", "Director_1");
+            crawler.run()
+        };
+        assert_eq!(lone.stop, stop);
+        let job = FleetJob {
+            source: &server,
+            policy: PolicyKind::GreedyLink,
+            seeds: seeds.clone(),
+            config,
+            resume: None,
+            tenant: None,
+        };
+        let fleet =
+            FleetConfig::builder().total_rounds(3_000).slice(300).workers(1).build().unwrap();
+        let report = run_fleet(vec![job], fleet);
+        assert_eq!(report.sources[0].stop, stop);
+        assert_eq!(report.sources[0], lone, "{stop:?}: the fleet job must end like the lone crawl");
+        assert_eq!(report.total_rounds, lone.elapsed_rounds(), "{stop:?}");
+    }
 }
 
 /// Satellite: a single-job fleet absorbs the whole slice under every

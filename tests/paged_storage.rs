@@ -135,31 +135,6 @@ fn paged_backend_parity_through_the_service() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A saved-and-reopened segment table (fresh process image: cold buffer
-/// pool, metadata reloaded from disk) still reproduces the resident report.
-#[test]
-fn reopened_segments_preserve_parity() {
-    let table = imdb_table(5);
-    let dir = scratch_dir("reopen");
-    let budget = MemoryBudget::from_mb(2);
-
-    let resident = run_crawl(WebDbServer::new(table.clone(), interface(&table)), crawl_config());
-
-    {
-        let pager = FilePager::open(&dir, deep_web_crawler::store::DEFAULT_PAGE_SIZE)
-            .expect("open segment dir");
-        let seg = SegmentTable::from_table(&table, Box::new(pager), budget.pool_bytes())
-            .expect("pack segments");
-        seg.save_meta(&dir).expect("save segment metadata");
-    }
-    let reopened = SegmentTable::open(&dir, budget.pool_bytes()).expect("reopen segments");
-    let paged =
-        run_crawl(WebDbServer::paged(Arc::new(reopened), interface(&table)), crawl_config());
-
-    assert_eq!(paged, resident);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// A random record: 2–5 `(attr, value-index)` fields over 3 attributes with
 /// value pools of 12 per attribute (the shared properties-suite shape).
 fn record_strategy() -> impl Strategy<Value = Vec<(u16, u8)>> {
