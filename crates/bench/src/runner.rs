@@ -1,10 +1,11 @@
 //! Crawl-run orchestration: build a server, seed a crawler, run, report —
-//! and a small crossbeam-based parallel map for sweeping configurations.
+//! and a small scoped-thread parallel map for sweeping configurations.
 
 use dwc_core::policy::PolicyKind;
 use dwc_core::{CrawlConfig, CrawlReport, Crawler};
 use dwc_model::UniversalTable;
 use dwc_server::{InterfaceSpec, WebDbServer};
+use std::sync::Mutex;
 
 /// One crawl: fresh server over (a clone of) the table, seeded crawler, run.
 pub fn run_crawl(
@@ -37,32 +38,30 @@ pub fn mean_rounds_to_coverage(
 }
 
 /// Runs `jobs` closures on worker threads (bounded by available parallelism)
-/// and returns their results in input order.
+/// and returns their results in input order. Workers pull jobs from one
+/// shared iterator, so a slow job never holds up the others.
 pub fn parallel_map<T, F>(jobs: Vec<F>) -> Vec<T>
 where
     T: Send,
     F: FnOnce() -> T + Send,
 {
-    let n = jobs.len();
-    let workers = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4).min(n.max(1));
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let queue = crossbeam::queue::SegQueue::new();
-    for (i, job) in jobs.into_iter().enumerate() {
-        queue.push((i, job));
-    }
-    let results_mutex = std::sync::Mutex::new(&mut results);
-    crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|_| {
-                while let Some((i, job)) = queue.pop() {
-                    let out = job();
-                    results_mutex.lock().expect("no panics while holding the lock")[i] = Some(out);
-                }
-            });
+    let workers = std::thread::available_parallelism().map_or(4, |p| p.get()).min(jobs.len());
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    let drain = || -> Vec<(usize, T)> {
+        std::iter::from_fn(|| queue.lock().expect("job queue poisoned").next())
+            .map(|(pos, job)| (pos, job()))
+            .collect()
+    };
+    let mut done: Vec<(usize, T)> = std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..workers).map(|_| s.spawn(drain)).collect();
+        let mut done = drain();
+        for handle in spawned {
+            done.extend(handle.join().expect("worker thread panicked"));
         }
-    })
-    .expect("worker thread panicked");
-    results.into_iter().map(|r| r.expect("every job ran")).collect()
+        done
+    });
+    done.sort_unstable_by_key(|&(pos, _)| pos);
+    done.into_iter().map(|(_, out)| out).collect()
 }
 
 #[cfg(test)]

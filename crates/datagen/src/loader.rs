@@ -137,9 +137,10 @@ impl Iterator for CsvRows<'_> {
     }
 }
 
-/// Quotes a field when needed.
+/// Quotes a field when needed: [`CsvRows`] keeps these characters only
+/// inside quotes (a bare `\r` is dropped as part of a line ending).
 fn quote(field: &str) -> String {
-    if field.contains(',') || field.contains('"') || field.contains('\n') || field.contains(';') {
+    if field.contains([',', '"', '\n', '\r', ';']) {
         format!("\"{}\"", field.replace('"', "\"\""))
     } else {
         field.to_owned()
@@ -175,9 +176,6 @@ pub fn load_csv(text: &str) -> Result<UniversalTable, CsvError> {
         if row.len() > header.len() {
             return Err(CsvError::TooManyFields { row: ri + 2 });
         }
-        if row.iter().all(|c| c.is_empty()) {
-            continue;
-        }
         let mut fields: Vec<(AttrId, &str)> = Vec::new();
         for (ci, cell) in row.iter().enumerate() {
             if cell.is_empty() {
@@ -189,6 +187,12 @@ pub fn load_csv(text: &str) -> Result<UniversalTable, CsvError> {
             } else {
                 fields.push((attr, cell.as_str()));
             }
+        }
+        // A row whose cells yield no value (all empty, or only `;` in
+        // multi-valued columns) is no record: `to_csv` could not write it
+        // back as anything but a skipped all-empty row.
+        if fields.is_empty() {
+            continue;
         }
         table.push_record_strs(fields);
     }
@@ -390,6 +394,31 @@ mod tests {
         let t = load_csv(csv).unwrap();
         assert_eq!(t.num_records(), 2, "the all-empty row is skipped");
         assert_eq!(t.record(dwc_model::RecordId(0)).len(), 1);
+    }
+
+    #[test]
+    fn carriage_returns_survive_a_round_trip() {
+        let mut t = UniversalTable::new(Schema::new(vec![AttrSpec::queriable("A")]));
+        for value in ["x\ry", "cr at end\r", "crlf\r\ninside"] {
+            t.push_record_strs([(AttrId(0), value)]);
+        }
+        let t2 = load_csv(&to_csv(&t)).unwrap();
+        assert_eq!(t2.num_records(), 3);
+        for (id, rec) in t.iter() {
+            let v = t.interner().value_str(rec.values()[0]);
+            let back = t2.record(id).values()[0];
+            assert_eq!(t2.interner().value_str(back), v, "record {id:?}");
+        }
+    }
+
+    #[test]
+    fn rows_without_values_are_skipped_and_round_trip() {
+        let t = load_csv("A,B+\nx,\n,;\n;,\n,y;z\n").unwrap();
+        assert_eq!(t.num_records(), 3, "the `,;` row yields no value");
+        assert!(t.iter().all(|(_, rec)| !rec.is_empty()));
+        let t2 = load_csv(&to_csv(&t)).unwrap();
+        assert_eq!(t2.num_records(), t.num_records());
+        assert_eq!(to_csv(&t2), to_csv(&t));
     }
 
     #[test]

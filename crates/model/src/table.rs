@@ -72,6 +72,22 @@ impl UniversalTable {
         UniversalTable { schema, interner: ValueInterner::new(), records: Vec::new() }
     }
 
+    /// Reassembles a table from the parts [`UniversalTable::into_parts`]
+    /// returns.
+    pub fn from_parts(schema: Schema, interner: ValueInterner, records: Vec<Record>) -> Self {
+        debug_assert!(
+            records.iter().flat_map(Record::values).all(|v| v.index() < interner.len()),
+            "record references unknown value id"
+        );
+        UniversalTable { schema, interner, records }
+    }
+
+    /// Takes the table apart, so a consumer can keep the schema and the
+    /// interner without copying them.
+    pub fn into_parts(self) -> (Schema, ValueInterner, Vec<Record>) {
+        (self.schema, self.interner, self.records)
+    }
+
     /// The table's schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
@@ -131,8 +147,8 @@ impl UniversalTable {
         self.interner.intern(attr, value)
     }
 
-    /// Number of records containing `v` (linear scan; analysis helper — the
-    /// server crate maintains an inverted index for the hot path).
+    /// Number of records containing `v` (linear scan; analysis helper — a
+    /// server answers from the postings of its segment table).
     pub fn count_matches(&self, v: ValueId) -> usize {
         self.records.iter().filter(|r| r.contains(v)).count()
     }
@@ -176,6 +192,16 @@ mod tests {
         let (r1, r2) = (t.record(RecordId(1)), t.record(RecordId(2)));
         let shared: Vec<_> = r1.values().iter().filter(|v| r2.contains(**v)).collect();
         assert_eq!(shared.len(), 2, "records 1 and 2 share a2 and b2");
+    }
+
+    #[test]
+    fn parts_round_trip() {
+        let t = figure1_table();
+        let (schema, interner, records) = t.clone().into_parts();
+        assert_eq!(records.len(), 5);
+        let back = UniversalTable::from_parts(schema, interner, records);
+        assert_eq!(back.iter().collect::<Vec<_>>(), t.iter().collect::<Vec<_>>());
+        assert_eq!(back.interner().len(), t.interner().len());
     }
 
     #[test]

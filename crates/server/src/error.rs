@@ -27,6 +27,18 @@ pub enum ServerError {
         /// Predicates the query carried.
         got: usize,
     },
+    /// The server could not read its own segments (a segment file was
+    /// truncated, deleted or unreadable). Retrying cannot help.
+    Storage {
+        /// The I/O error, rendered.
+        detail: String,
+    },
+}
+
+impl From<std::io::Error> for ServerError {
+    fn from(e: std::io::Error) -> Self {
+        ServerError::Storage { detail: e.to_string() }
+    }
 }
 
 impl fmt::Display for ServerError {
@@ -44,6 +56,7 @@ impl fmt::Display for ServerError {
             ServerError::TooFewPredicates { required, got } => {
                 write!(f, "this form requires at least {required} filled fields, got {got}")
             }
+            ServerError::Storage { detail } => write!(f, "the source's storage failed: {detail}"),
         }
     }
 }

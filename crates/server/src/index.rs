@@ -1,17 +1,17 @@
 //! Inverted index from attribute values to record ids.
 //!
-//! The server's query-answering hot path: `ValueId → sorted postings list` of
-//! the records containing that value. Built once from the universal table in
-//! two counting passes (no per-posting allocation).
+//! `ValueId → sorted postings list` of the records containing that value,
+//! over a resident table: the DM domain table's sample and `oracle_gap`'s
+//! cost model use it. (A server answers from the postings of its
+//! `SegmentTable` instead.) Built once from the universal table in two
+//! counting passes (no per-posting allocation).
 
-use dwc_model::{RecordId, UniversalTable, ValueId};
-use dwc_store::postings;
+use dwc_model::{UniversalTable, ValueId};
 
 /// Inverted index: postings per distinct attribute value.
 ///
 /// Both columns are sealed `Box<[u32]>`s: the index never grows after
-/// `build`, so it carries no `Vec` growth slack — `heap_bytes` is exactly
-/// 4 bytes per offset entry plus 4 per posting.
+/// `build`, so it carries no `Vec` growth slack.
 #[derive(Debug, Clone)]
 pub struct InvertedIndex {
     offsets: Box<[u32]>,
@@ -47,12 +47,6 @@ impl InvertedIndex {
         InvertedIndex { offsets: offsets.into_boxed_slice(), postings: postings.into_boxed_slice() }
     }
 
-    /// Heap bytes held by the index: exactly `4 × (offsets + postings)` —
-    /// boxed slices have no capacity beyond their length.
-    pub fn heap_bytes(&self) -> usize {
-        (self.offsets.len() + self.postings.len()) * std::mem::size_of::<u32>()
-    }
-
     /// Sorted record ids containing `v`.
     #[inline]
     pub fn postings(&self, v: ValueId) -> &[u32] {
@@ -66,22 +60,6 @@ impl InvertedIndex {
     #[inline]
     pub fn match_count(&self, v: ValueId) -> usize {
         self.postings(v).len()
-    }
-
-    /// Intersection of several postings lists as sorted record ids (used for
-    /// conjunctive multi-attribute queries), by the shortest-first galloping
-    /// fold of [`dwc_store::postings::intersect`]. An empty input intersects
-    /// to nothing.
-    pub fn intersect(&self, values: &[ValueId]) -> Vec<RecordId> {
-        let mut lists: Vec<&[u32]> = values.iter().map(|&v| self.postings(v)).collect();
-        postings::intersect(&mut lists).into_iter().map(RecordId).collect()
-    }
-
-    /// Union of several postings lists as sorted record ids (used for keyword
-    /// queries that hit the same string under multiple attributes).
-    pub fn union(&self, values: &[ValueId]) -> Vec<RecordId> {
-        let lists: Vec<&[u32]> = values.iter().map(|&v| self.postings(v)).collect();
-        postings::union(&lists).into_iter().map(RecordId).collect()
     }
 }
 
@@ -116,103 +94,6 @@ mod tests {
         let idx = InvertedIndex::build(&t);
         let a2 = t.interner().get(AttrId(0), "a2").unwrap();
         assert_eq!(idx.postings(a2), &[1, 2, 3]);
-    }
-
-    #[test]
-    fn union_dedups_across_lists() {
-        let t = figure1_table();
-        let idx = InvertedIndex::build(&t);
-        let a2 = t.interner().get(AttrId(0), "a2").unwrap();
-        let c2 = t.interner().get(AttrId(2), "c2").unwrap();
-        // a2 → {1,2,3}, c2 → {2,3,4}; union {1,2,3,4}.
-        let u = idx.union(&[a2, c2]);
-        assert_eq!(u, vec![RecordId(1), RecordId(2), RecordId(3), RecordId(4)]);
-    }
-
-    #[test]
-    fn intersect_narrows() {
-        let t = figure1_table();
-        let idx = InvertedIndex::build(&t);
-        let a2 = t.interner().get(AttrId(0), "a2").unwrap();
-        let c2 = t.interner().get(AttrId(2), "c2").unwrap();
-        // a2 → {1,2,3}, c2 → {2,3,4}; intersection {2,3}.
-        assert_eq!(idx.intersect(&[a2, c2]), vec![RecordId(2), RecordId(3)]);
-        assert_eq!(idx.intersect(&[a2]), vec![RecordId(1), RecordId(2), RecordId(3)]);
-        assert!(idx.intersect(&[]).is_empty());
-    }
-
-    #[test]
-    fn intersect_disjoint_is_empty() {
-        let t = figure1_table();
-        let idx = InvertedIndex::build(&t);
-        let a1 = t.interner().get(AttrId(0), "a1").unwrap();
-        let c2 = t.interner().get(AttrId(2), "c2").unwrap();
-        assert!(idx.intersect(&[a1, c2]).is_empty());
-    }
-
-    #[test]
-    fn union_of_nothing_is_empty() {
-        let t = figure1_table();
-        let idx = InvertedIndex::build(&t);
-        assert!(idx.union(&[]).is_empty());
-    }
-
-    #[test]
-    fn skewed_conjunction_through_the_index() {
-        use dwc_model::{AttrSpec, Schema, UniversalTable};
-        // 400 records all share A=common; C=rare appears on 3 of them —
-        // exactly the rare∧popular shape galloping is for.
-        let schema = Schema::new(vec![AttrSpec::queriable("A"), AttrSpec::queriable("C")]);
-        let mut t = UniversalTable::new(schema);
-        for i in 0..400u32 {
-            let c = if i % 150 == 7 { "rare".to_string() } else { format!("c{i}") };
-            t.push_record_strs([(AttrId(0), "common"), (AttrId(1), c.as_str())]);
-        }
-        let idx = InvertedIndex::build(&t);
-        let common = t.interner().get(AttrId(0), "common").unwrap();
-        let rare = t.interner().get(AttrId(1), "rare").unwrap();
-        assert!(idx.match_count(common) >= postings::GALLOP_SKEW * idx.match_count(rare));
-        let got = idx.intersect(&[common, rare]);
-        assert_eq!(got, vec![RecordId(7), RecordId(157), RecordId(307)]);
-        assert_eq!(idx.intersect(&[rare, common]), got, "order-insensitive");
-    }
-
-    #[test]
-    fn sealed_index_sheds_growth_slack() {
-        use dwc_model::{AttrSpec, Schema, UniversalTable};
-        let schema = Schema::new(vec![AttrSpec::queriable("A"), AttrSpec::queriable("B")]);
-        let mut t = UniversalTable::new(schema);
-        for i in 0..700u32 {
-            t.push_record_strs([
-                (AttrId(0), format!("a{}", i % 23)),
-                (AttrId(1), format!("b{}", i % 101)),
-            ]);
-        }
-        // "Before": the obvious growable representation — one Vec per value,
-        // postings pushed one sighting at a time with amortized doubling.
-        let mut naive: Vec<Vec<u32>> = vec![Vec::new(); t.num_distinct_values()];
-        for (rid, rec) in t.iter() {
-            for &v in rec.values() {
-                naive[v.index()].push(rid.0);
-            }
-        }
-        let total_postings: usize = naive.iter().map(Vec::len).sum();
-        let naive_bytes: usize =
-            naive.iter().map(|l| l.capacity() * 4 + std::mem::size_of::<Vec<u32>>()).sum();
-        // "After": the sealed index. Its footprint is exact — one u32 per
-        // posting plus the offsets column, zero capacity slack.
-        let idx = InvertedIndex::build(&t);
-        assert_eq!(idx.heap_bytes(), (t.num_distinct_values() + 1 + total_postings) * 4);
-        assert!(
-            idx.heap_bytes() < naive_bytes,
-            "sealed {} bytes must undercut growable {} bytes",
-            idx.heap_bytes(),
-            naive_bytes
-        );
-        // Same postings, of course.
-        for v in t.interner().iter_ids() {
-            assert_eq!(idx.postings(v), naive[v.index()].as_slice());
-        }
     }
 
     #[test]

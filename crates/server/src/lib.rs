@@ -2,7 +2,8 @@
 //!
 //! The paper's controlled experiments (Section 5) run "server programs that
 //! mimic Web server behaviour on top of the database server". This crate is
-//! that substrate: an in-memory web database which
+//! that substrate: a web database over a `dwc_store::SegmentTable` (in
+//! memory, or in files behind a buffer pool) which
 //!
 //! * answers **single attribute-value queries** and **keyword queries**
 //!   (the simplified query model of Section 2.2),

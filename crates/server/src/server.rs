@@ -8,12 +8,11 @@
 
 use crate::cache::{PageCache, RenderedPage};
 use crate::error::ServerError;
-use crate::index::InvertedIndex;
 use crate::interface::{InterfaceSpec, Query};
-use dwc_model::{RecordId, Schema, UniversalTable, ValueId, ValueInterner};
-use dwc_store::SegmentTable;
+use dwc_model::{Schema, UniversalTable, ValueId, ValueInterner};
+use dwc_store::{unpack, MemPager, SegmentTable, DEFAULT_PAGE_SIZE};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A record as it appears in a result page: the source-assigned stable key
 /// (like an Amazon ASIN) plus the record's attribute values.
@@ -42,57 +41,24 @@ pub struct ResultPage {
     pub has_more: bool,
 }
 
-/// Where a server's records and postings live.
-///
-/// `Resident` is the original fully in-RAM backend (a `UniversalTable` plus
-/// a sealed [`InvertedIndex`]); `Paged` serves the same query semantics from
-/// a [`SegmentTable`], whose record and postings columns live in fixed-size
-/// pages behind a sized buffer pool. Because both backends intern values in
-/// record-insertion order and keep postings sorted by ascending record id,
-/// every page — and therefore every crawl report — is bit-identical between
-/// them.
-#[derive(Debug, Clone)]
-enum Backend {
-    Resident { table: UniversalTable, index: InvertedIndex },
-    Paged(Arc<SegmentTable>),
-}
-
-impl Backend {
-    fn interner(&self) -> &ValueInterner {
-        match self {
-            Backend::Resident { table, .. } => table.interner(),
-            Backend::Paged(st) => st.interner(),
-        }
-    }
-
-    fn schema(&self) -> &Schema {
-        match self {
-            Backend::Resident { table, .. } => table.schema(),
-            Backend::Paged(st) => st.schema(),
-        }
-    }
-
-    fn num_distinct_values(&self) -> usize {
-        match self {
-            Backend::Resident { table, .. } => table.num_distinct_values(),
-            Backend::Paged(st) => st.num_distinct_values(),
-        }
-    }
-}
-
-/// An in-memory structured web database behind a query interface.
+/// A structured web database behind a query interface.
 ///
 /// Request accounting lives in an atomic, so a single server can be
 /// probed concurrently through `&self` — share one instance between crawler
 /// workers as `Arc<WebDbServer>` and every page request lands in the same
 /// global round counter (Definition 2.3 bills the *source*, not the worker).
 ///
-/// Records and postings are either fully resident ([`WebDbServer::new`])
-/// or served from paged segments ([`WebDbServer::paged`]). The interface, billing, and page cache are
-/// backend-independent.
+/// Records and postings are always served from a [`SegmentTable`]:
+/// [`WebDbServer::new`] packs its table into in-memory segments, which are
+/// read in place, and [`WebDbServer::paged`] serves a table the caller
+/// packed, for instance into files behind a sized buffer pool. Pages,
+/// billing and the page cache do not depend on where the segments live.
 #[derive(Debug)]
 pub struct WebDbServer {
-    backend: Backend,
+    table: Arc<SegmentTable>,
+    /// The records as a resident table, built on the first
+    /// [`WebDbServer::table`] call.
+    view: OnceLock<UniversalTable>,
     interface: InterfaceSpec,
     requests: AtomicU64,
     cache: PageCache,
@@ -101,7 +67,8 @@ pub struct WebDbServer {
 impl Clone for WebDbServer {
     fn clone(&self) -> Self {
         WebDbServer {
-            backend: self.backend.clone(),
+            table: Arc::clone(&self.table),
+            view: OnceLock::new(),
             interface: self.interface.clone(),
             requests: AtomicU64::new(self.rounds_used()),
             // A clone serves its own traffic: it starts with a cold cache.
@@ -111,23 +78,23 @@ impl Clone for WebDbServer {
 }
 
 impl WebDbServer {
-    /// Builds a server over `table` with the given interface.
+    /// Builds a server over `table` with the given interface, packing the
+    /// table into in-memory segments (it holds the records once, packed).
     pub fn new(table: UniversalTable, interface: InterfaceSpec) -> Self {
-        let index = InvertedIndex::build(&table);
-        WebDbServer {
-            backend: Backend::Resident { table, index },
-            interface,
-            requests: AtomicU64::new(0),
-            cache: PageCache::default(),
-        }
+        let pager = Box::new(MemPager::new(DEFAULT_PAGE_SIZE));
+        // Resident segments are read in place, so they need no pool.
+        let table = SegmentTable::from_owned_table(table, pager, 0)
+            .expect("packing into memory performs no I/O");
+        Self::paged(Arc::new(table), interface)
     }
 
-    /// Builds a server whose records and postings are served out-of-core
-    /// from a [`SegmentTable`]. Query semantics, billing, and rendered bytes
-    /// are identical to the resident backend.
+    /// Builds a server over a packed [`SegmentTable`], for instance one on
+    /// files behind a sized buffer pool. Query semantics, billing, and
+    /// rendered bytes are identical to [`WebDbServer::new`]'s.
     pub fn paged(table: Arc<SegmentTable>, interface: InterfaceSpec) -> Self {
         WebDbServer {
-            backend: Backend::Paged(table),
+            table,
+            view: OnceLock::new(),
             interface,
             requests: AtomicU64::new(0),
             cache: PageCache::default(),
@@ -145,41 +112,34 @@ impl WebDbServer {
         &self.cache
     }
 
-    /// The backing table (test/analysis access — a real crawler has no such
-    /// view; experiment harnesses use it to compute true coverage).
+    /// The records as a resident table (test/analysis access — a real
+    /// crawler has no such view; experiment harnesses use it to compute
+    /// true coverage). Built from the segments on the first call and kept;
+    /// harness code that needs only counts should go through
+    /// [`WebDbServer::interner`] / [`WebDbServer::schema`] /
+    /// [`WebDbServer::oracle_match_count`] instead.
     ///
     /// # Panics
     ///
-    /// Panics on a paged backend, which has no resident `UniversalTable`;
-    /// harness code that supports both backends should go through
-    /// [`WebDbServer::interner`] / [`WebDbServer::schema`] /
-    /// [`WebDbServer::oracle_match_count`] instead.
+    /// Panics if the segments cannot be read.
     pub fn table(&self) -> &UniversalTable {
-        match &self.backend {
-            Backend::Resident { table, .. } => table,
-            Backend::Paged(_) => {
-                panic!("WebDbServer::table() requires the resident backend")
-            }
-        }
+        self.view.get_or_init(|| self.table.to_table().expect("segment store I/O"))
     }
 
-    /// The paged segment table, when this server uses the paged backend.
+    /// The segment table the server reads (always present; the `Option`
+    /// is kept for callers written when servers could be resident).
     pub fn segment_table(&self) -> Option<&Arc<SegmentTable>> {
-        match &self.backend {
-            Backend::Resident { .. } => None,
-            Backend::Paged(st) => Some(st),
-        }
+        Some(&self.table)
     }
 
-    /// The value interner (backend-independent: both backends keep it
-    /// resident).
+    /// The value interner.
     pub fn interner(&self) -> &ValueInterner {
-        self.backend.interner()
+        self.table.interner()
     }
 
-    /// The schema (backend-independent).
+    /// The schema.
     pub fn schema(&self) -> &Schema {
-        self.backend.schema()
+        self.table.schema()
     }
 
     /// The interface specification.
@@ -194,19 +154,14 @@ impl WebDbServer {
 
     /// Number of records that match `query` (oracle helper for tests and
     /// harnesses; not part of the crawler-visible interface).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segments cannot be read.
     pub fn oracle_match_count(&self, query: &Query) -> usize {
-        let resolved = match self.resolve(query) {
-            Ok(r) => r,
-            Err(_) => return 0,
-        };
-        match (&self.backend, resolved) {
-            (_, Resolved::None) => 0,
-            (Backend::Resident { index, .. }, Resolved::Single(v)) => index.match_count(v),
-            (Backend::Resident { index, .. }, Resolved::Many(vs)) => index.union(&vs).len(),
-            (Backend::Resident { index, .. }, Resolved::All(vs)) => index.intersect(&vs).len(),
-            (Backend::Paged(st), Resolved::Single(v)) => st.match_count(v),
-            (Backend::Paged(st), Resolved::Many(vs)) => st.union(&vs).len(),
-            (Backend::Paged(st), Resolved::All(vs)) => st.intersect(&vs).len(),
+        match self.resolve(query) {
+            Ok(resolved) => self.matches(resolved).expect("segment store I/O").len(),
+            Err(_) => 0,
         }
     }
 
@@ -234,8 +189,7 @@ impl WebDbServer {
         }
         let page = self.compute_page(query, page_index)?;
         let mut buf = String::with_capacity(128 + page.records.len() * 160);
-        let (interner, schema) = (self.backend.interner(), self.backend.schema());
-        crate::wire::page_to_xml_parts(&page, interner, schema, &mut buf);
+        crate::wire::page_to_xml_parts(&page, self.interner(), self.schema(), &mut buf);
         let text: Arc<str> = Arc::from(buf);
         self.cache.insert(query, page_index, Arc::clone(&text));
         Ok(RenderedPage::new(text, false))
@@ -248,41 +202,22 @@ impl WebDbServer {
     }
 
     /// Resolves, paginates, and materializes one result page (no billing).
+    /// Single-value queries — the crawl hot path — read only the postings
+    /// their page covers; union and intersection queries materialize their
+    /// match list first.
     fn compute_page(&self, query: &Query, page_index: usize) -> Result<ResultPage, ServerError> {
-        let resolved = self.resolve(query)?;
-        match &self.backend {
-            Backend::Resident { table, index } => {
-                self.compute_page_resident(table, index, resolved, page_index)
-            }
-            Backend::Paged(st) => Ok(self.compute_page_paged(st, resolved, page_index)),
-        }
-    }
-
-    fn compute_page_resident(
-        &self,
-        table: &UniversalTable,
-        index: &InvertedIndex,
-        resolved: Resolved,
-        page_index: usize,
-    ) -> Result<ResultPage, ServerError> {
-        let matches: MatchList<'_> = match resolved {
-            Resolved::None => MatchList::Empty,
-            Resolved::Single(v) => MatchList::Postings(index.postings(v)),
-            Resolved::Many(vs) => MatchList::Owned(index.union(&vs)),
-            Resolved::All(vs) => MatchList::Owned(index.intersect(&vs)),
-        };
+        let matches = self.matches(self.resolve(query)?)?;
         let total = matches.len();
         let accessible = self.interface.accessible(total);
         let k = self.interface.page_size;
         let start = (page_index * k).min(accessible);
         let end = ((page_index + 1) * k).min(accessible);
-        let records = matches
-            .slice(start, end)
-            .map(|rid| PageRecord {
-                key: u64::from(rid.0),
-                values: table.record(rid).values().to_vec(),
-            })
-            .collect();
+        let records = match &matches {
+            Matches::Postings(v, _) => {
+                self.page_records(unpack(&self.table.postings_slice(*v, start, end)?))?
+            }
+            Matches::Ids(all) => self.page_records(all[start..end].iter().copied())?,
+        };
         Ok(ResultPage {
             page_index,
             total_matches: self.interface.reports_total.then_some(total),
@@ -291,63 +226,40 @@ impl WebDbServer {
         })
     }
 
-    /// The paged twin of [`WebDbServer::compute_page_resident`]. Single-value
-    /// queries — the crawl hot path — read only the postings pages their
-    /// slice covers ([`SegmentTable::postings_slice_into`]); union and
-    /// intersection queries materialize their match list first, exactly as
-    /// the resident backend does.
-    fn compute_page_paged(
+    /// Reads the records of one page.
+    fn page_records(
         &self,
-        st: &SegmentTable,
-        resolved: Resolved,
-        page_index: usize,
-    ) -> ResultPage {
-        enum Paged {
-            Lazy(ValueId, usize),
-            Owned(Vec<u32>),
+        rids: impl ExactSizeIterator<Item = u32>,
+    ) -> std::io::Result<Vec<PageRecord>> {
+        let mut records = Vec::with_capacity(rids.len());
+        for rid in rids {
+            records
+                .push(PageRecord { key: u64::from(rid), values: self.table.record_values(rid)? });
         }
-        let list = match resolved {
-            Resolved::None => Paged::Owned(Vec::new()),
-            Resolved::Single(v) => Paged::Lazy(v, st.match_count(v)),
-            Resolved::Many(vs) => Paged::Owned(st.union(&vs)),
-            Resolved::All(vs) => Paged::Owned(st.intersect(&vs)),
-        };
-        let total = match &list {
-            Paged::Lazy(_, t) => *t,
-            Paged::Owned(rids) => rids.len(),
-        };
-        let accessible = self.interface.accessible(total);
-        let k = self.interface.page_size;
-        let start = (page_index * k).min(accessible);
-        let end = ((page_index + 1) * k).min(accessible);
-        let mut rids = Vec::with_capacity(end - start);
-        match &list {
-            Paged::Lazy(v, _) => st.postings_slice_into(*v, start, end, &mut rids),
-            Paged::Owned(all) => rids.extend_from_slice(&all[start..end]),
-        }
-        let records = rids
-            .into_iter()
-            .map(|rid| PageRecord { key: u64::from(rid), values: st.record_values(rid) })
-            .collect();
-        ResultPage {
-            page_index,
-            total_matches: self.interface.reports_total.then_some(total),
-            records,
-            has_more: end < accessible,
-        }
+        Ok(records)
+    }
+
+    /// The records matching a resolved query.
+    fn matches(&self, resolved: Resolved) -> std::io::Result<Matches> {
+        Ok(match resolved {
+            Resolved::None => Matches::Ids(Vec::new()),
+            Resolved::Single(v) => Matches::Postings(v, self.table.match_count(v)?),
+            Resolved::Many(vs) => Matches::Ids(self.table.union(&vs)?),
+            Resolved::All(vs) => Matches::Ids(self.table.intersect(&vs)?),
+        })
     }
 
     fn resolve(&self, query: &Query) -> Result<Resolved, ServerError> {
         match query {
             Query::Value(v) => {
                 self.check_arity(1)?;
-                if v.index() >= self.backend.num_distinct_values() {
+                if v.index() >= self.table.num_distinct_values() {
                     return Ok(Resolved::None);
                 }
-                let attr = self.backend.interner().attr_of(*v);
+                let attr = self.interner().attr_of(*v);
                 if !self.interface.is_queriable(attr) {
                     return Err(ServerError::NotQueriable {
-                        attr: self.backend.schema().attr(attr).name.clone(),
+                        attr: self.schema().attr(attr).name.clone(),
                     });
                 }
                 Ok(Resolved::Single(*v))
@@ -379,7 +291,7 @@ impl WebDbServer {
                 if !self.interface.keyword_search {
                     return Err(ServerError::KeywordUnsupported);
                 }
-                let vs = self.backend.interner().get_keyword(s);
+                let vs = self.interner().get_keyword(s);
                 Ok(match vs.len() {
                     0 => Resolved::None,
                     1 => Resolved::Single(vs[0]),
@@ -405,14 +317,13 @@ impl WebDbServer {
     /// queriability. `Ok(None)` means the value simply does not occur.
     fn resolve_pair(&self, attr: &str, value: &str) -> Result<Option<ValueId>, ServerError> {
         let attr_id = self
-            .backend
             .schema()
             .attr_by_name(attr)
             .ok_or_else(|| ServerError::UnknownAttribute { attr: attr.to_owned() })?;
         if !self.interface.is_queriable(attr_id) {
             return Err(ServerError::NotQueriable { attr: attr.to_owned() });
         }
-        Ok(self.backend.interner().get(attr_id, value))
+        Ok(self.interner().get(attr_id, value))
     }
 }
 
@@ -423,26 +334,19 @@ enum Resolved {
     All(Vec<ValueId>),
 }
 
-enum MatchList<'a> {
-    Empty,
-    Postings(&'a [u32]),
-    Owned(Vec<RecordId>),
+/// The records matching a query: a single value's postings stay in the
+/// table (a page reads only its slice of them); unions and intersections
+/// are materialized.
+enum Matches {
+    Postings(ValueId, usize),
+    Ids(Vec<u32>),
 }
 
-impl MatchList<'_> {
+impl Matches {
     fn len(&self) -> usize {
         match self {
-            MatchList::Empty => 0,
-            MatchList::Postings(p) => p.len(),
-            MatchList::Owned(v) => v.len(),
-        }
-    }
-
-    fn slice(&self, start: usize, end: usize) -> Box<dyn Iterator<Item = RecordId> + '_> {
-        match self {
-            MatchList::Empty => Box::new(std::iter::empty()),
-            MatchList::Postings(p) => Box::new(p[start..end].iter().map(|&r| RecordId(r))),
-            MatchList::Owned(v) => Box::new(v[start..end].iter().copied()),
+            Matches::Postings(_, n) => *n,
+            Matches::Ids(ids) => ids.len(),
         }
     }
 }
@@ -659,15 +563,30 @@ mod tests {
         assert_eq!(r1.text(), crate::wire::page_to_xml(&page, s.table()));
     }
 
+    /// A fresh directory under the temp dir for one test's segment files.
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("dwc-server-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A server over `t` packed into files behind a one-frame pool, smaller
+    /// than its segments: every read goes through the pool and most miss.
+    fn file_server(t: &UniversalTable, spec: InterfaceSpec, dir: &std::path::Path) -> WebDbServer {
+        use dwc_store::FilePager;
+        let st = SegmentTable::from_table(t, Box::new(FilePager::open(dir, 64).unwrap()), 64);
+        let st = st.unwrap();
+        assert!(st.storage_bytes() > 64, "the pool must not hold every segment");
+        WebDbServer::paged(Arc::new(st), spec)
+    }
+
     #[test]
     fn paged_backend_serves_identical_pages() {
-        use dwc_store::MemPager;
         let t = figure1_table();
         let spec = InterfaceSpec::permissive(t.schema(), 2).with_result_cap(4);
-        let st = SegmentTable::from_table(&t, Box::new(MemPager::new(128)), 4096).unwrap();
-        let resident = WebDbServer::new(t, spec.clone());
-        let paged = WebDbServer::paged(Arc::new(st), spec);
-        assert!(paged.segment_table().is_some());
+        let dir = scratch_dir("parity");
+        let paged = file_server(&t, spec.clone(), &dir);
+        let resident = WebDbServer::new(t, spec);
         let queries = vec![
             Query::ByString { attr: "A".into(), value: "a2".into() },
             Query::ByString { attr: "C".into(), value: "c2".into() },
@@ -696,16 +615,47 @@ mod tests {
         // Error paths route through the same interface checks.
         let bad = Query::ByString { attr: "Nope".into(), value: "x".into() };
         assert_eq!(resident.query_page(&bad, 0), paged.query_page(&bad, 0));
+        let read_in_place = resident.segment_table().unwrap().pool_stats();
+        assert_eq!(read_in_place.misses + read_in_place.hits, 0, "no pool on resident segments");
+        assert!(paged.segment_table().unwrap().pool_stats().misses > 0, "the small pool misses");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    #[should_panic(expected = "resident backend")]
-    fn table_accessor_panics_on_paged_backend() {
-        use dwc_store::MemPager;
+    fn table_view_of_a_file_paged_server_equals_the_source() {
         let t = figure1_table();
         let spec = InterfaceSpec::permissive(t.schema(), 2);
-        let st = SegmentTable::from_table(&t, Box::new(MemPager::new(128)), 4096).unwrap();
-        let paged = WebDbServer::paged(Arc::new(st), spec);
-        let _ = paged.table();
+        let dir = scratch_dir("view");
+        let paged = file_server(&t, spec.clone(), &dir);
+        let view = paged.table();
+        assert_eq!(view.iter().collect::<Vec<_>>(), t.iter().collect::<Vec<_>>());
+        assert_eq!(view.schema().len(), t.schema().len());
+        for v in t.interner().iter_ids() {
+            assert_eq!(view.interner().value_str(v), t.interner().value_str(v));
+        }
+        assert!(std::ptr::eq(view, paged.table()), "the view is built once");
+        let resident = WebDbServer::new(t.clone(), spec);
+        assert_eq!(resident.table().iter().collect::<Vec<_>>(), t.iter().collect::<Vec<_>>());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn truncated_segments_fail_requests_instead_of_panicking() {
+        let t = figure1_table();
+        let spec = InterfaceSpec::permissive(t.schema(), 2);
+        let dir = scratch_dir("truncated");
+        let paged = file_server(&t, spec, &dir);
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let file = std::fs::OpenOptions::new().write(true).open(entry.unwrap().path());
+            file.unwrap().set_len(0).unwrap();
+        }
+        let q = Query::ByString { attr: "A".into(), value: "a2".into() };
+        assert!(matches!(paged.query_page(&q, 0), Err(ServerError::Storage { .. })));
+        assert!(matches!(paged.rendered_page(&q, 0), Err(ServerError::Storage { .. })));
+        assert_eq!(paged.rounds_used(), 2, "a failed request still costs a round");
+        // Interface errors are still reported as such.
+        let bad = Query::ByString { attr: "Nope".into(), value: "x".into() };
+        assert!(matches!(paged.query_page(&bad, 0), Err(ServerError::UnknownAttribute { .. })));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

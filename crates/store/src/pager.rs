@@ -5,12 +5,14 @@
 //! speaks `(segment, page)` coordinates; everything below is one of two
 //! pagers with identical semantics:
 //!
-//! * [`MemPager`] — segments are `Vec<u8>`s. The reference backend: unit
-//!   tests and parity proofs run against it, and a paged table over it is
-//!   byte-for-byte the same as over files.
+//! * [`MemPager`] — segments are `Vec<u8>`s. It lends them out through
+//!   [`SegmentPager::resident_bytes`], so tables over it are read in place
+//!   with no buffer pool; every server built by `WebDbServer::new` packs its
+//!   table into one.
 //! * [`FilePager`] — one file per segment under a directory, positioned
 //!   reads via `read_at` (no seek contention, `&self` reads), buffered
-//!   appends. This is the out-of-core backend.
+//!   appends. This is the out-of-core backend; its reads go through the
+//!   buffer pool.
 
 use std::fs::{File, OpenOptions};
 use std::io;
@@ -51,6 +53,15 @@ pub trait SegmentPager: Send + Sync + std::fmt::Debug {
     /// returning how many bytes are valid — the final page of a segment may
     /// be short. Reading entirely past the end returns `Ok(0)`.
     fn read_page(&self, seg: SegmentId, page_no: u32, buf: &mut [u8]) -> io::Result<usize>;
+
+    /// All of `seg`'s bytes, when this pager holds them in memory. Readers
+    /// then decode straight from the returned slice instead of copying pages
+    /// through a buffer pool. The default, `None`, keeps every read on the
+    /// pool, and so does a wrapper that does not forward this method.
+    fn resident_bytes(&self, seg: SegmentId) -> Option<&[u8]> {
+        let _ = seg;
+        None
+    }
 
     /// Flushes buffered appends to durable storage (no-op for RAM).
     fn sync(&mut self) -> io::Result<()> {
@@ -111,6 +122,10 @@ impl SegmentPager for MemPager {
         let end = (start + self.page_size).min(s.len());
         buf[..end - start].copy_from_slice(&s[start..end]);
         Ok(end - start)
+    }
+
+    fn resident_bytes(&self, seg: SegmentId) -> Option<&[u8]> {
+        self.segments.get(seg as usize).map(Vec::as_slice)
     }
 }
 
@@ -233,8 +248,41 @@ impl SegmentPager for FilePager {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A [`MemPager`] that hides its residency: it does not forward
+    /// [`SegmentPager::resident_bytes`], so every read of a table over it goes
+    /// through the buffer pool, as over files. Unit tests run each reader over
+    /// both pagers.
+    #[derive(Debug)]
+    pub(crate) struct PoolOnly(pub(crate) MemPager);
+
+    impl SegmentPager for PoolOnly {
+        fn page_size(&self) -> usize {
+            self.0.page_size()
+        }
+
+        fn num_segments(&self) -> u32 {
+            self.0.num_segments()
+        }
+
+        fn segment_len(&self, seg: SegmentId) -> u64 {
+            self.0.segment_len(seg)
+        }
+
+        fn create_segment(&mut self) -> io::Result<SegmentId> {
+            self.0.create_segment()
+        }
+
+        fn append(&mut self, seg: SegmentId, bytes: &[u8]) -> io::Result<u64> {
+            self.0.append(seg, bytes)
+        }
+
+        fn read_page(&self, seg: SegmentId, page_no: u32, buf: &mut [u8]) -> io::Result<usize> {
+            self.0.read_page(seg, page_no, buf)
+        }
+    }
 
     fn scratch_dir(name: &str) -> PathBuf {
         use std::sync::atomic::{AtomicU64, Ordering};
@@ -275,6 +323,22 @@ mod tests {
     fn mem_pager_round_trips() {
         let mut p = MemPager::new(128);
         exercise(&mut p);
+    }
+
+    #[test]
+    fn only_the_mem_pager_lends_its_segments() {
+        let mut p = MemPager::new(64);
+        let s = p.create_segment().unwrap();
+        p.append(s, b"in place").unwrap();
+        assert_eq!(p.resident_bytes(s), Some(&b"in place"[..]));
+        assert_eq!(p.resident_bytes(s + 1), None, "no such segment");
+        assert_eq!(PoolOnly(p).resident_bytes(s), None, "the wrapper keeps reads on the pool");
+        let dir = scratch_dir("resident");
+        let mut f = FilePager::open(&dir, 64).unwrap();
+        let s = f.create_segment().unwrap();
+        f.append(s, b"on file").unwrap();
+        assert_eq!(f.resident_bytes(s), None);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -230,13 +230,6 @@ impl BufferPool {
         }
         Ok(())
     }
-
-    /// Reads one little-endian `u64` at byte offset `at`.
-    pub fn read_u64(&self, pager: &dyn SegmentPager, seg: SegmentId, at: u64) -> io::Result<u64> {
-        let mut buf = [0u8; 8];
-        self.read_range(pager, seg, at, &mut buf)?;
-        Ok(u64::from_le_bytes(buf))
-    }
 }
 
 #[cfg(test)]

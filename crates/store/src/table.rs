@@ -1,15 +1,16 @@
 //! The paged universal table: records and postings served from segments.
 //!
-//! [`SegmentTable`] is the out-of-core twin of `dwc_model::UniversalTable` +
-//! the server's `InvertedIndex`: record value lists and per-value postings
-//! lists live in packed [`ListStore`] columns behind a [`BufferPool`], while
-//! the schema and the value interner stay resident (both are proportional to
+//! [`SegmentTable`] is the one store a server reads: record value lists and
+//! per-value postings lists live in packed [`ListStore`] columns, while the
+//! schema and the value interner stay resident (both are proportional to
 //! |DAV|, not to the record count — the same asymmetry the paper's frontier
-//! exploits). Because records are interned in insertion order and postings
-//! are emitted in ascending record-id order, a `SegmentTable` built from the
-//! same record stream as a resident table assigns **identical `ValueId`s and
-//! identical postings** — the property that makes resident-vs-paged crawl
-//! reports bit-identical.
+//! exploits). Over a pager that holds its segments in memory the columns
+//! are read in place; over files they are read through a sized
+//! [`BufferPool`]. Because records are interned in insertion order and
+//! postings are emitted in ascending record-id order, a `SegmentTable`
+//! built from the same record stream as a `dwc_model::UniversalTable`
+//! assigns **identical `ValueId`s and identical postings** — the property
+//! that makes crawl reports independent of the pager.
 //!
 //! The postings build never holds more than a configurable byte budget of
 //! postings in RAM: a counting pass sizes every list, then values are
@@ -21,11 +22,12 @@
 //! pager: there is no metadata file and no path that reopens a packed
 //! directory.
 
-use crate::list::{ListStore, ListWriter};
+use crate::list::{unpack, ListStore, ListWriter};
 use crate::pager::SegmentPager;
 use crate::pool::{BufferPool, PoolStats};
 use crate::postings;
-use dwc_model::{AttrId, Schema, ValueId, ValueInterner};
+use dwc_model::{AttrId, Record, Schema, UniversalTable, ValueId, ValueInterner};
+use std::borrow::Cow;
 use std::io;
 
 /// Default RAM allowance for one postings bucket during the build (64 MiB of
@@ -77,18 +79,6 @@ impl SegmentTableBuilder {
         for (attr, s) in fields {
             self.scratch.push(self.interner.intern(attr, s));
         }
-        self.push_scratch()
-    }
-
-    /// Appends one record from already-interned ids (the from-resident-table
-    /// path; the caller's interner must be this builder's interner).
-    pub fn push_record_ids(&mut self, values: &[ValueId]) -> io::Result<()> {
-        self.scratch.clear();
-        self.scratch.extend_from_slice(values);
-        self.push_scratch()
-    }
-
-    fn push_scratch(&mut self) -> io::Result<()> {
         self.scratch.sort_unstable();
         self.scratch.dedup();
         if self.counts.len() < self.interner.len() {
@@ -97,14 +87,22 @@ impl SegmentTableBuilder {
         for v in &self.scratch {
             self.counts[v.index()] += 1;
         }
-        // ValueId is a plain u32 wrapper; the packed column stores the u32s.
-        let raw: Vec<u32> = self.scratch.iter().map(|v| v.0).collect();
-        self.records.push(self.pager.as_mut(), &raw)?;
+        self.records.push(self.pager.as_mut(), self.scratch.iter().map(|v| v.0))?;
         Ok(())
     }
 
-    /// Replaces the builder's interner (used with
-    /// [`SegmentTable::from_table`] so ids match an existing resident table).
+    /// Appends one record whose ids are already interned by this builder's
+    /// interner, sorted and unique (a `dwc_model::Record`'s values).
+    fn push_sorted(&mut self, values: &[ValueId]) -> io::Result<()> {
+        for v in values {
+            self.counts[v.index()] += 1;
+        }
+        self.records.push(self.pager.as_mut(), values.iter().map(|v| v.0))?;
+        Ok(())
+    }
+
+    /// Replaces the builder's interner (used by
+    /// [`SegmentTable::from_table`] so ids match an existing table).
     fn with_interner(mut self, interner: ValueInterner) -> Self {
         self.counts.resize(interner.len(), 0);
         self.interner = interner;
@@ -145,7 +143,7 @@ impl SegmentTableBuilder {
             let mut data = vec![0u32; acc];
             let mut cursor = starts.clone();
             records.scan(self.pager.as_ref(), &pool, |rid, vals| {
-                for &v in vals {
+                for v in unpack(vals) {
                     let v = v as usize;
                     if v >= lo && v < hi {
                         data[cursor[v - lo]] = rid as u32;
@@ -154,8 +152,8 @@ impl SegmentTableBuilder {
                 }
             })?;
             for v in lo..hi {
-                postings_writer
-                    .push(self.pager.as_mut(), &data[starts[v - lo]..starts[v - lo + 1]])?;
+                let list = &data[starts[v - lo]..starts[v - lo + 1]];
+                postings_writer.push(self.pager.as_mut(), list.iter().copied())?;
             }
             lo = hi;
         }
@@ -176,10 +174,10 @@ impl SegmentTableBuilder {
 /// A read-only universal table + inverted index served from segments.
 ///
 /// All read methods take `&self` (the pool serializes page faults
-/// internally) and **panic on storage I/O errors**: the segment files are
-/// infrastructure, not a simulated source — source-level faults are
-/// injected above the server (dwc-core's `FaultPlanSource`), so fault parity
-/// between backends is untouched.
+/// internally) and return the pager's I/O errors: a truncated or deleted
+/// segment file is an error for the caller (the server reports it as a
+/// failed request), never a panic. Source-level faults are injected above
+/// the server (dwc-core's `FaultPlanSource`), not here.
 #[derive(Debug)]
 pub struct SegmentTable {
     schema: Schema,
@@ -191,19 +189,44 @@ pub struct SegmentTable {
 }
 
 impl SegmentTable {
-    /// Builds a paged copy of a resident table (shared interner ⇒ identical
-    /// ids), for parity tests and backend swaps.
+    /// Packs a copy of `table` (shared interner ⇒ identical ids).
     pub fn from_table(
-        table: &dwc_model::UniversalTable,
+        table: &UniversalTable,
         pager: Box<dyn SegmentPager>,
         pool_bytes: usize,
     ) -> io::Result<Self> {
         let mut b = SegmentTableBuilder::new(table.schema().clone(), pager)?
             .with_interner(table.interner().clone());
         for (_, rec) in table.iter() {
-            b.push_record_ids(rec.values())?;
+            b.push_sorted(rec.values())?;
         }
         b.finish(pool_bytes)
+    }
+
+    /// [`SegmentTable::from_table`] for a table the caller gives up: its
+    /// schema and interner move into the segment table instead of being
+    /// copied, and each record is freed once it is packed.
+    pub fn from_owned_table(
+        table: UniversalTable,
+        pager: Box<dyn SegmentPager>,
+        pool_bytes: usize,
+    ) -> io::Result<Self> {
+        let (schema, interner, records) = table.into_parts();
+        let mut b = SegmentTableBuilder::new(schema, pager)?.with_interner(interner);
+        for rec in records {
+            b.push_sorted(rec.values())?;
+        }
+        b.finish(pool_bytes)
+    }
+
+    /// The records as a resident table (same schema, interner and record
+    /// ids), read in one sequential pass.
+    pub fn to_table(&self) -> io::Result<UniversalTable> {
+        let mut records = Vec::with_capacity(self.records.len() as usize);
+        self.records.scan(self.pager.as_ref(), &self.pool, |_, vals| {
+            records.push(Record::new(unpack(vals).map(ValueId).collect()));
+        })?;
+        Ok(UniversalTable::from_parts(self.schema.clone(), self.interner.clone(), records))
     }
 
     /// The schema.
@@ -231,102 +254,117 @@ impl SegmentTable {
         (0..self.pager.num_segments()).map(|s| self.pager.segment_len(s)).sum()
     }
 
-    /// Buffer-pool counters.
+    /// Buffer-pool counters (all zero while every segment is read in place).
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
     }
 
     /// Number of records containing `v`.
-    pub fn match_count(&self, v: ValueId) -> usize {
+    pub fn match_count(&self, v: ValueId) -> io::Result<usize> {
         if v.index() >= self.interner.len() {
-            return 0;
+            return Ok(0);
         }
-        self.postings
-            .list_len(self.pager.as_ref(), &self.pool, v.index() as u64)
-            .expect("segment store I/O")
+        self.postings.list_len(self.pager.as_ref(), &self.pool, v.index() as u64)
     }
 
-    /// Appends postings `lo..hi` (indices within `v`'s sorted postings list)
-    /// to `out` — the pagination hot path touches only the pages its slice
-    /// covers.
-    pub fn postings_slice_into(&self, v: ValueId, lo: usize, hi: usize, out: &mut Vec<u32>) {
+    /// Postings `lo..hi` (indices within `v`'s sorted postings list,
+    /// clamped to it), packed as stored — the pagination hot path touches
+    /// only the bytes its slice covers. Decode them with [`crate::unpack`].
+    pub fn postings_slice(&self, v: ValueId, lo: usize, hi: usize) -> io::Result<Cow<'_, [u8]>> {
         if v.index() >= self.interner.len() {
-            return;
+            return Ok(Cow::Borrowed(&[]));
         }
-        self.postings
-            .read_slice_into(self.pager.as_ref(), &self.pool, v.index() as u64, lo, hi, out)
-            .expect("segment store I/O");
-    }
-
-    /// `v`'s full sorted postings list.
-    pub fn postings_vec(&self, v: ValueId) -> Vec<u32> {
-        let mut out = Vec::new();
-        if v.index() < self.interner.len() {
-            self.postings
-                .read_into(self.pager.as_ref(), &self.pool, v.index() as u64, &mut out)
-                .expect("segment store I/O");
-        }
-        out
+        let (pager, pool) = (self.pager.as_ref(), &self.pool);
+        self.postings.packed_slice(pager, pool, v.index() as u64, lo, hi)
     }
 
     /// The sorted, deduplicated value ids of record `rid`.
-    pub fn record_values(&self, rid: u32) -> Vec<ValueId> {
-        let mut raw = Vec::new();
-        self.records
-            .read_into(self.pager.as_ref(), &self.pool, u64::from(rid), &mut raw)
-            .expect("segment store I/O");
-        raw.into_iter().map(ValueId).collect()
+    pub fn record_values(&self, rid: u32) -> io::Result<Vec<ValueId>> {
+        let packed = self.records.packed(self.pager.as_ref(), &self.pool, u64::from(rid))?;
+        Ok(unpack(&packed).map(ValueId).collect())
     }
 
     /// Sorted union of several postings lists (keyword queries).
-    pub fn union(&self, values: &[ValueId]) -> Vec<u32> {
-        let lists: Vec<Vec<u32>> = values.iter().map(|&v| self.postings_vec(v)).collect();
-        postings::union(&lists.iter().map(Vec::as_slice).collect::<Vec<_>>())
+    pub fn union(&self, values: &[ValueId]) -> io::Result<Vec<u32>> {
+        Ok(postings::union(&self.packed_postings(values)?))
     }
 
     /// Sorted intersection of several postings lists (conjunctive queries).
-    pub fn intersect(&self, values: &[ValueId]) -> Vec<u32> {
-        let lists: Vec<Vec<u32>> = values.iter().map(|&v| self.postings_vec(v)).collect();
-        postings::intersect(&mut lists.iter().map(Vec::as_slice).collect::<Vec<_>>())
+    pub fn intersect(&self, values: &[ValueId]) -> io::Result<Vec<u32>> {
+        Ok(postings::intersect(&mut self.packed_postings(values)?))
+    }
+
+    /// Each value's postings packed as stored (an unknown value has none).
+    fn packed_postings(&self, values: &[ValueId]) -> io::Result<Vec<Cow<'_, [u8]>>> {
+        let known = |v: &ValueId| v.index() < self.interner.len();
+        values
+            .iter()
+            .map(|v| match known(v) {
+                true => self.postings.packed(self.pager.as_ref(), &self.pool, v.index() as u64),
+                false => Ok(Cow::Borrowed(&[][..])),
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pager::MemPager;
+    use crate::pager::tests::PoolOnly;
+    use crate::pager::{FilePager, MemPager};
     use dwc_model::fixtures::figure1_table;
-    use dwc_model::{AttrSpec, UniversalTable};
+    use dwc_model::AttrSpec;
 
-    fn paged_copy(table: &UniversalTable, page_size: usize, pool_bytes: usize) -> SegmentTable {
-        SegmentTable::from_table(table, Box::new(MemPager::new(page_size)), pool_bytes).unwrap()
+    /// The two pagers every test runs over: one read in place, one read
+    /// through a pool.
+    fn pagers(page_size: usize) -> [Box<dyn SegmentPager>; 2] {
+        [Box::new(MemPager::new(page_size)), Box::new(PoolOnly(MemPager::new(page_size)))]
+    }
+
+    /// Packed copies of `table` over both pagers; the pool of `pool_bytes`
+    /// must be smaller than the segments, so the pooled copy evicts.
+    fn paged_copies(
+        table: &UniversalTable,
+        page_size: usize,
+        pool_bytes: usize,
+    ) -> Vec<SegmentTable> {
+        pagers(page_size)
+            .into_iter()
+            .map(|pager| {
+                let st = SegmentTable::from_table(table, pager, pool_bytes).unwrap();
+                assert!(st.storage_bytes() > pool_bytes as u64, "the pool must not hold it all");
+                st
+            })
+            .collect()
     }
 
     fn assert_matches_resident(st: &SegmentTable, t: &UniversalTable) {
         assert_eq!(st.num_records(), t.num_records() as u64);
         assert_eq!(st.num_distinct_values(), t.num_distinct_values());
         for (rid, rec) in t.iter() {
-            assert_eq!(st.record_values(rid.0), rec.values(), "record {rid:?}");
+            assert_eq!(st.record_values(rid.0).unwrap(), rec.values(), "record {rid:?}");
         }
         for v in t.interner().iter_ids() {
-            assert_eq!(st.match_count(v), t.count_matches(v), "count of {v}");
-            let postings = st.postings_vec(v);
+            assert_eq!(st.match_count(v).unwrap(), t.count_matches(v), "count of {v}");
+            let postings: Vec<u32> =
+                unpack(&st.postings_slice(v, 0, usize::MAX).unwrap()).collect();
             assert!(postings.windows(2).all(|w| w[0] < w[1]), "sorted postings for {v}");
             assert_eq!(postings.len(), t.count_matches(v));
         }
+        let back = st.to_table().unwrap();
+        assert_eq!(back.iter().collect::<Vec<_>>(), t.iter().collect::<Vec<_>>());
+        assert_eq!(back.interner().len(), t.interner().len());
     }
 
     #[test]
     fn figure1_round_trips_through_segments() {
         let t = figure1_table();
-        let st = paged_copy(&t, 128, 1024);
-        assert_matches_resident(&st, &t);
-        let a2 = t.interner().get(AttrId(0), "a2").unwrap();
-        assert_eq!(st.postings_vec(a2), vec![1, 2, 3]);
-        let mut slice = Vec::new();
-        st.postings_slice_into(a2, 1, 3, &mut slice);
-        assert_eq!(slice, vec![2, 3]);
-        assert_eq!(st.match_count(ValueId(10_000)), 0, "unknown ids have no postings");
+        for st in paged_copies(&t, 64, 128) {
+            assert_matches_resident(&st, &t);
+            let a2 = t.interner().get(AttrId(0), "a2").unwrap();
+            assert_eq!(unpack(&st.postings_slice(a2, 1, 3).unwrap()).collect::<Vec<_>>(), [2, 3]);
+            assert_eq!(st.match_count(ValueId(10_000)).unwrap(), 0, "unknown ids have no postings");
+        }
     }
 
     #[test]
@@ -343,15 +381,17 @@ mod tests {
                 (AttrId(1), format!("b{}", i % 37)),
             ]);
         }
-        let mut b = SegmentTableBuilder::new(t.schema().clone(), Box::new(MemPager::new(256)))
-            .unwrap()
-            .with_build_budget(1);
-        b = b.with_interner(t.interner().clone());
-        for (_, rec) in t.iter() {
-            b.push_record_ids(rec.values()).unwrap();
+        for pager in pagers(256) {
+            let mut b = SegmentTableBuilder::new(t.schema().clone(), pager)
+                .unwrap()
+                .with_build_budget(1)
+                .with_interner(t.interner().clone());
+            for (_, rec) in t.iter() {
+                b.push_sorted(rec.values()).unwrap();
+            }
+            let st = b.finish(4 * 256).unwrap();
+            assert_matches_resident(&st, &t);
         }
-        let st = b.finish(16 * 256).unwrap();
-        assert_matches_resident(&st, &t);
     }
 
     #[test]
@@ -372,29 +412,83 @@ mod tests {
         for row in &rows {
             t.push_record_strs(row.iter().map(|(a, s)| (*a, s.as_str())));
         }
-        let mut b = SegmentTableBuilder::new(schema, Box::new(MemPager::new(256))).unwrap();
-        for row in &rows {
-            b.push_record_strs(row.iter().map(|(a, s)| (*a, s.as_str()))).unwrap();
+        for pager in pagers(256) {
+            let mut b = SegmentTableBuilder::new(schema.clone(), pager).unwrap();
+            for row in &rows {
+                b.push_record_strs(row.iter().map(|(a, s)| (*a, s.as_str()))).unwrap();
+            }
+            let st = b.finish(4 * 256).unwrap();
+            assert_matches_resident(&st, &t);
+            for v in t.interner().iter_ids() {
+                assert_eq!(
+                    st.interner().get(t.interner().attr_of(v), t.interner().value_str(v)),
+                    Some(v),
+                    "independent builds assign the same id to {v}"
+                );
+            }
         }
-        let st = b.finish(8 * 256).unwrap();
-        assert_matches_resident(&st, &t);
-        for v in t.interner().iter_ids() {
-            assert_eq!(
-                st.interner().get(t.interner().attr_of(v), t.interner().value_str(v)),
-                Some(v),
-                "independent builds assign the same id to {v}"
-            );
-        }
+    }
+
+    #[test]
+    fn owned_and_borrowed_packs_agree() {
+        let t = figure1_table();
+        let owned = SegmentTable::from_owned_table(t.clone(), Box::new(MemPager::new(64)), 0);
+        assert_matches_resident(&owned.unwrap(), &t);
     }
 
     #[test]
     fn union_and_intersect_match_resident_semantics() {
         let t = figure1_table();
-        let st = paged_copy(&t, 128, 2048);
+        let id = |a: u16, s: &str| t.interner().get(AttrId(a), s).unwrap();
+        let (a1, a2, c2) = (id(0, "a1"), id(0, "a2"), id(2, "c2"));
+        for st in paged_copies(&t, 64, 128) {
+            // a2 → {1,2,3}, c2 → {2,3,4}.
+            assert_eq!(st.union(&[a2, c2]).unwrap(), vec![1, 2, 3, 4]);
+            assert_eq!(st.union(&[]).unwrap(), Vec::<u32>::new());
+            assert_eq!(st.intersect(&[a2, c2]).unwrap(), vec![2, 3]);
+            assert_eq!(st.intersect(&[a2]).unwrap(), vec![1, 2, 3]);
+            assert_eq!(st.intersect(&[a1, c2]).unwrap(), Vec::<u32>::new(), "disjoint");
+            assert_eq!(st.intersect(&[a2, ValueId(10_000)]).unwrap(), Vec::<u32>::new());
+            assert_eq!(st.intersect(&[]).unwrap(), Vec::<u32>::new());
+        }
+    }
+
+    #[test]
+    fn skewed_conjunction_gallops_over_both_pagers() {
+        // 400 records all share A=common; C=rare appears on 3 of them —
+        // exactly the rare∧popular shape galloping is for.
+        let schema = Schema::new(vec![AttrSpec::queriable("A"), AttrSpec::queriable("C")]);
+        let mut t = UniversalTable::new(schema);
+        for i in 0..400u32 {
+            let c = if i % 150 == 7 { "rare".to_string() } else { format!("c{i}") };
+            t.push_record_strs([(AttrId(0), "common"), (AttrId(1), c.as_str())]);
+        }
+        let common = t.interner().get(AttrId(0), "common").unwrap();
+        let rare = t.interner().get(AttrId(1), "rare").unwrap();
+        for st in paged_copies(&t, 256, 4 * 256) {
+            let (nc, nr) = (st.match_count(common).unwrap(), st.match_count(rare).unwrap());
+            assert!(nc >= postings::GALLOP_SKEW * nr);
+            assert_eq!(st.intersect(&[common, rare]).unwrap(), vec![7, 157, 307]);
+            assert_eq!(st.intersect(&[rare, common]).unwrap(), vec![7, 157, 307]);
+        }
+    }
+
+    #[test]
+    fn truncated_segment_files_are_errors_not_panics() {
+        let t = figure1_table();
+        let dir = std::env::temp_dir().join(format!("dwc-table-{}-truncated", std::process::id()));
+        let pager = FilePager::open(&dir, 64).unwrap();
+        let st = SegmentTable::from_table(&t, Box::new(pager), 0).unwrap();
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let file = std::fs::OpenOptions::new().write(true).open(entry.unwrap().path());
+            file.unwrap().set_len(0).unwrap();
+        }
         let a2 = t.interner().get(AttrId(0), "a2").unwrap();
-        let c2 = t.interner().get(AttrId(2), "c2").unwrap();
-        assert_eq!(st.union(&[a2, c2]), vec![1, 2, 3, 4]);
-        assert_eq!(st.intersect(&[a2, c2]), vec![2, 3]);
-        assert_eq!(st.intersect(&[]), Vec::<u32>::new());
+        assert!(st.match_count(a2).is_err());
+        assert!(st.record_values(1).is_err());
+        assert!(st.postings_slice(a2, 0, 2).is_err());
+        assert!(st.intersect(&[a2, a2]).is_err());
+        assert!(st.to_table().is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,18 +1,22 @@
-//! Out-of-core storage parity suite: the paged backend is observationally
-//! identical to the resident one, and the state journal loses at most the
+//! Out-of-core storage parity suite: a server reading file-backed segments
+//! through a buffer pool is observationally identical to one reading
+//! in-memory segments in place, and the state journal loses at most the
 //! query in flight.
 //!
-//! Three invariants:
+//! Four invariants:
 //!
-//! 1. **Backend parity under faults** — a crawl against a
-//!    [`SegmentTable`]-backed server (file-backed pages, sized buffer pool)
-//!    produces a `CrawlReport` bit-identical to the resident backend's,
-//!    across the same `DWC_FAULT_KIND` × `DWC_FAULT_SEED` matrix the crash
-//!    and serving-parity suites sweep. Storage is below the query seam;
-//!    policies must not be able to tell.
-//! 2. **Backend parity on random databases** — the same equality, property
-//!    tested over random small tables, page sizes, and result caps.
-//! 3. **Journal recovery at every frame** — kill a journaled crawl at every
+//! 1. **Read-path parity under faults** — a crawl against a
+//!    [`SegmentTable`] on files behind a small buffer pool produces a
+//!    `CrawlReport` bit-identical to `WebDbServer::new`'s (in-memory
+//!    segments, read in place), across the same `DWC_FAULT_KIND` ×
+//!    `DWC_FAULT_SEED` matrix the crash and serving-parity suites sweep.
+//!    Storage is below the query seam; policies must not be able to tell.
+//! 2. **Read-path parity on random databases** — the same equality,
+//!    property tested over random small tables, page sizes, and result caps.
+//! 3. **Storage errors end requests, not crawls** — a segment file cut
+//!    short under a live server fails each request with a fatal error, and
+//!    the crawl over it stops without panicking.
+//! 4. **Journal recovery at every frame** — kill a journaled crawl at every
 //!    frame boundary (and mid-frame), recover exactly the state the crawler
 //!    had after that query, resume, and the finished crawl matches the
 //!    uninterrupted baseline exactly. A resume after a kill past the last
@@ -25,7 +29,8 @@ use common::{fault_matrix_cell, matrix_plan};
 use deep_web_crawler::core::JournalRecovery;
 use deep_web_crawler::model::{AttrId, AttrSpec, Schema, UniversalTable};
 use deep_web_crawler::prelude::*;
-use deep_web_crawler::store::{FilePager, FrameLog, MemPager, MemoryBudget, SegmentTable};
+use deep_web_crawler::server::ServerError;
+use deep_web_crawler::store::{FilePager, FrameLog, MemoryBudget, SegmentTable};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -76,9 +81,9 @@ fn run_crawl<S: DataSource>(source: S, config: CrawlConfig) -> CrawlReport {
     crawler.run()
 }
 
-/// The tentpole invariant: swapping the resident backend for file-backed
-/// segments changes nothing above the query seam — counters, coverage, and
-/// the full per-query trace are bit-identical, fault matrix included.
+/// Swapping in-memory segments for file-backed ones changes nothing above
+/// the query seam — counters, coverage, and the full per-query trace are
+/// bit-identical, fault matrix included.
 #[test]
 fn paged_backend_reproduces_resident_reports_across_fault_matrix() {
     let (kind, seed) = fault_matrix_cell();
@@ -159,8 +164,9 @@ fn table_from(records: &[Vec<(u16, u8)>]) -> UniversalTable {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Backend parity as a property: for any random table, page size, and
-    /// result cap, the resident and paged crawls produce identical reports.
+    /// Read-path parity as a property: for any random table, page size, and
+    /// result cap, crawls of in-memory and pooled file segments produce
+    /// identical reports.
     #[test]
     fn paged_crawls_match_resident_on_random_tables(
         records in prop::collection::vec(record_strategy(), 1..40),
@@ -184,14 +190,38 @@ proptest! {
         };
 
         let resident = run(WebDbServer::new(t.clone(), spec.clone()));
-        // In-RAM pager here: the property sweeps many tables, and the
-        // file-backed pager is exercised by the matrix tests above.
-        let seg = SegmentTable::from_table(&t, Box::new(MemPager::new(256)), 4096)
-            .expect("pack segments");
+        // Files behind a one-frame pool, which cannot hold the table's four
+        // segments at once, so the pooled path evicts mid-crawl.
+        let dir = scratch_dir("random");
+        let pager = FilePager::open(&dir, 64).expect("open segment dir");
+        let seg = SegmentTable::from_table(&t, Box::new(pager), 64).expect("pack segments");
         let paged = run(WebDbServer::paged(Arc::new(seg), spec));
+        std::fs::remove_dir_all(&dir).ok();
 
         prop_assert_eq!(paged, resident);
     }
+}
+
+/// Segment files cut short under a live file-paged server: every request
+/// fails with a fatal storage error (still billed), and a crawl over the
+/// server gives up its seeds and stops instead of panicking.
+#[test]
+fn truncated_segment_files_end_the_crawl_without_panicking() {
+    let table = imdb_table(3);
+    let dir = scratch_dir("truncated");
+    let server = paged_server(&table, &dir);
+    for entry in std::fs::read_dir(&dir).expect("segment dir") {
+        let file = std::fs::OpenOptions::new().write(true).open(entry.expect("entry").path());
+        file.expect("open segment file").set_len(0).expect("truncate");
+    }
+    let q = Query::ByString { attr: "Actor".into(), value: "Actor_0".into() };
+    assert!(matches!(server.query_page(&q, 0), Err(ServerError::Storage { .. })));
+
+    let report = run_crawl(&server, crawl_config());
+    assert_eq!(report.records, 0, "nothing can be read");
+    assert_eq!(report.rounds, server.rounds_used() - 1, "each failed request is billed");
+    assert!(report.rounds > 0 && report.rounds < 1_500, "the crawl stops on its own");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Runs a crawl one step at a time until its round budget, as
