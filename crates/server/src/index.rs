@@ -67,7 +67,8 @@ impl InvertedIndex {
 mod tests {
     use super::*;
     use dwc_model::fixtures::figure1_table;
-    use dwc_model::AttrId;
+    use dwc_model::{AttrId, RecordId};
+    use dwc_store::postings;
 
     #[test]
     fn postings_match_table_scan() {
@@ -94,6 +95,82 @@ mod tests {
         let idx = InvertedIndex::build(&t);
         let a2 = t.interner().get(AttrId(0), "a2").unwrap();
         assert_eq!(idx.postings(a2), &[1, 2, 3]);
+    }
+
+    /// The postings of `values`, packed little-endian the way a
+    /// `SegmentTable` stores them, for `dwc_store::postings`.
+    fn packed(idx: &InvertedIndex, values: &[ValueId]) -> Vec<Vec<u8>> {
+        values
+            .iter()
+            .map(|&v| idx.postings(v).iter().flat_map(|id| id.to_le_bytes()).collect())
+            .collect()
+    }
+
+    fn intersect(idx: &InvertedIndex, values: &[ValueId]) -> Vec<RecordId> {
+        postings::intersect(&mut packed(idx, values)).into_iter().map(RecordId).collect()
+    }
+
+    fn union(idx: &InvertedIndex, values: &[ValueId]) -> Vec<RecordId> {
+        postings::union(&packed(idx, values)).into_iter().map(RecordId).collect()
+    }
+
+    #[test]
+    fn union_dedups_across_lists() {
+        let t = figure1_table();
+        let idx = InvertedIndex::build(&t);
+        let a2 = t.interner().get(AttrId(0), "a2").unwrap();
+        let c2 = t.interner().get(AttrId(2), "c2").unwrap();
+        // a2 → {1,2,3}, c2 → {2,3,4}; union {1,2,3,4}.
+        let u = union(&idx, &[a2, c2]);
+        assert_eq!(u, vec![RecordId(1), RecordId(2), RecordId(3), RecordId(4)]);
+    }
+
+    #[test]
+    fn intersect_narrows() {
+        let t = figure1_table();
+        let idx = InvertedIndex::build(&t);
+        let a2 = t.interner().get(AttrId(0), "a2").unwrap();
+        let c2 = t.interner().get(AttrId(2), "c2").unwrap();
+        // a2 → {1,2,3}, c2 → {2,3,4}; intersection {2,3}.
+        assert_eq!(intersect(&idx, &[a2, c2]), vec![RecordId(2), RecordId(3)]);
+        assert_eq!(intersect(&idx, &[a2]), vec![RecordId(1), RecordId(2), RecordId(3)]);
+        assert!(intersect(&idx, &[]).is_empty());
+    }
+
+    #[test]
+    fn intersect_disjoint_is_empty() {
+        let t = figure1_table();
+        let idx = InvertedIndex::build(&t);
+        let a1 = t.interner().get(AttrId(0), "a1").unwrap();
+        let c2 = t.interner().get(AttrId(2), "c2").unwrap();
+        assert!(intersect(&idx, &[a1, c2]).is_empty());
+    }
+
+    #[test]
+    fn union_of_nothing_is_empty() {
+        let t = figure1_table();
+        let idx = InvertedIndex::build(&t);
+        assert!(union(&idx, &[]).is_empty());
+    }
+
+    #[test]
+    fn skewed_conjunction_through_the_index() {
+        use dwc_model::{AttrSpec, Schema};
+        // 400 records all share A=common; C=rare appears on 3 of them —
+        // exactly the rare∧popular shape galloping is for.
+        let schema = Schema::new(vec![AttrSpec::queriable("A"), AttrSpec::queriable("C")]);
+        let mut t = UniversalTable::new(schema);
+        for i in 0..400u32 {
+            let c = if i % 150 == 7 { "rare".to_string() } else { format!("c{i}") };
+            t.push_record_strs([(AttrId(0), "common"), (AttrId(1), c.as_str())]);
+        }
+        let idx = InvertedIndex::build(&t);
+        let common = t.interner().get(AttrId(0), "common").unwrap();
+        let rare = t.interner().get(AttrId(1), "rare").unwrap();
+        assert!(idx.match_count(common) >= postings::GALLOP_SKEW * idx.match_count(rare));
+        let got = intersect(&idx, &[common, rare]);
+        assert_eq!(got, vec![RecordId(7), RecordId(157), RecordId(307)]);
+        assert_eq!(intersect(&idx, &[rare, common]), got, "order-insensitive");
     }
 
     #[test]
