@@ -252,10 +252,13 @@ pub fn parse_page_ref(xml: &str) -> Result<ExtractedPageRef<'_>, ExtractError> {
 /// Re-encodes a borrowed [`ExtractedPageRef`] into the XML wire format — the
 /// crawler-side inverse of [`parse_page_ref`], round-trip exact for any page
 /// (names and values are XML-escaped), and byte for byte the document
-/// `dwc-server::wire` renders for the same page. This is the serving-tier
-/// frame encoder: a [`crate::serve::SourceService`] worker visits the inner
-/// source's page zero-copy and escapes each name and value straight off the
-/// borrow into one buffer, sized up front for the unescaped page.
+/// `dwc-server::wire` renders for the same page. This is the serving tier's
+/// encoder for sources that visit: when a [`crate::serve::SourceService`]
+/// worker's inner source answers with a visit instead of a frame (an
+/// in-process request, or a source that does not render), the worker
+/// escapes each name and value straight off the borrow into one buffer,
+/// sized up front for the unescaped page. A source that renders hands its
+/// render over as the frame, and this encoder does not run.
 pub fn page_ref_to_wire(page: &ExtractedPageRef<'_>) -> String {
     use std::fmt::Write as _;
     const RECORD_MARKUP: usize = "  <record key=\"18446744073709551615\">\n  </record>\n".len();

@@ -17,8 +17,8 @@
 //!     ▲                                   │   ▲                      │
 //!     │                                   │   └──reply channel──  worker × W
 //!     │                            queue full?                       │
-//!     └── Err(Rejected) ◀── shed ─────────┘            respond() on inner source,
-//!                                                      encode page → wire frame
+//!     └── Err(Rejected) ◀── shed ─────────┘       framed respond() on inner source:
+//!                                                 its render is the wire frame
 //! ```
 //!
 //! Contract, in terms of the paper's cost model:
@@ -75,16 +75,24 @@
 //!   stay bit-identical across transports, which is what the parity and
 //!   chaos suites check.
 //!
-//! Responses cross the boundary as frames: the worker visits the inner
-//! source's page zero-copy, re-encodes it with
-//! [`crate::extract::page_ref_to_wire`], stamps a checksum that folds the
-//! frame 8 bytes at a time with its length, and the client verifies and
-//! re-parses with [`crate::extract::parse_page_ref`] —
-//! a checksum mismatch means the wire truncated the frame in transit
-//! (retransmit; the intact frame is served from the dedup window), while a
-//! parse failure on an intact frame means the source itself served garbage
-//! (surfaced as [`CrawlError::CorruptPage`], exactly as in-process). The
-//! frame is written once and shared: the dedup window, parked waiters and
+//! Responses cross the boundary as frames, and a wire round renders once and
+//! parses once, on the client. The worker sends the inner source a
+//! [framed](SourceRequest::framed) request: a source that renders (a
+//! `WebDbServer` asked for a [`ProberMode::Wire`] page) answers with its
+//! render — the buffer its page cache holds — and the page facts kept beside
+//! it, neither parsing nor visiting, and that buffer is the frame. A source
+//! that visits instead (an in-process request, or a source that does not
+//! render) has its page encoded by [`crate::extract::page_ref_to_wire`],
+//! byte for byte the document a render would be; a success that brings
+//! neither a frame nor a visited page served no page and is answered
+//! [`CrawlError::CorruptPage`]. The worker stamps a checksum that folds the
+//! frame 8 bytes at a time with its length, and the client verifies it and
+//! parses with [`crate::extract::parse_page_ref`] — a checksum mismatch
+//! means the wire truncated the frame in transit (retransmit; the intact
+//! frame is served from the dedup window), while a parse failure on an
+//! intact frame means the source itself served garbage (surfaced as
+//! [`CrawlError::CorruptPage`], exactly as in-process). The frame is written
+//! once and shared: the page cache, the dedup window, parked waiters and
 //! every reply hold a handle to it, never a copy.
 
 use crate::chaos::{ChaosKind, ChaosState};
@@ -323,14 +331,15 @@ fn truncated(wire: &str) -> &str {
     &wire[..cut]
 }
 
-/// The frame a worker ships back on success: the page re-encoded into the
-/// XML wire format plus whether the source served it from its render cache.
-/// The encoded page is shared, not copied: the dedup window, parked waiters
-/// and every reply to one request id hold a handle to the buffer the worker
-/// wrote.
+/// The frame a worker ships back on success: the page in the XML wire
+/// format plus whether the source served it from its render cache. The
+/// frame is shared, not copied: the dedup window, parked waiters and every
+/// reply to one request id hold a handle to one buffer — the source's render
+/// (the buffer its page cache holds) or, for a source that visits, the
+/// worker's encoding of the visited page.
 #[derive(Clone)]
 struct ReplyFrame {
-    wire: Arc<String>,
+    wire: Arc<str>,
     served_from_cache: bool,
     /// [`wire_checksum`] of `wire` as it left the worker; survives chaos
     /// truncation so the client can detect it.
@@ -534,8 +543,9 @@ fn ship_reply(job: &Job, mut payload: Reply) {
         if let Ok(frame) = &mut payload {
             // The checksum still describes the intact frame, so the client
             // detects the truncation and retransmits. The cut goes to a copy:
-            // the shared frame stays intact for the retransmit.
-            frame.wire = Arc::new(truncated(&frame.wire).to_owned());
+            // the shared frame (the dedup window's, and the page cache's)
+            // stays intact for the retransmit.
+            frame.wire = Arc::from(truncated(&frame.wire));
         }
     }
     let _ = job.reply.try_send(payload);
@@ -611,19 +621,18 @@ fn worker_loop<S: DataSource>(
         if !modeled.is_zero() {
             thread::sleep(modeled);
         }
+        // Framed: a source that renders answers with its render, which
+        // ships as it is; a source that visits is encoded here.
         let request = SourceRequest {
             query: &job.query,
             page_index: job.page_index,
             prober: job.prober,
             deadline: job.deadline,
+            framed: true,
         };
-        let mut wire = None;
-        let mut records = 0u32;
+        let mut visited = None;
         let executed = panic::catch_unwind(AssertUnwindSafe(|| {
-            inner.respond(&request, &mut |page| {
-                records = page.records.len() as u32;
-                wire = Some(page_ref_to_wire(page));
-            })
+            inner.respond(&request, &mut |page| visited = Some(page_ref_to_wire(page)))
         }));
         let Ok(outcome) = executed else {
             // The inner source panicked mid-request and billed the attempt
@@ -636,19 +645,20 @@ fn worker_loop<S: DataSource>(
             shared.emit(CrawlEvent::ServiceRestarted);
             continue;
         };
-        if !config.decode_per_record.is_zero() && records > 0 {
-            thread::sleep(config.decode_per_record * records);
-        }
-        let latency_us = latency(&job);
-        let payload: Reply = outcome.map(|resp| {
-            let wire = wire.expect("respond visits exactly once on success");
-            let checksum = wire_checksum(wire.as_bytes());
-            ReplyFrame {
-                wire: Arc::new(wire),
-                served_from_cache: resp.meta.served_from_cache,
-                checksum,
+        let payload: Reply = outcome.and_then(|resp| {
+            let wire: Arc<str> = match (resp.frame, visited) {
+                (Some(frame), _) => frame,
+                (None, Some(encoded)) => Arc::from(encoded),
+                // A success with neither a frame nor a visit served no page.
+                (None, None) => return Err(CrawlError::CorruptPage),
+            };
+            if !config.decode_per_record.is_zero() && resp.meta.records > 0 {
+                thread::sleep(config.decode_per_record * resp.meta.records as u32);
             }
+            let checksum = wire_checksum(wire.as_bytes());
+            Ok(ReplyFrame { wire, served_from_cache: resp.meta.served_from_cache, checksum })
         });
+        let latency_us = latency(&job);
         // Finalize the dedup entry *before* any reply leaves: once the
         // client can observe completion, the cached outcome already exists,
         // so a retransmit can never re-execute.
@@ -685,7 +695,7 @@ fn worker_loop<S: DataSource>(
 }
 
 /// The client half of the protocol transport: a [`DataSource`] that frames
-/// each request into the service's bounded queue and re-parses the reply.
+/// each request into the service's bounded queue and parses the reply frame.
 ///
 /// Billing: `rounds_used()` is the inner source's counter plus the service's
 /// shed, cancelled and retransmitted counters — every request that reached
@@ -942,10 +952,11 @@ impl ReplyFrame {
             page_index: page.page_index,
             total_matches: page.total_matches,
             has_more: page.has_more,
+            records: page.records.len(),
             served_from_cache: self.served_from_cache,
         };
         visit(&page);
-        Ok(SourceResponse { meta })
+        Ok(SourceResponse { meta, frame: None })
     }
 }
 
@@ -1315,6 +1326,17 @@ mod tests {
         assert_eq!(inner.rounds_used(), 1);
         assert_eq!(conn.rounds_used(), 2);
         assert_eq!(chaos.tally().corrupted, 1);
+        // The frame is the page cache's buffer, so the cut went to a copy: a
+        // second request for the page is served from the cache, intact.
+        let mut again = None;
+        let response = conn
+            .respond(&SourceRequest::new(&query, 0, ProberMode::Wire), &mut |page| {
+                again = Some(page.to_owned_page());
+            })
+            .unwrap();
+        assert!(response.meta.served_from_cache);
+        assert_eq!(again, Some(served));
+        assert_eq!(inner.page_cache().hits(), 1);
         drop(conn);
         let report = service.shutdown();
         assert_eq!(report.retransmitted, 1);
@@ -1561,24 +1583,19 @@ mod tests {
     }
 
     /// A full first page of the Fig. 3 table (DBLP preset at scale 0.05,
-    /// page size 10), encoded by the serving tier exactly as a worker ships
-    /// it.
-    fn fig3_frame() -> String {
+    /// page size 10), framed by the server exactly as a worker ships it.
+    fn fig3_frame() -> Arc<str> {
         let table = dwc_datagen::presets::Preset::Dblp.table(0.05, 1);
         let spec = InterfaceSpec::permissive(table.schema(), 10);
         let server = WebDbServer::new(table, spec);
         let values = server.table().record(dwc_model::RecordId(0)).values().to_vec();
         for v in values {
-            let mut frame = None;
-            server
-                .respond(&SourceRequest::new(&Query::Value(v), 0, ProberMode::Wire), &mut |page| {
-                    if page.records.len() == 10 {
-                        frame = Some(page_ref_to_wire(page));
-                    }
-                })
-                .unwrap();
-            if let Some(frame) = frame {
-                return frame;
+            let query = Query::Value(v);
+            let request =
+                SourceRequest { framed: true, ..SourceRequest::new(&query, 0, ProberMode::Wire) };
+            let response = server.respond(&request, &mut |_| {}).unwrap();
+            if response.meta.records == 10 {
+                return response.frame.expect("a rendering source frames a framed request");
             }
         }
         panic!("record 0 of the Fig. 3 table has a value with a full first page");
@@ -1653,6 +1670,75 @@ mod tests {
     #[test]
     fn panicking_source_is_retried_and_served_on_two_workers() {
         panicking_source_is_retried_and_served(2);
+    }
+
+    /// Forwards `respond` to the figure-1 server with a no-op visitor: an
+    /// in-process request succeeds with neither a frame nor a visited page.
+    struct Unvisited(WebDbServer);
+
+    impl DataSource for Unvisited {
+        fn respond(
+            &self,
+            request: &SourceRequest<'_>,
+            _visit: &mut dyn FnMut(&ExtractedPageRef<'_>),
+        ) -> Result<SourceResponse, CrawlError> {
+            self.0.respond(request, &mut |_| {})
+        }
+
+        fn interface(&self) -> &InterfaceSpec {
+            self.0.interface()
+        }
+
+        fn rounds_used(&self) -> u64 {
+            self.0.rounds_used()
+        }
+    }
+
+    #[test]
+    fn a_success_without_a_page_is_corrupt_and_the_worker_keeps_serving() {
+        // One worker, and the first reply frame is lost: the retransmit is
+        // answered from the finalized dedup entry, not re-executed.
+        let inner = Arc::new(Unvisited(server()));
+        let query = a2(&inner.0);
+        let service = SourceService::start(Arc::clone(&inner), ServeConfig::default());
+        let chaos = Arc::new(ChaosState::new(ChaosPlan::new().drop_at(2)));
+        let conn = service.connect().with_chaos(chaos);
+        let in_process = SourceRequest::new(&query, 0, ProberMode::InProcess);
+        for _ in 0..2 {
+            let mut visited = false;
+            let outcome = conn.respond(&in_process, &mut |_| visited = true);
+            assert_eq!(outcome, Err(CrawlError::CorruptPage), "the source served no page");
+            assert!(!visited);
+        }
+        // The worker still serves: a wire request is answered with the
+        // server's frame, which needs no visit.
+        let mut records = 0;
+        let wire = SourceRequest::new(&query, 0, ProberMode::Wire);
+        conn.respond(&wire, &mut |page| records = page.records.len()).unwrap();
+        assert_eq!(records, 2);
+        assert_eq!(inner.rounds_used(), 3, "each logical request executed once");
+        drop(conn);
+        let report = service.shutdown();
+        assert_eq!(report.retransmitted, 1, "the retransmit was served from the dedup window");
+        assert_eq!((report.enqueued, report.completed, report.restarts), (4, 4, 0));
+    }
+
+    #[test]
+    fn decode_cost_is_billed_per_record_of_a_framed_page() {
+        // The worker ships the server's render without visiting it; the
+        // modeled decode cost still comes from the page's record count.
+        let inner = Arc::new(server());
+        let query = a2(&inner);
+        let cost = Duration::from_millis(3);
+        let config = ServeConfig::builder().decode_per_record(cost).build().unwrap();
+        let service = SourceService::start(Arc::clone(&inner), config);
+        let conn = service.connect();
+        let response =
+            conn.respond(&SourceRequest::new(&query, 0, ProberMode::Wire), &mut |_| {}).unwrap();
+        assert_eq!(response.meta.records, 2);
+        drop(conn);
+        let report = service.shutdown();
+        assert!(report.max_latency_us >= 2 * cost.as_micros() as u64, "{report:?}");
     }
 
     #[test]

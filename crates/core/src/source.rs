@@ -9,23 +9,28 @@
 //! ([`crate::serve::Connection`]) interchangeably.
 //!
 //! The boundary is a request/response seam: the crawler submits a
-//! [`SourceRequest`] envelope (query, page index, prober mode, and an
-//! optional deadline — the one piece of service-level intent) and receives
-//! a [`SourceResponse`] (page facts). The single entry point is
-//! [`DataSource::respond`]. A service's own observations — queue depth,
-//! latency — travel on its event stream
+//! [`SourceRequest`] envelope (query, page index, prober mode, an optional
+//! deadline — the one piece of service-level intent — and whether the caller
+//! ships pages as wire frames) and receives a [`SourceResponse`] (page facts,
+//! and for a framed request possibly the rendered page itself). The single
+//! entry point is [`DataSource::respond`]. A service's own observations —
+//! queue depth, latency — travel on its event stream
 //! ([`crate::serve::ServiceReport`]), not on each response.
 //!
 //! Results cross the boundary in *extracted* form
 //! ([`crate::extract::ExtractedPageRef`]: attribute names + value strings) —
 //! the crawler never touches server-side id spaces or backing tables. How a
 //! page is materialized (direct translation or an XML wire round-trip) is
-//! the source's business, selected per request by [`ProberMode`].
+//! the source's business, selected per request by [`ProberMode`]. The one
+//! exception is the serving tier's worker ([`crate::serve`]): it frames its
+//! requests, and a source that renders answers a framed `Wire` request with
+//! its render, which the worker ships unparsed.
 //!
 //! Sharing: `DataSource` takes `&self`, and blanket impls cover `&S` and
 //! `Arc<S>`. N crawler workers can therefore target one server —
 //! `Arc<WebDbServer>` clones hand every worker the same atomic round
 //! counter, so the source is billed globally no matter who asks.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 use crate::extract::{parse_page_ref, ExtractedPageRef, ExtractedRecordRef};
 use dwc_server::{InterfaceSpec, Query, ServerError, WebDbServer};
@@ -128,7 +133,9 @@ impl std::error::Error for CrawlError {
 /// fetch; the `deadline` says *how long the caller is willing to wait*.
 /// In-process sources answer immediately and ignore it — which is exactly
 /// what keeps single-worker crawls bit-for-bit reproducible — while the
-/// serving tier ([`crate::serve`]) enforces it against its queue.
+/// serving tier ([`crate::serve`]) enforces it against its queue. `framed`
+/// says what the caller does with the page: a crawler ingests it and needs a
+/// visit, the serving tier's worker ships it and needs a frame.
 #[derive(Debug, Clone, Copy)]
 pub struct SourceRequest<'a> {
     /// The query to execute.
@@ -140,12 +147,17 @@ pub struct SourceRequest<'a> {
     /// Absolute point after which the caller no longer wants the response.
     /// A queued request past its deadline is cancelled (and billed).
     pub deadline: Option<Instant>,
+    /// The caller ships the page as a wire frame: a source that renders may
+    /// answer a [`ProberMode::Wire`] request with its render in
+    /// [`SourceResponse::frame`] instead of visiting. Only the serving tier's
+    /// worker sets it.
+    pub framed: bool,
 }
 
 impl<'a> SourceRequest<'a> {
-    /// An envelope with no deadline.
+    /// An unframed envelope with no deadline.
     pub fn new(query: &'a Query, page_index: usize, prober: ProberMode) -> Self {
-        SourceRequest { query, page_index, prober, deadline: None }
+        SourceRequest { query, page_index, prober, deadline: None, framed: false }
     }
 
     /// Sets an absolute deadline.
@@ -156,7 +168,7 @@ impl<'a> SourceRequest<'a> {
 }
 
 /// Page-level facts a successful [`DataSource::respond`] call reports
-/// alongside the borrowed records it hands to the visitor.
+/// alongside the page it visits or frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageMeta {
     /// Zero-based page index served.
@@ -165,16 +177,23 @@ pub struct PageMeta {
     pub total_matches: Option<usize>,
     /// Whether more pages follow.
     pub has_more: bool,
+    /// Records on the page.
+    pub records: usize,
     /// Whether the source served this page from a render cache (the round is
     /// billed either way — Definition 2.3 counts requests, not CPU).
     pub served_from_cache: bool,
 }
 
 /// The response envelope paired with [`SourceRequest`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SourceResponse {
-    /// Page-level facts (the records themselves went to the visitor).
+    /// Page-level facts (the records themselves went to the visitor, or are
+    /// in the frame).
     pub meta: PageMeta,
+    /// The page rendered to the XML wire format, when a framed request was
+    /// answered with its render instead of a visit. It is the buffer the
+    /// source's page cache holds, shared, never copied.
+    pub frame: Option<Arc<str>>,
 }
 
 /// A queryable structured web source, as a crawler sees it.
@@ -189,6 +208,11 @@ pub trait DataSource {
     /// at most once, and only on success — errors propagate before any
     /// visitation, so decorators inherit correct behavior by wrapping this
     /// one method.
+    ///
+    /// A [framed](SourceRequest::framed) request may instead be answered
+    /// with the rendered page in [`SourceResponse::frame`] and no visit; an
+    /// unframed request always visits on success. A decorator forwards the
+    /// request and returns the inner response as it came, frame included.
     ///
     /// Every call costs one communication round, including failed, shed,
     /// and cancelled ones (Definition 2.3 counts requests, not outcomes).
@@ -246,10 +270,12 @@ impl DataSource for WebDbServer {
     /// The allocation-free in-process path. `InProcess` builds the borrowed
     /// view straight off the server's interner (no render, no parse, no
     /// string copies); `Wire` goes through [`WebDbServer::rendered_page`], so
-    /// overlapping fleet workers reuse cached renders and the zero-copy
-    /// parser slices the shared buffer in place. The request's deadline is
-    /// ignored: an in-process call returns before it could matter, which
-    /// keeps single-worker crawls deterministic.
+    /// overlapping fleet workers reuse cached renders. An unframed `Wire`
+    /// request is parsed by the zero-copy parser, which slices the shared
+    /// buffer in place; a framed one is answered with the buffer itself and
+    /// the facts the render kept beside it, with no parse and no visit. The
+    /// request's deadline is ignored: an in-process call returns before it
+    /// could matter, which keeps single-worker crawls deterministic.
     fn respond(
         &self,
         request: &SourceRequest<'_>,
@@ -287,22 +313,27 @@ impl DataSource for WebDbServer {
                     page_index: page.page_index,
                     total_matches: page.total_matches,
                     has_more: page.has_more,
+                    records: page.records.len(),
                     served_from_cache: false,
                 };
                 visit(&view);
-                Ok(SourceResponse { meta })
+                Ok(SourceResponse { meta, frame: None })
             }
             ProberMode::Wire => {
                 let rendered = self.rendered_page(query, page_index)?;
-                let view = parse_page_ref(rendered.text()).expect("wire format must round-trip");
                 let meta = PageMeta {
-                    page_index: view.page_index,
-                    total_matches: view.total_matches,
-                    has_more: view.has_more,
+                    page_index,
+                    total_matches: rendered.total_matches(),
+                    has_more: rendered.has_more(),
+                    records: rendered.records(),
                     served_from_cache: rendered.cache_hit(),
                 };
+                if request.framed {
+                    return Ok(SourceResponse { meta, frame: Some(rendered.into_text()) });
+                }
+                let view = parse_page_ref(rendered.text()).map_err(|_| CrawlError::CorruptPage)?;
                 visit(&view);
-                Ok(SourceResponse { meta })
+                Ok(SourceResponse { meta, frame: None })
             }
         }
     }
@@ -469,6 +500,54 @@ mod tests {
         assert!(second.served_from_cache, "same (query, page) reuses the render");
         assert_eq!(owned, fetch(&s, &a2_query(), 0, ProberMode::InProcess).unwrap());
         assert_eq!(s.page_cache().hits(), 1);
+    }
+
+    /// `(miss, hit)`: the same request twice on a fresh figure-1 server.
+    fn miss_and_hit(
+        request: &SourceRequest<'_>,
+        visits: &mut usize,
+    ) -> (SourceResponse, SourceResponse) {
+        let s = server();
+        let mut respond = || s.respond(request, &mut |_| *visits += 1).unwrap();
+        (respond(), respond())
+    }
+
+    #[test]
+    fn a_framed_wire_request_is_answered_with_the_render() {
+        let q = a2_query();
+        let unframed = SourceRequest::new(&q, 0, ProberMode::Wire);
+        let framed = SourceRequest { framed: true, ..unframed };
+        let mut visits = 0;
+        let (miss, hit) = miss_and_hit(&framed, &mut visits);
+        assert_eq!(visits, 0, "a framed response runs no visitor");
+        let s = server();
+        let page = s.query_page(&q, 0).unwrap();
+        let render = dwc_server::wire::page_to_xml(&page, s.table());
+        let frame = miss.frame.clone().expect("a miss is framed");
+        assert_eq!(*frame, *render, "the frame is the server's render");
+        let shared = hit.frame.clone().expect("a hit is framed");
+        assert!(Arc::ptr_eq(&shared, &frame), "a hit ships the cached buffer");
+        // The unframed requests visit and report the same facts, which are
+        // the page's.
+        let (plain_miss, plain_hit) = miss_and_hit(&unframed, &mut visits);
+        assert_eq!(visits, 2);
+        assert_eq!((plain_miss.frame.clone(), plain_hit.frame.clone()), (None, None));
+        assert_eq!((miss.meta, hit.meta), (plain_miss.meta, plain_hit.meta));
+        assert!(!miss.meta.served_from_cache && hit.meta.served_from_cache);
+        let facts = (page.page_index, page.total_matches, page.has_more, page.records.len());
+        let m = miss.meta;
+        assert_eq!((m.page_index, m.total_matches, m.has_more, m.records), facts);
+    }
+
+    #[test]
+    fn a_framed_in_process_request_visits() {
+        let q = a2_query();
+        let framed =
+            SourceRequest { framed: true, ..SourceRequest::new(&q, 0, ProberMode::InProcess) };
+        let mut visits = 0;
+        let resp = server().respond(&framed, &mut |_| visits += 1).unwrap();
+        assert_eq!((visits, resp.frame), (1, None));
+        assert_eq!(resp.meta.records, 3);
     }
 
     #[test]

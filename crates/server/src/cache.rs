@@ -4,8 +4,9 @@
 //! dominant CPU cost, and overlapping fleet workers crawling one shared
 //! source re-request the same `(query, page_index)` pages constantly (their
 //! frontiers overlap by construction — they grow from the same attribute
-//! value graph). The cache memoizes the rendered text behind `&self` so any
-//! worker's render is reusable by every other worker.
+//! value graph). The cache memoizes the rendered text, with the page facts
+//! beside it, behind `&self` so any worker's render is reusable by every
+//! other worker without a parse.
 //!
 //! **Billing is unaffected.** A cache hit skips the resolve + paginate +
 //! render work, *not* the communication round — Definition 2.3 charges per
@@ -18,28 +19,61 @@
 //! a fingerprint collision between different keys just degrades to a miss.
 
 use crate::interface::Query;
+use crate::server::ResultPage;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// A rendered page handed out by the server: shared text plus whether it was
-/// served from cache (surfaced to crawlers as a `PageCacheHit` event).
+/// A rendered page handed out by the server: shared text, the page facts a
+/// caller would otherwise parse back out of it (the total, the "more" flag
+/// and the record count), and whether it was served from cache (surfaced to
+/// crawlers as a `PageCacheHit` event).
 #[derive(Debug, Clone)]
 pub struct RenderedPage {
     text: Arc<str>,
+    total_matches: Option<usize>,
+    has_more: bool,
+    records: usize,
     cache_hit: bool,
 }
 
 impl RenderedPage {
-    pub(crate) fn new(text: Arc<str>, cache_hit: bool) -> Self {
-        RenderedPage { text, cache_hit }
+    /// A fresh render of `page` as `text`.
+    pub(crate) fn new(text: Arc<str>, page: &ResultPage) -> Self {
+        RenderedPage {
+            text,
+            total_matches: page.total_matches,
+            has_more: page.has_more,
+            records: page.records.len(),
+            cache_hit: false,
+        }
     }
 
     /// The rendered document.
     pub fn text(&self) -> &str {
         &self.text
+    }
+
+    /// The rendered document as the shared buffer the page cache holds.
+    pub fn into_text(self) -> Arc<str> {
+        self.text
+    }
+
+    /// The page's total match count, when the interface reports it.
+    pub fn total_matches(&self) -> Option<usize> {
+        self.total_matches
+    }
+
+    /// Whether further pages are accessible after this one.
+    pub fn has_more(&self) -> bool {
+        self.has_more
+    }
+
+    /// The number of records on the page.
+    pub fn records(&self) -> usize {
+        self.records
     }
 
     /// Whether this render was reused from the page cache.
@@ -56,7 +90,7 @@ pub const DEFAULT_PAGE_CACHE_CAPACITY: usize = 256;
 struct Entry {
     query: Query,
     page_index: usize,
-    text: Arc<str>,
+    page: RenderedPage,
     last_used: u64,
 }
 
@@ -93,8 +127,9 @@ impl PageCache {
         }
     }
 
-    /// Looks up a rendered page, counting the hit or miss.
-    pub fn get(&self, query: &Query, page_index: usize) -> Option<Arc<str>> {
+    /// Looks up a rendered page, counting the hit or miss. A hit shares the
+    /// cached buffer and is marked [`RenderedPage::cache_hit`].
+    pub fn get(&self, query: &Query, page_index: usize) -> Option<RenderedPage> {
         if self.capacity == 0 {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -103,7 +138,9 @@ impl PageCache {
         let mut inner = self.inner.lock().expect("page cache poisoned");
         // Probe first, mutate after, so the map borrow is released between.
         let probe = match inner.entries.get(&fp) {
-            Some(e) if e.page_index == page_index && e.query == *query => Some(Arc::clone(&e.text)),
+            Some(e) if e.page_index == page_index && e.query == *query => {
+                Some(RenderedPage { cache_hit: true, ..e.page.clone() })
+            }
             Some(_) => {
                 // Fingerprint collision: drop it so the slot is free for the
                 // fresh render.
@@ -113,7 +150,7 @@ impl PageCache {
             None => None,
         };
         match probe {
-            Some(text) => {
+            Some(page) => {
                 inner.tick += 1;
                 let tick = inner.tick;
                 if let Some(e) = inner.entries.get_mut(&fp) {
@@ -121,7 +158,7 @@ impl PageCache {
                 }
                 drop(inner);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(text)
+                Some(page)
             }
             None => {
                 drop(inner);
@@ -131,9 +168,9 @@ impl PageCache {
         }
     }
 
-    /// Stores a freshly rendered page, evicting the least-recently-used
-    /// entry when full.
-    pub fn insert(&self, query: &Query, page_index: usize, text: Arc<str>) {
+    /// Stores a freshly rendered page (a handle on its buffer, not a copy),
+    /// evicting the least-recently-used entry when full.
+    pub fn insert(&self, query: &Query, page_index: usize, page: &RenderedPage) {
         if self.capacity == 0 {
             return;
         }
@@ -149,7 +186,8 @@ impl PageCache {
         }
         inner.tick += 1;
         let tick = inner.tick;
-        inner.entries.insert(fp, Entry { query: query.clone(), page_index, text, last_used: tick });
+        let page = page.clone();
+        inner.entries.insert(fp, Entry { query: query.clone(), page_index, page, last_used: tick });
     }
 
     /// Cache hits served so far.
@@ -207,17 +245,24 @@ mod tests {
         Query::Keyword(s.to_string())
     }
 
-    fn text(s: &str) -> Arc<str> {
-        Arc::from(s)
+    /// A render of a one-record page whose text is `s`.
+    fn text(s: &str) -> RenderedPage {
+        let records = vec![crate::server::PageRecord { key: 1, values: vec![] }];
+        let page = ResultPage { page_index: 0, total_matches: None, records, has_more: true };
+        RenderedPage::new(Arc::from(s), &page)
     }
 
     #[test]
     fn hit_after_insert_and_counters() {
         let c = PageCache::new(8);
         assert!(c.get(&q("a"), 0).is_none());
-        c.insert(&q("a"), 0, text("<page a>"));
+        let page = text("<page a>");
+        c.insert(&q("a"), 0, &page);
         let got = c.get(&q("a"), 0).expect("hit");
-        assert_eq!(&*got, "<page a>");
+        assert_eq!(got.text(), "<page a>");
+        assert!(got.cache_hit() && !page.cache_hit());
+        assert_eq!((got.total_matches(), got.has_more(), got.records()), (None, true, 1));
+        assert!(Arc::ptr_eq(&got.into_text(), &page.into_text()), "a hit shares the buffer");
         assert_eq!(c.hits(), 1);
         assert_eq!(c.misses(), 1);
     }
@@ -225,7 +270,7 @@ mod tests {
     #[test]
     fn key_distinguishes_query_and_page() {
         let c = PageCache::new(8);
-        c.insert(&q("a"), 0, text("xml"));
+        c.insert(&q("a"), 0, &text("xml"));
         assert!(c.get(&q("b"), 0).is_none());
         assert!(c.get(&q("a"), 1).is_none());
         assert!(c.get(&q("a"), 0).is_some());
@@ -234,10 +279,10 @@ mod tests {
     #[test]
     fn lru_eviction_keeps_recently_used() {
         let c = PageCache::new(2);
-        c.insert(&q("a"), 0, text("a"));
-        c.insert(&q("b"), 0, text("b"));
+        c.insert(&q("a"), 0, &text("a"));
+        c.insert(&q("b"), 0, &text("b"));
         assert!(c.get(&q("a"), 0).is_some(), "touch a");
-        c.insert(&q("c"), 0, text("c"));
+        c.insert(&q("c"), 0, &text("c"));
         assert!(c.len() <= 2);
         assert!(c.get(&q("a"), 0).is_some(), "a was recently used");
         assert!(c.get(&q("b"), 0).is_none(), "b was the LRU victim");
@@ -246,7 +291,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables_the_cache() {
         let c = PageCache::new(0);
-        c.insert(&q("a"), 0, text("a"));
+        c.insert(&q("a"), 0, &text("a"));
         assert!(c.get(&q("a"), 0).is_none());
         assert_eq!(c.len(), 0);
         assert_eq!(c.hits(), 0);
@@ -255,7 +300,7 @@ mod tests {
     #[test]
     fn clone_starts_empty() {
         let c = PageCache::new(4);
-        c.insert(&q("a"), 0, text("a"));
+        c.insert(&q("a"), 0, &text("a"));
         let c2 = c.clone();
         assert_eq!(c2.len(), 0);
         assert_eq!(c2.capacity(), 4);

@@ -173,26 +173,27 @@ impl WebDbServer {
         self.compute_page(query, page_index)
     }
 
-    /// Serves one page already rendered to the XML wire format, reusing the
-    /// page cache: overlapping requests from fleet workers sharing this
-    /// source skip the resolve + paginate + render work entirely. The
-    /// communication round is billed exactly as in
-    /// [`WebDbServer::query_page`] — a cache hit is cheaper, not free.
+    /// Serves one page already rendered to the XML wire format, with its
+    /// page facts, reusing the page cache: overlapping requests from fleet
+    /// workers sharing this source skip the resolve + paginate + render work
+    /// entirely, and a hit shares the cached buffer. The communication round
+    /// is billed exactly as in [`WebDbServer::query_page`] — a cache hit is
+    /// cheaper, not free.
     pub fn rendered_page(
         &self,
         query: &Query,
         page_index: usize,
     ) -> Result<RenderedPage, ServerError> {
         self.bill();
-        if let Some(text) = self.cache.get(query, page_index) {
-            return Ok(RenderedPage::new(text, true));
+        if let Some(hit) = self.cache.get(query, page_index) {
+            return Ok(hit);
         }
         let page = self.compute_page(query, page_index)?;
         let mut buf = String::with_capacity(128 + page.records.len() * 160);
         crate::wire::page_to_xml_parts(&page, self.interner(), self.schema(), &mut buf);
-        let text: Arc<str> = Arc::from(buf);
-        self.cache.insert(query, page_index, Arc::clone(&text));
-        Ok(RenderedPage::new(text, false))
+        let rendered = RenderedPage::new(Arc::from(buf), &page);
+        self.cache.insert(query, page_index, &rendered);
+        Ok(rendered)
     }
 
     /// Charges one communication round — the billable prefix shared by
@@ -558,9 +559,15 @@ mod tests {
         assert_eq!(r1.text(), r2.text());
         assert_eq!(s.rounds_used(), 2, "a cache hit is cheaper, not free");
         assert_eq!(s.page_cache().hits(), 1);
-        // The cached XML matches a fresh render of the same page.
+        // The cached XML matches a fresh render of the same page, and the
+        // facts kept beside it match the page's.
         let page = s.query_page(&q, 0).unwrap();
         assert_eq!(r1.text(), crate::wire::page_to_xml(&page, s.table()));
+        for r in [&r1, &r2] {
+            assert_eq!(r.total_matches(), page.total_matches);
+            assert_eq!(r.has_more(), page.has_more);
+            assert_eq!(r.records(), page.records.len());
+        }
     }
 
     /// A fresh directory under the temp dir for one test's segment files.

@@ -2,7 +2,8 @@
 //! identical to the in-process path.
 //!
 //! A crawl driven through a [`SourceService`] connection (frames over a
-//! bounded queue, worker threads, wire re-encode/re-parse) must produce a
+//! bounded queue, worker threads, the render shipped as the wire frame and
+//! parsed by the client) must produce a
 //! `CrawlReport` — counters, coverage, *and* the full query trace —
 //! bit-identical to the same crawl run against the source in process. The
 //! suite sweeps the same `DWC_FAULT_KIND` × `DWC_FAULT_SEED` matrix CI uses
